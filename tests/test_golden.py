@@ -1,0 +1,58 @@
+"""Golden report payloads: refactors must not change what the CLI reports.
+
+Each digest is the sha256 of the ``report`` payload dumped as JSON with
+sorted keys (for ``orbit-graph``, of the DOT text), recorded before the
+shared linear-algebra helpers were merged.  The envelope is not hashed,
+so schema and settings changes do not trip these checks; any change to
+a verdict, a count, a label or a witness coordinate does.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from cotor import cli
+
+TCP = ["--backend", "nakayama:m=2,n=2", "--tcp", "trivial-hovey"]
+
+GOLDEN = [
+    (
+        ["verify", "--suite", "all", "--backend", "nakayama:m=2,n=3"],
+        "d7fb458b56b1902e42d6ad924d58797d28c345945e587e88970c0e348e700d01",
+    ),
+    (
+        ["verify", "--suite", "all", "--backend", "nakayama:m=3,n=2"],
+        "e423e1a4bdfbbf99c34c3ff4bbb1c986f59785b822d593ff464845628edd5826",
+    ),
+    (
+        ["verify", "--suite", "counts", "--backend", "polygon:N=6"],
+        "e7b03c49c5936982570995793923e93a3de8636225ab67fd7b9cd1d617c0c745",
+    ),
+    (
+        ["reduce"] + TCP,
+        "1e927122a05b63771d1d9a733c7c717ce6f3242f5a1e0609f62586a64ec746f0",
+    ),
+    (
+        ["mutate"] + TCP + ["--pair", "U=[S0];V=[S0]", "--k", "1"],
+        "977cdd95487f6b37c7f943bf7f656ca71be47d8b6cf124fbf2f19186682cf95c",
+    ),
+    (
+        ["orbit-graph"] + TCP,
+        "e7af818d72b3fcd2a45b603785ad60aa7161fc4d26e88b0f930bbcf7fd8a0bbb",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", GOLDEN, ids=[" ".join(argv) for argv, _ in GOLDEN]
+)
+def test_report_payload_matches_golden(argv, digest, capsys):
+    rc = cli.main(argv)
+    out = capsys.readouterr().out
+    assert rc == 0
+    if argv[0] == "orbit-graph":
+        text = out
+    else:
+        text = json.dumps(json.loads(out)["report"], sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
