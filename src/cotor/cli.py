@@ -1,11 +1,11 @@
 """Command-line front end producing versioned JSON reports.
 
 Every report is a single JSON document under the schema name
-``cotor.report/1`` that embeds the backend spec, the search cap, the
-recorded seed, and the tool version, so rerunning the same command with
-the same configuration reproduces the report byte for byte.  Exit
-status encodes the outcome: 0 clean, 1 property violation found, 2
-invalid input, 3 a search was inconclusive (suppressed by
+``cotor.report/2`` that embeds the command, the backend spec, the search
+cap, and the tool version.  No search is randomized, so rerunning the
+same command with the same configuration reproduces the report byte for
+byte.  Exit status encodes the outcome: 0 clean, 1 property violation
+found, 2 invalid input, 3 a search was inconclusive (suppressed by
 ``--allow-inconclusive``).
 """
 
@@ -24,6 +24,7 @@ from .core import (
     CotorError,
     InputError,
     InternalCheckError,
+    MAX_MATCH_INDECS,
     Obj,
     Verdict,
 )
@@ -38,7 +39,7 @@ from .pairs import (
 from .quotient import ZIQuotient
 from .subcats import Subcat, left_perp, right_perp
 
-SCHEMA = "cotor.report/1"
+SCHEMA = "cotor.report/2"
 
 _BUILDERS: dict[str, Callable[[str], Backend]] = {
     "nakayama": nakayama.parse_spec,
@@ -200,8 +201,6 @@ def _envelope(args: argparse.Namespace, payload: dict) -> dict:
         "command": args.command,
         "backend": getattr(args, "backend", None),
         "cap": getattr(args, "cap", None),
-        "jobs": getattr(args, "jobs", 1),
-        "seed": getattr(args, "seed", 0),
         "report": payload,
     }
 
@@ -678,7 +677,9 @@ def _suite_bijection(
             "descent and lift are mutually inverse bijections",
             Verdict.yes()
             if report["ok"]
-            else Verdict.no(reason="; ".join(report["failures"])),
+            else Verdict.no(
+                reason="; ".join(f["kind"] for f in report["failures"])
+            ),
             twin=p.as_labels(),
         )
     return {"checked": len(rows), "twin_pairs": rows}
@@ -732,8 +733,10 @@ def match_backends(a: Backend, b: Backend) -> Optional[dict[str, str]]:
     ka, kb = len(a.indecs), len(b.indecs)
     if ka != kb:
         return None
-    if ka > 24:
-        raise InputError("exact matching is limited to 24 indecomposables")
+    if ka > MAX_MATCH_INDECS:
+        raise InputError(
+            f"exact matching is limited to {MAX_MATCH_INDECS} indecomposables"
+        )
     orbits = sorted(_shift_orbits(a), key=len, reverse=True)
     orbit_len_b = {}
     for orb in _shift_orbits(b):
@@ -824,15 +827,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--cap", type=int, default=4, help="search width cap, at least 2"
-    )
-    common.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker budget hint; execution is serial",
-    )
-    common.add_argument(
-        "--seed", type=int, default=0, help="sampling seed recorded in reports"
     )
     common.add_argument(
         "--out", help="write the report to this path instead of stdout"

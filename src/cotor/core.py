@@ -11,8 +11,15 @@ that search routines return.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence
+
+# Size caps, in indecomposables, of the exhaustive routes: the 2^K class
+# sweeps, the construction of a Nakayama backend's tables, and exact
+# backend matching.
+MAX_ENUM_INDECS = 27
+MAX_NAKAYAMA_INDECS = 24
+MAX_MATCH_INDECS = 24
 
 
 class CotorError(Exception):
@@ -368,43 +375,26 @@ class Backend:
             return Tri(Obj.zero(), Obj.zero(), Obj.zero(),
                        Mor(Obj.zero(), Obj.zero()), Mor(Obj.zero(), Obj.zero()),
                        Mor(Obj.zero(), Obj.zero()), morphism_data=True)
-        a = _merge_objs([t.a for t in parts])
-        b = _merge_objs([t.b for t in parts])
-        c = _merge_objs([t.c for t in parts])
-        a1 = self.shift_obj(a, 1)
-        f = self._assemble_sum(a, b, [(t.a, t.b, t.f) for t in parts])
-        g = self._assemble_sum(b, c, [(t.b, t.c, t.g) for t in parts])
-        h = self._assemble_sum(c, a1, [(t.c, self.shift_obj(t.a, 1), t.h) for t in parts])
-        return Tri(a, b, c, f, g, h, morphism_data=True)
+        f = self._assemble_sum([t.f for t in parts])
+        g = self._assemble_sum([t.g for t in parts])
+        h = self._assemble_sum([t.h for t in parts])
+        return Tri(f.src, g.src, h.src, f, g, h, morphism_data=True)
 
-    def _assemble_sum(self, src: Obj, dst: Obj, comps) -> Mor:
-        """Block-diagonal morphism from per-part components.
-
-        Parts claim positions in the sorted src/dst multisets greedily
-        by id; permuting equal summands is an isomorphism, so any
-        consistent assignment represents the same map.
-        """
-        src_slots = _slot_assignment(src, [c[0] for c in comps])
-        dst_slots = _slot_assignment(dst, [c[1] for c in comps])
-        coords = 0
-        layout = {(p, q): (off, d) for p, q, off, d in self.block_layout(src, dst)}
-        for part_idx, (psrc, pdst, pmor) in enumerate(comps):
-            if pmor is None:
-                raise InputError("direct sum needs morphism data")
-            part_layout = self.block_layout(psrc, pdst)
-            for pp, qq, off, d in part_layout:
-                block = (pmor.coords >> off) & ((1 << d) - 1)
-                if block:
-                    gp = src_slots[part_idx][pp]
-                    gq = dst_slots[part_idx][qq]
-                    goff, gd = layout[(gp, gq)]
-                    if gd != d:
-                        raise InternalCheckError("block size mismatch in sum")
-                    coords |= block << goff
-        return Mor(src, dst, coords)
+    def _assemble_sum(self, comps: Sequence[Optional[Mor]]) -> Mor:
+        """Block-diagonal morphism from per-part components."""
+        if any(m is None for m in comps):
+            raise InputError("direct sum needs morphism data")
+        return scatter_blocks(
+            self,
+            [m.src for m in comps],
+            [m.dst for m in comps],
+            [(k, k, m) for k, m in enumerate(comps)],
+        )
 
 
 def _merge_objs(objs: Sequence[Obj]) -> Obj:
+    if len(objs) == 1:
+        return objs[0]  # objects are immutable; sharing saves a copy
     ids: list[int] = []
     for o in objs:
         ids.extend(o.summands)
@@ -429,6 +419,38 @@ def _slot_assignment(total: Obj, parts: Sequence[Obj]) -> list[list[int]]:
     if total_used != len(total):
         raise InternalCheckError("slot assignment did not cover the sum")
     return out
+
+
+def scatter_blocks(
+    backend: Backend,
+    src_parts: Sequence[Obj],
+    dst_parts: Sequence[Obj],
+    comps: Iterable[tuple[int, int, Mor]],
+) -> Mor:
+    """Map between direct sums, assembled from maps between their parts.
+
+    The source is the sum of ``src_parts`` and the target the sum of
+    ``dst_parts``.  Each (i, j, mor) in ``comps`` places mor, a map from
+    src_parts[i] to dst_parts[j], at the positions those parts take in
+    the sorted sums.  Parts claim positions greedily by id; permuting
+    equal summands is an isomorphism, so any consistent assignment
+    represents the same map.
+    """
+    src = _merge_objs(src_parts)
+    dst = _merge_objs(dst_parts)
+    src_slots = _slot_assignment(src, src_parts)
+    dst_slots = _slot_assignment(dst, dst_parts)
+    layout = {(p, q): (off, d) for p, q, off, d in backend.block_layout(src, dst)}
+    coords = 0
+    for i, j, mor in comps:
+        for pp, qq, off, d in backend.block_layout(mor.src, mor.dst):
+            block = (mor.coords >> off) & ((1 << d) - 1)
+            if block:
+                goff, gd = layout[(src_slots[i][pp], dst_slots[j][qq])]
+                if gd != d:
+                    raise InternalCheckError("block size mismatch in direct sum")
+                coords |= block << goff
+    return Mor(src, dst, coords)
 
 
 def multisets_over(ids: Sequence[int], size: int):

@@ -48,8 +48,7 @@ class MutationEngine:
         self.cond_II = engine.check_condition_II(p)
         self.cond_I = engine.check_condition_I(p)
         self._srt_classes: dict[tuple, tuple] = {}
-        self._sigma_perm: dict[int, int] | None = None
-        self._omega_perm: dict[int, int] | None = None
+        self._perms: dict[int, dict[int, int]] = {}
 
     @property
     def preconditions_met(self) -> bool:
@@ -64,22 +63,23 @@ class MutationEngine:
 
     # -- descent to the subquotient ------------------------------------------
 
-    def sigma_bar(self, a: Subcat) -> tuple[int, ...]:
+    def _image_classes(self, i: int, step: int) -> set[int]:
+        """Classes of the adjoint (+1) or coadjoint (-1) image of i."""
+        adjoint = self.q.sigma_obj if step == 1 else self.q.omega_obj
+        img, _ = adjoint(Obj.of(i))
+        return set(self.q.class_of(img))
+
+    def adjoint_bar(self, a: Subcat, step: int) -> tuple[int, ...]:
+        """Classes of the adjoint (+1) or coadjoint (-1) images of a."""
         out: set[int] = set()
         for i in a:
-            img, _ = self.q.sigma_obj(Obj.of(i))
-            out.update(self.q.class_of(img))
-        return tuple(sorted(out))
-
-    def omega_bar(self, b: Subcat) -> tuple[int, ...]:
-        out: set[int] = set()
-        for i in b:
-            img, _ = self.q.omega_obj(Obj.of(i))
-            out.update(self.q.class_of(img))
+            out |= self._image_classes(i, step)
         return tuple(sorted(out))
 
     def R_map(self, cp: CotorsionPair) -> ZICotorsionPair:
-        return ZICotorsionPair.of(self.sigma_bar(cp.u), self.omega_bar(cp.v))
+        return ZICotorsionPair.of(
+            self.adjoint_bar(cp.u, 1), self.adjoint_bar(cp.v, -1)
+        )
 
     # -- lift from the subquotient ------------------------------------------------
 
@@ -117,22 +117,10 @@ class MutationEngine:
 
         want_l, want_r = set(zp.l), set(zp.r)
         a_pre = Subcat.of(
-            self.backend,
-            [
-                i
-                for i in p.u
-                if set(self.q.class_of(self.q.sigma_obj(Obj.of(i))[0]))
-                <= want_l
-            ],
+            self.backend, [i for i in p.u if self._image_classes(i, 1) <= want_l]
         )
         b_pre = Subcat.of(
-            self.backend,
-            [
-                i
-                for i in p.t
-                if set(self.q.class_of(self.q.omega_obj(Obj.of(i))[0]))
-                <= want_r
-            ],
+            self.backend, [i for i in p.t if self._image_classes(i, -1) <= want_r]
         )
         if ok_a and a_star != a_pre:
             raise InternalCheckError(
@@ -212,50 +200,37 @@ class MutationEngine:
 
     # -- native cotorsion pairs in the subquotient -----------------------------
 
-    def _sigma_class(self, rep: int) -> int:
-        perm = self._sigma_permutation()
-        return perm[rep]
-
-    def _sigma_permutation(self) -> dict[int, int]:
-        if self._sigma_perm is None:
-            perm: dict[int, int] = {}
+    def _shift_permutation(self, step: int) -> dict[int, int]:
+        """Class permutation of the suspension (+1) or desuspension (-1)."""
+        perm = self._perms.get(step)
+        if perm is None:
+            shift = self.q.Sigma_obj if step == 1 else self.q.Omega_obj
+            name = "suspension" if step == 1 else "desuspension"
+            perm = {}
             for rep in self.q.zi_objects():
-                cls = self.q.class_of(self.q.Sigma_obj(Obj.of(rep)))
+                cls = self.q.class_of(shift(Obj.of(rep)))
                 if len(cls) != 1:
                     raise InternalCheckError(
-                        "suspension of an indecomposable class is not "
+                        f"{name} of an indecomposable class is not "
                         "indecomposable; the quotient shifts are not "
                         "equivalences here"
                     )
                 perm[rep] = cls[0]
-            if sorted(perm.values()) != sorted(perm.keys()):
-                raise InternalCheckError("suspension is not a permutation")
-            self._sigma_perm = perm
-        return self._sigma_perm
-
-    def _omega_permutation(self) -> dict[int, int]:
-        if self._omega_perm is None:
-            perm: dict[int, int] = {}
-            for rep in self.q.zi_objects():
-                cls = self.q.class_of(self.q.Omega_obj(Obj.of(rep)))
-                if len(cls) != 1:
-                    raise InternalCheckError(
-                        "desuspension of an indecomposable class is not "
-                        "indecomposable"
-                    )
-                perm[rep] = cls[0]
-            sig = self._sigma_permutation()
-            for rep, img in perm.items():
-                if sig[img] != rep:
+            if step == 1:
+                if sorted(perm.values()) != sorted(perm):
+                    raise InternalCheckError("suspension is not a permutation")
+            else:
+                sig = self._shift_permutation(1)
+                if any(sig[img] != rep for rep, img in perm.items()):
                     raise InternalCheckError(
                         "suspension and desuspension fail to invert "
                         "each other on classes"
                     )
-            self._omega_perm = perm
-        return self._omega_perm
+            self._perms[step] = perm
+        return perm
 
     def shift_zi_pair(self, zp: ZICotorsionPair, k: int) -> ZICotorsionPair:
-        perm = self._sigma_permutation() if k >= 0 else self._omega_permutation()
+        perm = self._shift_permutation(1 if k >= 0 else -1)
         l, r = set(zp.l), set(zp.r)
         for _ in range(abs(k)):
             l = {perm[x] for x in l}
@@ -266,7 +241,7 @@ class MutationEngine:
         """Does the class of m extend a lift-side object by a suspended
         right-side object, via standard right triangles?"""
         target = Obj.of(m)
-        sig_classes = {self._sigma_class(x) for x in r}
+        sig_classes = {self._shift_permutation(1)[x] for x in r}
         cap = self.engine.star.cap
         for size in range(0, cap + 1):
             pools = [()] if size == 0 else multisets_over(tuple(l), size)

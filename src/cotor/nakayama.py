@@ -22,8 +22,7 @@ enumeration orders.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
@@ -33,14 +32,13 @@ from .core import (
     Indec,
     InputError,
     InternalCheckError,
+    MAX_NAKAYAMA_INDECS,
     Mor,
     Obj,
     Tri,
     multisets_over,
 )
 from .f2 import Echelon, ExpressSolver, F2Matrix, kernel_basis, solve
-
-DEFAULT_MAX_INDECS = 24
 
 
 @dataclass(frozen=True)
@@ -142,33 +140,86 @@ def _hom_flat_layout(a: RawModule, b: RawModule) -> tuple[list[int], int]:
     return base, off
 
 
-def _hom_basis_raw(a: RawModule, b: RawModule) -> list[int]:
-    """Flat basis of module maps a -> b.
+def _commutation_rows(
+    a: RawModule, b: RawModule
+) -> tuple[list[int], int, list[int]]:
+    """Commuting-square system of module maps a -> b.
 
-    Flat layout: vertex-major, then row-major entries of the per-vertex
+    Returns the flat layout (vertex bases, total width) and the nonzero
+    rows of b.mats[v] @ phi_v + phi_w @ a.mats[v] = 0, by vertex v,
+    then row r of the w block, then column c of the v block.  Flat
+    layout: vertex-major, then row-major entries of the per-vertex
     matrix (shape (b.dims[v], a.dims[v])).
     """
     base, total = _hom_flat_layout(a, b)
-    if total == 0:
-        return []
     m = a.m
     rows: list[int] = []
     for v in range(m):
         w = (v + 1) % m
-        # b.mats[v] @ phi_v  ==  phi_w @ a.mats[v]
+        stride = a.dims[v]
+        if not (stride and b.dims[w]):
+            continue
+        # Row r of b.mats[v] touches the entries (k, c) of phi_v for its
+        # set bits k; spread it once so that column c is one shift.
+        spread = []
+        for bmask in b.mats[v].bits:
+            acc = 0
+            while bmask:
+                low = bmask & -bmask
+                acc |= 1 << ((low.bit_length() - 1) * stride)
+                bmask ^= low
+            spread.append(acc)
+        acols = [0] * stride
+        for k, amask in enumerate(a.mats[v].bits):
+            while amask:
+                low = amask & -amask
+                acols[low.bit_length() - 1] |= 1 << k
+                amask ^= low
         for r in range(b.dims[w]):
-            for c in range(a.dims[v]):
-                row = 0
-                for k in range(b.dims[v]):
-                    if b.mats[v].entry(r, k):
-                        row ^= 1 << (base[v] + k * a.dims[v] + c)
-                for k in range(a.dims[w]):
-                    if a.mats[v].entry(k, c):
-                        row ^= 1 << (base[w] + r * a.dims[w] + k)
+            # entry (r, c) of b.mats[v] @ phi_v + phi_w @ a.mats[v]
+            lhs = spread[r] << base[v]
+            rhs_at = base[w] + r * a.dims[w]
+            for c in range(stride):
+                row = (lhs << c) ^ (acols[c] << rhs_at)
                 if row:
                     rows.append(row)
-    mat = F2Matrix.from_rows(rows, total)
-    return kernel_basis(mat)
+    return base, total, rows
+
+
+def _hom_basis_raw(a: RawModule, b: RawModule) -> list[int]:
+    """Flat basis of module maps a -> b."""
+    _, total, rows = _commutation_rows(a, b)
+    return kernel_basis(F2Matrix.from_rows(rows, total)) if total else []
+
+
+def _solve_module_map(
+    a: RawModule, b: RawModule, interp
+) -> Optional[tuple[F2Matrix, ...]]:
+    """Module map a -> b with prescribed values, or None.
+
+    Each ``interp`` entry (vertex v, source vector x, target vector y)
+    pins phi_v(x) = y, with x over a.dims[v] and y over b.dims[v].  An
+    entry may carry a fourth item, a matrix S over b.dims[v]; it then
+    pins only S phi_v(x) = y, which is how a lift through a cover is
+    fixed modulo the kernel of the cover projection.
+    """
+    base, total, rows = _commutation_rows(a, b)
+    rhs = 0
+    for v, src, tgt, *select in interp:
+        at, stride = base[v], a.dims[v]
+        masks = select[0].bits if select else (1 << r for r in range(b.dims[v]))
+        for r, mask in enumerate(masks):
+            row = 0
+            while mask:
+                k = (mask & -mask).bit_length() - 1
+                row ^= src << (at + k * stride)
+                mask &= mask - 1
+            rhs |= ((tgt >> r) & 1) << len(rows)
+            rows.append(row)
+    flat = solve(F2Matrix.from_rows(rows, total), rhs)
+    if flat is None:
+        return None
+    return _unflatten(a, b, flat)
 
 
 def _unflatten(a: RawModule, b: RawModule, flat: int) -> tuple[F2Matrix, ...]:
@@ -224,15 +275,15 @@ class _PairTable:
 class NakayamaBackend(Backend):
     """Morphism-level triangulated backend with exact cones."""
 
-    def __init__(self, m: int, n: int, max_indecs: int = DEFAULT_MAX_INDECS):
+    def __init__(self, m: int, n: int):
         params = NakayamaParams(m, n)
         self.params = params
         self.m, self.n = m, n
         count = m * (n - 1)
-        if count > max_indecs:
+        if count > MAX_NAKAYAMA_INDECS:
             raise InputError(
                 f"nakayama:m={m},n={n} has {count} indecomposables, "
-                f"above the cap {max_indecs}"
+                f"above the cap {MAX_NAKAYAMA_INDECS}"
             )
         self.spec_string = f"nakayama:m={m},n={n}"
         self.caps = BackendCaps(morphism_calculus=True, exact_triangles=True)
@@ -507,33 +558,24 @@ class NakayamaBackend(Backend):
             if not block:
                 continue
             table = self._pairs[(f.src.summands[p], f.dst.summands[q])]
-            asrc = self._single[f.src.summands[p]]
-            bdst = self._single[f.dst.summands[q]]
+            # local slots of the single summands are the global slots of
+            # summands p and q, in the same order
+            row_slots = [b.vertex_slots(q, v) for v in range(self.m)]
+            col_slots = [a.vertex_slots(p, v) for v in range(self.m)]
             while block:
                 t = (block & -block).bit_length() - 1
                 rep = table.reps_mats[t]
                 for v in range(self.m):
-                    for lr in range(bdst.raw.dims[v]):
-                        row = rep[v].bits[lr]
+                    for lr, row in enumerate(rep[v].bits):
                         while row:
                             lc = (row & -row).bit_length() - 1
-                            gr = bdst.vertex_slots(0, v)[lr]
-                            gc = asrc.vertex_slots(0, v)[lc]
-                            # local slots of the single summand map to the
-                            # global slots of summands p and q
-                            GR = b.vertex_slots(q, v)[self._local_index(bdst, v, gr)]
-                            GC = a.vertex_slots(p, v)[self._local_index(asrc, v, gc)]
-                            grids[v][GR][GC] ^= 1
+                            grids[v][row_slots[v][lr]][col_slots[v][lc]] ^= 1
                             row &= row - 1
                 block &= block - 1
         return [
             F2Matrix.from_entries(grids[v], b.raw.dims[v], a.raw.dims[v])
             for v in range(self.m)
         ]
-
-    @staticmethod
-    def _local_index(asm: _Assembled, vertex: int, slot: int) -> int:
-        return asm.vertex_slots(0, vertex).index(slot)
 
     def _express_raw(
         self, src: Obj, dst: Obj, mats: Sequence[F2Matrix]
@@ -603,53 +645,6 @@ class NakayamaBackend(Backend):
         ]
         return cov, kappa
 
-    def _solve_module_map(
-        self,
-        a: RawModule,
-        b: RawModule,
-        interp: list[tuple[int, int, int]],
-    ) -> Optional[tuple[F2Matrix, ...]]:
-        """Module map a -> b with prescribed values.
-
-        ``interp`` holds (vertex, source vector, target vector) pairs;
-        source vectors live over a.dims[vertex], targets over
-        b.dims[vertex].  Returns per-vertex matrices or None.
-        """
-        base, total = _hom_flat_layout(a, b)
-        rows: list[int] = []
-        rhs_bits: list[int] = []
-        for v in range(a.m):
-            w = (v + 1) % a.m
-            for r in range(b.dims[w]):
-                for c in range(a.dims[v]):
-                    row = 0
-                    for k in range(b.dims[v]):
-                        if b.mats[v].entry(r, k):
-                            row ^= 1 << (base[v] + k * a.dims[v] + c)
-                    for k in range(a.dims[w]):
-                        if a.mats[v].entry(k, c):
-                            row ^= 1 << (base[w] + r * a.dims[w] + k)
-                    if row:
-                        rows.append(row)
-                        rhs_bits.append(0)
-        for v, src, tgt in interp:
-            for r in range(b.dims[v]):
-                row = 0
-                rest = src
-                while rest:
-                    c = (rest & -rest).bit_length() - 1
-                    row ^= 1 << (base[v] + r * a.dims[v] + c)
-                    rest &= rest - 1
-                rows.append(row)
-                rhs_bits.append((tgt >> r) & 1)
-        rhs = 0
-        for idx, bit in enumerate(rhs_bits):
-            rhs |= bit << idx
-        flat = solve(F2Matrix.from_rows(rows, total), rhs)
-        if flat is None:
-            return None
-        return _unflatten(a, b, flat)
-
     def shift_mor(self, f: Mor, k: int = 1) -> Mor:
         if k == 0:
             return f
@@ -682,7 +677,7 @@ class NakayamaBackend(Backend):
                     tgt_vec = iota_b[v].matvec(fraw[v].column(c))
                     interp.append((v, src_vec, tgt_vec))
             # interp columns are expressed in the envelope source space
-            phi = self._solve_env_lift(ea.raw, eb.raw, interp)
+            phi = _solve_module_map(ea.raw, eb.raw, interp)
             if phi is None:
                 raise InternalCheckError("envelope lift failed")
             return self._induced_on_cosyzygy(f, a, b, ea, eb, phi)
@@ -694,50 +689,11 @@ class NakayamaBackend(Backend):
                 src_vec = 1 << c
                 tgt_vec = fraw[v].matvec(kappa_a[v].column(c))
                 interp.append((v, src_vec, tgt_vec, kappa_b[v]))
-        phi = self._solve_cover_lift(ca.raw, cb.raw, interp)
+        # kappa_b . phi(e_c) = f(kappa_a(e_c)): pinned modulo ker kappa_b
+        phi = _solve_module_map(ca.raw, cb.raw, interp)
         if phi is None:
             raise InternalCheckError("cover lift failed")
         return self._induced_on_syzygy(f, a, b, ca, cb, phi)
-
-    def _solve_env_lift(self, ea: RawModule, eb: RawModule, interp):
-        return self._solve_module_map(ea, eb, interp)
-
-    def _solve_cover_lift(self, ca: RawModule, cb: RawModule, interp):
-        """Lift through covers: kappa_b . phi(e_c) = f(kappa_a(e_c))."""
-        base, total = _hom_flat_layout(ca, cb)
-        rows: list[int] = []
-        rhs_bits: list[int] = []
-        for v in range(ca.m):
-            w = (v + 1) % ca.m
-            for r in range(cb.dims[w]):
-                for c in range(ca.dims[v]):
-                    row = 0
-                    for k in range(cb.dims[v]):
-                        if cb.mats[v].entry(r, k):
-                            row ^= 1 << (base[v] + k * ca.dims[v] + c)
-                    for k in range(ca.dims[w]):
-                        if ca.mats[v].entry(k, c):
-                            row ^= 1 << (base[w] + r * ca.dims[w] + k)
-                    if row:
-                        rows.append(row)
-                        rhs_bits.append(0)
-        for v, src, tgt, kb in interp:
-            c = src.bit_length() - 1
-            for r in range(kb.rows):
-                # row r of kappa_b selects cover coordinates
-                row = 0
-                for k in range(cb.dims[v]):
-                    if kb.entry(r, k):
-                        row ^= 1 << (base[v] + k * ca.dims[v] + c)
-                rows.append(row)
-                rhs_bits.append((tgt >> r) & 1)
-        rhs = 0
-        for idx, bit in enumerate(rhs_bits):
-            rhs |= bit << idx
-        flat = solve(F2Matrix.from_rows(rows, total), rhs)
-        if flat is None:
-            return None
-        return _unflatten(ca, cb, flat)
 
     def _sorted_shift(self, x: Obj, step: int):
         """Shifted object plus the order mapping from x positions."""
@@ -1238,7 +1194,7 @@ def split_module(raw: RawModule):
         if v != (j0 + s) % m:
             raise InternalCheckError("chain vertex misaligned")
         interp.append((v, chain[s], 1 << slot))
-    pi = _solve_retraction(raw, unit.raw, interp)
+    pi = _solve_module_map(raw, unit.raw, interp)
     if pi is None:
         raise InternalCheckError("maximal chain did not split")
 
@@ -1323,44 +1279,6 @@ def split_module(raw: RawModule):
     return types, to_canon, from_canon
 
 
-def _solve_retraction(raw: RawModule, unit: RawModule, interp):
-    base, total = _hom_flat_layout(raw, unit)
-    rows: list[int] = []
-    rhs_bits: list[int] = []
-    m = raw.m
-    for v in range(m):
-        w = (v + 1) % m
-        for r in range(unit.dims[w]):
-            for c in range(raw.dims[v]):
-                row = 0
-                for k in range(unit.dims[v]):
-                    if unit.mats[v].entry(r, k):
-                        row ^= 1 << (base[v] + k * raw.dims[v] + c)
-                for k in range(raw.dims[w]):
-                    if raw.mats[v].entry(k, c):
-                        row ^= 1 << (base[w] + r * raw.dims[w] + k)
-                if row:
-                    rows.append(row)
-                    rhs_bits.append(0)
-    for v, src, tgt in interp:
-        for r in range(unit.dims[v]):
-            row = 0
-            rest = src
-            while rest:
-                c = (rest & -rest).bit_length() - 1
-                row ^= 1 << (base[v] + r * raw.dims[v] + c)
-                rest &= rest - 1
-            rows.append(row)
-            rhs_bits.append((tgt >> r) & 1)
-    rhs = 0
-    for idx, bit in enumerate(rhs_bits):
-        rhs |= bit << idx
-    flat = solve(F2Matrix.from_rows(rows, total), rhs)
-    if flat is None:
-        return None
-    return _unflatten(raw, unit, flat)
-
-
 def _splits_3way(c: Obj, xset: Sequence[int], yset: Sequence[int]):
     """All (x-part, y-part, core) multiset splits of c, deterministic."""
     items = sorted(c.counts().items())
@@ -1388,12 +1306,6 @@ def _splits_3way(c: Obj, xset: Sequence[int], yset: Sequence[int]):
                 )
 
     yield from rec(0, [], [], [])
-
-
-def build(
-    params: NakayamaParams, max_indecs: int = DEFAULT_MAX_INDECS
-) -> NakayamaBackend:
-    return NakayamaBackend(params.m, params.n, max_indecs)
 
 
 def parse_spec(spec: str) -> NakayamaBackend:

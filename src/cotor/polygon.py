@@ -13,7 +13,6 @@ backend where the category sizes coincide.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .core import Backend, BackendCaps, Indec, InputError
 from .subcats import Subcat, enumerate_subcats

@@ -30,7 +30,7 @@ from .core import (
     Tri,
     Verdict,
     _merge_objs,
-    _slot_assignment,
+    scatter_blocks,
 )
 from .f2 import Echelon, F2Matrix, solve
 from .pairs import PairEngine, TwinCotorsionPair
@@ -643,78 +643,23 @@ class ZIQuotient:
 def _tuple_mor(b, comps: list[Mor]) -> Mor:
     """Column tuple: shared source into the merged targets."""
     src = comps[0].src
-    for m in comps:
-        if m.src != src:
-            raise InputError("tuple components need a common source")
-    parts = [m.dst for m in comps]
-    dst = _merge_objs(parts)
-    dst_slots = _slot_assignment(dst, parts)
-    layout = {(p, q): (off, d) for p, q, off, d in b.block_layout(src, dst)}
-    coords = 0
-    for k, m in enumerate(comps):
-        for pp, qq, off, d in b.block_layout(m.src, m.dst):
-            block = (m.coords >> off) & ((1 << d) - 1)
-            if block:
-                goff, gd = layout[(pp, dst_slots[k][qq])]
-                if gd != d:
-                    raise InternalCheckError("block size mismatch in tuple")
-                coords |= block << goff
-    return Mor(src, dst, coords)
+    if any(m.src != src for m in comps):
+        raise InputError("tuple components need a common source")
+    return scatter_blocks(
+        b, [src], [m.dst for m in comps], [(0, k, m) for k, m in enumerate(comps)]
+    )
 
 
 def _cotuple_mor(b, comps: list[Mor]) -> Mor:
     """Row tuple: merged sources into a shared target."""
     dst = comps[0].dst
-    for m in comps:
-        if m.dst != dst:
-            raise InputError("cotuple components need a common target")
-    parts = [m.src for m in comps]
-    src = _merge_objs(parts)
-    src_slots = _slot_assignment(src, parts)
-    layout = {(p, q): (off, d) for p, q, off, d in b.block_layout(src, dst)}
-    coords = 0
-    for k, m in enumerate(comps):
-        for pp, qq, off, d in b.block_layout(m.src, m.dst):
-            block = (m.coords >> off) & ((1 << d) - 1)
-            if block:
-                goff, gd = layout[(src_slots[k][pp], qq)]
-                if gd != d:
-                    raise InternalCheckError("block size mismatch in cotuple")
-                coords |= block << goff
-    return Mor(src, dst, coords)
+    if any(m.dst != dst for m in comps):
+        raise InputError("cotuple components need a common target")
+    return scatter_blocks(
+        b, [m.src for m in comps], [dst], [(k, 0, m) for k, m in enumerate(comps)]
+    )
 
 
 def _injection(b, parts: list[Obj], k: int) -> Mor:
     """Inclusion of the k-th part into the merged direct sum."""
-    total = _merge_objs(parts)
-    slots = _slot_assignment(total, parts)
-    src = parts[k]
-    layout = {(p, q): (off, d) for p, q, off, d in b.block_layout(src, total)}
-    coords = 0
-    ident = b.identity(src)
-    for pp, qq, off, d in b.block_layout(src, src):
-        block = (ident.coords >> off) & ((1 << d) - 1)
-        if block:
-            goff, gd = layout[(pp, slots[k][qq])]
-            if gd != d:
-                raise InternalCheckError("block size mismatch in injection")
-            coords |= block << goff
-    return Mor(src, total, coords)
-
-
-def _projection(b, parts: list[Obj], k: int) -> Mor:
-    """Projection of the merged direct sum onto the k-th part."""
-    total = _merge_objs(parts)
-    slots = _slot_assignment(total, parts)
-    dst = parts[k]
-    layout = {(p, q): (off, d) for p, q, off, d in b.block_layout(total, dst)}
-    coords = 0
-    ident = b.identity(dst)
-    for pp, qq, off, d in b.block_layout(dst, dst):
-        block = (ident.coords >> off) & ((1 << d) - 1)
-        if block:
-            goff, gd = layout[(slots[k][pp], qq)]
-            if gd != d:
-                raise InternalCheckError("block size mismatch in projection")
-            coords |= block << goff
-    return Mor(total, dst, coords)
+    return scatter_blocks(b, [parts[k]], parts, [(0, k, b.identity(parts[k]))])

@@ -29,12 +29,12 @@ from .core import (
     Backend,
     BudgetExceeded,
     InputError,
+    MAX_ENUM_INDECS,
     Mor,
     Obj,
     Verdict,
 )
 
-MAX_ENUM_INDECS = 27
 DEFAULT_CAP = 4
 DEFAULT_BUDGET = 500_000
 
@@ -392,15 +392,9 @@ class StarEngine:
 
 
 def enumerate_subcats(
-    backend: Backend,
-    pred: Callable[[Subcat], bool],
-    parallel: bool = False,
+    backend: Backend, pred: Callable[[Subcat], bool]
 ) -> list[Subcat]:
-    """All subcats satisfying pred, in canonical bit order.
-
-    ``parallel`` is accepted for interface stability; evaluation is
-    serial and deterministic.
-    """
+    """All subcats satisfying pred, in canonical bit order."""
     k = len(backend.indecs)
     if k > MAX_ENUM_INDECS:
         raise InputError(

@@ -12,6 +12,7 @@ import pytest
 
 from cotor import cli
 from cotor.core import BudgetExceeded, InternalCheckError, Verdict
+from cotor.mutation import MutationEngine
 
 
 def invoke(capsys, *argv):
@@ -22,7 +23,7 @@ def invoke(capsys, *argv):
 
 def report_of(out):
     doc = json.loads(out)
-    assert doc["schema"] == "cotor.report/1"
+    assert doc["schema"] == "cotor.report/2"
     return doc
 
 
@@ -36,12 +37,11 @@ def test_enumerate_cp_envelope_and_count(capsys):
     assert rc == 0 and err == ""
     doc = report_of(out)
     assert set(doc) == {
-        "schema", "tool_version", "command", "backend",
-        "cap", "jobs", "seed", "report",
+        "schema", "tool_version", "command", "backend", "cap", "report",
     }
     assert doc["command"] == "enumerate-cp"
     assert doc["backend"] == "nakayama:m=1,n=3"
-    assert doc["cap"] == 4 and doc["jobs"] == 1 and doc["seed"] == 0
+    assert doc["cap"] == 4
     assert doc["report"]["count"] == 2
     assert doc["report"]["unresolved"] == []
     for rec in doc["report"]["pairs"]:
@@ -49,14 +49,16 @@ def test_enumerate_cp_envelope_and_count(capsys):
 
 
 def test_settings_are_recorded(capsys):
-    rc, out, _ = invoke(
-        capsys,
-        "enumerate-cp", "--backend", "nakayama:m=1,n=3",
-        "--cap", "3", "--jobs", "4", "--seed", "7",
-    )
+    base = ["enumerate-cp", "--backend", "nakayama:m=1,n=3"]
+    rc, out, _ = invoke(capsys, *base, "--cap", "3")
     assert rc == 0
-    doc = report_of(out)
-    assert doc["cap"] == 3 and doc["jobs"] == 4 and doc["seed"] == 7
+    assert report_of(out)["cap"] == 3
+    # Nothing reads a worker count or a seed, so neither is an option.
+    for gone in (["--jobs", "4"], ["--seed", "7"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(base + gone)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_reports_are_byte_identical(tmp_path, capsys):
@@ -314,6 +316,26 @@ def test_violation_exits_one(monkeypatch, capsys):
     )
     assert rc == 1
     assert report_of(out)["report"]["claims"][0]["verdict"] == "no"
+
+
+def test_bijection_failure_is_reported_not_crashed(monkeypatch, capsys):
+    honest = MutationEngine.verify_bijection
+
+    def one_failure(self):
+        report = honest(self)
+        report["failures"].append({"kind": "injected", "detail": "forced"})
+        report["ok"] = False
+        return report
+
+    monkeypatch.setattr(MutationEngine, "verify_bijection", one_failure)
+    rc, out, _ = invoke(
+        capsys, "verify", "--suite", "bijection",
+        "--backend", "nakayama:m=2,n=2",
+    )
+    assert rc == 1
+    claims = report_of(out)["report"]["claims"]
+    failed = [row for row in claims if row["verdict"] == "no"]
+    assert failed and all("injected" in row["reason"] for row in failed)
 
 
 def test_internal_check_exits_one(monkeypatch, capsys):

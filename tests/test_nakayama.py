@@ -11,10 +11,16 @@ import random
 import pytest
 
 from cotor.core import BudgetExceeded, InputError, Mor, Obj
+from cotor.f2 import F2Matrix, rank, solve
 from cotor.nakayama import (
     NakayamaBackend,
     NakayamaParams,
+    RawModule,
     _assemble,
+    _commutation_rows,
+    _hom_basis_raw,
+    _solve_module_map,
+    _unflatten,
     decompose_counts,
     parse_spec,
     split_module,
@@ -306,6 +312,165 @@ def test_split_module_transport(backends):
             for v in range(m):
                 prod = to_canon[v].mul(from_canon[v])
                 assert prod.bits == tuple(1 << i for i in range(prod.rows))
+
+
+# ---------------------------------------------------------------- K = 9 properties
+
+
+@pytest.fixture(scope="module")
+def b34():
+    return NakayamaBackend(3, 4)
+
+
+def _random_obj(rng, b, most):
+    return Obj.from_iter(rng.randrange(b.K) for _ in range(rng.randint(1, most)))
+
+
+def _random_mor(rng, b, x, y):
+    return Mor(x, y, rng.getrandbits(b.hom_dim(x, y)))
+
+
+def test_shift_mor_round_trips_both_orders_at_k9(b34):
+    # Omega first runs the cover lift on arbitrary maps, not only on
+    # maps that are already suspensions.
+    rng = random.Random(34)
+    nonzero = 0
+    for _ in range(40):
+        x, y = _random_obj(rng, b34, 3), _random_obj(rng, b34, 3)
+        f = _random_mor(rng, b34, x, y)
+        nonzero += not f.is_zero
+        assert b34.shift_mor(b34.shift_mor(f, 1), -1) == f
+        assert b34.shift_mor(b34.shift_mor(f, -1), 1) == f
+        assert b34.shift_mor(f, -2) == b34.shift_mor(b34.shift_mor(f, -1), -1)
+    assert nonzero > 20
+
+
+def test_shift_mor_is_functorial_for_step_minus_one_at_k9(b34):
+    rng = random.Random(35)
+    for _ in range(25):
+        x, y, z = (_random_obj(rng, b34, 2) for _ in range(3))
+        assert b34.shift_mor(b34.identity(x), -1) == b34.identity(
+            b34.shift_obj(x, -1)
+        )
+        f, f2 = _random_mor(rng, b34, x, y), _random_mor(rng, b34, x, y)
+        g = _random_mor(rng, b34, y, z)
+        sf, sg = b34.shift_mor(f, -1), b34.shift_mor(g, -1)
+        assert b34.shift_mor(f.plus(f2), -1) == sf.plus(b34.shift_mor(f2, -1))
+        assert b34.shift_mor(b34.compose(f, g), -1) == b34.compose(sf, sg)
+
+
+def _invertible(rng, d):
+    while True:
+        mat = F2Matrix.from_rows([rng.getrandbits(d) for _ in range(d)], d)
+        if rank(mat) == d:
+            return mat
+
+
+def _inverse(mat):
+    cols = [solve(mat, 1 << c) for c in range(mat.cols)]
+    return F2Matrix.from_rows(cols, mat.rows).transpose()
+
+
+def _twisted(rng, m, n, types):
+    """The assembly of types, conjugated by random basis changes."""
+    raw = _assemble(m, n, types).raw
+    p = [_invertible(rng, d) for d in raw.dims]
+    return RawModule(
+        m,
+        n,
+        raw.dims,
+        tuple(
+            p[(v + 1) % m].mul(raw.mats[v]).mul(_inverse(p[v]))
+            for v in range(m)
+        ),
+    )
+
+
+def test_split_module_transport_on_twisted_modules_at_k9():
+    # Twisted modules have no coordinate summands; the splitter must
+    # still return the right types and a module isomorphism onto their
+    # assembly.
+    m, n = 3, 4
+    rng = random.Random(36)
+    for _ in range(30):
+        types = _random_types(rng, m, n, rng.randint(1, 5))
+        twisted = _twisted(rng, m, n, types)
+        got, to_canon, from_canon = split_module(twisted)
+        assert sorted(got) == sorted(types)
+        canon = _assemble(m, n, got).raw
+        for v in range(m):
+            w = (v + 1) % m
+            d = twisted.dims[v]
+            assert to_canon[v].mul(from_canon[v]) == F2Matrix.identity(d)
+            assert from_canon[v].mul(to_canon[v]) == F2Matrix.identity(d)
+            assert to_canon[w].mul(twisted.mats[v]) == canon.mats[v].mul(
+                to_canon[v]
+            )
+
+
+def _entrywise_rows(a, b):
+    """Commuting-square rows built entry by entry, as the oracle."""
+    base, off = [], 0
+    for v in range(a.m):
+        base.append(off)
+        off += b.dims[v] * a.dims[v]
+    rows = []
+    for v in range(a.m):
+        w = (v + 1) % a.m
+        for r in range(b.dims[w]):
+            for c in range(a.dims[v]):
+                row = 0
+                for k in range(b.dims[v]):
+                    if b.mats[v].entry(r, k):
+                        row ^= 1 << (base[v] + k * a.dims[v] + c)
+                for k in range(a.dims[w]):
+                    if a.mats[v].entry(k, c):
+                        row ^= 1 << (base[w] + r * a.dims[w] + k)
+                if row:
+                    rows.append(row)
+    return base, off, rows
+
+
+def _twisted_pairs(seed):
+    rng = random.Random(seed)
+    for m, n in ((1, 4), (2, 3), (3, 4)):
+        for _ in range(15):
+            yield rng, tuple(
+                _twisted(rng, m, n, _random_types(rng, m, n, rng.randint(0, 3)))
+                for _ in range(2)
+            )
+
+
+def test_commutation_rows_match_the_entrywise_oracle():
+    # m = 1 puts both ends of every arrow at one vertex, where the two
+    # halves of a row can cancel.
+    for _, (a, b) in _twisted_pairs(37):
+        assert _commutation_rows(a, b) == _entrywise_rows(a, b)
+
+
+def test_module_map_solver_meets_pins_and_selected_pins():
+    for rng, (a, b) in _twisted_pairs(38):
+        flat = 0
+        for vec in _hom_basis_raw(a, b):
+            flat ^= vec * rng.getrandbits(1)
+        phi = _unflatten(a, b, flat)
+        interp = []
+        for v in range(a.m):
+            if a.dims[v] and b.dims[v]:
+                src = rng.getrandbits(a.dims[v])
+                interp.append((v, src, phi[v].matvec(src)))
+                sel = F2Matrix.from_rows(
+                    [rng.getrandbits(b.dims[v]) for _ in range(2)], b.dims[v]
+                )
+                interp.append((v, src, sel.matvec(phi[v].matvec(src)), sel))
+        got = _solve_module_map(a, b, interp)
+        assert got is not None
+        for v in range(a.m):
+            w = (v + 1) % a.m
+            assert b.mats[v].mul(got[v]) == got[w].mul(a.mats[v])
+        for v, src, tgt, *select in interp:
+            img = got[v].matvec(src)
+            assert (select[0].matvec(img) if select else img) == tgt
 
 
 # ---------------------------------------------------------------- enumeration
