@@ -5,8 +5,8 @@ Every report is a single JSON document under the schema name
 cap, and the tool version.  No search is randomized, so rerunning the
 same command with the same configuration reproduces the report byte for
 byte.  Exit status encodes the outcome: 0 clean, 1 property violation
-found, 2 invalid input, 3 a search was inconclusive (suppressed by
-``--allow-inconclusive``).
+found or internal error, 2 invalid input, 3 a search was inconclusive
+(suppressed by ``--allow-inconclusive``).  No path ends in a traceback.
 """
 
 from __future__ import annotations
@@ -208,8 +208,11 @@ def _envelope(args: argparse.Namespace, payload: dict) -> dict:
 def _emit_text(args: argparse.Namespace, text: str) -> None:
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write --out {out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -920,6 +923,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     status = _Status()
     try:
         payload = args.func(args, status)
+        if payload is not None:
+            _emit_json(args, _envelope(args, payload))
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -932,8 +937,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CotorError as exc:
         print(f"property violation: {exc}", file=sys.stderr)
         return 1
-    if payload is not None:
-        _emit_json(args, _envelope(args, payload))
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     return status.code(args.allow_inconclusive)
 
 

@@ -11,7 +11,12 @@ Nothing in this backend trusts a closed formula.  Hom spaces are
 computed as spaces of raw module maps and then reduced modulo the
 subspace of maps factoring through projectives; cones are computed by
 pushing out along injective envelopes and deleting projective
-summands; the shift permutation is read off from envelope cokernels.
+summands.  A module splits into uniserials along one basis of Jordan
+chains of its arrow action (``split_module``), and rank counting
+(``decompose_counts``) is the independent second route.  The shift
+Sigma and its inverse Omega, on objects and on maps, are read off one
+way (``_shift_layers``): the layers of the envelope, or of the projective
+cover, that the module does not occupy form the cosyzygy or syzygy.
 Closed-form expectations (such as the min-formula for one-vertex Hom
 dimensions) live in the test suite as oracles, not here.
 
@@ -36,9 +41,10 @@ from .core import (
     Mor,
     Obj,
     Tri,
+    _slot_assignment,
     multisets_over,
 )
-from .f2 import Echelon, ExpressSolver, F2Matrix, kernel_basis, solve
+from .f2 import Echelon, ExpressSolver, F2Matrix, kernel_basis, rank, solve
 
 
 @dataclass(frozen=True)
@@ -325,23 +331,22 @@ class NakayamaBackend(Backend):
             raise InternalCheckError(f"not a stable type: {t}")
         return i * (self.n - 1) + (l - 1)
 
-    def _is_proj_type(self, t: tuple[int, int]) -> bool:
-        return t[1] == self.n
-
     def _build_pair_tables(self) -> dict[tuple[int, int], _PairTable]:
         out: dict[tuple[int, int], _PairTable] = {}
+
+        def maps(src: RawModule, dst: RawModule) -> list[tuple[F2Matrix, ...]]:
+            return [_unflatten(src, dst, v) for v in _hom_basis_raw(src, dst)]
+
+        into = [[maps(a.raw, p.raw) for p in self._proj] for a in self._single]
+        outof = [[maps(p.raw, b.raw) for b in self._single] for p in self._proj]
         for a_id, a in enumerate(self._single):
             for b_id, b in enumerate(self._single):
                 full = _hom_basis_raw(a.raw, b.raw)
                 fact: list[int] = []
                 ech = Echelon()
-                for p in self._proj:
-                    into = _hom_basis_raw(a.raw, p.raw)
-                    outof = _hom_basis_raw(p.raw, b.raw)
-                    for fi in into:
-                        fmats = _unflatten(a.raw, p.raw, fi)
-                        for go in outof:
-                            gmats = _unflatten(p.raw, b.raw, go)
+                for p_id in range(len(self._proj)):
+                    for fmats in into[a_id][p_id]:
+                        for gmats in outof[p_id][b_id]:
                             prod = _flatten(a.raw, b.raw, _compose_raw(fmats, gmats))
                             if ech.add(prod):
                                 fact.append(prod)
@@ -406,23 +411,13 @@ class NakayamaBackend(Backend):
         return sc
 
     def _build_shift_perm(self) -> tuple[int, ...]:
-        """Cosyzygy on indecomposables via envelope cokernels."""
+        """Cosyzygy on indecomposables, checked on envelope cokernels."""
         perm = []
-        for ind_id, (i, l) in enumerate(self._types):
-            asm = self._single[ind_id]
-            env, iota = self._envelope(asm)
+        for asm in self._single:
+            env, _, x1, slots = self._shift_layers(asm, 1)
             # The embedding lands in a coordinate subspace, so the
-            # cokernel is the projection onto the complementary slots.
-            keep: list[list[int]] = [[] for _ in range(self.m)]
-            embedded = [
-                {r.bit_length() - 1 for c in range(asm.raw.dims[v])
-                 for r in [iota[v].column(c)]}
-                for v in range(self.m)
-            ]
-            for v in range(self.m):
-                for slot in range(env.raw.dims[v]):
-                    if slot not in embedded[v]:
-                        keep[v].append(slot)
+            # cokernel is env restricted to the complementary slots.
+            keep = [sorted(slots[v]) for v in range(self.m)]
             qdims = tuple(len(keep[v]) for v in range(self.m))
             qmats = []
             for v in range(self.m):
@@ -436,14 +431,9 @@ class NakayamaBackend(Backend):
                     bits.append(row)
                 qmats.append(F2Matrix(qdims[w], qdims[v], tuple(bits)))
             quot = RawModule(self.m, self.n, qdims, tuple(qmats))
-            counts = decompose_counts(quot)
-            live = [(t, c) for t, c in sorted(counts.items()) if c]
-            if len(live) != 1 or live[0][1] != 1:
-                raise InternalCheckError("envelope cokernel is not uniserial")
-            t = live[0][0]
-            if self._is_proj_type(t):
-                raise InternalCheckError("cosyzygy produced a projective")
-            perm.append(self._id_of_type(t))
+            if decompose_counts(quot) != {self._type_of(x1.summands[0]): 1}:
+                raise InternalCheckError("envelope cokernel is not the cosyzygy")
+            perm.append(x1.summands[0])
         if sorted(perm) != list(range(len(self._types))):
             raise InternalCheckError("cosyzygy is not a permutation")
         return tuple(perm)
@@ -601,49 +591,56 @@ class NakayamaBackend(Backend):
 
     # -- envelopes, covers, shift on morphisms ------------------------------
 
-    def _envelope(self, asm: _Assembled):
-        """Envelope types, assembled envelope, and the embedding."""
-        etypes = tuple(
-            ((i + l - self.n) % self.m, self.n) for (i, l) in asm.types
-        )
-        env = self._asm(etypes)
-        grids = [
-            [[0] * asm.raw.dims[v] for _ in range(env.raw.dims[v])]
-            for v in range(self.m)
-        ]
-        for s, (i, l) in enumerate(asm.types):
-            for t in range(l):
-                v, c = asm.pos[s][t]
-                v2, r = env.pos[s][t + self.n - l]
-                if v2 != v:
-                    raise InternalCheckError("envelope embedding misaligned")
-                grids[v][r][c] ^= 1
-        iota = [
-            F2Matrix.from_entries(grids[v], env.raw.dims[v], asm.raw.dims[v])
-            for v in range(self.m)
-        ]
-        return env, iota
+    def _shift_layers(self, a: _Assembled, step: int):
+        """Envelope (step 1) or cover (step -1) of a, and a's shift in it.
 
-    def _cover(self, asm: _Assembled):
-        """Cover types, assembled cover, and the projection."""
-        ptypes = tuple((i, self.n) for (i, _l) in asm.types)
-        cov = self._asm(ptypes)
-        grids = [
-            [[0] * cov.raw.dims[v] for _ in range(asm.raw.dims[v])]
-            for v in range(self.m)
-        ]
-        for s, (i, l) in enumerate(asm.types):
+        Layer t of a summand (i, l) of a is layer t + n - l of its
+        envelope and layer t of its cover; the other n - l layers of the
+        envelope or cover form its cosyzygy or syzygy.  Returns the
+        assembled envelope or cover P, the per-vertex matrices of the
+        embedding a -> P or the projection P -> a, the shifted object
+        and, per vertex, a dict from each (co)syzygy slot of P to its
+        slot in the assembly of the shifted object.
+        """
+        m, n = self.m, self.n
+        if step == 1:
+            proj = self._asm(tuple(((i + l - n) % m, n) for (i, l) in a.types))
+            rows, cols = proj, a
+        else:
+            proj = self._asm(tuple((i, n) for (i, _l) in a.types))
+            rows, cols = a, proj
+        bits = [[0] * rows.raw.dims[v] for v in range(m)]
+        spans = []
+        for s, (i, l) in enumerate(a.types):
+            off = n - l if step == 1 else 0
             for t in range(l):
-                v, r = asm.pos[s][t]
-                v2, c = cov.pos[s][t]
+                v, ca = a.pos[s][t]
+                v2, cp = proj.pos[s][t + off]
                 if v2 != v:
-                    raise InternalCheckError("cover projection misaligned")
-                grids[v][r][c] ^= 1
-        kappa = [
-            F2Matrix.from_entries(grids[v], asm.raw.dims[v], cov.raw.dims[v])
-            for v in range(self.m)
+                    raise InternalCheckError("envelope or cover misaligned")
+                r, c = (cp, ca) if step == 1 else (ca, cp)
+                bits[v][r] |= 1 << c
+            spans.append(range(n - l) if step == 1 else range(l, n))
+        ids = [
+            self._id_of_type((proj.pos[s][span[0]][0], len(span)))
+            for s, span in enumerate(spans)
         ]
-        return cov, kappa
+        shifted = Obj.from_iter(ids)
+        place = _slot_assignment(shifted, [Obj.of(i) for i in ids])
+        sasm = self._assembled(shifted)
+        slots: list[dict[int, int]] = [{} for _ in range(m)]
+        for s, span in enumerate(spans):
+            for u, t in enumerate(span):
+                v, pslot = proj.pos[s][t]
+                v1, slot = sasm.pos[place[s][0]][u]
+                if v1 != v:
+                    raise InternalCheckError("shift slot misaligned")
+                slots[v][pslot] = slot
+        mats = [
+            F2Matrix(rows.raw.dims[v], cols.raw.dims[v], tuple(bits[v]))
+            for v in range(m)
+        ]
+        return proj, mats, shifted, slots
 
     def shift_mor(self, f: Mor, k: int = 1) -> Mor:
         if k == 0:
@@ -660,123 +657,34 @@ class NakayamaBackend(Backend):
         return out
 
     def _shift_mor_once(self, f: Mor, step: int) -> Mor:
-        src1 = self.shift_obj(f.src, step)
-        dst1 = self.shift_obj(f.dst, step)
         if f.src.is_zero or f.dst.is_zero or f.is_zero:
-            return Mor(src1, dst1, 0)
+            return Mor(self.shift_obj(f.src, step), self.shift_obj(f.dst, step), 0)
         a = self._assembled(f.src)
         b = self._assembled(f.dst)
+        pa, ma, src1, slots_a = self._shift_layers(a, step)
+        pb, mb, dst1, slots_b = self._shift_layers(b, step)
         fraw = self._raw_from_mor(f)
-        if step == 1:
-            ea, iota_a = self._envelope(a)
-            eb, iota_b = self._envelope(b)
-            interp = []
-            for v in range(self.m):
-                for c in range(a.raw.dims[v]):
-                    src_vec = iota_a[v].column(c)
-                    tgt_vec = iota_b[v].matvec(fraw[v].column(c))
-                    interp.append((v, src_vec, tgt_vec))
-            # interp columns are expressed in the envelope source space
-            phi = _solve_module_map(ea.raw, eb.raw, interp)
-            if phi is None:
-                raise InternalCheckError("envelope lift failed")
-            return self._induced_on_cosyzygy(f, a, b, ea, eb, phi)
-        ca, kappa_a = self._cover(a)
-        cb, kappa_b = self._cover(b)
         interp = []
         for v in range(self.m):
-            for c in range(ca.raw.dims[v]):
-                src_vec = 1 << c
-                tgt_vec = fraw[v].matvec(kappa_a[v].column(c))
-                interp.append((v, src_vec, tgt_vec, kappa_b[v]))
-        # kappa_b . phi(e_c) = f(kappa_a(e_c)): pinned modulo ker kappa_b
-        phi = _solve_module_map(ca.raw, cb.raw, interp)
+            if step == 1:
+                # phi iota_a = iota_b f on the columns of a
+                for c in range(a.raw.dims[v]):
+                    tgt = mb[v].matvec(fraw[v].column(c))
+                    interp.append((v, ma[v].column(c), tgt))
+            else:
+                # kappa_b phi = f kappa_a, pinned modulo ker kappa_b
+                for c in range(pa.raw.dims[v]):
+                    tgt = fraw[v].matvec(ma[v].column(c))
+                    interp.append((v, 1 << c, tgt, mb[v]))
+        phi = _solve_module_map(pa.raw, pb.raw, interp)
         if phi is None:
-            raise InternalCheckError("cover lift failed")
-        return self._induced_on_syzygy(f, a, b, ca, cb, phi)
-
-    def _sorted_shift(self, x: Obj, step: int):
-        """Shifted object plus the order mapping from x positions."""
-        shifted_ids = [self.shift_id(i, step) for i in x.summands]
-        target = Obj.from_iter(shifted_ids)
-        # positions: claim slots in the sorted target greedily
-        free: dict[int, list[int]] = {}
-        for pos, i in enumerate(target.summands):
-            free.setdefault(i, []).append(pos)
-        taken = {i: 0 for i in free}
-        placement = []
-        for i in shifted_ids:
-            placement.append(free[i][taken[i]])
-            taken[i] += 1
-        return target, placement
-
-    def _induced_on_cosyzygy(self, f, a, b, ea, eb, phi) -> Mor:
-        src1, splace = self._sorted_shift(f.src, 1)
-        dst1, dplace = self._sorted_shift(f.dst, 1)
-        asm1 = self._assembled(src1)
-        bsm1 = self._assembled(dst1)
-        grids = [
-            [[0] * asm1.raw.dims[v] for _ in range(bsm1.raw.dims[v])]
-            for v in range(self.m)
-        ]
-        for s, (i, l) in enumerate(a.types):
-            for u in range(self.n - l):
-                v, c = ea.pos[s][u]
-                col = phi[v].column(c)
-                # read off target coordinates in the top layers of eb
-                gc_pos = asm1.pos[splace[s]][u]
-                if gc_pos[0] != v:
-                    raise InternalCheckError("cosyzygy slot misaligned")
-                for q, (i2, l2) in enumerate(b.types):
-                    for u2 in range(self.n - l2):
-                        v2, r2 = eb.pos[q][u2]
-                        if v2 != v:
-                            continue
-                        if (col >> r2) & 1:
-                            gr_pos = bsm1.pos[dplace[q]][u2]
-                            if gr_pos[0] != v:
-                                raise InternalCheckError("cosyzygy slot misaligned")
-                            grids[v][gr_pos[1]][gc_pos[1]] ^= 1
-        mats = [
-            F2Matrix.from_entries(grids[v], bsm1.raw.dims[v], asm1.raw.dims[v])
-            for v in range(self.m)
-        ]
-        return self._express_raw(src1, dst1, mats)
-
-    def _induced_on_syzygy(self, f, a, b, ca, cb, phi) -> Mor:
-        src1, splace = self._sorted_shift(f.src, -1)
-        dst1, dplace = self._sorted_shift(f.dst, -1)
-        asm1 = self._assembled(src1)
-        bsm1 = self._assembled(dst1)
-        grids = [
-            [[0] * asm1.raw.dims[v] for _ in range(bsm1.raw.dims[v])]
-            for v in range(self.m)
-        ]
-        for s, (i, l) in enumerate(a.types):
-            for u in range(self.n - l):
-                v, c = ca.pos[s][l + u]
-                col = phi[v].column(c)
-                gc_pos = asm1.pos[splace[s]][u]
-                if gc_pos[0] != v:
-                    raise InternalCheckError("syzygy slot misaligned")
-                for q, (i2, l2) in enumerate(b.types):
-                    for u2 in range(self.n):
-                        v2, r2 = cb.pos[q][u2]
-                        if v2 != v:
-                            continue
-                        if (col >> r2) & 1:
-                            if u2 < l2:
-                                raise InternalCheckError(
-                                    "cover lift left the syzygy"
-                                )
-                            gr_pos = bsm1.pos[dplace[q]][u2 - l2]
-                            if gr_pos[0] != v:
-                                raise InternalCheckError("syzygy slot misaligned")
-                            grids[v][gr_pos[1]][gc_pos[1]] ^= 1
-        mats = [
-            F2Matrix.from_entries(grids[v], bsm1.raw.dims[v], asm1.raw.dims[v])
-            for v in range(self.m)
-        ]
+            raise InternalCheckError("envelope or cover lift failed")
+        mats = []
+        for v in range(self.m):
+            cols = [0] * len(slots_a[v])
+            for pslot, c in slots_a[v].items():
+                cols[c] = _read_shift(phi[v].column(pslot), slots_b[v], step == -1)
+            mats.append(F2Matrix.from_rows(cols, len(slots_b[v])).transpose())
         return self._express_raw(src1, dst1, mats)
 
     # -- cones ----------------------------------------------------------------
@@ -795,7 +703,7 @@ class NakayamaBackend(Backend):
         a = self._assembled(x)
         b = self._assembled(y)
         fraw = self._raw_from_mor(f)
-        env, iota = self._envelope(a)
+        env, iota, x1, slots = self._shift_layers(a, 1)
         m = self.m
         ydims = b.raw.dims
         edims = env.raw.dims
@@ -853,88 +761,44 @@ class NakayamaBackend(Backend):
         cone_raw = RawModule(m, self.n, tuple(cdims), tuple(cone_mats))
 
         types, to_canon, from_canon = split_module(cone_raw)
-        order = sorted(
-            range(len(types)),
-            key=lambda s: (types[s][1] == self.n, types[s]),
-        )
-        sorted_types = tuple(types[s] for s in order)
-        disc = _assemble(m, self.n, tuple(types))
-        sasm = self._asm(sorted_types)
-        perm = []
-        for v in range(m):
-            grid = [[0] * disc.raw.dims[v] for _ in range(sasm.raw.dims[v])]
-            for new_pos, s in enumerate(order):
-                i, l = types[s]
-                for t in range(l):
-                    dv, dslot = disc.pos[s][t]
-                    if dv != sasm.pos[new_pos][t][0]:
-                        raise InternalCheckError("sort misaligned")
-                    if dv == v:
-                        grid[sasm.pos[new_pos][t][1]][dslot] ^= 1
-            perm.append(
-                F2Matrix.from_entries(grid, sasm.raw.dims[v], disc.raw.dims[v])
-            )
-        to_sorted = [perm[v].mul(to_canon[v]) for v in range(m)]
-        from_sorted = [from_canon[v].mul(perm[v].transpose()) for v in range(m)]
-
-        nonproj = [t for t in sorted_types if t[1] < self.n]
+        nonproj = [t for t in types if t[1] < self.n]
         c_obj = Obj.from_iter(self._id_of_type(t) for t in nonproj)
         stable_asm = self._asm(tuple(nonproj))
         keep = [stable_asm.raw.dims[v] for v in range(m)]
         to_stable = [
-            F2Matrix(keep[v], cdims[v], to_sorted[v].bits[: keep[v]])
+            F2Matrix(keep[v], cdims[v], to_canon[v].bits[: keep[v]])
             for v in range(m)
         ]
         from_stable = [
             F2Matrix(
                 cdims[v],
                 keep[v],
-                tuple(row & ((1 << keep[v]) - 1) for row in from_sorted[v].bits),
+                tuple(row & ((1 << keep[v]) - 1) for row in from_canon[v].bits),
             )
             for v in range(m)
         ]
 
         # g : Y -> C, the pushout inclusion in stable coordinates
-        g_mats = []
-        for v in range(m):
-            bits = []
-            for r in range(keep[v]):
-                row = 0
-                for c in range(ydims[v]):
-                    img = reduce_to_cone(v, 1 << c)
-                    row |= ((to_stable[v].matvec(img) >> r) & 1) << c
-                bits.append(row)
-            g_mats.append(F2Matrix(keep[v], ydims[v], tuple(bits)))
+        g_mats = [
+            F2Matrix.from_rows(
+                [to_stable[v].matvec(reduce_to_cone(v, 1 << c))
+                 for c in range(ydims[v])],
+                keep[v],
+            ).transpose()
+            for v in range(m)
+        ]
         g = self._express_raw(y, c_obj, g_mats)
 
         # h : C -> X[1], envelope cokernel coordinates of the lift
-        x1, place = self._sorted_shift(x, 1)
-        x1_asm = self._assembled(x1)
-        h_mats = []
-        for v in range(m):
-            grid = [[0] * keep[v] for _ in range(x1_asm.raw.dims[v])]
-            for cc in range(keep[v]):
-                full = 0
-                col = from_stable[v].column(cc)
-                rest = col
-                while rest:
-                    idx = (rest & -rest).bit_length() - 1
-                    full ^= lift_from_cone(v, 1 << idx)
-                    rest &= rest - 1
-                evec = full >> ydims[v]
-                for s, (i, l) in enumerate(a.types):
-                    for u in range(self.n - l):
-                        v2, r2 = env.pos[s][u]
-                        if v2 != v:
-                            continue
-                        if (evec >> r2) & 1:
-                            gp = x1_asm.pos[place[s]][u]
-                            if gp[0] != v:
-                                raise InternalCheckError("cokernel misaligned")
-                            grid[gp[1]][cc] ^= 1
-            h_mats.append(
-                F2Matrix.from_entries(grid, x1_asm.raw.dims[v], keep[v])
-            )
+        h_mats = [
+            F2Matrix.from_rows(
+                [_read_shift(lift_from_cone(v, from_stable[v].column(cc))
+                             >> ydims[v], slots[v], False)
+                 for cc in range(keep[v])],
+                len(slots[v]),
+            ).transpose()
+            for v in range(m)
+        ]
         h = self._express_raw(c_obj, x1, h_mats)
 
         tri = Tri(x, y, c_obj, f, g, h, morphism_data=True)
@@ -945,7 +809,7 @@ class NakayamaBackend(Backend):
                 "construction": "envelope-pushout",
                 "map": {"src": self.obj_labels(x), "dst": self.obj_labels(y),
                         "coords": f.coords},
-                "deleted_projectives": sum(1 for t in sorted_types if t[1] == self.n),
+                "deleted_projectives": len(types) - len(nonproj),
             },
         )
 
@@ -1104,6 +968,16 @@ class NakayamaBackend(Backend):
 # Decomposition of raw modules
 
 
+def _path_tower(raw: RawModule) -> list[list[F2Matrix]]:
+    """comp[t][j] is the composite of t arrows from vertex j, t = 0..n+1."""
+    m = raw.m
+    comp: list[list[F2Matrix]] = [[F2Matrix.identity(d) for d in raw.dims]]
+    for t in range(1, raw.n + 2):
+        prev = comp[t - 1]
+        comp.append([raw.mats[(j + t - 1) % m].mul(prev[j]) for j in range(m)])
+    return comp
+
+
 def decompose_counts(raw: RawModule) -> dict[tuple[int, int], int]:
     """Multiplicity of every uniserial via rank inclusion-exclusion.
 
@@ -1113,15 +987,7 @@ def decompose_counts(raw: RawModule) -> dict[tuple[int, int], int]:
     chains of one exact shape.
     """
     m, n = raw.m, raw.n
-    comp: list[list[F2Matrix]] = [[F2Matrix.identity(d) for d in raw.dims]]
-    for t in range(1, n + 2):
-        prev = comp[t - 1]
-        comp.append(
-            [raw.mats[(j + t - 1) % m].mul(prev[j]) for j in range(m)]
-        )
-    from .f2 import rank as _rank
-
-    rp = [[_rank(comp[t][j]) for j in range(m)] for t in range(n + 2)]
+    rp = [[rank(c) for c in layer] for layer in _path_tower(raw)]
     if any(rp[n][j] for j in range(m)):
         raise InternalCheckError("length-n paths act nonzero")
     out: dict[tuple[int, int], int] = {}
@@ -1146,137 +1012,66 @@ def decompose_counts(raw: RawModule) -> dict[tuple[int, int], int]:
 def split_module(raw: RawModule):
     """Explicit direct-sum decomposition with both transport maps.
 
-    Returns (types, to_canon, from_canon) where to_canon / from_canon
-    are mutually inverse per-vertex matrices between ``raw`` and the
-    assembly of ``types`` in discovery order.  Peels one maximal-length
-    chain at a time; an element of maximal path-length always spans a
-    direct summand, so the retraction solve below cannot fail on valid
-    input.
+    Returns (types, to_canon, from_canon): the uniserial types of
+    ``raw``, non-projective first and sorted within each part, and
+    mutually inverse per-vertex matrices between ``raw`` and the
+    assembly of ``types``.  The columns of from_canon are Jordan chains
+    x, Ax, ..., A^(l-1) x of the arrow action A.  The generators of
+    length l at vertex j span a complement of ker A^(l-1) + A ker A^(l+1)
+    inside ker A^l there; chains grown from any such complements form a
+    basis, so to_canon is one inversion and nothing is solved per
+    summand.
     """
     m, n = raw.m, raw.n
-    if raw.total_dim() == 0:
-        return (), [F2Matrix.zero(0, d) for d in raw.dims], [
-            F2Matrix.zero(d, 0) for d in raw.dims
-        ]
-
-    comp: list[list[F2Matrix]] = [[F2Matrix.identity(d) for d in raw.dims]]
-    for t in range(1, n + 1):
-        prev = comp[t - 1]
-        comp.append([raw.mats[(j + t - 1) % m].mul(prev[j]) for j in range(m)])
-    t_max = 0
-    for t in range(n, -1, -1):
-        if any(not comp[t][j].is_zero() for j in range(m)):
-            t_max = t
-            break
-    length = t_max + 1
-    start = None
+    kers = [[kernel_basis(c) for c in layer] for layer in _path_tower(raw)]
+    gens: list[tuple[tuple[int, int], int]] = []
     for j in range(m):
-        for c in range(raw.dims[j]):
-            if comp[t_max][j].column(c):
-                start = (j, c)
-                break
-        if start:
-            break
-    if start is None:
-        raise InternalCheckError("no chain generator found")
-    j0, c0 = start
-    chain = []
-    vec = 1 << c0
-    for s in range(length):
-        chain.append(vec)
-        if s + 1 < length:
-            vec = raw.mats[(j0 + s) % m].matvec(vec)
-
-    unit = _assemble(m, n, ((j0, length),))
-    interp = []
-    for s in range(length):
-        v, slot = unit.pos[0][s]
-        if v != (j0 + s) % m:
-            raise InternalCheckError("chain vertex misaligned")
-        interp.append((v, chain[s], 1 << slot))
-    pi = _solve_module_map(raw, unit.raw, interp)
-    if pi is None:
-        raise InternalCheckError("maximal chain did not split")
-
-    inc_u = []
-    for v in range(m):
-        cols = []
-        for s in range(length):
-            vv, _slot = unit.pos[0][s]
-            if vv == v:
-                cols.append(chain[s])
-        bits = [0] * raw.dims[v]
-        for ci, col in enumerate(cols):
-            rest = col
-            while rest:
-                r = (rest & -rest).bit_length() - 1
-                bits[r] |= 1 << ci
-                rest &= rest - 1
-        inc_u.append(F2Matrix(raw.dims[v], unit.raw.dims[v], tuple(bits)))
-
-    kbasis = [kernel_basis(pi[v]) for v in range(m)]
-    kdims = [len(kb) for kb in kbasis]
-    inc_k = []
-    for v in range(m):
-        bits = [0] * raw.dims[v]
-        for ci, col in enumerate(kbasis[v]):
-            rest = col
-            while rest:
-                r = (rest & -rest).bit_length() - 1
-                bits[r] |= 1 << ci
-                rest &= rest - 1
-        inc_k.append(F2Matrix(raw.dims[v], kdims[v], tuple(bits)))
-    solvers = [ExpressSolver(kbasis[v]) for v in range(m)]
-
-    kmats = []
-    for v in range(m):
-        w = (v + 1) % m
-        bits = [0] * kdims[w]
-        for ci in range(kdims[v]):
-            img = raw.mats[v].matvec(kbasis[v][ci])
-            combo = solvers[w].express(img)
-            if combo is None:
-                raise InternalCheckError("kernel is not arrow-stable")
-            rest = combo
-            while rest:
-                r = (rest & -rest).bit_length() - 1
-                bits[r] |= 1 << ci
-                rest &= rest - 1
-        kmats.append(F2Matrix(kdims[w], kdims[v], tuple(bits)))
-    kraw = RawModule(m, n, tuple(kdims), tuple(kmats))
-
-    to_k = []
-    for v in range(m):
-        bits = [0] * kdims[v]
-        for c in range(raw.dims[v]):
-            x = 1 << c
-            y = x ^ inc_u[v].matvec(pi[v].matvec(x))
-            combo = solvers[v].express(y)
-            if combo is None:
-                raise InternalCheckError("complement projection failed")
-            rest = combo
-            while rest:
-                r = (rest & -rest).bit_length() - 1
-                bits[r] |= 1 << c
-                rest &= rest - 1
-        to_k.append(F2Matrix(kdims[v], raw.dims[v], tuple(bits)))
-
-    sub_types, sub_to, sub_from = split_module(kraw)
-    types = ((j0, length),) + sub_types
-    to_canon = []
-    from_canon = []
-    for v in range(m):
-        top = pi[v]
-        bottom = sub_to[v].mul(to_k[v])
-        to_canon.append(top.vstack(bottom))
-        left = inc_u[v]
-        right = inc_k[v].mul(sub_from[v])
-        from_canon.append(left.hstack(right))
-    for v in range(m):
-        prod = to_canon[v].mul(from_canon[v])
-        if prod != F2Matrix.identity(prod.rows):
-            raise InternalCheckError("decomposition transport not invertible")
+        i = (j - 1) % m
+        for l in range(1, n + 1):
+            ech = Echelon()
+            for x in kers[l - 1][j]:
+                ech.add(x)
+            for x in kers[l + 1][i]:
+                ech.add(raw.mats[i].matvec(x))
+            gens.extend(((j, l), x) for x in kers[l][j] if ech.add(x))
+    gens.sort(key=lambda g: (g[0][1] == n, g[0]))
+    types = tuple(t for t, _ in gens)
+    asm = _assemble(m, n, types)
+    if asm.raw.dims != raw.dims:
+        raise InternalCheckError("Jordan chains do not fill the module")
+    cols: list[list[int]] = [[0] * d for d in raw.dims]
+    for s, (_t, x) in enumerate(gens):
+        for v, slot in asm.pos[s]:
+            cols[v][slot] = x
+            x = raw.mats[v].matvec(x)
+    to_canon, from_canon = [], []
+    for v, d in enumerate(raw.dims):
+        solver = ExpressSolver(cols[v])
+        inv = [solver.express(1 << r) for r in range(d)]
+        if None in inv:
+            raise InternalCheckError("Jordan chains are not a basis")
+        to_canon.append(F2Matrix.from_rows(inv, d).transpose())
+        from_canon.append(F2Matrix.from_rows(cols[v], d).transpose())
     return types, to_canon, from_canon
+
+
+def _read_shift(vec: int, slots: dict[int, int], strict: bool) -> int:
+    """Shifted-object coordinates of a vector over envelope or cover slots.
+
+    Bits outside the (co)syzygy slots are dropped: in an envelope they
+    lie in the image of the module, which the cokernel kills.  With
+    ``strict`` they are an error instead, since a lift between covers
+    must keep the syzygy inside the syzygy.
+    """
+    out = 0
+    while vec:
+        r = (vec & -vec).bit_length() - 1
+        vec &= vec - 1
+        if r in slots:
+            out |= 1 << slots[r]
+        elif strict:
+            raise InternalCheckError("cover lift left the syzygy")
+    return out
 
 
 def _splits_3way(c: Obj, xset: Sequence[int], yset: Sequence[int]):

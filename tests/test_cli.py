@@ -351,6 +351,21 @@ def test_internal_check_exits_one(monkeypatch, capsys):
     assert err.startswith("property violation:")
 
 
+def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
+    def boom(args, claims, status):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setitem(cli._SUITE_FUNCS, "counts", boom)
+    rc, out, err = invoke(
+        capsys, "verify", "--suite", "counts",
+        "--backend", "nakayama:m=1,n=3",
+    )
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("internal error: RuntimeError: unexpected")
+    assert "Traceback" not in err
+
+
 def test_inconclusive_exits_three_unless_allowed(monkeypatch, capsys):
     def claims_maybe(args, claims, status):
         cli._claim(claims, status, "stub", Verdict.inconclusive(reason="cap"))
@@ -388,3 +403,15 @@ def test_out_file_holds_the_whole_report(tmp_path, capsys):
     assert out == ""
     doc = json.loads(target.read_text())
     assert doc["report"]["count"] == 2
+
+
+def test_unwritable_out_file_is_invalid_input(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    for argv in (
+        ["enumerate-cp", "--backend", "nakayama:m=1,n=3"],
+        ["orbit-graph", "--backend", "nakayama:m=2,n=2", "--tcp", "trivial-hovey"],
+    ):
+        rc, out, err = invoke(capsys, *argv, "--out", str(target))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: cannot write --out")

@@ -2,7 +2,9 @@
 
 Each digest is the sha256 of the ``report`` payload dumped as JSON with
 sorted keys (for ``orbit-graph``, of the DOT text), recorded before the
-shared linear-algebra helpers were merged.  The envelope is not hashed,
+shared linear-algebra helpers were merged; the ``nakayama:m=2,n=4``
+bijection digest is the one the benchmark gates on (perfbench/expected.json),
+recorded with the same hashing.  The envelope is not hashed,
 so schema and settings changes do not trip these checks; any change to
 a verdict, a count, a label or a witness coordinate does.
 """
@@ -40,6 +42,10 @@ GOLDEN = [
     (
         ["orbit-graph"] + TCP,
         "e7af818d72b3fcd2a45b603785ad60aa7161fc4d26e88b0f930bbcf7fd8a0bbb",
+    ),
+    (
+        ["verify", "--suite", "all", "--backend", "nakayama:m=2,n=4"],
+        "4e2798b90334666a280c955cd69602b45eebb32eb36ad83863a719674f51601a",
     ),
 ]
 

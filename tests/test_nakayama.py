@@ -7,6 +7,7 @@ the backend's own tables.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -386,17 +387,19 @@ def _twisted(rng, m, n, types):
     )
 
 
-def test_split_module_transport_on_twisted_modules_at_k9():
+@pytest.mark.parametrize("m,n", [(1, 7), (3, 4), (4, 5)])
+def test_split_module_on_twisted_modules(m, n):
     # Twisted modules have no coordinate summands; the splitter must
-    # still return the right types and a module isomorphism onto their
-    # assembly.
-    m, n = 3, 4
+    # still return the types that rank counting finds, non-projective
+    # first and sorted, and a module isomorphism onto their assembly.
     rng = random.Random(36)
     for _ in range(30):
-        types = _random_types(rng, m, n, rng.randint(1, 5))
+        types = _random_types(rng, m, n, rng.randint(1, 7))
         twisted = _twisted(rng, m, n, types)
         got, to_canon, from_canon = split_module(twisted)
         assert sorted(got) == sorted(types)
+        assert dict(Counter(got)) == decompose_counts(twisted)
+        assert list(got) == sorted(got, key=lambda t: (t[1] == n, t))
         canon = _assemble(m, n, got).raw
         for v in range(m):
             w = (v + 1) % m
