@@ -12,6 +12,7 @@ found or internal error, 2 invalid input, 3 a search was inconclusive
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -37,7 +38,7 @@ from .pairs import (
     trivial_pairs,
 )
 from .quotient import ZIQuotient
-from .subcats import Subcat, left_perp, right_perp
+from .subcats import Subcat, closed_sets, left_perp, right_perp
 
 SCHEMA = "cotor.report/2"
 
@@ -49,7 +50,9 @@ _BUILDERS: dict[str, Callable[[str], Backend]] = {
 _SUITES = ("counts", "conditions", "hovey", "adjunction", "bijection", "all")
 
 
-def build_backend(spec: str) -> Backend:
+def build_backend(spec: Optional[str]) -> Backend:
+    if spec is None:
+        raise InputError("--backend is required for this command")
     family = spec.split(":", 1)[0]
     builder = _BUILDERS.get(family)
     if builder is None:
@@ -58,6 +61,10 @@ def build_backend(spec: str) -> Backend:
             + ", ".join(sorted(_BUILDERS))
         )
     return builder(spec)
+
+
+# One backend per spec serves every engine and suite of an invocation.
+_backend_of = functools.lru_cache(maxsize=None)(build_backend)
 
 
 class _Status:
@@ -227,14 +234,10 @@ _ENGINE_MEMO: dict[tuple[str, int], PairEngine] = {}
 def _engine(args: argparse.Namespace) -> PairEngine:
     # One engine per configuration keeps star and quotient caches warm
     # across the suites of a single invocation.
-    if args.backend is None:
-        raise InputError("--backend is required for this command")
     key = (args.backend, args.cap)
-    got = _ENGINE_MEMO.get(key)
-    if got is None:
-        got = PairEngine(build_backend(args.backend), cap=args.cap)
-        _ENGINE_MEMO[key] = got
-    return got
+    if key not in _ENGINE_MEMO:
+        _ENGINE_MEMO[key] = PairEngine(_backend_of(args.backend), cap=args.cap)
+    return _ENGINE_MEMO[key]
 
 
 def _claim(
@@ -390,17 +393,18 @@ def _cmd_orbit_graph(args: argparse.Namespace, status: _Status) -> None:
 
 
 def enumerate_by_second_class(engine: PairEngine) -> tuple[list[CotorsionPair], bool]:
-    """Independent sweep of second classes; the dual of the main route."""
+    """Independent route: the closed sets of the dual closure on V."""
     b = engine.backend
     out: list[CotorsionPair] = []
     complete = True
-    for bits in range(1 << len(b.indecs)):
+    for bits in closed_sets(
+        len(b.indecs),
+        lambda s: right_perp(left_perp(Subcat(b, s), 1), -1).bits,
+    ):
         v = Subcat(b, bits)
         if not engine.star.is_ext_closed_pairwise(v):
             continue
         u = left_perp(v, 1)
-        if right_perp(u, -1) != v:
-            continue
         verdict = engine.is_cotorsion_pair(u, v)
         if verdict.is_yes:
             out.append(CotorsionPair(u, v))
@@ -444,7 +448,7 @@ def _suite_counts_polygon(
 
 
 def _suite_counts(args: argparse.Namespace, claims: list, status: _Status) -> dict:
-    backend = build_backend(args.backend)
+    backend = _backend_of(args.backend)
     if isinstance(backend, polygon.PolygonBackend):
         return _suite_counts_polygon(backend, claims, status)
     engine = _engine(args)
@@ -688,6 +692,10 @@ def _suite_bijection(
     return {"checked": len(rows), "twin_pairs": rows}
 
 
+# The capability a suite needs; ``--suite all`` skips it on backends without.
+_suite_conditions.needs = _suite_hovey.needs = "exact_triangles"
+_suite_adjunction.needs = _suite_bijection.needs = "exact_triangles"
+
 _SUITE_FUNCS: dict[str, Callable[[argparse.Namespace, list, _Status], dict]] = {
     "counts": _suite_counts,
     "conditions": _suite_conditions,
@@ -702,7 +710,11 @@ def _cmd_verify(args: argparse.Namespace, status: _Status) -> dict:
     claims: list[dict] = []
     results: dict[str, Any] = {}
     for name in names:
-        results[name] = _SUITE_FUNCS[name](args, claims, status)
+        need = getattr(_SUITE_FUNCS[name], "needs", None) if args.suite == "all" else None
+        if need and not getattr(_backend_of(args.backend).caps, need):
+            results[name] = {"skipped": f"backend lacks capability {need}"}
+        else:
+            results[name] = _SUITE_FUNCS[name](args, claims, status)
     return {"suites": results, "claims": claims}
 
 

@@ -5,16 +5,17 @@ degree-one maps from U to V and with every object an extension of a
 shifted V-object by a U-object.  The engine tests candidates by first
 enforcing the perpendicularity identities V = (U[-1])-right-perp and
 U = (V[1])-left-perp, which every genuine pair satisfies and which are
-exact Hom-table sweeps; coverage is then checked per indecomposable
+exact bitmask operations; coverage is then checked per indecomposable
 with the star engine, whose YES lane is sound here because
 perpendicular classes are closed under extensions.
 
 Twin pairs ((S,T),(U,V)) add the vanishing of degree-one maps from S
 to V; the engine cross-checks the three equivalent formulations
-(vanishing, S inside U, V inside T) and refuses silently inconsistent
-states.  Derived classes, the heart-vanishing predicate, conditions on
-shifted-intersection equalities, and the thick-subcategory detection
-all run tri-valued: an exhausted cap is inconclusive, never a guess.
+(vanishing, S inside U, V inside T) on bitmasks and refuses silently
+inconsistent states.  Derived classes, the heart-vanishing predicate,
+conditions on shifted-intersection equalities, and the thick-subcategory
+detection all run tri-valued: an exhausted cap is inconclusive, never a
+guess.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .core import (
     Verdict,
 )
 from .f2 import in_span
-from .subcats import StarEngine, Subcat, left_perp, right_perp
+from .subcats import StarEngine, Subcat, closed_sets, hom_masks, left_perp, right_perp
 
 
 @dataclass(frozen=True)
@@ -150,19 +151,16 @@ class PairEngine:
         self._derived_cache: dict[tuple, DerivedSets] = {}
         self._cond_cache: dict[tuple[str, tuple], Verdict] = {}
         self._zi_cache: dict[tuple, object] = {}
+        self._ext1 = hom_masks(backend)[2]
 
     # -- degree-one orthogonality ------------------------------------------
-
-    def ext1_dim(self, i: int, j: int) -> int:
-        b = self.backend
-        return b.hom_dim_pair(i, b.shift_id(j, 1))
 
     def ext1_witness(self, a: Subcat, b: Subcat) -> Optional[tuple[int, int]]:
         """First (i, j) with degree-one maps from i to j, or None."""
         for i in a:
-            for j in b:
-                if self.ext1_dim(i, j) > 0:
-                    return (i, j)
+            hit = self._ext1[i] & b.bits
+            if hit:
+                return (i, (hit & -hit).bit_length() - 1)
         return None
 
     # -- cotorsion pair detection --------------------------------------------
@@ -189,15 +187,15 @@ class PairEngine:
                 reason="first class differs from the left perpendicular "
                 f"of the second: {sorted(set(u.labels()) ^ set(lp.labels()))}"
             )
-        wit = self.ext1_witness(u, v)
-        if wit is not None:
+        if self.ext1_witness(u, v) is not None:
             raise InternalCheckError(
                 "perpendicularity held but a degree-one map survives"
             )
         states = []
+        v1 = v.shifted(1)
         for c in range(len(b.indecs)):
             verdict = self.star.star_contains(
-                u, v.shifted(1), Obj.of(c), y_ext_closed=True
+                u, v1, Obj.of(c), y_ext_closed=True
             )
             if verdict.is_no:
                 return Verdict.no(
@@ -209,23 +207,20 @@ class PairEngine:
         return Verdict.yes()
 
     def enumerate_cotorsion(self) -> CPEnumeration:
-        """All cotorsion pairs by sweeping first classes.
-
-        The second class is forced as the right perpendicular; first
-        classes failing the dual perpendicular identity or pairwise
-        extension closure cannot occur in a pair and are pruned.
-        """
+        """All cotorsion pairs from the closed sets of U -> left-perp of
+        (U[-1])-right-perp, ascending: every first class is one, and forces
+        the second.  Classes failing pairwise extension closure are pruned."""
         b = self.backend
-        k = len(b.indecs)
         pairs: list[CotorsionPair] = []
         unresolved: list[CotorsionPair] = []
-        for bits in range(1 << k):
+        for bits in closed_sets(
+            len(b.indecs),
+            lambda s: left_perp(right_perp(Subcat(b, s), -1), 1).bits,
+        ):
             u = Subcat(b, bits)
             if not self.star.is_ext_closed_pairwise(u):
                 continue
             v = right_perp(u, -1)
-            if left_perp(v, 1) != u:
-                continue
             verdict = self.is_cotorsion_pair(u, v)
             if verdict.is_yes:
                 pairs.append(CotorsionPair(u, v))
@@ -247,16 +242,28 @@ class PairEngine:
         """Inner-to-outer orthogonality, cross-checked three ways."""
         self._require_cp(inner)
         self._require_cp(outer)
-        orth = self.ext1_witness(inner.u, outer.v) is None
-        s_in_u = inner.u.issubset(outer.u)
-        v_in_t = outer.v.issubset(inner.v)
-        if not (orth == s_in_u == v_in_t):
-            raise InternalCheckError(
-                "equivalent twin-pair criteria disagree: "
-                f"orthogonality={orth}, S-inclusion={s_in_u}, "
-                f"V-inclusion={v_in_t}"
-            )
-        return orth
+        return bool(self._twin_partners(inner, [outer.key()]))
+
+    def _twin_partners(
+        self, inner: CotorsionPair, outers: list[tuple[int, int]]
+    ) -> list[int]:
+        """Indices of the outer (U, V) bitmask pairs that form a twin pair with
+        inner (S, T); Ext^1(S, V) = 0, S in U and V in T must all agree."""
+        s, t = inner.key()
+        s_ext = 0
+        for i in inner.u:
+            s_ext |= self._ext1[i]
+        found = []
+        for k, (u, v) in enumerate(outers):
+            orth = not s_ext & v
+            if orth != (not s & ~u) or orth != (not v & ~t):
+                raise InternalCheckError(
+                    f"equivalent twin-pair criteria disagree: orthogonality={orth}, "
+                    f"S-inclusion={not s & ~u}, V-inclusion={not v & ~t}"
+                )
+            if orth:
+                found.append(k)
+        return found
 
     def make_tcp(
         self, inner: CotorsionPair, outer: CotorsionPair
@@ -269,16 +276,16 @@ class PairEngine:
         return p.s.intersect(p.t) == p.u.intersect(p.v)
 
     def enumerate_tcp(self, concentric_only: bool = False):
-        """All twin pairs built from the enumerated cotorsion pairs."""
+        """All twin pairs of enumerated (so verified) pairs, by the three-way check."""
         enum = self.enumerate_cotorsion()
+        keys = [p.key() for p in enum.pairs]
         out = []
         for inner in enum.pairs:
-            for outer in enum.pairs:
-                if self.is_tcp(inner, outer):
-                    p = TwinCotorsionPair(inner, outer)
-                    if concentric_only and not self.is_concentric(p):
-                        continue
-                    out.append(p)
+            for k in self._twin_partners(inner, keys):
+                p = TwinCotorsionPair(inner, enum.pairs[k])
+                if concentric_only and not self.is_concentric(p):
+                    continue
+                out.append(p)
         return out, enum.inconclusive
 
     # -- derived classes -------------------------------------------------------
@@ -471,13 +478,8 @@ class PairEngine:
         n = d.n_i
         if n.shifted(1) != n or n.shifted(-1) != n:
             raise InternalCheckError("matched extension class is not shift-stable")
-        for a in n:
-            for bb in n:
-                for mid in self.star.pair_extensions(a, bb):
-                    if not n.contains_obj(mid):
-                        raise InternalCheckError(
-                            "matched extension class is not extension-closed"
-                        )
+        if not self.star.is_ext_closed_pairwise(n):
+            raise InternalCheckError("matched extension class is not extension-closed")
         return Verdict.yes(), n
 
 

@@ -237,6 +237,26 @@ def test_verify_counts_on_polygon(capsys):
     assert all(row["verdict"] == "yes" for row in rep["claims"])
 
 
+def test_verify_all_on_polygon_skips_suites_it_cannot_run(capsys):
+    rc, out, err = invoke(
+        capsys, "verify", "--suite", "all", "--backend", "polygon:N=5",
+    )
+    assert rc == 0 and err == ""
+    suites = report_of(out)["report"]["suites"]
+    assert suites.pop("counts") == {
+        "rigid": 11, "triangulations": 5, "crossing_closed": 17
+    }
+    assert suites == {
+        name: {"skipped": "backend lacks capability exact_triangles"}
+        for name in ("conditions", "hovey", "adjunction", "bijection")
+    }
+    # A suite asked for by name still refuses the backend.
+    rc, _, err = invoke(
+        capsys, "verify", "--suite", "hovey", "--backend", "polygon:N=5",
+    )
+    assert rc == 2 and "lacks capability exact_triangles" in err
+
+
 def test_verify_all_suites(capsys):
     rc, out, _ = invoke(
         capsys, "verify", "--suite", "all", "--backend", "nakayama:m=2,n=2",

@@ -1,0 +1,208 @@
+"""Bit-level enumeration routes against the slow routes they replace.
+
+The first-class and second-class 2^K sweeps below are the exhaustive
+routes that ``PairEngine.enumerate_cotorsion`` and
+``cli.enumerate_by_second_class`` used before they walked closed sets;
+they survive here only as oracles.  The perpendicular and degree-one
+bitmasks are checked against the definitional Hom-table loops, and
+``closed_sets`` against a brute-force filter on random closure systems.
+"""
+
+import random
+
+import pytest
+
+from cotor import cli, pairs
+from cotor.core import InternalCheckError
+from cotor.nakayama import NakayamaBackend
+from cotor.pairs import CotorsionPair, PairEngine, TwinCotorsionPair
+from cotor.subcats import Subcat, closed_sets, hom_masks, left_perp, right_perp
+
+# Every Nakayama backend with at most 12 indecomposables (K = m(n-1)).
+SMALL = [(m, n) for n in range(2, 14) for m in range(1, 13) if m * (n - 1) <= 12]
+
+
+# ---------------------------------------------------------------- oracles
+
+
+def sweep_first_classes(engine):
+    b = engine.backend
+    found, unresolved = [], []
+    for bits in range(1 << b.K):
+        u = Subcat(b, bits)
+        if not engine.star.is_ext_closed_pairwise(u):
+            continue
+        v = right_perp(u, -1)
+        if left_perp(v, 1) != u:
+            continue
+        verdict = engine.is_cotorsion_pair(u, v)
+        if verdict.is_yes:
+            found.append(CotorsionPair(u, v))
+        elif verdict.is_inconclusive:
+            unresolved.append(CotorsionPair(u, v))
+    return found, unresolved
+
+
+def sweep_second_classes(engine):
+    b = engine.backend
+    out = []
+    complete = True
+    for bits in range(1 << b.K):
+        v = Subcat(b, bits)
+        if not engine.star.is_ext_closed_pairwise(v):
+            continue
+        u = left_perp(v, 1)
+        if right_perp(u, -1) != v:
+            continue
+        verdict = engine.is_cotorsion_pair(u, v)
+        if verdict.is_yes:
+            out.append(CotorsionPair(u, v))
+        elif verdict.is_inconclusive:
+            complete = False
+    return out, complete
+
+
+def keys(pairs):
+    return [p.key() for p in pairs]
+
+
+# ---------------------------------------------------------------- class routes
+
+
+@pytest.mark.parametrize("mn", SMALL, ids=lambda mn: f"{mn[0]}-{mn[1]}")
+def test_closed_set_routes_match_the_sweeps(mn):
+    eng = PairEngine(NakayamaBackend(*mn))
+    enum = eng.enumerate_cotorsion()
+    pairs, unresolved = sweep_first_classes(eng)
+    assert keys(enum.pairs) == keys(pairs)
+    assert keys(enum.inconclusive) == keys(unresolved)
+    dual, complete = cli.enumerate_by_second_class(eng)
+    want, want_complete = sweep_second_classes(eng)
+    assert keys(dual) == keys(want)
+    assert complete == want_complete
+
+
+def _implication_closure(rules):
+    def closure(bits):
+        grown = True
+        while grown:
+            grown = False
+            for premise, conclusion in rules:
+                if premise & ~bits == 0 and conclusion & ~bits:
+                    bits |= conclusion
+                    grown = True
+        return bits
+
+    return closure
+
+
+def test_closed_sets_match_brute_force_on_random_systems():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        k = rng.randint(0, 10)
+        rules = []
+        for _ in range(rng.randint(0, 2 * k)):
+            premise = sum(1 << i for i in range(k) if rng.random() < 0.25)
+            conclusion = 1 << rng.randrange(k) if k else 0
+            rules.append((premise, conclusion))
+        closure = _implication_closure(rules)
+        want = [s for s in range(1 << k) if closure(s) == s]
+        assert list(closed_sets(k, closure)) == want, (k, rules)
+
+
+# ---------------------------------------------------------------- masks
+
+
+@pytest.fixture(scope="module")
+def b45():
+    return NakayamaBackend(4, 5)
+
+
+def test_mask_perps_match_the_hom_table_at_k16(b45):
+    rng = random.Random(16)
+    k = b45.K
+    for _ in range(60):
+        x = Subcat(b45, rng.getrandbits(k) & rng.getrandbits(k))
+        shift = rng.choice([-2, -1, 0, 1, 2])
+        ends = [b45.shift_id(i, shift) for i in x]
+        rp = [c for c in range(k) if all(b45.hom_dim_pair(s, c) == 0 for s in ends)]
+        lp = [c for c in range(k) if all(b45.hom_dim_pair(c, s) == 0 for s in ends)]
+        assert right_perp(x, shift).ids() == rp
+        assert left_perp(x, shift).ids() == lp
+
+
+def test_ext1_witness_matches_the_hom_table_at_k16(b45):
+    eng = PairEngine(b45)
+    rng = random.Random(61)
+    k = b45.K
+    for _ in range(200):
+        a = Subcat(b45, rng.getrandbits(k) & rng.getrandbits(k) & rng.getrandbits(k))
+        c = Subcat(b45, rng.getrandbits(k) & rng.getrandbits(k))
+        want = next(
+            (
+                (i, j)
+                for i in a
+                for j in c
+                if b45.hom_dim_pair(i, b45.shift_id(j, 1)) > 0
+            ),
+            None,
+        )
+        assert eng.ext1_witness(a, c) == want
+
+
+def test_enumerate_tcp_matches_is_tcp_per_pair():
+    eng = PairEngine(NakayamaBackend(3, 4))
+    cps = eng.enumerate_cotorsion().pairs
+    want = [
+        TwinCotorsionPair(inner, outer).key()
+        for inner in cps
+        for outer in cps
+        if eng.is_tcp(inner, outer)
+    ]
+    got, unresolved = eng.enumerate_tcp()
+    assert not unresolved
+    assert [p.key() for p in got] == want
+    concentric = [p.key() for p in got if eng.is_concentric(p)]
+    got_c, _ = eng.enumerate_tcp(concentric_only=True)
+    assert [p.key() for p in got_c] == concentric
+
+
+# ---------------------------------------------------------------- failure paths
+
+
+def test_shift_breaking_the_galois_connection_is_caught(monkeypatch):
+    b = NakayamaBackend(2, 3)
+    honest = b.shift_id
+    # Forward shifts do nothing, so Hom(s, c[1]) reads Hom(s, c).
+    monkeypatch.setattr(
+        b, "shift_id", lambda i, k=1: honest(i, k) if k < 0 else i
+    )
+    with pytest.raises(InternalCheckError, match="disagree on vanishing"):
+        right_perp(Subcat.of(b, [0]), -1)
+
+
+def _no_ext1(b):
+    # Clearing every degree-one mask leaves each verified pair passing
+    # its own orthogonality check, so only the twin check can notice.
+    out, into, _ = hom_masks(b)
+    return out, into, [0] * b.K
+
+
+def test_corrupted_ext1_mask_is_caught_by_enumerate_tcp(monkeypatch):
+    monkeypatch.setattr(pairs, "hom_masks", _no_ext1)
+    eng = PairEngine(NakayamaBackend(2, 2))
+    with pytest.raises(InternalCheckError, match="criteria disagree"):
+        eng.enumerate_tcp()
+
+
+def test_corrupted_ext1_mask_exits_one_without_traceback(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_ENGINE_MEMO", {})
+    monkeypatch.setattr(pairs, "hom_masks", _no_ext1)
+    rc = cli.main(["enumerate-tcp", "--backend", "nakayama:m=2,n=2"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "property violation: equivalent twin-pair criteria disagree"
+    )
+    assert "Traceback" not in captured.err
