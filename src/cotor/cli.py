@@ -402,8 +402,6 @@ def enumerate_by_second_class(engine: PairEngine) -> tuple[list[CotorsionPair], 
         lambda s: right_perp(left_perp(Subcat(b, s), 1), -1).bits,
     ):
         v = Subcat(b, bits)
-        if not engine.star.is_ext_closed_pairwise(v):
-            continue
         u = left_perp(v, 1)
         verdict = engine.is_cotorsion_pair(u, v)
         if verdict.is_yes:
@@ -417,7 +415,7 @@ def _suite_counts_polygon(
     b: polygon.PolygonBackend, claims: list, status: _Status
 ) -> dict:
     rigid = polygon.enumerate_rigid(b)
-    tris = polygon.enumerate_triangulations(b)
+    tris = polygon.triangulations_among(b, rigid)
     pt = polygon.enumerate_ptolemy(b)
     rigid_bits = {s.bits for s in rigid}
     maximal = {
@@ -603,8 +601,8 @@ def _suite_adjunction(
         ok = True
         for x in reps:
             for y in reps:
-                lhs = q.hom_mod_I(q.Sigma_obj(Obj.of(x)), Obj.of(y)).dim
-                rhs = q.hom_mod_I(Obj.of(x), q.Omega_obj(Obj.of(y))).dim
+                lhs = q.hom_mod_I(q.shift(Obj.of(x), 1), Obj.of(y)).dim
+                rhs = q.hom_mod_I(Obj.of(x), q.shift(Obj.of(y), -1)).dim
                 if lhs != rhs:
                     ok = False
         _claim(
@@ -619,8 +617,8 @@ def _suite_adjunction(
         if v1.is_yes and v2.is_yes:
             inverse = True
             for r in reps:
-                fwd = q.class_of(q.Sigma_obj(q.Omega_obj(Obj.of(r))))
-                back = q.class_of(q.Omega_obj(q.Sigma_obj(Obj.of(r))))
+                fwd = q.class_of(q.shift(q.shift(Obj.of(r), -1), 1))
+                back = q.class_of(q.shift(q.shift(Obj.of(r), 1), -1))
                 if fwd != q.class_of(Obj.of(r)) or back != q.class_of(Obj.of(r)):
                     inverse = False
             _claim(

@@ -65,8 +65,7 @@ class MutationEngine:
 
     def _image_classes(self, i: int, step: int) -> set[int]:
         """Classes of the adjoint (+1) or coadjoint (-1) image of i."""
-        adjoint = self.q.sigma_obj if step == 1 else self.q.omega_obj
-        img, _ = adjoint(Obj.of(i))
+        img, _ = self.q.adjoint(Obj.of(i), step)
         return set(self.q.class_of(img))
 
     def adjoint_bar(self, a: Subcat, step: int) -> tuple[int, ...]:
@@ -107,10 +106,10 @@ class MutationEngine:
         # so the literal sweeps never need to decide them.
         p, star = self.p, self.engine.star
         a_star_raw, ok_a = star.star_indecs(
-            p.s.shifted(-1), self.lift(zp.l), engine="literal", within=p.u
+            p.s.shifted(-1), self.lift(zp.l), within=p.u
         )
         b_star_raw, ok_b = star.star_indecs(
-            self.lift(zp.r), p.v.shifted(1), engine="literal", within=p.t
+            self.lift(zp.r), p.v.shifted(1), within=p.t
         )
         a_star = p.u.intersect(a_star_raw)
         b_star = p.t.intersect(b_star_raw)
@@ -159,9 +158,9 @@ class MutationEngine:
         by_def = sandwich
         if sandwich:
             for a in cp.u:
-                sa, _ = self.q.sigma_obj(Obj.of(a))
+                sa, _ = self.q.adjoint(Obj.of(a), 1)
                 for bb in cp.v:
-                    ob, _ = self.q.omega_obj(Obj.of(bb))
+                    ob, _ = self.q.adjoint(Obj.of(bb), -1)
                     if self.q.ext1_zi(sa, ob) != 0:
                         by_def = False
                         break
@@ -204,14 +203,12 @@ class MutationEngine:
         """Class permutation of the suspension (+1) or desuspension (-1)."""
         perm = self._perms.get(step)
         if perm is None:
-            shift = self.q.Sigma_obj if step == 1 else self.q.Omega_obj
-            name = "suspension" if step == 1 else "desuspension"
             perm = {}
             for rep in self.q.zi_objects():
-                cls = self.q.class_of(shift(Obj.of(rep)))
+                cls = self.q.class_of(self.q.shift(Obj.of(rep), step))
                 if len(cls) != 1:
                     raise InternalCheckError(
-                        f"{name} of an indecomposable class is not "
+                        f"shift by {step} of an indecomposable class is not "
                         "indecomposable; the quotient shifts are not "
                         "equivalences here"
                     )

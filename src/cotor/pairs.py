@@ -151,6 +151,7 @@ class PairEngine:
         self._derived_cache: dict[tuple, DerivedSets] = {}
         self._cond_cache: dict[tuple[str, tuple], Verdict] = {}
         self._zi_cache: dict[tuple, object] = {}
+        self._cp_enum: Optional[CPEnumeration] = None
         self._ext1 = hom_masks(backend)[2]
 
     # -- degree-one orthogonality ------------------------------------------
@@ -209,7 +210,9 @@ class PairEngine:
     def enumerate_cotorsion(self) -> CPEnumeration:
         """All cotorsion pairs from the closed sets of U -> left-perp of
         (U[-1])-right-perp, ascending: every first class is one, and forces
-        the second.  Classes failing pairwise extension closure are pruned."""
+        the second.  Walked once per engine; every caller shares the result."""
+        if self._cp_enum is not None:
+            return self._cp_enum
         b = self.backend
         pairs: list[CotorsionPair] = []
         unresolved: list[CotorsionPair] = []
@@ -218,15 +221,14 @@ class PairEngine:
             lambda s: left_perp(right_perp(Subcat(b, s), -1), 1).bits,
         ):
             u = Subcat(b, bits)
-            if not self.star.is_ext_closed_pairwise(u):
-                continue
             v = right_perp(u, -1)
             verdict = self.is_cotorsion_pair(u, v)
             if verdict.is_yes:
                 pairs.append(CotorsionPair(u, v))
             elif verdict.is_inconclusive:
                 unresolved.append(CotorsionPair(u, v))
-        return CPEnumeration(pairs, unresolved)
+        self._cp_enum = CPEnumeration(pairs, unresolved)
+        return self._cp_enum
 
     # -- twin pairs ------------------------------------------------------------
 
@@ -347,45 +349,29 @@ class PairEngine:
                         vectors.append(coords)
         return vectors
 
-    def h_vanishes(
-        self, x: Obj, pair: CotorsionPair, cross_check: bool = True
-    ) -> Verdict:
+    def h_vanishes(self, x: Obj, pair: CotorsionPair) -> Verdict:
         """Does the middle map of a decomposition triangle factor through V?
 
         Builds a triangle with first end in add(U) and third end in
         add(V)[1], then tests by linear algebra whether the map out of
         x lies in the subspace of maps factoring through add(V).  The
-        answer is triangle-independent; with cross_check a second
-        witness is compared and any disagreement raises.
+        answer is triangle-independent, so a second witness of the same
+        cap level is compared and any disagreement raises.
         """
-        b = self.backend
         verdicts = []
-        # Decomposition witnesses are nearly always narrow, so sweep the
-        # cheap cap levels first; the cross-check then compares two
-        # witnesses of the first level that has any instead of paying
-        # for the widest dense space.
-        for cap in range(2, self.star.cap + 1):
-            try:
-                gen = b.triangle_enumerate(
-                    pair.u.ids(),
-                    [b.shift_id(i, 1) for i in pair.v],
-                    x,
-                    cap=cap,
-                    budget=self.star.budget,
+        try:
+            for w in self.star.witnesses(
+                pair.u, pair.v.shifted(1), x, self.star.cap
+            ):
+                span = self.factoring_subspace(x, pair.v, w.tri.c)
+                verdicts.append(in_span(w.tri.g.coords, span))
+                if len(verdicts) == 2:
+                    break
+        except BudgetExceeded:
+            if not verdicts:
+                return Verdict.inconclusive(
+                    reason="no decomposition triangle within budget"
                 )
-                for w in gen:
-                    tri = w.tri
-                    span = self.factoring_subspace(x, pair.v, tri.c)
-                    verdicts.append(in_span(tri.g.coords, span))
-                    if not cross_check or len(verdicts) == 2:
-                        break
-            except BudgetExceeded:
-                if not verdicts:
-                    return Verdict.inconclusive(
-                        reason="no decomposition triangle within budget"
-                    )
-            if verdicts:
-                break
         if not verdicts:
             return Verdict.inconclusive(
                 reason="no decomposition triangle found at the current cap"

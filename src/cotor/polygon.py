@@ -139,9 +139,12 @@ def enumerate_rigid(backend: PolygonBackend) -> list[Subcat]:
 
 def enumerate_triangulations(backend: PolygonBackend) -> list[Subcat]:
     """Maximal rigid sets; each has N-3 arcs."""
-    rigid = enumerate_rigid(backend)
-    full = backend.n - 3
-    return [s for s in rigid if len(s) == full]
+    return triangulations_among(backend, enumerate_rigid(backend))
+
+
+def triangulations_among(backend: PolygonBackend, rigid: list[Subcat]) -> list[Subcat]:
+    """The triangulations in a list of rigid sets: those with N-3 arcs."""
+    return [s for s in rigid if len(s) == backend.n - 3]
 
 
 def is_ptolemy(backend: PolygonBackend, s: Subcat) -> bool:

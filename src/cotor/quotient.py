@@ -3,11 +3,17 @@
 Fix a concentric twin pair with core I and middle class Z.  The
 subquotient keeps the objects of Z and divides each Hom space by maps
 factoring through add(I).  Everything here is concrete linear algebra:
-quotient spaces are complements of explicit factoring subspaces, the
-adjoint object maps come from witness triangles found by the literal
-star search, the two shifts are composites of a bracket step through
-the core and an adjoint step, and morphism-level values are solutions
-of commuting-square systems solved over GF(2).
+quotient spaces are complements of explicit factoring subspaces, and
+morphism-level values are solutions of commuting-square systems over
+GF(2), stacked from composition operators.
+
+The object maps come in mirrored pairs, and each pair is one method
+taking a direction: ``bracket(z, step)`` is a step through the core,
+``adjoint(x, step)`` pulls an object of the outer class (+1) or of the
+inner coclass (-1) back into Z, and ``shift(z, step)`` is the
+suspension (+1) or desuspension (-1), the adjoint image of the bracket
+step the same way.  Every witness triangle comes from the star
+engine's escalating-cap search, ``StarEngine.witnesses``.
 
 Witness triangles are unique only up to isomorphism, so object-level
 identities are asserted as quotient isomorphisms, never as equalities
@@ -64,19 +70,9 @@ def _mat_from_cols(cols: list[int], rows: int) -> F2Matrix:
     return F2Matrix.from_rows(cols, rows).transpose()
 
 
-def _escalating_witness(star, x: Subcat, y: Subcat, c: Obj, top: int):
-    """Find a triangle witness, growing the split cap from the cheap end.
-
-    Witness triangles are almost always narrow, so the small caps hit
-    first and the expensive wide sweeps only run when a witness truly
-    needs the room.  The terminal cap is the caller's, so the overall
-    verdict is unchanged.
-    """
-    for cap in range(2, top + 1):
-        w = star.find_witness(x, y, c, cap=cap)
-        if w is not None:
-            return w
-    return None
+def _check_step(step: int) -> None:
+    if step not in (1, -1):
+        raise InputError("shift step must be +1 or -1")
 
 
 class ZIQuotient:
@@ -91,9 +87,7 @@ class ZIQuotient:
         self.z_set: Subcat = d.z
         self._qcache: dict[tuple, QuotientSpace] = {}
         self._bracket_cache: dict[tuple, tuple[Obj, Tri]] = {}
-        self._sigma_cache: dict[tuple, tuple[Obj, Tri]] = {}
-        self._omega_cache: dict[tuple, tuple[Obj, Tri]] = {}
-        self._table: dict[int, dict] = {}
+        self._adjoint_cache: dict[tuple, tuple[Obj, Tri]] = {}
         self._class_rep: Optional[dict[int, Optional[int]]] = None
 
     @classmethod
@@ -134,59 +128,52 @@ class ZIQuotient:
 
     # -- witness triangles -----------------------------------------------------
 
-    def _witness(self, x: Subcat, y: Subcat, c: Obj, what: str):
+    def _witness(self, x: Subcat, y: Subcat, c: Obj, what: str) -> Tri:
         # wide objects need at least their own width of split room
-        top = len(c) + self.engine.star.cap
-        w = _escalating_witness(self.engine.star, x, y, c, top)
+        star = self.engine.star
+        w = next(star.witnesses(x, y, c, len(c) + star.cap), None)
         if w is None:
             raise DecompositionMissing(
                 f"no {what} triangle for {c.summands} at the current cap"
             )
         return w.tri
 
-    def sigma_obj(self, u: Obj) -> tuple[Obj, Tri]:
-        """Adjoint image of an object of the outer class.
+    def adjoint(self, x: Obj, step: int) -> tuple[Obj, Tri]:
+        """Adjoint (+1) or coadjoint (-1) image in the middle class.
 
-        Witness shape: (inner class member)[-1] -> u -> image -> back,
-        with the image inside the middle class.
+        +1 takes an object u of the outer class through a witness
+        (inner class member)[-1] -> u -> image; -1 takes an object t of
+        the inner coclass through image -> t -> (outer coclass
+        member)[1].
         """
-        if not self.p.u.contains_obj(u):
-            raise InputError("adjoint image needs an object of the outer class")
-        key = u.summands
-        got = self._sigma_cache.get(key)
+        _check_step(step)
+        if not (self.p.u if step == 1 else self.p.t).contains_obj(x):
+            raise InputError(
+                "adjoint image needs an object of the "
+                + ("outer class" if step == 1 else "inner coclass")
+            )
+        key = (x.summands, step)
+        got = self._adjoint_cache.get(key)
         if got is None:
-            tri = self._witness(self.p.s.shifted(-1), self.z_set, u, "adjoint")
-            got = (tri.c, tri)
-            self._sigma_cache[key] = got
+            if step == 1:
+                tri = self._witness(self.p.s.shifted(-1), self.z_set, x, "adjoint")
+                got = (tri.c, tri)
+            else:
+                tri = self._witness(self.z_set, self.p.v.shifted(1), x, "coadjoint")
+                got = (tri.a, tri)
+            self._adjoint_cache[key] = got
         return got
 
-    def omega_obj(self, t: Obj) -> tuple[Obj, Tri]:
-        """Adjoint image of an object of the inner coclass.
-
-        Witness shape: image -> t -> (outer coclass member)[1], with
-        the image inside the middle class.
-        """
-        if not self.p.t.contains_obj(t):
-            raise InputError("adjoint image needs an object of the inner coclass")
-        key = t.summands
-        got = self._omega_cache.get(key)
-        if got is None:
-            tri = self._witness(self.z_set, self.p.v.shifted(1), t, "coadjoint")
-            got = (tri.a, tri)
-            self._omega_cache[key] = got
-        return got
-
-    def bracket(self, z: Obj, sign: int) -> tuple[Obj, Tri]:
+    def bracket(self, z: Obj, step: int) -> tuple[Obj, Tri]:
         """One bracket step through the core, up (+1) or down (-1)."""
         if not self.z_set.contains_obj(z):
             raise InputError("bracket shift needs an object of the middle class")
-        if sign not in (1, -1):
-            raise InputError("bracket sign must be +1 or -1")
-        key = (z.summands, sign)
+        _check_step(step)
+        key = (z.summands, step)
         got = self._bracket_cache.get(key)
         if got is None:
             b = self.backend
-            if sign == 1:
+            if step == 1:
                 tri = self._witness(
                     self.p.u.shifted(-1), self.i_set, z, "upward bracket"
                 )
@@ -206,39 +193,19 @@ class ZIQuotient:
             self._bracket_cache[key] = got
         return got
 
-    # -- shift tables -----------------------------------------------------------
-
-    def _entry(self, zid: int) -> dict:
-        got = self._table.get(zid)
-        if got is None:
-            z = Obj.of(zid)
-            up, up_tri = self.bracket(z, 1)
-            down, down_tri = self.bracket(z, -1)
-            sig, sig_tri = self.sigma_obj(up)
-            omg, omg_tri = self.omega_obj(down)
-            got = {
-                "up": up,
-                "up_tri": up_tri,
-                "down": down,
-                "down_tri": down_tri,
-                "sigma": sig,
-                "sigma_tri": sig_tri,
-                "omega": omg,
-                "omega_tri": omg_tri,
-            }
-            self._table[zid] = got
-        return got
-
-    def Sigma_obj(self, z: Obj) -> Obj:
-        """Suspension: adjoint image of the upward bracket, summandwise."""
-        return _merge_objs([self._entry(i)["sigma"] for i in z.summands])
-
-    def Omega_obj(self, z: Obj) -> Obj:
-        """Desuspension: coadjoint image of the downward bracket."""
-        return _merge_objs([self._entry(i)["omega"] for i in z.summands])
+    def shift(self, z: Obj, step: int) -> Obj:
+        """Suspension (+1) or desuspension (-1): the adjoint image of the
+        bracket step the same way, summand by summand."""
+        _check_step(step)
+        return _merge_objs(
+            [
+                self.adjoint(self.bracket(Obj.of(i), step)[0], step)[0]
+                for i in z.summands
+            ]
+        )
 
     def ext1_zi(self, x: Obj, y: Obj) -> int:
-        return self.hom_mod_I(x, self.Sigma_obj(y)).dim
+        return self.hom_mod_I(x, self.shift(y, 1)).dim
 
     # -- linear operators over morphism coordinates ------------------------------
 
@@ -287,72 +254,46 @@ class ZIQuotient:
         srcs = (t1.a, t1.b, t1.c)
         dsts = (t2.a, t2.b, t2.c)
         unknown = [k for k in range(3) if k not in given]
-        offs: dict[int, int] = {}
-        width = 0
-        for k in unknown:
-            offs[k] = width
-            width += b.hom_dim(srcs[k], dsts[k])
-
-        shift01 = self._shift_op(t1.a, t2.a)
-
-        def square(idx: int):
-            """Row block for square idx, as (per-slot matrices, rhs)."""
-            f1 = (t1.f, t1.g, t1.h)[idx]
-            f2 = (t2.f, t2.g, t2.h)[idx]
-            lo, hi = idx, (idx + 1) % 3
-            rows = b.hom_dim(srcs[lo], dsts[hi]) if idx < 2 else b.hom_dim(
-                t1.c, b.shift_obj(t2.a, 1)
-            )
-            mat_lo = self._left_op(f2, srcs[lo])
-            if idx == 2:
-                mat_hi = self._right_op(f1, b.shift_obj(t2.a, 1)).mul(shift01)
-            else:
-                mat_hi = self._right_op(f1, dsts[hi])
-            return lo, mat_lo, hi, mat_hi, rows
-
-        blocks = []
-        rhs_bits: list[int] = []
-        for idx in range(3):
-            lo, mat_lo, hi, mat_hi, rows = square(idx)
-            rhs = 0
-            cols_here: list[tuple[int, F2Matrix]] = []
-            for slot, mat in ((lo, mat_lo), (hi, mat_hi)):
-                if slot in given:
-                    rhs ^= mat.matvec(given[slot].coords)
-                else:
-                    cols_here.append((slot, mat))
-            blocks.append((cols_here, rows))
-            rhs_bits.append(rhs)
-
-        full_rows: list[int] = []
-        rhs_vec = 0
-        row_at = 0
-        for (cols_here, rows), rhs in zip(blocks, rhs_bits):
-            for r in range(rows):
-                rowbits = 0
-                for slot, mat in cols_here:
-                    rowbits |= mat.bits[r] << offs[slot]
-                full_rows.append(rowbits)
-            rhs_vec |= rhs << row_at
-            row_at += rows
-        system = F2Matrix.from_rows(full_rows, width)
-        sol = solve(system, rhs_vec)
+        widths = [b.hom_dim(srcs[k], dsts[k]) for k in unknown]
+        a1 = b.shift_obj(t2.a, 1)
+        # Square k reads t2's k-th map after vertex k against vertex k+1
+        # after t1's k-th map; the last square shifts vertex 0 first.
+        squares = (
+            (self._left_op(t2.f, t1.a), self._right_op(t1.f, t2.b)),
+            (self._left_op(t2.g, t1.b), self._right_op(t1.g, t2.c)),
+            (
+                self._left_op(t2.h, t1.c),
+                self._right_op(t1.h, a1).mul(self._shift_op(t1.a, t2.a)),
+            ),
+        )
+        system = F2Matrix.zero(0, sum(widths))
+        rhs = 0
+        for idx, (mat_lo, mat_hi) in enumerate(squares):
+            ops = {idx: mat_lo, (idx + 1) % 3: mat_hi}
+            block = F2Matrix.zero(mat_lo.rows, 0)
+            for k, d in zip(unknown, widths):
+                block = block.hstack(ops.get(k, F2Matrix.zero(mat_lo.rows, d)))
+            for k, m in given.items():
+                if k in ops:
+                    rhs ^= ops[k].matvec(m.coords) << system.rows
+            system = system.vstack(block)
+        sol = solve(system, rhs)
         if sol is None:
             raise InternalCheckError(
                 "triangle morphism completion is inconsistent"
             )
         out: dict[int, Mor] = dict(given)
-        for k in unknown:
-            d = b.hom_dim(srcs[k], dsts[k])
-            out[k] = Mor(srcs[k], dsts[k], (sol >> offs[k]) & ((1 << d) - 1))
+        for k, d in zip(unknown, widths):
+            out[k] = Mor(srcs[k], dsts[k], sol & ((1 << d) - 1))
+            sol >>= d
         return out[0], out[1], out[2]
 
     # -- morphism-level functors ---------------------------------------------
 
     def sigma_mor(self, g: Mor) -> Mor:
         """Image of a map of outer-class objects under the adjoint."""
-        _, t1 = self.sigma_obj(g.src)
-        _, t2 = self.sigma_obj(g.dst)
+        _, t1 = self.adjoint(g.src, 1)
+        _, t2 = self.adjoint(g.dst, 1)
         _, _, m2 = self.complete_triangle_map(t1, t2, {1: g})
         return m2
 
@@ -509,7 +450,7 @@ class ZIQuotient:
                 "standard cone left the outer class, which the ambient "
                 "axioms forbid"
             )
-        third, sigma_tri = self.sigma_obj(cobj)
+        third, sigma_tri = self.adjoint(cobj, 1)
         inj_y = _injection(b, [y, i_x], 0)
         if wit.tri.g.src != paired.dst:
             raise InternalCheckError("cone witness has unexpected shape")
@@ -545,7 +486,7 @@ class ZIQuotient:
                 "standard cocone left the inner coclass, which the "
                 "ambient axioms forbid"
             )
-        first, omega_tri = self.omega_obj(dobj)
+        first, omega_tri = self.adjoint(dobj, -1)
         return {
             "src": x,
             "dst": y,
@@ -571,28 +512,19 @@ class ZIQuotient:
         """
         star = self.engine.star
         top = len(x) + star.cap
-        w1 = _escalating_witness(star, self.p.u, self.p.v.shifted(1), x, top)
-        w2 = _escalating_witness(star, self.p.s.shifted(-1), self.p.t, x, top)
+        w1 = next(star.witnesses(self.p.u, self.p.v.shifted(1), x, top), None)
+        w2 = next(star.witnesses(self.p.s.shifted(-1), self.p.t, x, top), None)
         if w1 is None or w2 is None:
             return None, Verdict.inconclusive(
                 reason="decomposition triangles not found at the current cap"
             )
         u_x = w1.tri.a
         t_x = w2.tri.c
-        _, sig_tri = self.sigma_obj(u_x)
-        z_u = sig_tri.c
-        zu_map = sig_tri.g
-        _, omg_tri = self.omega_obj(t_x)
-        z_t = omg_tri.a
-        zt_map = omg_tri.f
-        b = self.backend
-        rhs = b.compose(w1.tri.f, w2.tri.g)
-        din = b.hom_dim(z_u, z_t)
-        cols = []
-        for k in range(din):
-            mid = Mor(z_u, z_t, 1 << k)
-            cols.append(b.compose(b.compose(zu_map, mid), zt_map).coords)
-        system = _mat_from_cols(cols, b.hom_dim(u_x, t_x))
+        z_u, sig_tri = self.adjoint(u_x, 1)
+        z_t, omg_tri = self.adjoint(t_x, -1)
+        rhs = self.backend.compose(w1.tri.f, w2.tri.g)
+        # unknown z: z_u -> z_t, condition (u_x -> z_u) then z then (z_t -> t_x)
+        system = self._left_op(omg_tri.f, u_x).mul(self._right_op(sig_tri.g, z_t))
         sol = solve(system, rhs.coords)
         if sol is None:
             raise InternalCheckError(
@@ -619,12 +551,12 @@ class ZIQuotient:
             return [b.label_of(i) for i in obj.summands]
 
         for zid in sorted(self.z_set.ids()):
-            e = self._entry(zid)
+            z = Obj.of(zid)
             table[b.label_of(zid)] = {
-                "bracket_up": _labels(e["up"]),
-                "bracket_down": _labels(e["down"]),
-                "suspension": _labels(e["sigma"]),
-                "desuspension": _labels(e["omega"]),
+                "bracket_up": _labels(self.bracket(z, 1)[0]),
+                "bracket_down": _labels(self.bracket(z, -1)[0]),
+                "suspension": _labels(self.shift(z, 1)),
+                "desuspension": _labels(self.shift(z, -1)),
             }
         dims = {}
         for a in reps:

@@ -5,7 +5,8 @@ subcategory of finite direct sums of those indecomposables; it is
 summand-closed by construction.  Perpendiculars are bitmask operations
 on per-backend Hom-nonzero masks, and ``closed_sets`` walks the closed
 sets of a closure on bitmasks.  Star membership C in add(X) * add(Y)
-runs on two engines:
+runs on two engines, picked by whether the caller asserts add(Y)
+extension-closed:
 
 * peel: repeatedly strip one Y-summand by enumerating maps C -> y and
   passing to the cocone, accepting when some chain lands in add(X).
@@ -227,22 +228,15 @@ class StarEngine:
     # -- membership -------------------------------------------------------
 
     def star_contains(
-        self,
-        x: Subcat,
-        y: Subcat,
-        c: Obj,
-        engine: str = "auto",
-        y_ext_closed: bool = False,
+        self, x: Subcat, y: Subcat, c: Obj, y_ext_closed: bool = False
     ) -> Verdict:
         """Is there a triangle X' -> c -> Y' -> X'[1] with capped ends?
 
-        ``y_ext_closed`` asserts that add(y) is closed under extensions;
-        only then may the peel engine report YES directly.  Perpendicular
-        classes and verified cotorsion-pair sides qualify.
+        ``y_ext_closed`` asserts that add(y) is closed under extensions,
+        which is what lets the peel engine report YES directly, so it
+        picks the peel engine; otherwise the literal one runs.
+        Perpendicular classes and verified cotorsion-pair sides qualify.
         """
-        if engine not in ("auto", "peel", "literal"):
-            raise InputError(f"unknown star engine {engine!r}")
-        b = self.backend
         if c.is_zero:
             return Verdict.yes(witness={"construction": "zero"})
         if y.is_empty:
@@ -255,8 +249,7 @@ class StarEngine:
             return Verdict.no(reason="X side is zero and C is not in add(Y)")
         if x.contains_obj(c) or y.contains_obj(c):
             return Verdict.yes(witness={"construction": "one-sided"})
-        use_peel = engine == "peel" or (engine == "auto" and y_ext_closed)
-        if use_peel:
+        if y_ext_closed:
             return self._peel_verdict(x, y, c)
         return self._literal_verdict(x, y, c)
 
@@ -336,19 +329,24 @@ class StarEngine:
             f"and {self.cap + 1}"
         )
 
-    def find_witness(self, x: Subcat, y: Subcat, c: Obj, cap: int | None = None):
-        """First morphism-level triangle witness, or None, or raises.
+    def witnesses(self, x: Subcat, y: Subcat, c: Obj, top: int) -> Iterator:
+        """Morphism-level triangle witnesses of the least cap in 2..top
+        that has any, in enumeration order; raises BudgetExceeded.
 
-        ``cap`` overrides the engine default; witness searches for
-        objects wider than the default cap need room for the split
-        part of the triangle.
+        Witness triangles are almost always narrow, so the small caps
+        hit first and the wide sweeps only run when a witness truly
+        needs the room; objects wider than the engine cap need a
+        ``top`` above it for the split part of the triangle.
         """
-        for w in self.backend.triangle_enumerate(
-            x.ids(), y.ids(), c, cap=self.cap if cap is None else cap,
-            budget=self.budget,
-        ):
-            return w
-        return None
+        for cap in range(2, top + 1):
+            found = False
+            for w in self.backend.triangle_enumerate(
+                x.ids(), y.ids(), c, cap=cap, budget=self.budget
+            ):
+                found = True
+                yield w
+            if found:
+                return
 
     # -- star sets ----------------------------------------------------------
 
@@ -356,7 +354,6 @@ class StarEngine:
         self,
         x: Subcat,
         y: Subcat,
-        engine: str = "auto",
         y_ext_closed: bool = False,
         within: Optional[Subcat] = None,
     ) -> tuple[Subcat, bool]:
@@ -372,9 +369,7 @@ class StarEngine:
         complete = True
         candidates = range(len(b.indecs)) if within is None else within.ids()
         for i in candidates:
-            v = self.star_contains(
-                x, y, Obj.of(i), engine=engine, y_ext_closed=y_ext_closed
-            )
+            v = self.star_contains(x, y, Obj.of(i), y_ext_closed=y_ext_closed)
             if v.is_yes:
                 bits |= 1 << i
             elif v.is_inconclusive:
@@ -420,16 +415,16 @@ class StarEngine:
                         return False
         return True
 
-    def ext_closure(self, x: Subcat, engine: str = "literal") -> tuple[Subcat, bool]:
+    def ext_closure(self, x: Subcat) -> tuple[Subcat, bool]:
         """Least fixed point of adding star_indecs(R, R), with flag.
 
-        Runs on the literal engine by default since the intermediate
-        sets carry no extension-closure guarantee.
+        Runs on the literal engine since the intermediate sets carry no
+        extension-closure guarantee.
         """
         r = x
         complete = True
         while True:
-            grown, ok = self.star_indecs(r, r, engine=engine)
+            grown, ok = self.star_indecs(r, r)
             complete = complete and ok
             merged = r.union(grown)
             if merged == r:

@@ -237,13 +237,13 @@ def test_criterion_06_adjunction(engines):
             reps = q.zi_objects()
             for x in reps:
                 for y in reps:
-                    lhs = q.hom_mod_I(q.Sigma_obj(Obj.of(x)), Obj.of(y)).dim
-                    rhs = q.hom_mod_I(Obj.of(x), q.Omega_obj(Obj.of(y))).dim
+                    lhs = q.hom_mod_I(q.shift(Obj.of(x), 1), Obj.of(y)).dim
+                    rhs = q.hom_mod_I(Obj.of(x), q.shift(Obj.of(y), -1)).dim
                     assert lhs == rhs, (mn, p.as_labels(), x, y)
             if len(reps) >= 2:
                 wide = Obj.from_iter(reps)
-                lhs = q.hom_mod_I(q.Sigma_obj(wide), wide).dim
-                rhs = q.hom_mod_I(wide, q.Omega_obj(wide)).dim
+                lhs = q.hom_mod_I(q.shift(wide, 1), wide).dim
+                rhs = q.hom_mod_I(wide, q.shift(wide, -1)).dim
                 assert lhs == rhs
 
 
@@ -262,8 +262,8 @@ def test_criterion_07_triangulation_round_trip(engines):
             q = ZIQuotient.for_pair(eng, p)
             for r in q.zi_objects():
                 z = Obj.of(r)
-                assert q.iso_obj_in_quotient(q.Sigma_obj(q.Omega_obj(z)), z)
-                assert q.iso_obj_in_quotient(q.Omega_obj(q.Sigma_obj(z)), z)
+                assert q.iso_obj_in_quotient(q.shift(q.shift(z, -1), 1), z)
+                assert q.iso_obj_in_quotient(q.shift(q.shift(z, 1), -1), z)
                 checked += 1
     assert checked > 0
 
@@ -304,9 +304,9 @@ def test_criterion_09_monomorphism_bound(engines):
                 continue
             q = ZIQuotient.for_pair(eng, p)
             for u in p.u:
-                su, _ = q.sigma_obj(Obj.of(u))
+                su, _ = q.adjoint(Obj.of(u), 1)
                 for t in p.t:
-                    ot, _ = q.omega_obj(Obj.of(t))
+                    ot, _ = q.adjoint(Obj.of(t), -1)
                     ambient = b.hom_dim_pair(u, b.shift_id(t, 1))
                     quotient = q.ext1_zi(su, ot)
                     assert ambient <= quotient, (mn, p.as_labels(), u, t)
@@ -369,7 +369,7 @@ def test_criterion_12_zz_showcase_cross_model(engines):
 
     stage = trivial_hovey_tcp(eng)
     q = ZIQuotient.for_pair(eng, stage)
-    assert q.class_of(q.Sigma_obj(Obj.of(s0_id))) == (s1_id,)
+    assert q.class_of(q.shift(Obj.of(s0_id), 1)) == (s1_id,)
 
     s0 = Subcat.of(b, [s0_id])
     s1 = Subcat.of(b, [s1_id])
@@ -391,7 +391,7 @@ def test_criterion_12_zz_showcase_cross_model(engines):
     assert zz_mutate(poly, Subcat.empty(poly), flipped, 1) == tri0
 
     for z in range(b.K):
-        sig = q.class_of(q.Sigma_obj(Obj.of(z)))
+        sig = q.class_of(q.shift(Obj.of(z), 1))
         assert sig == (b.shift_id(z, 1),)
         rotated = poly.shift_id(poly.id_of(word[b.label_of(z)]), 1)
         assert word[b.label_of(sig[0])] == poly.label_of(rotated)

@@ -2,9 +2,9 @@
 
 Each digest is the sha256 of the ``report`` payload dumped as JSON with
 sorted keys (for ``orbit-graph``, of the DOT text), recorded before the
-shared linear-algebra helpers were merged; the ``nakayama:m=2,n=4``
-bijection digest is the one the benchmark gates on (perfbench/expected.json),
-recorded with the same hashing.  The envelope is not hashed,
+shared linear-algebra helpers were merged; the last four are the digests
+the benchmark gates on (perfbench/expected.json), recorded with the same
+hashing.  The envelope is not hashed,
 so schema and settings changes do not trip these checks; any change to
 a verdict, a count, a label or a witness coordinate does.
 """
@@ -46,6 +46,18 @@ GOLDEN = [
     (
         ["verify", "--suite", "all", "--backend", "nakayama:m=2,n=4"],
         "4e2798b90334666a280c955cd69602b45eebb32eb36ad83863a719674f51601a",
+    ),
+    (
+        ["verify", "--suite", "conditions", "--backend", "nakayama:m=3,n=4"],
+        "698ebaba7d36e580935df33d342e44b243caafb99585fd4a25ca950b4d5dd01e",
+    ),
+    (
+        ["verify", "--suite", "counts", "--backend", "nakayama:m=4,n=5"],
+        "8b26d702c1d2ccf5e9defa564f9d24aa991a780d99cd542b15eedf37aa5cc1f6",
+    ),
+    (
+        ["verify", "--suite", "counts", "--backend", "polygon:N=7"],
+        "ede31eaa6572025b7524cd677928ec370a21ce4b77fe161a967574674ecc0a2a",
     ),
 ]
 

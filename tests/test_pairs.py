@@ -9,7 +9,7 @@ engine's sweep.
 
 import pytest
 
-from cotor.core import InputError, Obj
+from cotor.core import BudgetExceeded, InputError, Obj
 from cotor.nakayama import NakayamaBackend
 from cotor.pairs import (
     CotorsionPair,
@@ -236,6 +236,61 @@ def test_h_vanishes_on_the_trivial_pairs(engines):
         x = Obj.of(i)
         assert eng.h_vanishes(x, all_cp).is_yes
         assert eng.h_vanishes(x, zero_cp).is_yes
+
+
+def test_h_vanishes_decides_on_a_single_witness_level(monkeypatch):
+    # For the (zero, everything) pair cap 2 holds one witness of M(0,1)
+    # and cap 3 holds it again; only the cap-2 one is read.
+    eng = PairEngine(NakayamaBackend(2, 2))
+    b = eng.backend
+    _, zero_cp = trivial_pairs(eng)
+    x = Obj.of(0)
+    y = zero_cp.v.shifted(1)
+    for cap in (2, 3):
+        assert len(list(b.triangle_enumerate([], y.ids(), x, cap=cap))) == 1
+    honest_enum, honest_span = b.triangle_enumerate, eng.factoring_subspace
+    caps, spans = [], []
+
+    def enum(*a, cap=4, **k):
+        caps.append(cap)
+        return honest_enum(*a, cap=cap, **k)
+
+    def span(*a):
+        spans.append(a)
+        return honest_span(*a)
+
+    monkeypatch.setattr(b, "triangle_enumerate", enum)
+    monkeypatch.setattr(eng, "factoring_subspace", span)
+    assert eng.h_vanishes(x, zero_cp).is_yes
+    assert caps == [2]
+    assert len(spans) == 1
+
+
+def test_h_vanishes_keeps_its_first_verdict_when_the_budget_runs_out(
+    monkeypatch,
+):
+    eng = PairEngine(NakayamaBackend(2, 2))
+    b = eng.backend
+    s0 = Subcat.of(b, [0])
+    pair = CotorsionPair(s0, s0)
+    x = Obj.of(1)
+    want = eng.h_vanishes(x, pair)
+    assert not want.is_inconclusive
+    honest = b.triangle_enumerate
+
+    def one_then_broke(*a, **k):
+        yield next(honest(*a, **k))
+        raise BudgetExceeded("triangle enumeration budget exhausted")
+
+    monkeypatch.setattr(b, "triangle_enumerate", one_then_broke)
+    assert eng.h_vanishes(x, pair).state == want.state
+
+    def broke(*a, **k):
+        raise BudgetExceeded("triangle enumeration budget exhausted")
+        yield
+
+    monkeypatch.setattr(b, "triangle_enumerate", broke)
+    assert eng.h_vanishes(x, pair).is_inconclusive
 
 
 def test_factoring_subspace_pinned():

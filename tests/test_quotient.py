@@ -107,8 +107,8 @@ def test_suspension_matches_shift_when_core_is_empty(q14, q22):
     for q in (q14, q22):
         b = q.backend
         for z in indecs(q):
-            up = q.Sigma_obj(z)
-            down = q.Omega_obj(z)
+            up = q.shift(z, 1)
+            down = q.shift(z, -1)
             assert q.iso_obj_in_quotient(up, b.shift_obj(z, 1))
             assert q.iso_obj_in_quotient(down, b.shift_obj(z, -1))
 
@@ -116,15 +116,15 @@ def test_suspension_matches_shift_when_core_is_empty(q14, q22):
 def test_round_trip_is_identity(q14, q22):
     for q in (q14, q22):
         for z in indecs(q):
-            assert q.iso_obj_in_quotient(q.Omega_obj(q.Sigma_obj(z)), z)
-            assert q.iso_obj_in_quotient(q.Sigma_obj(q.Omega_obj(z)), z)
+            assert q.iso_obj_in_quotient(q.shift(q.shift(z, 1), -1), z)
+            assert q.iso_obj_in_quotient(q.shift(q.shift(z, -1), 1), z)
 
 
 def test_adjunction_dimensions(q14):
     for x in indecs(q14):
         for y in indecs(q14):
-            left = q14.hom_mod_I(q14.Sigma_obj(x), y).dim
-            right = q14.hom_mod_I(x, q14.Omega_obj(y)).dim
+            left = q14.hom_mod_I(q14.shift(x, 1), y).dim
+            right = q14.hom_mod_I(x, q14.shift(y, -1)).dim
             assert left == right
 
 
@@ -138,11 +138,11 @@ def test_degree_one_dims_match_ambient(q14):
 def test_shifts_distribute_over_summands(q14):
     b = q14.backend
     wide = Obj.of(0, 1, 1, 2)
-    per_summand = [q14.Sigma_obj(Obj.of(i)) for i in wide.summands]
+    per_summand = [q14.shift(Obj.of(i), 1) for i in wide.summands]
     merged = Obj.from_iter(
         i for part in per_summand for i in part.summands
     )
-    assert q14.iso_obj_in_quotient(q14.Sigma_obj(wide), merged)
+    assert q14.iso_obj_in_quotient(q14.shift(wide, 1), merged)
 
 
 # ---------------------------------------------------------------- functor
@@ -292,13 +292,22 @@ def test_adjoint_images_validate_membership(qzero):
     outside = Obj.of(b.id_of("M(1,1)"))
     inside = Obj.of(b.id_of("M(0,1)"))
     with pytest.raises(InputError):
-        qzero.sigma_obj(outside)
+        qzero.adjoint(outside, 1)
     with pytest.raises(InputError):
-        qzero.omega_obj(outside)
+        qzero.adjoint(outside, -1)
     with pytest.raises(InputError):
         qzero.bracket(outside, 1)
     with pytest.raises(InputError):
         qzero.bracket(inside, 2)
+
+
+@pytest.mark.parametrize("step", [0, 2])
+def test_adjoint_and_shift_take_one_step_either_way(q22, step):
+    z = Obj.of(0)
+    with pytest.raises(InputError):
+        q22.adjoint(z, step)
+    with pytest.raises(InputError):
+        q22.shift(z, step)
 
 
 def test_shared_instance_per_pair(eng22):

@@ -136,8 +136,6 @@ def test_star_trivial_routes(b22):
     assert eng.star_contains(Subcat.empty(b22), y, Obj.of(0)).is_no
     # One-sided membership never needs a search.
     assert eng.star_contains(x, y, Obj.of(0, 0)).is_yes
-    with pytest.raises(InputError):
-        eng.star_contains(x, y, Obj.of(0), engine="quantum")
 
 
 def test_star_covers_the_cotorsion_identity(b22):
@@ -164,10 +162,8 @@ def test_peel_and_literal_engines_agree(b14, b23):
         for x in singles:
             for y in ys:
                 for c in objs:
-                    via_peel = eng.star_contains(
-                        x, y, c, engine="peel", y_ext_closed=True
-                    )
-                    via_literal = eng.star_contains(x, y, c, engine="literal")
+                    via_peel = eng.star_contains(x, y, c, y_ext_closed=True)
+                    via_literal = eng.star_contains(x, y, c)
                     if via_peel.is_inconclusive or via_literal.is_inconclusive:
                         continue
                     both_definite += 1
@@ -184,7 +180,7 @@ def test_auto_engine_routes_by_closure_flag(b22):
     y = right_perp(x, -1)
     c = Obj.of(1)
     auto = eng.star_contains(x, y, c, y_ext_closed=True)
-    literal = eng.star_contains(x, y, c, engine="literal")
+    literal = eng.star_contains(x, y, c)
     assert auto.state == literal.state
 
 
@@ -204,10 +200,10 @@ def test_star_budget_degrades_to_inconclusive(b23):
     x = Subcat.of(b23, [0])
     y = right_perp(x, -1)
     c = Obj.of(2, 3)
-    v = eng.star_contains(x, y, c, engine="literal")
+    v = eng.star_contains(x, y, c)
     if not v.is_yes:  # a first-shot witness can legitimately beat the budget
         assert v.is_inconclusive
-    _, complete = eng.star_indecs(x, Subcat.of(b23, [1]), engine="literal")
+    _, complete = eng.star_indecs(x, Subcat.of(b23, [1]))
     assert isinstance(complete, bool)
 
 
@@ -216,7 +212,7 @@ def test_find_witness_returns_checked_triangles(b22):
     x = Subcat.of(b22, [0])
     y = Subcat.of(b22, [1])
     # S0 + S1 decomposes as the split extension of these two classes.
-    w = eng.find_witness(x, y, Obj.of(0, 1))
+    w = next(eng.witnesses(x, y, Obj.of(0, 1), eng.cap), None)
     assert w is not None
     t = w.tri
     assert t.b == Obj.of(0, 1)  # searched object sits in the middle
@@ -225,7 +221,48 @@ def test_find_witness_returns_checked_triangles(b22):
     assert b22.compose(t.f, t.g).is_zero
     assert b22.compose(t.g, t.h).is_zero
     # No witness exists when the second class cannot reach the object.
-    assert eng.find_witness(x, x, Obj.of(1)) is None
+    assert next(eng.witnesses(x, x, Obj.of(1), eng.cap), None) is None
+
+
+def _tris(ws):
+    return [w.tri for w in ws]
+
+
+def test_witnesses_come_from_the_least_productive_cap_only():
+    b = NakayamaBackend(2, 2)
+    eng = StarEngine(b)
+    s0 = Subcat.of(b, [0])
+    y = right_perp(s0, -1).shifted(1)
+    for c in (Obj.of(0), Obj.of(1)):
+        per_cap = [
+            _tris(b.triangle_enumerate(s0.ids(), y.ids(), c, cap=cap))
+            for cap in (2, 3)
+        ]
+        # Cap 3 has more witnesses, and the search stops before them.
+        assert 0 < len(per_cap[0]) < len(per_cap[1])
+        assert _tris(eng.witnesses(s0, y, c, 3)) == per_cap[0]
+
+
+def test_witnesses_escalate_past_empty_caps(monkeypatch):
+    b = NakayamaBackend(2, 2)
+    eng = StarEngine(b)
+    honest = b.triangle_enumerate
+    asked = []
+
+    def from_cap_three(xs, ys, c, cap=4, budget=None):
+        asked.append(cap)
+        if cap >= 3:
+            yield from honest(xs, ys, c, cap=cap, budget=budget)
+
+    monkeypatch.setattr(b, "triangle_enumerate", from_cap_three)
+    s0 = Subcat.of(b, [0])
+    y = right_perp(s0, -1).shifted(1)
+    got = _tris(eng.witnesses(s0, y, Obj.of(0), 4))
+    assert got == _tris(honest(s0.ids(), y.ids(), Obj.of(0), cap=3))
+    assert asked == [2, 3]
+    asked.clear()
+    assert _tris(eng.witnesses(s0, y, Obj.of(0), 2)) == []
+    assert asked == [2]
 
 
 # ---------------------------------------------------------------- closure
