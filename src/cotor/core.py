@@ -14,6 +14,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence
 
+from .f2 import F2Matrix, solve
+
 # Size caps, in indecomposables, of the exhaustive routes: the 2^K class
 # sweeps, the construction of a Nakayama backend's tables, and exact
 # backend matching.
@@ -320,9 +322,32 @@ class Backend:
         for c in range(1 << d):
             yield Mor(x, y, c)
 
+    def left_op(self, h: Mor, src: Obj) -> F2Matrix:
+        """Matrix of g -> (h after g) for g: src -> h.src."""
+        cols = [
+            self.compose(Mor(src, h.src, 1 << k), h).coords
+            for k in range(self.hom_dim(src, h.src))
+        ]
+        return F2Matrix.from_rows(cols, self.hom_dim(src, h.dst)).transpose()
+
+    def right_op(self, h: Mor, dst: Obj) -> F2Matrix:
+        """Matrix of g -> (g after h) for g: h.dst -> dst."""
+        cols = [
+            self.compose(h, Mor(h.dst, dst, 1 << k)).coords
+            for k in range(self.hom_dim(h.dst, dst))
+        ]
+        return F2Matrix.from_rows(cols, self.hom_dim(h.src, dst)).transpose()
+
     def is_isomorphism(self, f: Mor) -> bool:
+        """Is there a g: f.dst -> f.src with g after f and f after g the
+        identities?  One linear solve over the coordinates of g."""
         self._need("morphism_calculus")
-        raise NotImplementedError
+        if f.src.summands != f.dst.summands:
+            return False
+        x, y = f.src, f.dst
+        system = self.right_op(f, x).vstack(self.left_op(f, y))
+        rhs = self.identity(x).coords | self.identity(y).coords << self.hom_dim(x, x)
+        return solve(system, rhs) is not None
 
     def shift_mor(self, f: Mor, k: int = 1) -> Mor:
         self._need("exact_triangles")

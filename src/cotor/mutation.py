@@ -12,6 +12,8 @@ Every transported pair is re-verified from scratch, the lift is
 computed along two independent routes (star product versus adjoint
 preimage) that must agree, and the verification report enumerates
 both sides of the correspondence independently before matching them.
+Both sides walk the closed sets of a perpendicular closure, over the
+ambient or the quotient Ext^1, and certify each candidate.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from .core import InputError, InternalCheckError, Mor, Obj, multisets_over
 from .pairs import CotorsionPair, PairEngine, TwinCotorsionPair
 from .quotient import ZIQuotient
-from .subcats import Subcat
+from .subcats import Subcat, closed_sets
 
 
 @dataclass(frozen=True)
@@ -270,16 +272,36 @@ class MutationEngine:
         return True
 
     def enumerate_zi_cp(self) -> list[ZICotorsionPair]:
+        """Quotient cotorsion pairs (L, R), L walking the closed sets of
+        L -> left-perp of right-perp under the quotient Ext^1 in ascending
+        order, R the right-perp of L, each certified by ``zi_is_cp``.
+
+        The 4^n sweep over all (L, R) finds the same list.  No more: the
+        right-perp is the largest R orthogonal to L, and ``zi_star_member``
+        only gets easier as R grows.  No less: a cotorsion pair is fixed by
+        either class, so R is the right-perp of L, and L is closed.
+        """
         reps = self.q.zi_objects()
         n = len(reps)
-        out = []
-        for lbits in range(1 << n):
-            l = tuple(reps[i] for i in range(n) if (lbits >> i) & 1)
-            for rbits in range(1 << n):
-                r = tuple(reps[i] for i in range(n) if (rbits >> i) & 1)
-                if self.zi_is_cp(l, r):
-                    out.append(ZICotorsionPair.of(l, r))
-        return out
+        out, into = [0] * n, [0] * n
+        for i, x in enumerate(reps):
+            for j, y in enumerate(reps):
+                if self.q.ext1_zi(Obj.of(x), Obj.of(y)):
+                    out[i] |= 1 << j
+                    into[j] |= 1 << i
+
+        def perp(bits: int, masks: list[int]) -> int:
+            return sum(1 << k for k in range(n) if not masks[k] & bits)
+
+        def pick(bits: int) -> tuple[int, ...]:
+            return tuple(reps[k] for k in range(n) if bits >> k & 1)
+
+        found = []
+        for lbits in closed_sets(n, lambda s: perp(perp(s, into), out)):
+            l, r = pick(lbits), pick(perp(lbits, into))
+            if self.zi_is_cp(l, r):
+                found.append(ZICotorsionPair.of(l, r))
+        return found
 
     # -- the action -----------------------------------------------------------
 

@@ -502,33 +502,6 @@ class NakayamaBackend(Backend):
                     out ^= acc << ooff
         return Mor(x, z, out)
 
-    def is_isomorphism(self, f: Mor) -> bool:
-        if f.src.summands != f.dst.summands:
-            return False
-        if f.src.is_zero:
-            return True
-        x, y = f.src, f.dst
-        d = self.hom_dim(y, x)
-        idx = self.identity(x).coords
-        idy = self.identity(y).coords
-        dx = self.hom_dim(x, x)
-        rows_needed = dx + self.hom_dim(y, y)
-        cols = []
-        for t in range(d):
-            g = Mor(y, x, 1 << t)
-            gf = self.compose(f, g).coords  # g o f : x -> x
-            fg = self.compose(g, f).coords  # f o g : y -> y
-            cols.append(gf | (fg << dx))
-        mat_rows = [0] * rows_needed
-        for c, col in enumerate(cols):
-            rest = col
-            while rest:
-                r = (rest & -rest).bit_length() - 1
-                mat_rows[r] |= 1 << c
-                rest &= rest - 1
-        target = idx | (idy << dx)
-        return solve(F2Matrix.from_rows(mat_rows, d), target) is not None
-
     # -- raw/coordinate conversion -----------------------------------------
 
     def _obj_types(self, x: Obj) -> tuple[tuple[int, int], ...]:

@@ -5,7 +5,7 @@ subquotient keeps the objects of Z and divides each Hom space by maps
 factoring through add(I).  Everything here is concrete linear algebra:
 quotient spaces are complements of explicit factoring subspaces, and
 morphism-level values are solutions of commuting-square systems over
-GF(2), stacked from composition operators.
+GF(2), stacked from the backend's composition operators.
 
 The object maps come in mirrored pairs, and each pair is one method
 taking a direction: ``bracket(z, step)`` is a step through the core,
@@ -64,10 +64,6 @@ class QuotientSpace:
                 if (mask >> k) & 1:
                     c ^= self.reps[k]
             yield c
-
-
-def _mat_from_cols(cols: list[int], rows: int) -> F2Matrix:
-    return F2Matrix.from_rows(cols, rows).transpose()
 
 
 def _check_step(step: int) -> None:
@@ -209,26 +205,6 @@ class ZIQuotient:
 
     # -- linear operators over morphism coordinates ------------------------------
 
-    def _left_op(self, h: Mor, src: Obj) -> F2Matrix:
-        """Matrix of g -> (h after g) for g: src -> h.src."""
-        b = self.backend
-        din = b.hom_dim(src, h.src)
-        dout = b.hom_dim(src, h.dst)
-        cols = [
-            b.compose(Mor(src, h.src, 1 << k), h).coords for k in range(din)
-        ]
-        return _mat_from_cols(cols, dout)
-
-    def _right_op(self, h: Mor, dst: Obj) -> F2Matrix:
-        """Matrix of g -> (g after h) for g: h.dst -> dst."""
-        b = self.backend
-        din = b.hom_dim(h.dst, dst)
-        dout = b.hom_dim(h.src, dst)
-        cols = [
-            b.compose(h, Mor(h.dst, dst, 1 << k)).coords for k in range(din)
-        ]
-        return _mat_from_cols(cols, dout)
-
     def _shift_op(self, x: Obj, y: Obj) -> F2Matrix:
         b = self.backend
         din = b.hom_dim(x, y)
@@ -236,7 +212,7 @@ class ZIQuotient:
         y1 = b.shift_obj(y, 1)
         dout = b.hom_dim(x1, y1)
         cols = [b.shift_mor(Mor(x, y, 1 << k), 1).coords for k in range(din)]
-        return _mat_from_cols(cols, dout)
+        return F2Matrix.from_rows(cols, dout).transpose()
 
     def complete_triangle_map(
         self, t1: Tri, t2: Tri, given: dict[int, Mor]
@@ -259,11 +235,11 @@ class ZIQuotient:
         # Square k reads t2's k-th map after vertex k against vertex k+1
         # after t1's k-th map; the last square shifts vertex 0 first.
         squares = (
-            (self._left_op(t2.f, t1.a), self._right_op(t1.f, t2.b)),
-            (self._left_op(t2.g, t1.b), self._right_op(t1.g, t2.c)),
+            (b.left_op(t2.f, t1.a), b.right_op(t1.f, t2.b)),
+            (b.left_op(t2.g, t1.b), b.right_op(t1.g, t2.c)),
             (
-                self._left_op(t2.h, t1.c),
-                self._right_op(t1.h, a1).mul(self._shift_op(t1.a, t2.a)),
+                b.left_op(t2.h, t1.c),
+                b.right_op(t1.h, a1).mul(self._shift_op(t1.a, t2.a)),
             ),
         )
         system = F2Matrix.zero(0, sum(widths))
@@ -327,7 +303,7 @@ class ZIQuotient:
         width = dg + len(fx) + len(fy)
         rows: list[int] = []
         # g after f plus a factoring correction equals the identity on x
-        pre = self._right_op(f, x)
+        pre = b.right_op(f, x)
         for r in range(dxx):
             bits = pre.bits[r]
             for k, vec in enumerate(fx):
@@ -335,7 +311,7 @@ class ZIQuotient:
                     bits |= 1 << (dg + k)
             rows.append(bits)
         # f after g plus a factoring correction equals the identity on y
-        post = self._left_op(f, y)
+        post = b.left_op(f, y)
         for r in range(dyy):
             bits = post.bits[r]
             for k, vec in enumerate(fy):
@@ -522,9 +498,10 @@ class ZIQuotient:
         t_x = w2.tri.c
         z_u, sig_tri = self.adjoint(u_x, 1)
         z_t, omg_tri = self.adjoint(t_x, -1)
-        rhs = self.backend.compose(w1.tri.f, w2.tri.g)
+        b = self.backend
+        rhs = b.compose(w1.tri.f, w2.tri.g)
         # unknown z: z_u -> z_t, condition (u_x -> z_u) then z then (z_t -> t_x)
-        system = self._left_op(omg_tri.f, u_x).mul(self._right_op(sig_tri.g, z_t))
+        system = b.left_op(omg_tri.f, u_x).mul(b.right_op(sig_tri.g, z_t))
         sol = solve(system, rhs.coords)
         if sol is None:
             raise InternalCheckError(

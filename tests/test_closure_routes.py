@@ -2,8 +2,10 @@
 
 The first-class and second-class 2^K sweeps below are the exhaustive
 routes that ``PairEngine.enumerate_cotorsion`` and
-``cli.enumerate_by_second_class`` used before they walked closed sets;
-they survive here only as oracles.  The perpendicular and degree-one
+``cli.enumerate_by_second_class`` used before they walked closed sets,
+and the 4^n sweep over quotient pairs (L, R) is the route
+``MutationEngine.enumerate_zi_cp`` used before it did the same; they
+survive here only as oracles.  The perpendicular and degree-one
 bitmasks are checked against the definitional Hom-table loops, and
 ``closed_sets`` against a brute-force filter on random closure systems.
 """
@@ -14,8 +16,10 @@ import pytest
 
 from cotor import cli, pairs
 from cotor.core import InternalCheckError
+from cotor.mutation import MutationEngine, ZICotorsionPair
 from cotor.nakayama import NakayamaBackend
-from cotor.pairs import CotorsionPair, PairEngine, TwinCotorsionPair
+from cotor.pairs import CotorsionPair, PairEngine, TwinCotorsionPair, trivial_hovey_tcp
+from cotor.quotient import ZIQuotient
 from cotor.subcats import Subcat, closed_sets, hom_masks, left_perp, right_perp
 
 # Every Nakayama backend with at most 12 indecomposables (K = m(n-1)).
@@ -62,8 +66,40 @@ def sweep_second_classes(engine):
     return out, complete
 
 
+def sweep_zi_pairs(me):
+    reps = me.q.zi_objects()
+    n = len(reps)
+    out = []
+    for lbits in range(1 << n):
+        l = tuple(reps[i] for i in range(n) if (lbits >> i) & 1)
+        for rbits in range(1 << n):
+            r = tuple(reps[i] for i in range(n) if (rbits >> i) & 1)
+            if me.zi_is_cp(l, r):
+                out.append(ZICotorsionPair.of(l, r))
+    return out
+
+
 def keys(pairs):
     return [p.key() for p in pairs]
+
+
+def bijection_engines(engine):
+    """Mutation engines on the bijection suite's designated twin pairs
+    that meet both quotient conditions, in the suite's order."""
+    targets = [trivial_hovey_tcp(engine)]
+    targets += [engine.make_tcp(cp, cp) for cp in engine.enumerate_cotorsion().pairs]
+    tcps, unresolved = engine.enumerate_tcp(concentric_only=True)
+    assert not unresolved
+    targets += [p for p in tcps if p.flags()["zz_setting"]]
+    seen = set()
+    out = []
+    for p in targets:
+        if p.key() not in seen:
+            seen.add(p.key())
+            me = MutationEngine(engine, p)
+            if me.preconditions_met:
+                out.append(me)
+    return out
 
 
 # ---------------------------------------------------------------- class routes
@@ -80,6 +116,33 @@ def test_closed_set_routes_match_the_sweeps(mn):
     want, want_complete = sweep_second_classes(eng)
     assert keys(dual) == keys(want)
     assert complete == want_complete
+
+
+# (m, n, cap) of the Nakayama backends whose quotient pairs are swept.
+ZI_BACKENDS = [(1, 4, 4), (2, 2, 4), (2, 3, 4), (3, 2, 4), (4, 2, 4), (2, 3, 2), (2, 3, 3)]
+
+
+@pytest.mark.parametrize("m,n,cap", ZI_BACKENDS)
+def test_quotient_pair_walk_matches_the_sweep(m, n, cap):
+    mes = bijection_engines(PairEngine(NakayamaBackend(m, n), cap=cap))
+    assert mes
+    for me in mes:
+        assert me.enumerate_zi_cp() == sweep_zi_pairs(me), me.p.as_labels()
+
+
+def test_quotient_pair_walk_tests_one_candidate_per_closed_set(monkeypatch):
+    calls = {}
+    honest = MutationEngine.zi_is_cp
+
+    def counted(self, l, r):
+        calls[self.p.key()] = calls.get(self.p.key(), 0) + 1
+        return honest(self, l, r)
+
+    monkeypatch.setattr(MutationEngine, "zi_is_cp", counted)
+    for me in bijection_engines(PairEngine(NakayamaBackend(2, 4))):
+        me.enumerate_zi_cp()
+        assert calls.get(me.p.key(), 0) <= 1 << len(me.q.zi_objects())
+    assert sum(calls.values()) == 32
 
 
 def _implication_closure(rules):
@@ -205,4 +268,14 @@ def test_corrupted_ext1_mask_exits_one_without_traceback(monkeypatch, capsys):
     assert captured.err.startswith(
         "property violation: equivalent twin-pair criteria disagree"
     )
+    assert "Traceback" not in captured.err
+
+
+def test_vanishing_quotient_ext1_exits_one_without_traceback(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_ENGINE_MEMO", {})
+    monkeypatch.setattr(ZIQuotient, "ext1_zi", lambda self, x, y: 0)
+    rc = cli.main(["verify", "--suite", "bijection", "--backend", "nakayama:m=2,n=3"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("property violation:")
     assert "Traceback" not in captured.err

@@ -108,6 +108,8 @@ def test_missing_capability_raises():
         bo.hom_dim_pair(0, 0)
     with pytest.raises(CapabilityError):
         bo.cone(Mor(Obj.zero(), Obj.zero()))
+    with pytest.raises(CapabilityError):
+        bo.is_isomorphism(Mor(Obj.zero(), Obj.zero()))
 
 
 # ---------------------------------------------------------------- enumeration

@@ -2,11 +2,12 @@
 
 Each digest is the sha256 of the ``report`` payload dumped as JSON with
 sorted keys (for ``orbit-graph``, of the DOT text), recorded before the
-shared linear-algebra helpers were merged; the last four are the digests
-the benchmark gates on (perfbench/expected.json), recorded with the same
-hashing.  The envelope is not hashed,
-so schema and settings changes do not trip these checks; any change to
-a verdict, a count, a label or a witness coordinate does.
+shared linear-algebra helpers were merged; the two ``--suite bijection``
+digests were recorded before the quotient cotorsion pairs were walked as
+closed sets; the last four are the digests the benchmark gates on
+(perfbench/expected.json), recorded with the same hashing.  The envelope
+is not hashed, so schema and settings changes do not trip these checks;
+any change to a verdict, a count, a label or a witness coordinate does.
 """
 
 import hashlib
@@ -42,6 +43,14 @@ GOLDEN = [
     (
         ["orbit-graph"] + TCP,
         "e7af818d72b3fcd2a45b603785ad60aa7161fc4d26e88b0f930bbcf7fd8a0bbb",
+    ),
+    (
+        ["verify", "--suite", "bijection", "--backend", "nakayama:m=3,n=3"],
+        "57f5472bbe0b48cbe8a3a1176f11e09cb66f07ca1537fb82edf0a54b5da3ae7a",
+    ),
+    (
+        ["verify", "--suite", "bijection", "--backend", "nakayama:m=1,n=6"],
+        "fbbc4851750bd5e9763a4f263b70a34d191b2abfecd68289de9c35871fc49733",
     ),
     (
         ["verify", "--suite", "all", "--backend", "nakayama:m=2,n=4"],
