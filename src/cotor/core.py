@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence
 
-from .f2 import F2Matrix, solve
+from .f2 import F2Matrix
 
 # Size caps, in indecomposables, of the exhaustive routes: the 2^K class
 # sweeps, the construction of a Nakayama backend's tables, and exact
@@ -337,17 +337,6 @@ class Backend:
             for k in range(self.hom_dim(h.dst, dst))
         ]
         return F2Matrix.from_rows(cols, self.hom_dim(h.src, dst)).transpose()
-
-    def is_isomorphism(self, f: Mor) -> bool:
-        """Is there a g: f.dst -> f.src with g after f and f after g the
-        identities?  One linear solve over the coordinates of g."""
-        self._need("morphism_calculus")
-        if f.src.summands != f.dst.summands:
-            return False
-        x, y = f.src, f.dst
-        system = self.right_op(f, x).vstack(self.left_op(f, y))
-        rhs = self.identity(x).coords | self.identity(y).coords << self.hom_dim(x, x)
-        return solve(system, rhs) is not None
 
     def shift_mor(self, f: Mor, k: int = 1) -> Mor:
         self._need("exact_triangles")

@@ -278,6 +278,23 @@ class _PairTable:
     full_dim: int
 
 
+class _EndPair:
+    """Dense connecting maps y1[-1] -> x1 of one end pair, by cone.
+
+    ``by_cone`` maps each cone object to the ascending coordinates of
+    the dense maps with that cone, among the first ``scanned`` of the
+    ``span`` nonzero maps; a scan past ``scanned`` appends in order.
+    """
+
+    __slots__ = ("x1_obj", "y1_obj", "y1m", "span", "scanned", "by_cone")
+
+    def __init__(self, x1_obj: Obj, y1_obj: Obj, y1m: Obj, d: int):
+        self.x1_obj, self.y1_obj, self.y1m = x1_obj, y1_obj, y1m
+        self.span = (1 << d) - 1
+        self.scanned = 0
+        self.by_cone: dict[Obj, list[int]] = {}
+
+
 class NakayamaBackend(Backend):
     """Morphism-level triangulated backend with exact cones."""
 
@@ -310,6 +327,7 @@ class NakayamaBackend(Backend):
             self._shift_fwd.index(i) for i in range(len(self._indecs))
         )
         self._cone_cache: dict[tuple, TriangleWitness] = {}
+        self._end_pairs: dict[tuple, Optional[_EndPair]] = {}
         self._shift_mor_cache: dict[tuple, Mor] = {}
 
     # -- construction helpers -------------------------------------------
@@ -810,7 +828,13 @@ class NakayamaBackend(Backend):
         enumerated densely (no summand of either end may pair by zero
         with the whole other end); split summands of C are peeled off
         separately, which together is exhaustive for the capped ends.
-        Raises BudgetExceeded when the work bound runs out.
+
+        Each end pair (X1, Y1) keeps, across calls, an index of its
+        dense connecting maps Y1[-1] -> X1 by cone (``_end_pair``), so a
+        search for the core walks only the maps whose cone is the core.
+        The budget still counts one unit per connecting map scanned,
+        dense or not, in ascending order; raises BudgetExceeded at the
+        map where the work bound runs out.
         """
         xset = sorted(set(xset))
         yset = sorted(set(yset))
@@ -829,35 +853,18 @@ class NakayamaBackend(Backend):
             for sx in range(1, cap - len(xtra) + 1):
                 for sy in range(1, cap - len(ytra) + 1):
                     for x1 in multisets_over(xset, sx):
-                        x1_obj = Obj.from_iter(x1)
                         for y1 in multisets_over(yset, sy):
-                            y1_obj = Obj.from_iter(y1)
-                            y1m = self.shift_obj(y1_obj, -1)
-                            layout = self.block_layout(y1m, x1_obj)
-                            d = sum(b[3] for b in layout)
-                            if d == 0:
+                            pair = self._end_pair(x1, y1)
+                            if pair is None:
                                 continue
-                            row_masks = [0] * len(x1_obj)
-                            col_masks = [0] * len(y1m)
-                            for q, p, off, bd in layout:
-                                mask = ((1 << bd) - 1) << off
-                                row_masks[p] |= mask
-                                col_masks[q] |= mask
-                            if any(mk == 0 for mk in row_masks) or any(
-                                mk == 0 for mk in col_masks
-                            ):
-                                continue
-                            for coords in range(1, 1 << d):
-                                spend()
-                                if any(
-                                    not (coords & mk) for mk in row_masks
-                                ) or any(not (coords & mk) for mk in col_masks):
-                                    continue
-                                delta = Mor(y1m, x1_obj, coords)
-                                cobj, w = self.cone(delta)
-                                if cobj != core:
-                                    continue
-                                rot = self.rotate_left(w.tri)
+                            # index only the maps this budget can reach
+                            self._scan_end_pair(pair, min(pair.span, remaining[0]))
+                            last = 0
+                            for coords in pair.by_cone.get(core, ()):
+                                spend(coords - last)
+                                last = coords
+                                delta = Mor(pair.y1m, pair.x1_obj, coords)
+                                rot = self.rotate_left(self.cone(delta)[1].tri)
                                 parts = [rot]
                                 for i in xtra.summands:
                                     parts.append(self._id_first_tri(Obj.of(i)))
@@ -870,8 +877,8 @@ class NakayamaBackend(Backend):
                                     provenance={
                                         "construction": "dense-connecting-map",
                                         "core_ends": [
-                                            self.obj_labels(x1_obj),
-                                            self.obj_labels(y1_obj),
+                                            self.obj_labels(pair.x1_obj),
+                                            self.obj_labels(pair.y1_obj),
                                         ],
                                         "delta": coords,
                                         "split": [
@@ -880,6 +887,45 @@ class NakayamaBackend(Backend):
                                         ],
                                     },
                                 )
+                            spend(pair.span - last)
+
+    def _end_pair(self, x1: tuple[int, ...], y1: tuple[int, ...]) -> Optional[_EndPair]:
+        """The cone index of connecting maps y1[-1] -> x1 (sorted
+        multisets), or None when no map is dense: some summand of an end
+        pairs by zero with the whole other end, which includes Hom = 0."""
+        key = (x1, y1)
+        if key in self._end_pairs:
+            return self._end_pairs[key]
+        x1_obj, y1_obj = Obj(x1), Obj(y1)
+        y1m = self.shift_obj(y1_obj, -1)
+        masks, d = self._dense_masks(y1m, x1_obj)
+        pair = _EndPair(x1_obj, y1_obj, y1m, d) if all(masks) else None
+        self._end_pairs[key] = pair
+        return pair
+
+    def _dense_masks(self, x: Obj, y: Obj) -> tuple[list[int], int]:
+        """Coordinate masks of the blocks out of each summand of x, then
+        into each summand of y, and the dimension of Hom(x, y).  A map
+        is dense when it meets every mask."""
+        masks = [0] * (len(x) + len(y))
+        d = 0
+        for p, q, off, bd in self.block_layout(x, y):
+            mask = ((1 << bd) - 1) << off
+            masks[p] |= mask
+            masks[len(x) + q] |= mask
+            d += bd
+        return masks, d
+
+    def _scan_end_pair(self, pair: _EndPair, upto: int) -> None:
+        """Index the dense maps among the first ``upto`` by their cones."""
+        if upto <= pair.scanned:
+            return
+        masks, _ = self._dense_masks(pair.y1m, pair.x1_obj)
+        for coords in range(pair.scanned + 1, upto + 1):
+            if all(coords & mk for mk in masks):
+                cobj = self.cone(Mor(pair.y1m, pair.x1_obj, coords))[0]
+                pair.by_cone.setdefault(cobj, []).append(coords)
+        pair.scanned = upto
 
     def _split_witness(self, xtra: Obj, ytra: Obj) -> TriangleWitness:
         parts = []

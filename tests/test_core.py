@@ -24,6 +24,8 @@ from cotor.core import (
 )
 from cotor.nakayama import NakayamaBackend
 
+from helpers import is_isomorphism
+
 
 @pytest.fixture(scope="module")
 def b13():
@@ -109,7 +111,9 @@ def test_missing_capability_raises():
     with pytest.raises(CapabilityError):
         bo.cone(Mor(Obj.zero(), Obj.zero()))
     with pytest.raises(CapabilityError):
-        bo.is_isomorphism(Mor(Obj.zero(), Obj.zero()))
+        is_isomorphism(bo, Mor(Obj.zero(), Obj.zero()))
+    with pytest.raises(CapabilityError):
+        is_isomorphism(bo, Mor(Obj.of(0), Obj.of(0)))
 
 
 # ---------------------------------------------------------------- enumeration
