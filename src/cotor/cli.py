@@ -38,7 +38,7 @@ from .pairs import (
     trivial_pairs,
 )
 from .quotient import ZIQuotient
-from .subcats import Subcat, closed_sets, left_perp, right_perp
+from .subcats import DEFAULT_CAP, Subcat, closed_sets, left_perp, right_perp
 
 SCHEMA = "cotor.report/2"
 
@@ -270,14 +270,17 @@ def _cmd_enumerate_tcp(args: argparse.Namespace, status: _Status) -> dict:
     engine = _engine(args)
     need_quotient = args.cond_I or args.cond_II or args.cond_III or args.hovey
     concentric_only = bool(args.concentric or need_quotient)
-    tcps, unresolved = engine.enumerate_tcp(concentric_only=concentric_only)
+    tcps, unresolved = engine.enumerate_tcp()
     if unresolved:
         status.inconclusive = True
     rows: list[dict[str, Any]] = []
     for p in tcps:
+        concentric = engine.is_concentric(p)
+        if concentric_only and not concentric:
+            continue
         rec: dict[str, Any] = p.as_labels()
         rec["flags"] = p.flags()
-        rec["concentric"] = engine.is_concentric(p)
+        rec["concentric"] = concentric
         verdicts: dict[str, str] = {}
         keep = True
 
@@ -481,10 +484,10 @@ def _suite_counts(args: argparse.Namespace, claims: list, status: _Status) -> di
 
 
 def _concentric_tcps(engine: PairEngine, status: _Status) -> list[TwinCotorsionPair]:
-    tcps, unresolved = engine.enumerate_tcp(concentric_only=True)
+    tcps, unresolved = engine.enumerate_tcp()
     if unresolved:
         status.inconclusive = True
-    return tcps
+    return [p for p in tcps if engine.is_concentric(p)]
 
 
 def _tcp_name(p: TwinCotorsionPair) -> str:
@@ -839,7 +842,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--backend", help="backend spec, e.g. nakayama:m=2,n=2 or polygon:N=5"
     )
     common.add_argument(
-        "--cap", type=int, default=4, help="search width cap, at least 2"
+        "--cap", type=int, default=DEFAULT_CAP, help="search width cap, at least 2"
     )
     common.add_argument(
         "--out", help="write the report to this path instead of stdout"

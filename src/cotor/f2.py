@@ -5,12 +5,19 @@ stores one such int per row.  Row operations are single XORs, so the
 word-level parallelism of big ints does the work that numpy would
 otherwise do.  Everything here is pure: inputs are never mutated and
 equal inputs give identical outputs.
+
+There is one row reduction, ``Echelon``; ``solve``, ``kernel_basis``,
+``rank`` and ``in_span`` are thin readings of it, and its rows record
+the inserted vectors they combine, so it also expresses vectors over
+those.  There is one space modulo a span, ``QuotientSpace``, with
+coordinates on the non-pivot positions: the subquotient's Hom spaces
+and the Nakayama backend's cone modules are both built on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 __all__ = [
     "F2Matrix",
@@ -20,6 +27,7 @@ __all__ = [
     "in_span",
     "Echelon",
     "ExpressSolver",
+    "QuotientSpace",
 ]
 
 
@@ -132,10 +140,7 @@ class F2Matrix:
 
 
 def rank(matrix: F2Matrix) -> int:
-    ech = Echelon()
-    for row in matrix.bits:
-        ech.add(row)
-    return len(ech)
+    return len(Echelon(matrix.bits))
 
 
 def solve(matrix: F2Matrix, rhs: int) -> Optional[int]:
@@ -147,106 +152,94 @@ def solve(matrix: F2Matrix, rhs: int) -> Optional[int]:
     """
     if rhs < 0 or rhs >> matrix.rows:
         raise ValueError("right-hand side exceeds row count")
-    # Eliminate on (row | rhs-bit) pairs; track pivot columns.
-    work: list[tuple[int, int]] = []  # (row bits, rhs bit)
-    pivots: dict[int, tuple[int, int]] = {}
-    for r in range(matrix.rows):
-        row, b = matrix.bits[r], (rhs >> r) & 1
-        while row:
-            p = row.bit_length() - 1
-            if p in pivots:
-                prow, pb = pivots[p]
-                row ^= prow
-                b ^= pb
-            else:
-                pivots[p] = (row, b)
-                break
-        else:
-            if b:
-                return None
+    # Augmented rows carry the rhs bit at bit 0, so column c sits at c + 1
+    # and a row reduced to bit 0 alone reads 0 = 1.
+    ech = Echelon((row << 1) | ((rhs >> r) & 1) for r, row in enumerate(matrix.bits))
     x = 0
-    # Back-substitute in increasing pivot order: each pivot row only
-    # references columns below its pivot, which are already assigned.
-    for p in sorted(pivots):
-        row, b = pivots[p]
-        acc = b ^ ((row & x).bit_count() & 1) ^ ((x >> p) & 1)
-        if acc:
-            x |= 1 << p
+    # Ascending pivots: each row only references columns below its
+    # pivot, which are already assigned.
+    for row in ech.basis():
+        if row == 1:
+            return None
+        if (row & 1) ^ ((row >> 1) & x).bit_count() & 1:
+            x |= 1 << (row.bit_length() - 2)
     return x
 
 
 def kernel_basis(matrix: F2Matrix) -> list[int]:
     """Basis of {x : M x = 0}, one vector per free column, ascending."""
-    # Reduced row echelon over the column space.
-    rows = [r for r in matrix.bits if r]
-    ech: list[int] = []
-    for row in rows:
-        for e in ech:
-            if row & (1 << (e.bit_length() - 1)):
-                row ^= e
-        if row:
-            ech.append(row)
-            ech.sort(key=lambda v: -v.bit_length())
-    # Full reduction so each pivot appears in exactly one row.
-    for i in range(len(ech)):
-        for j in range(len(ech)):
-            if i != j and ech[i] & (1 << (ech[j].bit_length() - 1)):
-                ech[i] ^= ech[j]
-    pivot_of = {e.bit_length() - 1: e for e in ech}
-    basis = []
-    for c in range(matrix.cols):
-        if c in pivot_of:
-            continue
-        v = 1 << c
-        for p, e in pivot_of.items():
-            if (e >> c) & 1:
-                v |= 1 << p
-        basis.append(v)
-    return basis
+    ech = Echelon(matrix.bits)
+    rows = ech._rows  # read in place: no copy, and any order will do
+    basis = {c: 1 << c for c in range(matrix.cols) if c not in rows}
+    # Reduced row echelon form: pivot row p, less its pivot bit, lies on
+    # free columns only, and each of them owes pivot coordinate p.
+    for p, (row, _) in rows.items():
+        rest = ech.reduce_full(row ^ (1 << p))
+        while rest:
+            low = rest & -rest
+            basis[low.bit_length() - 1] |= 1 << p
+            rest ^= low
+    return list(basis.values())
 
 
 def in_span(vector: int, basis: Iterable[int]) -> bool:
-    ech = Echelon()
-    for b in basis:
-        ech.add(b)
-    return ech.contains(vector)
+    return Echelon(basis).contains(vector)
 
 
 class Echelon:
-    """Incremental row span with pivot bookkeeping."""
+    """Incremental row span with pivot bookkeeping; the one row reduction.
 
-    def __init__(self) -> None:
-        self._rows: dict[int, int] = {}  # pivot position -> row
+    Each stored row is keyed by its pivot (leading bit) and records
+    which inserted vectors it combines: the i-th vector ever inserted,
+    dependent or not, is bit i of that combination.  So ``express``
+    writes a vector of the span over the inserted vectors, and
+    dependent inserts simply never carry a pivot.
+    """
+
+    def __init__(self, vectors: Iterable[int] = ()) -> None:
+        self._rows: dict[int, tuple[int, int]] = {}  # pivot -> (row, combination)
+        self._inserted = 0
+        for v in vectors:
+            self.add(v)
 
     def __len__(self) -> int:
         return len(self._rows)
 
-    def reduce(self, vector: int) -> int:
+    def _reduce(self, vector: int, combo: int = 0) -> tuple[int, int]:
+        rows = self._rows
         while vector:
-            p = vector.bit_length() - 1
-            row = self._rows.get(p)
-            if row is None:
-                return vector
-            vector ^= row
-        return 0
+            got = rows.get(vector.bit_length() - 1)
+            if got is None:
+                break
+            vector ^= got[0]
+            combo ^= got[1]
+        return vector, combo
 
     def add(self, vector: int) -> bool:
         """Insert; True if the span grew."""
-        v = self.reduce(vector)
+        v, combo = self._reduce(vector, 1 << self._inserted)
+        self._inserted += 1
         if v == 0:
             return False
-        self._rows[v.bit_length() - 1] = v
+        self._rows[v.bit_length() - 1] = (v, combo)
         return True
 
     def contains(self, vector: int) -> bool:
-        return self.reduce(vector) == 0
+        return self._reduce(vector)[0] == 0
+
+    def express(self, vector: int) -> Optional[int]:
+        """Combination of inserted vectors (bit i for the i-th) summing
+        to ``vector``, or None when it lies outside the span."""
+        v, combo = self._reduce(vector)
+        return None if v else combo
 
     def reduce_full(self, vector: int) -> int:
         """Unique coset representative supported off the pivot positions.
 
-        Unlike ``reduce``, which stops at the first non-pivot leading
-        bit, this clears every pivot bit, so the result is linear in
-        the input and projects onto the non-pivot coordinates.
+        Unlike the walk behind ``add`` and ``express``, which stops at
+        the first non-pivot leading bit, this clears every pivot bit, so
+        the result is linear in the input and projects onto the
+        non-pivot coordinates.
         """
         v = vector
         bound = v.bit_length()
@@ -255,9 +248,9 @@ class Echelon:
             if not scan:
                 break
             p = scan.bit_length() - 1
-            row = self._rows.get(p)
-            if row is not None:
-                v ^= row
+            got = self._rows.get(p)
+            if got is not None:
+                v ^= got[0]
             bound = p
         return v
 
@@ -265,39 +258,46 @@ class Echelon:
         return set(self._rows)
 
     def basis(self) -> list[int]:
-        return [self._rows[p] for p in sorted(self._rows)]
+        """Stored rows in ascending pivot order."""
+        return [self._rows[p][0] for p in sorted(self._rows)]
 
 
-class ExpressSolver:
-    """Express vectors as combinations of a fixed generator list.
+# ``perfbench/tracer.py`` counts ``ExpressSolver.express`` calls by this
+# name; it is the same class.
+ExpressSolver = Echelon
 
-    Generators are taken in order; ``express(v)`` returns a combination
-    bitmask over generator indices, or None when v lies outside their
-    span.  Dependent generators are tolerated (they simply never carry
-    a pivot).
+
+class QuotientSpace:
+    """GF(2)^width modulo the span of some vectors.
+
+    A class has one canonical representative, supported off the pivot
+    positions (``reduce``), and coordinates on the ascending non-pivot
+    positions (``coords``, inverted by ``lift``).
     """
 
-    def __init__(self, generators: list[int]) -> None:
-        self._gens = list(generators)
-        self._rows: dict[int, tuple[int, int]] = {}  # pivot -> (vector, combo)
-        for i, g in enumerate(self._gens):
-            self._insert(g, 1 << i)
+    def __init__(self, width: int, vectors: Iterable[int]) -> None:
+        self.full_dim = width
+        self.ech = Echelon(vectors)
+        piv = self.ech.pivots()
+        self.free = [q for q in range(width) if q not in piv]
+        self.dim = len(self.free)
 
-    def _reduce(self, v: int, combo: int) -> tuple[int, int]:
-        while v:
-            p = v.bit_length() - 1
-            got = self._rows.get(p)
-            if got is None:
-                break
-            v ^= got[0]
-            combo ^= got[1]
-        return v, combo
+    def reduce(self, vector: int) -> int:
+        return self.ech.reduce_full(vector)
 
-    def _insert(self, v: int, combo: int) -> None:
-        v, combo = self._reduce(v, combo)
-        if v:
-            self._rows[v.bit_length() - 1] = (v, combo)
+    def coords(self, vector: int) -> int:
+        red = self.ech.reduce_full(vector)
+        return sum(1 << k for k, q in enumerate(self.free) if (red >> q) & 1)
 
-    def express(self, vector: int) -> Optional[int]:
-        v, combo = self._reduce(vector, 0)
-        return None if v else combo
+    def lift(self, coords: int) -> int:
+        out = 0
+        while coords:
+            low = coords & -coords
+            out |= 1 << self.free[low.bit_length() - 1]
+            coords ^= low
+        return out
+
+    def classes(self) -> Iterator[int]:
+        """Canonical representatives of all classes, zero first."""
+        for c in range(1 << self.dim):
+            yield self.lift(c)

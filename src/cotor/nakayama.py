@@ -10,13 +10,15 @@ triangulated with the cosyzygy functor as shift.
 Nothing in this backend trusts a closed formula.  Hom spaces are
 computed as spaces of raw module maps and then reduced modulo the
 subspace of maps factoring through projectives; cones are computed by
-pushing out along injective envelopes and deleting projective
-summands.  A module splits into uniserials along one basis of Jordan
-chains of its arrow action (``split_module``), and rank counting
-(``decompose_counts``) is the independent second route.  The shift
-Sigma and its inverse Omega, on objects and on maps, are read off one
-way (``_shift_layers``): the layers of the envelope, or of the projective
-cover, that the module does not occupy form the cosyzygy or syzygy.
+pushing out along injective envelopes (per vertex an
+``f2.QuotientSpace`` of the target plus the envelope by the graph of
+the map) and deleting projective summands.  A module splits into
+uniserials along one basis of Jordan chains of its arrow action
+(``split_module``), and rank counting (``decompose_counts``) is the
+independent second route.  The shift Sigma and its inverse Omega, on
+objects and on maps, are read off one way (``_shift_layers``): the
+layers of the envelope, or of the projective cover, that the module
+does not occupy form the cosyzygy or syzygy.
 Closed-form expectations (such as the min-formula for one-vertex Hom
 dimensions) live in the test suite as oracles, not here.
 
@@ -44,7 +46,7 @@ from .core import (
     _slot_assignment,
     multisets_over,
 )
-from .f2 import Echelon, ExpressSolver, F2Matrix, kernel_basis, rank, solve
+from .f2 import Echelon, F2Matrix, QuotientSpace, kernel_basis, rank, solve
 
 
 @dataclass(frozen=True)
@@ -368,13 +370,8 @@ class NakayamaBackend(Backend):
                             prod = _flatten(a.raw, b.raw, _compose_raw(fmats, gmats))
                             if ech.add(prod):
                                 fact.append(prod)
-                reps: list[int] = []
-                ech2 = Echelon()
-                for v in fact:
-                    ech2.add(v)
-                for v in full:
-                    if ech2.add(v):
-                        reps.append(v)
+                # ech spans exactly the factoring maps now
+                reps = [v for v in full if ech.add(v)]
                 out[(a_id, b_id)] = _PairTable(
                     dim=len(reps),
                     reps_flat=tuple(reps),
@@ -383,7 +380,7 @@ class NakayamaBackend(Backend):
                     full_dim=len(full),
                 )
         self._pair_solvers = {
-            key: ExpressSolver(list(t.reps_flat) + list(t.factoring_flat))
+            key: Echelon(t.reps_flat + t.factoring_flat)
             for key, t in out.items()
         }
         return out
@@ -698,57 +695,31 @@ class NakayamaBackend(Backend):
         m = self.m
         ydims = b.raw.dims
         edims = env.raw.dims
-        # columns of [f; iota] : A -> Y (+) E, echelonized per vertex
-        echs: list[Echelon] = []
+        # Y (+) E modulo the columns of [f; iota] : A -> Y (+) E, per vertex
+        quots: list[QuotientSpace] = []
         for v in range(m):
-            ech = Echelon()
-            for c in range(a.raw.dims[v]):
-                vec = fraw[v].column(c) | (iota[v].column(c) << ydims[v])
-                if not ech.add(vec):
-                    raise InternalCheckError("graph embedding not injective")
-            echs.append(ech)
-        cone_coords: list[list[int]] = []  # per vertex, sorted non-pivot positions
-        for v in range(m):
-            piv = echs[v].pivots()
-            free = [p for p in range(ydims[v] + edims[v]) if p not in piv]
-            cone_coords.append(free)
-
-        def reduce_to_cone(v: int, vec: int) -> int:
-            red = echs[v].reduce_full(vec)
-            out = 0
-            for idx, p in enumerate(cone_coords[v]):
-                if (red >> p) & 1:
-                    out |= 1 << idx
-            return out
-
-        def lift_from_cone(v: int, cvec: int) -> int:
-            out = 0
-            rest = cvec
-            while rest:
-                idx = (rest & -rest).bit_length() - 1
-                out |= 1 << cone_coords[v][idx]
-                rest &= rest - 1
-            return out
-
-        cdims = [len(cone_coords[v]) for v in range(m)]
+            q = QuotientSpace(
+                ydims[v] + edims[v],
+                (fraw[v].column(c) | (iota[v].column(c) << ydims[v])
+                 for c in range(a.raw.dims[v])),
+            )
+            if len(q.ech) != a.raw.dims[v]:
+                raise InternalCheckError("graph embedding not injective")
+            quots.append(q)
+        cdims = [q.dim for q in quots]
         cone_mats = []
         for v in range(m):
             w = (v + 1) % m
-            bits = [0] * cdims[w]
+            cols = []
             for cc in range(cdims[v]):
-                vec = lift_from_cone(v, 1 << cc)
+                vec = quots[v].lift(1 << cc)
                 yv = vec & ((1 << ydims[v]) - 1)
                 ev = vec >> ydims[v]
                 img = b.raw.mats[v].matvec(yv) | (
                     env.raw.mats[v].matvec(ev) << ydims[w]
                 )
-                img_c = reduce_to_cone(w, img)
-                rest = img_c
-                while rest:
-                    r = (rest & -rest).bit_length() - 1
-                    bits[r] |= 1 << cc
-                    rest &= rest - 1
-            cone_mats.append(F2Matrix.from_rows(bits, cdims[v]))
+                cols.append(quots[w].coords(img))
+            cone_mats.append(F2Matrix.from_rows(cols, cdims[w]).transpose())
         cone_raw = RawModule(m, self.n, tuple(cdims), tuple(cone_mats))
 
         types, to_canon, from_canon = split_module(cone_raw)
@@ -772,7 +743,7 @@ class NakayamaBackend(Backend):
         # g : Y -> C, the pushout inclusion in stable coordinates
         g_mats = [
             F2Matrix.from_rows(
-                [to_stable[v].matvec(reduce_to_cone(v, 1 << c))
+                [to_stable[v].matvec(quots[v].coords(1 << c))
                  for c in range(ydims[v])],
                 keep[v],
             ).transpose()
@@ -783,7 +754,7 @@ class NakayamaBackend(Backend):
         # h : C -> X[1], envelope cokernel coordinates of the lift
         h_mats = [
             F2Matrix.from_rows(
-                [_read_shift(lift_from_cone(v, from_stable[v].column(cc))
+                [_read_shift(quots[v].lift(from_stable[v].column(cc))
                              >> ydims[v], slots[v], False)
                  for cc in range(keep[v])],
                 len(slots[v]),
@@ -1047,9 +1018,7 @@ def split_module(raw: RawModule):
     for j in range(m):
         i = (j - 1) % m
         for l in range(1, n + 1):
-            ech = Echelon()
-            for x in kers[l - 1][j]:
-                ech.add(x)
+            ech = Echelon(kers[l - 1][j])
             for x in kers[l + 1][i]:
                 ech.add(raw.mats[i].matvec(x))
             gens.extend(((j, l), x) for x in kers[l][j] if ech.add(x))
@@ -1065,7 +1034,7 @@ def split_module(raw: RawModule):
             x = raw.mats[v].matvec(x)
     to_canon, from_canon = [], []
     for v, d in enumerate(raw.dims):
-        solver = ExpressSolver(cols[v])
+        solver = Echelon(cols[v])
         inv = [solver.express(1 << r) for r in range(d)]
         if None in inv:
             raise InternalCheckError("Jordan chains are not a basis")
@@ -1133,8 +1102,11 @@ def parse_spec(spec: str) -> NakayamaBackend:
         if "=" not in part:
             raise InputError(f"bad nakayama parameter {part!r}")
         k, v = part.split("=", 1)
+        k = k.strip()
+        if k in params:
+            raise InputError(f"repeated nakayama parameter {k!r}")
         try:
-            params[k.strip()] = int(v)
+            params[k] = int(v)
         except ValueError as exc:
             raise InputError(f"bad nakayama parameter {part!r}") from exc
     if set(params) != {"m", "n"}:

@@ -33,7 +33,8 @@ from .core import (
     Verdict,
 )
 from .f2 import in_span
-from .subcats import StarEngine, Subcat, closed_sets, hom_masks, left_perp, right_perp
+from .subcats import DEFAULT_CAP, StarEngine, Subcat, closed_sets
+from .subcats import hom_masks, left_perp, right_perp
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ class CotorsionPair:
         return {"U": self.u.labels(), "V": self.v.labels()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwinCotorsionPair:
     """Ordered pair of cotorsion pairs with inner-to-outer orthogonality."""
 
@@ -143,15 +144,16 @@ class CPEnumeration:
 class PairEngine:
     """Pair-level queries over one backend with shared star caching."""
 
-    def __init__(self, backend: Backend, cap: int = 4, budget: int = 500_000):
+    def __init__(self, backend: Backend, cap: int = DEFAULT_CAP):
         backend._need("exact_triangles")
         self.backend = backend
-        self.star = StarEngine(backend, cap=cap, budget=budget)
+        self.star = StarEngine(backend, cap=cap)
         self._cp_cache: dict[tuple[int, int], Verdict] = {}
         self._derived_cache: dict[tuple, DerivedSets] = {}
         self._cond_cache: dict[tuple[str, tuple], Verdict] = {}
         self._zi_cache: dict[tuple, object] = {}
         self._cp_enum: Optional[CPEnumeration] = None
+        self._tcp_enum: Optional[list[TwinCotorsionPair]] = None
         self._ext1 = hom_masks(backend)[2]
 
     # -- degree-one orthogonality ------------------------------------------
@@ -277,18 +279,19 @@ class PairEngine:
     def is_concentric(self, p: TwinCotorsionPair) -> bool:
         return p.s.intersect(p.t) == p.u.intersect(p.v)
 
-    def enumerate_tcp(self, concentric_only: bool = False):
-        """All twin pairs of enumerated (so verified) pairs, by the three-way check."""
+    def enumerate_tcp(self) -> tuple[list[TwinCotorsionPair], list[CotorsionPair]]:
+        """All twin pairs of enumerated (so verified) pairs, by the three-way
+        check, with the unresolved pairs.  Walked once per engine, like
+        ``enumerate_cotorsion``; callers filter with ``is_concentric``."""
         enum = self.enumerate_cotorsion()
-        keys = [p.key() for p in enum.pairs]
-        out = []
-        for inner in enum.pairs:
-            for k in self._twin_partners(inner, keys):
-                p = TwinCotorsionPair(inner, enum.pairs[k])
-                if concentric_only and not self.is_concentric(p):
-                    continue
-                out.append(p)
-        return out, enum.inconclusive
+        if self._tcp_enum is None:
+            keys = [p.key() for p in enum.pairs]
+            self._tcp_enum = [
+                TwinCotorsionPair(inner, enum.pairs[k])
+                for inner in enum.pairs
+                for k in self._twin_partners(inner, keys)
+            ]
+        return self._tcp_enum, enum.inconclusive
 
     # -- derived classes -------------------------------------------------------
 
@@ -356,7 +359,8 @@ class PairEngine:
         add(V)[1], then tests by linear algebra whether the map out of
         x lies in the subspace of maps factoring through add(V).  The
         answer is triangle-independent, so a second witness of the same
-        cap level is compared and any disagreement raises.
+        cap level is compared and any disagreement raises; when there is
+        none, or the budget runs out first, the reason says so.
         """
         verdicts = []
         try:
@@ -380,9 +384,11 @@ class PairEngine:
             raise InternalCheckError(
                 "heart vanishing depends on the witness triangle"
             )
-        if verdicts[0]:
-            return Verdict.yes()
-        return Verdict.no(reason="middle map does not factor through V")
+        notes = [] if verdicts[0] else ["middle map does not factor through V"]
+        if len(verdicts) == 1:
+            notes.append("one witness only, so the cross-check did not run")
+        reason = "; ".join(notes) or None
+        return Verdict.yes(reason=reason) if verdicts[0] else Verdict.no(reason=reason)
 
     # -- conditions ----------------------------------------------------------
 

@@ -3,9 +3,10 @@
 Fix a concentric twin pair with core I and middle class Z.  The
 subquotient keeps the objects of Z and divides each Hom space by maps
 factoring through add(I).  Everything here is concrete linear algebra:
-quotient spaces are complements of explicit factoring subspaces, and
-morphism-level values are solutions of commuting-square systems over
-GF(2), stacked from the backend's composition operators.
+each quotient Hom space is an ``f2.QuotientSpace`` of the ambient Hom
+space by the span of the factoring maps, and morphism-level values are
+solutions of GF(2) systems stacked from the backend's composition
+operators and those spans.
 
 The object maps come in mirrored pairs, and each pair is one method
 taking a direction: ``bracket(z, step)`` is a step through the core,
@@ -24,7 +25,6 @@ to answer if the conclusive routes disagree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
@@ -38,32 +38,9 @@ from .core import (
     _merge_objs,
     scatter_blocks,
 )
-from .f2 import Echelon, F2Matrix, solve
+from .f2 import F2Matrix, QuotientSpace, solve
 from .pairs import PairEngine, TwinCotorsionPair
 from .subcats import Subcat
-
-
-@dataclass
-class QuotientSpace:
-    """Hom space modulo the factoring subspace, with canonical forms."""
-
-    full_dim: int
-    ech: Echelon
-    dim: int
-    reps: list[int]
-
-    def reduce(self, coords: int) -> int:
-        return self.ech.reduce_full(coords)
-
-    def classes(self):
-        """Canonical representatives of all classes, zero first."""
-        n = len(self.reps)
-        for mask in range(1 << n):
-            c = 0
-            for k in range(n):
-                if (mask >> k) & 1:
-                    c ^= self.reps[k]
-            yield c
 
 
 def _check_step(step: int) -> None:
@@ -105,13 +82,10 @@ class ZIQuotient:
         key = (x.summands, y.summands)
         got = self._qcache.get(key)
         if got is None:
-            full = self.backend.hom_dim(x, y)
-            ech = Echelon()
-            for vec in self.engine.factoring_subspace(x, self.i_set, y):
-                ech.add(vec)
-            piv = ech.pivots()
-            reps = [1 << q for q in range(full) if q not in piv]
-            got = QuotientSpace(full, ech, full - len(piv), reps)
+            got = QuotientSpace(
+                self.backend.hom_dim(x, y),
+                self.engine.factoring_subspace(x, self.i_set, y),
+            )
             self._qcache[key] = got
         return got
 
@@ -295,31 +269,23 @@ class ZIQuotient:
         """
         b = self.backend
         x, y = f.src, f.dst
-        dg = b.hom_dim(y, x)
         fx = self.engine.factoring_subspace(x, self.i_set, x)
         fy = self.engine.factoring_subspace(y, self.i_set, y)
         dxx = b.hom_dim(x, x)
         dyy = b.hom_dim(y, y)
-        width = dg + len(fx) + len(fy)
-        rows: list[int] = []
-        # g after f plus a factoring correction equals the identity on x
-        pre = b.right_op(f, x)
-        for r in range(dxx):
-            bits = pre.bits[r]
-            for k, vec in enumerate(fx):
-                if (vec >> r) & 1:
-                    bits |= 1 << (dg + k)
-            rows.append(bits)
+        # g after f plus a factoring correction equals the identity on x,
         # f after g plus a factoring correction equals the identity on y
-        post = b.left_op(f, y)
-        for r in range(dyy):
-            bits = post.bits[r]
-            for k, vec in enumerate(fy):
-                if (vec >> r) & 1:
-                    bits |= 1 << (dg + len(fx) + k)
-            rows.append(bits)
+        system = (
+            b.right_op(f, x)
+            .hstack(F2Matrix.from_rows(fx, dxx).transpose())
+            .hstack(F2Matrix.zero(dxx, len(fy)))
+            .vstack(
+                b.left_op(f, y)
+                .hstack(F2Matrix.zero(dyy, len(fx)))
+                .hstack(F2Matrix.from_rows(fy, dyy).transpose())
+            )
+        )
         rhs = b.identity(x).coords | (b.identity(y).coords << dxx)
-        system = F2Matrix.from_rows(rows, width)
         return solve(system, rhs) is not None
 
     def iso_in_quotient(self, f: Mor) -> bool:

@@ -43,9 +43,9 @@ def engines():
 
 
 def concentric(eng):
-    tcps, unresolved = eng.enumerate_tcp(concentric_only=True)
+    tcps, unresolved = eng.enumerate_tcp()
     assert not unresolved
-    return tcps
+    return [p for p in tcps if eng.is_concentric(p)]
 
 
 def all_tcps(eng):

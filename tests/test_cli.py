@@ -13,6 +13,9 @@ import pytest
 from cotor import cli
 from cotor.core import BudgetExceeded, InternalCheckError, Verdict
 from cotor.mutation import MutationEngine
+from cotor.nakayama import NakayamaBackend
+from cotor.pairs import PairEngine
+from cotor.subcats import DEFAULT_CAP
 
 
 def invoke(capsys, *argv):
@@ -322,6 +325,22 @@ def test_invalid_inputs_exit_two(capsys):
         err = capsys.readouterr().err
         assert rc == 2, argv
         assert err.startswith("error:"), argv
+
+
+def test_cap_defaults_to_the_star_engine_default():
+    # One default for the CLI flag, the pair engine and the star engine.
+    assert cli._build_parser().parse_args(["enumerate-cp"]).cap == DEFAULT_CAP
+    assert PairEngine(NakayamaBackend(1, 3)).star.cap == DEFAULT_CAP
+
+
+def test_repeated_backend_parameter_exits_two(capsys):
+    # The spec is recorded in the report, so an ambiguous one must not
+    # build some backend anyway.
+    rc, out, err = invoke(
+        capsys, "enumerate-cp", "--backend", "nakayama:m=1,m=2,n=3"
+    )
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "repeated nakayama parameter 'm'" in err
 
 
 def test_violation_exits_one(monkeypatch, capsys):

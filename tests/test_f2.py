@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from cotor.f2 import (
     Echelon,
-    ExpressSolver,
     F2Matrix,
+    QuotientSpace,
     in_span,
     kernel_basis,
     rank,
@@ -47,6 +47,80 @@ def all_solutions(m: F2Matrix, rhs: int) -> list[int]:
     return [x for x in range(1 << m.cols) if entrywise_matvec(m, x) == rhs]
 
 
+# Independent eliminations with the outputs of record.  ``solve``,
+# ``kernel_basis`` and ``Echelon.express`` must match them bit for bit,
+# not just up to the row space, so reports built on them cannot move.
+
+
+def pivot_dict_solve(matrix: F2Matrix, rhs: int):
+    """Solve by eliminating (row, rhs bit) pairs into a pivot dict."""
+    pivots: dict[int, tuple[int, int]] = {}
+    for r in range(matrix.rows):
+        row, b = matrix.bits[r], (rhs >> r) & 1
+        while row:
+            p = row.bit_length() - 1
+            if p not in pivots:
+                pivots[p] = (row, b)
+                break
+            prow, pb = pivots[p]
+            row ^= prow
+            b ^= pb
+        else:
+            if b:
+                return None
+    x = 0
+    for p in sorted(pivots):
+        row, b = pivots[p]
+        if b ^ ((row & x).bit_count() & 1) ^ ((x >> p) & 1):
+            x |= 1 << p
+    return x
+
+
+def sorted_list_kernel(matrix: F2Matrix) -> list[int]:
+    """Kernel basis from a sorted echelon list, fully reduced pairwise."""
+    ech: list[int] = []
+    for row in (r for r in matrix.bits if r):
+        for e in ech:
+            if row & (1 << (e.bit_length() - 1)):
+                row ^= e
+        if row:
+            ech.append(row)
+            ech.sort(key=lambda v: -v.bit_length())
+    for i in range(len(ech)):
+        for j in range(len(ech)):
+            if i != j and ech[i] & (1 << (ech[j].bit_length() - 1)):
+                ech[i] ^= ech[j]
+    pivot_of = {e.bit_length() - 1: e for e in ech}
+    basis = []
+    for c in range(matrix.cols):
+        if c not in pivot_of:
+            v = 1 << c
+            for p, e in pivot_of.items():
+                if (e >> c) & 1:
+                    v |= 1 << p
+            basis.append(v)
+    return basis
+
+
+def pivot_dict_express(generators: list[int], vector: int):
+    """Combination over generator indices, tracked beside each pivot row."""
+    rows: dict[int, tuple[int, int]] = {}
+
+    def reduce(v, combo):
+        while v and (v.bit_length() - 1) in rows:
+            got = rows[v.bit_length() - 1]
+            v ^= got[0]
+            combo ^= got[1]
+        return v, combo
+
+    for i, g in enumerate(generators):
+        v, combo = reduce(g, 1 << i)
+        if v:
+            rows[v.bit_length() - 1] = (v, combo)
+    v, combo = reduce(vector, 0)
+    return None if v else combo
+
+
 # ---------------------------------------------------------------- strategies
 
 
@@ -58,6 +132,30 @@ def matrices(draw, max_rows=6, max_cols=6):
         draw(st.integers(0, (1 << cols) - 1)) for _ in range(rows)
     )
     return F2Matrix(rows, cols, bits)
+
+
+@st.composite
+def wide_matrices(draw, max_rows=10, max_cols=100):
+    """Matrices up to 100 columns whose rows are mostly sums of a few
+    base rows, so dependent and repeated rows are common."""
+    cols = draw(st.integers(0, max_cols))
+    top = (1 << cols) - 1
+    bases = draw(st.lists(st.integers(0, top), max_size=5))
+    rows = []
+    for _ in range(draw(st.integers(0, max_rows))):
+        if not bases or draw(st.booleans()) and draw(st.booleans()):
+            rows.append(draw(st.integers(0, top)))
+        else:
+            mask = draw(st.integers(0, (1 << len(bases)) - 1))
+            rows.append(sum_of(b for k, b in enumerate(bases) if (mask >> k) & 1))
+    return F2Matrix.from_rows(rows, cols)
+
+
+def sum_of(vectors) -> int:
+    acc = 0
+    for v in vectors:
+        acc ^= v
+    return acc
 
 
 @st.composite
@@ -291,8 +389,7 @@ def test_reduce_full_is_linear_and_avoids_pivots(vectors, a, b):
 
 @given(st.lists(st.integers(0, 63), max_size=6), st.integers(0, 63))
 def test_express_solver_recombines(gens, v):
-    xs = ExpressSolver(gens)
-    combo = xs.express(v)
+    combo = Echelon(gens).express(v)
     if v in span_closure(gens):
         assert combo is not None
         acc = 0
@@ -305,11 +402,82 @@ def test_express_solver_recombines(gens, v):
 
 
 def test_express_solver_tolerates_dependent_generators():
-    xs = ExpressSolver([0b01, 0b01, 0b10])
-    combo = xs.express(0b11)
+    combo = Echelon([0b01, 0b01, 0b10]).express(0b11)
     assert combo is not None
     picked = [g for i, g in enumerate([0b01, 0b01, 0b10]) if (combo >> i) & 1]
     acc = 0
     for g in picked:
         acc ^= g
     assert acc == 0b11
+
+
+# ---------------------------------------------------------------- oracles of record
+
+
+@given(wide_matrices(), st.data())
+def test_solve_matches_the_pivot_dict_elimination(m, data):
+    x = data.draw(st.integers(0, (1 << m.cols) - 1))
+    flip = data.draw(st.integers(0, (1 << m.rows) - 1))
+    # consistent systems by construction, and perturbed ones
+    for rhs in (m.matvec(x), m.matvec(x) ^ flip):
+        assert solve(m, rhs) == pivot_dict_solve(m, rhs)
+
+
+@given(wide_matrices())
+def test_kernel_basis_matches_the_sorted_list_elimination(m):
+    assert kernel_basis(m) == sorted_list_kernel(m)
+
+
+@given(wide_matrices(), st.data())
+def test_express_matches_the_pivot_dict_combinations(m, data):
+    gens = list(m.bits)
+    inside = sum_of(
+        g for g in gens if data.draw(st.booleans())
+    )
+    outside = data.draw(st.integers(0, (1 << m.cols) - 1))
+    ech = Echelon(gens)
+    for v in (inside, outside):
+        assert ech.express(v) == pivot_dict_express(gens, v)
+    assert ech.express(inside) is not None
+
+
+# ---------------------------------------------------------------- quotient spaces
+
+
+@given(wide_matrices(max_cols=80), st.data())
+def test_quotient_space_coordinates(m, data):
+    q = QuotientSpace(m.cols, m.bits)
+    assert q.full_dim == m.cols
+    assert q.dim == m.cols - rank(m)
+    c = data.draw(st.integers(0, (1 << q.dim) - 1))
+    assert q.coords(q.lift(c)) == c
+    v = data.draw(st.integers(0, (1 << m.cols) - 1))
+    # a vector and its canonical representative share coordinates
+    assert q.lift(q.coords(v)) == q.reduce(v)
+
+
+@given(wide_matrices(max_cols=80), st.data())
+def test_quotient_space_reduce_is_linear_and_pivot_free(m, data):
+    q = QuotientSpace(m.cols, m.bits)
+    a = data.draw(st.integers(0, (1 << m.cols) - 1))
+    b = data.draw(st.integers(0, (1 << m.cols) - 1))
+    ra, rb = q.reduce(a), q.reduce(b)
+    assert q.reduce(a ^ b) == ra ^ rb
+    assert not any((ra >> p) & 1 for p in q.ech.pivots())
+    assert in_span(a ^ ra, m.bits)
+    assert q.reduce(sum_of(m.bits)) == 0
+
+
+@given(wide_matrices(max_rows=6, max_cols=9))
+def test_quotient_space_classes_keep_their_order(m):
+    q = QuotientSpace(m.cols, m.bits)
+    piv = Echelon(m.bits).pivots()
+    reps = [1 << c for c in range(m.cols) if c not in piv]
+    # the order of record: subset masks over the non-pivot unit vectors
+    want = [
+        sum_of(r for k, r in enumerate(reps) if (mask >> k) & 1)
+        for mask in range(1 << len(reps))
+    ]
+    got = list(q.classes())
+    assert got == want and got[0] == 0
+    assert [q.coords(c) for c in got] == list(range(1 << q.dim))

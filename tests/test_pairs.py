@@ -137,9 +137,8 @@ def test_twin_counts_frozen(engines):
         tcps, unresolved = eng.enumerate_tcp()
         assert not unresolved
         assert len(tcps) == TCP_COUNTS[mn], mn
-        conc, _ = eng.enumerate_tcp(concentric_only=True)
+        conc = [p for p in tcps if eng.is_concentric(p)]
         assert len(conc) == CONCENTRIC_COUNTS[mn], mn
-        assert all(eng.is_concentric(p) for p in conc)
 
 
 def test_twin_enumeration_matches_direct_orthogonality(engines):
@@ -261,7 +260,9 @@ def test_h_vanishes_decides_on_a_single_witness_level(monkeypatch):
 
     monkeypatch.setattr(b, "triangle_enumerate", enum)
     monkeypatch.setattr(eng, "factoring_subspace", span)
-    assert eng.h_vanishes(x, zero_cp).is_yes
+    got = eng.h_vanishes(x, zero_cp)
+    assert got.is_yes
+    assert got.reason == "one witness only, so the cross-check did not run"
     assert caps == [2]
     assert len(spans) == 1
 
@@ -276,6 +277,7 @@ def test_h_vanishes_keeps_its_first_verdict_when_the_budget_runs_out(
     x = Obj.of(1)
     want = eng.h_vanishes(x, pair)
     assert not want.is_inconclusive
+    assert "cross-check" not in want.reason  # two witnesses were compared
     honest = b.triangle_enumerate
 
     def one_then_broke(*a, **k):
@@ -283,7 +285,11 @@ def test_h_vanishes_keeps_its_first_verdict_when_the_budget_runs_out(
         raise BudgetExceeded("triangle enumeration budget exhausted")
 
     monkeypatch.setattr(b, "triangle_enumerate", one_then_broke)
-    assert eng.h_vanishes(x, pair).state == want.state
+    got = eng.h_vanishes(x, pair)
+    assert got.state == want.state
+    assert got.reason == want.reason + (
+        "; one witness only, so the cross-check did not run"
+    )
 
     def broke(*a, **k):
         raise BudgetExceeded("triangle enumeration budget exhausted")
@@ -311,7 +317,7 @@ def test_factoring_subspace_pinned():
 
 def test_conditions_on_two_by_two_concentric_pairs(engines):
     eng = engines[(2, 2)]
-    conc, _ = eng.enumerate_tcp(concentric_only=True)
+    conc = [p for p in eng.enumerate_tcp()[0] if eng.is_concentric(p)]
     assert len(conc) == 5
     for p in conc:
         v2 = eng.check_condition_II(p)
@@ -369,7 +375,7 @@ def test_hovey_rejects_mismatched_classes(engines):
     # and final extension classes; every other instance has none.
     non_hovey = {(1, 3): 0, (1, 4): 0, (2, 2): 0, (2, 3): 4, (3, 2): 3}
     for mn, eng in engines.items():
-        conc, _ = eng.enumerate_tcp(concentric_only=True)
+        conc = [p for p in eng.enumerate_tcp()[0] if eng.is_concentric(p)]
         bad = 0
         for p in conc:
             ok, n = eng.is_hovey(p)
