@@ -97,14 +97,20 @@ class Verdict:
 
     @staticmethod
     def all_of(verdicts: Iterable["Verdict"]) -> "Verdict":
-        """Conjunction: no dominates, then inconclusive, then yes."""
+        """Conjunction: no dominates, then inconclusive, then yes.  A yes
+        keeps the distinct reasons of its parts, in order."""
         pending = None
+        reasons: list[str] = []
         for v in verdicts:
             if v.is_no:
                 return v
             if v.is_inconclusive:
                 pending = v
-        return pending if pending is not None else Verdict.yes()
+            elif v.reason and v.reason not in reasons:
+                reasons.append(v.reason)
+        if pending is not None:
+            return pending
+        return Verdict.yes(reason="; ".join(reasons) or None)
 
 
 @dataclass(frozen=True)
@@ -348,6 +354,10 @@ class Backend:
         """Completed triangle on f; returns (cone object, witness)."""
         self._need("exact_triangles")
         raise NotImplementedError
+
+    def cone_obj(self, f: Mor) -> Obj:
+        """Third object of the cone on f; backends may skip the maps."""
+        return self.cone(f)[0]
 
     def triangle_enumerate(self, xset, yset, c: Obj, cap: int, budget=None):
         self._need("exact_triangles")

@@ -116,7 +116,13 @@ class F2Matrix:
         return F2Matrix(self.rows, other.cols, tuple(out))
 
     def transpose(self) -> "F2Matrix":
-        return F2Matrix(self.cols, self.rows, tuple(self.column(c) for c in range(self.cols)))
+        cols = [0] * self.cols
+        for r, row in enumerate(self.bits):
+            while row:
+                low = row & -row
+                cols[low.bit_length() - 1] |= 1 << r
+                row ^= low
+        return F2Matrix(self.cols, self.rows, tuple(cols))
 
     def hstack(self, other: "F2Matrix") -> "F2Matrix":
         """Columns of self followed by columns of other."""

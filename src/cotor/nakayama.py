@@ -15,7 +15,9 @@ pushing out along injective envelopes (per vertex an
 the map) and deleting projective summands.  A module splits into
 uniserials along one basis of Jordan chains of its arrow action
 (``split_module``), and rank counting (``decompose_counts``) is the
-independent second route.  The shift Sigma and its inverse Omega, on
+independent second route.  ``cone_obj`` reads only the cone's object,
+by rank counting, for callers that need nothing else; ``cone`` builds
+the full triangle and checks its split against the rank count.  The shift Sigma and its inverse Omega, on
 objects and on maps, are read off one way (``_shift_layers``): the
 layers of the envelope, or of the projective cover, that the module
 does not occupy form the cosyzygy or syzygy.
@@ -329,6 +331,7 @@ class NakayamaBackend(Backend):
             self._shift_fwd.index(i) for i in range(len(self._indecs))
         )
         self._cone_cache: dict[tuple, TriangleWitness] = {}
+        self._cone_obj_cache: dict[tuple, Obj] = {}
         self._end_pairs: dict[tuple, Optional[_EndPair]] = {}
         self._shift_mor_cache: dict[tuple, Mor] = {}
 
@@ -684,18 +687,33 @@ class NakayamaBackend(Backend):
         if got is None:
             got = self._cone_impl(f)
             self._cone_cache[key] = got
+            self._cone_obj_cache.pop(key, None)
         return got.tri.c, got
 
-    def _cone_impl(self, f: Mor) -> TriangleWitness:
-        x, y = f.src, f.dst
-        a = self._assembled(x)
-        b = self._assembled(y)
+    def cone_obj(self, f: Mor) -> Obj:
+        """The third object of ``cone(f)``, by path-rank counting on the
+        cone module: no splitting and no triangle maps."""
+        key = (f.src, f.dst, f.coords)
+        wit = self._cone_cache.get(key)
+        if wit is not None:
+            return wit.tri.c
+        got = self._cone_obj_cache.get(key)
+        if got is None:
+            got = self.decompose_module(self._cone_module(f)[1])
+            self._cone_obj_cache[key] = got
+        return got
+
+    def _cone_module(self, f: Mor):
+        """Pushout of f along the envelope X -> E: per vertex, Y (+) E
+        modulo the columns of [f; iota].  Returns those quotient spaces,
+        the cone module, X[1] and the envelope's cosyzygy slots."""
+        a = self._assembled(f.src)
+        b = self._assembled(f.dst)
         fraw = self._raw_from_mor(f)
         env, iota, x1, slots = self._shift_layers(a, 1)
         m = self.m
         ydims = b.raw.dims
         edims = env.raw.dims
-        # Y (+) E modulo the columns of [f; iota] : A -> Y (+) E, per vertex
         quots: list[QuotientSpace] = []
         for v in range(m):
             q = QuotientSpace(
@@ -721,10 +739,20 @@ class NakayamaBackend(Backend):
                 cols.append(quots[w].coords(img))
             cone_mats.append(F2Matrix.from_rows(cols, cdims[w]).transpose())
         cone_raw = RawModule(m, self.n, tuple(cdims), tuple(cone_mats))
+        return quots, cone_raw, x1, slots
 
+    def _cone_impl(self, f: Mor) -> TriangleWitness:
+        x, y = f.src, f.dst
+        quots, cone_raw, x1, slots = self._cone_module(f)
+        m = self.m
+        ydims = self._assembled(y).raw.dims
+        cdims = cone_raw.dims
         types, to_canon, from_canon = split_module(cone_raw)
         nonproj = [t for t in types if t[1] < self.n]
         c_obj = Obj.from_iter(self._id_of_type(t) for t in nonproj)
+        # two routes to the object: the split and the path-rank count
+        if self.decompose_module(cone_raw) != c_obj:
+            raise InternalCheckError("cone split and rank count disagree")
         stable_asm = self._asm(tuple(nonproj))
         keep = [stable_asm.raw.dims[v] for v in range(m)]
         to_stable = [
@@ -894,7 +922,7 @@ class NakayamaBackend(Backend):
         masks, _ = self._dense_masks(pair.y1m, pair.x1_obj)
         for coords in range(pair.scanned + 1, upto + 1):
             if all(coords & mk for mk in masks):
-                cobj = self.cone(Mor(pair.y1m, pair.x1_obj, coords))[0]
+                cobj = self.cone_obj(Mor(pair.y1m, pair.x1_obj, coords))
                 pair.by_cone.setdefault(cobj, []).append(coords)
         pair.scanned = upto
 

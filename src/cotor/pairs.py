@@ -151,6 +151,7 @@ class PairEngine:
         self._cp_cache: dict[tuple[int, int], Verdict] = {}
         self._derived_cache: dict[tuple, DerivedSets] = {}
         self._cond_cache: dict[tuple[str, tuple], Verdict] = {}
+        self._h_cache: dict[tuple[Obj, tuple[int, int]], Verdict] = {}
         self._zi_cache: dict[tuple, object] = {}
         self._cp_enum: Optional[CPEnumeration] = None
         self._tcp_enum: Optional[list[TwinCotorsionPair]] = None
@@ -360,8 +361,16 @@ class PairEngine:
         x lies in the subspace of maps factoring through add(V).  The
         answer is triangle-independent, so a second witness of the same
         cap level is compared and any disagreement raises; when there is
-        none, or the budget runs out first, the reason says so.
+        none, or the budget runs out first, the reason says so.  The
+        verdict is stored per (x, pair).
         """
+        key = (x, pair.key())
+        got = self._h_cache.get(key)
+        if got is None:
+            got = self._h_cache[key] = self._h_vanishes_impl(x, pair)
+        return got
+
+    def _h_vanishes_impl(self, x: Obj, pair: CotorsionPair) -> Verdict:
         verdicts = []
         try:
             for w in self.star.witnesses(

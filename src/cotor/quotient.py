@@ -13,8 +13,9 @@ taking a direction: ``bracket(z, step)`` is a step through the core,
 ``adjoint(x, step)`` pulls an object of the outer class (+1) or of the
 inner coclass (-1) back into Z, and ``shift(z, step)`` is the
 suspension (+1) or desuspension (-1), the adjoint image of the bracket
-step the same way.  Every witness triangle comes from the star
-engine's escalating-cap search, ``StarEngine.witnesses``.
+step the same way.  Every witness triangle is the first one of the
+star engine's escalating-cap search, which the engine stores per search
+(``StarEngine.first_witness``).
 
 Witness triangles are unique only up to isomorphism, so object-level
 identities are asserted as quotient isomorphisms, never as equalities
@@ -101,7 +102,7 @@ class ZIQuotient:
     def _witness(self, x: Subcat, y: Subcat, c: Obj, what: str) -> Tri:
         # wide objects need at least their own width of split room
         star = self.engine.star
-        w = next(star.witnesses(x, y, c, len(c) + star.cap), None)
+        w = star.first_witness(x, y, c, len(c) + star.cap)
         if w is None:
             raise DecompositionMissing(
                 f"no {what} triangle for {c.summands} at the current cap"
@@ -296,7 +297,7 @@ class ZIQuotient:
         search is conclusive.
         """
         direct = self._iso_by_inverse(f)
-        cobj, _ = self.backend.cone(f)
+        cobj = self.backend.cone_obj(f)
         v = self.engine.star.star_contains(
             self.i_set, self.i_set.shifted(1), cobj, y_ext_closed=True
         )
@@ -454,8 +455,8 @@ class ZIQuotient:
         """
         star = self.engine.star
         top = len(x) + star.cap
-        w1 = next(star.witnesses(self.p.u, self.p.v.shifted(1), x, top), None)
-        w2 = next(star.witnesses(self.p.s.shifted(-1), self.p.t, x, top), None)
+        w1 = star.first_witness(self.p.u, self.p.v.shifted(1), x, top)
+        w2 = star.first_witness(self.p.s.shifted(-1), self.p.t, x, top)
         if w1 is None or w2 is None:
             return None, Verdict.inconclusive(
                 reason="decomposition triangles not found at the current cap"

@@ -222,8 +222,8 @@ class StarEngine:
         self.backend = backend
         self.cap = cap
         self.budget = budget
-        self._peel_memo: dict[tuple[int, int, Obj, int], Optional[tuple]] = {}
         self._pair_ext_cache: dict[tuple[int, int], list[Obj]] = {}
+        self._first_witness: dict[tuple[int, int, Obj, int], object] = {}
 
     # -- membership -------------------------------------------------------
 
@@ -302,9 +302,8 @@ class StarEngine:
                         budget[0] -= 1
                         if budget[0] < 0:
                             raise BudgetExceeded("peel search budget exhausted")
-                        g = Mor(obj, ysingle, coords)
-                        cone_obj, _ = b.cone(g)
-                        w = b.shift_obj(cone_obj, -1)
+                        cobj = b.cone_obj(Mor(obj, ysingle, coords))
+                        w = b.shift_obj(cobj, -1)
                         prev = best_seen.get(w)
                         if prev is not None and prev >= remaining - 1:
                             continue
@@ -347,6 +346,15 @@ class StarEngine:
                 yield w
             if found:
                 return
+
+    def first_witness(self, x: Subcat, y: Subcat, c: Obj, top: int):
+        """The first of ``witnesses(x, y, c, top)``, or None, stored per
+        key.  Only that one witness is kept, never the search; a
+        BudgetExceeded propagates on every call and is not stored."""
+        key = (x.bits, y.bits, c, top)
+        if key not in self._first_witness:
+            self._first_witness[key] = next(self.witnesses(x, y, c, top), None)
+        return self._first_witness[key]
 
     # -- star sets ----------------------------------------------------------
 
@@ -395,10 +403,10 @@ class StarEngine:
         out = []
         seen = set()
         for coords in range(1 << d):
-            cone_obj, _ = b.cone(Mor(bm, asingle, coords))
-            if cone_obj not in seen:
-                seen.add(cone_obj)
-                out.append(cone_obj)
+            cobj = b.cone_obj(Mor(bm, asingle, coords))
+            if cobj not in seen:
+                seen.add(cobj)
+                out.append(cobj)
         self._pair_ext_cache[key] = out
         return out
 

@@ -102,6 +102,13 @@ def sorted_list_kernel(matrix: F2Matrix) -> list[int]:
     return basis
 
 
+def per_column_transpose(matrix: F2Matrix) -> F2Matrix:
+    """Transpose built one ``column()`` at a time, over every row."""
+    return F2Matrix(
+        matrix.cols, matrix.rows, tuple(matrix.column(c) for c in range(matrix.cols))
+    )
+
+
 def pivot_dict_express(generators: list[int], vector: int):
     """Combination over generator indices, tracked beside each pivot row."""
     rows: dict[int, tuple[int, int]] = {}
@@ -231,6 +238,11 @@ def test_mul_identity_and_transpose(m):
     assert m.mul(F2Matrix.identity(m.cols)) == m
     assert F2Matrix.identity(m.rows).mul(m) == m
     assert m.transpose().transpose() == m
+
+
+@given(st.one_of(matrices(), wide_matrices()))
+def test_transpose_matches_the_per_column_oracle(m):
+    assert m.transpose() == per_column_transpose(m)
 
 
 @given(st.data())

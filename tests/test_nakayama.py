@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from cotor.core import BudgetExceeded, InputError, Mor, Obj
+from cotor.core import BudgetExceeded, InputError, InternalCheckError, Mor, Obj
 from cotor.f2 import F2Matrix, rank, solve
 from cotor.nakayama import (
     NakayamaBackend,
@@ -268,6 +268,38 @@ def test_cone_rotation_consistency(backends):
                 assert cg == b.shift_obj(x, 1)
                 seen += 1
     assert seen > 0
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cone_object_lane_matches_the_witness_in_either_order(m, n):
+    # Object first on one fresh backend, witness first on another, so
+    # each route answers once from an empty cache and once after the
+    # other.
+    rng = random.Random(100 * m + n)
+    probe = NakayamaBackend(m, n)
+    maps = set()
+    for _ in range(60):
+        x = _random_obj(rng, probe, 3)
+        y = _random_obj(rng, probe, 3)
+        maps.add(_random_mor(rng, probe, x, y))
+    obj_first, wit_first = NakayamaBackend(m, n), NakayamaBackend(m, n)
+    for f in sorted(maps, key=lambda f: (f.src, f.dst, f.coords)):
+        got = obj_first.cone_obj(f)
+        assert got == obj_first.cone(f)[0]
+        want, _ = wit_first.cone(f)
+        assert wit_first.cone_obj(f) == want == got
+    # a built witness answers for its key; the object entry is dropped
+    assert not obj_first._cone_obj_cache
+
+
+def test_cone_rejects_a_split_that_the_rank_count_contradicts(monkeypatch):
+    b = NakayamaBackend(2, 3)
+    honest = b.decompose_module
+    monkeypatch.setattr(b, "decompose_module", lambda raw: honest(raw).plus(Obj.of(0)))
+    f = Mor(Obj.of(1), Obj.of(0), 0)
+    with pytest.raises(InternalCheckError, match="rank count"):
+        b.cone(f)
 
 
 # ---------------------------------------------------------------- decomposition

@@ -7,6 +7,8 @@ enumeration.  It shares no pruning or perpendicular logic with the
 engine's sweep.
 """
 
+import itertools
+
 import pytest
 
 from cotor.core import BudgetExceeded, InputError, Obj
@@ -270,6 +272,8 @@ def test_h_vanishes_decides_on_a_single_witness_level(monkeypatch):
 def test_h_vanishes_keeps_its_first_verdict_when_the_budget_runs_out(
     monkeypatch,
 ):
+    # The verdict is stored per engine, so each injected enumerator gets
+    # a fresh engine on the same backend.
     eng = PairEngine(NakayamaBackend(2, 2))
     b = eng.backend
     s0 = Subcat.of(b, [0])
@@ -285,7 +289,7 @@ def test_h_vanishes_keeps_its_first_verdict_when_the_budget_runs_out(
         raise BudgetExceeded("triangle enumeration budget exhausted")
 
     monkeypatch.setattr(b, "triangle_enumerate", one_then_broke)
-    got = eng.h_vanishes(x, pair)
+    got = PairEngine(b).h_vanishes(x, pair)
     assert got.state == want.state
     assert got.reason == want.reason + (
         "; one witness only, so the cross-check did not run"
@@ -296,7 +300,67 @@ def test_h_vanishes_keeps_its_first_verdict_when_the_budget_runs_out(
         yield
 
     monkeypatch.setattr(b, "triangle_enumerate", broke)
-    assert eng.h_vanishes(x, pair).is_inconclusive
+    assert PairEngine(b).h_vanishes(x, pair).is_inconclusive
+
+
+def test_condition_III_carries_the_single_witness_note(monkeypatch):
+    # With S = T = U = V = add M(0,1) every heart test has two witnesses
+    # to compare, until an enumerator that stops after one is injected.
+    b = NakayamaBackend(2, 2)
+    s0 = CotorsionPair(Subcat.of(b, [0]), Subcat.of(b, [0]))
+    p = PairEngine(b).make_tcp(s0, s0)
+    honest = PairEngine(b).check_condition_III(p)
+    assert honest.is_yes and honest.reason is None
+    enum = b.triangle_enumerate
+    monkeypatch.setattr(
+        b, "triangle_enumerate", lambda *a, **k: itertools.islice(enum(*a, **k), 1)
+    )
+    got = PairEngine(b).check_condition_III(p)
+    assert got.is_yes
+    assert got.reason == "one witness only, so the cross-check did not run"
+
+
+def _record_cone_work(monkeypatch, b, log):
+    for name in ("triangle_enumerate", "cone", "cone_obj", "_cone_module"):
+        honest = getattr(b, name)
+
+        def wrapped(*a, _honest=honest, _name=name, **k):
+            log.append((_name, a))
+            return _honest(*a, **k)
+
+        monkeypatch.setattr(b, name, wrapped)
+
+
+def test_repeated_searches_are_answered_from_the_stored_results(monkeypatch):
+    b = NakayamaBackend(3, 2)
+    eng = PairEngine(b)
+    log: list = []
+    s0 = Subcat.of(b, [0])
+    pair = CotorsionPair(s0, right_perp(s0, -1))
+    assert eng.is_cotorsion_pair(pair.u, pair.v).is_yes
+    want = eng.h_vanishes(Obj.of(1), pair)
+    _record_cone_work(monkeypatch, b, log)
+    assert eng.h_vanishes(Obj.of(1), pair) is want
+    assert log == []
+
+    # Two concentric twin pairs on the outer pair (add{M(0,1), M(1,1)},
+    # add M(0,1)); the second one's outer decompositions were all found
+    # for the first.
+    tcps, _ = eng.enumerate_tcp()
+    outer = [
+        p for p in tcps
+        if eng.is_concentric(p) and p.u.labels() == ["M(0,1)", "M(1,1)"]
+        and p.v.labels() == ["M(0,1)"]
+    ]
+    assert [p.s.labels() for p in outer] == [["M(0,1)"], ["M(0,1)", "M(1,1)"]]
+    first, second = outer
+    eng.check_condition_I(first)
+    log.clear()
+    assert eng.check_condition_I(second).is_yes
+    assert not [a for name, a in log if name == "_cone_module"]
+    decomposition = (first.u.ids(), first.v.shifted(1).ids())
+    asked = [tuple(a[:2]) for name, a in log if name == "triangle_enumerate"]
+    assert asked and decomposition not in asked
 
 
 def test_factoring_subspace_pinned():

@@ -8,7 +8,7 @@ what the peel engine's yes side requires.
 
 import pytest
 
-from cotor.core import InputError, Obj, Verdict
+from cotor.core import BudgetExceeded, InputError, Obj, Verdict
 from cotor.nakayama import NakayamaBackend
 from cotor.polygon import PolygonBackend
 from cotor.subcats import (
@@ -263,6 +263,47 @@ def test_witnesses_escalate_past_empty_caps(monkeypatch):
     asked.clear()
     assert _tris(eng.witnesses(s0, y, Obj.of(0), 2)) == []
     assert asked == [2]
+
+
+def test_first_witness_is_the_first_of_the_search(monkeypatch):
+    b = NakayamaBackend(2, 3)
+    s0 = Subcat.of(b, [0])
+    y = right_perp(s0, -1).shifted(1)
+    cases = [(s0, y, Obj.of(i), top) for i in range(b.K) for top in (2, 4)]
+    cases += [(s0, s0, Obj.of(1), 4), (s0, y, Obj.of(0, 1), 4)]
+    found = 0
+    for x, yy, c, top in cases:
+        want = next(StarEngine(b).witnesses(x, yy, c, top), None)
+        eng = StarEngine(b)
+        got = eng.first_witness(x, yy, c, top)
+        if want is None:
+            assert got is None
+        else:
+            found += 1
+            assert (got.tri, got.provenance) == (want.tri, want.provenance)
+    assert 0 < found < len(cases)
+
+
+def test_first_witness_stores_answers_but_not_budget_failures(monkeypatch):
+    b = NakayamaBackend(2, 3)
+    s0 = Subcat.of(b, [0])
+    y = right_perp(s0, -1).shifted(1)
+    eng = StarEngine(b)
+    got = eng.first_witness(s0, y, Obj.of(1), 4)
+    none = eng.first_witness(s0, s0, Obj.of(1), 4)
+    assert got is not None and none is None
+
+    def searched(*a, **k):
+        raise AssertionError("a stored answer was searched again")
+
+    monkeypatch.setattr(b, "triangle_enumerate", searched)
+    assert eng.first_witness(s0, y, Obj.of(1), 4) is got
+    assert eng.first_witness(s0, s0, Obj.of(1), 4) is None
+    monkeypatch.undo()
+    broke = StarEngine(b, budget=0)
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded):
+            broke.first_witness(s0, y, Obj.of(1), 4)
 
 
 # ---------------------------------------------------------------- closure
