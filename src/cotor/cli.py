@@ -38,7 +38,8 @@ from .pairs import (
     trivial_pairs,
 )
 from .quotient import ZIQuotient
-from .subcats import DEFAULT_CAP, Subcat, closed_sets, left_perp, right_perp
+from .subcats import DEFAULT_CAP, Subcat, closed_sets, iter_bits
+from .subcats import left_perp, right_perp
 
 SCHEMA = "cotor.report/2"
 
@@ -420,11 +421,14 @@ def _suite_counts_polygon(
     rigid = polygon.enumerate_rigid(b)
     tris = polygon.triangulations_among(b, rigid)
     pt = polygon.enumerate_ptolemy(b)
-    rigid_bits = {s.bits for s in rigid}
+    # Rigid sets are closed under subsets, so a rigid set is maximal when
+    # every arc outside it crosses one of its members.
+    cross = b.crossing_masks
+    everything = Subcat.everything(b).bits
     maximal = {
         s.bits
         for s in rigid
-        if not any(s.bits != t and (s.bits & t) == s.bits for t in rigid_bits)
+        if all(cross[a] & s.bits for a in iter_bits(everything & ~s.bits))
     }
     tri_bits = {s.bits for s in tris}
     _claim(

@@ -251,10 +251,9 @@ class MutationEngine:
                     key = (src.summands, coords, m)
                     got = self._srt_classes.get(key)
                     if got is None:
-                        rt = self.q.standard_right_triangle(
-                            Mor(src, target, coords)
+                        got = self.q.class_of(
+                            self.q.standard_right_third(Mor(src, target, coords))
                         )
-                        got = self.q.class_of(rt["third"])
                         self._srt_classes[key] = got
                     if all(c in sig_classes for c in got):
                         return True

@@ -21,7 +21,7 @@ guess.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .core import (
     Backend,
@@ -34,7 +34,7 @@ from .core import (
 )
 from .f2 import in_span
 from .subcats import DEFAULT_CAP, StarEngine, Subcat, closed_sets
-from .subcats import hom_masks, left_perp, right_perp
+from .subcats import hom_masks, iter_bits, left_perp, right_perp
 
 
 @dataclass(frozen=True)
@@ -247,28 +247,47 @@ class PairEngine:
         """Inner-to-outer orthogonality, cross-checked three ways."""
         self._require_cp(inner)
         self._require_cp(outer)
-        return bool(self._twin_partners(inner, [outer.key()]))
+        return bool(next(self._twin_partners([inner], [outer.key()])))
 
     def _twin_partners(
-        self, inner: CotorsionPair, outers: list[tuple[int, int]]
-    ) -> list[int]:
-        """Indices of the outer (U, V) bitmask pairs that form a twin pair with
-        inner (S, T); Ext^1(S, V) = 0, S in U and V in T must all agree."""
-        s, t = inner.key()
-        s_ext = 0
-        for i in inner.u:
-            s_ext |= self._ext1[i]
-        found = []
+        self, inners: list[CotorsionPair], outers: list[tuple[int, int]]
+    ) -> Iterator[list[int]]:
+        """Per inner (S, T), the indices of the outer (U, V) bitmask pairs
+        that form a twin pair with it; Ext^1(S, V) = 0, S in U and V in T
+        must all agree.  Each criterion is one bitmask over the outers,
+        bit k for outer k, cut down by the outers' per-indecomposable
+        membership slices."""
+        n = len(self.backend.indecs)
+        in_u, in_v = [0] * n, [0] * n
         for k, (u, v) in enumerate(outers):
-            orth = not s_ext & v
-            if orth != (not s & ~u) or orth != (not v & ~t):
+            for i in iter_bits(u):
+                in_u[i] |= 1 << k
+            for i in iter_bits(v):
+                in_v[i] |= 1 << k
+        every = (1 << len(outers)) - 1
+        for inner in inners:
+            s, t = inner.key()
+            s_ext = 0
+            for i in inner.u:
+                s_ext |= self._ext1[i]
+            orth = s_sub = v_sub = every
+            for i in range(n):
+                if s_ext >> i & 1:
+                    orth &= ~in_v[i]
+                if s >> i & 1:
+                    s_sub &= in_u[i]
+                if not t >> i & 1:
+                    v_sub &= ~in_v[i]
+            if orth != s_sub or orth != v_sub:
+                bad = (orth ^ s_sub) | (orth ^ v_sub)
+                k = (bad & -bad).bit_length() - 1
                 raise InternalCheckError(
-                    f"equivalent twin-pair criteria disagree: orthogonality={orth}, "
-                    f"S-inclusion={not s & ~u}, V-inclusion={not v & ~t}"
+                    "equivalent twin-pair criteria disagree: "
+                    f"orthogonality={bool(orth >> k & 1)}, "
+                    f"S-inclusion={bool(s_sub >> k & 1)}, "
+                    f"V-inclusion={bool(v_sub >> k & 1)}"
                 )
-            if orth:
-                found.append(k)
-        return found
+            yield list(iter_bits(orth))
 
     def make_tcp(
         self, inner: CotorsionPair, outer: CotorsionPair
@@ -278,7 +297,8 @@ class PairEngine:
         return TwinCotorsionPair(inner, outer)
 
     def is_concentric(self, p: TwinCotorsionPair) -> bool:
-        return p.s.intersect(p.t) == p.u.intersect(p.v)
+        s, t, u, v = p.key()
+        return s & t == u & v
 
     def enumerate_tcp(self) -> tuple[list[TwinCotorsionPair], list[CotorsionPair]]:
         """All twin pairs of enumerated (so verified) pairs, by the three-way
@@ -287,10 +307,11 @@ class PairEngine:
         enum = self.enumerate_cotorsion()
         if self._tcp_enum is None:
             keys = [p.key() for p in enum.pairs]
+            partners = zip(enum.pairs, self._twin_partners(enum.pairs, keys))
             self._tcp_enum = [
                 TwinCotorsionPair(inner, enum.pairs[k])
-                for inner in enum.pairs
-                for k in self._twin_partners(inner, keys)
+                for inner, ks in partners
+                for k in ks
             ]
         return self._tcp_enum, enum.inconclusive
 

@@ -13,9 +13,10 @@ backend where the category sizes coincide.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import Backend, BackendCaps, Indec, InputError
-from .subcats import Subcat, enumerate_subcats
+from .subcats import Subcat, closed_sets, iter_bits, require_enumerable
 
 
 @dataclass(frozen=True)
@@ -103,6 +104,31 @@ class PolygonBackend(Backend):
     def ext_incidence(self, i: int, j: int) -> bool:
         return _crossing(self._arcs[i], self._arcs[j])
 
+    @cached_property
+    def crossing_masks(self) -> tuple[int, ...]:
+        """Per arc id, the bitmask of the arcs it crosses."""
+        k = len(self._arcs)
+        return tuple(
+            sum(1 << b for b in range(k) if _crossing(self._arcs[a], self._arcs[b]))
+            for a in range(k)
+        )
+
+    @cached_property
+    def connecting_masks(self) -> tuple[dict[int, int], ...]:
+        """Per arc id a, for each arc b crossing it, the bitmask of the
+        arcs joining an endpoint of a to one of b."""
+        out: tuple[dict[int, int], ...] = tuple({} for _ in self._arcs)
+        for a, arc in enumerate(self._arcs):
+            for b in iter_bits(self.crossing_masks[a]):
+                other = self._arcs[b]
+                out[a][b] = sum(
+                    1 << self._by_arc[Arc(min(p, q), max(p, q))]
+                    for p in (arc.i, arc.j)
+                    for q in (other.i, other.j)
+                    if _valid_arc(self.n, min(p, q), max(p, q))
+                )
+        return out
+
 
 def parse_spec(spec: str) -> PolygonBackend:
     """Build a backend from a string like ``polygon:N=5``."""
@@ -133,8 +159,15 @@ def is_rigid(backend: PolygonBackend, s: Subcat) -> bool:
 
 
 def enumerate_rigid(backend: PolygonBackend) -> list[Subcat]:
-    """All pairwise non-crossing arc sets, the empty one included."""
-    return enumerate_subcats(backend, lambda s: is_rigid(backend, s))
+    """All pairwise non-crossing arc sets, the empty one included, in
+    ascending bit order: the sets on arcs 0..i are those on arcs 0..i-1,
+    then the ones among them that cross no arc i, with arc i added."""
+    k = require_enumerable(backend)
+    cross = backend.crossing_masks
+    found = [0]
+    for i in range(k):
+        found += [s | 1 << i for s in found if not s & cross[i]]
+    return [Subcat(backend, s) for s in found]
 
 
 def enumerate_triangulations(backend: PolygonBackend) -> list[Subcat]:
@@ -166,8 +199,26 @@ def is_ptolemy(backend: PolygonBackend, s: Subcat) -> bool:
 
 
 def enumerate_ptolemy(backend: PolygonBackend) -> list[Subcat]:
-    """All crossing-closed arc sets."""
-    return enumerate_subcats(backend, lambda s: is_ptolemy(backend, s))
+    """All crossing-closed arc sets, in ascending bit order: the closed
+    sets of adding the connecting arcs of crossing members until none is
+    missing, which is a closure because crossing-closed sets are closed
+    under intersection."""
+    k = require_enumerable(backend)
+    cross = backend.crossing_masks
+    conn = backend.connecting_masks
+
+    def closure(bits: int) -> int:
+        todo = bits
+        while todo:
+            a = (todo & -todo).bit_length() - 1
+            todo &= todo - 1
+            for b in iter_bits(cross[a] & bits):
+                new = conn[a][b] & ~bits
+                bits |= new
+                todo |= new
+        return bits
+
+    return [Subcat(backend, bits) for bits in closed_sets(k, closure)]
 
 
 # ----------------------------------------------------------------------

@@ -381,20 +381,10 @@ class ZIQuotient:
         """
         b = self.backend
         x, y = f.src, f.dst
-        up_x, up_tri = self.bracket(x, 1)
-        iota = up_tri.g
-        if iota.src != x:
-            raise InternalCheckError("bracket witness has unexpected shape")
-        i_x = iota.dst
-        paired = _tuple_mor(b, [f, iota])
+        paired, up_tri = self._paired_with_core(f)
         cobj, wit = b.cone(paired)
-        if not self.p.u.contains_obj(cobj):
-            raise InternalCheckError(
-                "standard cone left the outer class, which the ambient "
-                "axioms forbid"
-            )
-        third, sigma_tri = self.adjoint(cobj, 1)
-        inj_y = _injection(b, [y, i_x], 0)
+        third, sigma_tri = self._outer_adjoint(cobj)
+        inj_y = _injection(b, [y, up_tri.g.dst], 0)
         if wit.tri.g.src != paired.dst:
             raise InternalCheckError("cone witness has unexpected shape")
         into_cone = b.compose(inj_y, wit.tri.g)
@@ -410,6 +400,32 @@ class ZIQuotient:
             "sigma_tri": sigma_tri,
             "up_tri": up_tri,
         }
+
+    def standard_right_third(self, f: Mor) -> Obj:
+        """The third object of ``standard_right_triangle(f)``, read from
+        the object of the standard cone alone: no cone maps and no second
+        map are built."""
+        paired, _ = self._paired_with_core(f)
+        return self._outer_adjoint(self.backend.cone_obj(paired))[0]
+
+    def _paired_with_core(self, f: Mor) -> tuple[Mor, Tri]:
+        """The map [f; iota] out of f's source, iota its upward bracket
+        into the core, with the bracket's witness triangle."""
+        up_tri = self.bracket(f.src, 1)[1]
+        iota = up_tri.g
+        if iota.src != f.src:
+            raise InternalCheckError("bracket witness has unexpected shape")
+        return _tuple_mor(self.backend, [f, iota]), up_tri
+
+    def _outer_adjoint(self, cobj: Obj) -> tuple[Obj, Tri]:
+        """The adjoint image of a standard cone, which must lie in the
+        outer class."""
+        if not self.p.u.contains_obj(cobj):
+            raise InternalCheckError(
+                "standard cone left the outer class, which the ambient "
+                "axioms forbid"
+            )
+        return self.adjoint(cobj, 1)
 
     def standard_left_triangle(self, f: Mor) -> dict:
         """Dual construction through the downward bracket and coadjoint."""

@@ -44,6 +44,14 @@ DEFAULT_CAP = 4
 DEFAULT_BUDGET = 500_000
 
 
+def iter_bits(bits: int) -> Iterator[int]:
+    """Positions of the set bits of a nonnegative int, ascending."""
+    while bits:
+        i = (bits & -bits).bit_length() - 1
+        yield i
+        bits &= bits - 1
+
+
 class Subcat:
     """Immutable set of indecomposable ids bound to one backend."""
 
@@ -94,11 +102,7 @@ class Subcat:
         return bool((self.bits >> ind_id) & 1)
 
     def __iter__(self) -> Iterator[int]:
-        rest = self.bits
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            yield i
-            rest &= rest - 1
+        return iter_bits(self.bits)
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -223,6 +227,7 @@ class StarEngine:
         self.cap = cap
         self.budget = budget
         self._pair_ext_cache: dict[tuple[int, int], list[Obj]] = {}
+        self._peel_table: dict[tuple[tuple[int, ...], int], tuple] = {}
         self._first_witness: dict[tuple[int, int, Obj, int], object] = {}
 
     # -- membership -------------------------------------------------------
@@ -255,7 +260,7 @@ class StarEngine:
 
     def _peel_verdict(self, x: Subcat, y: Subcat, c: Obj) -> Verdict:
         try:
-            chain = self._peel_search(x, y, c, self.cap + 1, [self.budget])
+            chain = self._peel_search(x, y, c, self.cap + 1, self.budget)
         except BudgetExceeded:
             return Verdict.inconclusive(reason="peel budget exhausted")
         if chain is not None:
@@ -274,8 +279,23 @@ class StarEngine:
             f"{self.cap} and {self.cap + 1} agree)"
         )
 
+    def _peel_moves(self, obj: Obj, yid: int) -> tuple[tuple[int, Obj], ...]:
+        """Every nonzero peel of y out of obj: (coords, cocone) for each
+        map obj -> y, the cocone being cone(map)[-1].  Built on first use
+        and stored per (obj.summands, yid)."""
+        key = (obj.summands, yid)
+        got = self._peel_table.get(key)
+        if got is None:
+            b = self.backend
+            ysingle = Obj.of(yid)
+            got = self._peel_table[key] = tuple(
+                (coords, b.shift_obj(b.cone_obj(Mor(obj, ysingle, coords)), -1))
+                for coords in range(1, 1 << b.hom_dim(obj, ysingle))
+            )
+        return got
+
     def _peel_search(
-        self, x: Subcat, y: Subcat, c: Obj, depth: int, budget: list[int]
+        self, x: Subcat, y: Subcat, c: Obj, depth: int, budget: int
     ) -> Optional[tuple[list, Obj]]:
         """Shortest chain of Y-summand peels from c into add(x).
 
@@ -283,9 +303,11 @@ class StarEngine:
         map has zero component on every Y-summand, the second map is
         zero outright, which splits the triangle and puts the middle
         term in add(x) already; the membership check at state entry
-        covers that branch.
+        covers that branch.  Every peel costs one budget unit; a state's
+        peels of one summand are charged together, which raises at the
+        same point as charging them one by one, since the search only
+        stops at state entry.
         """
-        b = self.backend
         frontier: list[tuple[Obj, list]] = [(c, [])]
         best_seen: dict[Obj, int] = {c: depth}
         for remaining in range(depth, -1, -1):
@@ -296,14 +318,11 @@ class StarEngine:
                 if remaining == 0:
                     continue
                 for yid in y:
-                    ysingle = Obj.of(yid)
-                    d = b.hom_dim(obj, ysingle)
-                    for coords in range(1, 1 << d):
-                        budget[0] -= 1
-                        if budget[0] < 0:
-                            raise BudgetExceeded("peel search budget exhausted")
-                        cobj = b.cone_obj(Mor(obj, ysingle, coords))
-                        w = b.shift_obj(cobj, -1)
+                    moves = self._peel_moves(obj, yid)
+                    budget -= len(moves)
+                    if budget < 0:
+                        raise BudgetExceeded("peel search budget exhausted")
+                    for coords, w in moves:
                         prev = best_seen.get(w)
                         if prev is not None and prev >= remaining - 1:
                             continue
@@ -440,16 +459,23 @@ class StarEngine:
             r = merged
 
 
-def enumerate_subcats(
-    backend: Backend, pred: Callable[[Subcat], bool]
-) -> list[Subcat]:
-    """All subcats satisfying pred, in canonical bit order."""
+def require_enumerable(backend: Backend) -> int:
+    """The number of indecomposables, if classes of them may be listed."""
     k = len(backend.indecs)
     if k > MAX_ENUM_INDECS:
         raise InputError(
             f"subcategory enumeration needs at most {MAX_ENUM_INDECS} "
             f"indecomposables, backend has {k}"
         )
+    return k
+
+
+def enumerate_subcats(
+    backend: Backend, pred: Callable[[Subcat], bool]
+) -> list[Subcat]:
+    """All subcats satisfying pred, in canonical bit order, by testing
+    every one of the 2^K subsets."""
+    k = require_enumerable(backend)
     out = []
     for bits in range(1 << k):
         s = Subcat(backend, bits)

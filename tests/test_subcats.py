@@ -10,7 +10,7 @@ import pytest
 
 from cotor.core import BudgetExceeded, InputError, Obj, Verdict
 from cotor.nakayama import NakayamaBackend
-from cotor.polygon import PolygonBackend
+from cotor.polygon import PolygonBackend, enumerate_ptolemy, enumerate_rigid
 from cotor.subcats import (
     StarEngine,
     Subcat,
@@ -357,5 +357,7 @@ def test_enumerate_subcats_is_exhaustive(b22):
 
 def test_enumerate_subcats_size_guard():
     wide = PolygonBackend(10)  # 35 arcs, above the enumeration limit
-    with pytest.raises(InputError):
-        enumerate_subcats(wide, lambda s: True)
+    sweep = lambda b: enumerate_subcats(b, lambda s: True)  # noqa: E731
+    for walk in (sweep, enumerate_rigid, enumerate_ptolemy):
+        with pytest.raises(InputError, match="at most 27 indecomposables"):
+            walk(wide)
