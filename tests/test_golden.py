@@ -5,7 +5,9 @@ sorted keys (for ``orbit-graph``, of the DOT text), recorded before the
 shared linear-algebra helpers were merged; the two ``--suite bijection``
 digests were recorded before the quotient cotorsion pairs were walked as
 closed sets; the last four are the digests the benchmark gates on
-(perfbench/expected.json), recorded with the same hashing.  The envelope
+(perfbench/expected.json), recorded with the same hashing; the K = 12
+``nakayama:m=4,n=4`` digest was recorded before the mutation layer
+stored its answers and took peel searches on both sides.  The envelope
 is not hashed, so schema and settings changes do not trip these checks;
 any change to a verdict, a count, a label or a witness coordinate does.
 """
@@ -67,6 +69,10 @@ GOLDEN = [
     (
         ["verify", "--suite", "counts", "--backend", "polygon:N=7"],
         "ede31eaa6572025b7524cd677928ec370a21ce4b77fe161a967574674ecc0a2a",
+    ),
+    (
+        ["verify", "--suite", "all", "--backend", "nakayama:m=4,n=4"],
+        "5cdae7f8b8bf4b017a02f5942bfde00afa34e92346a60c4010522583e195d9c3",
     ),
 ]
 
