@@ -13,13 +13,19 @@ computed along two independent routes (star product versus adjoint
 preimage) that must agree, and the verification report enumerates
 both sides of the correspondence independently before matching them.
 Both sides walk the closed sets of a perpendicular closure, over the
-ambient or the quotient Ext^1, and certify each candidate.
+ambient or the quotient Ext^1, and certify each candidate.  The star
+routes run on the peel engine, each in the direction of its
+extension-closed side.  The engine stores the answers of descent, lift
+and membership per input, so those cross-checks run once per distinct
+input however often the action laws compose them; a raised error is
+never stored.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Callable
 
 from .core import InputError, InternalCheckError, Mor, Obj, multisets_over
 from .pairs import CotorsionPair, PairEngine, TwinCotorsionPair
@@ -51,6 +57,17 @@ class MutationEngine:
         self.cond_I = engine.check_condition_I(p)
         self._srt_classes: dict[tuple, tuple] = {}
         self._perms: dict[int, dict[int, int]] = {}
+        self._descents: dict[tuple[int, int], ZICotorsionPair] = {}
+        self._lifts: dict[ZICotorsionPair, CotorsionPair] = {}
+        self._members: dict[tuple[int, int], bool] = {}
+
+    @staticmethod
+    def _stored(table: dict, key, compute: Callable, arg):
+        """compute(arg), stored in table under key once it returns."""
+        got = table.get(key)
+        if got is None:
+            got = table[key] = compute(arg)
+        return got
 
     @property
     def preconditions_met(self) -> bool:
@@ -78,6 +95,9 @@ class MutationEngine:
         return tuple(sorted(out))
 
     def R_map(self, cp: CotorsionPair) -> ZICotorsionPair:
+        return self._stored(self._descents, cp.key(), self._descend, cp)
+
+    def _descend(self, cp: CotorsionPair) -> ZICotorsionPair:
         return ZICotorsionPair.of(
             self.adjoint_bar(cp.u, 1), self.adjoint_bar(cp.v, -1)
         )
@@ -104,14 +124,18 @@ class MutationEngine:
         Star route and adjoint-preimage route are both computed and
         must agree; the result is verified as a cotorsion pair.
         """
+        return self._stored(self._lifts, zp, self._pull_back, zp)
+
+    def _pull_back(self, zp: ZICotorsionPair) -> CotorsionPair:
         # Candidates outside U and T are discarded by the intersection,
-        # so the literal sweeps never need to decide them.
+        # so the sweeps never need to decide them.  S[-1] and V[1] are
+        # shifted cotorsion-pair sides, hence extension-closed.
         p, star = self.p, self.engine.star
         a_star_raw, ok_a = star.star_indecs(
-            p.s.shifted(-1), self.lift(zp.l), within=p.u
+            p.s.shifted(-1), self.lift(zp.l), closed="x", within=p.u
         )
         b_star_raw, ok_b = star.star_indecs(
-            self.lift(zp.r), p.v.shifted(1), within=p.t
+            self.lift(zp.r), p.v.shifted(1), closed="y", within=p.t
         )
         a_star = p.u.intersect(a_star_raw)
         b_star = p.t.intersect(b_star_raw)
@@ -145,18 +169,20 @@ class MutationEngine:
 
     def in_MP(self, cp: CotorsionPair) -> bool:
         """Mutable-class membership, two characterizations cross-checked."""
+        return self._stored(self._members, cp.key(), self._member, cp)
+
+    def _member(self, cp: CotorsionPair) -> bool:
         v = self.engine.is_cotorsion_pair(cp.u, cp.v)
         if not v.is_yes:
             raise InputError(
                 f"membership test needs a verified cotorsion pair ({v.state})"
             )
         p = self.p
-        sandwich = (
-            p.s.issubset(cp.u)
-            and cp.u.issubset(p.u)
-            and p.v.issubset(cp.v)
-            and cp.v.issubset(p.t)
-        )
+        if not (cp.u.issubset(p.u) and cp.v.issubset(p.t)):
+            # Both routes are false on bits alone: the sandwich needs
+            # U' in U and V' in T, and the fixed-point classes lie there.
+            return False
+        sandwich = p.s.issubset(cp.u) and p.v.issubset(cp.v)
         by_def = sandwich
         if sandwich:
             for a in cp.u:
@@ -172,12 +198,8 @@ class MutationEngine:
         # The second star arguments are classes of verified pairs, hence
         # extension-closed, which the peel engine's yes side requires.
         star = self.engine.star
-        fa_raw, ok_a = star.star_indecs(
-            p.s.shifted(-1), cp.u, y_ext_closed=True, within=p.u
-        )
-        fb_raw, ok_b = star.star_indecs(
-            cp.v, p.v.shifted(1), y_ext_closed=True, within=p.t
-        )
+        fa_raw, ok_a = star.star_indecs(p.s.shifted(-1), cp.u, closed="y", within=p.u)
+        fb_raw, ok_b = star.star_indecs(cp.v, p.v.shifted(1), closed="y", within=p.t)
         if ok_a and ok_b:
             by_fixed_point = (
                 p.u.intersect(fa_raw) == cp.u and p.t.intersect(fb_raw) == cp.v

@@ -198,9 +198,7 @@ class PairEngine:
         states = []
         v1 = v.shifted(1)
         for c in range(len(b.indecs)):
-            verdict = self.star.star_contains(
-                u, v1, Obj.of(c), y_ext_closed=True
-            )
+            verdict = self.star.star_contains(u, v1, Obj.of(c), closed="y")
             if verdict.is_no:
                 return Verdict.no(
                     reason=f"{b.label_of(c)} admits no decomposition triangle"
@@ -330,10 +328,8 @@ class PairEngine:
             raise InputError("derived classes need a concentric twin pair")
         core = p.s.intersect(p.t)
         z = p.t.intersect(p.u)
-        n_i, ok_i = self.star.star_indecs(p.s, p.v.shifted(1), y_ext_closed=True)
-        n_f, ok_f = self.star.star_indecs(
-            p.s.shifted(-1), p.v, y_ext_closed=True
-        )
+        n_i, ok_i = self.star.star_indecs(p.s, p.v.shifted(1), closed="y")
+        n_f, ok_f = self.star.star_indecs(p.s.shifted(-1), p.v, closed="y")
         complete = ok_i and ok_f
         if complete:
             if p.u.intersect(n_i) != p.s:
@@ -475,7 +471,7 @@ class PairEngine:
         from .quotient import ZIQuotient
 
         d = self.derived_sets(p)
-        tu, complete = self.star.star_indecs(p.t, p.u, y_ext_closed=True)
+        tu, complete = self.star.star_indecs(p.t, p.u, closed="y")
         q = ZIQuotient.for_pair(self, p)
         parts = []
         for xx in tu:

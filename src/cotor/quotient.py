@@ -299,7 +299,7 @@ class ZIQuotient:
         direct = self._iso_by_inverse(f)
         cobj = self.backend.cone_obj(f)
         v = self.engine.star.star_contains(
-            self.i_set, self.i_set.shifted(1), cobj, y_ext_closed=True
+            self.i_set, self.i_set.shifted(1), cobj, closed="y"
         )
         if not v.is_inconclusive and v.is_yes != direct:
             raise InternalCheckError(

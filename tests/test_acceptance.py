@@ -33,6 +33,7 @@ from cotor.polygon import (
 )
 from cotor.quotient import ZIQuotient
 from cotor.subcats import Subcat, left_perp, right_perp
+from helpers import ext_closure
 
 INSTANCES = [(1, 3), (1, 4), (2, 2), (2, 3), (3, 2)]
 
@@ -57,8 +58,8 @@ def all_tcps(eng):
 def extension_classes(eng, p):
     """Initial and final extension classes of any twin pair, with the
     second star argument extension-closed so the peel route is exact."""
-    n_i, ok_i = eng.star.star_indecs(p.s, p.v.shifted(1), y_ext_closed=True)
-    n_f, ok_f = eng.star.star_indecs(p.s.shifted(-1), p.v, y_ext_closed=True)
+    n_i, ok_i = eng.star.star_indecs(p.s, p.v.shifted(1), closed="y")
+    n_f, ok_f = eng.star.star_indecs(p.s.shifted(-1), p.v, closed="y")
     assert ok_i and ok_f
     return n_i, n_f
 
@@ -330,7 +331,7 @@ def test_criterion_10_hovey_suite(engines):
             if not verdict.is_yes:
                 continue
             assert n.shifted(1) == n, (mn, p.as_labels())
-            closed, complete = eng.star.ext_closure(n)
+            closed, complete = ext_closure(eng.star, n)
             assert complete and closed == n, (mn, p.as_labels())
             assert p.u == left_perp(p.v, 1)
             assert p.t == right_perp(p.s, -1)

@@ -6,8 +6,9 @@ shared linear-algebra helpers were merged; the two ``--suite bijection``
 digests were recorded before the quotient cotorsion pairs were walked as
 closed sets; the last four are the digests the benchmark gates on
 (perfbench/expected.json), recorded with the same hashing; the K = 12
-``nakayama:m=4,n=4`` digest was recorded before the mutation layer
-stored its answers and took peel searches on both sides.  The envelope
+``nakayama:m=4,n=4`` digest and the K = 9 ``nakayama:m=3,n=4`` bijection
+digest were recorded before the mutation layer stored its answers and
+took peel searches on both sides (the latter in a 40-minute run).  The envelope
 is not hashed, so schema and settings changes do not trip these checks;
 any change to a verdict, a count, a label or a witness coordinate does.
 """
@@ -73,6 +74,10 @@ GOLDEN = [
     (
         ["verify", "--suite", "all", "--backend", "nakayama:m=4,n=4"],
         "5cdae7f8b8bf4b017a02f5942bfde00afa34e92346a60c4010522583e195d9c3",
+    ),
+    (
+        ["verify", "--suite", "bijection", "--backend", "nakayama:m=3,n=4"],
+        "243df5b0ed293ea8532ae290674e2ec3bcebaf4f7529b02b482058879a4d0b58",
     ),
 ]
 

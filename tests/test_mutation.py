@@ -8,11 +8,12 @@ doubled pairs have zero quotients and a one-element mutable class.
 
 import pytest
 
-from cotor.core import InputError
+from cotor import cli
+from cotor.core import InputError, InternalCheckError
 from cotor.nakayama import NakayamaBackend
 from cotor.pairs import CotorsionPair, PairEngine, trivial_hovey_tcp
 from cotor.mutation import MutationEngine, ZICotorsionPair
-from cotor.subcats import Subcat
+from cotor.subcats import StarEngine, Subcat
 
 CP_COUNTS = {(1, 3): 2, (1, 4): 2, (2, 2): 4}
 
@@ -90,8 +91,11 @@ def test_doubled_pair_has_singleton_mutable_class(mut_doubled):
 
 def test_membership_needs_a_verified_pair(mut22):
     b = mut22.backend
-    with pytest.raises(InputError):
-        mut22.in_MP(CotorsionPair(Subcat.of(b, [0]), Subcat.of(b, [1])))
+    unverified = CotorsionPair(Subcat.of(b, [0]), Subcat.of(b, [1]))
+    # The refusal is not stored as an answer: it comes back every time.
+    for _ in range(2):
+        with pytest.raises(InputError):
+            mut22.in_MP(unverified)
 
 
 # ---------------------------------------------------------------- quotient pairs
@@ -212,3 +216,68 @@ def test_orbit_graph_structure(mut22):
     swaps = [e for e in edges if e[0] != e[1]]
     assert len(loops) == 2 and len(swaps) == 2
     assert swaps[0] == (swaps[1][1], swaps[1][0])
+
+
+# ---------------------------------------------------------------- stored answers
+
+
+def test_bijection_sweeps_once_per_distinct_input(monkeypatch, capsys):
+    # verify_bijection asks I_map and in_MP the same questions many times
+    # over; each distinct question runs its two star sweeps at most once.
+    calls = {"I_map": 0, "in_MP": 0, "star_indecs": 0}
+    asked = {"I_map": set(), "in_MP": set()}
+    inside = []
+    honest = {
+        name: getattr(MutationEngine, name)
+        for name in ("I_map", "in_MP", "verify_bijection")
+    }
+    honest_star = StarEngine.star_indecs
+
+    def record(name, key):
+        def wrapper(self, arg):
+            calls[name] += 1
+            asked[name].add((self, key(arg)))
+            return honest[name](self, arg)
+
+        return wrapper
+
+    def verify(self):
+        inside.append(True)
+        try:
+            return honest["verify_bijection"](self)
+        finally:
+            inside.pop()
+
+    def star_indecs(self, *args, **kwargs):
+        calls["star_indecs"] += bool(inside)
+        return honest_star(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_ENGINE_MEMO", {})
+    monkeypatch.setattr(MutationEngine, "I_map", record("I_map", lambda zp: zp))
+    monkeypatch.setattr(MutationEngine, "in_MP", record("in_MP", lambda cp: cp.key()))
+    monkeypatch.setattr(MutationEngine, "verify_bijection", verify)
+    monkeypatch.setattr(StarEngine, "star_indecs", star_indecs)
+    argv = ["verify", "--suite", "bijection", "--backend", "nakayama:m=2,n=4"]
+    assert cli.main(argv) == 0
+    distinct = len(asked["I_map"]) + len(asked["in_MP"])
+    assert calls["I_map"] > len(asked["I_map"]) and calls["in_MP"] > len(asked["in_MP"])
+    assert 0 < calls["star_indecs"] <= 2 * distinct
+
+
+def test_a_disagreeing_star_route_raises_on_every_call(mut22, monkeypatch):
+    eng, b = mut22.engine, mut22.backend
+    cp = pair_of(eng, ["M(0,1)"])
+    zp = mut22.R_map(cp)
+    fresh = MutationEngine(eng, mut22.p)
+    monkeypatch.setattr(
+        StarEngine, "star_indecs", lambda self, x, y, **kw: (Subcat.empty(b), True)
+    )
+    for _ in range(2):
+        with pytest.raises(InternalCheckError, match="lift routes disagree"):
+            fresh.I_map(zp)
+        with pytest.raises(InternalCheckError, match="characterizations disagree"):
+            fresh.in_MP(cp)
+    monkeypatch.undo()
+    # Nothing was stored while the routes disagreed.
+    assert fresh.I_map(zp).key() == cp.key()
+    assert fresh.in_MP(cp)

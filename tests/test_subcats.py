@@ -1,15 +1,16 @@
 """Subcategory bitsets, perpendiculars, and the star-product engines.
 
-The peel and literal engines are independent search strategies for the
-same membership question, so their answers are compared on every case
-where the second class is known to be closed under extensions, which is
-what the peel engine's yes side requires.
+The peel engine and the literal triangle enumerator are independent
+search strategies for the same membership question, so their answers are
+compared on cases where the stripped side is known to be closed under
+extensions, which is what the peel engine's yes side requires.
 """
 
 import pytest
 
 from cotor.core import BudgetExceeded, InputError, Obj, Verdict
 from cotor.nakayama import NakayamaBackend
+from cotor.pairs import PairEngine
 from cotor.polygon import PolygonBackend, enumerate_ptolemy, enumerate_rigid
 from cotor.subcats import (
     StarEngine,
@@ -18,6 +19,7 @@ from cotor.subcats import (
     left_perp,
     right_perp,
 )
+from helpers import ext_closure, literal_contains
 
 
 @pytest.fixture(scope="module")
@@ -129,20 +131,21 @@ def test_perp_requires_morphism_calculus():
 def test_star_trivial_routes(b22):
     eng = StarEngine(b22)
     x, y = Subcat.of(b22, [0]), Subcat.of(b22, [1])
-    assert eng.star_contains(x, y, Obj.zero()).is_yes
-    assert eng.star_contains(x, Subcat.empty(b22), Obj.of(0)).is_yes
-    assert eng.star_contains(x, Subcat.empty(b22), Obj.of(1)).is_no
-    assert eng.star_contains(Subcat.empty(b22), y, Obj.of(1)).is_yes
-    assert eng.star_contains(Subcat.empty(b22), y, Obj.of(0)).is_no
-    # One-sided membership never needs a search.
-    assert eng.star_contains(x, y, Obj.of(0, 0)).is_yes
+    for side in ("x", "y"):
+        assert eng.star_contains(x, y, Obj.zero(), closed=side).is_yes
+        assert eng.star_contains(x, Subcat.empty(b22), Obj.of(0), closed=side).is_yes
+        assert eng.star_contains(x, Subcat.empty(b22), Obj.of(1), closed=side).is_no
+        assert eng.star_contains(Subcat.empty(b22), y, Obj.of(1), closed=side).is_yes
+        assert eng.star_contains(Subcat.empty(b22), y, Obj.of(0), closed=side).is_no
+        # One-sided membership never needs a search.
+        assert eng.star_contains(x, y, Obj.of(0, 0), closed=side).is_yes
 
 
 def test_star_covers_the_cotorsion_identity(b22):
     # For the (S0, S0) pair the whole category is S0 * S0[1].
     eng = StarEngine(b22)
     s0 = Subcat.from_labels(b22, ["M(0,1)"])
-    got, complete = eng.star_indecs(s0, s0.shifted(1), y_ext_closed=True)
+    got, complete = eng.star_indecs(s0, s0.shifted(1), closed="y")
     assert complete
     assert got == Subcat.everything(b22)
 
@@ -162,8 +165,8 @@ def test_peel_and_literal_engines_agree(b14, b23):
         for x in singles:
             for y in ys:
                 for c in objs:
-                    via_peel = eng.star_contains(x, y, c, y_ext_closed=True)
-                    via_literal = eng.star_contains(x, y, c)
+                    via_peel = eng.star_contains(x, y, c, closed="y")
+                    via_literal = literal_contains(eng, x, y, c)
                     if via_peel.is_inconclusive or via_literal.is_inconclusive:
                         continue
                     both_definite += 1
@@ -174,23 +177,69 @@ def test_peel_and_literal_engines_agree(b14, b23):
         assert both_definite >= floor
 
 
-def test_auto_engine_routes_by_closure_flag(b22):
+# Every Nakayama backend with at most 9 indecomposables (K = m(n-1)).
+UP_TO_NINE = [(m, n) for n in range(2, 11) for m in range(1, 10) if m * (n - 1) <= 9]
+
+
+def extension_closed_classes(b):
+    """The sides of every cotorsion pair and their shifts by one either
+    way; each is closed under extensions."""
+    found = set()
+    for cp in PairEngine(b).enumerate_cotorsion().pairs:
+        for side in (cp.u, cp.v):
+            found.update(side.shifted(k).bits for k in (-1, 0, 1))
+    return [Subcat(b, bits) for bits in sorted(found)]
+
+
+# The literal enumerator's cost grows steeply with the cap: cap 1 covers
+# every backend in about ten seconds, cap 2 the small ones.
+@pytest.mark.parametrize(
+    "mn,cap",
+    [(mn, 1) for mn in UP_TO_NINE]
+    + [(mn, 2) for mn in UP_TO_NINE if mn[0] * (mn[1] - 1) <= 5],
+    ids=lambda v: str(v),
+)
+def test_both_peel_directions_match_the_literal_enumerator(mn, cap):
+    # The vouched side runs over the extension-closed classes, the other
+    # over the single indecomposables and the whole category, and C over
+    # the indecomposables; every verdict must be definite and agree.
+    b = NakayamaBackend(*mn)
+    eng = StarEngine(b, cap=cap)
+    others = [Subcat.of(b, [i]) for i in range(b.K)] + [Subcat.everything(b)]
+    for closed in extension_closed_classes(b):
+        for other in others:
+            for side, x, y in (("x", closed, other), ("y", other, closed)):
+                for i in range(b.K):
+                    c = Obj.of(i)
+                    peel = eng.star_contains(x, y, c, closed=side)
+                    literal = literal_contains(eng, x, y, c)
+                    assert not literal.is_inconclusive
+                    assert peel.state == literal.state, (
+                        side, x.labels(), y.labels(), b.label_of(i)
+                    )
+
+
+def test_star_contains_takes_the_named_closed_side(b22):
     eng = StarEngine(b22)
     x = Subcat.of(b22, [0])
     y = right_perp(x, -1)
     c = Obj.of(1)
-    auto = eng.star_contains(x, y, c, y_ext_closed=True)
-    literal = eng.star_contains(x, y, c)
-    assert auto.state == literal.state
+    peel = eng.star_contains(x, y, c, closed="y")
+    assert peel.state == literal_contains(eng, x, y, c).state
+    for side in (None, "both", True):
+        with pytest.raises(InputError):
+            eng.star_contains(x, y, c, closed=side)
+    with pytest.raises(TypeError):
+        eng.star_contains(x, y, c)
 
 
 def test_star_indecs_within_restricts_candidates(b23):
     eng = StarEngine(b23)
     x = Subcat.of(b23, [0, 1])
     y = right_perp(x, -1)
-    full, ok_full = eng.star_indecs(x, y, y_ext_closed=True)
+    full, ok_full = eng.star_indecs(x, y, closed="y")
     w = Subcat.of(b23, [0, 2])
-    part, ok_part = eng.star_indecs(x, y, y_ext_closed=True, within=w)
+    part, ok_part = eng.star_indecs(x, y, closed="y", within=w)
     assert ok_full and ok_part
     assert part == full.intersect(w)
 
@@ -199,12 +248,13 @@ def test_star_budget_degrades_to_inconclusive(b23):
     eng = StarEngine(b23, budget=1)
     x = Subcat.of(b23, [0])
     y = right_perp(x, -1)
-    c = Obj.of(2, 3)
-    v = eng.star_contains(x, y, c)
+    v = eng.star_contains(x, y, Obj.of(1, 2), closed="y")
+    assert v.is_inconclusive and v.reason == "peel budget exhausted"
+    _, complete = eng.star_indecs(x, y, closed="y")
+    assert isinstance(complete, bool)
+    v = eng._literal_verdict(x, y, Obj.of(2, 3))
     if not v.is_yes:  # a first-shot witness can legitimately beat the budget
         assert v.is_inconclusive
-    _, complete = eng.star_indecs(x, Subcat.of(b23, [1]))
-    assert isinstance(complete, bool)
 
 
 def test_find_witness_returns_checked_triangles(b22):
@@ -337,12 +387,12 @@ def test_pairwise_closure_predicate():
 def test_ext_closure_fixed_points(b22):
     eng = StarEngine(b22)
     s0 = Subcat.of(b22, [0])
-    closed, complete = eng.ext_closure(s0)
+    closed, complete = ext_closure(eng, s0)
     assert complete and closed == s0
 
     b13 = NakayamaBackend(1, 3)
     eng13 = StarEngine(b13)
-    grown, complete = eng13.ext_closure(Subcat.of(b13, [0]))
+    grown, complete = ext_closure(eng13, Subcat.of(b13, [0]))
     assert complete and grown == Subcat.everything(b13)
 
 

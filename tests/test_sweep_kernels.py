@@ -1,10 +1,11 @@
 """Table-driven and bit-parallel sweep kernels against the loops they replace.
 
-The per-move peel search, the per-pair twin check, the Subcat-built
-concentricity test, the 2^K polygon sweeps and the full standard right
-triangle are the routes the engines used before; they survive here only
-as oracles for the peel-move table, the bit-sliced twin check, the
-polygon closure walks and ``ZIQuotient.standard_right_third``.
+The per-move peel search (in both directions), the per-pair twin check,
+the Subcat-built concentricity test, the 2^K polygon sweeps and the full
+standard right triangle are the routes the engines used before; they
+survive here only as oracles for the peel-move tables, the bit-sliced
+twin check, the polygon closure walks and
+``ZIQuotient.standard_right_third``.
 """
 
 import pytest
@@ -26,38 +27,47 @@ from cotor.subcats import StarEngine, enumerate_subcats
 
 # Every Nakayama backend with at most 12 indecomposables (K = m(n-1)).
 SMALL = [(m, n) for n in range(2, 14) for m in range(1, 13) if m * (n - 1) <= 12]
+# The backends with at most 9 indecomposables whose bijection suite runs
+# co-peel (x side) searches; the others run none.
+COPEEL = [(3, 3), (4, 3), (2, 4), (3, 4), (2, 5)]
 
 
 # ---------------------------------------------------------------- oracles
 
 
-def per_move_peel(engine, x, y, c, depth, budget):
-    """The peel search charging and building one move at a time; returns
-    the search's answer and the budget units it spent."""
+def per_move_peel(engine, x, y, c, depth, budget, closed):
+    """The peel search charging and building one move at a time, over
+    every summand of the closed side, Hom-zero ones included; returns the
+    search's answer and the budget units it spent.  On the y side a move
+    is a map obj -> y and its cocone, on the x side a map x -> obj and
+    its cone."""
     b = engine.backend
+    target, strip = (x, y) if closed == "y" else (y, x)
     spent = 0
     frontier = [(c, [])]
     best_seen = {c: depth}
     for remaining in range(depth, -1, -1):
         next_frontier = []
         for obj, chain in frontier:
-            if x.contains_obj(obj):
+            if target.contains_obj(obj):
                 return (chain, obj), spent
             if remaining == 0:
                 continue
-            for yid in y:
-                ysingle = Obj.of(yid)
-                d = b.hom_dim(obj, ysingle)
-                for coords in range(1, 1 << d):
+            for sid in strip:
+                single = Obj.of(sid)
+                src, dst = (obj, single) if closed == "y" else (single, obj)
+                for coords in range(1, 1 << b.hom_dim(src, dst)):
                     spent += 1
                     if spent > budget:
                         raise BudgetExceeded("peel search budget exhausted")
-                    w = b.shift_obj(b.cone_obj(Mor(obj, ysingle, coords)), -1)
+                    w = b.cone_obj(Mor(src, dst, coords))
+                    if closed == "y":
+                        w = b.shift_obj(w, -1)
                     prev = best_seen.get(w)
                     if prev is not None and prev >= remaining - 1:
                         continue
                     best_seen[w] = remaining - 1
-                    next_frontier.append((w, chain + [(yid, coords)]))
+                    next_frontier.append((w, chain + [(sid, coords)]))
         frontier = next_frontier
         if not frontier:
             break
@@ -65,8 +75,8 @@ def per_move_peel(engine, x, y, c, depth, budget):
 
 
 class PerMovePeel(StarEngine):
-    def _peel_search(self, x, y, c, depth, budget):
-        return per_move_peel(self, x, y, c, depth, budget)[0]
+    def _peel_search(self, x, y, c, depth, budget, closed):
+        return per_move_peel(self, x, y, c, depth, budget, closed)[0]
 
 
 def per_pair_partners(engine, inner, outers):
@@ -94,18 +104,18 @@ def bits(subcats):
 # ---------------------------------------------------------------- peel table
 
 
-def peel_queries(engine, monkeypatch):
-    """The (x, y, c, depth) of every peel search that enumerate_cotorsion runs."""
+def peel_queries(run, monkeypatch):
+    """The (x, y, c, depth, closed) of every peel search that run() runs."""
     queries = []
     honest = StarEngine._peel_search
 
-    def recorded(self, x, y, c, depth, budget):
-        queries.append((x, y, c, depth))
-        return honest(self, x, y, c, depth, budget)
+    def recorded(self, x, y, c, depth, budget, closed):
+        queries.append((x, y, c, depth, closed))
+        return honest(self, x, y, c, depth, budget, closed)
 
     with monkeypatch.context() as m:
         m.setattr(StarEngine, "_peel_search", recorded)
-        engine.enumerate_cotorsion()
+        run()
     return queries
 
 
@@ -117,22 +127,44 @@ def raises_budget(search, budget):
     return False
 
 
+def check_against_per_move(b, queries):
+    """Same verdicts and answers as the per-move search, and BudgetExceeded
+    at exactly the budgets where charging one move at a time raises."""
+    table, oracle = StarEngine(b), PerMovePeel(b)
+    for x, y, c, depth, closed in queries:
+        assert table._peel_verdict(x, y, c, closed) == oracle._peel_verdict(
+            x, y, c, closed
+        )
+        found, total = per_move_peel(oracle, x, y, c, depth, table.budget, closed)
+        assert table._peel_search(x, y, c, depth, total, closed) == found
+        for budget in range(total):
+            assert raises_budget(
+                lambda n: table._peel_search(x, y, c, depth, n, closed), budget
+            )
+            assert raises_budget(
+                lambda n: per_move_peel(oracle, x, y, c, depth, n, closed), budget
+            )
+
+
 @pytest.mark.parametrize("mn", SMALL, ids=lambda mn: f"{mn[0]}-{mn[1]}")
 def test_peel_table_matches_the_per_move_search(mn, monkeypatch):
     b = NakayamaBackend(*mn)
-    queries = peel_queries(PairEngine(b), monkeypatch)
-    table, oracle = StarEngine(b), PerMovePeel(b)
-    for x, y, c, depth in queries:
-        assert table._peel_verdict(x, y, c) == oracle._peel_verdict(x, y, c)
-        found, total = per_move_peel(oracle, x, y, c, depth, table.budget)
-        assert table._peel_search(x, y, c, depth, total) == found
-        for budget in range(total):
-            assert raises_budget(
-                lambda n: table._peel_search(x, y, c, depth, n), budget
-            )
-            assert raises_budget(
-                lambda n: per_move_peel(oracle, x, y, c, depth, n), budget
-            )
+    queries = peel_queries(PairEngine(b).enumerate_cotorsion, monkeypatch)
+    check_against_per_move(b, queries)
+
+
+def bijection_queries(mn, monkeypatch):
+    """The peel searches of ``verify --suite bijection``, on a fresh engine."""
+    monkeypatch.setattr(cli, "_ENGINE_MEMO", {})
+    argv = ["verify", "--suite", "bijection", "--backend", "nakayama:m=%d,n=%d" % mn]
+    return peel_queries(lambda: cli.main(argv), monkeypatch)
+
+
+@pytest.mark.parametrize("mn", COPEEL, ids=lambda mn: f"{mn[0]}-{mn[1]}")
+def test_copeel_table_matches_the_per_move_search(mn, monkeypatch, capsys):
+    queries = [q for q in bijection_queries(mn, monkeypatch) if q[4] == "x"]
+    assert queries
+    check_against_per_move(cli._backend_of("nakayama:m=%d,n=%d" % mn), queries)
 
 
 def test_peel_moves_are_built_once_per_object_and_summand(monkeypatch):
@@ -143,11 +175,31 @@ def test_peel_moves_are_built_once_per_object_and_summand(monkeypatch):
     monkeypatch.setattr(
         NakayamaBackend, "cone_obj", lambda self, f: built.append(f) or honest(self, f)
     )
-    moves = star._peel_moves(Obj.of(0, 1), 2)
+    moves = star._peel_moves(Obj.of(0, 1), 2, "y")
     assert len(moves) == (1 << b.hom_dim(Obj.of(0, 1), Obj.of(2))) - 1 == len(built)
     # an equal object built afresh finds the stored moves
-    assert star._peel_moves(Obj.of(1, 0), 2) is moves
+    assert star._peel_moves(Obj.of(1, 0), 2, "y") is moves
     assert len(built) == len(moves)
+    # the other direction has its own table
+    comoves = star._peel_moves(Obj.of(0, 2), 2, "x")
+    assert len(comoves) == (1 << b.hom_dim(Obj.of(2), Obj.of(0, 2))) - 1 == 3
+    assert star._peel_moves(Obj.of(2, 0), 2, "x") is comoves
+    assert star._peel_moves(Obj.of(0, 2), 2, "y") is not comoves
+
+
+def test_peel_tables_hold_only_real_moves(monkeypatch, capsys):
+    # The searches ask only for summands with a nonzero Hom, so no stored
+    # entry is empty, on either side.
+    b = cli._backend_of("nakayama:m=3,n=4")
+    bijection_queries((3, 4), monkeypatch)
+    tables = cli._ENGINE_MEMO[("nakayama:m=3,n=4", cli.DEFAULT_CAP)].star._peel_tables
+    assert tables["x"] and tables["y"]
+    for closed, table in tables.items():
+        for (summands, sid), moves in table.items():
+            assert moves, (closed, summands, sid)
+            single, obj = Obj.of(sid), Obj(summands)
+            src, dst = (obj, single) if closed == "y" else (single, obj)
+            assert len(moves) == (1 << b.hom_dim(src, dst)) - 1
 
 
 # ---------------------------------------------------------------- twin pairs
