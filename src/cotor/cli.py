@@ -229,16 +229,15 @@ def _emit_json(args: argparse.Namespace, doc: dict) -> None:
     _emit_text(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-_ENGINE_MEMO: dict[tuple[str, int], PairEngine] = {}
+# One engine per configuration keeps star and quotient answers warm
+# across the suites of a single invocation.
+@functools.lru_cache(maxsize=None)
+def _engine_of(spec: str, cap: int) -> PairEngine:
+    return PairEngine(_backend_of(spec), cap=cap)
 
 
 def _engine(args: argparse.Namespace) -> PairEngine:
-    # One engine per configuration keeps star and quotient caches warm
-    # across the suites of a single invocation.
-    key = (args.backend, args.cap)
-    if key not in _ENGINE_MEMO:
-        _ENGINE_MEMO[key] = PairEngine(_backend_of(args.backend), cap=args.cap)
-    return _ENGINE_MEMO[key]
+    return _engine_of(args.backend, args.cap)
 
 
 def _claim(

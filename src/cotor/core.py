@@ -4,15 +4,17 @@ Objects are finite multisets of indecomposables identified by small
 integer ids; morphisms are coordinate vectors over a fixed block basis
 of the Hom spaces.  A backend provides the actual calculus (Hom
 dimensions, composition, cones); this module fixes the data types, the
-capability flags, the error taxonomy, and the three-valued verdicts
-that search routines return.
+capability flags, the error taxonomy, the three-valued verdicts that
+search routines return, and the one rule by which engines keep their
+answers (``stored``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .f2 import F2Matrix
 
@@ -46,6 +48,42 @@ class InternalCheckError(CotorError):
 
 class DecompositionMissing(CotorError):
     """A required decomposition triangle could not be found."""
+
+
+_MISSING = object()
+
+
+def stored(key: Optional[Callable] = None) -> Callable[[Callable], Callable]:
+    """Method decorator that keeps each answer per instance and key.
+
+    An answer, ``None`` and ``False`` included, is kept once the call
+    returns; an error is never kept, so the next call raises it again.
+    ``key`` maps the positional arguments to the key; by default the
+    tuple of them is the key.  Method ``m`` keeps its table in
+    ``obj._stored["m"]``.  The result is a plain function.
+    """
+
+    def decorate(fn: Callable) -> Callable:
+        name = fn.__name__
+
+        @functools.wraps(fn)
+        def method(self, *args):
+            try:
+                table = self._stored[name]
+            except AttributeError:
+                table = {}
+                self._stored = {name: table}
+            except KeyError:
+                table = self._stored[name] = {}
+            k = args if key is None else key(*args)
+            got = table.get(k, _MISSING)
+            if got is _MISSING:
+                got = table[k] = fn(self, *args)
+            return got
+
+        return method
+
+    return decorate
 
 
 YES = "yes"

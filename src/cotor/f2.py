@@ -6,10 +6,11 @@ word-level parallelism of big ints does the work that numpy would
 otherwise do.  Everything here is pure: inputs are never mutated and
 equal inputs give identical outputs.
 
-There is one row reduction, ``Echelon``; ``solve``, ``kernel_basis``,
-``rank`` and ``in_span`` are thin readings of it, and its rows record
-the inserted vectors they combine, so it also expresses vectors over
-those.  There is one space modulo a span, ``QuotientSpace``, with
+There is one row reduction, ``Echelon``, which keeps rows only;
+``solve``, ``kernel_basis``, ``rank`` and ``in_span`` are thin readings
+of it.  Its subclass ``ExpressSolver`` reduces augmented rows that also
+record the listed vectors they combine, so it writes vectors over that
+list.  There is one space modulo a span, ``QuotientSpace``, with
 coordinates on the non-pivot positions: the subquotient's Hom spaces
 and the Nakayama backend's cone modules are both built on it.
 """
@@ -179,7 +180,7 @@ def kernel_basis(matrix: F2Matrix) -> list[int]:
     basis = {c: 1 << c for c in range(matrix.cols) if c not in rows}
     # Reduced row echelon form: pivot row p, less its pivot bit, lies on
     # free columns only, and each of them owes pivot coordinate p.
-    for p, (row, _) in rows.items():
+    for p, row in rows.items():
         rest = ech.reduce_full(row ^ (1 << p))
         while rest:
             low = rest & -rest
@@ -195,54 +196,43 @@ def in_span(vector: int, basis: Iterable[int]) -> bool:
 class Echelon:
     """Incremental row span with pivot bookkeeping; the one row reduction.
 
-    Each stored row is keyed by its pivot (leading bit) and records
-    which inserted vectors it combines: the i-th vector ever inserted,
-    dependent or not, is bit i of that combination.  So ``express``
-    writes a vector of the span over the inserted vectors, and
-    dependent inserts simply never carry a pivot.
+    Each stored row is keyed by its pivot (leading bit); dependent
+    inserts reduce to zero and are not stored.
     """
 
     def __init__(self, vectors: Iterable[int] = ()) -> None:
-        self._rows: dict[int, tuple[int, int]] = {}  # pivot -> (row, combination)
-        self._inserted = 0
+        self._rows: dict[int, int] = {}  # pivot -> row
         for v in vectors:
             self.add(v)
 
     def __len__(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, vector: int, combo: int = 0) -> tuple[int, int]:
+    def _reduce(self, vector: int) -> int:
+        """Clear leading bits while a stored row has them as pivot."""
         rows = self._rows
         while vector:
-            got = rows.get(vector.bit_length() - 1)
-            if got is None:
+            row = rows.get(vector.bit_length() - 1)
+            if row is None:
                 break
-            vector ^= got[0]
-            combo ^= got[1]
-        return vector, combo
+            vector ^= row
+        return vector
 
     def add(self, vector: int) -> bool:
         """Insert; True if the span grew."""
-        v, combo = self._reduce(vector, 1 << self._inserted)
-        self._inserted += 1
+        v = self._reduce(vector)
         if v == 0:
             return False
-        self._rows[v.bit_length() - 1] = (v, combo)
+        self._rows[v.bit_length() - 1] = v
         return True
 
     def contains(self, vector: int) -> bool:
-        return self._reduce(vector)[0] == 0
-
-    def express(self, vector: int) -> Optional[int]:
-        """Combination of inserted vectors (bit i for the i-th) summing
-        to ``vector``, or None when it lies outside the span."""
-        v, combo = self._reduce(vector)
-        return None if v else combo
+        return self._reduce(vector) == 0
 
     def reduce_full(self, vector: int) -> int:
         """Unique coset representative supported off the pivot positions.
 
-        Unlike the walk behind ``add`` and ``express``, which stops at
+        Unlike the walk behind ``add`` and ``contains``, which stops at
         the first non-pivot leading bit, this clears every pivot bit, so
         the result is linear in the input and projects onto the
         non-pivot coordinates.
@@ -254,9 +244,9 @@ class Echelon:
             if not scan:
                 break
             p = scan.bit_length() - 1
-            got = self._rows.get(p)
-            if got is not None:
-                v ^= got[0]
+            row = self._rows.get(p)
+            if row is not None:
+                v ^= row
             bound = p
         return v
 
@@ -265,12 +255,32 @@ class Echelon:
 
     def basis(self) -> list[int]:
         """Stored rows in ascending pivot order."""
-        return [self._rows[p][0] for p in sorted(self._rows)]
+        return [self._rows[p] for p in sorted(self._rows)]
 
 
-# ``perfbench/tracer.py`` counts ``ExpressSolver.express`` calls by this
-# name; it is the same class.
-ExpressSolver = Echelon
+class ExpressSolver(Echelon):
+    """Writes vectors of the span of a fixed list over that list.
+
+    The i-th of the n vectors v goes in as the augmented row
+    ``v << n | 1 << i``, whose low n bits record the vectors it combines;
+    rows are kept only with a nonzero high part.  It answers ``express``
+    and ``len``; other readings would see the augmented rows.
+    """
+
+    def __init__(self, vectors: Iterable[int]) -> None:
+        super().__init__()
+        vectors = tuple(vectors)
+        self._n = n = len(vectors)
+        for i, v in enumerate(vectors):
+            row = self._reduce(v << n | 1 << i)
+            if row >> n:
+                self._rows[row.bit_length() - 1] = row
+
+    def express(self, vector: int) -> Optional[int]:
+        """Combination of the listed vectors (bit i for the i-th) summing
+        to ``vector``, or None when it lies outside their span."""
+        row = self._reduce(vector << self._n)
+        return None if row >> self._n else row
 
 
 class QuotientSpace:

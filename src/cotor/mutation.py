@@ -15,19 +15,18 @@ both sides of the correspondence independently before matching them.
 Both sides walk the closed sets of a perpendicular closure, over the
 ambient or the quotient Ext^1, and certify each candidate.  The star
 routes run on the peel engine, each in the direction of its
-extension-closed side.  The engine stores the answers of descent, lift
-and membership per input, so those cross-checks run once per distinct
-input however often the action laws compose them; a raised error is
-never stored.
+extension-closed side.  Each mutation engine stores the answers of
+descent, lift and membership per input (``core.stored``), so those
+cross-checks run once per distinct input however often the action laws
+compose them; a raised error is never stored.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable
 
-from .core import InputError, InternalCheckError, Mor, Obj, multisets_over
+from .core import InputError, InternalCheckError, Mor, Obj, multisets_over, stored
 from .pairs import CotorsionPair, PairEngine, TwinCotorsionPair
 from .quotient import ZIQuotient
 from .subcats import Subcat, closed_sets
@@ -55,19 +54,6 @@ class MutationEngine:
         self.q = ZIQuotient.for_pair(engine, p)
         self.cond_II = engine.check_condition_II(p)
         self.cond_I = engine.check_condition_I(p)
-        self._srt_classes: dict[tuple, tuple] = {}
-        self._perms: dict[int, dict[int, int]] = {}
-        self._descents: dict[tuple[int, int], ZICotorsionPair] = {}
-        self._lifts: dict[ZICotorsionPair, CotorsionPair] = {}
-        self._members: dict[tuple[int, int], bool] = {}
-
-    @staticmethod
-    def _stored(table: dict, key, compute: Callable, arg):
-        """compute(arg), stored in table under key once it returns."""
-        got = table.get(key)
-        if got is None:
-            got = table[key] = compute(arg)
-        return got
 
     @property
     def preconditions_met(self) -> bool:
@@ -94,10 +80,8 @@ class MutationEngine:
             out |= self._image_classes(i, step)
         return tuple(sorted(out))
 
+    @stored(key=lambda cp: cp.key())
     def R_map(self, cp: CotorsionPair) -> ZICotorsionPair:
-        return self._stored(self._descents, cp.key(), self._descend, cp)
-
-    def _descend(self, cp: CotorsionPair) -> ZICotorsionPair:
         return ZICotorsionPair.of(
             self.adjoint_bar(cp.u, 1), self.adjoint_bar(cp.v, -1)
         )
@@ -118,15 +102,13 @@ class MutationEngine:
                 ids.add(z)
         return Subcat.of(self.backend, ids)
 
+    @stored()
     def I_map(self, zp: ZICotorsionPair) -> CotorsionPair:
         """Pull a quotient pair back to an ambient cotorsion pair.
 
         Star route and adjoint-preimage route are both computed and
         must agree; the result is verified as a cotorsion pair.
         """
-        return self._stored(self._lifts, zp, self._pull_back, zp)
-
-    def _pull_back(self, zp: ZICotorsionPair) -> CotorsionPair:
         # Candidates outside U and T are discarded by the intersection,
         # so the sweeps never need to decide them.  S[-1] and V[1] are
         # shifted cotorsion-pair sides, hence extension-closed.
@@ -167,18 +149,16 @@ class MutationEngine:
 
     # -- membership in the mutable class ---------------------------------------
 
+    @stored(key=lambda cp: cp.key())
     def in_MP(self, cp: CotorsionPair) -> bool:
         """Mutable-class membership, two characterizations cross-checked."""
-        return self._stored(self._members, cp.key(), self._member, cp)
-
-    def _member(self, cp: CotorsionPair) -> bool:
         v = self.engine.is_cotorsion_pair(cp.u, cp.v)
         if not v.is_yes:
             raise InputError(
                 f"membership test needs a verified cotorsion pair ({v.state})"
             )
         p = self.p
-        if not (cp.u.issubset(p.u) and cp.v.issubset(p.t)):
+        if not self._within_outer(cp):
             # Both routes are false on bits alone: the sandwich needs
             # U' in U and V' in T, and the fixed-point classes lie there.
             return False
@@ -212,42 +192,45 @@ class MutationEngine:
                 )
         return by_def
 
+    def _within_outer(self, cp: CotorsionPair) -> bool:
+        """U' inside U and V' inside T, which every mutable pair needs."""
+        return cp.u.issubset(self.p.u) and cp.v.issubset(self.p.t)
+
     def enumerate_MP(self) -> list[CotorsionPair]:
+        """The ambient cotorsion pairs in the mutable class."""
         enum = self.engine.enumerate_cotorsion()
         if enum.inconclusive:
             raise InternalCheckError(
                 "ambient enumeration left inconclusive candidates; the "
                 "mutable class cannot be certified"
             )
-        return [cp for cp in enum.pairs if self.in_MP(cp)]
+        return [cp for cp in enum.pairs if self._within_outer(cp) and self.in_MP(cp)]
 
     # -- native cotorsion pairs in the subquotient -----------------------------
 
+    @stored()
     def _shift_permutation(self, step: int) -> dict[int, int]:
         """Class permutation of the suspension (+1) or desuspension (-1)."""
-        perm = self._perms.get(step)
-        if perm is None:
-            perm = {}
-            for rep in self.q.zi_objects():
-                cls = self.q.class_of(self.q.shift(Obj.of(rep), step))
-                if len(cls) != 1:
-                    raise InternalCheckError(
-                        f"shift by {step} of an indecomposable class is not "
-                        "indecomposable; the quotient shifts are not "
-                        "equivalences here"
-                    )
-                perm[rep] = cls[0]
-            if step == 1:
-                if sorted(perm.values()) != sorted(perm):
-                    raise InternalCheckError("suspension is not a permutation")
-            else:
-                sig = self._shift_permutation(1)
-                if any(sig[img] != rep for rep, img in perm.items()):
-                    raise InternalCheckError(
-                        "suspension and desuspension fail to invert "
-                        "each other on classes"
-                    )
-            self._perms[step] = perm
+        perm = {}
+        for rep in self.q.zi_objects():
+            cls = self.q.class_of(self.q.shift(Obj.of(rep), step))
+            if len(cls) != 1:
+                raise InternalCheckError(
+                    f"shift by {step} of an indecomposable class is not "
+                    "indecomposable; the quotient shifts are not "
+                    "equivalences here"
+                )
+            perm[rep] = cls[0]
+        if step == 1:
+            if sorted(perm.values()) != sorted(perm):
+                raise InternalCheckError("suspension is not a permutation")
+        else:
+            sig = self._shift_permutation(1)
+            if any(sig[img] != rep for rep, img in perm.items()):
+                raise InternalCheckError(
+                    "suspension and desuspension fail to invert "
+                    "each other on classes"
+                )
         return perm
 
     def shift_zi_pair(self, zp: ZICotorsionPair, k: int) -> ZICotorsionPair:
@@ -270,16 +253,14 @@ class MutationEngine:
                 src = Obj.from_iter(pool)
                 qs = self.q.hom_mod_I(src, target)
                 for coords in qs.classes():
-                    key = (src.summands, coords, m)
-                    got = self._srt_classes.get(key)
-                    if got is None:
-                        got = self.q.class_of(
-                            self.q.standard_right_third(Mor(src, target, coords))
-                        )
-                        self._srt_classes[key] = got
-                    if all(c in sig_classes for c in got):
+                    if set(self._right_third_classes(src, coords, m)) <= sig_classes:
                         return True
         return False
+
+    @stored(key=lambda src, coords, m: (src.summands, coords, m))
+    def _right_third_classes(self, src: Obj, coords: int, m: int) -> tuple[int, ...]:
+        """Classes of the standard right third of the map src -> m."""
+        return self.q.class_of(self.q.standard_right_third(Mor(src, Obj.of(m), coords)))
 
     def zi_is_cp(self, l, r) -> bool:
         """Native cotorsion-pair test inside the subquotient."""

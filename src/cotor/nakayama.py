@@ -47,8 +47,11 @@ from .core import (
     Tri,
     _slot_assignment,
     multisets_over,
+    stored,
 )
-from .f2 import Echelon, F2Matrix, QuotientSpace, kernel_basis, rank, solve
+from .f2 import (
+    Echelon, ExpressSolver, F2Matrix, QuotientSpace, kernel_basis, rank, solve
+)
 
 
 @dataclass(frozen=True)
@@ -320,7 +323,6 @@ class NakayamaBackend(Backend):
             for l in range(1, n)
         )
         self._types = tuple((i, l) for i in range(m) for l in range(1, n))
-        self._asm_cache: dict[tuple[tuple[int, int], ...], _Assembled] = {}
         self._single = [self._asm((t,)) for t in self._types]
         self._proj = [self._asm(((v, n),)) for v in range(m)]
         self._pairs = self._build_pair_tables()
@@ -330,20 +332,15 @@ class NakayamaBackend(Backend):
         self._shift_bwd = tuple(
             self._shift_fwd.index(i) for i in range(len(self._indecs))
         )
+        # cone and cone_obj share keys; a full witness evicts the object
         self._cone_cache: dict[tuple, TriangleWitness] = {}
         self._cone_obj_cache: dict[tuple, Obj] = {}
-        self._end_pairs: dict[tuple, Optional[_EndPair]] = {}
-        self._shift_mor_cache: dict[tuple, Mor] = {}
 
     # -- construction helpers -------------------------------------------
 
-    def _asm(self, types: Sequence[tuple[int, int]]) -> _Assembled:
-        key = tuple(types)
-        got = self._asm_cache.get(key)
-        if got is None:
-            got = _assemble(self.m, self.n, key)
-            self._asm_cache[key] = got
-        return got
+    @stored()
+    def _asm(self, types: tuple[tuple[int, int], ...]) -> _Assembled:
+        return _assemble(self.m, self.n, types)
 
     def _type_of(self, ind_id: int) -> tuple[int, int]:
         return self._types[ind_id]
@@ -383,7 +380,7 @@ class NakayamaBackend(Backend):
                     full_dim=len(full),
                 )
         self._pair_solvers = {
-            key: Echelon(t.reps_flat + t.factoring_flat)
+            key: ExpressSolver(t.reps_flat + t.factoring_flat)
             for key, t in out.items()
         }
         return out
@@ -633,18 +630,12 @@ class NakayamaBackend(Backend):
         ]
         return proj, mats, shifted, slots
 
+    @stored(key=lambda f, k=1: (f.src, f.dst, f.coords, k))
     def shift_mor(self, f: Mor, k: int = 1) -> Mor:
-        if k == 0:
-            return f
-        key = (f.src, f.dst, f.coords, k)
-        got = self._shift_mor_cache.get(key)
-        if got is not None:
-            return got
         step = 1 if k > 0 else -1
         out = f
         for _ in range(abs(k)):
             out = self._shift_mor_once(out, step)
-        self._shift_mor_cache[key] = out
         return out
 
     def _shift_mor_once(self, f: Mor, step: int) -> Mor:
@@ -888,19 +879,15 @@ class NakayamaBackend(Backend):
                                 )
                             spend(pair.span - last)
 
+    @stored()
     def _end_pair(self, x1: tuple[int, ...], y1: tuple[int, ...]) -> Optional[_EndPair]:
         """The cone index of connecting maps y1[-1] -> x1 (sorted
         multisets), or None when no map is dense: some summand of an end
         pairs by zero with the whole other end, which includes Hom = 0."""
-        key = (x1, y1)
-        if key in self._end_pairs:
-            return self._end_pairs[key]
         x1_obj, y1_obj = Obj(x1), Obj(y1)
         y1m = self.shift_obj(y1_obj, -1)
         masks, d = self._dense_masks(y1m, x1_obj)
-        pair = _EndPair(x1_obj, y1_obj, y1m, d) if all(masks) else None
-        self._end_pairs[key] = pair
-        return pair
+        return _EndPair(x1_obj, y1_obj, y1m, d) if all(masks) else None
 
     def _dense_masks(self, x: Obj, y: Obj) -> tuple[list[int], int]:
         """Coordinate masks of the blocks out of each summand of x, then
@@ -1062,7 +1049,7 @@ def split_module(raw: RawModule):
             x = raw.mats[v].matvec(x)
     to_canon, from_canon = [], []
     for v, d in enumerate(raw.dims):
-        solver = Echelon(cols[v])
+        solver = ExpressSolver(cols[v])
         inv = [solver.express(1 << r) for r in range(d)]
         if None in inv:
             raise InternalCheckError("Jordan chains are not a basis")

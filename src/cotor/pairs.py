@@ -31,6 +31,7 @@ from .core import (
     Mor,
     Obj,
     Verdict,
+    stored,
 )
 from .f2 import in_span
 from .subcats import DEFAULT_CAP, StarEngine, Subcat, closed_sets
@@ -142,19 +143,15 @@ class CPEnumeration:
 
 
 class PairEngine:
-    """Pair-level queries over one backend with shared star caching."""
+    """Pair-level queries over one backend with a shared star engine;
+    every answer is stored per input (``core.stored``)."""
 
     def __init__(self, backend: Backend, cap: int = DEFAULT_CAP):
         backend._need("exact_triangles")
         self.backend = backend
         self.star = StarEngine(backend, cap=cap)
-        self._cp_cache: dict[tuple[int, int], Verdict] = {}
-        self._derived_cache: dict[tuple, DerivedSets] = {}
-        self._cond_cache: dict[tuple[str, tuple], Verdict] = {}
-        self._h_cache: dict[tuple[Obj, tuple[int, int]], Verdict] = {}
+        # ZIQuotient.for_pair keeps one subquotient per twin pair here.
         self._zi_cache: dict[tuple, object] = {}
-        self._cp_enum: Optional[CPEnumeration] = None
-        self._tcp_enum: Optional[list[TwinCotorsionPair]] = None
         self._ext1 = hom_masks(backend)[2]
 
     # -- degree-one orthogonality ------------------------------------------
@@ -169,15 +166,8 @@ class PairEngine:
 
     # -- cotorsion pair detection --------------------------------------------
 
+    @stored(key=lambda u, v: (u.bits, v.bits))
     def is_cotorsion_pair(self, u: Subcat, v: Subcat) -> Verdict:
-        key = (u.bits, v.bits)
-        got = self._cp_cache.get(key)
-        if got is None:
-            got = self._is_cp_impl(u, v)
-            self._cp_cache[key] = got
-        return got
-
-    def _is_cp_impl(self, u: Subcat, v: Subcat) -> Verdict:
         b = self.backend
         rp = right_perp(u, -1)
         if v != rp:
@@ -208,12 +198,11 @@ class PairEngine:
             return Verdict.inconclusive(reason="coverage search hit its cap")
         return Verdict.yes()
 
+    @stored()
     def enumerate_cotorsion(self) -> CPEnumeration:
         """All cotorsion pairs from the closed sets of U -> left-perp of
         (U[-1])-right-perp, ascending: every first class is one, and forces
         the second.  Walked once per engine; every caller shares the result."""
-        if self._cp_enum is not None:
-            return self._cp_enum
         b = self.backend
         pairs: list[CotorsionPair] = []
         unresolved: list[CotorsionPair] = []
@@ -228,8 +217,7 @@ class PairEngine:
                 pairs.append(CotorsionPair(u, v))
             elif verdict.is_inconclusive:
                 unresolved.append(CotorsionPair(u, v))
-        self._cp_enum = CPEnumeration(pairs, unresolved)
-        return self._cp_enum
+        return CPEnumeration(pairs, unresolved)
 
     # -- twin pairs ------------------------------------------------------------
 
@@ -303,27 +291,21 @@ class PairEngine:
         check, with the unresolved pairs.  Walked once per engine, like
         ``enumerate_cotorsion``; callers filter with ``is_concentric``."""
         enum = self.enumerate_cotorsion()
-        if self._tcp_enum is None:
-            keys = [p.key() for p in enum.pairs]
-            partners = zip(enum.pairs, self._twin_partners(enum.pairs, keys))
-            self._tcp_enum = [
-                TwinCotorsionPair(inner, enum.pairs[k])
-                for inner, ks in partners
-                for k in ks
-            ]
-        return self._tcp_enum, enum.inconclusive
+        return self._twin_pairs(enum), enum.inconclusive
+
+    @stored(key=lambda enum: ())
+    def _twin_pairs(self, enum: CPEnumeration) -> list[TwinCotorsionPair]:
+        """The twin pairs of the engine's one enumeration, stored once."""
+        pairs = enum.pairs
+        partners = self._twin_partners(pairs, [p.key() for p in pairs])
+        return [
+            TwinCotorsionPair(a, pairs[k]) for a, ks in zip(pairs, partners) for k in ks
+        ]
 
     # -- derived classes -------------------------------------------------------
 
+    @stored(key=lambda p: p.key())
     def derived_sets(self, p: TwinCotorsionPair) -> DerivedSets:
-        key = p.key()
-        got = self._derived_cache.get(key)
-        if got is None:
-            got = self._derived_impl(p)
-            self._derived_cache[key] = got
-        return got
-
-    def _derived_impl(self, p: TwinCotorsionPair) -> DerivedSets:
         if not self.is_concentric(p):
             raise InputError("derived classes need a concentric twin pair")
         core = p.s.intersect(p.t)
@@ -370,6 +352,7 @@ class PairEngine:
                         vectors.append(coords)
         return vectors
 
+    @stored(key=lambda x, pair: (x, pair.key()))
     def h_vanishes(self, x: Obj, pair: CotorsionPair) -> Verdict:
         """Does the middle map of a decomposition triangle factor through V?
 
@@ -378,16 +361,8 @@ class PairEngine:
         x lies in the subspace of maps factoring through add(V).  The
         answer is triangle-independent, so a second witness of the same
         cap level is compared and any disagreement raises; when there is
-        none, or the budget runs out first, the reason says so.  The
-        verdict is stored per (x, pair).
+        none, or the budget runs out first, the reason says so.
         """
-        key = (x, pair.key())
-        got = self._h_cache.get(key)
-        if got is None:
-            got = self._h_cache[key] = self._h_vanishes_impl(x, pair)
-        return got
-
-    def _h_vanishes_impl(self, x: Obj, pair: CotorsionPair) -> Verdict:
         verdicts = []
         try:
             for w in self.star.witnesses(
@@ -418,21 +393,9 @@ class PairEngine:
 
     # -- conditions ----------------------------------------------------------
 
-    def _cached_condition(
-        self, name: str, p: TwinCotorsionPair, compute
-    ) -> Verdict:
-        key = (name, p.key())
-        got = self._cond_cache.get(key)
-        if got is None:
-            got = compute(p)
-            self._cond_cache[key] = got
-        return got
-
+    @stored(key=lambda p: p.key())
     def check_condition_II(self, p: TwinCotorsionPair) -> Verdict:
         """Shifted-intersection equalities on both sides."""
-        return self._cached_condition("II", p, self._condition_II_impl)
-
-    def _condition_II_impl(self, p: TwinCotorsionPair) -> Verdict:
         d = self.derived_sets(p)
         bad = []
         if p.u.intersect(d.n_f) != p.s:
@@ -447,13 +410,11 @@ class PairEngine:
             return Verdict.inconclusive(reason="extension classes incomplete")
         return Verdict.yes()
 
+    @stored(key=lambda p: p.key())
     def check_condition_III(self, p: TwinCotorsionPair) -> Verdict:
         """Heart vanishing of the outer class against the inner pair
         and of the inner coclass against the outer pair, per
         indecomposable; additivity extends it to all objects."""
-        return self._cached_condition("III", p, self._condition_III_impl)
-
-    def _condition_III_impl(self, p: TwinCotorsionPair) -> Verdict:
         parts = []
         for uu in p.u:
             parts.append(self.h_vanishes(Obj.of(uu), p.inner))
@@ -461,13 +422,11 @@ class PairEngine:
             parts.append(self.h_vanishes(Obj.of(tt), p.outer))
         return Verdict.all_of(parts)
 
+    @stored(key=lambda p: p.key())
     def check_condition_I(self, p: TwinCotorsionPair) -> Verdict:
         """Comparison maps are isomorphisms after passing to the
         subquotient, tested on the indecomposables of the relevant
         star class; additivity reduces the general case to these."""
-        return self._cached_condition("I", p, self._condition_I_impl)
-
-    def _condition_I_impl(self, p: TwinCotorsionPair) -> Verdict:
         from .quotient import ZIQuotient
 
         d = self.derived_sets(p)

@@ -14,8 +14,8 @@ taking a direction: ``bracket(z, step)`` is a step through the core,
 inner coclass (-1) back into Z, and ``shift(z, step)`` is the
 suspension (+1) or desuspension (-1), the adjoint image of the bracket
 step the same way.  Every witness triangle is the first one of the
-star engine's escalating-cap search, which the engine stores per search
-(``StarEngine.first_witness``).
+star engine's escalating-cap search (``StarEngine.first_witness``).
+Each subquotient stores its answers per input (``core.stored``).
 
 Witness triangles are unique only up to isomorphism, so object-level
 identities are asserted as quotient isomorphisms, never as equalities
@@ -38,6 +38,7 @@ from .core import (
     Verdict,
     _merge_objs,
     scatter_blocks,
+    stored,
 )
 from .f2 import F2Matrix, QuotientSpace, solve
 from .pairs import PairEngine, TwinCotorsionPair
@@ -59,16 +60,12 @@ class ZIQuotient:
         d = engine.derived_sets(p)
         self.i_set: Subcat = d.i
         self.z_set: Subcat = d.z
-        self._qcache: dict[tuple, QuotientSpace] = {}
-        self._bracket_cache: dict[tuple, tuple[Obj, Tri]] = {}
-        self._adjoint_cache: dict[tuple, tuple[Obj, Tri]] = {}
-        self._class_rep: Optional[dict[int, Optional[int]]] = None
 
     @classmethod
     def for_pair(
         cls, engine: PairEngine, p: TwinCotorsionPair
     ) -> "ZIQuotient":
-        """Shared instance per pair; entry caches are expensive to refill."""
+        """Shared instance per pair, kept on the engine."""
         got = engine._zi_cache.get(p.key())
         if got is None:
             got = cls(engine, p)
@@ -77,18 +74,12 @@ class ZIQuotient:
 
     # -- quotient Hom spaces -------------------------------------------------
 
+    @stored(key=lambda x, y: (x.summands, y.summands))
     def hom_mod_I(self, x: Obj, y: Obj) -> QuotientSpace:
         if not (self.z_set.contains_obj(x) and self.z_set.contains_obj(y)):
             raise InputError("quotient Hom needs objects from the middle class")
-        key = (x.summands, y.summands)
-        got = self._qcache.get(key)
-        if got is None:
-            got = QuotientSpace(
-                self.backend.hom_dim(x, y),
-                self.engine.factoring_subspace(x, self.i_set, y),
-            )
-            self._qcache[key] = got
-        return got
+        span = self.engine.factoring_subspace(x, self.i_set, y)
+        return QuotientSpace(self.backend.hom_dim(x, y), span)
 
     def same_class(self, f: Mor, g: Mor) -> bool:
         q = self.hom_mod_I(f.src, f.dst)
@@ -109,6 +100,7 @@ class ZIQuotient:
             )
         return w.tri
 
+    @stored(key=lambda x, step: (x.summands, step))
     def adjoint(self, x: Obj, step: int) -> tuple[Obj, Tri]:
         """Adjoint (+1) or coadjoint (-1) image in the middle class.
 
@@ -123,46 +115,30 @@ class ZIQuotient:
                 "adjoint image needs an object of the "
                 + ("outer class" if step == 1 else "inner coclass")
             )
-        key = (x.summands, step)
-        got = self._adjoint_cache.get(key)
-        if got is None:
-            if step == 1:
-                tri = self._witness(self.p.s.shifted(-1), self.z_set, x, "adjoint")
-                got = (tri.c, tri)
-            else:
-                tri = self._witness(self.z_set, self.p.v.shifted(1), x, "coadjoint")
-                got = (tri.a, tri)
-            self._adjoint_cache[key] = got
-        return got
+        if step == 1:
+            tri = self._witness(self.p.s.shifted(-1), self.z_set, x, "adjoint")
+            return tri.c, tri
+        tri = self._witness(self.z_set, self.p.v.shifted(1), x, "coadjoint")
+        return tri.a, tri
 
+    @stored(key=lambda z, step: (z.summands, step))
     def bracket(self, z: Obj, step: int) -> tuple[Obj, Tri]:
         """One bracket step through the core, up (+1) or down (-1)."""
         if not self.z_set.contains_obj(z):
             raise InputError("bracket shift needs an object of the middle class")
         _check_step(step)
-        key = (z.summands, step)
-        got = self._bracket_cache.get(key)
-        if got is None:
-            b = self.backend
-            if step == 1:
-                tri = self._witness(
-                    self.p.u.shifted(-1), self.i_set, z, "upward bracket"
-                )
-                out = b.shift_obj(tri.a, 1)
-                if not self.p.u.contains_obj(out):
-                    raise InternalCheckError("upward bracket left the outer class")
-            else:
-                tri = self._witness(
-                    self.i_set, self.p.t.shifted(1), z, "downward bracket"
-                )
-                out = b.shift_obj(tri.c, -1)
-                if not self.p.t.contains_obj(out):
-                    raise InternalCheckError(
-                        "downward bracket left the inner coclass"
-                    )
-            got = (out, tri)
-            self._bracket_cache[key] = got
-        return got
+        b = self.backend
+        if step == 1:
+            tri = self._witness(self.p.u.shifted(-1), self.i_set, z, "upward bracket")
+            out = b.shift_obj(tri.a, 1)
+            if not self.p.u.contains_obj(out):
+                raise InternalCheckError("upward bracket left the outer class")
+        else:
+            tri = self._witness(self.i_set, self.p.t.shifted(1), z, "downward bracket")
+            out = b.shift_obj(tri.c, -1)
+            if not self.p.t.contains_obj(out):
+                raise InternalCheckError("downward bracket left the inner coclass")
+        return out, tri
 
     def shift(self, z: Obj, step: int) -> Obj:
         """Suspension (+1) or desuspension (-1): the adjoint image of the
@@ -310,7 +286,8 @@ class ZIQuotient:
 
     # -- objects up to quotient isomorphism ----------------------------------
 
-    def _build_classes(self) -> dict[int, Optional[int]]:
+    @stored()
+    def _classes(self) -> dict[int, Optional[int]]:
         """Representative id per middle-class indecomposable, None for core.
 
         Endomorphism rings stay local or vanish in the quotient, so
@@ -323,13 +300,11 @@ class ZIQuotient:
             if zid in self.i_set:
                 rep_of[zid] = None
                 continue
-            placed = False
             for r in reps:
                 if self._indec_iso(r, zid):
                     rep_of[zid] = r
-                    placed = True
                     break
-            if not placed:
+            else:
                 rep_of[zid] = zid
                 reps.append(zid)
         return rep_of
@@ -347,25 +322,16 @@ class ZIQuotient:
         return False
 
     def class_rep(self, zid: int) -> Optional[int]:
-        if self._class_rep is None:
-            self._class_rep = self._build_classes()
-        return self._class_rep[zid]
+        return self._classes()[zid]
 
     def zi_objects(self) -> list[int]:
         """Representative ids of the nonzero quotient objects."""
-        if self._class_rep is None:
-            self._class_rep = self._build_classes()
-        out = sorted({r for r in self._class_rep.values() if r is not None})
-        return out
+        return sorted({r for r in self._classes().values() if r is not None})
 
     def class_of(self, obj: Obj) -> tuple[int, ...]:
         """Multiset of nonzero class representatives of the summands."""
-        out = []
-        for i in obj.summands:
-            r = self.class_rep(i)
-            if r is not None:
-                out.append(r)
-        return tuple(sorted(out))
+        reps = map(self._classes().__getitem__, obj.summands)
+        return tuple(sorted(r for r in reps if r is not None))
 
     def iso_obj_in_quotient(self, x: Obj, y: Obj) -> bool:
         return self.class_of(x) == self.class_of(y)

@@ -43,6 +43,7 @@ from .core import (
     Mor,
     Obj,
     Verdict,
+    stored,
 )
 
 DEFAULT_CAP = 4
@@ -219,7 +220,8 @@ def closed_sets(k: int, closure: Callable[[int], int]) -> Iterator[int]:
 
 
 class StarEngine:
-    """Star-product membership and closure queries over one backend."""
+    """Star-product membership and closure queries over one backend;
+    peel moves, first witnesses and pair extensions are stored."""
 
     def __init__(
         self,
@@ -231,9 +233,6 @@ class StarEngine:
         self.backend = backend
         self.cap = cap
         self.budget = budget
-        self._pair_ext_cache: dict[tuple[int, int], list[Obj]] = {}
-        self._peel_tables: dict[str, dict[tuple, tuple]] = {"x": {}, "y": {}}
-        self._first_witness: dict[tuple[int, int, Obj, int], object] = {}
 
     # -- membership -------------------------------------------------------
 
@@ -283,33 +282,27 @@ class StarEngine:
             f"{self.cap} and {self.cap + 1} agree)"
         )
 
+    @stored(key=lambda obj, sid, closed: (obj.summands, sid, closed))
     def _peel_moves(
         self, obj: Obj, sid: int, closed: str
     ) -> tuple[tuple[int, Obj], ...]:
         """Every nonzero peel of the indecomposable sid out of obj, as
         (coords, next object): on the y side each map obj -> sid and its
         cocone cone(map)[-1], on the x side each map sid -> obj and its
-        cone.  Built on first use and stored per (obj.summands, sid); the
-        search asks only for summands with a nonzero Hom, so every stored
-        entry holds moves."""
-        table = self._peel_tables[closed]
-        key = (obj.summands, sid)
-        got = table.get(key)
-        if got is None:
-            b = self.backend
-            s = Obj.of(sid)
-            if closed == "y":
-                got = tuple(
-                    (coords, b.shift_obj(b.cone_obj(Mor(obj, s, coords)), -1))
-                    for coords in range(1, 1 << b.hom_dim(obj, s))
-                )
-            else:
-                got = tuple(
-                    (coords, b.cone_obj(Mor(s, obj, coords)))
-                    for coords in range(1, 1 << b.hom_dim(s, obj))
-                )
-            table[key] = got
-        return got
+        cone.  Built on first use and stored per (obj.summands, sid,
+        closed); the search asks only for summands with a nonzero Hom,
+        so every stored entry holds moves."""
+        b = self.backend
+        s = Obj.of(sid)
+        if closed == "y":
+            return tuple(
+                (coords, b.shift_obj(b.cone_obj(Mor(obj, s, coords)), -1))
+                for coords in range(1, 1 << b.hom_dim(obj, s))
+            )
+        return tuple(
+            (coords, b.cone_obj(Mor(s, obj, coords)))
+            for coords in range(1, 1 << b.hom_dim(s, obj))
+        )
 
     def _peel_search(
         self, x: Subcat, y: Subcat, c: Obj, depth: int, budget: int, closed: str
@@ -397,14 +390,12 @@ class StarEngine:
             if found:
                 return
 
+    @stored(key=lambda x, y, c, top: (x.bits, y.bits, c, top))
     def first_witness(self, x: Subcat, y: Subcat, c: Obj, top: int):
         """The first of ``witnesses(x, y, c, top)``, or None, stored per
-        key.  Only that one witness is kept, never the search; a
+        input.  Only that one witness is kept, never the search; a
         BudgetExceeded propagates on every call and is not stored."""
-        key = (x.bits, y.bits, c, top)
-        if key not in self._first_witness:
-            self._first_witness[key] = next(self.witnesses(x, y, c, top), None)
-        return self._first_witness[key]
+        return next(self.witnesses(x, y, c, top), None)
 
     # -- star sets ----------------------------------------------------------
 
@@ -438,29 +429,18 @@ class StarEngine:
 
     # -- extension closure -----------------------------------------------
 
+    @stored()
     def pair_extensions(self, a_id: int, b_id: int) -> list[Obj]:
         """All middle terms of triangles a -> E -> b, exactly.
 
         Single-indecomposable ends need no cap: every such triangle is
         the cone of one connecting map b[-1] -> a.
         """
-        key = (a_id, b_id)
-        got = self._pair_ext_cache.get(key)
-        if got is not None:
-            return got
         b = self.backend
         asingle = Obj.of(a_id)
         bm = Obj.of(b.shift_id(b_id, -1))
-        d = b.hom_dim(bm, asingle)
-        out = []
-        seen = set()
-        for coords in range(1 << d):
-            cobj = b.cone_obj(Mor(bm, asingle, coords))
-            if cobj not in seen:
-                seen.add(cobj)
-                out.append(cobj)
-        self._pair_ext_cache[key] = out
-        return out
+        maps = range(1 << b.hom_dim(bm, asingle))
+        return list(dict.fromkeys(b.cone_obj(Mor(bm, asingle, c)) for c in maps))
 
     def is_ext_closed_pairwise(self, x: Subcat) -> bool:
         """Whether every extension of two members has its summands inside.

@@ -1,5 +1,8 @@
 """Checks that only the tests need, built on the public backend API."""
 
+import functools
+
+from cotor import cli
 from cotor.core import Obj, Verdict
 from cotor.f2 import solve
 from cotor.subcats import Subcat
@@ -16,6 +19,13 @@ def is_isomorphism(b, f):
     system = b.right_op(f, x).vstack(b.left_op(f, y))
     rhs = b.identity(x).coords | b.identity(y).coords << b.hom_dim(x, x)
     return solve(system, rhs) is not None
+
+
+def fresh_engines(monkeypatch):
+    """Give the CLI an empty engine table for one test; the old table
+    comes back after it, so no engine built under a patch outlives it."""
+    fresh = functools.lru_cache(maxsize=None)(cli._engine_of.__wrapped__)
+    monkeypatch.setattr(cli, "_engine_of", fresh)
 
 
 def literal_contains(star, x, y, c):

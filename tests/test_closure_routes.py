@@ -21,6 +21,7 @@ from cotor.nakayama import NakayamaBackend
 from cotor.pairs import CotorsionPair, PairEngine, TwinCotorsionPair, trivial_hovey_tcp
 from cotor.quotient import ZIQuotient
 from cotor.subcats import Subcat, closed_sets, hom_masks, left_perp, right_perp
+from helpers import fresh_engines
 
 # Every Nakayama backend with at most 12 indecomposables (K = m(n-1)).
 SMALL = [(m, n) for n in range(2, 14) for m in range(1, 13) if m * (n - 1) <= 12]
@@ -260,7 +261,7 @@ def test_corrupted_ext1_mask_is_caught_by_enumerate_tcp(monkeypatch):
 
 
 def test_corrupted_ext1_mask_exits_one_without_traceback(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_ENGINE_MEMO", {})
+    fresh_engines(monkeypatch)
     monkeypatch.setattr(pairs, "hom_masks", _no_ext1)
     rc = cli.main(["enumerate-tcp", "--backend", "nakayama:m=2,n=2"])
     captured = capsys.readouterr()
@@ -273,7 +274,7 @@ def test_corrupted_ext1_mask_exits_one_without_traceback(monkeypatch, capsys):
 
 
 def test_vanishing_quotient_ext1_exits_one_without_traceback(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_ENGINE_MEMO", {})
+    fresh_engines(monkeypatch)
     monkeypatch.setattr(ZIQuotient, "ext1_zi", lambda self, x, y: 0)
     rc = cli.main(["verify", "--suite", "bijection", "--backend", "nakayama:m=2,n=3"])
     captured = capsys.readouterr()

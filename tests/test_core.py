@@ -6,6 +6,7 @@ dimensional, so each assertion stays hand checkable.
 """
 
 import itertools
+import types
 
 import pytest
 from hypothesis import given
@@ -21,6 +22,7 @@ from cotor.core import (
     Tri,
     Verdict,
     multisets_over,
+    stored,
 )
 from cotor.nakayama import NakayamaBackend
 
@@ -243,3 +245,94 @@ def test_direct_sum_of_triangles(b13):
 def test_empty_direct_sum_is_the_zero_triangle(b13):
     t = b13.direct_sum_tri([])
     assert t.a.is_zero and t.b.is_zero and t.c.is_zero
+
+
+# ---------------------------------------------------------------- stored answers
+
+
+class Counted:
+    """Methods behind ``stored`` that count the computations they run."""
+
+    def __init__(self, answers=None):
+        self.runs = []
+        self.answers = answers or {}
+
+    @stored()
+    def lone(self, x):
+        self.runs.append(("lone", x))
+        return self.answers.get(x, x)
+
+    @stored()
+    def pair(self, x, y):
+        self.runs.append(("pair", x, y))
+        return self.answers.get((x, y), (x, y))
+
+    @stored(key=lambda x, step=1: (len(x), step))
+    def keyed(self, x, step=1):
+        self.runs.append(("keyed", x, step))
+        return len(x) * step
+
+    @stored()
+    def failing(self, x):
+        self.runs.append(("failing", x))
+        raise InputError(f"no answer for {x}")
+
+
+def test_stored_computes_once_per_key():
+    c = Counted()
+    assert [c.lone(1), c.lone(1), c.lone(2)] == [1, 1, 2]
+    assert [c.pair(1, 2), c.pair(1, 2), c.pair(2, 1)] == [(1, 2), (1, 2), (2, 1)]
+    # the key maps the arguments: equal lengths and steps share one entry
+    assert [c.keyed("ab"), c.keyed("cd", 1), c.keyed("ab", 2)] == [2, 2, 4]
+    assert c.runs == [
+        ("lone", 1), ("lone", 2), ("pair", 1, 2), ("pair", 2, 1),
+        ("keyed", "ab", 1), ("keyed", "ab", 2),
+    ]
+    # by default the tuple of the arguments is the key
+    assert c._stored["lone"] == {(1,): 1, (2,): 2}
+    assert set(c._stored["pair"]) == {(1, 2), (2, 1)}
+    assert set(c._stored["keyed"]) == {(2, 1), (2, 2)}
+
+
+def test_stored_keeps_none_and_false_answers():
+    c = Counted({1: None, 2: False, (0, 0): None})
+    for _ in range(3):
+        assert c.lone(1) is None
+        assert c.lone(2) is False
+        assert c.pair(0, 0) is None
+    assert c.runs == [("lone", 1), ("lone", 2), ("pair", 0, 0)]
+
+
+def test_stored_never_keeps_an_error():
+    c = Counted()
+    for _ in range(3):
+        with pytest.raises(InputError, match="no answer for 7"):
+            c.failing(7)
+    assert c.runs == [("failing", 7)] * 3
+    assert c._stored["failing"] == {}
+
+
+def test_stored_tables_are_per_instance():
+    a, b = Counted({1: "a"}), Counted({1: "b"})
+    assert (a.lone(1), b.lone(1), a.lone(1), b.lone(1)) == ("a", "b", "a", "b")
+    assert a.runs == b.runs == [("lone", 1)]
+    assert a._stored["lone"] is not b._stored["lone"]
+
+
+def test_stored_methods_are_plain_functions_in_the_class_dict():
+    for name in ("lone", "pair", "keyed", "failing"):
+        raw = Counted.__dict__[name]
+        assert type(raw) is types.FunctionType
+        assert raw.__name__ == name
+    # a wrapper built by calling the raw function, as a layer tracer
+    # does, still reaches the stored table
+    calls = []
+    raw = Counted.__dict__["lone"]
+
+    def traced(self, x):
+        calls.append(x)
+        return raw(self, x)
+
+    c = Counted()
+    assert traced(c, 3) == traced(c, 3) == 3
+    assert calls == [3, 3] and c.runs == [("lone", 3)]

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from cotor.f2 import (
     Echelon,
+    ExpressSolver,
     F2Matrix,
     QuotientSpace,
     in_span,
@@ -48,7 +49,7 @@ def all_solutions(m: F2Matrix, rhs: int) -> list[int]:
 
 
 # Independent eliminations with the outputs of record.  ``solve``,
-# ``kernel_basis`` and ``Echelon.express`` must match them bit for bit,
+# ``kernel_basis`` and ``ExpressSolver.express`` must match them bit for bit,
 # not just up to the row space, so reports built on them cannot move.
 
 
@@ -401,7 +402,7 @@ def test_reduce_full_is_linear_and_avoids_pivots(vectors, a, b):
 
 @given(st.lists(st.integers(0, 63), max_size=6), st.integers(0, 63))
 def test_express_solver_recombines(gens, v):
-    combo = Echelon(gens).express(v)
+    combo = ExpressSolver(gens).express(v)
     if v in span_closure(gens):
         assert combo is not None
         acc = 0
@@ -414,7 +415,7 @@ def test_express_solver_recombines(gens, v):
 
 
 def test_express_solver_tolerates_dependent_generators():
-    combo = Echelon([0b01, 0b01, 0b10]).express(0b11)
+    combo = ExpressSolver([0b01, 0b01, 0b10]).express(0b11)
     assert combo is not None
     picked = [g for i, g in enumerate([0b01, 0b01, 0b10]) if (combo >> i) & 1]
     acc = 0
@@ -447,7 +448,7 @@ def test_express_matches_the_pivot_dict_combinations(m, data):
         g for g in gens if data.draw(st.booleans())
     )
     outside = data.draw(st.integers(0, (1 << m.cols) - 1))
-    ech = Echelon(gens)
+    ech = ExpressSolver(gens)
     for v in (inside, outside):
         assert ech.express(v) == pivot_dict_express(gens, v)
     assert ech.express(inside) is not None

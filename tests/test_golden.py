@@ -8,7 +8,9 @@ closed sets; the last four are the digests the benchmark gates on
 (perfbench/expected.json), recorded with the same hashing; the K = 12
 ``nakayama:m=4,n=4`` digest and the K = 9 ``nakayama:m=3,n=4`` bijection
 digest were recorded before the mutation layer stored its answers and
-took peel searches on both sides (the latter in a 40-minute run).  The envelope
+took peel searches on both sides (the latter in a 40-minute run); the K = 10
+``nakayama:m=5,n=3`` bijection digest was recorded before the engines' stored
+answers moved behind one ``core.stored`` decorator.  The envelope
 is not hashed, so schema and settings changes do not trip these checks;
 any change to a verdict, a count, a label or a witness coordinate does.
 """
@@ -78,6 +80,10 @@ GOLDEN = [
     (
         ["verify", "--suite", "bijection", "--backend", "nakayama:m=3,n=4"],
         "243df5b0ed293ea8532ae290674e2ec3bcebaf4f7529b02b482058879a4d0b58",
+    ),
+    (
+        ["verify", "--suite", "bijection", "--backend", "nakayama:m=5,n=3"],
+        "86132e2bf23d3c752b9000b87d9947da8dba0e372473b18d1dff8be1542a510a",
     ),
 ]
 

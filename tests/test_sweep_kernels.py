@@ -24,6 +24,7 @@ from cotor.polygon import (
 )
 from cotor.quotient import ZIQuotient
 from cotor.subcats import StarEngine, enumerate_subcats
+from helpers import fresh_engines
 
 # Every Nakayama backend with at most 12 indecomposables (K = m(n-1)).
 SMALL = [(m, n) for n in range(2, 14) for m in range(1, 13) if m * (n - 1) <= 12]
@@ -155,7 +156,7 @@ def test_peel_table_matches_the_per_move_search(mn, monkeypatch):
 
 def bijection_queries(mn, monkeypatch):
     """The peel searches of ``verify --suite bijection``, on a fresh engine."""
-    monkeypatch.setattr(cli, "_ENGINE_MEMO", {})
+    fresh_engines(monkeypatch)
     argv = ["verify", "--suite", "bijection", "--backend", "nakayama:m=%d,n=%d" % mn]
     return peel_queries(lambda: cli.main(argv), monkeypatch)
 
@@ -192,7 +193,10 @@ def test_peel_tables_hold_only_real_moves(monkeypatch, capsys):
     # entry is empty, on either side.
     b = cli._backend_of("nakayama:m=3,n=4")
     bijection_queries((3, 4), monkeypatch)
-    tables = cli._ENGINE_MEMO[("nakayama:m=3,n=4", cli.DEFAULT_CAP)].star._peel_tables
+    star = cli._engine_of("nakayama:m=3,n=4", cli.DEFAULT_CAP).star
+    tables = {"x": {}, "y": {}}
+    for (summands, sid, closed), moves in star._stored["_peel_moves"].items():
+        tables[closed][(summands, sid)] = moves
     assert tables["x"] and tables["y"]
     for closed, table in tables.items():
         for (summands, sid), moves in table.items():
@@ -296,7 +300,7 @@ def test_standard_right_third_matches_the_full_triangle(monkeypatch):
         seen.append((self, f))
         return honest(self, f)
 
-    monkeypatch.setattr(cli, "_ENGINE_MEMO", {})
+    fresh_engines(monkeypatch)
     monkeypatch.setattr(ZIQuotient, "standard_right_third", recorded)
     rc = cli.main(
         ["verify", "--suite", "bijection", "--backend", "nakayama:m=2,n=4"]

@@ -10,11 +10,16 @@ checks every name the way the tracer's ``_patch`` resolves it.
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _tracer():
@@ -47,3 +52,23 @@ def test_the_suite_table_is_there_to_wrap():
         "counts", "conditions", "hovey", "adjunction", "bijection",
     }
     assert all(callable(fn) for fn in cli._SUITE_FUNCS.values())
+
+
+def test_a_traced_run_reports_like_an_untraced_one(tmp_path, capsys):
+    # The stored methods are what the tracer wraps, so a traced run must
+    # count their calls and leave the report as it was.
+    argv = ["verify", "--suite", "all", "--backend", "nakayama:m=2,n=3"]
+    cli = importlib.import_module("cotor.cli")
+    assert cli.main(argv) == 0
+    untraced = json.loads(capsys.readouterr().out)["report"]
+    out = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run(
+        [sys.executable, str(TRACER), "--out", str(out), "--run-id", "t", "--", *argv],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["report"] == untraced
+    calls = json.loads(out.read_text())["calls"]
+    for name in ("pairs.h_vanishes", "quotient.hom_mod_I", "mutation.I_map", "pairs.condition.I"):
+        assert calls.get(name, 0) > 0, name

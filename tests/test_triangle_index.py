@@ -150,7 +150,7 @@ def check_index(b):
     """Every end pair the backend has indexed: the cone lists are
     disjoint and ascending, together they are the dense maps among the
     scanned ones, and each list sits under its maps' cone."""
-    for (x1, y1), pair in b._end_pairs.items():
+    for (x1, y1), pair in b._stored.get("_end_pair", {}).items():
         y1m = b.shift_obj(Obj(y1), -1)
         masks, d = dense_masks(b, y1m, Obj(x1))
         if pair is None:
@@ -209,7 +209,7 @@ def test_index_is_filled_once_and_read_across_calls():
     again = [key(w) for w in b.triangle_enumerate(every, every, c, cap=2)]
     assert again == first
     assert set(b._cone_cache) == cones
-    assert all(p is None or p.scanned == p.span for p in b._end_pairs.values())
+    assert all(p is None or p.scanned == p.span for p in b._stored.get("_end_pair", {}).values())
     check_index(b)
 
 
@@ -220,5 +220,5 @@ def test_budget_stops_the_index_scan():
         for _ in b.triangle_enumerate(ids, ids, Obj.of(3), cap=3, budget=50):
             pass
     assert len(b._cone_cache) <= 50
-    assert any(p is not None and p.scanned < p.span for p in b._end_pairs.values())
+    assert any(p is not None and p.scanned < p.span for p in b._stored.get("_end_pair", {}).values())
     check_index(b)
