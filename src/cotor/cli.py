@@ -68,18 +68,47 @@ def build_backend(spec: Optional[str]) -> Backend:
 _backend_of = functools.lru_cache(maxsize=None)(build_backend)
 
 
+def _tcp_name(p: TwinCotorsionPair) -> str:
+    lbl = p.as_labels()
+    return f"S={lbl['S']} T={lbl['T']} U={lbl['U']} V={lbl['V']}"
+
+
 class _Status:
-    """Worst-outcome accumulator behind the exit code."""
+    """The ledger of a run: the claims its report prints and the worst
+    outcome behind the exit code.
+
+    Every verdict a command prints passes through here.  An inconclusive
+    one, in a claim or in a row, makes the run inconclusive; a no fails
+    the run only in a claim, since a row's no is data.
+    """
 
     def __init__(self) -> None:
+        self.claims: list[dict] = []
         self.violation = False
         self.inconclusive = False
 
-    def absorb(self, verdict: Verdict) -> None:
-        if verdict.is_no:
-            self.violation = True
-        elif verdict.is_inconclusive:
-            self.inconclusive = True
+    def note(self, verdict: Verdict) -> str:
+        """Record a verdict a row prints and return its state."""
+        self.inconclusive |= verdict.is_inconclusive
+        return verdict.state
+
+    def claim(
+        self, name: str, verdict: Verdict, p: Optional[TwinCotorsionPair] = None
+    ) -> None:
+        row: dict[str, Any] = {"claim": name, "verdict": self.note(verdict)}
+        if verdict.reason:
+            row["reason"] = verdict.reason
+        if p is not None:
+            row["twin"] = p.as_labels()
+        self.claims.append(row)
+        self.violation |= verdict.is_no
+
+    def check(
+        self, name: str, ok: bool, p: Optional[TwinCotorsionPair] = None
+    ) -> None:
+        """Claim a yes, or a no whose reason names the twin pair ``p``."""
+        reason = None if p is None else _tcp_name(p)
+        self.claim(name, Verdict.yes() if ok else Verdict.no(reason=reason), p)
 
     def code(self, allow_inconclusive: bool) -> int:
         if self.violation:
@@ -240,25 +269,13 @@ def _engine(args: argparse.Namespace) -> PairEngine:
     return _engine_of(args.backend, args.cap)
 
 
-def _claim(
-    claims: list[dict], status: _Status, name: str, verdict: Verdict, **extra
-) -> None:
-    row: dict[str, Any] = {"claim": name, "verdict": verdict.state}
-    if verdict.reason:
-        row["reason"] = verdict.reason
-    row.update(extra)
-    claims.append(row)
-    status.absorb(verdict)
-
-
 # -- enumeration commands ----------------------------------------------------
 
 
 def _cmd_enumerate_cp(args: argparse.Namespace, status: _Status) -> dict:
     engine = _engine(args)
     enum = engine.enumerate_cotorsion()
-    if enum.inconclusive:
-        status.inconclusive = True
+    status.inconclusive |= bool(enum.inconclusive)
     return {
         "count": len(enum.pairs),
         "pairs": [_cp_record(p) for p in enum.pairs],
@@ -271,8 +288,7 @@ def _cmd_enumerate_tcp(args: argparse.Namespace, status: _Status) -> dict:
     need_quotient = args.cond_I or args.cond_II or args.cond_III or args.hovey
     concentric_only = bool(args.concentric or need_quotient)
     tcps, unresolved = engine.enumerate_tcp()
-    if unresolved:
-        status.inconclusive = True
+    status.inconclusive |= bool(unresolved)
     rows: list[dict[str, Any]] = []
     for p in tcps:
         concentric = engine.is_concentric(p)
@@ -281,33 +297,23 @@ def _cmd_enumerate_tcp(args: argparse.Namespace, status: _Status) -> dict:
         rec: dict[str, Any] = p.as_labels()
         rec["flags"] = p.flags()
         rec["concentric"] = concentric
-        verdicts: dict[str, str] = {}
-        keep = True
-
-        def _filter(name: str, verdict: Verdict) -> None:
-            # A failed filter drops the row; only undecidable membership
-            # degrades the run.
-            nonlocal keep
-            verdicts[name] = verdict.state
-            if verdict.is_inconclusive:
-                status.inconclusive = True
-            if not verdict.is_yes:
-                keep = False
-
+        # A failed filter drops the row; only undecidable membership
+        # degrades the run.
+        filters: dict[str, Verdict] = {}
         if args.hovey:
             v, n = engine.is_hovey(p)
-            _filter("hovey", v)
+            filters["hovey"] = v
             if v.is_yes and n is not None:
                 rec["hovey_class"] = sorted(n.labels())
         if args.cond_II:
-            _filter("condition_II", engine.check_condition_II(p))
+            filters["condition_II"] = engine.check_condition_II(p)
         if args.cond_III:
-            _filter("condition_III", engine.check_condition_III(p))
+            filters["condition_III"] = engine.check_condition_III(p)
         if args.cond_I:
-            _filter("condition_I", engine.check_condition_I(p))
-        if verdicts:
-            rec["verdicts"] = verdicts
-        if keep:
+            filters["condition_I"] = engine.check_condition_I(p)
+        if filters:
+            rec["verdicts"] = {k: status.note(v) for k, v in filters.items()}
+        if all(v.is_yes for v in filters.values()):
             rows.append(rec)
     return {
         "count": len(rows),
@@ -326,12 +332,10 @@ def _cmd_inspect_pair(args: argparse.Namespace, status: _Status) -> dict:
     u = Subcat.of(b, got["U"])
     v = Subcat.of(b, got["V"])
     verdict = engine.is_cotorsion_pair(u, v)
-    if verdict.is_inconclusive:
-        status.inconclusive = True
     rec: dict[str, Any] = {
         "U": u.labels(),
         "V": v.labels(),
-        "cotorsion": verdict.state,
+        "cotorsion": status.note(verdict),
         "right_perp_of_U": right_perp(u, -1).labels(),
         "left_perp_of_V": left_perp(v, 1).labels(),
     }
@@ -348,21 +352,15 @@ def _cmd_inspect_pair(args: argparse.Namespace, status: _Status) -> dict:
 def _cmd_reduce(args: argparse.Namespace, status: _Status) -> dict:
     engine = _engine(args)
     p = _parse_tcp(engine, args.tcp)
-    d = engine.derived_sets(p)
-    if not d.complete:
-        status.inconclusive = True
+    status.inconclusive |= not engine.derived_sets(p).complete
     q = ZIQuotient.for_pair(engine, p)
     payload = q.summary()
     payload["twin"] = p.as_labels()
-    conditions = {
-        "condition_II": engine.check_condition_II(p),
-        "condition_III": engine.check_condition_III(p),
-        "condition_I": engine.check_condition_I(p),
+    payload["conditions"] = {
+        "condition_II": status.note(engine.check_condition_II(p)),
+        "condition_III": status.note(engine.check_condition_III(p)),
+        "condition_I": status.note(engine.check_condition_I(p)),
     }
-    payload["conditions"] = {k: v.state for k, v in conditions.items()}
-    for v in conditions.values():
-        if v.is_inconclusive:
-            status.inconclusive = True
     return payload
 
 
@@ -375,8 +373,8 @@ def _cmd_mutate(args: argparse.Namespace, status: _Status) -> dict:
     return {
         "twin": p.as_labels(),
         "conditions": {
-            "condition_I": me.cond_I.state,
-            "condition_II": me.cond_II.state,
+            "condition_I": status.note(me.cond_I),
+            "condition_II": status.note(me.cond_II),
         },
         "input": _cp_record(cp),
         "k": args.k,
@@ -414,9 +412,7 @@ def enumerate_by_second_class(engine: PairEngine) -> tuple[list[CotorsionPair], 
     return out, complete
 
 
-def _suite_counts_polygon(
-    b: polygon.PolygonBackend, claims: list, status: _Status
-) -> dict:
+def _suite_counts_polygon(b: polygon.PolygonBackend, status: _Status) -> dict:
     rigid = polygon.enumerate_rigid(b)
     tris = polygon.triangulations_among(b, rigid)
     pt = polygon.enumerate_ptolemy(b)
@@ -429,20 +425,13 @@ def _suite_counts_polygon(
         for s in rigid
         if all(cross[a] & s.bits for a in iter_bits(everything & ~s.bits))
     }
-    tri_bits = {s.bits for s in tris}
-    _claim(
-        claims,
-        status,
+    status.check(
         "triangulations are exactly the maximal non-crossing sets",
-        Verdict.yes() if tri_bits == maximal else Verdict.no(),
+        {s.bits for s in tris} == maximal,
     )
-    _claim(
-        claims,
-        status,
+    status.check(
         "every triangulation is closed under crossing resolution",
-        Verdict.yes()
-        if all(polygon.is_ptolemy(b, s) for s in tris)
-        else Verdict.no(),
+        all(polygon.is_ptolemy(b, s) for s in tris),
     )
     return {
         "rigid": len(rigid),
@@ -451,31 +440,23 @@ def _suite_counts_polygon(
     }
 
 
-def _suite_counts(args: argparse.Namespace, claims: list, status: _Status) -> dict:
+def _suite_counts(args: argparse.Namespace, status: _Status) -> dict:
     backend = _backend_of(args.backend)
     if isinstance(backend, polygon.PolygonBackend):
-        return _suite_counts_polygon(backend, claims, status)
+        return _suite_counts_polygon(backend, status)
     engine = _engine(args)
     enum = engine.enumerate_cotorsion()
-    if enum.inconclusive:
-        status.inconclusive = True
+    status.inconclusive |= bool(enum.inconclusive)
     dual, dual_complete = enumerate_by_second_class(engine)
-    if not dual_complete:
-        status.inconclusive = True
-    same = {p.key() for p in enum.pairs} == {p.key() for p in dual}
-    _claim(
-        claims,
-        status,
+    status.inconclusive |= not dual_complete
+    status.check(
         "first-class sweep and second-class sweep find the same pairs",
-        Verdict.yes() if same else Verdict.no(),
+        {p.key() for p in enum.pairs} == {p.key() for p in dual},
     )
     zero, whole = trivial_pairs(engine)
-    present = {zero.key(), whole.key()} <= {p.key() for p in enum.pairs}
-    _claim(
-        claims,
-        status,
+    status.check(
         "both one-sided trivial pairs are present",
-        Verdict.yes() if present else Verdict.no(),
+        {zero.key(), whole.key()} <= {p.key() for p in enum.pairs},
     )
     tcps, _ = engine.enumerate_tcp()
     concentric = [p for p in tcps if engine.is_concentric(p)]
@@ -488,21 +469,21 @@ def _suite_counts(args: argparse.Namespace, claims: list, status: _Status) -> di
 
 def _concentric_tcps(engine: PairEngine, status: _Status) -> list[TwinCotorsionPair]:
     tcps, unresolved = engine.enumerate_tcp()
-    if unresolved:
-        status.inconclusive = True
+    status.inconclusive |= bool(unresolved)
     return [p for p in tcps if engine.is_concentric(p)]
 
 
-def _tcp_name(p: TwinCotorsionPair) -> str:
-    lbl = p.as_labels()
-    return (
-        f"S={lbl['S']} T={lbl['T']} U={lbl['U']} V={lbl['V']}"
-    )
+def _both(p: TwinCotorsionPair, v1: Verdict, v2: Verdict) -> Verdict:
+    """Conjunction of two verdicts (no dominates, then inconclusive);
+    a no or an inconclusive is named by the twin pair."""
+    if v1.is_no or v2.is_no:
+        return Verdict.no(reason=_tcp_name(p))
+    if v1.is_yes and v2.is_yes:
+        return Verdict.yes()
+    return Verdict.inconclusive(reason=_tcp_name(p))
 
 
-def _suite_conditions(
-    args: argparse.Namespace, claims: list, status: _Status
-) -> dict:
+def _suite_conditions(args: argparse.Namespace, status: _Status) -> dict:
     engine = _engine(args)
     rows = []
     for p in _concentric_tcps(engine, status):
@@ -512,94 +493,64 @@ def _suite_conditions(
         rows.append(
             {
                 "twin": p.as_labels(),
-                "condition_I": v1.state,
-                "condition_II": v2.state,
-                "condition_III": v3.state,
+                "condition_I": status.note(v1),
+                "condition_II": status.note(v2),
+                "condition_III": status.note(v3),
             }
         )
-        for v in (v1, v2):
-            if v.is_inconclusive:
-                status.inconclusive = True
         if v3.is_yes:
-            if v1.is_no or v2.is_no:
-                verdict = Verdict.no(reason=_tcp_name(p))
-            elif v1.is_yes and v2.is_yes:
-                verdict = Verdict.yes()
-            else:
-                verdict = Verdict.inconclusive(reason=_tcp_name(p))
-            _claim(
-                claims,
-                status,
+            status.claim(
                 "two-sided vanishing implies both one-sided conditions",
-                verdict,
-                twin=p.as_labels(),
+                _both(p, v1, v2),
+                p,
             )
     return {"checked": len(rows), "twin_pairs": rows}
 
 
-def _suite_hovey(args: argparse.Namespace, claims: list, status: _Status) -> dict:
+def _suite_hovey(args: argparse.Namespace, status: _Status) -> dict:
     engine = _engine(args)
     rows = []
     everything = sorted(Subcat.everything(engine.backend).labels())
     widest = trivial_hovey_tcp(engine).key()
     for p in _concentric_tcps(engine, status):
         verdict, n = engine.is_hovey(p)
-        row: dict[str, Any] = {"twin": p.as_labels(), "hovey": verdict.state}
-        if verdict.is_inconclusive:
-            status.inconclusive = True
+        row: dict[str, Any] = {"twin": p.as_labels(), "hovey": status.note(verdict)}
         if n is not None:
             row["hovey_class"] = sorted(n.labels())
         rows.append(row)
-        flags = p.flags()
-        if flags["degenerate"]:
-            _claim(
-                claims,
-                status,
+        found = verdict.is_yes and n is not None
+        if p.flags()["degenerate"]:
+            status.check(
                 "doubled pair is compatible with the all-object class",
-                Verdict.yes()
-                if verdict.is_yes and n is not None
-                and sorted(n.labels()) == everything
-                else Verdict.no(reason=_tcp_name(p)),
-                twin=p.as_labels(),
+                found and sorted(n.labels()) == everything,
+                p,
             )
         if p.key() == widest:
-            _claim(
-                claims,
-                status,
+            status.check(
                 "widest twin pair is compatible with the empty class",
-                Verdict.yes()
-                if verdict.is_yes and n is not None and n.bits == 0
-                else Verdict.no(reason=_tcp_name(p)),
-                twin=p.as_labels(),
+                found and n.bits == 0,
+                p,
             )
-        dual_ok = (
-            p.u == left_perp(p.v, 1)
-            and p.t == right_perp(p.s, -1)
-        )
-        _claim(
-            claims,
-            status,
+        status.check(
             "each class is recovered as a perpendicular of its partner",
-            Verdict.yes() if dual_ok else Verdict.no(reason=_tcp_name(p)),
-            twin=p.as_labels(),
+            p.u == left_perp(p.v, 1) and p.t == right_perp(p.s, -1),
+            p,
         )
     return {"checked": len(rows), "twin_pairs": rows}
 
 
-def _suite_adjunction(
-    args: argparse.Namespace, claims: list, status: _Status
-) -> dict:
+_INVERSE_SHIFTS = "suspension and loop are mutually inverse on classes"
+
+
+def _suite_adjunction(args: argparse.Namespace, status: _Status) -> dict:
     engine = _engine(args)
     rows = []
     for p in _concentric_tcps(engine, status):
-        d = engine.derived_sets(p)
-        if not d.complete:
-            _claim(
-                claims,
-                status,
+        if not engine.derived_sets(p).complete:
+            status.claim(
                 "shift adjunction on quotient dimensions",
                 Verdict.inconclusive(reason="derived class search incomplete"),
-                twin=p.as_labels(),
+                p,
             )
             continue
         q = ZIQuotient.for_pair(engine, p)
@@ -611,40 +562,28 @@ def _suite_adjunction(
                 rhs = q.hom_mod_I(Obj.of(x), q.shift(Obj.of(y), -1)).dim
                 if lhs != rhs:
                     ok = False
-        _claim(
-            claims,
-            status,
-            "shift adjunction on quotient dimensions",
-            Verdict.yes() if ok else Verdict.no(reason=_tcp_name(p)),
-            twin=p.as_labels(),
-        )
-        v1 = engine.check_condition_I(p)
-        v2 = engine.check_condition_II(p)
-        if v1.is_yes and v2.is_yes:
+        status.check("shift adjunction on quotient dimensions", ok, p)
+        # The inverse laws need both conditions; unknown ones leave the
+        # claim undecided rather than unmade.
+        premises = _both(p, engine.check_condition_I(p), engine.check_condition_II(p))
+        if premises.is_inconclusive:
+            status.claim(_INVERSE_SHIFTS, premises, p)
+        elif premises.is_yes:
             inverse = True
             for r in reps:
                 fwd = q.class_of(q.shift(q.shift(Obj.of(r), -1), 1))
                 back = q.class_of(q.shift(q.shift(Obj.of(r), 1), -1))
                 if fwd != q.class_of(Obj.of(r)) or back != q.class_of(Obj.of(r)):
                     inverse = False
-            _claim(
-                claims,
-                status,
-                "suspension and loop are mutually inverse on classes",
-                Verdict.yes() if inverse else Verdict.no(reason=_tcp_name(p)),
-                twin=p.as_labels(),
-            )
+            status.check(_INVERSE_SHIFTS, inverse, p)
         rows.append({"twin": p.as_labels(), "objects": len(reps)})
     return {"checked": len(rows), "twin_pairs": rows}
 
 
-def _suite_bijection(
-    args: argparse.Namespace, claims: list, status: _Status
-) -> dict:
+def _suite_bijection(args: argparse.Namespace, status: _Status) -> dict:
     engine = _engine(args)
     enum = engine.enumerate_cotorsion()
-    if enum.inconclusive:
-        status.inconclusive = True
+    status.inconclusive |= bool(enum.inconclusive)
     targets: list[TwinCotorsionPair] = [trivial_hovey_tcp(engine)]
     for cp in enum.pairs:
         targets.append(engine.make_tcp(cp, cp))
@@ -660,38 +599,28 @@ def _suite_bijection(
         me = MutationEngine(engine, p)
         row: dict[str, Any] = {
             "twin": p.as_labels(),
-            "condition_I": me.cond_I.state,
-            "condition_II": me.cond_II.state,
+            "condition_I": status.note(me.cond_I),
+            "condition_II": status.note(me.cond_II),
         }
+        rows.append(row)
         if not me.preconditions_met:
-            state = (
-                Verdict.no(reason=_tcp_name(p))
-                if me.cond_I.is_no or me.cond_II.is_no
-                else Verdict.inconclusive(reason=_tcp_name(p))
-            )
-            _claim(
-                claims,
-                status,
+            status.claim(
                 "quotient conditions hold on the designated twin pair",
-                state,
-                twin=p.as_labels(),
+                _both(p, me.cond_I, me.cond_II),
+                p,
             )
-            rows.append(row)
             continue
         report = me.verify_bijection()
         row["mutable_count"] = report["mutable_count"]
         row["quotient_count"] = report["quotient_count"]
-        rows.append(row)
-        _claim(
-            claims,
-            status,
+        status.claim(
             "descent and lift are mutually inverse bijections",
             Verdict.yes()
             if report["ok"]
             else Verdict.no(
                 reason="; ".join(f["kind"] for f in report["failures"])
             ),
-            twin=p.as_labels(),
+            p,
         )
     return {"checked": len(rows), "twin_pairs": rows}
 
@@ -700,7 +629,7 @@ def _suite_bijection(
 _suite_conditions.needs = _suite_hovey.needs = "exact_triangles"
 _suite_adjunction.needs = _suite_bijection.needs = "exact_triangles"
 
-_SUITE_FUNCS: dict[str, Callable[[argparse.Namespace, list, _Status], dict]] = {
+_SUITE_FUNCS: dict[str, Callable[[argparse.Namespace, _Status], dict]] = {
     "counts": _suite_counts,
     "conditions": _suite_conditions,
     "hovey": _suite_hovey,
@@ -711,15 +640,14 @@ _SUITE_FUNCS: dict[str, Callable[[argparse.Namespace, list, _Status], dict]] = {
 
 def _cmd_verify(args: argparse.Namespace, status: _Status) -> dict:
     names = list(_SUITE_FUNCS) if args.suite == "all" else [args.suite]
-    claims: list[dict] = []
     results: dict[str, Any] = {}
     for name in names:
         need = getattr(_SUITE_FUNCS[name], "needs", None) if args.suite == "all" else None
         if need and not getattr(_backend_of(args.backend).caps, need):
             results[name] = {"skipped": f"backend lacks capability {need}"}
         else:
-            results[name] = _SUITE_FUNCS[name](args, claims, status)
-    return {"suites": results, "claims": claims}
+            results[name] = _SUITE_FUNCS[name](args, status)
+    return {"suites": results, "claims": status.claims}
 
 
 # -- backend matching --------------------------------------------------------
@@ -944,13 +872,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InternalCheckError as exc:
-        print(f"property violation: {exc}", file=sys.stderr)
-        return 1
     except BudgetExceeded as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 0 if args.allow_inconclusive else 3
-    except CotorError as exc:
+    except CotorError as exc:  # InternalCheckError among them
         print(f"property violation: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

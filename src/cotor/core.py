@@ -311,9 +311,6 @@ class Backend:
     def obj_labels(self, x: Obj) -> list[str]:
         return [self.label_of(i) for i in x.summands]
 
-    def obj_from_labels(self, labels: Iterable[str]) -> Obj:
-        return Obj.from_iter(self.id_of(l) for l in labels)
-
     # --- morphism layer -----------------------------------------------
 
     def _need(self, flag: str) -> None:
@@ -341,15 +338,6 @@ class Backend:
                 out.append((p, q, off, d))
                 off += d
         return out
-
-    def block_of(self, f: Mor, p: int, q: int) -> int:
-        for bp, bq, off, d in self.block_layout(f.src, f.dst):
-            if (bp, bq) == (p, q):
-                return (f.coords >> off) & ((1 << d) - 1)
-        raise InputError("no such block")
-
-    def zero_mor(self, x: Obj, y: Obj) -> Mor:
-        return Mor(x, y, 0)
 
     def identity(self, x: Obj) -> Mor:
         self._need("morphism_calculus")

@@ -68,19 +68,6 @@ class F2Matrix:
         rows = tuple(rows)
         return F2Matrix(len(rows), cols, rows)
 
-    @staticmethod
-    def from_entries(entries: Iterable[Iterable[int]], rows: int, cols: int) -> "F2Matrix":
-        packed = []
-        for r, row in enumerate(entries):
-            val = 0
-            for c, e in enumerate(row):
-                if e & 1:
-                    val |= 1 << c
-            packed.append(val)
-        if len(packed) != rows:
-            raise ValueError("entry grid does not match row count")
-        return F2Matrix(rows, cols, tuple(packed))
-
     def entry(self, r: int, c: int) -> int:
         return (self.bits[r] >> c) & 1
 
@@ -90,9 +77,6 @@ class F2Matrix:
         for r, row in enumerate(self.bits):
             v |= ((row >> c) & 1) << r
         return v
-
-    def columns(self) -> list[int]:
-        return [self.column(c) for c in range(self.cols)]
 
     def matvec(self, x: int) -> int:
         """y = M x with x over columns and y over rows."""

@@ -102,21 +102,23 @@ class _Assembled:
     ``types`` lists (top vertex, length) per summand, ``pos[s][t]`` is
     the (vertex, slot) of layer t of summand s, and ``raw`` is the
     resulting representation.  Slots at each vertex are assigned in
-    summand order, then layer order.
+    summand order, then layer order, so summand s holds the consecutive
+    slots from ``start[s][v]`` at vertex v, in the order of its own
+    assembly.
     """
 
     types: tuple[tuple[int, int], ...]
     raw: RawModule
     pos: list[list[tuple[int, int]]]
-
-    def vertex_slots(self, s: int, vertex: int) -> list[int]:
-        return [slot for (v, slot) in self.pos[s] if v == vertex]
+    start: list[tuple[int, ...]]
 
 
 def _assemble(m: int, n: int, types: Sequence[tuple[int, int]]) -> _Assembled:
     dims = [0] * m
     pos: list[list[tuple[int, int]]] = []
+    start: list[tuple[int, ...]] = []
     for (i, l) in types:
+        start.append(tuple(dims))
         p = []
         for t in range(l):
             v = (i + t) % m
@@ -137,7 +139,7 @@ def _assemble(m: int, n: int, types: Sequence[tuple[int, int]]) -> _Assembled:
     packed = tuple(
         F2Matrix(dims[(v + 1) % m], dims[v], tuple(mats[v])) for v in range(m)
     )
-    return _Assembled(tuple(types), RawModule(m, n, tuple(dims), packed), pos)
+    return _Assembled(tuple(types), RawModule(m, n, tuple(dims), packed), pos, start)
 
 
 # ----------------------------------------------------------------------
@@ -332,9 +334,6 @@ class NakayamaBackend(Backend):
         self._shift_bwd = tuple(
             self._shift_fwd.index(i) for i in range(len(self._indecs))
         )
-        # cone and cone_obj share keys; a full witness evicts the object
-        self._cone_cache: dict[tuple, TriangleWitness] = {}
-        self._cone_obj_cache: dict[tuple, Obj] = {}
 
     # -- construction helpers -------------------------------------------
 
@@ -528,30 +527,19 @@ class NakayamaBackend(Backend):
     def _raw_from_mor(self, f: Mor) -> list[F2Matrix]:
         a = self._assembled(f.src)
         b = self._assembled(f.dst)
-        grids = [
-            [[0] * a.raw.dims[v] for _ in range(b.raw.dims[v])] for v in range(self.m)
-        ]
+        rows = [[0] * d for d in b.raw.dims]
         for p, q, off, d in self.block_layout(f.src, f.dst):
             block = (f.coords >> off) & ((1 << d) - 1)
-            if not block:
-                continue
-            table = self._pairs[(f.src.summands[p], f.dst.summands[q])]
-            # local slots of the single summands are the global slots of
-            # summands p and q, in the same order
-            row_slots = [b.vertex_slots(q, v) for v in range(self.m)]
-            col_slots = [a.vertex_slots(p, v) for v in range(self.m)]
+            reps = self._pairs[(f.src.summands[p], f.dst.summands[q])].reps_mats
             while block:
                 t = (block & -block).bit_length() - 1
-                rep = table.reps_mats[t]
-                for v in range(self.m):
-                    for lr, row in enumerate(rep[v].bits):
-                        while row:
-                            lc = (row & -row).bit_length() - 1
-                            grids[v][row_slots[v][lr]][col_slots[v][lc]] ^= 1
-                            row &= row - 1
+                for v, rep in enumerate(reps[t]):
+                    r0, c0 = b.start[q][v], a.start[p][v]
+                    for r, row in enumerate(rep.bits):
+                        rows[v][r0 + r] ^= row << c0
                 block &= block - 1
         return [
-            F2Matrix.from_entries(grids[v], b.raw.dims[v], a.raw.dims[v])
+            F2Matrix(b.raw.dims[v], a.raw.dims[v], tuple(rows[v]))
             for v in range(self.m)
         ]
 
@@ -562,17 +550,15 @@ class NakayamaBackend(Backend):
         b = self._assembled(dst)
         coords = 0
         for p, q, off, d in self.block_layout(src, dst):
-            asrc = self._single[src.summands[p]]
-            bdst = self._single[dst.summands[q]]
-            base, _ = _hom_flat_layout(asrc.raw, bdst.raw)
+            asrc = self._single[src.summands[p]].raw
+            bdst = self._single[dst.summands[q]].raw
+            base, _ = _hom_flat_layout(asrc, bdst)
             flat = 0
             for v in range(self.m):
-                rows = b.vertex_slots(q, v)
-                cols = a.vertex_slots(p, v)
-                for lr, gr in enumerate(rows):
-                    for lc, gc in enumerate(cols):
-                        if mats[v].entry(gr, gc):
-                            flat |= 1 << (base[v] + lr * asrc.raw.dims[v] + lc)
+                w, r0, c0 = asrc.dims[v], b.start[q][v], a.start[p][v]
+                for r in range(bdst.dims[v]):
+                    row = (mats[v].bits[r0 + r] >> c0) & ((1 << w) - 1)
+                    flat |= row << (base[v] + r * w)
             block = self._express_pair(src.summands[p], dst.summands[q], flat)
             coords |= block << off
         return Mor(src, dst, coords)
@@ -671,28 +657,17 @@ class NakayamaBackend(Backend):
 
     # -- cones ----------------------------------------------------------------
 
+    @stored(key=lambda f: (f.src, f.dst, f.coords))
     def cone(self, f: Mor) -> tuple[Obj, TriangleWitness]:
         """Triangle X -> Y -> C -> X[1] by envelope pushout on f."""
-        key = (f.src, f.dst, f.coords)
-        got = self._cone_cache.get(key)
-        if got is None:
-            got = self._cone_impl(f)
-            self._cone_cache[key] = got
-            self._cone_obj_cache.pop(key, None)
-        return got.tri.c, got
+        wit = self._cone_impl(f)
+        return wit.tri.c, wit
 
+    @stored(key=lambda f: (f.src, f.dst, f.coords))
     def cone_obj(self, f: Mor) -> Obj:
         """The third object of ``cone(f)``, by path-rank counting on the
         cone module: no splitting and no triangle maps."""
-        key = (f.src, f.dst, f.coords)
-        wit = self._cone_cache.get(key)
-        if wit is not None:
-            return wit.tri.c
-        got = self._cone_obj_cache.get(key)
-        if got is None:
-            got = self.decompose_module(self._cone_module(f)[1])
-            self._cone_obj_cache[key] = got
-        return got
+        return self.decompose_module(self._cone_module(f)[1])
 
     def _cone_module(self, f: Mor):
         """Pushout of f along the envelope X -> E: per vertex, Y (+) E
@@ -742,7 +717,7 @@ class NakayamaBackend(Backend):
         nonproj = [t for t in types if t[1] < self.n]
         c_obj = Obj.from_iter(self._id_of_type(t) for t in nonproj)
         # two routes to the object: the split and the path-rank count
-        if self.decompose_module(cone_raw) != c_obj:
+        if self.cone_obj(f) != c_obj:
             raise InternalCheckError("cone split and rank count disagree")
         stable_asm = self._asm(tuple(nonproj))
         keep = [stable_asm.raw.dims[v] for v in range(m)]

@@ -88,11 +88,6 @@ class PolygonBackend(Backend):
             raise InputError(f"{a.label()} is not an arc of the {self.n}-gon")
         return got
 
-    def crossing(self, a: Arc, b: Arc) -> bool:
-        self.id_of_arc(a)
-        self.id_of_arc(b)
-        return _crossing(a, b)
-
     def rotate(self, a: Arc, k: int = 1) -> Arc:
         i = (a.i - k) % self.n
         j = (a.j - k) % self.n
@@ -168,11 +163,6 @@ def enumerate_rigid(backend: PolygonBackend) -> list[Subcat]:
     for i in range(k):
         found += [s | 1 << i for s in found if not s & cross[i]]
     return [Subcat(backend, s) for s in found]
-
-
-def enumerate_triangulations(backend: PolygonBackend) -> list[Subcat]:
-    """Maximal rigid sets; each has N-3 arcs."""
-    return triangulations_among(backend, enumerate_rigid(backend))
 
 
 def triangulations_among(backend: PolygonBackend, rigid: list[Subcat]) -> list[Subcat]:

@@ -81,13 +81,6 @@ class ZIQuotient:
         span = self.engine.factoring_subspace(x, self.i_set, y)
         return QuotientSpace(self.backend.hom_dim(x, y), span)
 
-    def same_class(self, f: Mor, g: Mor) -> bool:
-        q = self.hom_mod_I(f.src, f.dst)
-        return q.reduce(f.coords) == q.reduce(g.coords)
-
-    def is_zero_class(self, f: Mor) -> bool:
-        return self.hom_mod_I(f.src, f.dst).reduce(f.coords) == 0
-
     # -- witness triangles -----------------------------------------------------
 
     def _witness(self, x: Subcat, y: Subcat, c: Obj, what: str) -> Tri:
@@ -332,9 +325,6 @@ class ZIQuotient:
         """Multiset of nonzero class representatives of the summands."""
         reps = map(self._classes().__getitem__, obj.summands)
         return tuple(sorted(r for r in reps if r is not None))
-
-    def iso_obj_in_quotient(self, x: Obj, y: Obj) -> bool:
-        return self.class_of(x) == self.class_of(y)
 
     # -- standard triangles -----------------------------------------------------
 

@@ -4,7 +4,7 @@ import functools
 
 from cotor import cli
 from cotor.core import Obj, Verdict
-from cotor.f2 import solve
+from cotor.f2 import F2Matrix, solve
 from cotor.subcats import Subcat
 
 
@@ -19,6 +19,14 @@ def is_isomorphism(b, f):
     system = b.right_op(f, x).vstack(b.left_op(f, y))
     rhs = b.identity(x).coords | b.identity(y).coords << b.hom_dim(x, x)
     return solve(system, rhs) is not None
+
+
+def from_entries(entries, rows, cols):
+    """The matrix with 0/1 entries ``entries[r][c]``, one list per row."""
+    packed = [sum((e & 1) << c for c, e in enumerate(row)) for row in entries]
+    if len(packed) != rows:
+        raise ValueError("entry grid does not match row count")
+    return F2Matrix(rows, cols, tuple(packed))
 
 
 def fresh_engines(monkeypatch):

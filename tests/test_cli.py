@@ -16,6 +16,7 @@ from cotor.mutation import MutationEngine
 from cotor.nakayama import NakayamaBackend
 from cotor.pairs import PairEngine
 from cotor.subcats import DEFAULT_CAP
+from helpers import fresh_engines
 
 
 def invoke(capsys, *argv):
@@ -344,8 +345,8 @@ def test_repeated_backend_parameter_exits_two(capsys):
 
 
 def test_violation_exits_one(monkeypatch, capsys):
-    def claims_no(args, claims, status):
-        cli._claim(claims, status, "stub", Verdict.no(reason="forced"))
+    def claims_no(args, status):
+        status.claim("stub", Verdict.no(reason="forced"))
         return {}
 
     monkeypatch.setitem(cli._SUITE_FUNCS, "counts", claims_no)
@@ -378,7 +379,7 @@ def test_bijection_failure_is_reported_not_crashed(monkeypatch, capsys):
 
 
 def test_internal_check_exits_one(monkeypatch, capsys):
-    def boom(args, claims, status):
+    def boom(args, status):
         raise InternalCheckError("cross-check mismatch")
 
     monkeypatch.setitem(cli._SUITE_FUNCS, "counts", boom)
@@ -391,7 +392,7 @@ def test_internal_check_exits_one(monkeypatch, capsys):
 
 
 def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
-    def boom(args, claims, status):
+    def boom(args, status):
         raise RuntimeError("unexpected")
 
     monkeypatch.setitem(cli._SUITE_FUNCS, "counts", boom)
@@ -406,8 +407,8 @@ def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
 
 
 def test_inconclusive_exits_three_unless_allowed(monkeypatch, capsys):
-    def claims_maybe(args, claims, status):
-        cli._claim(claims, status, "stub", Verdict.inconclusive(reason="cap"))
+    def claims_maybe(args, status):
+        status.claim("stub", Verdict.inconclusive(reason="cap"))
         return {}
 
     monkeypatch.setitem(cli._SUITE_FUNCS, "counts", claims_maybe)
@@ -418,8 +419,40 @@ def test_inconclusive_exits_three_unless_allowed(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def _undecided(self, p):
+    return Verdict.inconclusive(reason="stubbed")
+
+
+def test_inconclusive_condition_row_exits_three_unless_allowed(monkeypatch, capsys):
+    # Condition III feeds no claim when it is not a yes, so only its row
+    # carries the inconclusive state to the exit code.
+    fresh_engines(monkeypatch)
+    monkeypatch.setattr(PairEngine, "check_condition_III", _undecided)
+    base = ["verify", "--suite", "conditions", "--backend", "nakayama:m=2,n=3"]
+    rc, out, _ = invoke(capsys, *base)
+    assert rc == 3
+    rows = report_of(out)["report"]["suites"]["conditions"]["twin_pairs"]
+    assert rows and all(row["condition_III"] == "inconclusive" for row in rows)
+    assert cli.main(base + ["--allow-inconclusive"]) == 0
+    capsys.readouterr()
+
+
+def test_undecided_premises_leave_the_inverse_claim_inconclusive(monkeypatch, capsys):
+    fresh_engines(monkeypatch)
+    monkeypatch.setattr(PairEngine, "check_condition_I", _undecided)
+    rc, out, _ = invoke(
+        capsys, "verify", "--suite", "adjunction", "--backend", "nakayama:m=2,n=3"
+    )
+    assert rc == 3
+    inverse = [
+        row for row in report_of(out)["report"]["claims"]
+        if row["claim"] == "suspension and loop are mutually inverse on classes"
+    ]
+    assert inverse and all(row["verdict"] == "inconclusive" for row in inverse)
+
+
 def test_budget_exhaustion_exits_three_unless_allowed(monkeypatch, capsys):
-    def exhausted(args, claims, status):
+    def exhausted(args, status):
         raise BudgetExceeded("search budget exhausted")
 
     monkeypatch.setitem(cli._SUITE_FUNCS, "counts", exhausted)

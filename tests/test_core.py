@@ -156,7 +156,7 @@ def test_labels_round_trip(b13):
         assert b13.id_of(ind.label) == ind.id
     with pytest.raises(InputError):
         b13.id_of("M(9,9)")
-    x = b13.obj_from_labels(["M(0,2)", "M(0,1)"])
+    x = Obj.from_iter(b13.id_of(l) for l in ["M(0,2)", "M(0,1)"])
     assert b13.obj_labels(x) == ["M(0,1)", "M(0,2)"]
 
 
@@ -171,18 +171,6 @@ def test_block_layout_partitions_hom_space(b13):
         assert d == b13.hom_dim_pair(x.summands[p], y.summands[q])
         off += d
     assert off == b13.hom_dim(x, y)
-
-
-def test_block_of_extracts_named_block(b13):
-    x = Obj.of(0, 1)
-    f = Mor(x, x, 0)
-    layout = b13.block_layout(x, x)
-    _, _, off, d = layout[2]  # block (1, 0)
-    f = Mor(x, x, ((1 << d) - 1) << off)
-    assert b13.block_of(f, 1, 0) == (1 << d) - 1
-    assert b13.block_of(f, 0, 0) == 0
-    with pytest.raises(InputError):
-        b13.block_of(f, 5, 5)
 
 
 def test_hom_elements_zero_first_and_complete(b13):
@@ -233,7 +221,7 @@ def test_direct_sum_of_triangles(b13):
     x, y = Obj.of(1), Obj.of(1)
     f = next(f for f in b13.hom_elements(x, y) if not f.is_zero)
     _, w = b13.cone(f)
-    _, w0 = b13.cone(b13.zero_mor(Obj.of(0), Obj.of(0)))
+    _, w0 = b13.cone(Mor(Obj.of(0), Obj.of(0), 0))
     t = b13.direct_sum_tri([w.tri, w0.tri])
     assert t.a == w.tri.a.plus(w0.tri.a)
     assert t.b == w.tri.b.plus(w0.tri.b)

@@ -21,6 +21,7 @@ from cotor.f2 import (
     rank,
     solve,
 )
+from helpers import from_entries
 
 # ---------------------------------------------------------------- oracles
 
@@ -188,11 +189,11 @@ def test_constructor_rejects_bad_shapes():
 
 
 def test_from_entries_packs_row_major():
-    m = F2Matrix.from_entries([[1, 0, 1], [0, 1, 0]], 2, 3)
+    m = from_entries([[1, 0, 1], [0, 1, 0]], 2, 3)
     assert m.bits == (0b101, 0b010)
     assert m.entry(0, 2) == 1 and m.entry(1, 2) == 0
     with pytest.raises(ValueError):
-        F2Matrix.from_entries([[1]], 2, 1)
+        from_entries([[1]], 2, 1)
 
 
 def test_stack_and_add():
@@ -265,7 +266,7 @@ def test_mul_dimension_mismatch():
 def test_rank_pinned_values():
     assert rank(F2Matrix.zero(3, 3)) == 0
     assert rank(F2Matrix.identity(4)) == 4
-    assert rank(F2Matrix.from_entries([[1, 1], [1, 1]], 2, 2)) == 1
+    assert rank(from_entries([[1, 1], [1, 1]], 2, 2)) == 1
 
 
 @given(matrices())
@@ -316,7 +317,7 @@ def test_solve_agrees_with_exhaustive_search(mb):
 def test_solve_iff_rhs_in_column_span(mb):
     m, rhs = mb
     solvable = solve(m, rhs) is not None
-    assert solvable == (rhs in span_closure(m.columns()))
+    assert solvable == (rhs in span_closure([m.column(c) for c in range(m.cols)]))
 
 
 # ---------------------------------------------------------------- kernel

@@ -17,9 +17,9 @@ from cotor.polygon import (
     cut_reduction,
     enumerate_ptolemy,
     enumerate_rigid,
-    enumerate_triangulations,
     is_rigid,
     parse_spec,
+    triangulations_among,
     zz_mutate,
 )
 from cotor.subcats import Subcat
@@ -141,7 +141,6 @@ def test_crossing_matches_oracle(n):
         for j in range(b.K):
             a, c = b.arc_of_id(i), b.arc_of_id(j)
             want = oracle_cross((a.i, a.j), (c.i, c.j))
-            assert b.crossing(a, c) == want
             assert b.ext_incidence(i, j) == want
             assert b.ext_incidence(j, i) == want  # crossing is symmetric
 
@@ -185,7 +184,7 @@ def test_rigid_sets_match_oracle(n):
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_triangulations_match_oracle(n):
     b = PolygonBackend(n)
-    tris = enumerate_triangulations(b)
+    tris = triangulations_among(b, enumerate_rigid(b))
     assert {as_pairs(b, s) for s in tris} == set(oracle_triangulations(n))
     assert all(len(s) == n - 3 for s in tris)
 
@@ -200,7 +199,7 @@ def test_ptolemy_sets_match_oracle(n):
 def test_pentagon_counts_frozen():
     b = PolygonBackend(5)
     assert len(enumerate_rigid(b)) == 11
-    assert len(enumerate_triangulations(b)) == 5
+    assert len(triangulations_among(b, enumerate_rigid(b))) == 5
     assert len(enumerate_ptolemy(b)) == 17
 
 
@@ -208,14 +207,14 @@ def test_square_counts_frozen():
     b = PolygonBackend(4)
     assert b.K == 2
     assert len(enumerate_rigid(b)) == 3  # empty set and both singletons
-    assert len(enumerate_triangulations(b)) == 2
+    assert len(triangulations_among(b, enumerate_rigid(b))) == 2
     assert len(enumerate_ptolemy(b)) == 4
 
 
 def test_hexagon_counts_frozen():
     b = PolygonBackend(6)
     assert len(enumerate_rigid(b)) == 45
-    assert len(enumerate_triangulations(b)) == 14
+    assert len(triangulations_among(b, enumerate_rigid(b))) == 14
     assert len(enumerate_ptolemy(b)) == 82
 
 
@@ -279,7 +278,7 @@ def test_zz_mutate_preserves_triangulations():
     b = PolygonBackend(6)
     rigid = Subcat.from_labels(b, ["arc(0,3)"])
     tris = [
-        t for t in enumerate_triangulations(b) if rigid.issubset(t)
+        t for t in triangulations_among(b, enumerate_rigid(b)) if rigid.issubset(t)
     ]
     assert tris
     for t in tris:

@@ -283,8 +283,9 @@ def test_maximality_by_crossing_masks_matches_inclusion(n):
         if not any(s.bits != t.bits and s.bits & t.bits == s.bits for t in rigid)
     }
     assert by_inclusion == {s.bits for s in triangulations_among(b, rigid)}
-    claims = []
-    cli._suite_counts_polygon(b, claims, cli._Status())
+    status = cli._Status()
+    cli._suite_counts_polygon(b, status)
+    claims = status.claims
     assert claims[0]["claim"] == "triangulations are exactly the maximal non-crossing sets"
     assert claims[0]["verdict"] == "yes"
 

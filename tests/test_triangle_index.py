@@ -205,10 +205,10 @@ def test_index_is_filled_once_and_read_across_calls():
     c = Obj.of(0, 5)
     first = [key(w) for w in b.triangle_enumerate(every, every, c, cap=2)]
     assert first
-    cones = set(b._cone_cache)
+    cones = set(b._stored.get("cone", {}))
     again = [key(w) for w in b.triangle_enumerate(every, every, c, cap=2)]
     assert again == first
-    assert set(b._cone_cache) == cones
+    assert set(b._stored.get("cone", {})) == cones
     assert all(p is None or p.scanned == p.span for p in b._stored.get("_end_pair", {}).values())
     check_index(b)
 
@@ -219,6 +219,6 @@ def test_budget_stops_the_index_scan():
     with pytest.raises(BudgetExceeded):
         for _ in b.triangle_enumerate(ids, ids, Obj.of(3), cap=3, budget=50):
             pass
-    assert len(b._cone_cache) <= 50
+    assert len(b._stored.get("cone", {})) <= 50
     assert any(p is not None and p.scanned < p.span for p in b._stored.get("_end_pair", {}).values())
     check_index(b)
