@@ -10,7 +10,10 @@ closed sets; the last four are the digests the benchmark gates on
 digest were recorded before the mutation layer stored its answers and
 took peel searches on both sides (the latter in a 40-minute run); the K = 10
 ``nakayama:m=5,n=3`` bijection digest was recorded before the engines' stored
-answers moved behind one ``core.stored`` decorator.  The envelope
+answers moved behind one ``core.stored`` decorator; the K = 24
+``enumerate-cp`` digest on ``nakayama:m=4,n=7``, the largest backend the
+Nakayama cap admits, was recorded before triangles lost their object-only
+mode and witnesses their provenance.  The envelope
 is not hashed, so schema and settings changes do not trip these checks;
 any change to a verdict, a count, a label or a witness coordinate does.
 """
@@ -84,6 +87,10 @@ GOLDEN = [
     (
         ["verify", "--suite", "bijection", "--backend", "nakayama:m=5,n=3"],
         "86132e2bf23d3c752b9000b87d9947da8dba0e372473b18d1dff8be1542a510a",
+    ),
+    (
+        ["enumerate-cp", "--backend", "nakayama:m=4,n=7"],
+        "1f3e65aa9786318b592853db510c643fcf95bc9dfbd618008874e04e17538cf8",
     ),
 ]
 
