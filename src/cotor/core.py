@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .f2 import F2Matrix
 
@@ -102,7 +102,6 @@ class Verdict:
     """
 
     state: str
-    witness: Any = None
     reason: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -122,16 +121,16 @@ class Verdict:
         return self.state == INCONCLUSIVE
 
     @staticmethod
-    def yes(witness: Any = None, reason: Optional[str] = None) -> "Verdict":
-        return Verdict(YES, witness, reason)
+    def yes(reason: Optional[str] = None) -> "Verdict":
+        return Verdict(YES, reason)
 
     @staticmethod
-    def no(reason: Optional[str] = None, witness: Any = None) -> "Verdict":
-        return Verdict(NO, witness, reason)
+    def no(reason: Optional[str] = None) -> "Verdict":
+        return Verdict(NO, reason)
 
     @staticmethod
     def inconclusive(reason: Optional[str] = None) -> "Verdict":
-        return Verdict(INCONCLUSIVE, None, reason)
+        return Verdict(INCONCLUSIVE, reason)
 
     @staticmethod
     def all_of(verdicts: Iterable["Verdict"]) -> "Verdict":
@@ -234,25 +233,31 @@ class Mor:
 
 @dataclass(frozen=True)
 class Tri:
-    """Candidate triangle A -> B -> C -> A[1].
+    """Triangle A -> B -> C -> A[1], given by its maps f, g, h.
 
-    ``morphism_data`` records whether f, g, h are meaningful; purely
-    object-level triangles carry None maps.  When maps are present the
-    consecutive composites must vanish, which backends check on
-    construction.
+    The objects are read off the maps, which must chain; the consecutive
+    composites must vanish, which backends check on construction.
     """
 
-    a: Obj
-    b: Obj
-    c: Obj
-    f: Optional[Mor] = None
-    g: Optional[Mor] = None
-    h: Optional[Mor] = None
-    morphism_data: bool = False
+    f: Mor
+    g: Mor
+    h: Mor
 
     def __post_init__(self) -> None:
-        if self.morphism_data and None in (self.f, self.g, self.h):
-            raise InputError("morphism_data set but maps missing")
+        if self.f.dst != self.g.src or self.g.dst != self.h.src:
+            raise InputError("triangle maps do not chain")
+
+    @property
+    def a(self) -> Obj:
+        return self.f.src
+
+    @property
+    def b(self) -> Obj:
+        return self.g.src
+
+    @property
+    def c(self) -> Obj:
+        return self.h.src
 
 
 @dataclass(frozen=True)
@@ -376,14 +381,14 @@ class Backend:
 
     # --- triangle layer -----------------------------------------------
 
-    def cone(self, f: Mor):
-        """Completed triangle on f; returns (cone object, witness)."""
+    def cone(self, f: Mor) -> Tri:
+        """Completed triangle on f."""
         self._need("exact_triangles")
         raise NotImplementedError
 
     def cone_obj(self, f: Mor) -> Obj:
         """Third object of the cone on f; backends may skip the maps."""
-        return self.cone(f)[0]
+        return self.cone(f).c
 
     def triangle_enumerate(self, xset, yset, c: Obj, cap: int, budget=None):
         self._need("exact_triangles")
@@ -393,47 +398,25 @@ class Backend:
 
     def rotate_left(self, t: Tri) -> Tri:
         """A->B->C->A[1] becomes B->C->A[1]->B[1]."""
-        if not t.morphism_data:
-            return Tri(t.b, t.c, self.shift_obj(t.a, 1), morphism_data=False)
-        return Tri(
-            t.b,
-            t.c,
-            self.shift_obj(t.a, 1),
-            t.g,
-            t.h,
-            self.shift_mor(t.f, 1),
-            morphism_data=True,
-        )
+        return Tri(t.g, t.h, self.shift_mor(t.f, 1))
 
     def rotate_right(self, t: Tri) -> Tri:
         """A->B->C->A[1] becomes C[-1]->A->B->C."""
-        if not t.morphism_data:
-            return Tri(self.shift_obj(t.c, -1), t.a, t.b, morphism_data=False)
-        return Tri(
-            self.shift_obj(t.c, -1),
-            t.a,
-            t.b,
-            self.shift_mor(t.h, -1),
-            t.f,
-            t.g,
-            morphism_data=True,
-        )
+        return Tri(self.shift_mor(t.h, -1), t.f, t.g)
 
     def direct_sum_tri(self, parts: Sequence[Tri]) -> Tri:
-        """Summand-wise direct sum of triangles with morphism data."""
+        """Summand-wise direct sum of triangles."""
         if not parts:
-            return Tri(Obj.zero(), Obj.zero(), Obj.zero(),
-                       Mor(Obj.zero(), Obj.zero()), Mor(Obj.zero(), Obj.zero()),
-                       Mor(Obj.zero(), Obj.zero()), morphism_data=True)
-        f = self._assemble_sum([t.f for t in parts])
-        g = self._assemble_sum([t.g for t in parts])
-        h = self._assemble_sum([t.h for t in parts])
-        return Tri(f.src, g.src, h.src, f, g, h, morphism_data=True)
+            zero = Mor(Obj.zero(), Obj.zero())
+            return Tri(zero, zero, zero)
+        return Tri(
+            self._assemble_sum([t.f for t in parts]),
+            self._assemble_sum([t.g for t in parts]),
+            self._assemble_sum([t.h for t in parts]),
+        )
 
-    def _assemble_sum(self, comps: Sequence[Optional[Mor]]) -> Mor:
+    def _assemble_sum(self, comps: Sequence[Mor]) -> Mor:
         """Block-diagonal morphism from per-part components."""
-        if any(m is None for m in comps):
-            raise InputError("direct sum needs morphism data")
         return scatter_blocks(
             self,
             [m.src for m in comps],

@@ -16,9 +16,9 @@ Both sides walk the closed sets of a perpendicular closure, over the
 ambient or the quotient Ext^1, and certify each candidate.  The star
 routes run on the peel engine, each in the direction of its
 extension-closed side.  Each mutation engine stores the answers of
-descent, lift and membership per input (``core.stored``), so those
-cross-checks run once per distinct input however often the action laws
-compose them; a raised error is never stored.
+descent, lift, membership and the action per input (``core.stored``),
+so those cross-checks run once per distinct input however often the
+action laws compose them; a raised error is never stored.
 """
 
 from __future__ import annotations
@@ -307,6 +307,7 @@ class MutationEngine:
 
     # -- the action -----------------------------------------------------------
 
+    @stored(key=lambda cp, k: (cp.key(), k))
     def mutate(self, cp: CotorsionPair, k: int) -> CotorsionPair:
         self._need_conditions()
         if not self.in_MP(cp):

@@ -55,20 +55,6 @@ from .f2 import (
 
 
 @dataclass(frozen=True)
-class NakayamaParams:
-    """Backend parameters: m vertices, paths of length n vanish."""
-
-    m: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise InputError("m must be at least 1")
-        if self.n < 2:
-            raise InputError("n must be at least 2")
-
-
-@dataclass(frozen=True)
 class RawModule:
     """Quiver representation: per-vertex dimensions plus arrow matrices.
 
@@ -85,14 +71,6 @@ class RawModule:
 
     def total_dim(self) -> int:
         return sum(self.dims)
-
-
-@dataclass(frozen=True)
-class TriangleWitness:
-    """A verified triangle plus the construction data behind it."""
-
-    tri: Tri
-    provenance: dict
 
 
 @dataclass
@@ -308,8 +286,11 @@ class NakayamaBackend(Backend):
     """Morphism-level triangulated backend with exact cones."""
 
     def __init__(self, m: int, n: int):
-        params = NakayamaParams(m, n)
-        self.params = params
+        """The algebra on m vertices whose paths of length n vanish."""
+        if m < 1:
+            raise InputError("m must be at least 1")
+        if n < 2:
+            raise InputError("n must be at least 2")
         self.m, self.n = m, n
         count = m * (n - 1)
         if count > MAX_NAKAYAMA_INDECS:
@@ -425,26 +406,11 @@ class NakayamaBackend(Backend):
         return sc
 
     def _build_shift_perm(self) -> tuple[int, ...]:
-        """Cosyzygy on indecomposables, checked on envelope cokernels."""
+        """Cosyzygy on indecomposables, checked on envelope cokernels:
+        the cone module of x -> 0 is the envelope of x modulo x."""
         perm = []
-        for asm in self._single:
-            env, _, x1, slots = self._shift_layers(asm, 1)
-            # The embedding lands in a coordinate subspace, so the
-            # cokernel is env restricted to the complementary slots.
-            keep = [sorted(slots[v]) for v in range(self.m)]
-            qdims = tuple(len(keep[v]) for v in range(self.m))
-            qmats = []
-            for v in range(self.m):
-                w = (v + 1) % self.m
-                bits = []
-                for r in keep[w]:
-                    row = 0
-                    for ci, cslot in enumerate(keep[v]):
-                        if env.raw.mats[v].entry(r, cslot):
-                            row |= 1 << ci
-                    bits.append(row)
-                qmats.append(F2Matrix(qdims[w], qdims[v], tuple(bits)))
-            quot = RawModule(self.m, self.n, qdims, tuple(qmats))
+        for i in range(len(self._types)):
+            _, quot, x1, _ = self._cone_module(Mor(Obj.of(i), Obj.zero()))
             if decompose_counts(quot) != {self._type_of(x1.summands[0]): 1}:
                 raise InternalCheckError("envelope cokernel is not the cosyzygy")
             perm.append(x1.summands[0])
@@ -658,12 +624,6 @@ class NakayamaBackend(Backend):
     # -- cones ----------------------------------------------------------------
 
     @stored(key=lambda f: (f.src, f.dst, f.coords))
-    def cone(self, f: Mor) -> tuple[Obj, TriangleWitness]:
-        """Triangle X -> Y -> C -> X[1] by envelope pushout on f."""
-        wit = self._cone_impl(f)
-        return wit.tri.c, wit
-
-    @stored(key=lambda f: (f.src, f.dst, f.coords))
     def cone_obj(self, f: Mor) -> Obj:
         """The third object of ``cone(f)``, by path-rank counting on the
         cone module: no splitting and no triangle maps."""
@@ -707,8 +667,10 @@ class NakayamaBackend(Backend):
         cone_raw = RawModule(m, self.n, tuple(cdims), tuple(cone_mats))
         return quots, cone_raw, x1, slots
 
-    def _cone_impl(self, f: Mor) -> TriangleWitness:
-        x, y = f.src, f.dst
+    @stored(key=lambda f: (f.src, f.dst, f.coords))
+    def cone(self, f: Mor) -> Tri:
+        """Triangle X -> Y -> C -> X[1] by envelope pushout on f."""
+        y = f.dst
         quots, cone_raw, x1, slots = self._cone_module(f)
         m = self.m
         ydims = self._assembled(y).raw.dims
@@ -757,17 +719,9 @@ class NakayamaBackend(Backend):
         ]
         h = self._express_raw(c_obj, x1, h_mats)
 
-        tri = Tri(x, y, c_obj, f, g, h, morphism_data=True)
+        tri = Tri(f, g, h)
         self._check_triangle(tri)
-        return TriangleWitness(
-            tri,
-            provenance={
-                "construction": "envelope-pushout",
-                "map": {"src": self.obj_labels(x), "dst": self.obj_labels(y),
-                        "coords": f.coords},
-                "deleted_projectives": len(types) - len(nonproj),
-            },
-        )
+        return tri
 
     def _check_triangle(self, tri: Tri) -> None:
         gf = self.compose(tri.f, tri.g)
@@ -786,7 +740,7 @@ class NakayamaBackend(Backend):
         c: Obj,
         cap: int = 4,
         budget: Optional[int] = None,
-    ) -> Iterator[TriangleWitness]:
+    ) -> Iterator[Tri]:
         """Triangles A -> C -> B -> A[1] with A in add(xset), B in add(yset).
 
         Ends carry at most ``cap`` summands each.  Connecting maps are
@@ -814,7 +768,7 @@ class NakayamaBackend(Backend):
             if core.is_zero:
                 if len(xtra) <= cap and len(ytra) <= cap:
                     spend()
-                    yield self._split_witness(xtra, ytra)
+                    yield self._with_split([], xtra, ytra)
             for sx in range(1, cap - len(xtra) + 1):
                 for sy in range(1, cap - len(ytra) + 1):
                     for x1 in multisets_over(xset, sx):
@@ -829,29 +783,10 @@ class NakayamaBackend(Backend):
                                 spend(coords - last)
                                 last = coords
                                 delta = Mor(pair.y1m, pair.x1_obj, coords)
-                                rot = self.rotate_left(self.cone(delta)[1].tri)
-                                parts = [rot]
-                                for i in xtra.summands:
-                                    parts.append(self._id_first_tri(Obj.of(i)))
-                                for j in ytra.summands:
-                                    parts.append(self._id_last_tri(Obj.of(j)))
-                                tri = self.direct_sum_tri(parts)
+                                rot = self.rotate_left(self.cone(delta))
+                                tri = self._with_split([rot], xtra, ytra)
                                 self._check_triangle(tri)
-                                yield TriangleWitness(
-                                    tri,
-                                    provenance={
-                                        "construction": "dense-connecting-map",
-                                        "core_ends": [
-                                            self.obj_labels(pair.x1_obj),
-                                            self.obj_labels(pair.y1_obj),
-                                        ],
-                                        "delta": coords,
-                                        "split": [
-                                            self.obj_labels(xtra),
-                                            self.obj_labels(ytra),
-                                        ],
-                                    },
-                                )
+                                yield tri
                             spend(pair.span - last)
 
     @stored()
@@ -888,36 +823,20 @@ class NakayamaBackend(Backend):
                 pair.by_cone.setdefault(cobj, []).append(coords)
         pair.scanned = upto
 
-    def _split_witness(self, xtra: Obj, ytra: Obj) -> TriangleWitness:
-        parts = []
+    def _with_split(self, parts: list[Tri], xtra: Obj, ytra: Obj) -> Tri:
+        """The direct sum of ``parts`` with the split triangles
+        x = x -> 0 -> x[1] of xtra's summands and 0 -> y = y -> 0 of
+        ytra's, in that order."""
+        zero = Obj.zero()
         for i in xtra.summands:
-            parts.append(self._id_first_tri(Obj.of(i)))
+            x = Obj.of(i)
+            parts.append(
+                Tri(self.identity(x), Mor(x, zero), Mor(zero, self.shift_obj(x, 1)))
+            )
         for j in ytra.summands:
-            parts.append(self._id_last_tri(Obj.of(j)))
-        tri = self.direct_sum_tri(parts)
-        return TriangleWitness(tri, provenance={"construction": "split"})
-
-    def _id_first_tri(self, x: Obj) -> Tri:
-        return Tri(
-            x,
-            x,
-            Obj.zero(),
-            self.identity(x),
-            Mor(x, Obj.zero(), 0),
-            Mor(Obj.zero(), self.shift_obj(x, 1), 0),
-            morphism_data=True,
-        )
-
-    def _id_last_tri(self, y: Obj) -> Tri:
-        return Tri(
-            Obj.zero(),
-            y,
-            y,
-            Mor(Obj.zero(), y, 0),
-            self.identity(y),
-            Mor(y, Obj.zero(), 0),
-            morphism_data=True,
-        )
+            y = Obj.of(j)
+            parts.append(Tri(Mor(zero, y), self.identity(y), Mor(y, zero)))
+        return self.direct_sum_tri(parts)
 
     # -- tables ------------------------------------------------------------------
 

@@ -365,11 +365,11 @@ class PairEngine:
         """
         verdicts = []
         try:
-            for w in self.star.witnesses(
+            for tri in self.star.witnesses(
                 pair.u, pair.v.shifted(1), x, self.star.cap
             ):
-                span = self.factoring_subspace(x, pair.v, w.tri.c)
-                verdicts.append(in_span(w.tri.g.coords, span))
+                span = self.factoring_subspace(x, pair.v, tri.c)
+                verdicts.append(in_span(tri.g.coords, span))
                 if len(verdicts) == 2:
                     break
         except BudgetExceeded:

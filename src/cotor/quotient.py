@@ -86,12 +86,12 @@ class ZIQuotient:
     def _witness(self, x: Subcat, y: Subcat, c: Obj, what: str) -> Tri:
         # wide objects need at least their own width of split room
         star = self.engine.star
-        w = star.first_witness(x, y, c, len(c) + star.cap)
-        if w is None:
+        tri = star.first_witness(x, y, c, len(c) + star.cap)
+        if tri is None:
             raise DecompositionMissing(
                 f"no {what} triangle for {c.summands} at the current cap"
             )
-        return w.tri
+        return tri
 
     @stored(key=lambda x, step: (x.summands, step))
     def adjoint(self, x: Obj, step: int) -> tuple[Obj, Tri]:
@@ -169,8 +169,6 @@ class ZIQuotient:
         an inconsistent system raises.
         """
         b = self.backend
-        if not t1.morphism_data or not t2.morphism_data:
-            raise InputError("triangle completion needs morphism data")
         srcs = (t1.a, t1.b, t1.c)
         dsts = (t2.a, t2.b, t2.c)
         unknown = [k for k in range(3) if k not in given]
@@ -338,21 +336,19 @@ class ZIQuotient:
         b = self.backend
         x, y = f.src, f.dst
         paired, up_tri = self._paired_with_core(f)
-        cobj, wit = b.cone(paired)
-        third, sigma_tri = self._outer_adjoint(cobj)
+        cone_tri = b.cone(paired)
+        third, sigma_tri = self._outer_adjoint(cone_tri.c)
         inj_y = _injection(b, [y, up_tri.g.dst], 0)
-        if wit.tri.g.src != paired.dst:
-            raise InternalCheckError("cone witness has unexpected shape")
-        into_cone = b.compose(inj_y, wit.tri.g)
+        into_cone = b.compose(inj_y, cone_tri.g)
         second = b.compose(into_cone, sigma_tri.g)
         return {
             "src": x,
             "dst": y,
             "f": f,
-            "cone": cobj,
+            "cone": cone_tri.c,
             "third": third,
             "second": second,
-            "cone_tri": wit.tri,
+            "cone_tri": cone_tri,
             "sigma_tri": sigma_tri,
             "up_tri": up_tri,
         }
@@ -394,8 +390,8 @@ class ZIQuotient:
         i_y = pi.src
         # cocone of [f, pi]: x + core-part -> y, shifted back one step
         glued = _cotuple_mor(b, [f, pi])
-        cobj, wit = b.cone(glued)
-        dobj = b.shift_obj(cobj, -1)
+        cocone_tri = b.cone(glued)
+        dobj = b.shift_obj(cocone_tri.c, -1)
         if not self.p.t.contains_obj(dobj):
             raise InternalCheckError(
                 "standard cocone left the inner coclass, which the "
@@ -408,7 +404,7 @@ class ZIQuotient:
             "f": f,
             "cocone": dobj,
             "first": first,
-            "cocone_tri": wit.tri,
+            "cocone_tri": cocone_tri,
             "omega_tri": omega_tri,
             "down_tri": down_tri,
         }
@@ -433,12 +429,12 @@ class ZIQuotient:
             return None, Verdict.inconclusive(
                 reason="decomposition triangles not found at the current cap"
             )
-        u_x = w1.tri.a
-        t_x = w2.tri.c
+        u_x = w1.a
+        t_x = w2.c
         z_u, sig_tri = self.adjoint(u_x, 1)
         z_t, omg_tri = self.adjoint(t_x, -1)
         b = self.backend
-        rhs = b.compose(w1.tri.f, w2.tri.g)
+        rhs = b.compose(w1.f, w2.g)
         # unknown z: z_u -> z_t, condition (u_x -> z_u) then z then (z_t -> t_x)
         system = b.left_op(omg_tri.f, u_x).mul(b.right_op(sig_tri.g, z_t))
         sol = solve(system, rhs.coords)
@@ -463,16 +459,13 @@ class ZIQuotient:
         b = self.backend
         reps = self.zi_objects()
         table = {}
-        def _labels(obj: Obj) -> list[str]:
-            return [b.label_of(i) for i in obj.summands]
-
         for zid in sorted(self.z_set.ids()):
             z = Obj.of(zid)
             table[b.label_of(zid)] = {
-                "bracket_up": _labels(self.bracket(z, 1)[0]),
-                "bracket_down": _labels(self.bracket(z, -1)[0]),
-                "suspension": _labels(self.shift(z, 1)),
-                "desuspension": _labels(self.shift(z, -1)),
+                "bracket_up": b.obj_labels(self.bracket(z, 1)[0]),
+                "bracket_down": b.obj_labels(self.bracket(z, -1)[0]),
+                "suspension": b.obj_labels(self.shift(z, 1)),
+                "desuspension": b.obj_labels(self.shift(z, -1)),
             }
         dims = {}
         for a in reps:

@@ -42,6 +42,7 @@ from .core import (
     MAX_ENUM_INDECS,
     Mor,
     Obj,
+    Tri,
     Verdict,
     stored,
 )
@@ -246,69 +247,52 @@ class StarEngine:
         """
         if closed not in ("x", "y"):
             raise InputError(f"closed side must be 'x' or 'y', not {closed!r}")
-        if c.is_zero:
-            return Verdict.yes(witness={"construction": "zero"})
+        if c.is_zero or x.contains_obj(c) or y.contains_obj(c):
+            return Verdict.yes()
         if y.is_empty:
-            if x.contains_obj(c):
-                return Verdict.yes(witness={"construction": "x-only"})
             return Verdict.no(reason="Y side is zero and C is not in add(X)")
         if x.is_empty:
-            if y.contains_obj(c):
-                return Verdict.yes(witness={"construction": "y-only"})
             return Verdict.no(reason="X side is zero and C is not in add(Y)")
-        if x.contains_obj(c) or y.contains_obj(c):
-            return Verdict.yes(witness={"construction": "one-sided"})
         return self._peel_verdict(x, y, c, closed)
 
     def _peel_verdict(self, x: Subcat, y: Subcat, c: Obj, closed: str) -> Verdict:
         kind = "peel" if closed == "y" else "co-peel"
         try:
-            chain = self._peel_search(x, y, c, self.cap + 1, self.budget, closed)
+            found = self._peel_search(x, y, c, self.cap + 1, self.budget, closed)
         except BudgetExceeded:
             return Verdict.inconclusive(reason=f"{kind} budget exhausted")
-        if chain is not None:
-            return Verdict.yes(
-                witness={
-                    "construction": f"{kind}-chain",
-                    "chain": [
-                        {"peeled": self.backend.label_of(sid), "map": coords}
-                        for sid, coords in chain[0]
-                    ],
-                    "base": self.backend.obj_labels(chain[1]),
-                }
-            )
+        if found:
+            return Verdict.yes()
         return Verdict.no(
             reason=f"no {kind} chain up to depth {self.cap + 1} (caps "
             f"{self.cap} and {self.cap + 1} agree)"
         )
 
     @stored(key=lambda obj, sid, closed: (obj.summands, sid, closed))
-    def _peel_moves(
-        self, obj: Obj, sid: int, closed: str
-    ) -> tuple[tuple[int, Obj], ...]:
-        """Every nonzero peel of the indecomposable sid out of obj, as
-        (coords, next object): on the y side each map obj -> sid and its
-        cocone cone(map)[-1], on the x side each map sid -> obj and its
-        cone.  Built on first use and stored per (obj.summands, sid,
-        closed); the search asks only for summands with a nonzero Hom,
-        so every stored entry holds moves."""
+    def _peel_moves(self, obj: Obj, sid: int, closed: str) -> tuple[Obj, ...]:
+        """The object every nonzero peel of the indecomposable sid out of
+        obj leads to, by ascending map coordinates: on the y side each map
+        obj -> sid and its cocone cone(map)[-1], on the x side each map
+        sid -> obj and its cone.  Built on first use and stored per
+        (obj.summands, sid, closed); the search asks only for summands
+        with a nonzero Hom, so every stored entry holds moves."""
         b = self.backend
         s = Obj.of(sid)
         if closed == "y":
             return tuple(
-                (coords, b.shift_obj(b.cone_obj(Mor(obj, s, coords)), -1))
+                b.shift_obj(b.cone_obj(Mor(obj, s, coords)), -1)
                 for coords in range(1, 1 << b.hom_dim(obj, s))
             )
         return tuple(
-            (coords, b.cone_obj(Mor(s, obj, coords)))
+            b.cone_obj(Mor(s, obj, coords))
             for coords in range(1, 1 << b.hom_dim(s, obj))
         )
 
     def _peel_search(
         self, x: Subcat, y: Subcat, c: Obj, depth: int, budget: int, closed: str
-    ) -> Optional[tuple[list, Obj]]:
-        """Shortest chain of peels of the closed side's summands from c
-        into add of the other side.
+    ) -> bool:
+        """Whether some chain of at most ``depth`` peels of the closed
+        side's summands takes c into add of the other side.
 
         Zero peel maps are skipped: in a genuine triangle whose map into
         (out of) the stripped side has zero component on every summand,
@@ -323,13 +307,13 @@ class StarEngine:
         """
         target, strip = (x, y) if closed == "y" else (y, x)
         reach = hom_masks(self.backend)[0 if closed == "y" else 1]
-        frontier: list[tuple[Obj, list]] = [(c, [])]
+        frontier = [c]
         best_seen: dict[Obj, int] = {c: depth}
         for remaining in range(depth, -1, -1):
-            next_frontier: list[tuple[Obj, list]] = []
-            for obj, chain in frontier:
+            next_frontier: list[Obj] = []
+            for obj in frontier:
                 if target.contains_obj(obj):
-                    return chain, obj
+                    return True
                 if remaining == 0:
                     continue
                 hit = 0
@@ -340,16 +324,16 @@ class StarEngine:
                     budget -= len(moves)
                     if budget < 0:
                         raise BudgetExceeded("peel search budget exhausted")
-                    for coords, w in moves:
+                    for w in moves:
                         prev = best_seen.get(w)
                         if prev is not None and prev >= remaining - 1:
                             continue
                         best_seen[w] = remaining - 1
-                        next_frontier.append((w, chain + [(sid, coords)]))
+                        next_frontier.append(w)
             frontier = next_frontier
             if not frontier:
                 break
-        return None
+        return False
 
     def _literal_verdict(self, x: Subcat, y: Subcat, c: Obj) -> Verdict:
         """Star membership by the backend's capped triangle enumerator.
@@ -360,10 +344,10 @@ class StarEngine:
         """
         b = self.backend
         try:
-            for w in b.triangle_enumerate(
+            for _ in b.triangle_enumerate(
                 x.ids(), y.ids(), c, cap=self.cap + 1, budget=self.budget
             ):
-                return Verdict.yes(witness=w)
+                return Verdict.yes()
         except BudgetExceeded:
             return Verdict.inconclusive(reason="literal enumeration budget exhausted")
         return Verdict.no(
@@ -371,9 +355,9 @@ class StarEngine:
             f"and {self.cap + 1}"
         )
 
-    def witnesses(self, x: Subcat, y: Subcat, c: Obj, top: int) -> Iterator:
-        """Morphism-level triangle witnesses of the least cap in 2..top
-        that has any, in enumeration order; raises BudgetExceeded.
+    def witnesses(self, x: Subcat, y: Subcat, c: Obj, top: int) -> Iterator[Tri]:
+        """Witness triangles of the least cap in 2..top that has any, in
+        enumeration order; raises BudgetExceeded.
 
         Witness triangles are almost always narrow, so the small caps
         hit first and the wide sweeps only run when a witness truly
@@ -391,7 +375,7 @@ class StarEngine:
                 return
 
     @stored(key=lambda x, y, c, top: (x.bits, y.bits, c, top))
-    def first_witness(self, x: Subcat, y: Subcat, c: Obj, top: int):
+    def first_witness(self, x: Subcat, y: Subcat, c: Obj, top: int) -> Optional[Tri]:
         """The first of ``witnesses(x, y, c, top)``, or None, stored per
         input.  Only that one witness is kept, never the search; a
         BudgetExceeded propagates on every call and is not stored."""

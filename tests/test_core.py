@@ -101,12 +101,14 @@ def test_mor_addition_is_coordinatewise():
         f.plus(Mor(y, x, 0))
 
 
-def test_tri_requires_maps_when_flagged():
-    x = Obj.of(0)
+def test_tri_refuses_maps_that_do_not_chain():
+    x, y, z = Obj.of(0), Obj.of(1), Obj.zero()
+    t = Tri(Mor(x, y), Mor(y, z), Mor(z, x))
+    assert (t.a, t.b, t.c) == (x, y, z)
     with pytest.raises(InputError):
-        Tri(x, x, Obj.zero(), morphism_data=True)
-    t = Tri(x, x, Obj.zero(), morphism_data=False)
-    assert t.f is None
+        Tri(Mor(x, y), Mor(x, z), Mor(z, x))  # f ends at y, g starts at x
+    with pytest.raises(InputError):
+        Tri(Mor(x, y), Mor(y, z), Mor(y, x))  # g ends at z, h starts at y
 
 
 def test_caps_dependency():
@@ -194,20 +196,14 @@ def test_identity_is_neutral_for_composition(b13):
         assert b13.compose(f, idx) == f
 
 
-def test_rotations_at_object_level(b13):
-    t = Tri(Obj.of(0), Obj.of(1), Obj.of(0, 1), morphism_data=False)
-    left = b13.rotate_left(t)
-    assert (left.a, left.b, left.c) == (t.b, t.c, b13.shift_obj(t.a, 1))
-    right = b13.rotate_right(t)
-    assert (right.a, right.b, right.c) == (b13.shift_obj(t.c, -1), t.a, t.b)
-
-
 def test_rotations_preserve_exactness(b13):
     x, y = Obj.of(1), Obj.of(1)
     f = next(f for f in b13.hom_elements(x, y) if not f.is_zero)
-    _, w = b13.cone(f)
-    t = w.tri
-    for rot in (b13.rotate_left(t), b13.rotate_right(t)):
+    t = b13.cone(f)
+    left, right = b13.rotate_left(t), b13.rotate_right(t)
+    assert (left.a, left.b, left.c) == (t.b, t.c, b13.shift_obj(t.a, 1))
+    assert (right.a, right.b, right.c) == (b13.shift_obj(t.c, -1), t.a, t.b)
+    for rot in (left, right):
         assert b13.compose(rot.f, rot.g).is_zero
         assert b13.compose(rot.g, rot.h).is_zero
     # A full turn of three left rotations lands on the shifted triangle.
@@ -220,12 +216,12 @@ def test_rotations_preserve_exactness(b13):
 def test_direct_sum_of_triangles(b13):
     x, y = Obj.of(1), Obj.of(1)
     f = next(f for f in b13.hom_elements(x, y) if not f.is_zero)
-    _, w = b13.cone(f)
-    _, w0 = b13.cone(Mor(Obj.of(0), Obj.of(0), 0))
-    t = b13.direct_sum_tri([w.tri, w0.tri])
-    assert t.a == w.tri.a.plus(w0.tri.a)
-    assert t.b == w.tri.b.plus(w0.tri.b)
-    assert t.c == w.tri.c.plus(w0.tri.c)
+    w = b13.cone(f)
+    w0 = b13.cone(Mor(Obj.of(0), Obj.of(0), 0))
+    t = b13.direct_sum_tri([w, w0])
+    assert t.a == w.a.plus(w0.a)
+    assert t.b == w.b.plus(w0.b)
+    assert t.c == w.c.plus(w0.c)
     assert b13.compose(t.f, t.g).is_zero
     assert b13.compose(t.g, t.h).is_zero
 

@@ -154,6 +154,30 @@ def test_mutation_rejects_pairs_outside_the_class(mut_doubled):
         mut_doubled.mutate(outside, 1)
 
 
+def test_mutate_keeps_answers_but_never_refusals(mut22, mut_doubled, monkeypatch):
+    # A refusal raises on every call, since errors are never stored; an
+    # answer is stored per (pair, k), so asking again skips the mutable
+    # class test that the first call ran on the pair and on its image.
+    asked = []
+    honest = MutationEngine.in_MP
+    monkeypatch.setattr(
+        MutationEngine, "in_MP", lambda self, cp: asked.append(cp) or honest(self, cp)
+    )
+    outside = pair_of(mut_doubled.engine, ["M(1,1)"])
+    for _ in range(2):
+        with pytest.raises(InputError, match="outside the mutable class"):
+            mut_doubled.mutate(outside, 1)
+    assert len(asked) == 2
+    fresh = MutationEngine(mut22.engine, mut22.p)
+    cp = pair_of(mut22.engine, ["M(0,1)"])
+    first = fresh.mutate(cp, 1)
+    assert len(asked) == 4
+    assert fresh.mutate(CotorsionPair(cp.u, cp.v), 1) is first
+    assert len(asked) == 4
+    assert fresh.mutate(cp, 2).key() == cp.key()
+    assert len(asked) == 6
+
+
 def test_mutation_needs_both_conditions():
     # Concentric pair on the three-block backend that fails the
     # downward condition; every action entry point must refuse.

@@ -34,6 +34,8 @@ KEPT = {
     "from_labels": "Subcat.from_labels, the value API the tests build with",
     "reduce": "QuotientSpace.reduce, the canonical form of a class, which "
     "the tests compare quotient maps by",
+    "entry": "F2Matrix.entry, one matrix entry, which the tests' per-entry "
+    "oracles for products, module maps and block scatters read",
 }
 
 

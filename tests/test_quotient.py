@@ -9,7 +9,7 @@ collapse to the zero category, which pins the degenerate paths.
 
 import pytest
 
-from cotor.core import InputError, Mor, Obj, Tri
+from cotor.core import InputError, Mor, Obj
 from cotor.nakayama import NakayamaBackend
 from cotor.pairs import CotorsionPair, PairEngine, trivial_hovey_tcp
 from cotor.quotient import ZIQuotient
@@ -179,8 +179,7 @@ def test_triangle_completion_squares_commute(eng13, q13):
     m1 = Obj.of(b.id_of("M(0,1)"))
     m2 = Obj.of(b.id_of("M(0,2)"))
     incl = Mor(m1, m2, 1)
-    _, wit = b.cone(incl)
-    t = wit.tri
+    t = b.cone(incl)
     m0, m1m, m2m = q13.complete_triangle_map(
         t, t, {0: b.identity(t.a), 1: b.identity(t.b)}
     )
@@ -193,14 +192,6 @@ def test_triangle_completion_squares_commute(eng13, q13):
     )
 
 
-def test_triangle_completion_needs_morphism_data(q13):
-    b = q13.backend
-    m1 = Obj.of(b.id_of("M(0,1)"))
-    bare = Tri(m1, m1, Obj.zero(), None, None, None, morphism_data=False)
-    with pytest.raises(InputError):
-        q13.complete_triangle_map(bare, bare, {})
-
-
 # ---------------------------------------------------------------- triangles
 
 
@@ -211,7 +202,7 @@ def test_standard_right_triangle_reaches_the_cone(q13):
     f = Mor(m1, m2, 1)
     data = q13.standard_right_triangle(f)
     assert data["f"] is f
-    cobj, _ = b.cone(f)
+    cobj = b.cone(f).c
     # Empty core: the third vertex is the plain cone up to quotient iso.
     assert q13.class_of(data["third"]) == q13.class_of(cobj)
     assert data["second"].src == m2
@@ -231,7 +222,7 @@ def test_standard_left_triangle_reaches_the_shifted_cocone(q13):
     m2 = Obj.of(b.id_of("M(0,2)"))
     f = Mor(m1, m2, 1)
     data = q13.standard_left_triangle(f)
-    cobj, _ = b.cone(f)
+    cobj = b.cone(f).c
     assert q13.class_of(data["first"]) == q13.class_of(b.shift_obj(cobj, -1))
     assert q13.class_of(data["cocone"]) == q13.class_of(b.shift_obj(cobj, -1))
 

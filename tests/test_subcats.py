@@ -262,9 +262,8 @@ def test_find_witness_returns_checked_triangles(b22):
     x = Subcat.of(b22, [0])
     y = Subcat.of(b22, [1])
     # S0 + S1 decomposes as the split extension of these two classes.
-    w = next(eng.witnesses(x, y, Obj.of(0, 1), eng.cap), None)
-    assert w is not None
-    t = w.tri
+    t = next(eng.witnesses(x, y, Obj.of(0, 1), eng.cap), None)
+    assert t is not None
     assert t.b == Obj.of(0, 1)  # searched object sits in the middle
     assert x.contains_obj(t.a)
     assert y.contains_obj(t.c)
@@ -274,10 +273,6 @@ def test_find_witness_returns_checked_triangles(b22):
     assert next(eng.witnesses(x, x, Obj.of(1), eng.cap), None) is None
 
 
-def _tris(ws):
-    return [w.tri for w in ws]
-
-
 def test_witnesses_come_from_the_least_productive_cap_only():
     b = NakayamaBackend(2, 2)
     eng = StarEngine(b)
@@ -285,12 +280,12 @@ def test_witnesses_come_from_the_least_productive_cap_only():
     y = right_perp(s0, -1).shifted(1)
     for c in (Obj.of(0), Obj.of(1)):
         per_cap = [
-            _tris(b.triangle_enumerate(s0.ids(), y.ids(), c, cap=cap))
+            list(b.triangle_enumerate(s0.ids(), y.ids(), c, cap=cap))
             for cap in (2, 3)
         ]
         # Cap 3 has more witnesses, and the search stops before them.
         assert 0 < len(per_cap[0]) < len(per_cap[1])
-        assert _tris(eng.witnesses(s0, y, c, 3)) == per_cap[0]
+        assert list(eng.witnesses(s0, y, c, 3)) == per_cap[0]
 
 
 def test_witnesses_escalate_past_empty_caps(monkeypatch):
@@ -307,11 +302,11 @@ def test_witnesses_escalate_past_empty_caps(monkeypatch):
     monkeypatch.setattr(b, "triangle_enumerate", from_cap_three)
     s0 = Subcat.of(b, [0])
     y = right_perp(s0, -1).shifted(1)
-    got = _tris(eng.witnesses(s0, y, Obj.of(0), 4))
-    assert got == _tris(honest(s0.ids(), y.ids(), Obj.of(0), cap=3))
+    got = list(eng.witnesses(s0, y, Obj.of(0), 4))
+    assert got == list(honest(s0.ids(), y.ids(), Obj.of(0), cap=3))
     assert asked == [2, 3]
     asked.clear()
-    assert _tris(eng.witnesses(s0, y, Obj.of(0), 2)) == []
+    assert list(eng.witnesses(s0, y, Obj.of(0), 2)) == []
     assert asked == [2]
 
 
@@ -330,7 +325,7 @@ def test_first_witness_is_the_first_of_the_search(monkeypatch):
             assert got is None
         else:
             found += 1
-            assert (got.tri, got.provenance) == (want.tri, want.provenance)
+            assert got == want
     assert 0 < found < len(cases)
 
 

@@ -77,7 +77,7 @@ def per_move_peel(engine, x, y, c, depth, budget, closed):
 
 class PerMovePeel(StarEngine):
     def _peel_search(self, x, y, c, depth, budget, closed):
-        return per_move_peel(self, x, y, c, depth, budget, closed)[0]
+        return per_move_peel(self, x, y, c, depth, budget, closed)[0] is not None
 
 
 def per_pair_partners(engine, inner, outers):
@@ -137,7 +137,7 @@ def check_against_per_move(b, queries):
             x, y, c, closed
         )
         found, total = per_move_peel(oracle, x, y, c, depth, table.budget, closed)
-        assert table._peel_search(x, y, c, depth, total, closed) == found
+        assert table._peel_search(x, y, c, depth, total, closed) == (found is not None)
         for budget in range(total):
             assert raises_budget(
                 lambda n: table._peel_search(x, y, c, depth, n, closed), budget

@@ -5,9 +5,11 @@
 wanted core, read from an index the backend keeps per end pair.  Before
 the index it scanned every connecting map, filtered the dense ones and
 computed each one's cone.  That scan survives here only as the oracle:
-the same witnesses in the same order, and the same work budget, one
+the same triangles in the same order, and the same work budget, one
 unit per connecting map scanned, so ``BudgetExceeded`` falls at the
-same point.
+same point.  Comparing triangles loses nothing of the connecting map:
+each dense triangle's third map is the shift of its connecting map,
+and the shift is injective on stable Hom.
 """
 
 import random
@@ -15,7 +17,7 @@ import random
 import pytest
 
 from cotor.core import BudgetExceeded, Mor, Obj, multisets_over
-from cotor.nakayama import NakayamaBackend, TriangleWitness, _splits_3way
+from cotor.nakayama import NakayamaBackend, _splits_3way
 
 # Every Nakayama backend with at most 9 indecomposables (K = m(n-1)).
 UP_TO_9 = [(m, n) for n in range(2, 11) for m in range(1, 10) if m * (n - 1) <= 9]
@@ -44,7 +46,7 @@ def dense_masks(b, src, dst):
 def scan_enumerate(b, xset, yset, c, cap, budget, spent):
     """The per-map scan: every connecting map y1[-1] -> x1 is charged,
     the dense ones get a cone, and those whose cone is the core yield a
-    witness.  ``spent[0]`` counts the units charged so far."""
+    triangle.  ``spent[0]`` counts the units charged so far."""
     xset = sorted(set(xset))
     yset = sorted(set(yset))
 
@@ -57,7 +59,7 @@ def scan_enumerate(b, xset, yset, c, cap, budget, spent):
         if core.is_zero:
             if len(xtra) <= cap and len(ytra) <= cap:
                 spend()
-                yield b._split_witness(xtra, ytra)
+                yield b._with_split([], xtra, ytra)
         for sx in range(1, cap - len(xtra) + 1):
             for sy in range(1, cap - len(ytra) + 1):
                 for x1 in multisets_over(xset, sx):
@@ -73,30 +75,16 @@ def scan_enumerate(b, xset, yset, c, cap, budget, spent):
                             if any(not (coords & mk) for mk in masks):
                                 continue
                             delta = Mor(y1m, x1_obj, coords)
-                            cobj, w = b.cone(delta)
-                            if cobj != core:
+                            cone = b.cone(delta)
+                            if cone.c != core:
                                 continue
-                            parts = [b.rotate_left(w.tri)]
-                            parts += [b._id_first_tri(Obj.of(i)) for i in xtra.summands]
-                            parts += [b._id_last_tri(Obj.of(j)) for j in ytra.summands]
-                            tri = b.direct_sum_tri(parts)
+                            tri = b._with_split([b.rotate_left(cone)], xtra, ytra)
                             b._check_triangle(tri)
-                            yield TriangleWitness(
-                                tri,
-                                provenance={
-                                    "construction": "dense-connecting-map",
-                                    "core_ends": [
-                                        b.obj_labels(x1_obj),
-                                        b.obj_labels(y1_obj),
-                                    ],
-                                    "delta": coords,
-                                    "split": [b.obj_labels(xtra), b.obj_labels(ytra)],
-                                },
-                            )
+                            yield tri
 
 
 def scan_run(b, xset, yset, c, cap):
-    """Oracle witnesses with the units spent when each was yielded, the
+    """Oracle triangles with the units spent when each was yielded, the
     units spent in all, and whether the LIMIT ran out."""
     spent = [0]
     got = []
@@ -118,10 +106,6 @@ def indexed_run(b, xset, yset, c, cap, budget):
     return got, False
 
 
-def key(w):
-    return w.tri, w.provenance
-
-
 # ---------------------------------------------------------------- cases
 
 
@@ -140,7 +124,7 @@ def random_cases(b, rng, count):
             y1 = Obj.from_iter(rng.choice(yset) for _ in range(rng.randint(1, 2)))
             y1m = b.shift_obj(y1, -1)
             d = b.hom_dim(y1m, x1)
-            core = b.cone(Mor(y1m, x1, rng.getrandbits(d)))[0] if d else Obj.zero()
+            core = b.cone(Mor(y1m, x1, rng.getrandbits(d))).c if d else Obj.zero()
             extra = [rng.choice(xset + yset) for _ in range(rng.randint(0, 1))]
             c = core.plus(Obj.from_iter(extra))
         yield xset, yset, c, cap
@@ -163,7 +147,7 @@ def check_index(b):
         for cobj, maps in pair.by_cone.items():
             assert maps == sorted(set(maps))
             for coords in maps:
-                assert b.cone(Mor(y1m, Obj(x1), coords))[0] == cobj
+                assert b.cone(Mor(y1m, Obj(x1), coords)).c == cobj
             listed += maps
         dense = [
             coords
@@ -185,17 +169,17 @@ def test_indexed_enumeration_matches_the_scan(mn):
         want, total, ran_out = scan_run(oracle_b, xset, yset, c, cap)
         # Every budget from 1 to the oracle's spend, in rising order, so the
         # index of a pair is also extended from a partial scan.  With
-        # budget B the scan yields the witnesses charged by then, and
+        # budget B the scan yields the triangles charged by then, and
         # raises unless it finished within B.
         for budget in range(1, total + 1):
             got, raised = indexed_run(b, xset, yset, c, cap, budget)
-            expected = [key(w) for w, at in want if at <= budget]
-            assert [key(w) for w in got] == expected, (xset, yset, c, cap, budget)
+            expected = [w for w, at in want if at <= budget]
+            assert got == expected, (xset, yset, c, cap, budget)
             assert raised == (ran_out or budget < total), (xset, yset, c, cap, budget)
         if not ran_out:
             got, raised = indexed_run(b, xset, yset, c, cap, None)
             assert not raised
-            assert [key(w) for w in got] == [key(w) for w, _ in want]
+            assert got == [w for w, _ in want]
     check_index(b)
 
 
@@ -203,10 +187,10 @@ def test_index_is_filled_once_and_read_across_calls():
     b = NakayamaBackend(3, 4)
     every = list(range(b.K))
     c = Obj.of(0, 5)
-    first = [key(w) for w in b.triangle_enumerate(every, every, c, cap=2)]
+    first = list(b.triangle_enumerate(every, every, c, cap=2))
     assert first
     cones = set(b._stored.get("cone", {}))
-    again = [key(w) for w in b.triangle_enumerate(every, every, c, cap=2)]
+    again = list(b.triangle_enumerate(every, every, c, cap=2))
     assert again == first
     assert set(b._stored.get("cone", {})) == cones
     assert all(p is None or p.scanned == p.span for p in b._stored.get("_end_pair", {}).values())
