@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .core import (
     Backend,
-    BackendCaps,
     BudgetExceeded,
     CapabilityError,
     CotorError,
@@ -30,7 +29,6 @@ from .subcats import StarEngine, Subcat, left_perp, right_perp
 
 __all__ = [
     "Backend",
-    "BackendCaps",
     "BudgetExceeded",
     "CapabilityError",
     "CotorError",

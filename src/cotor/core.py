@@ -3,10 +3,10 @@
 Objects are finite multisets of indecomposables identified by small
 integer ids; morphisms are coordinate vectors over a fixed block basis
 of the Hom spaces.  A backend provides the actual calculus (Hom
-dimensions, composition, cones); this module fixes the data types, the
-capability flags, the error taxonomy, the three-valued verdicts that
-search routines return, and the one rule by which engines keep their
-answers (``stored``).
+dimensions, composition, cones, Sigma on maps); this module fixes the
+data types, the capability flag, Omega on maps (solved from Sigma), the
+error taxonomy, the three-valued verdicts that search routines return,
+and the one rule by which engines keep their answers (``stored``).
 """
 
 from __future__ import annotations
@@ -16,13 +16,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .f2 import F2Matrix
+from .f2 import F2Matrix, rank, solve
 
 # Size caps, in indecomposables, of the exhaustive routes: the 2^K class
-# sweeps, the construction of a Nakayama backend's tables, and exact
-# backend matching.
+# sweeps, the construction of a Nakayama or polygon backend's tables,
+# and exact backend matching.
 MAX_ENUM_INDECS = 27
 MAX_NAKAYAMA_INDECS = 24
+MAX_POLYGON_INDECS = 1000
 MAX_MATCH_INDECS = 24
 
 
@@ -260,29 +261,18 @@ class Tri:
         return self.h.src
 
 
-@dataclass(frozen=True)
-class BackendCaps:
-    """Capability flags; exact triangles presuppose morphism calculus."""
-
-    morphism_calculus: bool
-    exact_triangles: bool
-
-    def __post_init__(self) -> None:
-        if self.exact_triangles and not self.morphism_calculus:
-            raise InputError("exact_triangles requires morphism_calculus")
-
-
 class Backend:
     """Common interface of the concrete category models.
 
     Subclasses must provide the object layer (indecomposables, shift,
     extension incidence).  The morphism layer and the triangle layer
-    raise CapabilityError unless the corresponding capability flag is
-    set and the subclass overrides them.
+    raise CapabilityError unless ``exact_triangles`` is set and the
+    subclass overrides them.  Of the shift on maps a backend supplies
+    only the suspension ``suspend``; ``shift_mor`` solves for Omega.
     """
 
     spec_string: str = ""
-    caps: BackendCaps = BackendCaps(False, False)
+    exact_triangles: bool = False
 
     # --- object layer -------------------------------------------------
 
@@ -318,14 +308,14 @@ class Backend:
 
     # --- morphism layer -----------------------------------------------
 
-    def _need(self, flag: str) -> None:
-        if not getattr(self.caps, flag):
+    def _need(self) -> None:
+        if not self.exact_triangles:
             raise CapabilityError(
-                f"backend {self.spec_string!r} lacks capability {flag}"
+                f"backend {self.spec_string!r} lacks capability exact_triangles"
             )
 
     def hom_dim_pair(self, i: int, j: int) -> int:
-        self._need("morphism_calculus")
+        self._need()
         raise NotImplementedError
 
     def hom_dim(self, x: Obj, y: Obj) -> int:
@@ -345,12 +335,12 @@ class Backend:
         return out
 
     def identity(self, x: Obj) -> Mor:
-        self._need("morphism_calculus")
+        self._need()
         raise NotImplementedError
 
     def compose(self, f: Mor, g: Mor) -> Mor:
         """g after f; endpoints must chain as f: X->Y, g: Y->Z."""
-        self._need("morphism_calculus")
+        self._need()
         raise NotImplementedError
 
     def hom_elements(self, x: Obj, y: Obj):
@@ -375,23 +365,44 @@ class Backend:
         ]
         return F2Matrix.from_rows(cols, self.hom_dim(h.src, dst)).transpose()
 
-    def shift_mor(self, f: Mor, k: int = 1) -> Mor:
-        self._need("exact_triangles")
+    def suspend(self, f: Mor) -> Mor:
+        """Sigma on one map: f[1] from f.src[1] to f.dst[1]."""
+        self._need()
         raise NotImplementedError
+
+    def shift_op(self, x: Obj, y: Obj) -> F2Matrix:
+        """Matrix of Sigma from Hom(x, y) to Hom(x[1], y[1])."""
+        cols = [self.suspend(Mor(x, y, 1 << k)).coords
+                for k in range(self.hom_dim(x, y))]
+        dout = self.hom_dim(self.shift_obj(x, 1), self.shift_obj(y, 1))
+        return F2Matrix.from_rows(cols, dout).transpose()
+
+    def shift_mor(self, f: Mor, k: int = 1) -> Mor:
+        """Sigma^k on a map.  Each Omega step solves Sigma g = f over
+        Hom(x[-1], y[-1]) and raises unless Sigma is injective there and
+        f lies in its image, so the answer is certified."""
+        for _ in range(k):
+            f = self.suspend(f)
+        for _ in range(-k):
+            x, y = self.shift_obj(f.src, -1), self.shift_obj(f.dst, -1)
+            op = self.shift_op(x, y)
+            if rank(op) < op.cols:
+                raise InternalCheckError("suspension is not injective on maps")
+            g = solve(op, f.coords)
+            if g is None:
+                raise InternalCheckError("map is not a suspension")
+            f = Mor(x, y, g)
+        return f
 
     # --- triangle layer -----------------------------------------------
 
     def cone(self, f: Mor) -> Tri:
         """Completed triangle on f."""
-        self._need("exact_triangles")
+        self._need()
         raise NotImplementedError
 
-    def cone_obj(self, f: Mor) -> Obj:
-        """Third object of the cone on f; backends may skip the maps."""
-        return self.cone(f).c
-
     def triangle_enumerate(self, xset, yset, c: Obj, cap: int, budget=None):
-        self._need("exact_triangles")
+        self._need()
         raise NotImplementedError
 
     # --- triangle helpers ---------------------------------------------

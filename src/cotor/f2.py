@@ -121,14 +121,6 @@ class F2Matrix:
             raise ValueError("column counts do not match")
         return F2Matrix(self.rows + other.rows, self.cols, self.bits + other.bits)
 
-    def add(self, other: "F2Matrix") -> "F2Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shapes do not match")
-        return F2Matrix(self.rows, self.cols, tuple(a ^ b for a, b in zip(self.bits, other.bits)))
-
-    def is_zero(self) -> bool:
-        return all(row == 0 for row in self.bits)
-
 
 def rank(matrix: F2Matrix) -> int:
     return len(Echelon(matrix.bits))

@@ -17,10 +17,11 @@ uniserials along one basis of Jordan chains of its arrow action
 (``split_module``), and rank counting (``decompose_counts``) is the
 independent second route.  ``cone_obj`` reads only the cone's object,
 by rank counting, for callers that need nothing else; ``cone`` builds
-the full triangle and checks its split against the rank count.  The shift Sigma and its inverse Omega, on
-objects and on maps, are read off one way (``_shift_layers``): the
-layers of the envelope, or of the projective cover, that the module
-does not occupy form the cosyzygy or syzygy.
+the full triangle and checks its split against the rank count.  The
+shift Sigma, on objects and on maps, is read off one way
+(``_envelope``): the layers of the envelope that the module does not
+occupy form the cosyzygy.  Omega on maps is solved from Sigma by the
+backend base.
 Closed-form expectations (such as the min-formula for one-vertex Hom
 dimensions) live in the test suite as oracles, not here.
 
@@ -36,7 +37,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
     Backend,
-    BackendCaps,
     BudgetExceeded,
     Indec,
     InputError,
@@ -191,24 +191,15 @@ def _solve_module_map(
     """Module map a -> b with prescribed values, or None.
 
     Each ``interp`` entry (vertex v, source vector x, target vector y)
-    pins phi_v(x) = y, with x over a.dims[v] and y over b.dims[v].  An
-    entry may carry a fourth item, a matrix S over b.dims[v]; it then
-    pins only S phi_v(x) = y, which is how a lift through a cover is
-    fixed modulo the kernel of the cover projection.
+    pins phi_v(x) = y, with x over a.dims[v] and y over b.dims[v].
     """
     base, total, rows = _commutation_rows(a, b)
     rhs = 0
-    for v, src, tgt, *select in interp:
+    for v, src, tgt in interp:
         at, stride = base[v], a.dims[v]
-        masks = select[0].bits if select else (1 << r for r in range(b.dims[v]))
-        for r, mask in enumerate(masks):
-            row = 0
-            while mask:
-                k = (mask & -mask).bit_length() - 1
-                row ^= src << (at + k * stride)
-                mask &= mask - 1
+        for r in range(b.dims[v]):
             rhs |= ((tgt >> r) & 1) << len(rows)
-            rows.append(row)
+            rows.append(src << (at + r * stride))
     flat = solve(F2Matrix.from_rows(rows, total), rhs)
     if flat is None:
         return None
@@ -285,6 +276,8 @@ class _EndPair:
 class NakayamaBackend(Backend):
     """Morphism-level triangulated backend with exact cones."""
 
+    exact_triangles = True
+
     def __init__(self, m: int, n: int):
         """The algebra on m vertices whose paths of length n vanish."""
         if m < 1:
@@ -299,7 +292,6 @@ class NakayamaBackend(Backend):
                 f"above the cap {MAX_NAKAYAMA_INDECS}"
             )
         self.spec_string = f"nakayama:m={m},n={n}"
-        self.caps = BackendCaps(morphism_calculus=True, exact_triangles=True)
         self._indecs = tuple(
             Indec(i * (n - 1) + (l - 1), f"M({i},{l})")
             for i in range(m)
@@ -529,95 +521,73 @@ class NakayamaBackend(Backend):
             coords |= block << off
         return Mor(src, dst, coords)
 
-    # -- envelopes, covers, shift on morphisms ------------------------------
+    # -- envelopes, shift on morphisms --------------------------------------
 
-    def _shift_layers(self, a: _Assembled, step: int):
-        """Envelope (step 1) or cover (step -1) of a, and a's shift in it.
+    def _envelope(self, a: _Assembled):
+        """Injective envelope of a, and a's cosyzygy in it.
 
         Layer t of a summand (i, l) of a is layer t + n - l of its
-        envelope and layer t of its cover; the other n - l layers of the
-        envelope or cover form its cosyzygy or syzygy.  Returns the
-        assembled envelope or cover P, the per-vertex matrices of the
-        embedding a -> P or the projection P -> a, the shifted object
-        and, per vertex, a dict from each (co)syzygy slot of P to its
-        slot in the assembly of the shifted object.
+        envelope; the other n - l layers form its cosyzygy.  Returns the
+        assembled envelope E, the per-vertex matrices of the embedding
+        a -> E, the shifted object and, per vertex, a dict from each
+        cosyzygy slot of E to its slot in the assembly of the shifted
+        object.
         """
         m, n = self.m, self.n
-        if step == 1:
-            proj = self._asm(tuple(((i + l - n) % m, n) for (i, l) in a.types))
-            rows, cols = proj, a
-        else:
-            proj = self._asm(tuple((i, n) for (i, _l) in a.types))
-            rows, cols = a, proj
-        bits = [[0] * rows.raw.dims[v] for v in range(m)]
-        spans = []
+        env = self._asm(tuple(((i + l - n) % m, n) for (i, l) in a.types))
+        bits = [[0] * env.raw.dims[v] for v in range(m)]
         for s, (i, l) in enumerate(a.types):
-            off = n - l if step == 1 else 0
             for t in range(l):
                 v, ca = a.pos[s][t]
-                v2, cp = proj.pos[s][t + off]
+                v2, ce = env.pos[s][t + n - l]
                 if v2 != v:
-                    raise InternalCheckError("envelope or cover misaligned")
-                r, c = (cp, ca) if step == 1 else (ca, cp)
-                bits[v][r] |= 1 << c
-            spans.append(range(n - l) if step == 1 else range(l, n))
+                    raise InternalCheckError("envelope misaligned")
+                bits[v][ce] |= 1 << ca
         ids = [
-            self._id_of_type((proj.pos[s][span[0]][0], len(span)))
-            for s, span in enumerate(spans)
+            self._id_of_type((env.pos[s][0][0], n - l))
+            for s, (i, l) in enumerate(a.types)
         ]
         shifted = Obj.from_iter(ids)
         place = _slot_assignment(shifted, [Obj.of(i) for i in ids])
         sasm = self._assembled(shifted)
         slots: list[dict[int, int]] = [{} for _ in range(m)]
-        for s, span in enumerate(spans):
-            for u, t in enumerate(span):
-                v, pslot = proj.pos[s][t]
-                v1, slot = sasm.pos[place[s][0]][u]
+        for s, (i, l) in enumerate(a.types):
+            for t in range(n - l):
+                v, eslot = env.pos[s][t]
+                v1, slot = sasm.pos[place[s][0]][t]
                 if v1 != v:
                     raise InternalCheckError("shift slot misaligned")
-                slots[v][pslot] = slot
+                slots[v][eslot] = slot
         mats = [
-            F2Matrix(rows.raw.dims[v], cols.raw.dims[v], tuple(bits[v]))
+            F2Matrix(env.raw.dims[v], a.raw.dims[v], tuple(bits[v]))
             for v in range(m)
         ]
-        return proj, mats, shifted, slots
+        return env, mats, shifted, slots
 
-    @stored(key=lambda f, k=1: (f.src, f.dst, f.coords, k))
-    def shift_mor(self, f: Mor, k: int = 1) -> Mor:
-        step = 1 if k > 0 else -1
-        out = f
-        for _ in range(abs(k)):
-            out = self._shift_mor_once(out, step)
-        return out
-
-    def _shift_mor_once(self, f: Mor, step: int) -> Mor:
+    @stored(key=lambda f: (f.src, f.dst, f.coords))
+    def suspend(self, f: Mor) -> Mor:
+        """Sigma on a map: the lift phi of f between envelopes, with
+        phi iota_a = iota_b f, read on the cosyzygies."""
         if f.src.is_zero or f.dst.is_zero or f.is_zero:
-            return Mor(self.shift_obj(f.src, step), self.shift_obj(f.dst, step), 0)
+            return Mor(self.shift_obj(f.src, 1), self.shift_obj(f.dst, 1), 0)
         a = self._assembled(f.src)
         b = self._assembled(f.dst)
-        pa, ma, src1, slots_a = self._shift_layers(a, step)
-        pb, mb, dst1, slots_b = self._shift_layers(b, step)
+        pa, ma, src1, slots_a = self._envelope(a)
+        pb, mb, dst1, slots_b = self._envelope(b)
         fraw = self._raw_from_mor(f)
-        interp = []
-        for v in range(self.m):
-            if step == 1:
-                # phi iota_a = iota_b f on the columns of a
-                for c in range(a.raw.dims[v]):
-                    tgt = mb[v].matvec(fraw[v].column(c))
-                    interp.append((v, ma[v].column(c), tgt))
-            else:
-                # kappa_b phi = f kappa_a, pinned modulo ker kappa_b
-                for c in range(pa.raw.dims[v]):
-                    tgt = fraw[v].matvec(ma[v].column(c))
-                    interp.append((v, 1 << c, tgt, mb[v]))
+        interp = [
+            (v, ma[v].column(c), mb[v].matvec(fraw[v].column(c)))
+            for v in range(self.m)
+            for c in range(a.raw.dims[v])
+        ]
         phi = _solve_module_map(pa.raw, pb.raw, interp)
         if phi is None:
-            raise InternalCheckError("envelope or cover lift failed")
+            raise InternalCheckError("envelope lift failed")
         mats = []
         for v in range(self.m):
             cols = [0] * len(slots_a[v])
             for pslot, c in slots_a[v].items():
-                cols[c] = _read_shift(phi[v].column(pslot), slots_b[v], step == -1)
+                cols[c] = _read_shift(phi[v].column(pslot), slots_b[v])
             mats.append(F2Matrix.from_rows(cols, len(slots_b[v])).transpose())
         return self._express_raw(src1, dst1, mats)
 
@@ -636,7 +606,7 @@ class NakayamaBackend(Backend):
         a = self._assembled(f.src)
         b = self._assembled(f.dst)
         fraw = self._raw_from_mor(f)
-        env, iota, x1, slots = self._shift_layers(a, 1)
+        env, iota, x1, slots = self._envelope(a)
         m = self.m
         ydims = b.raw.dims
         edims = env.raw.dims
@@ -711,7 +681,7 @@ class NakayamaBackend(Backend):
         h_mats = [
             F2Matrix.from_rows(
                 [_read_shift(quots[v].lift(from_stable[v].column(cc))
-                             >> ydims[v], slots[v], False)
+                             >> ydims[v], slots[v])
                  for cc in range(keep[v])],
                 len(slots[v]),
             ).transpose()
@@ -952,13 +922,11 @@ def split_module(raw: RawModule):
     return types, to_canon, from_canon
 
 
-def _read_shift(vec: int, slots: dict[int, int], strict: bool) -> int:
-    """Shifted-object coordinates of a vector over envelope or cover slots.
+def _read_shift(vec: int, slots: dict[int, int]) -> int:
+    """Shifted-object coordinates of a vector over envelope slots.
 
-    Bits outside the (co)syzygy slots are dropped: in an envelope they
-    lie in the image of the module, which the cokernel kills.  With
-    ``strict`` they are an error instead, since a lift between covers
-    must keep the syzygy inside the syzygy.
+    Bits outside the cosyzygy slots are dropped: they lie in the image
+    of the module, which the cokernel kills.
     """
     out = 0
     while vec:
@@ -966,8 +934,6 @@ def _read_shift(vec: int, slots: dict[int, int], strict: bool) -> int:
         vec &= vec - 1
         if r in slots:
             out |= 1 << slots[r]
-        elif strict:
-            raise InternalCheckError("cover lift left the syzygy")
     return out
 
 

@@ -147,7 +147,7 @@ class PairEngine:
     every answer is stored per input (``core.stored``)."""
 
     def __init__(self, backend: Backend, cap: int = DEFAULT_CAP):
-        backend._need("exact_triangles")
+        backend._need()
         self.backend = backend
         self.star = StarEngine(backend, cap=cap)
         # ZIQuotient.for_pair keeps one subquotient per twin pair here.

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import Backend, BackendCaps, Indec, InputError
+from .core import MAX_POLYGON_INDECS, Backend, Indec, InputError
 from .subcats import Subcat, closed_sets, iter_bits, require_enumerable
 
 
@@ -51,9 +51,14 @@ class PolygonBackend(Backend):
     def __init__(self, n: int):
         if n < 4:
             raise InputError("polygon needs at least 4 vertices")
+        expected = n * (n - 3) // 2
+        if expected > MAX_POLYGON_INDECS:
+            raise InputError(
+                f"polygon:N={n} has {expected} arcs, "
+                f"above the cap {MAX_POLYGON_INDECS}"
+            )
         self.n = n
         self.spec_string = f"polygon:N={n}"
-        self.caps = BackendCaps(morphism_calculus=False, exact_triangles=False)
         arcs = []
         for i in range(n):
             for j in range(i + 2, n):
@@ -61,7 +66,6 @@ class PolygonBackend(Backend):
                     arcs.append(Arc(i, j))
         arcs.sort(key=lambda a: (a.i, a.j))
         self._arcs = tuple(arcs)
-        expected = n * (n - 3) // 2
         if len(arcs) != expected:
             raise InputError("arc count mismatch")
         self._by_arc = {a: idx for idx, a in enumerate(arcs)}

@@ -149,15 +149,6 @@ class ZIQuotient:
 
     # -- linear operators over morphism coordinates ------------------------------
 
-    def _shift_op(self, x: Obj, y: Obj) -> F2Matrix:
-        b = self.backend
-        din = b.hom_dim(x, y)
-        x1 = b.shift_obj(x, 1)
-        y1 = b.shift_obj(y, 1)
-        dout = b.hom_dim(x1, y1)
-        cols = [b.shift_mor(Mor(x, y, 1 << k), 1).coords for k in range(din)]
-        return F2Matrix.from_rows(cols, dout).transpose()
-
     def complete_triangle_map(
         self, t1: Tri, t2: Tri, given: dict[int, Mor]
     ) -> tuple[Mor, Mor, Mor]:
@@ -181,7 +172,7 @@ class ZIQuotient:
             (b.left_op(t2.g, t1.b), b.right_op(t1.g, t2.c)),
             (
                 b.left_op(t2.h, t1.c),
-                b.right_op(t1.h, a1).mul(self._shift_op(t1.a, t2.a)),
+                b.right_op(t1.h, a1).mul(b.shift_op(t1.a, t2.a)),
             ),
         )
         system = F2Matrix.zero(0, sum(widths))

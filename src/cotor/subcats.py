@@ -164,7 +164,7 @@ def hom_masks(b: Backend) -> tuple[list[int], list[int], list[int]]:
     ``right_perp(-, -1)`` and ``left_perp(-, 1)`` form a Galois connection."""
     got = _HOM_MASKS.get(b)
     if got is None:
-        b._need("morphism_calculus")
+        b._need()
         k = len(b.indecs)
         out, into = [0] * k, [0] * k
         for i in range(k):
@@ -230,7 +230,7 @@ class StarEngine:
         cap: int = DEFAULT_CAP,
         budget: int = DEFAULT_BUDGET,
     ):
-        backend._need("exact_triangles")
+        backend._need()
         self.backend = backend
         self.cap = cap
         self.budget = budget

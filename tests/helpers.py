@@ -3,8 +3,9 @@
 import functools
 
 from cotor import cli
-from cotor.core import Obj, Verdict
+from cotor.core import Mor, Obj, Verdict, _slot_assignment
 from cotor.f2 import F2Matrix, solve
+from cotor.nakayama import _commutation_rows, _unflatten
 from cotor.subcats import Subcat
 
 
@@ -19,6 +20,84 @@ def is_isomorphism(b, f):
     system = b.right_op(f, x).vstack(b.left_op(f, y))
     rhs = b.identity(x).coords | b.identity(y).coords << b.hom_dim(x, x)
     return solve(system, rhs) is not None
+
+
+def cover_omega(b, f):
+    """Omega on one map of a Nakayama backend by the projective-cover
+    route, the mirror of the envelope lift that suspends: lift f through
+    the covers P -> f.src and Q -> f.dst, pinned only modulo the kernel
+    of Q -> f.dst (selection pins), and read the lift on the syzygies,
+    which it must keep inside the syzygies (strict read)."""
+    m, n = b.m, b.n
+    src1, dst1 = b.shift_obj(f.src, -1), b.shift_obj(f.dst, -1)
+    if f.src.is_zero or f.dst.is_zero or f.is_zero:
+        return Mor(src1, dst1, 0)
+    covers = []
+    for x, x1 in ((f.src, src1), (f.dst, dst1)):
+        # Layer t of a summand (i, l) is layer t of its cover (i, n); the
+        # layers l..n-1 of the cover form its syzygy (i + l, n - l).
+        a = b._assembled(x)
+        cover = b._asm(tuple((i, n) for (i, _l) in a.types))
+        proj = [[0] * d for d in a.raw.dims]
+        for s, (_i, l) in enumerate(a.types):
+            for t in range(l):
+                v, ca = a.pos[s][t]
+                v2, cp = cover.pos[s][t]
+                assert v2 == v, "cover misaligned"
+                proj[v][ca] |= 1 << cp
+        ids = [
+            b._id_of_type((cover.pos[s][l][0], n - l))
+            for s, (_i, l) in enumerate(a.types)
+        ]
+        assert Obj.from_iter(ids) == x1, "cover syzygy is not the desuspension"
+        place = _slot_assignment(x1, [Obj.of(i) for i in ids])
+        sasm = b._assembled(x1)
+        slots = [{} for _ in range(m)]
+        for s, (_i, l) in enumerate(a.types):
+            for u, t in enumerate(range(l, n)):
+                v, pslot = cover.pos[s][t]
+                v1, slot = sasm.pos[place[s][0]][u]
+                assert v1 == v, "syzygy slot misaligned"
+                slots[v][pslot] = slot
+        mats = [
+            F2Matrix(a.raw.dims[v], cover.raw.dims[v], tuple(proj[v]))
+            for v in range(m)
+        ]
+        covers.append((cover.raw, mats, slots))
+    (pa, ka, slots_a), (pb, kb, slots_b) = covers
+    # kappa_b phi = f kappa_a on each basis vector of pa, as the rows of
+    # kappa_b (the selection) applied to phi's column
+    fraw = b._raw_from_mor(f)
+    base, total, rows = _commutation_rows(pa, pb)
+    rhs = 0
+    for v in range(m):
+        stride = pa.dims[v]
+        for c in range(stride):
+            tgt = fraw[v].matvec(ka[v].column(c))
+            for r, mask in enumerate(kb[v].bits):
+                row = 0
+                while mask:
+                    k = (mask & -mask).bit_length() - 1
+                    row ^= 1 << (base[v] + k * stride + c)
+                    mask &= mask - 1
+                rhs |= ((tgt >> r) & 1) << len(rows)
+                rows.append(row)
+    flat = solve(F2Matrix.from_rows(rows, total), rhs)
+    assert flat is not None, "cover lift failed"
+    phi = _unflatten(pa, pb, flat)
+    mats = []
+    for v in range(m):
+        cols = [0] * len(slots_a[v])
+        for pslot, c in slots_a[v].items():
+            vec, out = phi[v].column(pslot), 0
+            while vec:
+                r = (vec & -vec).bit_length() - 1
+                vec &= vec - 1
+                assert r in slots_b[v], "cover lift left the syzygy"
+                out |= 1 << slots_b[v][r]
+            cols[c] = out
+        mats.append(F2Matrix.from_rows(cols, len(slots_b[v])).transpose())
+    return b._express_raw(src1, dst1, mats)
 
 
 def from_entries(entries, rows, cols):

@@ -328,6 +328,24 @@ def test_invalid_inputs_exit_two(capsys):
         assert err.startswith("error:"), argv
 
 
+def test_unknown_labels_are_named_as_typed(capsys):
+    for label in ("S9", "M(7,1)"):
+        rc, _, err = invoke(
+            capsys, "inspect-pair", "--backend", "nakayama:m=1,n=3",
+            "--pair", f"U=[{label}];V=[]",
+        )
+        assert rc == 2
+        assert err == f"error: unknown indecomposable label {label!r}\n"
+
+
+def test_oversized_polygon_is_refused_before_it_is_built(capsys):
+    rc, _, err = invoke(
+        capsys, "verify", "--suite", "counts", "--backend", "polygon:N=100000",
+    )
+    assert rc == 2
+    assert err == "error: polygon:N=100000 has 4999850000 arcs, above the cap 1000\n"
+
+
 def test_cap_defaults_to_the_star_engine_default():
     # One default for the CLI flag, the pair engine and the star engine.
     assert cli._build_parser().parse_args(["enumerate-cp"]).cap == DEFAULT_CAP

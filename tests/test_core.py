@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from cotor.core import (
     Backend,
-    BackendCaps,
     CapabilityError,
     InputError,
     Mor,
@@ -111,21 +110,17 @@ def test_tri_refuses_maps_that_do_not_chain():
         Tri(Mor(x, y), Mor(y, z), Mor(y, x))  # g ends at z, h starts at y
 
 
-def test_caps_dependency():
-    with pytest.raises(InputError):
-        BackendCaps(morphism_calculus=False, exact_triangles=True)
-
-
 def test_missing_capability_raises():
     class ObjectOnly(Backend):
         spec_string = "object-only"
-        caps = BackendCaps(False, False)
 
     bo = ObjectOnly()
     with pytest.raises(CapabilityError):
         bo.hom_dim_pair(0, 0)
     with pytest.raises(CapabilityError):
         bo.cone(Mor(Obj.zero(), Obj.zero()))
+    with pytest.raises(CapabilityError):
+        bo.shift_mor(Mor(Obj.zero(), Obj.zero()), 1)
     with pytest.raises(CapabilityError):
         is_isomorphism(bo, Mor(Obj.zero(), Obj.zero()))
     with pytest.raises(CapabilityError):

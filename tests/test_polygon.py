@@ -112,6 +112,13 @@ def test_arc_validation():
         PolygonBackend(3)
 
 
+def test_construction_cap_refuses_before_building_arcs():
+    # N = 46 has 989 arcs, the last N under the cap of 1000.
+    assert len(PolygonBackend(46).indecs) == 989
+    with pytest.raises(InputError, match="polygon:N=47 has 1034 arcs, above the cap 1000"):
+        PolygonBackend(47)
+
+
 def test_parse_spec():
     assert parse_spec("polygon:N=6").n == 6
     for bad in ("nakayama:m=1,n=3", "polygon:6", "polygon:N=x"):
