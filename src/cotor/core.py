@@ -92,7 +92,7 @@ NO = "no"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     """Three-valued search result.
 
@@ -151,7 +151,7 @@ class Verdict:
         return Verdict.yes(reason="; ".join(reasons) or None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Indec:
     """One indecomposable object: a stable id and a unique label."""
 
@@ -159,7 +159,7 @@ class Indec:
     label: str
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Obj:
     """Finite multiset of indecomposable ids, canonically sorted.
 
@@ -209,7 +209,7 @@ class Obj:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mor:
     """Morphism as a coordinate bit vector over the block Hom basis.
 
@@ -232,7 +232,7 @@ class Mor:
         return self.coords == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tri:
     """Triangle A -> B -> C -> A[1], given by its maps f, g, h.
 
@@ -349,16 +349,18 @@ class Backend:
         for c in range(1 << d):
             yield Mor(x, y, c)
 
+    @stored(key=lambda h, src: (h.src, h.dst, h.coords, src))
     def left_op(self, h: Mor, src: Obj) -> F2Matrix:
-        """Matrix of g -> (h after g) for g: src -> h.src."""
+        """Matrix of g -> (h after g) for g: src -> h.src, stored per input."""
         cols = [
             self.compose(Mor(src, h.src, 1 << k), h).coords
             for k in range(self.hom_dim(src, h.src))
         ]
         return F2Matrix.from_rows(cols, self.hom_dim(src, h.dst)).transpose()
 
+    @stored(key=lambda h, dst: (h.src, h.dst, h.coords, dst))
     def right_op(self, h: Mor, dst: Obj) -> F2Matrix:
-        """Matrix of g -> (g after h) for g: h.dst -> dst."""
+        """Matrix of g -> (g after h) for g: h.dst -> dst, stored per input."""
         cols = [
             self.compose(h, Mor(h.dst, dst, 1 << k)).coords
             for k in range(self.hom_dim(h.dst, dst))

@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class F2Matrix:
     """Dense GF(2) matrix with row-major bit storage.
 

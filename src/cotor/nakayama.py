@@ -54,7 +54,7 @@ from .f2 import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawModule:
     """Quiver representation: per-vertex dimensions plus arrow matrices.
 
@@ -245,7 +245,7 @@ def _compose_raw(
 # Backend
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _PairTable:
     """Frozen stable Hom data for one ordered pair of indecomposables."""
 
@@ -721,12 +721,16 @@ class NakayamaBackend(Backend):
         Each end pair (X1, Y1) keeps, across calls, an index of its
         dense connecting maps Y1[-1] -> X1 by cone (``_end_pair``), so a
         search for the core walks only the maps whose cone is the core.
-        The budget still counts one unit per connecting map scanned,
-        dense or not, in ascending order; raises BudgetExceeded at the
-        map where the work bound runs out.
+        The end pairs of each size come from a stored list of those with
+        a dense map (``_live_end_pairs``), in multiset order; the others
+        cost no budget, so skipping them moves nothing.  The split
+        triangle of a zero core is stored per split (``_split_tri``), so
+        all searches share one ``Tri``.  The budget counts one unit per
+        connecting map scanned, dense or not, in ascending order; raises
+        BudgetExceeded at the map where the work bound runs out.
         """
-        xset = sorted(set(xset))
-        yset = sorted(set(yset))
+        xset = tuple(sorted(set(xset)))
+        yset = tuple(sorted(set(yset)))
         remaining = [budget if budget is not None else 1 << 62]
 
         def spend(k: int = 1) -> None:
@@ -738,26 +742,35 @@ class NakayamaBackend(Backend):
             if core.is_zero:
                 if len(xtra) <= cap and len(ytra) <= cap:
                     spend()
-                    yield self._with_split([], xtra, ytra)
+                    yield self._split_tri(xtra, ytra)
             for sx in range(1, cap - len(xtra) + 1):
                 for sy in range(1, cap - len(ytra) + 1):
-                    for x1 in multisets_over(xset, sx):
-                        for y1 in multisets_over(yset, sy):
-                            pair = self._end_pair(x1, y1)
-                            if pair is None:
-                                continue
-                            # index only the maps this budget can reach
-                            self._scan_end_pair(pair, min(pair.span, remaining[0]))
-                            last = 0
-                            for coords in pair.by_cone.get(core, ()):
-                                spend(coords - last)
-                                last = coords
-                                delta = Mor(pair.y1m, pair.x1_obj, coords)
-                                rot = self.rotate_left(self.cone(delta))
-                                tri = self._with_split([rot], xtra, ytra)
-                                self._check_triangle(tri)
-                                yield tri
-                            spend(pair.span - last)
+                    for pair in self._live_end_pairs(xset, yset, sx, sy):
+                        # index only the maps this budget can reach
+                        self._scan_end_pair(pair, min(pair.span, remaining[0]))
+                        last = 0
+                        for coords in pair.by_cone.get(core, ()):
+                            spend(coords - last)
+                            last = coords
+                            delta = Mor(pair.y1m, pair.x1_obj, coords)
+                            rot = self.rotate_left(self.cone(delta))
+                            tri = self._with_split([rot], xtra, ytra)
+                            self._check_triangle(tri)
+                            yield tri
+                        spend(pair.span - last)
+
+    @stored()
+    def _live_end_pairs(
+        self, xset: tuple[int, ...], yset: tuple[int, ...], sx: int, sy: int
+    ) -> tuple[_EndPair, ...]:
+        """The end pairs (x1, y1) with |x1| = sx over xset and |y1| = sy
+        over yset that have a dense map, x1-major in multiset order."""
+        return tuple(
+            pair
+            for x1 in multisets_over(xset, sx)
+            for y1 in multisets_over(yset, sy)
+            if (pair := self._end_pair(x1, y1)) is not None
+        )
 
     @stored()
     def _end_pair(self, x1: tuple[int, ...], y1: tuple[int, ...]) -> Optional[_EndPair]:
@@ -792,6 +805,11 @@ class NakayamaBackend(Backend):
                 cobj = self.cone_obj(Mor(pair.y1m, pair.x1_obj, coords))
                 pair.by_cone.setdefault(cobj, []).append(coords)
         pair.scanned = upto
+
+    @stored(key=lambda xtra, ytra: (xtra.summands, ytra.summands))
+    def _split_tri(self, xtra: Obj, ytra: Obj) -> Tri:
+        """The split triangle xtra -> xtra + ytra -> ytra -> xtra[1]."""
+        return self._with_split([], xtra, ytra)
 
     def _with_split(self, parts: list[Tri], xtra: Obj, ytra: Obj) -> Tri:
         """The direct sum of ``parts`` with the split triangles

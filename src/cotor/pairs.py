@@ -335,22 +335,25 @@ class PairEngine:
 
         Any factorization through a finite direct sum of members splits
         into single-member components, so products of basis elements
-        through single indecomposables span the whole subspace.
+        through single indecomposables span the whole subspace.  The
+        span is the concatenation, member by member in ascending order,
+        of the stored spans of ``_member_span``, which twin pairs that
+        share members read in common.
         """
+        return [v for mid in mids for v in self._member_span(src, mid, dst)]
+
+    @stored(key=lambda src, mid, dst: (src.summands, mid, dst.summands))
+    def _member_span(self, src: Obj, mid: int, dst: Obj) -> tuple[int, ...]:
+        """The nonzero products beta after alpha of basis maps
+        alpha: src -> mid and beta: mid -> dst, alpha-major."""
         b = self.backend
-        vectors: list[int] = []
-        for mid in mids:
-            m_obj = Obj.of(mid)
-            d1 = b.hom_dim(src, m_obj)
-            d2 = b.hom_dim(m_obj, dst)
-            for a_bit in range(d1):
-                alpha = Mor(src, m_obj, 1 << a_bit)
-                for b_bit in range(d2):
-                    beta = Mor(m_obj, dst, 1 << b_bit)
-                    coords = b.compose(alpha, beta).coords
-                    if coords:
-                        vectors.append(coords)
-        return vectors
+        m = Obj.of(mid)
+        prods = (
+            b.compose(Mor(src, m, 1 << i), Mor(m, dst, 1 << j)).coords
+            for i in range(b.hom_dim(src, m))
+            for j in range(b.hom_dim(m, dst))
+        )
+        return tuple(v for v in prods if v)
 
     @stored(key=lambda x, pair: (x, pair.key()))
     def h_vanishes(self, x: Obj, pair: CotorsionPair) -> Verdict:

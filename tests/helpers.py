@@ -3,9 +3,11 @@
 import functools
 
 from cotor import cli
-from cotor.core import Mor, Obj, Verdict, _slot_assignment
+from cotor.core import (
+    BudgetExceeded, Mor, Obj, Verdict, _slot_assignment, multisets_over
+)
 from cotor.f2 import F2Matrix, solve
-from cotor.nakayama import _commutation_rows, _unflatten
+from cotor.nakayama import _commutation_rows, _splits_3way, _unflatten
 from cotor.subcats import Subcat
 
 
@@ -144,3 +146,73 @@ def ext_closure(star, x):
         if grown == r.bits:
             return r, complete
         r = Subcat(b, grown)
+
+
+def op_by_compose(b, h, obj, side):
+    """The matrix of g -> (h after g) for g: obj -> h.src (side "left")
+    or of g -> (g after h) for g: h.dst -> obj (side "right"), one
+    ``compose`` per basis map of the free end, built afresh each call."""
+    if side == "left":
+        d, out = b.hom_dim(obj, h.src), b.hom_dim(obj, h.dst)
+        cols = [b.compose(Mor(obj, h.src, 1 << k), h).coords for k in range(d)]
+    else:
+        d, out = b.hom_dim(h.dst, obj), b.hom_dim(h.src, obj)
+        cols = [b.compose(h, Mor(h.dst, obj, 1 << k)).coords for k in range(d)]
+    return F2Matrix.from_rows(cols, out).transpose()
+
+
+def basis_products(b, src, mids, dst):
+    """The nonzero products beta after alpha of basis maps alpha: src -> m
+    and beta: m -> dst, for each member m of mids in ascending order,
+    alpha-major: the span of maps factoring through mids, computed
+    afresh with nothing stored."""
+    vectors = []
+    for mid in mids:
+        m_obj = Obj.of(mid)
+        for a_bit in range(b.hom_dim(src, m_obj)):
+            alpha = Mor(src, m_obj, 1 << a_bit)
+            for b_bit in range(b.hom_dim(m_obj, dst)):
+                coords = b.compose(alpha, Mor(m_obj, dst, 1 << b_bit)).coords
+                if coords:
+                    vectors.append(coords)
+    return vectors
+
+
+def walk_enumerate(b, xset, yset, c, cap, budget=None):
+    """``NakayamaBackend.triangle_enumerate`` by the full multiset walk:
+    every end pair (x1, y1) of each size is asked for its cone index,
+    dead pairs included, and the split triangle of a zero core is built
+    afresh.  The budget is charged the same way, so the triangles, their
+    order and the point where BudgetExceeded falls must all agree."""
+    xset = sorted(set(xset))
+    yset = sorted(set(yset))
+    remaining = [budget if budget is not None else 1 << 62]
+
+    def spend(k=1):
+        remaining[0] -= k
+        if remaining[0] < 0:
+            raise BudgetExceeded("triangle enumeration budget exhausted")
+
+    for xtra, ytra, core in _splits_3way(c, xset, yset):
+        if core.is_zero:
+            if len(xtra) <= cap and len(ytra) <= cap:
+                spend()
+                yield b._with_split([], xtra, ytra)
+        for sx in range(1, cap - len(xtra) + 1):
+            for sy in range(1, cap - len(ytra) + 1):
+                for x1 in multisets_over(xset, sx):
+                    for y1 in multisets_over(yset, sy):
+                        pair = b._end_pair(x1, y1)
+                        if pair is None:
+                            continue
+                        b._scan_end_pair(pair, min(pair.span, remaining[0]))
+                        last = 0
+                        for coords in pair.by_cone.get(core, ()):
+                            spend(coords - last)
+                            last = coords
+                            delta = Mor(pair.y1m, pair.x1_obj, coords)
+                            rot = b.rotate_left(b.cone(delta))
+                            tri = b._with_split([rot], xtra, ytra)
+                            b._check_triangle(tri)
+                            yield tri
+                        spend(pair.span - last)

@@ -22,7 +22,6 @@ from cotor.pairs import (
     CotorsionPair,
     PairEngine,
     trivial_hovey_tcp,
-    trivial_pairs,
 )
 from cotor.polygon import (
     PolygonBackend,

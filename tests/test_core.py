@@ -5,6 +5,7 @@ level backend, two indecomposables with every Hom space one
 dimensional, so each assertion stays hand checkable.
 """
 
+import dataclasses
 import itertools
 import types
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from cotor.core import (
     Backend,
     CapabilityError,
+    Indec,
     InputError,
     Mor,
     Obj,
@@ -23,7 +25,8 @@ from cotor.core import (
     multisets_over,
     stored,
 )
-from cotor.nakayama import NakayamaBackend
+from cotor.f2 import F2Matrix
+from cotor.nakayama import NakayamaBackend, RawModule, _PairTable
 
 from helpers import is_isomorphism
 
@@ -85,6 +88,57 @@ def test_obj_multiset_algebra():
     assert x.counts() == {0: 1, 1: 2}
     with pytest.raises(ValueError):
         x.remove([7])
+
+
+def _values(b):
+    """One instance of each slotted value type, from the backend b."""
+    x, y = Obj.of(0), Obj.of(0, 1)
+    return [
+        x,
+        Mor(x, y, 0b1),
+        Tri(Mor(x, y), Mor(y, x), Mor(x, x)),
+        Verdict.no("bad"),
+        b.indecs[0],
+        F2Matrix.identity(2),
+        b._single[0].raw,
+        b._pairs[(0, 0)],
+    ]
+
+
+def test_value_types_are_slotted_and_frozen(b13):
+    values = _values(b13)
+    assert {type(v) for v in values} == {
+        Obj, Mor, Tri, Verdict, Indec, F2Matrix, RawModule, _PairTable
+    }
+    for v in values:
+        fields = [f.name for f in dataclasses.fields(v)]
+        assert not hasattr(v, "__dict__"), type(v)
+        assert tuple(type(v).__slots__) == tuple(fields)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(v, fields[0], getattr(v, fields[0]))
+        # no slot for a new name; the exact error differs across versions
+        with pytest.raises((AttributeError, TypeError)):
+            v.extra = 1
+
+
+def test_value_types_keep_field_hash_and_equality(b13):
+    for v in _values(b13):
+        parts = tuple(getattr(v, f.name) for f in dataclasses.fields(v))
+        assert hash(v) == hash(parts)
+        twin = type(v)(*parts)
+        assert twin == v and hash(twin) == hash(v) and twin is not v
+        assert v != parts
+    assert Verdict.yes("a") != Verdict.yes("b")
+    assert Mor(Obj.of(0), Obj.of(0), 1) != Mor(Obj.of(0), Obj.of(0), 0)
+
+
+def test_obj_orders_by_summand_tuples():
+    objs = [Obj(s) for size in range(4) for s in itertools.product(range(3), repeat=size)
+            if list(s) == sorted(s)]
+    assert sorted(objs, reverse=True) == [
+        Obj(s) for s in sorted((o.summands for o in objs), reverse=True)
+    ]
+    assert Obj.zero() < Obj.of(0) < Obj.of(0, 0) < Obj.of(1) <= Obj.of(1)
 
 
 # ---------------------------------------------------------------- morphisms

@@ -8,7 +8,7 @@ agree with them bit for bit.
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from cotor.f2 import (

@@ -16,7 +16,6 @@ from cotor.nakayama import NakayamaBackend
 from cotor.pairs import (
     CotorsionPair,
     PairEngine,
-    TwinCotorsionPair,
     trivial_hovey_tcp,
     trivial_pairs,
 )

@@ -8,7 +8,7 @@ extensions, which is what the peel engine's yes side requires.
 
 import pytest
 
-from cotor.core import BudgetExceeded, InputError, Obj, Verdict
+from cotor.core import BudgetExceeded, CapabilityError, InputError, Obj
 from cotor.nakayama import NakayamaBackend
 from cotor.pairs import PairEngine
 from cotor.polygon import PolygonBackend, enumerate_ptolemy, enumerate_rigid
@@ -119,9 +119,9 @@ def test_perps_are_antitone(b23):
     assert right_perp(Subcat.empty(b23), -1) == Subcat.everything(b23)
 
 
-def test_perp_requires_morphism_calculus():
+def test_perp_needs_exact_triangles():
     poly = PolygonBackend(5)
-    with pytest.raises(InputError):
+    with pytest.raises(CapabilityError):
         right_perp(Subcat.of(poly, [0]), -1)
 
 
