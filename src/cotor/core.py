@@ -195,13 +195,6 @@ class Obj:
     def plus(self, other: "Obj") -> "Obj":
         return Obj(tuple(sorted(self.summands + other.summands)))
 
-    def remove(self, ids: Sequence[int]) -> "Obj":
-        """Multiset difference; raises if ids are not contained."""
-        rest = list(self.summands)
-        for i in ids:
-            rest.remove(i)
-        return Obj(tuple(rest))
-
     def counts(self) -> dict[int, int]:
         out: dict[int, int] = {}
         for i in self.summands:

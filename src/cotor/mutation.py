@@ -24,6 +24,7 @@ action laws compose them; a raised error is never stored.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .core import InputError, InternalCheckError, Mor, Obj, multisets_over, stored
@@ -102,6 +103,33 @@ class MutationEngine:
                 ids.add(z)
         return Subcat.of(self.backend, ids)
 
+    def _star_side(self, a: Subcat, step: int, closed: str) -> tuple[Subcat, bool]:
+        """The star S[-1] * a inside U (+1), or a * V[1] inside T (-1),
+        with its completeness flag."""
+        p, star = self.p, self.engine.star
+        if step == 1:
+            return star.star_indecs(p.s.shifted(-1), a, closed=closed, within=p.u)
+        return star.star_indecs(a, p.v.shifted(1), closed=closed, within=p.t)
+
+    def _lift_class(self, reps: tuple[int, ...], step: int) -> Subcat:
+        """The first (+1) or second (-1) class of a lifted pair: the
+        members of U (+1) or T (-1) whose adjoint (+1) or coadjoint (-1)
+        images have classes in reps.  The star route must agree."""
+        # Candidates outside U and T are never tried, so the sweeps never
+        # need to decide them.  S[-1] and V[1] are shifted cotorsion-pair
+        # sides, hence extension-closed.
+        by_star, ok = self._star_side(self.lift(reps), step, "x" if step == 1 else "y")
+        side, want = (self.p.u if step == 1 else self.p.t), set(reps)
+        pre = Subcat.of(
+            self.backend, [i for i in side if self._image_classes(i, step) <= want]
+        )
+        if ok and by_star != pre:
+            raise InternalCheckError(
+                f"lift routes disagree on the {'first' if step == 1 else 'second'} "
+                f"class: star {by_star.labels()} vs preimage {pre.labels()}"
+            )
+        return pre
+
     @stored()
     def I_map(self, zp: ZICotorsionPair) -> CotorsionPair:
         """Pull a quotient pair back to an ambient cotorsion pair.
@@ -109,37 +137,7 @@ class MutationEngine:
         Star route and adjoint-preimage route are both computed and
         must agree; the result is verified as a cotorsion pair.
         """
-        # Candidates outside U and T are discarded by the intersection,
-        # so the sweeps never need to decide them.  S[-1] and V[1] are
-        # shifted cotorsion-pair sides, hence extension-closed.
-        p, star = self.p, self.engine.star
-        a_star_raw, ok_a = star.star_indecs(
-            p.s.shifted(-1), self.lift(zp.l), closed="x", within=p.u
-        )
-        b_star_raw, ok_b = star.star_indecs(
-            self.lift(zp.r), p.v.shifted(1), closed="y", within=p.t
-        )
-        a_star = p.u.intersect(a_star_raw)
-        b_star = p.t.intersect(b_star_raw)
-
-        want_l, want_r = set(zp.l), set(zp.r)
-        a_pre = Subcat.of(
-            self.backend, [i for i in p.u if self._image_classes(i, 1) <= want_l]
-        )
-        b_pre = Subcat.of(
-            self.backend, [i for i in p.t if self._image_classes(i, -1) <= want_r]
-        )
-        if ok_a and a_star != a_pre:
-            raise InternalCheckError(
-                "lift routes disagree on the first class: star "
-                f"{a_star.labels()} vs preimage {a_pre.labels()}"
-            )
-        if ok_b and b_star != b_pre:
-            raise InternalCheckError(
-                "lift routes disagree on the second class: star "
-                f"{b_star.labels()} vs preimage {b_pre.labels()}"
-            )
-        out = CotorsionPair(a_pre, b_pre)
+        out = CotorsionPair(self._lift_class(zp.l, 1), self._lift_class(zp.r, -1))
         v = self.engine.is_cotorsion_pair(out.u, out.v)
         if not v.is_yes:
             raise InternalCheckError(
@@ -177,13 +175,10 @@ class MutationEngine:
 
         # The second star arguments are classes of verified pairs, hence
         # extension-closed, which the peel engine's yes side requires.
-        star = self.engine.star
-        fa_raw, ok_a = star.star_indecs(p.s.shifted(-1), cp.u, closed="y", within=p.u)
-        fb_raw, ok_b = star.star_indecs(cp.v, p.v.shifted(1), closed="y", within=p.t)
+        fa, ok_a = self._star_side(cp.u, 1, "y")
+        fb, ok_b = self._star_side(cp.v, -1, "y")
         if ok_a and ok_b:
-            by_fixed_point = (
-                p.u.intersect(fa_raw) == cp.u and p.t.intersect(fb_raw) == cp.v
-            )
+            by_fixed_point = fa == cp.u and fb == cp.v
             if by_def != by_fixed_point:
                 raise InternalCheckError(
                     "mutable-class characterizations disagree on "
@@ -235,8 +230,15 @@ class MutationEngine:
 
     def shift_zi_pair(self, zp: ZICotorsionPair, k: int) -> ZICotorsionPair:
         perm = self._shift_permutation(1 if k >= 0 else -1)
+        # the permutation's order is the lcm of its cycle lengths
+        order = 1
+        for start in perm:
+            length, x = 1, perm[start]
+            while x != start:
+                length, x = length + 1, perm[x]
+            order = math.lcm(order, length)
         l, r = set(zp.l), set(zp.r)
-        for _ in range(abs(k)):
+        for _ in range(abs(k) % order):
             l = {perm[x] for x in l}
             r = {perm[x] for x in r}
         return ZICotorsionPair.of(l, r)
@@ -404,8 +406,6 @@ class MutationEngine:
             "ok": not failures,
             "mutable_count": len(mp),
             "quotient_count": len(zcp),
-            "mutable": [cp.as_labels() for cp in mp],
-            "quotient": [{"L": list(z.l), "R": list(z.r)} for z in zcp],
             "failures": failures,
         }
 

@@ -437,7 +437,7 @@ class PairEngine:
         q = ZIQuotient.for_pair(self, p)
         parts = []
         for xx in tu:
-            parts.append(q.mu_is_iso(Obj.of(xx)))
+            parts.append(q.mu_map(Obj.of(xx))[1])
         if not complete:
             parts.append(
                 Verdict.inconclusive(reason="star class possibly incomplete")

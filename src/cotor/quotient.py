@@ -13,8 +13,11 @@ taking a direction: ``bracket(z, step)`` is a step through the core,
 ``adjoint(x, step)`` pulls an object of the outer class (+1) or of the
 inner coclass (-1) back into Z, and ``shift(z, step)`` is the
 suspension (+1) or desuspension (-1), the adjoint image of the bracket
-step the same way.  Every witness triangle is the first one of the
-star engine's escalating-cap search (``StarEngine.first_witness``).
+step the same way.  The right (+1) and left (-1) standard triangles
+share one route too: glue the map to its bracket link, take the cone,
+and pull its end back with the adjoint the same way.  Every witness
+triangle is the first one of the star engine's escalating-cap search
+(``StarEngine.first_witness``).
 Each subquotient stores its answers per input (``core.stored``).
 
 Witness triangles are unique only up to isomorphism, so object-level
@@ -199,23 +202,14 @@ class ZIQuotient:
 
     # -- morphism-level functors ---------------------------------------------
 
-    def sigma_mor(self, g: Mor) -> Mor:
-        """Image of a map of outer-class objects under the adjoint."""
-        _, t1 = self.adjoint(g.src, 1)
-        _, t2 = self.adjoint(g.dst, 1)
-        _, _, m2 = self.complete_triangle_map(t1, t2, {1: g})
-        return m2
-
-    def bracket_mor(self, f: Mor) -> Mor:
-        """Image of a map of middle-class objects under the upward bracket."""
-        _, t1 = self.bracket(f.src, 1)
-        _, t2 = self.bracket(f.dst, 1)
-        m0, _, _ = self.complete_triangle_map(t1, t2, {1: f})
-        return self.backend.shift_mor(m0, 1)
-
     def Sigma_mor(self, f: Mor) -> Mor:
-        """Suspension of a morphism class, one representative."""
-        return self.sigma_mor(self.bracket_mor(f))
+        """Suspension of a morphism class, one representative: the
+        upward bracket image of f, shifted, then its adjoint image."""
+        b = self.backend
+        t1, t2 = self.bracket(f.src, 1)[1], self.bracket(f.dst, 1)[1]
+        g = b.shift_mor(self.complete_triangle_map(t1, t2, {1: f})[0], 1)
+        s1, s2 = self.adjoint(g.src, 1)[1], self.adjoint(g.dst, 1)[1]
+        return self.complete_triangle_map(s1, s2, {1: g})[2]
 
     # -- isomorphism testing -------------------------------------------------------
 
@@ -317,88 +311,62 @@ class ZIQuotient:
 
     # -- standard triangles -----------------------------------------------------
 
-    def standard_right_triangle(self, f: Mor) -> dict:
-        """Right triangle on a map of middle-class objects.
+    def _glue_link(self, f: Mor, step: int) -> Mor:
+        """The map f glued to its bracket link: the column [f; iota] out
+        of f's source (+1), iota the upward bracket into the core, or the
+        row [f, pi] into f's target (-1), pi the downward bracket out of
+        the core."""
+        if step == 1:
+            link = self.bracket(f.src, 1)[1].g
+            ok = link.src == f.src
+            shape = ([f.src], [f.dst, link.dst], [(0, 0, f), (0, 1, link)])
+        else:
+            link = self.bracket(f.dst, -1)[1].f
+            ok = link.dst == f.dst
+            shape = ([f.src, link.src], [f.dst], [(0, 0, f), (1, 0, link)])
+        if not ok:
+            raise InternalCheckError("bracket witness has unexpected shape")
+        return scatter_blocks(self.backend, *shape)
+
+    def _standard_end(self, cobj: Obj, step: int) -> tuple[Obj, Tri]:
+        """The adjoint image of a standard cone (+1), which must lie in the
+        outer class, or the coadjoint image of a standard cone shifted back
+        one step (-1), which must lie in the inner coclass."""
+        if step == -1:
+            cobj = self.backend.shift_obj(cobj, -1)
+        if not (self.p.u if step == 1 else self.p.t).contains_obj(cobj):
+            raise InternalCheckError(
+                ("standard cone left the outer class" if step == 1
+                 else "standard cocone left the inner coclass")
+                + ", which the ambient axioms forbid"
+            )
+        return self.adjoint(cobj, step)
+
+    def standard_right_triangle(self, f: Mor) -> tuple[Obj, Mor]:
+        """Right triangle on a map of middle-class objects: its third
+        object and its second map.
 
         Builds the cone of the map paired with the core approximation
         of the source, checks it lands in the outer class, and pushes
         it back into the middle class with the adjoint.
         """
         b = self.backend
-        x, y = f.src, f.dst
-        paired, up_tri = self._paired_with_core(f)
-        cone_tri = b.cone(paired)
-        third, sigma_tri = self._outer_adjoint(cone_tri.c)
-        inj_y = _injection(b, [y, up_tri.g.dst], 0)
-        into_cone = b.compose(inj_y, cone_tri.g)
-        second = b.compose(into_cone, sigma_tri.g)
-        return {
-            "src": x,
-            "dst": y,
-            "f": f,
-            "cone": cone_tri.c,
-            "third": third,
-            "second": second,
-            "cone_tri": cone_tri,
-            "sigma_tri": sigma_tri,
-            "up_tri": up_tri,
-        }
+        cone_tri = b.cone(self._glue_link(f, 1))
+        third, sigma_tri = self._standard_end(cone_tri.c, 1)
+        core = self.bracket(f.src, 1)[1].c
+        inj = scatter_blocks(b, [f.dst], [f.dst, core], [(0, 0, b.identity(f.dst))])
+        return third, b.compose(b.compose(inj, cone_tri.g), sigma_tri.g)
 
     def standard_right_third(self, f: Mor) -> Obj:
         """The third object of ``standard_right_triangle(f)``, read from
         the object of the standard cone alone: no cone maps and no second
         map are built."""
-        paired, _ = self._paired_with_core(f)
-        return self._outer_adjoint(self.backend.cone_obj(paired))[0]
+        return self._standard_end(self.backend.cone_obj(self._glue_link(f, 1)), 1)[0]
 
-    def _paired_with_core(self, f: Mor) -> tuple[Mor, Tri]:
-        """The map [f; iota] out of f's source, iota its upward bracket
-        into the core, with the bracket's witness triangle."""
-        up_tri = self.bracket(f.src, 1)[1]
-        iota = up_tri.g
-        if iota.src != f.src:
-            raise InternalCheckError("bracket witness has unexpected shape")
-        return _tuple_mor(self.backend, [f, iota]), up_tri
-
-    def _outer_adjoint(self, cobj: Obj) -> tuple[Obj, Tri]:
-        """The adjoint image of a standard cone, which must lie in the
-        outer class."""
-        if not self.p.u.contains_obj(cobj):
-            raise InternalCheckError(
-                "standard cone left the outer class, which the ambient "
-                "axioms forbid"
-            )
-        return self.adjoint(cobj, 1)
-
-    def standard_left_triangle(self, f: Mor) -> dict:
-        """Dual construction through the downward bracket and coadjoint."""
-        b = self.backend
-        x, y = f.src, f.dst
-        down_y, down_tri = self.bracket(y, -1)
-        pi = down_tri.f
-        if pi.dst != y:
-            raise InternalCheckError("bracket witness has unexpected shape")
-        i_y = pi.src
-        # cocone of [f, pi]: x + core-part -> y, shifted back one step
-        glued = _cotuple_mor(b, [f, pi])
-        cocone_tri = b.cone(glued)
-        dobj = b.shift_obj(cocone_tri.c, -1)
-        if not self.p.t.contains_obj(dobj):
-            raise InternalCheckError(
-                "standard cocone left the inner coclass, which the "
-                "ambient axioms forbid"
-            )
-        first, omega_tri = self.adjoint(dobj, -1)
-        return {
-            "src": x,
-            "dst": y,
-            "f": f,
-            "cocone": dobj,
-            "first": first,
-            "cocone_tri": cocone_tri,
-            "omega_tri": omega_tri,
-            "down_tri": down_tri,
-        }
+    def standard_left_triangle(self, f: Mor) -> Obj:
+        """First object of the dual triangle, through the downward
+        bracket and the coadjoint."""
+        return self._standard_end(self.backend.cone_obj(self._glue_link(f, -1)), -1)[0]
 
     # -- the comparison map ------------------------------------------------------
 
@@ -441,9 +409,6 @@ class ZIQuotient:
             reason="comparison map is not invertible modulo the core"
         )
 
-    def mu_is_iso(self, x: Obj) -> Verdict:
-        return self.mu_map(x)[1]
-
     # -- reporting ------------------------------------------------------------
 
     def summary(self) -> dict:
@@ -471,27 +436,3 @@ class ZIQuotient:
             "quotient_hom_dims": dims,
         }
 
-
-def _tuple_mor(b, comps: list[Mor]) -> Mor:
-    """Column tuple: shared source into the merged targets."""
-    src = comps[0].src
-    if any(m.src != src for m in comps):
-        raise InputError("tuple components need a common source")
-    return scatter_blocks(
-        b, [src], [m.dst for m in comps], [(0, k, m) for k, m in enumerate(comps)]
-    )
-
-
-def _cotuple_mor(b, comps: list[Mor]) -> Mor:
-    """Row tuple: merged sources into a shared target."""
-    dst = comps[0].dst
-    if any(m.dst != dst for m in comps):
-        raise InputError("cotuple components need a common target")
-    return scatter_blocks(
-        b, [m.src for m in comps], [dst], [(k, 0, m) for k, m in enumerate(comps)]
-    )
-
-
-def _injection(b, parts: list[Obj], k: int) -> Mor:
-    """Inclusion of the k-th part into the merged direct sum."""
-    return scatter_blocks(b, [parts[k]], parts, [(0, k, b.identity(parts[k]))])

@@ -116,6 +116,9 @@ def test_shift_of_quotient_pairs_is_the_shift_permutation(mut22):
     assert mut22.shift_zi_pair(zp, -1) == swapped
     assert mut22.shift_zi_pair(zp, 2) == zp
     assert mut22.shift_zi_pair(zp, 0) == zp
+    # a walk of |k| single steps would never return from these exponents
+    assert mut22.shift_zi_pair(zp, 10**18 + 1) == swapped
+    assert mut22.shift_zi_pair(zp, -(10**18)) == zp
 
 
 def test_zi_pair_normalizes_input():
@@ -135,6 +138,7 @@ def test_single_step_swaps_the_cluster_tilting_pairs(mut22):
     assert mut22.mutate(s1_pair, 1).key() == s0_pair.key()
     assert mut22.mutate(s0_pair, 2).key() == s0_pair.key()
     assert mut22.mutate(s0_pair, -1).key() == s1_pair.key()
+    assert mut22.mutate(s0_pair, 10**18 + 1).key() == mut22.mutate(s0_pair, 1).key()
 
 
 def test_trivial_pairs_are_fixed_points(mut22):

@@ -18,9 +18,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "cotor"
 
 # Reached only by tests, each for the reason given.
 KEPT = {
-    "Sigma_mor": "the subquotient's suspension on morphism classes (with "
-    "its callees sigma_mor and bracket_mor), a construction of the paper "
-    "that the functor tests check",
+    "Sigma_mor": "the subquotient's suspension on morphism classes, a "
+    "construction of the paper that the functor tests check",
     "standard_left_triangle": "the dual standard triangle of the "
     "subquotient, a construction of the paper that the quotient tests check",
     "zz_mutate": "mutation of cut-reduced arc sets, the polygon model of "

@@ -309,4 +309,4 @@ def test_standard_right_third_matches_the_full_triangle(monkeypatch):
     assert rc == 0
     assert seen
     for q, f in seen:
-        assert honest(q, f) == q.standard_right_triangle(f)["third"]
+        assert honest(q, f) == q.standard_right_triangle(f)[0]
