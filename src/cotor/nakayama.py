@@ -14,10 +14,11 @@ pushing out along injective envelopes (per vertex an
 ``f2.QuotientSpace`` of the target plus the envelope by the graph of
 the map) and deleting projective summands.  A module splits into
 uniserials along one basis of Jordan chains of its arrow action
-(``split_module``), and rank counting (``decompose_counts``) is the
-independent second route.  ``cone_obj`` reads only the cone's object,
-by rank counting, for callers that need nothing else; ``cone`` builds
-the full triangle and checks its split against the rank count.  The
+(``split_module``).  ``cone_obj`` reads only the cone's object, with no
+cone module, by the masked-rank count (``_cone_counts``): the path
+ranks of the cone, read off the graph of the map with the slots each
+path reaches cleared, then inclusion-exclusion.  ``cone`` builds the
+full triangle and checks its split against that count.  The
 shift Sigma, on objects and on maps, is read off one way
 (``_envelope``): the layers of the envelope that the module does not
 occupy form the cosyzygy.  Omega on maps is solved from Sigma by the
@@ -50,7 +51,7 @@ from .core import (
     stored,
 )
 from .f2 import (
-    Echelon, ExpressSolver, F2Matrix, QuotientSpace, kernel_basis, rank, solve
+    Echelon, ExpressSolver, F2Matrix, QuotientSpace, kernel_basis, solve
 )
 
 
@@ -314,9 +315,6 @@ class NakayamaBackend(Backend):
     def _asm(self, types: tuple[tuple[int, int], ...]) -> _Assembled:
         return _assemble(self.m, self.n, types)
 
-    def _type_of(self, ind_id: int) -> tuple[int, int]:
-        return self._types[ind_id]
-
     def _id_of_type(self, t: tuple[int, int]) -> int:
         i, l = t
         if not (0 <= i < self.m and 1 <= l < self.n):
@@ -399,13 +397,13 @@ class NakayamaBackend(Backend):
 
     def _build_shift_perm(self) -> tuple[int, ...]:
         """Cosyzygy on indecomposables, checked on envelope cokernels:
-        the cone module of x -> 0 is the envelope of x modulo x."""
+        the cone of x -> 0 is the envelope of x modulo x."""
         perm = []
-        for i in range(len(self._types)):
-            _, quot, x1, _ = self._cone_module(Mor(Obj.of(i), Obj.zero()))
-            if decompose_counts(quot) != {self._type_of(x1.summands[0]): 1}:
+        for i, single in enumerate(self._single):
+            (j,) = self._envelope(single)[2].summands
+            if self._cone_counts(Mor(Obj.of(i), Obj.zero())) != {self._types[j]: 1}:
                 raise InternalCheckError("envelope cokernel is not the cosyzygy")
-            perm.append(x1.summands[0])
+            perm.append(j)
         if sorted(perm) != list(range(len(self._types))):
             raise InternalCheckError("cosyzygy is not a permutation")
         return tuple(perm)
@@ -523,26 +521,27 @@ class NakayamaBackend(Backend):
 
     # -- envelopes, shift on morphisms --------------------------------------
 
+    @stored(key=lambda a: a.types)
     def _envelope(self, a: _Assembled):
         """Injective envelope of a, and a's cosyzygy in it.
 
         Layer t of a summand (i, l) of a is layer t + n - l of its
         envelope; the other n - l layers form its cosyzygy.  Returns the
-        assembled envelope E, the per-vertex matrices of the embedding
-        a -> E, the shifted object and, per vertex, a dict from each
-        cosyzygy slot of E to its slot in the assembly of the shifted
-        object.
+        assembled envelope E, the embedding a -> E as, per vertex, the
+        slot of E that each slot of a goes to, the shifted object and,
+        per vertex, a dict from each cosyzygy slot of E to its slot in
+        the assembly of the shifted object.
         """
         m, n = self.m, self.n
         env = self._asm(tuple(((i + l - n) % m, n) for (i, l) in a.types))
-        bits = [[0] * env.raw.dims[v] for v in range(m)]
+        emb = [[0] * d for d in a.raw.dims]
         for s, (i, l) in enumerate(a.types):
             for t in range(l):
                 v, ca = a.pos[s][t]
                 v2, ce = env.pos[s][t + n - l]
                 if v2 != v:
                     raise InternalCheckError("envelope misaligned")
-                bits[v][ce] |= 1 << ca
+                emb[v][ca] = ce
         ids = [
             self._id_of_type((env.pos[s][0][0], n - l))
             for s, (i, l) in enumerate(a.types)
@@ -558,11 +557,7 @@ class NakayamaBackend(Backend):
                 if v1 != v:
                     raise InternalCheckError("shift slot misaligned")
                 slots[v][eslot] = slot
-        mats = [
-            F2Matrix(env.raw.dims[v], a.raw.dims[v], tuple(bits[v]))
-            for v in range(m)
-        ]
-        return env, mats, shifted, slots
+        return env, tuple(map(tuple, emb)), shifted, slots
 
     @stored(key=lambda f: (f.src, f.dst, f.coords))
     def suspend(self, f: Mor) -> Mor:
@@ -572,14 +567,14 @@ class NakayamaBackend(Backend):
             return Mor(self.shift_obj(f.src, 1), self.shift_obj(f.dst, 1), 0)
         a = self._assembled(f.src)
         b = self._assembled(f.dst)
-        pa, ma, src1, slots_a = self._envelope(a)
-        pb, mb, dst1, slots_b = self._envelope(b)
+        pa, ea, src1, slots_a = self._envelope(a)
+        pb, eb, dst1, slots_b = self._envelope(b)
         fraw = self._raw_from_mor(f)
-        interp = [
-            (v, ma[v].column(c), mb[v].matvec(fraw[v].column(c)))
-            for v in range(self.m)
-            for c in range(a.raw.dims[v])
-        ]
+        interp = []
+        for v, fv in enumerate(fraw):
+            for c in range(fv.cols):
+                img = sum(1 << e for r, e in enumerate(eb[v]) if fv.bits[r] >> c & 1)
+                interp.append((v, 1 << ea[v][c], img))
         phi = _solve_module_map(pa.raw, pb.raw, interp)
         if phi is None:
             raise InternalCheckError("envelope lift failed")
@@ -595,31 +590,66 @@ class NakayamaBackend(Backend):
 
     @stored(key=lambda f: (f.src, f.dst, f.coords))
     def cone_obj(self, f: Mor) -> Obj:
-        """The third object of ``cone(f)``, by path-rank counting on the
-        cone module: no splitting and no triangle maps."""
-        return self.decompose_module(self._cone_module(f)[1])
+        """The third object of ``cone(f)``, by the masked-rank count
+        (``_cone_counts``): no cone module, splitting or triangle maps."""
+        counts = self._cone_counts(f)
+        types = [t for t, c in counts.items() for _ in range(c)]
+        return Obj.from_iter(self._id_of_type(t) for t in types if t[1] < self.n)
+
+    def _graph(self, f: Mor):
+        """The assemblies of Y = f.dst and of the envelope E of X = f.src,
+        and per vertex the columns of the graph [f; iota] in Y (+) E,
+        checked independent."""
+        a, b = self._assembled(f.src), self._assembled(f.dst)
+        env, emb, _, _ = self._envelope(a)
+        fraw = self._raw_from_mor(f)
+        graph = []
+        for v, (fv, ev) in enumerate(zip(fraw, emb)):
+            ydim = b.raw.dims[v]
+            cols = [fv.column(c) | 1 << (ydim + ev[c]) for c in range(fv.cols)]
+            if len(Echelon(cols)) != len(cols):
+                raise InternalCheckError("graph embedding not injective")
+            graph.append(cols)
+        return b, env, graph
+
+    def _cone_counts(self, f: Mor) -> dict[tuple[int, int], int]:
+        """Uniserial multiplicities of the cone module of f, read off the
+        graph of f.  In the chain basis of Y (+) E a path of t arrows
+        from vertex j sends slots to slots, onto the slots at v = j + t
+        of layer >= t; on the cone its rank is their number plus the
+        rank of the graph columns at v with them cleared, minus dim X_v."""
+        b, env, graph = self._graph(f)
+        m, n = self.m, self.n
+        # layer[v][t]: the slots of Y (+) E at v of layer t
+        layer = [[0] * n for _ in range(m)]
+        for asm, off in ((b, (0,) * m), (env, b.raw.dims)):
+            for chain in asm.pos:
+                for t, (v, slot) in enumerate(chain):
+                    layer[v][t] |= 1 << (slot + off[v])
+        # rp[n] = rp[n+1] = 0: no slot is n deep, the graph is independent
+        rp = [[0] * m for _ in range(n + 2)]
+        for v, cols in enumerate(graph):
+            keep, r = 0, len(cols)
+            for t in range(n - 1, -1, -1):
+                if layer[v][t]:
+                    keep |= layer[v][t]
+                    r = len(Echelon(g & ~keep for g in cols))
+                rp[t][(v - t) % m] = keep.bit_count() + r - len(cols)
+        total = b.raw.total_dim() + env.raw.total_dim() - sum(map(len, graph))
+        return uniserial_counts(rp, m, n, total)
 
     def _cone_module(self, f: Mor):
         """Pushout of f along the envelope X -> E: per vertex, Y (+) E
         modulo the columns of [f; iota].  Returns those quotient spaces,
         the cone module, X[1] and the envelope's cosyzygy slots."""
-        a = self._assembled(f.src)
-        b = self._assembled(f.dst)
-        fraw = self._raw_from_mor(f)
-        env, iota, x1, slots = self._envelope(a)
+        b, env, graph = self._graph(f)
+        _, _, x1, slots = self._envelope(self._assembled(f.src))
         m = self.m
         ydims = b.raw.dims
-        edims = env.raw.dims
-        quots: list[QuotientSpace] = []
-        for v in range(m):
-            q = QuotientSpace(
-                ydims[v] + edims[v],
-                (fraw[v].column(c) | (iota[v].column(c) << ydims[v])
-                 for c in range(a.raw.dims[v])),
-            )
-            if len(q.ech) != a.raw.dims[v]:
-                raise InternalCheckError("graph embedding not injective")
-            quots.append(q)
+        quots = [
+            QuotientSpace(ydims[v] + env.raw.dims[v], cols)
+            for v, cols in enumerate(graph)
+        ]
         cdims = [q.dim for q in quots]
         cone_mats = []
         for v in range(m):
@@ -629,9 +659,7 @@ class NakayamaBackend(Backend):
                 vec = quots[v].lift(1 << cc)
                 yv = vec & ((1 << ydims[v]) - 1)
                 ev = vec >> ydims[v]
-                img = b.raw.mats[v].matvec(yv) | (
-                    env.raw.mats[v].matvec(ev) << ydims[w]
-                )
+                img = b.raw.mats[v].matvec(yv) | env.raw.mats[v].matvec(ev) << ydims[w]
                 cols.append(quots[w].coords(img))
             cone_mats.append(F2Matrix.from_rows(cols, cdims[w]).transpose())
         cone_raw = RawModule(m, self.n, tuple(cdims), tuple(cone_mats))
@@ -644,32 +672,18 @@ class NakayamaBackend(Backend):
         quots, cone_raw, x1, slots = self._cone_module(f)
         m = self.m
         ydims = self._assembled(y).raw.dims
-        cdims = cone_raw.dims
         types, to_canon, from_canon = split_module(cone_raw)
-        nonproj = [t for t in types if t[1] < self.n]
-        c_obj = Obj.from_iter(self._id_of_type(t) for t in nonproj)
-        # two routes to the object: the split and the path-rank count
+        c_obj = Obj.from_iter(self._id_of_type(t) for t in types if t[1] < self.n)
+        # two routes to the object: the split and the masked-rank count
         if self.cone_obj(f) != c_obj:
             raise InternalCheckError("cone split and rank count disagree")
-        stable_asm = self._asm(tuple(nonproj))
-        keep = [stable_asm.raw.dims[v] for v in range(m)]
-        to_stable = [
-            F2Matrix(keep[v], cdims[v], to_canon[v].bits[: keep[v]])
-            for v in range(m)
-        ]
-        from_stable = [
-            F2Matrix(
-                cdims[v],
-                keep[v],
-                tuple(row & ((1 << keep[v]) - 1) for row in from_canon[v].bits),
-            )
-            for v in range(m)
-        ]
+        # the split's first coordinates at each vertex are the stable ones
+        keep = self._assembled(c_obj).raw.dims
 
         # g : Y -> C, the pushout inclusion in stable coordinates
         g_mats = [
             F2Matrix.from_rows(
-                [to_stable[v].matvec(quots[v].coords(1 << c))
+                [to_canon[v].matvec(quots[v].coords(1 << c)) & ((1 << keep[v]) - 1)
                  for c in range(ydims[v])],
                 keep[v],
             ).transpose()
@@ -680,7 +694,7 @@ class NakayamaBackend(Backend):
         # h : C -> X[1], envelope cokernel coordinates of the lift
         h_mats = [
             F2Matrix.from_rows(
-                [_read_shift(quots[v].lift(from_stable[v].column(cc))
+                [_read_shift(quots[v].lift(from_canon[v].column(cc))
                              >> ydims[v], slots[v])
                  for cc in range(keep[v])],
                 len(slots[v]),
@@ -723,8 +737,8 @@ class NakayamaBackend(Backend):
         search for the core walks only the maps whose cone is the core.
         The end pairs of each size come from a stored list of those with
         a dense map (``_live_end_pairs``), in multiset order; the others
-        cost no budget, so skipping them moves nothing.  The split
-        triangle of a zero core is stored per split (``_split_tri``), so
+        cost no budget, so skipping them moves nothing.  Each yielded
+        triangle is stored per (connecting map, split) (``_sum_tri``), so
         all searches share one ``Tri``.  The budget counts one unit per
         connecting map scanned, dense or not, in ascending order; raises
         BudgetExceeded at the map where the work bound runs out.
@@ -742,7 +756,7 @@ class NakayamaBackend(Backend):
             if core.is_zero:
                 if len(xtra) <= cap and len(ytra) <= cap:
                     spend()
-                    yield self._split_tri(xtra, ytra)
+                    yield self._sum_tri(None, xtra, ytra)
             for sx in range(1, cap - len(xtra) + 1):
                 for sy in range(1, cap - len(ytra) + 1):
                     for pair in self._live_end_pairs(xset, yset, sx, sy):
@@ -753,10 +767,7 @@ class NakayamaBackend(Backend):
                             spend(coords - last)
                             last = coords
                             delta = Mor(pair.y1m, pair.x1_obj, coords)
-                            rot = self.rotate_left(self.cone(delta))
-                            tri = self._with_split([rot], xtra, ytra)
-                            self._check_triangle(tri)
-                            yield tri
+                            yield self._sum_tri(delta, xtra, ytra)
                         spend(pair.span - last)
 
     @stored()
@@ -806,15 +817,13 @@ class NakayamaBackend(Backend):
                 pair.by_cone.setdefault(cobj, []).append(coords)
         pair.scanned = upto
 
-    @stored(key=lambda xtra, ytra: (xtra.summands, ytra.summands))
-    def _split_tri(self, xtra: Obj, ytra: Obj) -> Tri:
-        """The split triangle xtra -> xtra + ytra -> ytra -> xtra[1]."""
-        return self._with_split([], xtra, ytra)
-
-    def _with_split(self, parts: list[Tri], xtra: Obj, ytra: Obj) -> Tri:
-        """The direct sum of ``parts`` with the split triangles
-        x = x -> 0 -> x[1] of xtra's summands and 0 -> y = y -> 0 of
-        ytra's, in that order."""
+    @stored()
+    def _sum_tri(self, delta: Optional[Mor], xtra: Obj, ytra: Obj) -> Tri:
+        """The triangle a search yields, checked once: the left rotation
+        of the cone of the connecting map ``delta`` (none for a zero
+        core), then the split triangles x = x -> 0 -> x[1] of xtra's
+        summands and 0 -> y = y -> 0 of ytra's, summed in that order."""
+        parts = [] if delta is None else [self.rotate_left(self.cone(delta))]
         zero = Obj.zero()
         for i in xtra.summands:
             x = Obj.of(i)
@@ -824,7 +833,9 @@ class NakayamaBackend(Backend):
         for j in ytra.summands:
             y = Obj.of(j)
             parts.append(Tri(Mor(zero, y), self.identity(y), Mor(y, zero)))
-        return self.direct_sum_tri(parts)
+        tri = self.direct_sum_tri(parts)
+        self._check_triangle(tri)
+        return tri
 
     # -- tables ------------------------------------------------------------------
 
@@ -841,15 +852,6 @@ class NakayamaBackend(Backend):
             }
         return {"dims": dims, "factoring": factoring}
 
-    def decompose_module(self, raw: RawModule) -> Obj:
-        """Stable multiset of a raw module by path-rank counting."""
-        counts = decompose_counts(raw)
-        ids = []
-        for (i, l), c in sorted(counts.items()):
-            if l < self.n:
-                ids.extend([self._id_of_type((i, l))] * c)
-        return Obj.from_iter(ids)
-
 
 # ----------------------------------------------------------------------
 # Decomposition of raw modules
@@ -865,16 +867,15 @@ def _path_tower(raw: RawModule) -> list[list[F2Matrix]]:
     return comp
 
 
-def decompose_counts(raw: RawModule) -> dict[tuple[int, int], int]:
+def uniserial_counts(rp: list[list[int]], m: int, n: int, total: int) -> dict:
     """Multiplicity of every uniserial via rank inclusion-exclusion.
 
-    The composite of t arrows starting at vertex i has rank equal to
-    the number of basis chains still alive after t steps; differencing
+    ``rp[t][i]`` is the rank of the composite of t arrows starting at
+    vertex i, t = 0..n+1, on a module of dimension ``total``: the
+    number of basis chains still alive after t steps.  Differencing
     those ranks in both the start vertex and the length isolates the
     chains of one exact shape.
     """
-    m, n = raw.m, raw.n
-    rp = [[rank(c) for c in layer] for layer in _path_tower(raw)]
     if any(rp[n][j] for j in range(m)):
         raise InternalCheckError("length-n paths act nonzero")
     out: dict[tuple[int, int], int] = {}
@@ -890,8 +891,7 @@ def decompose_counts(raw: RawModule) -> dict[tuple[int, int], int]:
                 raise InternalCheckError("negative multiplicity")
             if val:
                 out[(i, l)] = val
-    total = sum(l * c for (i, l), c in out.items())
-    if total != raw.total_dim():
+    if sum(l * c for (i, l), c in out.items()) != total:
         raise InternalCheckError("decomposition does not preserve dimension")
     return out
 

@@ -33,7 +33,7 @@ from .core import (
     Verdict,
     stored,
 )
-from .f2 import in_span
+from .f2 import F2Matrix, in_span, solve
 from .subcats import DEFAULT_CAP, StarEngine, Subcat, closed_sets
 from .subcats import hom_masks, iter_bits, left_perp, right_perp
 
@@ -354,6 +354,42 @@ class PairEngine:
             for j in range(b.hom_dim(m, dst))
         )
         return tuple(v for v in prods if v)
+
+    @stored(key=lambda core, f: (core.bits, f.src, f.dst, f.coords))
+    def iso_mod(self, core: Subcat, f: Mor) -> bool:
+        """Is f invertible modulo the maps factoring through core?  Two
+        routes, cross-checked once per input, so twin pairs with the
+        same core share the answer.  The inverse solve is decisive: its
+        unknowns are a candidate inverse plus coefficients over the two
+        factoring subspaces.  The cone route (third term inside
+        core-star-shifted-core) is compared when its search concludes."""
+        b = self.backend
+        x, y = f.src, f.dst
+        fx = self.factoring_subspace(x, core, x)
+        fy = self.factoring_subspace(y, core, y)
+        dxx = b.hom_dim(x, x)
+        dyy = b.hom_dim(y, y)
+        # g after f plus a factoring correction equals the identity on x,
+        # f after g plus a factoring correction equals the identity on y
+        system = (
+            b.right_op(f, x)
+            .hstack(F2Matrix.from_rows(fx, dxx).transpose())
+            .hstack(F2Matrix.zero(dxx, len(fy)))
+            .vstack(
+                b.left_op(f, y)
+                .hstack(F2Matrix.zero(dyy, len(fx)))
+                .hstack(F2Matrix.from_rows(fy, dyy).transpose())
+            )
+        )
+        rhs = b.identity(x).coords | (b.identity(y).coords << dxx)
+        direct = solve(system, rhs) is not None
+        v = self.star.star_contains(core, core.shifted(1), b.cone_obj(f), closed="y")
+        if not v.is_inconclusive and v.is_yes != direct:
+            raise InternalCheckError(
+                "isomorphism routes disagree: inverse solve "
+                f"{direct}, cone membership {v.state}"
+            )
+        return direct
 
     @stored(key=lambda x, pair: (x, pair.key()))
     def h_vanishes(self, x: Obj, pair: CotorsionPair) -> Verdict:

@@ -24,7 +24,9 @@ Witness triangles are unique only up to isomorphism, so object-level
 identities are asserted as quotient isomorphisms, never as equalities
 of ambient objects.  Isomorphism testing itself runs two routes, a
 cone-membership test and a direct two-sided-inverse solve, and refuses
-to answer if the conclusive routes disagree.
+to answer if the conclusive routes disagree; the answer is stored per
+core and map on the pair engine (``PairEngine.iso_mod``), so twin pairs
+with the same core share it.
 """
 
 from __future__ import annotations
@@ -213,52 +215,10 @@ class ZIQuotient:
 
     # -- isomorphism testing -------------------------------------------------------
 
-    def _iso_by_inverse(self, f: Mor) -> bool:
-        """Two-sided invertibility modulo the core, by linear solve.
-
-        Unknowns are a candidate inverse plus coefficients over the two
-        factoring subspaces, so the conditions are equalities of
-        classes, not of representatives.
-        """
-        b = self.backend
-        x, y = f.src, f.dst
-        fx = self.engine.factoring_subspace(x, self.i_set, x)
-        fy = self.engine.factoring_subspace(y, self.i_set, y)
-        dxx = b.hom_dim(x, x)
-        dyy = b.hom_dim(y, y)
-        # g after f plus a factoring correction equals the identity on x,
-        # f after g plus a factoring correction equals the identity on y
-        system = (
-            b.right_op(f, x)
-            .hstack(F2Matrix.from_rows(fx, dxx).transpose())
-            .hstack(F2Matrix.zero(dxx, len(fy)))
-            .vstack(
-                b.left_op(f, y)
-                .hstack(F2Matrix.zero(dyy, len(fx)))
-                .hstack(F2Matrix.from_rows(fy, dyy).transpose())
-            )
-        )
-        rhs = b.identity(x).coords | (b.identity(y).coords << dxx)
-        return solve(system, rhs) is not None
-
     def iso_in_quotient(self, f: Mor) -> bool:
-        """Quotient isomorphism test, two routes cross-checked.
-
-        The inverse solve is always decisive; the cone route (third
-        term inside core-star-shifted-core) is compared when its star
-        search is conclusive.
-        """
-        direct = self._iso_by_inverse(f)
-        cobj = self.backend.cone_obj(f)
-        v = self.engine.star.star_contains(
-            self.i_set, self.i_set.shifted(1), cobj, closed="y"
-        )
-        if not v.is_inconclusive and v.is_yes != direct:
-            raise InternalCheckError(
-                "isomorphism routes disagree: inverse solve "
-                f"{direct}, cone membership {v.state}"
-            )
-        return direct
+        """Quotient isomorphism test, two routes cross-checked
+        (``PairEngine.iso_mod``, stored per core and map)."""
+        return self.engine.iso_mod(self.i_set, f)
 
     # -- objects up to quotient isomorphism ----------------------------------
 
@@ -293,7 +253,7 @@ class ZIQuotient:
         for f in b.hom_elements(x, y):
             if f.is_zero:
                 continue
-            if self._iso_by_inverse(f):
+            if self.iso_in_quotient(f):
                 return True
         return False
 

@@ -4,11 +4,63 @@ import functools
 
 from cotor import cli
 from cotor.core import (
-    BudgetExceeded, Mor, Obj, Verdict, _slot_assignment, multisets_over
+    BudgetExceeded, Mor, Obj, Tri, Verdict, _slot_assignment, multisets_over
 )
-from cotor.f2 import F2Matrix, solve
-from cotor.nakayama import _commutation_rows, _splits_3way, _unflatten
+from cotor.f2 import F2Matrix, rank, solve
+from cotor.nakayama import (
+    _commutation_rows, _path_tower, _splits_3way, _unflatten, uniserial_counts
+)
 from cotor.subcats import Subcat
+
+
+def decompose_counts(raw):
+    """Multiplicity of every uniserial of a raw module, by the ranks of
+    the path composites on the module itself (``_path_tower``), fed to
+    the backend's inclusion-exclusion."""
+    rp = [[rank(c) for c in layer] for layer in _path_tower(raw)]
+    return uniserial_counts(rp, raw.m, raw.n, raw.total_dim())
+
+
+def decompose_module(b, raw):
+    """Stable multiset of a raw module by path-rank counting."""
+    counts = decompose_counts(raw)
+    return Obj.from_iter(
+        b._id_of_type(t) for t, c in counts.items() if t[1] < b.n for _ in range(c)
+    )
+
+
+def module_cone_obj(b, f):
+    """The cone object of f by the quotient-module count, the oracle of
+    ``cone_obj``'s masked-rank count: build the cone module (Y (+) E
+    modulo the graph of f, ``_cone_module``) and count path ranks on it."""
+    return decompose_module(b, b._cone_module(f)[1])
+
+
+def one_more_m01(counts_of):
+    """A wrong cone count: ``counts_of`` with one more M(0,1) in every
+    answer, for tests that a disagreeing route is caught."""
+
+    def counts(f):
+        got = dict(counts_of(f))
+        got[(0, 1)] = got.get((0, 1), 0) + 1
+        return got
+
+    return counts
+
+
+def with_split(b, parts, xtra, ytra):
+    """The direct sum of the triangles ``parts`` with the split triangles
+    x = x -> 0 -> x[1] of xtra's summands and 0 -> y = y -> 0 of
+    ytra's, in that order, built afresh."""
+    zero = Obj.zero()
+    parts = list(parts)
+    for i in xtra.summands:
+        x = Obj.of(i)
+        parts.append(Tri(b.identity(x), Mor(x, zero), Mor(zero, b.shift_obj(x, 1))))
+    for j in ytra.summands:
+        y = Obj.of(j)
+        parts.append(Tri(Mor(zero, y), b.identity(y), Mor(y, zero)))
+    return b.direct_sum_tri(parts)
 
 
 def is_isomorphism(b, f):
@@ -181,9 +233,9 @@ def basis_products(b, src, mids, dst):
 def walk_enumerate(b, xset, yset, c, cap, budget=None):
     """``NakayamaBackend.triangle_enumerate`` by the full multiset walk:
     every end pair (x1, y1) of each size is asked for its cone index,
-    dead pairs included, and the split triangle of a zero core is built
-    afresh.  The budget is charged the same way, so the triangles, their
-    order and the point where BudgetExceeded falls must all agree."""
+    dead pairs included, and every triangle is built afresh.  The
+    budget is charged the same way, so the triangles, their order and
+    the point where BudgetExceeded falls must all agree."""
     xset = sorted(set(xset))
     yset = sorted(set(yset))
     remaining = [budget if budget is not None else 1 << 62]
@@ -197,7 +249,7 @@ def walk_enumerate(b, xset, yset, c, cap, budget=None):
         if core.is_zero:
             if len(xtra) <= cap and len(ytra) <= cap:
                 spend()
-                yield b._with_split([], xtra, ytra)
+                yield with_split(b, [], xtra, ytra)
         for sx in range(1, cap - len(xtra) + 1):
             for sy in range(1, cap - len(ytra) + 1):
                 for x1 in multisets_over(xset, sx):
@@ -212,7 +264,7 @@ def walk_enumerate(b, xset, yset, c, cap, budget=None):
                             last = coords
                             delta = Mor(pair.y1m, pair.x1_obj, coords)
                             rot = b.rotate_left(b.cone(delta))
-                            tri = b._with_split([rot], xtra, ytra)
+                            tri = with_split(b, [rot], xtra, ytra)
                             b._check_triangle(tri)
                             yield tri
                         spend(pair.span - last)

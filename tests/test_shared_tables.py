@@ -1,25 +1,31 @@
 """Stored tables that twin pairs share, against the routes they replace.
 
-The conditions layer keeps four pair-independent pieces once per input:
+The conditions layer keeps five pair-independent pieces once per input:
 the span of maps factoring through one member (``PairEngine._member_span``,
 concatenated by ``factoring_subspace``), the composition operators
 (``Backend.left_op`` and ``right_op``), the end pairs with a dense map per
-(xset, yset, sizes) (``NakayamaBackend._live_end_pairs``) and the split
-triangle of a zero core (``NakayamaBackend._split_tri``).  Each is held
-here to the route it replaced, kept in ``helpers`` as the oracle: the same
-vectors in the same order, the same matrices, the same triangles in the
-same order with the same work budget.
+(xset, yset, sizes) (``NakayamaBackend._live_end_pairs``), each triangle a
+search yields, per connecting map and split (``NakayamaBackend._sum_tri``),
+and the isomorphism test modulo a core (``PairEngine.iso_mod``).  Each is
+held here to the route it replaced, kept in ``helpers`` as the oracle: the
+same vectors in the same order, the same matrices, the same triangles in
+the same order with the same work budget.  A stored answer is kept only
+once its checks pass, so a failing check raises again on every call.
 """
 
+import itertools
 import random
 
 import pytest
 
-from cotor.core import BudgetExceeded, Mor, Obj, multisets_over
+from cotor.core import BudgetExceeded, InternalCheckError, Mor, Obj, multisets_over
 from cotor.nakayama import NakayamaBackend
 from cotor.pairs import PairEngine
+from cotor.quotient import ZIQuotient
 from cotor.subcats import Subcat
-from helpers import basis_products, op_by_compose, walk_enumerate
+from helpers import (
+    basis_products, one_more_m01, op_by_compose, walk_enumerate, with_split
+)
 
 # Every Nakayama backend with at most 9 indecomposables (K = m(n-1)).
 UP_TO_9 = [(m, n) for n in range(2, 11) for m in range(1, 10) if m * (n - 1) <= 9]
@@ -161,16 +167,115 @@ def test_stored_split_triangle_is_the_built_one(mn):
     ends = [Obj(s) for size in range(3) for s in multisets_over(range(b.K), size)]
     for xtra in ends:
         for ytra in ends:
-            tri = b._split_tri(xtra, ytra)
-            assert tri == b._with_split([], xtra, ytra)
+            tri = b._sum_tri(None, xtra, ytra)
+            assert tri == with_split(b, [], xtra, ytra)
             assert (tri.a, tri.c) == (xtra, ytra)
-            assert b._split_tri(xtra, ytra) is tri
+            assert b._sum_tri(None, xtra, ytra) is tri
 
 
 def test_searches_share_one_split_triangle():
     b = NakayamaBackend(2, 3)
     c = Obj.of(0, 1)
-    split = b._split_tri(Obj.of(0), Obj.of(1))
+    split = b._sum_tri(None, Obj.of(0), Obj.of(1))
     for xset, yset, cap in (([0], [1], 2), ([0, 2], [1], 3), ([0], [1, 3], 2)):
         hits = [t for t in b.triangle_enumerate(xset, yset, c, cap=cap) if t == split]
         assert len(hits) == 1 and hits[0] is split
+
+
+@pytest.mark.parametrize("mn", [(2, 3), (3, 2)], ids=_ids)
+def test_repeated_searches_yield_the_stored_triangles(mn):
+    # A search run again yields the very same Tri objects, still in the
+    # walk's order, and at every budget it stops where the walk does.
+    oracle_b = NakayamaBackend(*mn)
+    b = NakayamaBackend(*mn)
+    every = tuple(range(b.K))
+    dense = 0
+    for c in (Obj(c) for size in (1, 2) for c in multisets_over(every, size)):
+        want, _ = _run(walk_enumerate(oracle_b, every, every, c, 2))
+        first, _ = _run(b.triangle_enumerate(every, every, c, cap=2))
+        again, _ = _run(b.triangle_enumerate(every, every, c, cap=2))
+        assert first == want
+        assert len(again) == len(first)
+        assert all(t is u for t, u in zip(again, first))
+        dense += sum(not t.h.is_zero for t in first)
+        for budget in range(1, LIMIT + 1):
+            want_b = _run(walk_enumerate(oracle_b, every, every, c, 2, budget))
+            got_b = _run(b.triangle_enumerate(every, every, c, cap=2, budget=budget))
+            assert got_b == want_b, (c, budget)
+            assert all(t is u for t, u in zip(got_b[0], first))
+            if not want_b[1]:
+                break
+    assert dense, "no dense triangle was compared"
+
+
+# ---------------------------------------------------------------- isomorphisms
+
+
+def _twins_sharing_a_core(eng):
+    """Two concentric twin pairs with the same nonzero core and a middle
+    indecomposable outside it in common, with that indecomposable."""
+    tcps, _ = eng.enumerate_tcp()
+    concentric = [p for p in tcps if eng.is_concentric(p)]
+    for p1, p2 in itertools.combinations(concentric, 2):
+        q1, q2 = ZIQuotient.for_pair(eng, p1), ZIQuotient.for_pair(eng, p2)
+        if q1.i_set == q2.i_set and not q1.i_set.is_empty:
+            common = q1.z_set.intersect(q2.z_set).ids()
+            z = next((i for i in common if i not in q1.i_set), None)
+            if z is not None:
+                return q1, q2, Obj.of(z)
+    raise AssertionError("no two twin pairs share a core")
+
+
+def test_twin_pairs_with_one_core_share_an_iso_entry(monkeypatch):
+    b = NakayamaBackend(2, 5)
+    eng = PairEngine(b)
+    q1, q2, z = _twins_sharing_a_core(eng)
+    assert q1 is not q2
+    f = b.identity(z)
+    assert q1.iso_in_quotient(f) is True
+    table = eng._stored["iso_mod"]
+    assert table == {(q1.i_set.bits, z, z, f.coords): True}
+    # the second pair reads the first pair's entry: no solve, no search
+    work = []
+    spans = eng.factoring_subspace
+    monkeypatch.setattr(
+        eng, "factoring_subspace", lambda *a: work.append(a) or spans(*a)
+    )
+    monkeypatch.setattr(b, "cone_obj", lambda f: work.append(f))
+    assert q2.iso_in_quotient(f) is True
+    assert len(table) == 1 and work == []
+
+
+# ---------------------------------------------------------------- failing checks
+
+
+def test_a_disagreeing_cone_route_raises_on_every_call_and_stores_nothing(
+    monkeypatch,
+):
+    b = NakayamaBackend(2, 3)
+    eng = PairEngine(b)
+    tcps, _ = eng.enumerate_tcp()
+    # a zero core: a quotient isomorphism is an isomorphism, with cone 0
+    q = next(
+        q for q in (ZIQuotient.for_pair(eng, p) for p in tcps if eng.is_concentric(p))
+        if q.i_set.is_empty and not q.z_set.is_empty
+    )
+    monkeypatch.setattr(b, "_cone_counts", one_more_m01(b._cone_counts))
+    # a fresh connecting map: its cone split disagrees with the count
+    x1, y1m = Obj.of(0), b.shift_obj(Obj.of(1), -1)
+    d = b.hom_dim(y1m, x1)
+    assert d
+    delta = Mor(y1m, x1, (1 << d) - 1)
+    for _ in range(2):
+        with pytest.raises(InternalCheckError, match="rank count"):
+            b.cone(delta)
+        with pytest.raises(InternalCheckError, match="rank count"):
+            b._sum_tri(delta, Obj.zero(), Obj.zero())
+    assert not b._stored.get("cone") and not b._stored.get("_sum_tri")
+    # a fresh quotient map: the cone route contradicts the inverse solve
+    z = Obj.of(min(q.z_set.ids()))
+    f = b.identity(z)
+    for _ in range(2):
+        with pytest.raises(InternalCheckError, match="routes disagree"):
+            q.iso_in_quotient(f)
+    assert not eng._stored.get("iso_mod")

@@ -19,6 +19,8 @@ import pytest
 from cotor.core import BudgetExceeded, Mor, Obj, multisets_over
 from cotor.nakayama import NakayamaBackend, _splits_3way
 
+from helpers import with_split
+
 # Every Nakayama backend with at most 9 indecomposables (K = m(n-1)).
 UP_TO_9 = [(m, n) for n in range(2, 11) for m in range(1, 10) if m * (n - 1) <= 9]
 
@@ -59,7 +61,7 @@ def scan_enumerate(b, xset, yset, c, cap, budget, spent):
         if core.is_zero:
             if len(xtra) <= cap and len(ytra) <= cap:
                 spend()
-                yield b._with_split([], xtra, ytra)
+                yield with_split(b, [], xtra, ytra)
         for sx in range(1, cap - len(xtra) + 1):
             for sy in range(1, cap - len(ytra) + 1):
                 for x1 in multisets_over(xset, sx):
@@ -78,7 +80,7 @@ def scan_enumerate(b, xset, yset, c, cap, budget, spent):
                             cone = b.cone(delta)
                             if cone.c != core:
                                 continue
-                            tri = b._with_split([b.rotate_left(cone)], xtra, ytra)
+                            tri = with_split(b, [b.rotate_left(cone)], xtra, ytra)
                             b._check_triangle(tri)
                             yield tri
 
