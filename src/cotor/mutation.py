@@ -27,7 +27,9 @@ import json
 import math
 from dataclasses import dataclass
 
-from .core import InputError, InternalCheckError, Mor, Obj, multisets_over, stored
+from .core import (
+    BudgetExceeded, InputError, InternalCheckError, Mor, Obj, multisets_over, stored
+)
 from .pairs import CotorsionPair, PairEngine, TwinCotorsionPair
 from .quotient import ZIQuotient
 from .subcats import Subcat, closed_sets
@@ -194,10 +196,10 @@ class MutationEngine:
     def enumerate_MP(self) -> list[CotorsionPair]:
         """The ambient cotorsion pairs in the mutable class."""
         enum = self.engine.enumerate_cotorsion()
-        if enum.inconclusive:
-            raise InternalCheckError(
-                "ambient enumeration left inconclusive candidates; the "
-                "mutable class cannot be certified"
+        if enum.inconclusive:  # only an exhausted peel budget leaves these
+            raise BudgetExceeded(
+                f"ambient enumeration left {len(enum.inconclusive)} candidates "
+                "undecided; the mutable class cannot be certified"
             )
         return [cp for cp in enum.pairs if self._within_outer(cp) and self.in_MP(cp)]
 

@@ -33,6 +33,7 @@ enumeration orders.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -260,16 +261,18 @@ class _PairTable:
 class _EndPair:
     """Dense connecting maps y1[-1] -> x1 of one end pair, by cone.
 
-    ``by_cone`` maps each cone object to the ascending coordinates of
-    the dense maps with that cone, among the first ``scanned`` of the
-    ``span`` nonzero maps; a scan past ``scanned`` appends in order.
+    ``masks`` holds the coordinate masks of the blocks out of each
+    summand of y1[-1], then into each summand of x1; a map is dense when
+    it meets every mask.  ``by_cone`` maps each cone object to the
+    ascending coordinates of the dense maps with that cone, among the
+    first ``scanned`` of the ``span`` nonzero maps; a scan past
+    ``scanned`` appends in order.
     """
 
-    __slots__ = ("x1_obj", "y1_obj", "y1m", "span", "scanned", "by_cone")
+    __slots__ = ("x1_obj", "y1m", "masks", "span", "scanned", "by_cone")
 
-    def __init__(self, x1_obj: Obj, y1_obj: Obj, y1m: Obj, d: int):
-        self.x1_obj, self.y1_obj, self.y1m = x1_obj, y1_obj, y1m
-        self.span = (1 << d) - 1
+    def __init__(self, x1_obj: Obj, y1m: Obj, masks: tuple[int, ...], span: int):
+        self.x1_obj, self.y1m, self.masks, self.span = x1_obj, y1m, masks, span
         self.scanned = 0
         self.by_cone: dict[Obj, list[int]] = {}
 
@@ -739,36 +742,38 @@ class NakayamaBackend(Backend):
         a dense map (``_live_end_pairs``), in multiset order; the others
         cost no budget, so skipping them moves nothing.  Each yielded
         triangle is stored per (connecting map, split) (``_sum_tri``), so
-        all searches share one ``Tri``.  The budget counts one unit per
-        connecting map scanned, dense or not, in ascending order; raises
-        BudgetExceeded at the map where the work bound runs out.
+        all searches share one ``Tri``.
+
+        The budget counts units in walk order: one per split triangle
+        and, per end pair, one per nonzero connecting map, dense or not
+        (``span`` in all, the map at coordinate k being the k-th).
+        BudgetExceeded is raised at the first unit past the budget.
         """
-        xset = tuple(sorted(set(xset)))
-        yset = tuple(sorted(set(yset)))
-        remaining = [budget if budget is not None else 1 << 62]
-
-        def spend(k: int = 1) -> None:
-            remaining[0] -= k
-            if remaining[0] < 0:
-                raise BudgetExceeded("triangle enumeration budget exhausted")
-
+        xset, yset = tuple(sorted(set(xset))), tuple(sorted(set(yset)))
+        left = budget if budget is not None else 1 << 62
         for xtra, ytra, core in _splits_3way(c, xset, yset):
-            if core.is_zero:
-                if len(xtra) <= cap and len(ytra) <= cap:
-                    spend()
-                    yield self._sum_tri(None, xtra, ytra)
+            if core.is_zero and len(xtra) <= cap and len(ytra) <= cap:
+                if left < 1:
+                    raise BudgetExceeded("triangle enumeration budget exhausted")
+                left -= 1
+                yield self._sum_tri(None, xtra, ytra)
             for sx in range(1, cap - len(xtra) + 1):
                 for sy in range(1, cap - len(ytra) + 1):
                     for pair in self._live_end_pairs(xset, yset, sx, sy):
                         # index only the maps this budget can reach
-                        self._scan_end_pair(pair, min(pair.span, remaining[0]))
-                        last = 0
+                        upto = min(pair.span, left)
+                        if upto > pair.scanned:
+                            self._scan_end_pair(pair, upto)
                         for coords in pair.by_cone.get(core, ()):
-                            spend(coords - last)
-                            last = coords
+                            if coords > left:
+                                break
                             delta = Mor(pair.y1m, pair.x1_obj, coords)
                             yield self._sum_tri(delta, xtra, ytra)
-                        spend(pair.span - last)
+                        if pair.span > left:
+                            raise BudgetExceeded(
+                                "triangle enumeration budget exhausted"
+                            )
+                        left -= pair.span
 
     @stored()
     def _live_end_pairs(
@@ -788,34 +793,24 @@ class NakayamaBackend(Backend):
         """The cone index of connecting maps y1[-1] -> x1 (sorted
         multisets), or None when no map is dense: some summand of an end
         pairs by zero with the whole other end, which includes Hom = 0."""
-        x1_obj, y1_obj = Obj(x1), Obj(y1)
-        y1m = self.shift_obj(y1_obj, -1)
-        masks, d = self._dense_masks(y1m, x1_obj)
-        return _EndPair(x1_obj, y1_obj, y1m, d) if all(masks) else None
-
-    def _dense_masks(self, x: Obj, y: Obj) -> tuple[list[int], int]:
-        """Coordinate masks of the blocks out of each summand of x, then
-        into each summand of y, and the dimension of Hom(x, y).  A map
-        is dense when it meets every mask."""
-        masks = [0] * (len(x) + len(y))
+        x1_obj = Obj(x1)
+        y1m = self.shift_obj(Obj(y1), -1)
+        masks = [0] * (len(y1m) + len(x1_obj))
         d = 0
-        for p, q, off, bd in self.block_layout(x, y):
+        for p, q, off, bd in self.block_layout(y1m, x1_obj):
             mask = ((1 << bd) - 1) << off
             masks[p] |= mask
-            masks[len(x) + q] |= mask
+            masks[len(y1m) + q] |= mask
             d += bd
-        return masks, d
+        return _EndPair(x1_obj, y1m, tuple(masks), (1 << d) - 1) if all(masks) else None
 
     def _scan_end_pair(self, pair: _EndPair, upto: int) -> None:
-        """Index the dense maps among the first ``upto`` by their cones."""
-        if upto <= pair.scanned:
-            return
-        masks, _ = self._dense_masks(pair.y1m, pair.x1_obj)
+        """Index by cone the dense maps among the first ``upto`` past ``scanned``."""
         for coords in range(pair.scanned + 1, upto + 1):
-            if all(coords & mk for mk in masks):
+            if all(coords & mk for mk in pair.masks):
                 cobj = self.cone_obj(Mor(pair.y1m, pair.x1_obj, coords))
                 pair.by_cone.setdefault(cobj, []).append(coords)
-        pair.scanned = upto
+        pair.scanned = max(pair.scanned, upto)
 
     @stored()
     def _sum_tri(self, delta: Optional[Mor], xtra: Obj, ytra: Obj) -> Tri:
@@ -956,32 +951,19 @@ def _read_shift(vec: int, slots: dict[int, int]) -> int:
 
 
 def _splits_3way(c: Obj, xset: Sequence[int], yset: Sequence[int]):
-    """All (x-part, y-part, core) multiset splits of c, deterministic."""
-    items = sorted(c.counts().items())
-    xs, ys = set(xset), set(yset)
-
-    def rec(idx: int, xacc: list, yacc: list, dacc: list):
-        if idx == len(items):
-            yield (
-                Obj.from_iter(xacc),
-                Obj.from_iter(yacc),
-                Obj.from_iter(dacc),
-            )
-            return
-        ind, cnt = items[idx]
-        x_max = cnt if ind in xs else 0
-        y_max = cnt if ind in ys else 0
-        for kx in range(x_max + 1):
-            for ky in range(min(y_max, cnt - kx) + 1):
-                kd = cnt - kx - ky
-                yield from rec(
-                    idx + 1,
-                    xacc + [ind] * kx,
-                    yacc + [ind] * ky,
-                    dacc + [ind] * kd,
-                )
-
-    yield from rec(0, [], [], [])
+    """All (x-part, y-part, core) multiset splits of c: per indecomposable
+    of c, ascending, every (x-count, y-count) with the x-count slower,
+    the first indecomposable slowest of all."""
+    choices = [
+        [
+            ((ind,) * kx, (ind,) * ky, (ind,) * (cnt - kx - ky))
+            for kx in range(cnt + 1 if ind in xset else 1)
+            for ky in range(cnt - kx + 1 if ind in yset else 1)
+        ]
+        for ind, cnt in sorted(c.counts().items())
+    ]
+    for pick in itertools.product(*choices):
+        yield tuple(Obj(sum((part[k] for part in pick), ())) for k in range(3))
 
 
 def parse_spec(spec: str) -> NakayamaBackend:

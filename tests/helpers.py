@@ -8,7 +8,7 @@ from cotor.core import (
 )
 from cotor.f2 import F2Matrix, rank, solve
 from cotor.nakayama import (
-    _commutation_rows, _path_tower, _splits_3way, _unflatten, uniserial_counts
+    _commutation_rows, _path_tower, _unflatten, uniserial_counts
 )
 from cotor.subcats import Subcat
 
@@ -230,6 +230,34 @@ def basis_products(b, src, mids, dst):
     return vectors
 
 
+def splits_3way(c, xset, yset):
+    """All (x-part, y-part, core) multiset splits of c by recursion over
+    its indecomposables, ascending: for each, the x-count, then the
+    y-count, ascending, and the rest to the core.  The oracle of
+    ``cotor.nakayama._splits_3way``, which walks the same choices as
+    one product."""
+    items = sorted(c.counts().items())
+    xs, ys = set(xset), set(yset)
+
+    def rec(idx, xacc, yacc, dacc):
+        if idx == len(items):
+            yield Obj.from_iter(xacc), Obj.from_iter(yacc), Obj.from_iter(dacc)
+            return
+        ind, cnt = items[idx]
+        x_max = cnt if ind in xs else 0
+        y_max = cnt if ind in ys else 0
+        for kx in range(x_max + 1):
+            for ky in range(min(y_max, cnt - kx) + 1):
+                yield from rec(
+                    idx + 1,
+                    xacc + [ind] * kx,
+                    yacc + [ind] * ky,
+                    dacc + [ind] * (cnt - kx - ky),
+                )
+
+    yield from rec(0, [], [], [])
+
+
 def walk_enumerate(b, xset, yset, c, cap, budget=None):
     """``NakayamaBackend.triangle_enumerate`` by the full multiset walk:
     every end pair (x1, y1) of each size is asked for its cone index,
@@ -245,7 +273,7 @@ def walk_enumerate(b, xset, yset, c, cap, budget=None):
         if remaining[0] < 0:
             raise BudgetExceeded("triangle enumeration budget exhausted")
 
-    for xtra, ytra, core in _splits_3way(c, xset, yset):
+    for xtra, ytra, core in splits_3way(c, xset, yset):
         if core.is_zero:
             if len(xtra) <= cap and len(ytra) <= cap:
                 spend()

@@ -482,6 +482,34 @@ def test_budget_exhaustion_exits_three_unless_allowed(monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "bijection", "--backend", "nakayama:m=2,n=4"],
+        ["orbit-graph", "--backend", "nakayama:m=2,n=4", "--tcp", "trivial-hovey"],
+    ],
+    ids=["bijection", "orbit-graph"],
+)
+def test_starved_ambient_enumeration_is_inconclusive(monkeypatch, capsys, argv):
+    # A peel budget of one unit leaves cotorsion candidates undecided; the
+    # mutable class then cannot be certified, which is an incomplete
+    # enumeration (exit 3), not a property violation (exit 1).
+    fresh_engines(monkeypatch)
+    build = cli._engine_of
+
+    def starved(spec, cap):
+        engine = build(spec, cap)
+        engine.star.budget = 1
+        return engine
+
+    monkeypatch.setattr(cli, "_engine_of", starved)
+    rc, _, err = invoke(capsys, *argv)
+    assert rc == 3
+    assert err.startswith("inconclusive: ambient enumeration left")
+    assert cli.main(argv + ["--allow-inconclusive"]) == 0
+    capsys.readouterr()
+
+
 def test_out_file_holds_the_whole_report(tmp_path, capsys):
     target = tmp_path / "report.json"
     rc, out, _ = invoke(

@@ -9,7 +9,9 @@ the same triangles in the same order, and the same work budget, one
 unit per connecting map scanned, so ``BudgetExceeded`` falls at the
 same point.  Comparing triangles loses nothing of the connecting map:
 each dense triangle's third map is the shift of its connecting map,
-and the shift is injective on stable Hom.
+and the shift is injective on stable Hom.  The oracle splits c by the
+recursive walk (``helpers.splits_3way``) that the product walk of
+``_splits_3way`` replaced.
 """
 
 import random
@@ -19,7 +21,7 @@ import pytest
 from cotor.core import BudgetExceeded, Mor, Obj, multisets_over
 from cotor.nakayama import NakayamaBackend, _splits_3way
 
-from helpers import with_split
+from helpers import splits_3way, with_split
 
 # Every Nakayama backend with at most 9 indecomposables (K = m(n-1)).
 UP_TO_9 = [(m, n) for n in range(2, 11) for m in range(1, 10) if m * (n - 1) <= 9]
@@ -57,7 +59,7 @@ def scan_enumerate(b, xset, yset, c, cap, budget, spent):
         if spent[0] > budget:
             raise BudgetExceeded("triangle enumeration budget exhausted")
 
-    for xtra, ytra, core in _splits_3way(c, xset, yset):
+    for xtra, ytra, core in splits_3way(c, xset, yset):
         if core.is_zero:
             if len(xtra) <= cap and len(ytra) <= cap:
                 spend()
@@ -85,16 +87,16 @@ def scan_enumerate(b, xset, yset, c, cap, budget, spent):
                             yield tri
 
 
-def scan_run(b, xset, yset, c, cap):
+def scan_run(b, xset, yset, c, cap, limit=LIMIT):
     """Oracle triangles with the units spent when each was yielded, the
-    units spent in all, and whether the LIMIT ran out."""
+    units spent in all, and whether the limit ran out."""
     spent = [0]
     got = []
     try:
-        for w in scan_enumerate(b, xset, yset, c, cap, LIMIT, spent):
+        for w in scan_enumerate(b, xset, yset, c, cap, limit, spent):
             got.append((w, spent[0]))
     except BudgetExceeded:
-        return got, LIMIT, True
+        return got, limit, True
     return got, spent[0], False
 
 
@@ -133,16 +135,17 @@ def random_cases(b, rng, count):
 
 
 def check_index(b):
-    """Every end pair the backend has indexed: the cone lists are
-    disjoint and ascending, together they are the dense maps among the
-    scanned ones, and each list sits under its maps' cone."""
+    """Every end pair the backend has indexed: its masks are the block
+    masks, the cone lists are disjoint and ascending, together they are
+    the dense maps among the scanned ones, and each list sits under its
+    maps' cone."""
     for (x1, y1), pair in b._stored.get("_end_pair", {}).items():
         y1m = b.shift_obj(Obj(y1), -1)
         masks, d = dense_masks(b, y1m, Obj(x1))
         if pair is None:
             assert d == 0 or not all(masks)
             continue
-        assert (pair.x1_obj, pair.y1_obj, pair.y1m) == (Obj(x1), Obj(y1), y1m)
+        assert (pair.x1_obj, pair.y1m, pair.masks) == (Obj(x1), y1m, tuple(masks))
         assert pair.span == (1 << d) - 1
         assert 0 <= pair.scanned <= pair.span
         listed = []
@@ -207,4 +210,68 @@ def test_budget_stops_the_index_scan():
             pass
     assert len(b._stored.get("cone", {})) <= 50
     assert any(p is not None and p.scanned < p.span for p in b._stored.get("_end_pair", {}).values())
+    check_index(b)
+
+
+def test_split_walk_matches_the_recursion():
+    # Every object of at most 4 summands over K = 6, against end sets
+    # that are empty, disjoint, overlapping and equal.
+    k = NakayamaBackend(3, 3).K
+    every = list(range(k))
+    sides = [
+        ([], []), ([], every), (every, []), ([0, 2, 4], [1, 3, 5]),
+        ([0, 1, 2, 3], [2, 3, 4]), ([5], [0, 5]), (every, every),
+    ]
+    for size in range(5):
+        for summands in multisets_over(every, size):
+            c = Obj(summands)
+            for xset, yset in sides:
+                want = list(splits_3way(c, xset, yset))
+                assert list(_splits_3way(c, tuple(xset), tuple(yset))) == want
+
+
+def witnessed_cases(b, rng, count):
+    """Seeded (xset, yset, c, cap), cap 2 or 3, with c the cone of a
+    random connecting map between ends of up to two summands drawn from
+    the sets (the sum of the ends when there is no map), plus at most
+    one split summand."""
+    k = b.K
+    for _ in range(count):
+        xset = sorted(rng.sample(range(k), rng.randint(1, 4)))
+        yset = sorted(rng.sample(range(k), rng.randint(1, 4)))
+        x1 = Obj.from_iter(rng.choice(xset) for _ in range(rng.randint(1, 2)))
+        y1 = Obj.from_iter(rng.choice(yset) for _ in range(rng.randint(1, 2)))
+        y1m = b.shift_obj(y1, -1)
+        d = b.hom_dim(y1m, x1)
+        core = b.cone(Mor(y1m, x1, rng.getrandbits(d))).c if d else x1.plus(y1)
+        extra = [rng.choice(xset + yset) for _ in range(rng.randint(0, 1))]
+        yield xset, yset, core.plus(Obj.from_iter(extra)), rng.randint(2, 3)
+
+
+@pytest.mark.parametrize("mn", [(4, 4), (6, 3)], ids=lambda mn: f"{mn[0]}-{mn[1]}")
+def test_indexed_enumeration_matches_the_scan_above_ten(mn):
+    # K = 12, one indexed backend for all runs, budgets in rising order,
+    # so later runs extend indexes that earlier ones left part-scanned.
+    oracle_b = NakayamaBackend(*mn)
+    b = NakayamaBackend(*mn)
+    rng = random.Random(100 * mn[0] + mn[1])
+    finished = partial = 0
+    for xset, yset, c, cap in witnessed_cases(oracle_b, rng, 10):
+        want, total, ran_out = scan_run(oracle_b, xset, yset, c, cap, limit=1000)
+        finished += not ran_out
+        for budget in (1, 7, 50, 500, None):
+            if budget is None:
+                if not ran_out:
+                    assert indexed_run(b, xset, yset, c, cap, None) == (
+                        [w for w, _ in want], False
+                    )
+                continue
+            got, raised = indexed_run(b, xset, yset, c, cap, budget)
+            assert got == [w for w, at in want if at <= budget], (xset, yset, c, budget)
+            assert raised == (ran_out or budget < total), (xset, yset, c, budget)
+            partial += any(
+                p is not None and 0 < p.scanned < p.span
+                for p in b._stored.get("_end_pair", {}).values()
+            )
+    assert finished and partial
     check_index(b)
