@@ -6,7 +6,9 @@ cap, and the tool version.  No search is randomized, so rerunning the
 same command with the same configuration reproduces the report byte for
 byte.  Exit status encodes the outcome: 0 clean, 1 property violation
 found or internal error, 2 invalid input, 3 a search was inconclusive
-(suppressed by ``--allow-inconclusive``).  No path ends in a traceback.
+(suppressed by ``--allow-inconclusive``), also when a search cut the run
+short, whose report is then ``{"inconclusive": reason}``.  No path ends
+in a traceback.
 """
 
 from __future__ import annotations
@@ -64,28 +66,35 @@ def build_backend(spec: Optional[str]) -> Backend:
     return builder(spec)
 
 
-# One backend per spec serves every engine and suite of an invocation.
-_backend_of = functools.lru_cache(maxsize=None)(build_backend)
-
-
 def _tcp_name(p: TwinCotorsionPair) -> str:
     lbl = p.as_labels()
     return f"S={lbl['S']} T={lbl['T']} U={lbl['U']} V={lbl['V']}"
 
 
 class _Status:
-    """The ledger of a run: the claims its report prints and the worst
-    outcome behind the exit code.
+    """The ledger of a run: its one backend and pair engine, built on
+    first use and dropped with the ledger when ``main`` returns, the
+    claims its report prints and the worst outcome behind the exit code.
 
     Every verdict a command prints passes through here.  An inconclusive
     one, in a claim or in a row, makes the run inconclusive; a no fails
     the run only in a claim, since a row's no is data.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, spec: Optional[str], cap: int) -> None:
+        self.spec = spec
+        self.cap = cap
         self.claims: list[dict] = []
         self.violation = False
         self.inconclusive = False
+
+    @functools.cached_property
+    def backend(self) -> Backend:
+        return build_backend(self.spec)
+
+    @functools.cached_property
+    def engine(self) -> PairEngine:
+        return PairEngine(self.backend, cap=self.cap)
 
     def note(self, verdict: Verdict) -> str:
         """Record a verdict a row prints and return its state."""
@@ -250,22 +259,11 @@ def _emit_json(args: argparse.Namespace, doc: dict) -> None:
     _emit_text(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-# One engine per configuration keeps star and quotient answers warm
-# across the suites of a single invocation.
-@functools.lru_cache(maxsize=None)
-def _engine_of(spec: str, cap: int) -> PairEngine:
-    return PairEngine(_backend_of(spec), cap=cap)
-
-
-def _engine(args: argparse.Namespace) -> PairEngine:
-    return _engine_of(args.backend, args.cap)
-
-
 # -- enumeration commands ----------------------------------------------------
 
 
 def _cmd_enumerate_cp(args: argparse.Namespace, status: _Status) -> dict:
-    engine = _engine(args)
+    engine = status.engine
     enum = engine.enumerate_cotorsion()
     status.inconclusive |= bool(enum.inconclusive)
     return {
@@ -276,7 +274,7 @@ def _cmd_enumerate_cp(args: argparse.Namespace, status: _Status) -> dict:
 
 
 def _cmd_enumerate_tcp(args: argparse.Namespace, status: _Status) -> dict:
-    engine = _engine(args)
+    engine = status.engine
     need_quotient = args.cond_I or args.cond_II or args.cond_III or args.hovey
     concentric_only = bool(args.concentric or need_quotient)
     tcps, unresolved = engine.enumerate_tcp()
@@ -318,7 +316,7 @@ def _cmd_enumerate_tcp(args: argparse.Namespace, status: _Status) -> dict:
 
 
 def _cmd_inspect_pair(args: argparse.Namespace, status: _Status) -> dict:
-    engine = _engine(args)
+    engine = status.engine
     b = engine.backend
     got = _parse_assignments(b, args.pair, frozenset({"U", "V"}))
     u = Subcat.of(b, got["U"])
@@ -342,7 +340,7 @@ def _cmd_inspect_pair(args: argparse.Namespace, status: _Status) -> dict:
 
 
 def _cmd_reduce(args: argparse.Namespace, status: _Status) -> dict:
-    engine = _engine(args)
+    engine = status.engine
     p = _parse_tcp(engine, args.tcp)
     status.inconclusive |= not engine.derived_sets(p).complete
     q = ZIQuotient.for_pair(engine, p)
@@ -357,7 +355,7 @@ def _cmd_reduce(args: argparse.Namespace, status: _Status) -> dict:
 
 
 def _cmd_mutate(args: argparse.Namespace, status: _Status) -> dict:
-    engine = _engine(args)
+    engine = status.engine
     p = _parse_tcp(engine, args.tcp)
     me = MutationEngine(engine, p)
     cp = _parse_pair(engine, args.pair)
@@ -375,7 +373,7 @@ def _cmd_mutate(args: argparse.Namespace, status: _Status) -> dict:
 
 
 def _cmd_orbit_graph(args: argparse.Namespace, status: _Status) -> None:
-    engine = _engine(args)
+    engine = status.engine
     p = _parse_tcp(engine, args.tcp)
     me = MutationEngine(engine, p)
     _emit_text(args, me.orbit_graph())
@@ -433,10 +431,9 @@ def _suite_counts_polygon(b: polygon.PolygonBackend, status: _Status) -> dict:
 
 
 def _suite_counts(args: argparse.Namespace, status: _Status) -> dict:
-    backend = _backend_of(args.backend)
-    if isinstance(backend, polygon.PolygonBackend):
-        return _suite_counts_polygon(backend, status)
-    engine = _engine(args)
+    if isinstance(status.backend, polygon.PolygonBackend):
+        return _suite_counts_polygon(status.backend, status)
+    engine = status.engine
     enum = engine.enumerate_cotorsion()
     status.inconclusive |= bool(enum.inconclusive)
     dual, dual_complete = enumerate_by_second_class(engine)
@@ -476,7 +473,7 @@ def _both(p: TwinCotorsionPair, v1: Verdict, v2: Verdict) -> Verdict:
 
 
 def _suite_conditions(args: argparse.Namespace, status: _Status) -> dict:
-    engine = _engine(args)
+    engine = status.engine
     rows = []
     for p in _concentric_tcps(engine, status):
         v2 = engine.check_condition_II(p)
@@ -500,7 +497,7 @@ def _suite_conditions(args: argparse.Namespace, status: _Status) -> dict:
 
 
 def _suite_hovey(args: argparse.Namespace, status: _Status) -> dict:
-    engine = _engine(args)
+    engine = status.engine
     rows = []
     everything = sorted(Subcat.everything(engine.backend).labels())
     widest = trivial_hovey_tcp(engine).key()
@@ -535,7 +532,7 @@ _INVERSE_SHIFTS = "suspension and loop are mutually inverse on classes"
 
 
 def _suite_adjunction(args: argparse.Namespace, status: _Status) -> dict:
-    engine = _engine(args)
+    engine = status.engine
     rows = []
     for p in _concentric_tcps(engine, status):
         if not engine.derived_sets(p).complete:
@@ -573,7 +570,7 @@ def _suite_adjunction(args: argparse.Namespace, status: _Status) -> dict:
 
 
 def _suite_bijection(args: argparse.Namespace, status: _Status) -> dict:
-    engine = _engine(args)
+    engine = status.engine
     enum = engine.enumerate_cotorsion()
     status.inconclusive |= bool(enum.inconclusive)
     targets: list[TwinCotorsionPair] = [trivial_hovey_tcp(engine)]
@@ -633,7 +630,7 @@ def _cmd_verify(args: argparse.Namespace, status: _Status) -> dict:
         # ``--suite all`` skips every suite past counts on backends
         # without exact triangles; one asked for by name refuses instead.
         if (args.suite == "all" and name != "counts"
-                and not _backend_of(args.backend).exact_triangles):
+                and not status.backend.exact_triangles):
             results[name] = {"skipped": "backend lacks capability exact_triangles"}
         else:
             results[name] = _SUITE_FUNCS[name](args, status)
@@ -854,17 +851,20 @@ def main(argv: Optional[list[str]] = None) -> int:
     if getattr(args, "cap", 2) < 2:
         print("error: --cap must be at least 2", file=sys.stderr)
         return 2
-    status = _Status()
+    status = _Status(args.backend, args.cap)
     try:
-        payload = args.func(args, status)
+        try:
+            payload = args.func(args, status)
+        except BudgetExceeded as exc:  # DecompositionMissing among them
+            # The cut run reports why, and is inconclusive whatever it claimed.
+            print(f"inconclusive: {exc}", file=sys.stderr)
+            payload = {"inconclusive": str(exc)}
+            status.violation, status.inconclusive = False, True
         if payload is not None:
             _emit_json(args, _envelope(args, payload))
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BudgetExceeded as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return 0 if args.allow_inconclusive else 3
     except CotorError as exc:  # InternalCheckError among them
         print(f"property violation: {exc}", file=sys.stderr)
         return 1

@@ -47,8 +47,8 @@ class InternalCheckError(CotorError):
     """An invariant that should hold by construction failed."""
 
 
-class DecompositionMissing(CotorError):
-    """A required decomposition triangle could not be found."""
+class DecompositionMissing(BudgetExceeded):
+    """No required decomposition triangle within the cap: the answer is open."""
 
 
 _MISSING = object()
@@ -298,6 +298,30 @@ class Backend:
 
     def obj_labels(self, x: Obj) -> list[str]:
         return [self.label_of(i) for i in x.summands]
+
+    @stored()
+    def hom_masks(self) -> tuple[list[int], list[int], list[int]]:
+        """Per indecomposable i, the bitmasks of the c with Hom(i, c), Hom(c, i)
+        and Ext^1(i, c) = Hom(i, c[1]) nonzero, built once per backend.  The
+        build checks that Hom(i[-1], c) = 0 exactly when Hom(i, c[1]) = 0, so
+        ``right_perp(-, -1)`` and ``left_perp(-, 1)`` form a Galois connection."""
+        self._need()
+        k = len(self.indecs)
+        out, into = [0] * k, [0] * k
+        for i in range(k):
+            for c in range(k):
+                if self.hom_dim_pair(i, c):
+                    out[i] |= 1 << c
+                    into[c] |= 1 << i
+        up = [self.shift_id(c, 1) for c in range(k)]
+        ext1 = [sum(1 << c for c in range(k) if out[i] >> up[c] & 1) for i in range(k)]
+        for i in range(k):
+            if ext1[i] != out[self.shift_id(i, -1)]:
+                raise InternalCheckError(
+                    "Hom(X[-1], -) and Hom(X, -[1]) disagree on vanishing, "
+                    f"X = {self.label_of(i)}"
+                )
+        return out, into, ext1
 
     # --- morphism layer -----------------------------------------------
 

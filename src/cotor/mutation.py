@@ -108,10 +108,10 @@ class MutationEngine:
     def _star_side(self, a: Subcat, step: int, closed: str) -> tuple[Subcat, bool]:
         """The star S[-1] * a inside U (+1), or a * V[1] inside T (-1),
         with its completeness flag."""
-        p, star = self.p, self.engine.star
+        p, q, star = self.p, self.q, self.engine.star
         if step == 1:
-            return star.star_indecs(p.s.shifted(-1), a, closed=closed, within=p.u)
-        return star.star_indecs(a, p.v.shifted(1), closed=closed, within=p.t)
+            return star.star_indecs(q.s_down, a, closed=closed, within=p.u)
+        return star.star_indecs(a, q.v_up, closed=closed, within=p.t)
 
     def _lift_class(self, reps: tuple[int, ...], step: int) -> Subcat:
         """The first (+1) or second (-1) class of a lifted pair: the

@@ -35,7 +35,7 @@ from .core import (
 )
 from .f2 import F2Matrix, in_span, solve
 from .subcats import DEFAULT_CAP, StarEngine, Subcat, closed_sets
-from .subcats import hom_masks, iter_bits, left_perp, right_perp
+from .subcats import iter_bits, left_perp, right_perp
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,7 @@ class PairEngine:
         self.star = StarEngine(backend, cap=cap)
         # ZIQuotient.for_pair keeps one subquotient per twin pair here.
         self._zi_cache: dict[tuple, object] = {}
-        self._ext1 = hom_masks(backend)[2]
+        self._ext1 = backend.hom_masks()[2]
 
     # -- degree-one orthogonality ------------------------------------------
 
@@ -286,21 +286,18 @@ class PairEngine:
         s, t, u, v = p.key()
         return s & t == u & v
 
+    @stored()
     def enumerate_tcp(self) -> tuple[list[TwinCotorsionPair], list[CotorsionPair]]:
         """All twin pairs of enumerated (so verified) pairs, by the three-way
         check, with the unresolved pairs.  Walked once per engine, like
         ``enumerate_cotorsion``; callers filter with ``is_concentric``."""
         enum = self.enumerate_cotorsion()
-        return self._twin_pairs(enum), enum.inconclusive
-
-    @stored(key=lambda enum: ())
-    def _twin_pairs(self, enum: CPEnumeration) -> list[TwinCotorsionPair]:
-        """The twin pairs of the engine's one enumeration, stored once."""
         pairs = enum.pairs
         partners = self._twin_partners(pairs, [p.key() for p in pairs])
-        return [
+        tcps = [
             TwinCotorsionPair(a, pairs[k]) for a, ks in zip(pairs, partners) for k in ks
         ]
+        return tcps, enum.inconclusive
 
     # -- derived classes -------------------------------------------------------
 

@@ -65,6 +65,9 @@ class ZIQuotient:
         d = engine.derived_sets(p)
         self.i_set: Subcat = d.i
         self.z_set: Subcat = d.z
+        # S[-1], V[1], U[-1] and T[1], which the witness searches read
+        self.s_down, self.v_up = p.s.shifted(-1), p.v.shifted(1)
+        self.u_down, self.t_up = p.u.shifted(-1), p.t.shifted(1)
 
     @classmethod
     def for_pair(
@@ -114,9 +117,9 @@ class ZIQuotient:
                 + ("outer class" if step == 1 else "inner coclass")
             )
         if step == 1:
-            tri = self._witness(self.p.s.shifted(-1), self.z_set, x, "adjoint")
+            tri = self._witness(self.s_down, self.z_set, x, "adjoint")
             return tri.c, tri
-        tri = self._witness(self.z_set, self.p.v.shifted(1), x, "coadjoint")
+        tri = self._witness(self.z_set, self.v_up, x, "coadjoint")
         return tri.a, tri
 
     @stored(key=lambda z, step: (z.summands, step))
@@ -127,12 +130,12 @@ class ZIQuotient:
         _check_step(step)
         b = self.backend
         if step == 1:
-            tri = self._witness(self.p.u.shifted(-1), self.i_set, z, "upward bracket")
+            tri = self._witness(self.u_down, self.i_set, z, "upward bracket")
             out = b.shift_obj(tri.a, 1)
             if not self.p.u.contains_obj(out):
                 raise InternalCheckError("upward bracket left the outer class")
         else:
-            tri = self._witness(self.i_set, self.p.t.shifted(1), z, "downward bracket")
+            tri = self._witness(self.i_set, self.t_up, z, "downward bracket")
             out = b.shift_obj(tri.c, -1)
             if not self.p.t.contains_obj(out):
                 raise InternalCheckError("downward bracket left the inner coclass")
@@ -342,8 +345,8 @@ class ZIQuotient:
         """
         star = self.engine.star
         top = len(x) + star.cap
-        w1 = star.first_witness(self.p.u, self.p.v.shifted(1), x, top)
-        w2 = star.first_witness(self.p.s.shifted(-1), self.p.t, x, top)
+        w1 = star.first_witness(self.p.u, self.v_up, x, top)
+        w2 = star.first_witness(self.s_down, self.p.t, x, top)
         if w1 is None or w2 is None:
             return None, Verdict.inconclusive(
                 reason="decomposition triangles not found at the current cap"

@@ -3,10 +3,10 @@
 A Subcat is a set of indecomposable ids standing for the full additive
 subcategory of finite direct sums of those indecomposables; it is
 summand-closed by construction.  Perpendiculars are bitmask operations
-on per-backend Hom-nonzero masks, and ``closed_sets`` walks the closed
-sets of a closure on bitmasks.  Star membership C in add(X) * add(Y)
-runs on the peel engine, in the direction of the side the caller vouches
-closed under extensions:
+on the backend's Hom-nonzero masks (``Backend.hom_masks``), and
+``closed_sets`` walks the closed sets of a closure on bitmasks.  Star
+membership C in add(X) * add(Y) runs on the peel engine, in the
+direction of the side the caller vouches closed under extensions:
 
 * Y side: repeatedly strip one Y-summand by enumerating maps C -> y and
   passing to the cocone, accepting when some chain lands in add(X);
@@ -31,14 +31,12 @@ inconclusive, never to a boolean.
 
 from __future__ import annotations
 
-import weakref
 from typing import Callable, Iterable, Iterator, Optional
 
 from .core import (
     Backend,
     BudgetExceeded,
     InputError,
-    InternalCheckError,
     MAX_ENUM_INDECS,
     Mor,
     Obj,
@@ -154,36 +152,6 @@ class Subcat:
         return f"Subcat({self.labels()})"
 
 
-_HOM_MASKS: "weakref.WeakKeyDictionary[Backend, tuple]" = weakref.WeakKeyDictionary()
-
-
-def hom_masks(b: Backend) -> tuple[list[int], list[int], list[int]]:
-    """Per indecomposable i, the bitmasks of the c with Hom(i, c), Hom(c, i)
-    and Ext^1(i, c) = Hom(i, c[1]) nonzero, built once per backend.  The
-    build checks that Hom(i[-1], c) = 0 exactly when Hom(i, c[1]) = 0, so
-    ``right_perp(-, -1)`` and ``left_perp(-, 1)`` form a Galois connection."""
-    got = _HOM_MASKS.get(b)
-    if got is None:
-        b._need()
-        k = len(b.indecs)
-        out, into = [0] * k, [0] * k
-        for i in range(k):
-            for c in range(k):
-                if b.hom_dim_pair(i, c):
-                    out[i] |= 1 << c
-                    into[c] |= 1 << i
-        up = [b.shift_id(c, 1) for c in range(k)]
-        ext1 = [sum(1 << c for c in range(k) if out[i] >> up[c] & 1) for i in range(k)]
-        for i in range(k):
-            if ext1[i] != out[b.shift_id(i, -1)]:
-                raise InternalCheckError(
-                    "Hom(X[-1], -) and Hom(X, -[1]) disagree on vanishing, "
-                    f"X = {b.label_of(i)}"
-                )
-        got = _HOM_MASKS[b] = (out, into, ext1)
-    return got
-
-
 def _perp(x: Subcat, shift: int, masks: list[int]) -> Subcat:
     b = x.backend
     hit = 0
@@ -194,12 +162,12 @@ def _perp(x: Subcat, shift: int, masks: list[int]) -> Subcat:
 
 def right_perp(x: Subcat, shift: int) -> Subcat:
     """Indecomposables c with Hom(member[shift], c) = 0 for all members."""
-    return _perp(x, shift, hom_masks(x.backend)[0])
+    return _perp(x, shift, x.backend.hom_masks()[0])
 
 
 def left_perp(x: Subcat, shift: int) -> Subcat:
     """Indecomposables c with Hom(c, member[shift]) = 0 for all members."""
-    return _perp(x, shift, hom_masks(x.backend)[1])
+    return _perp(x, shift, x.backend.hom_masks()[1])
 
 
 def closed_sets(k: int, closure: Callable[[int], int]) -> Iterator[int]:
@@ -306,7 +274,7 @@ class StarEngine:
         at state entry.
         """
         target, strip = (x, y) if closed == "y" else (y, x)
-        reach = hom_masks(self.backend)[0 if closed == "y" else 1]
+        reach = self.backend.hom_masks()[0 if closed == "y" else 1]
         frontier = [c]
         best_seen: dict[Obj, int] = {c: depth}
         for remaining in range(depth, -1, -1):

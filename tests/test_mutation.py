@@ -14,7 +14,6 @@ from cotor.nakayama import NakayamaBackend
 from cotor.pairs import CotorsionPair, PairEngine, trivial_hovey_tcp
 from cotor.mutation import MutationEngine, ZICotorsionPair
 from cotor.subcats import StarEngine, Subcat
-from helpers import fresh_engines
 
 CP_COUNTS = {(1, 3): 2, (1, 4): 2, (2, 2): 4}
 
@@ -281,7 +280,6 @@ def test_bijection_sweeps_once_per_distinct_input(monkeypatch, capsys):
         calls["star_indecs"] += bool(inside)
         return honest_star(self, *args, **kwargs)
 
-    fresh_engines(monkeypatch)
     monkeypatch.setattr(MutationEngine, "I_map", record("I_map", lambda zp: zp))
     monkeypatch.setattr(MutationEngine, "in_MP", record("in_MP", lambda cp: cp.key()))
     monkeypatch.setattr(MutationEngine, "verify_bijection", verify)

@@ -7,8 +7,13 @@ is checkable against raw backend data.  All other concentric pairs
 collapse to the zero category, which pins the degenerate paths.
 """
 
+import sys
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
+from cotor import cli
 from cotor.core import InputError, Mor, Obj, scatter_blocks
 from cotor.nakayama import NakayamaBackend
 from cotor.pairs import CotorsionPair, PairEngine, trivial_hovey_tcp
@@ -343,3 +348,27 @@ def test_adjoint_and_shift_take_one_step_either_way(q22, step):
 def test_shared_instance_per_pair(eng22):
     p = trivial_hovey_tcp(eng22)
     assert ZIQuotient.for_pair(eng22, p) is ZIQuotient.for_pair(eng22, p)
+
+
+def test_the_subquotient_shifts_its_sides_once(monkeypatch, capsys):
+    # S[-1], V[1], U[-1] and T[1] are built when a subquotient is; the
+    # adjoints, brackets and comparison maps read them, never shift anew.
+    honest_shifted, honest_init = Subcat.shifted, ZIQuotient.__init__
+    callers, built = Counter(), []
+
+    def shifted(self, k):
+        code = sys._getframe(1).f_code
+        callers[Path(code.co_filename).name, code.co_name] += 1
+        return honest_shifted(self, k)
+
+    def init(self, engine, p):
+        built.append(p.key())
+        honest_init(self, engine, p)
+
+    monkeypatch.setattr(Subcat, "shifted", shifted)
+    monkeypatch.setattr(ZIQuotient, "__init__", init)
+    argv = ["verify", "--suite", "conditions", "--backend", "nakayama:m=3,n=4"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    from_quotient = {name: n for (f, name), n in callers.items() if f == "quotient.py"}
+    assert built and from_quotient == {"__init__": 4 * len(built)}

@@ -24,7 +24,6 @@ from cotor.polygon import (
 )
 from cotor.quotient import ZIQuotient
 from cotor.subcats import StarEngine, enumerate_subcats
-from helpers import fresh_engines
 
 # Every Nakayama backend with at most 12 indecomposables (K = m(n-1)).
 SMALL = [(m, n) for n in range(2, 14) for m in range(1, 13) if m * (n - 1) <= 12]
@@ -155,8 +154,7 @@ def test_peel_table_matches_the_per_move_search(mn, monkeypatch):
 
 
 def bijection_queries(mn, monkeypatch):
-    """The peel searches of ``verify --suite bijection``, on a fresh engine."""
-    fresh_engines(monkeypatch)
+    """The peel searches of ``verify --suite bijection``."""
     argv = ["verify", "--suite", "bijection", "--backend", "nakayama:m=%d,n=%d" % mn]
     return peel_queries(lambda: cli.main(argv), monkeypatch)
 
@@ -165,7 +163,7 @@ def bijection_queries(mn, monkeypatch):
 def test_copeel_table_matches_the_per_move_search(mn, monkeypatch, capsys):
     queries = [q for q in bijection_queries(mn, monkeypatch) if q[4] == "x"]
     assert queries
-    check_against_per_move(cli._backend_of("nakayama:m=%d,n=%d" % mn), queries)
+    check_against_per_move(queries[0][0].backend, queries)
 
 
 def test_peel_moves_are_built_once_per_object_and_summand(monkeypatch):
@@ -191,9 +189,16 @@ def test_peel_moves_are_built_once_per_object_and_summand(monkeypatch):
 def test_peel_tables_hold_only_real_moves(monkeypatch, capsys):
     # The searches ask only for summands with a nonzero Hom, so no stored
     # entry is empty, on either side.
-    b = cli._backend_of("nakayama:m=3,n=4")
+    built = []
+
+    def recorded(backend, cap):
+        built.append(PairEngine(backend, cap=cap))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "PairEngine", recorded)
     bijection_queries((3, 4), monkeypatch)
-    star = cli._engine_of("nakayama:m=3,n=4", cli.DEFAULT_CAP).star
+    [engine] = built
+    b, star = engine.backend, engine.star
     tables = {"x": {}, "y": {}}
     for (summands, sid, closed), moves in star._stored["_peel_moves"].items():
         tables[closed][(summands, sid)] = moves
@@ -283,7 +288,7 @@ def test_maximality_by_crossing_masks_matches_inclusion(n):
         if not any(s.bits != t.bits and s.bits & t.bits == s.bits for t in rigid)
     }
     assert by_inclusion == {s.bits for s in triangulations_among(b, rigid)}
-    status = cli._Status()
+    status = cli._Status(f"polygon:N={n}", cli.DEFAULT_CAP)
     cli._suite_counts_polygon(b, status)
     claims = status.claims
     assert claims[0]["claim"] == "triangulations are exactly the maximal non-crossing sets"
@@ -301,7 +306,6 @@ def test_standard_right_third_matches_the_full_triangle(monkeypatch):
         seen.append((self, f))
         return honest(self, f)
 
-    fresh_engines(monkeypatch)
     monkeypatch.setattr(ZIQuotient, "standard_right_third", recorded)
     rc = cli.main(
         ["verify", "--suite", "bijection", "--backend", "nakayama:m=2,n=4"]
