@@ -7,7 +7,6 @@ from .core import (
     BudgetExceeded,
     CapabilityError,
     CotorError,
-    DecompositionMissing,
     Indec,
     InputError,
     InternalCheckError,
@@ -33,7 +32,6 @@ __all__ = [
     "CapabilityError",
     "CotorError",
     "CotorsionPair",
-    "DecompositionMissing",
     "Indec",
     "InputError",
     "InternalCheckError",

@@ -760,7 +760,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--backend", help="backend spec, e.g. nakayama:m=2,n=2 or polygon:N=5"
     )
     common.add_argument(
-        "--cap", type=int, default=DEFAULT_CAP, help="search width cap, at least 2"
+        "--cap", type=int, default=DEFAULT_CAP,
+        help="cap of the peel searches (chains of up to cap + 1 peels), at least 2",
     )
     common.add_argument(
         "--out", help="write the report to this path instead of stdout"
@@ -855,7 +856,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         try:
             payload = args.func(args, status)
-        except BudgetExceeded as exc:  # DecompositionMissing among them
+        except BudgetExceeded as exc:
             # The cut run reports why, and is inconclusive whatever it claimed.
             print(f"inconclusive: {exc}", file=sys.stderr)
             payload = {"inconclusive": str(exc)}

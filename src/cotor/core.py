@@ -47,10 +47,6 @@ class InternalCheckError(CotorError):
     """An invariant that should hold by construction failed."""
 
 
-class DecompositionMissing(BudgetExceeded):
-    """No required decomposition triangle within the cap: the answer is open."""
-
-
 _MISSING = object()
 
 
@@ -417,10 +413,6 @@ class Backend:
 
     def cone(self, f: Mor) -> Tri:
         """Completed triangle on f."""
-        self._need()
-        raise NotImplementedError
-
-    def triangle_enumerate(self, xset, yset, c: Obj, cap: int, budget=None):
         self._need()
         raise NotImplementedError
 

@@ -12,10 +12,12 @@ perpendicular classes are closed under extensions.
 Twin pairs ((S,T),(U,V)) add the vanishing of degree-one maps from S
 to V; the engine cross-checks the three equivalent formulations
 (vanishing, S inside U, V inside T) on bitmasks and refuses silently
-inconsistent states.  Derived classes, the heart-vanishing predicate,
-conditions on shifted-intersection equalities, and the thick-subcategory
-detection all run tri-valued: an exhausted cap is inconclusive, never a
-guess.
+inconsistent states.  Derived classes, conditions on
+shifted-intersection equalities, and the thick-subcategory detection
+all run tri-valued: an exhausted cap is inconclusive, never a guess.
+Decomposition triangles need no search: each is the triangle of a
+minimal right or left approximation built from Hom bases
+(``approximation``), so the heart-vanishing predicate is always decided.
 """
 
 from __future__ import annotations
@@ -25,15 +27,16 @@ from typing import Iterator, Optional
 
 from .core import (
     Backend,
-    BudgetExceeded,
     InputError,
     InternalCheckError,
     Mor,
     Obj,
+    Tri,
     Verdict,
+    scatter_blocks,
     stored,
 )
-from .f2 import F2Matrix, in_span, solve
+from .f2 import F2Matrix, QuotientSpace, in_span, solve
 from .subcats import DEFAULT_CAP, StarEngine, Subcat, closed_sets
 from .subcats import iter_bits, left_perp, right_perp
 
@@ -392,40 +395,110 @@ class PairEngine:
     def h_vanishes(self, x: Obj, pair: CotorsionPair) -> Verdict:
         """Does the middle map of a decomposition triangle factor through V?
 
-        Builds a triangle with first end in add(U) and third end in
-        add(V)[1], then tests by linear algebra whether the map out of
-        x lies in the subspace of maps factoring through add(V).  The
-        answer is triangle-independent, so a second witness of the same
-        cap level is compared and any disagreement raises; when there is
-        none, or the budget runs out first, the reason says so.
+        Reads the map x -> V'[1] of two approximation triangles
+        U' -> x -> V'[1] -> U'[1], of the minimal right U-approximation of
+        x and of its minimal left V[1]-approximation, and tests by linear
+        algebra whether it lies in the subspace of maps factoring through
+        add(V).  The answer is triangle-independent, so the two verdicts
+        are compared and any disagreement raises.
         """
-        verdicts = []
-        try:
-            for tri in self.star.witnesses(
-                pair.u, pair.v.shifted(1), x, self.star.cap
-            ):
-                span = self.factoring_subspace(x, pair.v, tri.c)
-                verdicts.append(in_span(tri.g.coords, span))
-                if len(verdicts) == 2:
-                    break
-        except BudgetExceeded:
-            if not verdicts:
-                return Verdict.inconclusive(
-                    reason="no decomposition triangle within budget"
-                )
-        if not verdicts:
-            return Verdict.inconclusive(
-                reason="no decomposition triangle found at the current cap"
+        v1 = pair.v.shifted(1)
+        verdicts = {
+            in_span(tri.g.coords, self.factoring_subspace(x, pair.v, tri.c))
+            for tri in (
+                self.decomposition(pair.u, x, 1, pair.u, v1),
+                self.decomposition(v1, x, -1, pair.u, v1),
             )
-        if len(set(verdicts)) > 1:
+        }
+        if len(verdicts) > 1:
+            raise InternalCheckError("heart vanishing depends on the witness triangle")
+        if verdicts.pop():
+            return Verdict.yes()
+        return Verdict.no(reason="middle map does not factor through V")
+
+    # -- approximation triangles ----------------------------------------------
+
+    @stored()
+    def _end_radical(self, u: int) -> tuple[int, ...]:
+        """A basis of rad End(u): the non-invertible basis maps, and each
+        other invertible one plus the first.  The residue field is GF(2),
+        so the radical has codimension 1 and these span it; raises unless
+        some basis map is invertible and the zero map and this basis are
+        not."""
+        b = self.backend
+        x, zero = Obj.of(u), Subcat.empty(b)
+        d = b.hom_dim(x, x)
+        units = [k for k in range(d) if self.iso_mod(zero, Mor(x, x, 1 << k))]
+        rad = [1 << k for k in range(d) if k not in units]
+        rad += [1 << k | 1 << units[0] for k in units[1:]]
+        if not units or any(self.iso_mod(zero, Mor(x, x, r)) for r in [0, *rad]):
             raise InternalCheckError(
-                "heart vanishing depends on the witness triangle"
+                f"the radical of End({b.label_of(u)}) is not of codimension 1"
             )
-        notes = [] if verdicts[0] else ["middle map does not factor through V"]
-        if len(verdicts) == 1:
-            notes.append("one witness only, so the cross-check did not run")
-        reason = "; ".join(notes) or None
-        return Verdict.yes(reason=reason) if verdicts[0] else Verdict.no(reason=reason)
+        return tuple(rad)
+
+    def _tops(self, cls: Subcat, u: int, j: int, step: int) -> list[int]:
+        """Lifts of a basis of Hom(u, j) (+1) or Hom(j, u) (-1) modulo its
+        radical part: the maps through the other members of cls, and the
+        maps through rad End(u)."""
+        b = self.backend
+        out, into = b.hom_masks()[:2]
+        s, t = (u, j) if step == 1 else (j, u)
+        src, dst, uo = Obj.of(s), Obj.of(t), Obj.of(u)
+        mids = cls.bits & out[s] & into[t] & ~(1 << u)
+        rad = [v for w in iter_bits(mids) for v in self._member_span(src, w, dst)]
+        width = b.hom_dim(src, dst)
+        for r in self._end_radical(u):
+            e = Mor(uo, uo, r)
+            for k in range(width):
+                g = Mor(src, dst, 1 << k)
+                rad.append((b.compose(e, g) if step == 1 else b.compose(g, e)).coords)
+        q = QuotientSpace(width, rad)
+        return [q.lift(1 << k) for k in range(q.dim)]
+
+    @stored(key=lambda cls, c, step: (cls.bits, c, step))
+    def approximation(self, cls: Subcat, c: Obj, step: int) -> Tri:
+        """The triangle of the minimal right (+1) or left (-1)
+        cls-approximation of c, stored per input: A -> c -> C -> A[1] from
+        the cone of the right one A -> c, or C -> c -> B -> C[1] from the
+        right rotation of the cone of the left one c -> B.
+
+        Minimal approximations are additive, so the map is assembled per
+        summand j of c: one copy of each member u with Hom(u, j) (+1) or
+        Hom(j, u) (-1) nonzero per top of that Hom space (``_tops``).
+        """
+        b = self.backend
+        near = b.hom_masks()[1 if step == 1 else 0]
+        ends = [Obj.of(j) for j in c.summands]
+        parts: list[Obj] = []
+        comps: list[tuple[int, int, Mor]] = []
+        for p, j in enumerate(c.summands):
+            for u in iter_bits(cls.bits & near[j]):
+                for top in self._tops(cls, u, j, step):
+                    k, uo = len(parts), Obj.of(u)
+                    parts.append(uo)
+                    comps.append(
+                        (k, p, Mor(uo, ends[p], top)) if step == 1
+                        else (p, k, Mor(ends[p], uo, top))
+                    )
+        if step == 1:
+            return b.cone(scatter_blocks(b, parts, ends, comps))
+        return b.rotate_right(b.cone(scatter_blocks(b, ends, parts, comps)))
+
+    def decomposition(
+        self, cls: Subcat, c: Obj, step: int, first: Subcat, third: Subcat
+    ) -> Tri:
+        """``approximation(cls, c, step)``, a triangle X -> c -> Y -> X[1]
+        that the pair axioms put in add(first) * add(third); raises if an
+        end lies outside its class."""
+        tri = self.approximation(cls, c, step)
+        if not (first.contains_obj(tri.a) and third.contains_obj(tri.c)):
+            raise InternalCheckError(
+                f"{'right' if step == 1 else 'left'} approximation of "
+                f"{self.backend.obj_labels(c)} by {cls.labels()} has an end outside "
+                f"{first.labels()} * {third.labels()}"
+            )
+        return tri
 
     # -- conditions ----------------------------------------------------------
 

@@ -16,8 +16,9 @@ suspension (+1) or desuspension (-1), the adjoint image of the bracket
 step the same way.  The right (+1) and left (-1) standard triangles
 share one route too: glue the map to its bracket link, take the cone,
 and pull its end back with the adjoint the same way.  Every witness
-triangle is the first one of the star engine's escalating-cap search
-(``StarEngine.first_witness``).
+triangle is the triangle of a minimal right approximation, built from
+Hom bases (``PairEngine.approximation``), with both ends checked against
+the classes the pair axioms put them in.
 Each subquotient stores its answers per input (``core.stored``).
 
 Witness triangles are unique only up to isomorphism, so object-level
@@ -34,7 +35,6 @@ from __future__ import annotations
 from typing import Optional
 
 from .core import (
-    DecompositionMissing,
     InputError,
     InternalCheckError,
     Mor,
@@ -65,7 +65,7 @@ class ZIQuotient:
         d = engine.derived_sets(p)
         self.i_set: Subcat = d.i
         self.z_set: Subcat = d.z
-        # S[-1], V[1], U[-1] and T[1], which the witness searches read
+        # S[-1], V[1], U[-1] and T[1], which the witness triangles read
         self.s_down, self.v_up = p.s.shifted(-1), p.v.shifted(1)
         self.u_down, self.t_up = p.u.shifted(-1), p.t.shifted(1)
 
@@ -91,24 +91,15 @@ class ZIQuotient:
 
     # -- witness triangles -----------------------------------------------------
 
-    def _witness(self, x: Subcat, y: Subcat, c: Obj, what: str) -> Tri:
-        # wide objects need at least their own width of split room
-        star = self.engine.star
-        tri = star.first_witness(x, y, c, len(c) + star.cap)
-        if tri is None:
-            raise DecompositionMissing(
-                f"no {what} triangle for {c.summands} at the current cap"
-            )
-        return tri
-
     @stored(key=lambda x, step: (x.summands, step))
     def adjoint(self, x: Obj, step: int) -> tuple[Obj, Tri]:
         """Adjoint (+1) or coadjoint (-1) image in the middle class.
 
-        +1 takes an object u of the outer class through a witness
-        (inner class member)[-1] -> u -> image; -1 takes an object t of
-        the inner coclass through image -> t -> (outer coclass
-        member)[1].
+        +1 takes an object u of the outer class through the triangle
+        (inner class member)[-1] -> u -> image of its minimal right
+        S[-1]-approximation; -1 takes an object t of the inner coclass
+        through the triangle image -> t -> (outer coclass member)[1] of
+        its minimal right U-approximation.
         """
         _check_step(step)
         if not (self.p.u if step == 1 else self.p.t).contains_obj(x):
@@ -116,10 +107,11 @@ class ZIQuotient:
                 "adjoint image needs an object of the "
                 + ("outer class" if step == 1 else "inner coclass")
             )
+        dec = self.engine.decomposition
         if step == 1:
-            tri = self._witness(self.s_down, self.z_set, x, "adjoint")
+            tri = dec(self.s_down, x, 1, self.s_down, self.z_set)
             return tri.c, tri
-        tri = self._witness(self.z_set, self.v_up, x, "coadjoint")
+        tri = dec(self.p.u, x, 1, self.z_set, self.v_up)
         return tri.a, tri
 
     @stored(key=lambda z, step: (z.summands, step))
@@ -128,18 +120,12 @@ class ZIQuotient:
         if not self.z_set.contains_obj(z):
             raise InputError("bracket shift needs an object of the middle class")
         _check_step(step)
-        b = self.backend
+        dec, b = self.engine.decomposition, self.backend
         if step == 1:
-            tri = self._witness(self.u_down, self.i_set, z, "upward bracket")
-            out = b.shift_obj(tri.a, 1)
-            if not self.p.u.contains_obj(out):
-                raise InternalCheckError("upward bracket left the outer class")
-        else:
-            tri = self._witness(self.i_set, self.t_up, z, "downward bracket")
-            out = b.shift_obj(tri.c, -1)
-            if not self.p.t.contains_obj(out):
-                raise InternalCheckError("downward bracket left the inner coclass")
-        return out, tri
+            tri = dec(self.u_down, z, 1, self.u_down, self.i_set)
+            return b.shift_obj(tri.a, 1), tri
+        tri = dec(self.p.s, z, 1, self.i_set, self.t_up)
+        return b.shift_obj(tri.c, -1), tri
 
     def shift(self, z: Obj, step: int) -> Obj:
         """Suspension (+1) or desuspension (-1): the adjoint image of the
@@ -333,24 +319,19 @@ class ZIQuotient:
 
     # -- the comparison map ------------------------------------------------------
 
-    def mu_map(self, x: Obj) -> tuple[Optional[Mor], Verdict]:
+    def mu_map(self, x: Obj) -> tuple[Mor, Verdict]:
         """Comparison between the two adjoint images of an object.
 
-        Four witness triangles pin down the data: the outer-pair
-        decomposition of x, the shifted inner-pair decomposition of x,
-        the adjoint witness of the first's end, and the coadjoint
-        witness of the second's end.  The map is any solution of the
-        commuting condition; its isomorphism verdict is
-        witness-independent.
+        Four approximation triangles pin down the data: the outer-pair
+        decomposition of x (right U-approximation), the shifted
+        inner-pair decomposition of x (right S[-1]-approximation), the
+        adjoint witness of the first's end, and the coadjoint witness of
+        the second's end.  The map is any solution of the commuting
+        condition; its isomorphism verdict is witness-independent.
         """
-        star = self.engine.star
-        top = len(x) + star.cap
-        w1 = star.first_witness(self.p.u, self.v_up, x, top)
-        w2 = star.first_witness(self.s_down, self.p.t, x, top)
-        if w1 is None or w2 is None:
-            return None, Verdict.inconclusive(
-                reason="decomposition triangles not found at the current cap"
-            )
+        dec = self.engine.decomposition
+        w1 = dec(self.p.u, x, 1, self.p.u, self.v_up)
+        w2 = dec(self.s_down, x, 1, self.s_down, self.p.t)
         u_x = w1.a
         t_x = w2.c
         z_u, sig_tri = self.adjoint(u_x, 1)

@@ -40,7 +40,6 @@ from .core import (
     MAX_ENUM_INDECS,
     Mor,
     Obj,
-    Tri,
     Verdict,
     stored,
 )
@@ -139,7 +138,9 @@ class Subcat:
         return not (self.bits & ~other.bits)
 
     def shifted(self, k: int) -> "Subcat":
-        return Subcat.of(self.backend, (self.backend.shift_id(i, k) for i in self))
+        """The class of the k-fold shifts of the members, built once per
+        backend and (bits, k)."""
+        return _shifted(self.backend, self.bits, k)
 
     def contains_obj(self, x: Obj) -> bool:
         return all(i in self for i in x.summands)
@@ -150,6 +151,12 @@ class Subcat:
 
     def __repr__(self) -> str:
         return f"Subcat({self.labels()})"
+
+
+@stored()
+def _shifted(backend: Backend, bits: int, k: int) -> Subcat:
+    """``Subcat.shifted``, kept in the backend's stored table."""
+    return Subcat.of(backend, (backend.shift_id(i, k) for i in iter_bits(bits)))
 
 
 def _perp(x: Subcat, shift: int, masks: list[int]) -> Subcat:
@@ -190,7 +197,7 @@ def closed_sets(k: int, closure: Callable[[int], int]) -> Iterator[int]:
 
 class StarEngine:
     """Star-product membership and closure queries over one backend;
-    peel moves, first witnesses and pair extensions are stored."""
+    peel moves and pair extensions are stored."""
 
     def __init__(
         self,
@@ -322,32 +329,6 @@ class StarEngine:
             reason=f"capped enumeration exhausted at caps {self.cap} "
             f"and {self.cap + 1}"
         )
-
-    def witnesses(self, x: Subcat, y: Subcat, c: Obj, top: int) -> Iterator[Tri]:
-        """Witness triangles of the least cap in 2..top that has any, in
-        enumeration order; raises BudgetExceeded.
-
-        Witness triangles are almost always narrow, so the small caps
-        hit first and the wide sweeps only run when a witness truly
-        needs the room; objects wider than the engine cap need a
-        ``top`` above it for the split part of the triangle.
-        """
-        for cap in range(2, top + 1):
-            found = False
-            for w in self.backend.triangle_enumerate(
-                x.ids(), y.ids(), c, cap=cap, budget=self.budget
-            ):
-                found = True
-                yield w
-            if found:
-                return
-
-    @stored(key=lambda x, y, c, top: (x.bits, y.bits, c, top))
-    def first_witness(self, x: Subcat, y: Subcat, c: Obj, top: int) -> Optional[Tri]:
-        """The first of ``witnesses(x, y, c, top)``, or None, stored per
-        input.  Only that one witness is kept, never the search; a
-        BudgetExceeded propagates on every call and is not stored."""
-        return next(self.witnesses(x, y, c, top), None)
 
     # -- star sets ----------------------------------------------------------
 

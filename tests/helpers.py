@@ -1,7 +1,7 @@
 """Checks that only the tests need, built on the public backend API."""
 
 from cotor.core import (
-    BudgetExceeded, Mor, Obj, Tri, Verdict, _slot_assignment, multisets_over
+    BudgetExceeded, Mor, Obj, Tri, Verdict, _slot_assignment, multisets_over, stored
 )
 from cotor.f2 import F2Matrix, rank, solve
 from cotor.nakayama import (
@@ -169,6 +169,40 @@ def literal_contains(star, x, y, c):
     if x.is_empty or y.is_empty:
         return Verdict.no()
     return star._literal_verdict(x, y, c)
+
+
+def witnesses(star, x, y, c, top):
+    """The escalating-cap witness search, the oracle of the approximation
+    triangles (``PairEngine.approximation``): the triangles
+    X' -> c -> Y' -> X'[1] with X' in add(x) and Y' in add(y) of the least
+    cap in 2..top that has any, in the backend's enumeration order, under
+    the star engine's budget; raises BudgetExceeded."""
+    for cap in range(2, top + 1):
+        found = False
+        for w in star.backend.triangle_enumerate(
+            x.ids(), y.ids(), c, cap=cap, budget=star.budget
+        ):
+            found = True
+            yield w
+        if found:
+            return
+
+
+@stored(key=lambda x, y, c, top: (x.bits, y.bits, c, top))
+def first_witness(star, x, y, c, top):
+    """The first of ``witnesses(star, x, y, c, top)``, or None, kept in the
+    star engine's stored table; a BudgetExceeded is not kept."""
+    return next(witnesses(star, x, y, c, top), None)
+
+
+def searched_decomposition(engine, cls, c, step, first, third):
+    """``PairEngine.decomposition`` by the search: the first witness in
+    add(first) * add(third), with room for the split part of a wide
+    object (a top of its width past the engine's cap)."""
+    star = engine.star
+    tri = first_witness(star, first, third, c, len(c) + star.cap)
+    assert tri is not None, f"no witness for {c.summands} at the cap"
+    return tri
 
 
 def ext_closure(star, x):

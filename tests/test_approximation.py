@@ -1,0 +1,132 @@
+"""Approximation triangles against the escalating-cap search oracle.
+
+``PairEngine.approximation`` builds every decomposition triangle that
+the pair engine and the subquotient read from the minimal right or left
+approximation of an object, computed from Hom bases modulo the radical.
+The tests hold it to the search it replaced (``helpers.witnesses``, the
+capped triangle enumerator walked cap by cap): the cones land in the
+other class of the pair, the minimal approximation is a summand of the
+matching end of every witness the search yields, the heart-vanishing
+verdict is the one every witness reads, and the subquotient's
+comparison maps and shifts agree with the ones built on searched
+triangles.
+"""
+
+import functools
+
+import pytest
+
+from cotor.core import InternalCheckError, Mor, Obj
+from cotor.f2 import in_span
+from cotor.nakayama import NakayamaBackend
+from cotor.pairs import PairEngine
+from cotor.quotient import ZIQuotient
+from cotor.subcats import Subcat
+from helpers import searched_decomposition, witnesses
+
+# (m, n): the widest objects whose approximations are checked, and the
+# widest that are also held to the search, which at two summands is
+# too slow on the larger backends.
+CASES = {(2, 3): (2, 2), (3, 3): (2, 2), (3, 4): (2, 1), (2, 6): (2, 1), (5, 3): (1, 1)}
+# Every Nakayama backend with at most nine indecomposables.
+SMALL = [(1, 4), (1, 7), (1, 10), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2),
+         (3, 3), (3, 4), (4, 2), (4, 3)]
+
+
+@pytest.fixture(scope="module", params=list(CASES), ids=str)
+def case(request):
+    """A pair engine on the backend, and its two object widths."""
+    return PairEngine(NakayamaBackend(*request.param)), *CASES[request.param]
+
+
+def _objects(b, width):
+    """The objects of at most ``width`` summands, indecomposables first."""
+    objs = [Obj.of(i) for i in range(b.K)]
+    if width == 2:
+        objs += [Obj.of(i, j) for i in range(b.K) for j in range(i, b.K)]
+    return objs
+
+
+def _is_summand(small, big):
+    have = big.counts()
+    return all(have.get(i, 0) >= k for i, k in small.counts().items())
+
+
+def test_approximation_cones_lie_in_the_other_class(case):
+    eng, width, _ = case
+    for p in eng.enumerate_cotorsion().pairs:
+        v1 = p.v.shifted(1)
+        for x in _objects(eng.backend, width):
+            right = eng.approximation(p.u, x, 1)
+            left = eng.approximation(v1, x, -1)
+            assert right.b == x == left.b
+            assert p.u.contains_obj(right.a) and v1.contains_obj(right.c)
+            assert p.u.contains_obj(left.a) and v1.contains_obj(left.c)
+
+
+def test_approximations_are_minimal_and_every_witness_reads_their_verdict(case):
+    eng, _, width = case
+    for p in eng.enumerate_cotorsion().pairs:
+        v1 = p.v.shifted(1)
+        for x in _objects(eng.backend, width):
+            right = eng.approximation(p.u, x, 1)
+            left = eng.approximation(v1, x, -1)
+            vanishes = eng.h_vanishes(x, p)
+            assert not vanishes.is_inconclusive
+            # the minimal triangle is a witness, so its cap has some
+            top = max(2, len(right.a), len(right.c))
+            found = 0
+            for w in witnesses(eng.star, p.u, v1, x, top):
+                found += 1
+                assert _is_summand(right.a, w.a) and _is_summand(left.c, w.c)
+                span = eng.factoring_subspace(x, p.v, w.c)
+                assert in_span(w.g.coords, span) == vanishes.is_yes
+            assert found
+
+
+@pytest.mark.parametrize("mn", SMALL, ids=str)
+def test_comparison_maps_and_shifts_match_the_search_route(mn):
+    b = NakayamaBackend(*mn)
+    eng, searched = PairEngine(b), PairEngine(b)
+    searched.decomposition = functools.partial(searched_decomposition, searched)
+    tcps, _ = eng.enumerate_tcp()
+    for p in (p for p in tcps if eng.is_concentric(p)):
+        q, oracle = ZIQuotient(eng, p), ZIQuotient(searched, p)
+        for x in eng.star.star_indecs(p.t, p.u, closed="y")[0]:
+            got = q.mu_map(Obj.of(x))[1]
+            assert got.state == oracle.mu_map(Obj.of(x))[1].state
+        for z in q.z_set:
+            for step in (1, -1):
+                got = q.class_of(q.shift(Obj.of(z), step))
+                assert got == oracle.class_of(oracle.shift(Obj.of(z), step))
+
+
+def test_an_approximation_out_of_its_class_raises(monkeypatch):
+    # The zero map 0 -> x as an approximation: its cone is x itself.
+    def zero_approximation(self, cls, c, step):
+        return self.backend.cone(Mor(Obj.zero(), c, 0))
+
+    monkeypatch.setattr(PairEngine, "approximation", zero_approximation)
+    eng = PairEngine(NakayamaBackend(2, 2))
+    b = eng.backend
+    pair = next(p for p in eng.enumerate_cotorsion().pairs if p.u.bits == 1)
+    x = next(Obj.of(i) for i in range(b.K) if i not in pair.v.shifted(1))
+    with pytest.raises(InternalCheckError, match="has an end outside"):
+        eng.h_vanishes(x, pair)
+
+
+def test_every_endomorphism_called_invertible_trips_the_radical_check(monkeypatch):
+    # M(0,2) over k[x]/x^4 has a two-dimensional stable End, so a radical
+    # of codimension 1 is one-dimensional and must be non-invertible.
+    eng = PairEngine(NakayamaBackend(1, 4))
+    b = eng.backend
+    u = b.id_of("M(0,2)")
+    assert b.hom_dim_pair(u, u) == 2
+    assert len(eng._end_radical(u)) == 1
+    monkeypatch.setattr(PairEngine, "iso_mod", lambda self, core, f: True)
+    fresh = PairEngine(b)
+    for v in range(b.K):
+        with pytest.raises(InternalCheckError, match="not of codimension 1"):
+            fresh._end_radical(v)
+    with pytest.raises(InternalCheckError, match="not of codimension 1"):
+        fresh.approximation(Subcat.of(b, [u]), Obj.of(u), 1)

@@ -13,11 +13,11 @@ import weakref
 import pytest
 
 from cotor import cli
-from cotor.core import BudgetExceeded, InternalCheckError, Verdict
+from cotor.core import BudgetExceeded, InternalCheckError, Mor, Obj, Verdict
 from cotor.mutation import MutationEngine
 from cotor.nakayama import NakayamaBackend
 from cotor.pairs import PairEngine
-from cotor.subcats import DEFAULT_CAP, StarEngine
+from cotor.subcats import DEFAULT_CAP
 
 
 def invoke(capsys, *argv):
@@ -511,23 +511,19 @@ def test_starved_ambient_enumeration_is_inconclusive(monkeypatch, capsys, argv):
     assert allowed == out
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["reduce", "--tcp", "trivial-hovey", "--backend", "nakayama:m=2,n=2"],
-        ["verify", "--suite", "adjunction", "--backend", "nakayama:m=2,n=3"],
-    ],
-    ids=["reduce", "adjunction"],
-)
-def test_a_witness_missing_at_the_cap_is_inconclusive(monkeypatch, capsys, argv):
-    # No witness triangle within the cap leaves the subquotient's shifts
-    # undecided, as an exhausted budget does: exit 3, not a violation.
-    monkeypatch.setattr(StarEngine, "first_witness", lambda self, x, y, c, top: None)
+def test_an_approximation_out_of_its_class_is_a_violation(monkeypatch, capsys):
+    # An approximation triangle whose cone is forced out of its class (the
+    # zero map 0 -> c, whose cone is c itself) breaks the pair axioms: the
+    # run reports a property violation, exit 1, and no traceback.
+    def zero_approximation(self, cls, c, step):
+        return self.backend.cone(Mor(Obj.zero(), c, 0))
+
+    monkeypatch.setattr(PairEngine, "approximation", zero_approximation)
+    argv = ["verify", "--suite", "conditions", "--backend", "nakayama:m=2,n=3"]
     rc, out, err = invoke(capsys, *argv)
-    assert rc == 3
-    assert err.startswith("inconclusive: no ")
-    assert "at the current cap" in report_of(out)["report"]["inconclusive"]
-    assert invoke(capsys, *argv, "--allow-inconclusive")[0] == 0
+    assert rc == 1 and out == ""
+    assert err.startswith("property violation: right approximation of ")
+    assert "has an end outside" in err and "Traceback" not in err
 
 
 def test_a_run_keeps_nothing_after_main_returns(monkeypatch, capsys):

@@ -24,8 +24,6 @@ KEPT = {
     "subquotient, a construction of the paper that the quotient tests check",
     "zz_mutate": "mutation of cut-reduced arc sets, the polygon model of "
     "the paper's mutation that the acceptance tests check",
-    "rotate_right": "the inverse rotation of a triangle, the axiom that "
-    "the backend tests check",
     "stable_hom_table": "the published stable Hom dimensions that the "
     "Nakayama tests compare with closed forms",
     "plus": "Obj.plus and Mor.plus, direct sums in the value API the "

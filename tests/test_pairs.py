@@ -7,11 +7,9 @@ enumeration.  It shares no pruning or perpendicular logic with the
 engine's sweep.
 """
 
-import itertools
-
 import pytest
 
-from cotor.core import BudgetExceeded, InputError, Obj
+from cotor.core import BudgetExceeded, InputError, InternalCheckError, Obj
 from cotor.nakayama import NakayamaBackend
 from cotor.pairs import (
     CotorsionPair,
@@ -238,85 +236,96 @@ def test_h_vanishes_on_the_trivial_pairs(engines):
         assert eng.h_vanishes(x, zero_cp).is_yes
 
 
-def test_h_vanishes_decides_on_a_single_witness_level(monkeypatch):
-    # For the (zero, everything) pair cap 2 holds one witness of M(0,1)
-    # and cap 3 holds it again; only the cap-2 one is read.
+def test_h_vanishes_reads_one_right_and_one_left_approximation(monkeypatch):
+    # For the (zero, everything) pair the right 0-approximation of M(0,1)
+    # is 0 -> x and the left approximation by everything is an isomorphism.
     eng = PairEngine(NakayamaBackend(2, 2))
     b = eng.backend
     _, zero_cp = trivial_pairs(eng)
     x = Obj.of(0)
-    y = zero_cp.v.shifted(1)
-    for cap in (2, 3):
-        assert len(list(b.triangle_enumerate([], y.ids(), x, cap=cap))) == 1
-    honest_enum, honest_span = b.triangle_enumerate, eng.factoring_subspace
-    caps, spans = [], []
+    v1 = zero_cp.v.shifted(1)
+    honest_approx, honest_span = eng.approximation, eng.factoring_subspace
+    asked, spans = [], []
 
-    def enum(*a, cap=4, **k):
-        caps.append(cap)
-        return honest_enum(*a, cap=cap, **k)
+    def approx(cls, c, step):
+        asked.append((cls, c, step))
+        return honest_approx(cls, c, step)
 
     def span(*a):
         spans.append(a)
         return honest_span(*a)
 
-    monkeypatch.setattr(b, "triangle_enumerate", enum)
+    def searched(*a, **k):
+        raise AssertionError("heart vanishing ran the triangle search")
+
+    monkeypatch.setattr(eng, "approximation", approx)
     monkeypatch.setattr(eng, "factoring_subspace", span)
+    monkeypatch.setattr(b, "triangle_enumerate", searched)
     got = eng.h_vanishes(x, zero_cp)
-    assert got.is_yes
-    assert got.reason == "one witness only, so the cross-check did not run"
-    assert caps == [2]
-    assert len(spans) == 1
+    assert got.is_yes and got.reason is None
+    assert asked == [(zero_cp.u, x, 1), (v1, x, -1)]
+    # one span through V per triangle; the others are the radical's
+    # isomorphism tests modulo the zero class
+    assert [a for a in spans if a[1] == zero_cp.v] == [(x, zero_cp.v, x)] * 2
+    right, left = (honest_approx(*a) for a in asked)
+    assert (right.a, right.c) == (Obj.zero(), x)
+    assert left.a == Obj.zero() and left.c == x
 
 
-def test_h_vanishes_keeps_its_first_verdict_when_the_budget_runs_out(
-    monkeypatch,
-):
-    # The verdict is stored per engine, so each injected enumerator gets
-    # a fresh engine on the same backend.
+def test_h_vanishes_raises_when_its_two_triangles_disagree(monkeypatch):
     eng = PairEngine(NakayamaBackend(2, 2))
     b = eng.backend
     s0 = Subcat.of(b, [0])
     pair = CotorsionPair(s0, s0)
     x = Obj.of(1)
+    assert eng.is_cotorsion_pair(pair.u, pair.v).is_yes
     want = eng.h_vanishes(x, pair)
     assert not want.is_inconclusive
-    assert "cross-check" not in want.reason  # two witnesses were compared
-    honest = b.triangle_enumerate
+    # The verdict needs no search and no budget.
+    starved = PairEngine(b)
+    starved.star.budget = 0
 
-    def one_then_broke(*a, **k):
-        yield next(honest(*a, **k))
-        raise BudgetExceeded("triangle enumeration budget exhausted")
-
-    monkeypatch.setattr(b, "triangle_enumerate", one_then_broke)
-    got = PairEngine(b).h_vanishes(x, pair)
-    assert got.state == want.state
-    assert got.reason == want.reason + (
-        "; one witness only, so the cross-check did not run"
-    )
-
-    def broke(*a, **k):
+    def searched(*a, **k):
         raise BudgetExceeded("triangle enumeration budget exhausted")
         yield
 
-    monkeypatch.setattr(b, "triangle_enumerate", broke)
-    assert PairEngine(b).h_vanishes(x, pair).is_inconclusive
+    monkeypatch.setattr(b, "triangle_enumerate", searched)
+    assert starved.h_vanishes(x, pair) == want
+    # A span that holds every map on its second call makes the left
+    # triangle read yes where the right one read no.
+    assert want.is_no
+    broke = PairEngine(b)
+    honest, calls = broke.factoring_subspace, []
+
+    def flaky(src, mids, dst):
+        calls.append(mids)
+        if mids == pair.v and calls.count(mids) == 2:
+            return [1 << k for k in range(b.hom_dim(src, dst))]
+        return honest(src, mids, dst)
+
+    monkeypatch.setattr(broke, "factoring_subspace", flaky)
+    with pytest.raises(InternalCheckError, match="depends on the witness"):
+        broke.h_vanishes(x, pair)
 
 
-def test_condition_III_carries_the_single_witness_note(monkeypatch):
-    # With S = T = U = V = add M(0,1) every heart test has two witnesses
-    # to compare, until an enumerator that stops after one is injected.
+def test_condition_III_compares_two_triangles_on_every_heart_test(monkeypatch):
+    # With S = T = U = V = add M(0,1) the heart test reads a right and a
+    # left approximation triangle, and its verdict carries no note.  The
+    # inner and outer pairs agree, so the second test is the stored first.
     b = NakayamaBackend(2, 2)
+    eng = PairEngine(b)
     s0 = CotorsionPair(Subcat.of(b, [0]), Subcat.of(b, [0]))
-    p = PairEngine(b).make_tcp(s0, s0)
-    honest = PairEngine(b).check_condition_III(p)
-    assert honest.is_yes and honest.reason is None
-    enum = b.triangle_enumerate
-    monkeypatch.setattr(
-        b, "triangle_enumerate", lambda *a, **k: itertools.islice(enum(*a, **k), 1)
-    )
-    got = PairEngine(b).check_condition_III(p)
-    assert got.is_yes
-    assert got.reason == "one witness only, so the cross-check did not run"
+    p = eng.make_tcp(s0, s0)
+    honest, steps = eng.approximation, []
+
+    def approx(cls, c, step):
+        steps.append((c, step))
+        return honest(cls, c, step)
+
+    monkeypatch.setattr(eng, "approximation", approx)
+    got = eng.check_condition_III(p)
+    assert got.is_yes and got.reason is None
+    assert steps == [(Obj.of(0), 1), (Obj.of(0), -1)]
 
 
 def _record_cone_work(monkeypatch, b, log):
@@ -355,12 +364,14 @@ def test_repeated_searches_are_answered_from_the_stored_results(monkeypatch):
     assert [p.s.labels() for p in outer] == [["M(0,1)"], ["M(0,1)", "M(1,1)"]]
     first, second = outer
     eng.check_condition_I(first)
+    built = set(eng._stored["approximation"])
+    outer_keys = {k for k in built if k[0] == first.u.bits}
     log.clear()
     assert eng.check_condition_I(second).is_yes
     assert not [a for name, a in log if name in ("_cone_counts", "_cone_module")]
-    decomposition = (first.u.ids(), first.v.shifted(1).ids())
-    asked = [tuple(a[:2]) for name, a in log if name == "triangle_enumerate"]
-    assert asked and decomposition not in asked
+    assert not [a for name, a in log if name == "triangle_enumerate"]
+    added = set(eng._stored["approximation"]) - built
+    assert outer_keys and not {k for k in added if k[0] == first.u.bits}
 
 
 def test_factoring_subspace_pinned():

@@ -19,7 +19,7 @@ from cotor.subcats import (
     left_perp,
     right_perp,
 )
-from helpers import ext_closure, literal_contains
+from helpers import ext_closure, first_witness, literal_contains, witnesses
 
 
 @pytest.fixture(scope="module")
@@ -257,12 +257,26 @@ def test_star_budget_degrades_to_inconclusive(b23):
         assert v.is_inconclusive
 
 
+def test_a_repeated_shift_builds_nothing_new(monkeypatch):
+    b = NakayamaBackend(2, 3)
+    x = Subcat.of(b, [0, 2])
+    first, back = x.shifted(1), x.shifted(-1)
+    assert first == Subcat.of(b, [b.shift_id(0, 1), b.shift_id(2, 1)])
+
+    def shifted_again(*a):
+        raise AssertionError("a stored shift was built again")
+
+    monkeypatch.setattr(b, "shift_id", shifted_again)
+    assert Subcat.of(b, [0, 2]).shifted(1) is first
+    assert x.shifted(-1) is back
+
+
 def test_find_witness_returns_checked_triangles(b22):
     eng = StarEngine(b22)
     x = Subcat.of(b22, [0])
     y = Subcat.of(b22, [1])
     # S0 + S1 decomposes as the split extension of these two classes.
-    t = next(eng.witnesses(x, y, Obj.of(0, 1), eng.cap), None)
+    t = next(witnesses(eng, x, y, Obj.of(0, 1), eng.cap), None)
     assert t is not None
     assert t.b == Obj.of(0, 1)  # searched object sits in the middle
     assert x.contains_obj(t.a)
@@ -270,7 +284,7 @@ def test_find_witness_returns_checked_triangles(b22):
     assert b22.compose(t.f, t.g).is_zero
     assert b22.compose(t.g, t.h).is_zero
     # No witness exists when the second class cannot reach the object.
-    assert next(eng.witnesses(x, x, Obj.of(1), eng.cap), None) is None
+    assert next(witnesses(eng, x, x, Obj.of(1), eng.cap), None) is None
 
 
 def test_witnesses_come_from_the_least_productive_cap_only():
@@ -285,7 +299,7 @@ def test_witnesses_come_from_the_least_productive_cap_only():
         ]
         # Cap 3 has more witnesses, and the search stops before them.
         assert 0 < len(per_cap[0]) < len(per_cap[1])
-        assert list(eng.witnesses(s0, y, c, 3)) == per_cap[0]
+        assert list(witnesses(eng, s0, y, c, 3)) == per_cap[0]
 
 
 def test_witnesses_escalate_past_empty_caps(monkeypatch):
@@ -302,11 +316,11 @@ def test_witnesses_escalate_past_empty_caps(monkeypatch):
     monkeypatch.setattr(b, "triangle_enumerate", from_cap_three)
     s0 = Subcat.of(b, [0])
     y = right_perp(s0, -1).shifted(1)
-    got = list(eng.witnesses(s0, y, Obj.of(0), 4))
+    got = list(witnesses(eng, s0, y, Obj.of(0), 4))
     assert got == list(honest(s0.ids(), y.ids(), Obj.of(0), cap=3))
     assert asked == [2, 3]
     asked.clear()
-    assert list(eng.witnesses(s0, y, Obj.of(0), 2)) == []
+    assert list(witnesses(eng, s0, y, Obj.of(0), 2)) == []
     assert asked == [2]
 
 
@@ -318,9 +332,9 @@ def test_first_witness_is_the_first_of_the_search(monkeypatch):
     cases += [(s0, s0, Obj.of(1), 4), (s0, y, Obj.of(0, 1), 4)]
     found = 0
     for x, yy, c, top in cases:
-        want = next(StarEngine(b).witnesses(x, yy, c, top), None)
+        want = next(witnesses(StarEngine(b), x, yy, c, top), None)
         eng = StarEngine(b)
-        got = eng.first_witness(x, yy, c, top)
+        got = first_witness(eng, x, yy, c, top)
         if want is None:
             assert got is None
         else:
@@ -334,21 +348,21 @@ def test_first_witness_stores_answers_but_not_budget_failures(monkeypatch):
     s0 = Subcat.of(b, [0])
     y = right_perp(s0, -1).shifted(1)
     eng = StarEngine(b)
-    got = eng.first_witness(s0, y, Obj.of(1), 4)
-    none = eng.first_witness(s0, s0, Obj.of(1), 4)
+    got = first_witness(eng, s0, y, Obj.of(1), 4)
+    none = first_witness(eng, s0, s0, Obj.of(1), 4)
     assert got is not None and none is None
 
     def searched(*a, **k):
         raise AssertionError("a stored answer was searched again")
 
     monkeypatch.setattr(b, "triangle_enumerate", searched)
-    assert eng.first_witness(s0, y, Obj.of(1), 4) is got
-    assert eng.first_witness(s0, s0, Obj.of(1), 4) is None
+    assert first_witness(eng, s0, y, Obj.of(1), 4) is got
+    assert first_witness(eng, s0, s0, Obj.of(1), 4) is None
     monkeypatch.undo()
     broke = StarEngine(b, budget=0)
     for _ in range(2):
         with pytest.raises(BudgetExceeded):
-            broke.first_witness(s0, y, Obj.of(1), 4)
+            first_witness(broke, s0, y, Obj.of(1), 4)
 
 
 # ---------------------------------------------------------------- closure
