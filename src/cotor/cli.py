@@ -5,10 +5,9 @@ Every report is a single JSON document under the schema name
 cap, and the tool version.  No search is randomized, so rerunning the
 same command with the same configuration reproduces the report byte for
 byte.  Exit status encodes the outcome: 0 clean, 1 property violation
-found or internal error, 2 invalid input, 3 a search was inconclusive
-(suppressed by ``--allow-inconclusive``), also when a search cut the run
-short, whose report is then ``{"inconclusive": reason}``.  No path ends
-in a traceback.
+found or internal error, 2 invalid input, 3 a capped peel search was
+inconclusive (suppressed by ``--allow-inconclusive``).  No path ends in
+a traceback.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from typing import Any, Callable, Optional
 from . import __version__, nakayama, polygon
 from .core import (
     Backend,
-    BudgetExceeded,
     CotorError,
     InputError,
     InternalCheckError,
@@ -225,10 +223,9 @@ def _parse_tcp(engine: PairEngine, text: str) -> TwinCotorsionPair:
 # -- report plumbing ---------------------------------------------------------
 
 
-def _cp_record(p: CotorsionPair, flags: bool = True) -> dict[str, Any]:
+def _cp_record(p: CotorsionPair) -> dict[str, Any]:
     rec: dict[str, Any] = p.as_labels()
-    if flags:
-        rec["flags"] = p.flags()
+    rec["flags"] = p.flags()
     return rec
 
 
@@ -264,23 +261,16 @@ def _emit_json(args: argparse.Namespace, doc: dict) -> None:
 
 def _cmd_enumerate_cp(args: argparse.Namespace, status: _Status) -> dict:
     engine = status.engine
-    enum = engine.enumerate_cotorsion()
-    status.inconclusive |= bool(enum.inconclusive)
-    return {
-        "count": len(enum.pairs),
-        "pairs": [_cp_record(p) for p in enum.pairs],
-        "unresolved": [_cp_record(p, flags=False) for p in enum.inconclusive],
-    }
+    pairs = engine.enumerate_cotorsion().pairs
+    return {"count": len(pairs), "pairs": [_cp_record(p) for p in pairs]}
 
 
 def _cmd_enumerate_tcp(args: argparse.Namespace, status: _Status) -> dict:
     engine = status.engine
     need_quotient = args.cond_I or args.cond_II or args.cond_III or args.hovey
     concentric_only = bool(args.concentric or need_quotient)
-    tcps, unresolved = engine.enumerate_tcp()
-    status.inconclusive |= bool(unresolved)
     rows: list[dict[str, Any]] = []
-    for p in tcps:
+    for p in engine.enumerate_tcp():
         concentric = engine.is_concentric(p)
         if concentric_only and not concentric:
             continue
@@ -309,9 +299,6 @@ def _cmd_enumerate_tcp(args: argparse.Namespace, status: _Status) -> dict:
         "count": len(rows),
         "concentric_only": concentric_only,
         "twin_pairs": rows,
-        "unresolved_constituents": [
-            _cp_record(p, flags=False) for p in unresolved
-        ],
     }
 
 
@@ -342,7 +329,6 @@ def _cmd_inspect_pair(args: argparse.Namespace, status: _Status) -> dict:
 def _cmd_reduce(args: argparse.Namespace, status: _Status) -> dict:
     engine = status.engine
     p = _parse_tcp(engine, args.tcp)
-    status.inconclusive |= not engine.derived_sets(p).complete
     q = ZIQuotient.for_pair(engine, p)
     payload = q.summary()
     payload["twin"] = p.as_labels()
@@ -383,23 +369,19 @@ def _cmd_orbit_graph(args: argparse.Namespace, status: _Status) -> None:
 # -- verification suites -----------------------------------------------------
 
 
-def enumerate_by_second_class(engine: PairEngine) -> tuple[list[CotorsionPair], bool]:
+def enumerate_by_second_class(engine: PairEngine) -> list[CotorsionPair]:
     """Independent route: the closed sets of the dual closure on V."""
     b = engine.backend
     out: list[CotorsionPair] = []
-    complete = True
     for bits in closed_sets(
         len(b.indecs),
         lambda s: right_perp(left_perp(Subcat(b, s), 1), -1).bits,
     ):
         v = Subcat(b, bits)
         u = left_perp(v, 1)
-        verdict = engine.is_cotorsion_pair(u, v)
-        if verdict.is_yes:
+        if engine.is_cotorsion_pair(u, v).is_yes:
             out.append(CotorsionPair(u, v))
-        elif verdict.is_inconclusive:
-            complete = False
-    return out, complete
+    return out
 
 
 def _suite_counts_polygon(b: polygon.PolygonBackend, status: _Status) -> dict:
@@ -435,9 +417,7 @@ def _suite_counts(args: argparse.Namespace, status: _Status) -> dict:
         return _suite_counts_polygon(status.backend, status)
     engine = status.engine
     enum = engine.enumerate_cotorsion()
-    status.inconclusive |= bool(enum.inconclusive)
-    dual, dual_complete = enumerate_by_second_class(engine)
-    status.inconclusive |= not dual_complete
+    dual = enumerate_by_second_class(engine)
     status.check(
         "first-class sweep and second-class sweep find the same pairs",
         {p.key() for p in enum.pairs} == {p.key() for p in dual},
@@ -447,7 +427,7 @@ def _suite_counts(args: argparse.Namespace, status: _Status) -> dict:
         "both one-sided trivial pairs are present",
         {zero.key(), whole.key()} <= {p.key() for p in enum.pairs},
     )
-    tcps, _ = engine.enumerate_tcp()
+    tcps = engine.enumerate_tcp()
     concentric = [p for p in tcps if engine.is_concentric(p)]
     return {
         "cotorsion_pairs": len(enum.pairs),
@@ -456,10 +436,8 @@ def _suite_counts(args: argparse.Namespace, status: _Status) -> dict:
     }
 
 
-def _concentric_tcps(engine: PairEngine, status: _Status) -> list[TwinCotorsionPair]:
-    tcps, unresolved = engine.enumerate_tcp()
-    status.inconclusive |= bool(unresolved)
-    return [p for p in tcps if engine.is_concentric(p)]
+def _concentric_tcps(engine: PairEngine) -> list[TwinCotorsionPair]:
+    return [p for p in engine.enumerate_tcp() if engine.is_concentric(p)]
 
 
 def _both(p: TwinCotorsionPair, v1: Verdict, v2: Verdict) -> Verdict:
@@ -475,7 +453,7 @@ def _both(p: TwinCotorsionPair, v1: Verdict, v2: Verdict) -> Verdict:
 def _suite_conditions(args: argparse.Namespace, status: _Status) -> dict:
     engine = status.engine
     rows = []
-    for p in _concentric_tcps(engine, status):
+    for p in _concentric_tcps(engine):
         v2 = engine.check_condition_II(p)
         v3 = engine.check_condition_III(p)
         v1 = engine.check_condition_I(p)
@@ -501,7 +479,7 @@ def _suite_hovey(args: argparse.Namespace, status: _Status) -> dict:
     rows = []
     everything = sorted(Subcat.everything(engine.backend).labels())
     widest = trivial_hovey_tcp(engine).key()
-    for p in _concentric_tcps(engine, status):
+    for p in _concentric_tcps(engine):
         verdict, n = engine.is_hovey(p)
         row: dict[str, Any] = {"twin": p.as_labels(), "hovey": status.note(verdict)}
         if n is not None:
@@ -534,14 +512,7 @@ _INVERSE_SHIFTS = "suspension and loop are mutually inverse on classes"
 def _suite_adjunction(args: argparse.Namespace, status: _Status) -> dict:
     engine = status.engine
     rows = []
-    for p in _concentric_tcps(engine, status):
-        if not engine.derived_sets(p).complete:
-            status.claim(
-                "shift adjunction on quotient dimensions",
-                Verdict.inconclusive(reason="derived class search incomplete"),
-                p,
-            )
-            continue
+    for p in _concentric_tcps(engine):
         q = ZIQuotient.for_pair(engine, p)
         reps = q.zi_objects()
         ok = True
@@ -571,12 +542,10 @@ def _suite_adjunction(args: argparse.Namespace, status: _Status) -> dict:
 
 def _suite_bijection(args: argparse.Namespace, status: _Status) -> dict:
     engine = status.engine
-    enum = engine.enumerate_cotorsion()
-    status.inconclusive |= bool(enum.inconclusive)
     targets: list[TwinCotorsionPair] = [trivial_hovey_tcp(engine)]
-    for cp in enum.pairs:
+    for cp in engine.enumerate_cotorsion().pairs:
         targets.append(engine.make_tcp(cp, cp))
-    for p in _concentric_tcps(engine, status):
+    for p in _concentric_tcps(engine):
         if p.flags()["zz_setting"]:
             targets.append(p)
     seen: set[tuple[int, int, int, int]] = set()
@@ -854,13 +823,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     status = _Status(args.backend, args.cap)
     try:
-        try:
-            payload = args.func(args, status)
-        except BudgetExceeded as exc:
-            # The cut run reports why, and is inconclusive whatever it claimed.
-            print(f"inconclusive: {exc}", file=sys.stderr)
-            payload = {"inconclusive": str(exc)}
-            status.violation, status.inconclusive = False, True
+        payload = args.func(args, status)
         if payload is not None:
             _emit_json(args, _envelope(args, payload))
     except InputError as exc:

@@ -15,10 +15,12 @@ both sides of the correspondence independently before matching them.
 Both sides walk the closed sets of a perpendicular closure, over the
 ambient or the quotient Ext^1, and certify each candidate.  The star
 routes run on the peel engine, each in the direction of its
-extension-closed side.  Each mutation engine stores the answers of
-descent, lift, membership and the action per input (``core.stored``),
-so those cross-checks run once per distinct input however often the
-action laws compose them; a raised error is never stored.
+extension-closed side; a star whose peel budget runs out leaves its
+cross-check unmade, never a verdict.  Each mutation engine stores the
+answers of descent, lift, membership and the action per input
+(``core.stored``), so those cross-checks run once per distinct input
+however often the action laws compose them; a raised error is never
+stored.
 """
 
 from __future__ import annotations
@@ -27,9 +29,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .core import (
-    BudgetExceeded, InputError, InternalCheckError, Mor, Obj, multisets_over, stored
-)
+from .core import InputError, InternalCheckError, Mor, Obj, multisets_over, stored
 from .pairs import CotorsionPair, PairEngine, TwinCotorsionPair
 from .quotient import ZIQuotient
 from .subcats import Subcat, closed_sets
@@ -195,13 +195,8 @@ class MutationEngine:
 
     def enumerate_MP(self) -> list[CotorsionPair]:
         """The ambient cotorsion pairs in the mutable class."""
-        enum = self.engine.enumerate_cotorsion()
-        if enum.inconclusive:  # only an exhausted peel budget leaves these
-            raise BudgetExceeded(
-                f"ambient enumeration left {len(enum.inconclusive)} candidates "
-                "undecided; the mutable class cannot be certified"
-            )
-        return [cp for cp in enum.pairs if self._within_outer(cp) and self.in_MP(cp)]
+        pairs = self.engine.enumerate_cotorsion().pairs
+        return [cp for cp in pairs if self._within_outer(cp) and self.in_MP(cp)]
 
     # -- native cotorsion pairs in the subquotient -----------------------------
 

@@ -24,10 +24,10 @@ Each subquotient stores its answers per input (``core.stored``).
 Witness triangles are unique only up to isomorphism, so object-level
 identities are asserted as quotient isomorphisms, never as equalities
 of ambient objects.  Isomorphism testing itself runs two routes, a
-cone-membership test and a direct two-sided-inverse solve, and refuses
-to answer if the conclusive routes disagree; the answer is stored per
-core and map on the pair engine (``PairEngine.iso_mod``), so twin pairs
-with the same core share it.
+cone-membership test and a direct two-sided-inverse solve, both always
+decided, and refuses to answer if they disagree; the answer is stored
+per core and map on the pair engine (``PairEngine.iso_mod``), so twin
+pairs with the same core share it.
 """
 
 from __future__ import annotations

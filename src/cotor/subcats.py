@@ -19,10 +19,14 @@ direction of the side the caller vouches closed under extensions:
 Both directions are complete for capped stripped sides (every genuine
 triangle induces a chain of the same length); acceptance of YES needs
 the stripped side closed under extensions, which callers vouch for.
-That holds for every use here: perpendicular classes, verified
-cotorsion-pair sides and their shifts are extension-closed.  The
-backend's capped dense-connecting-map enumerator (``_literal_verdict``)
-is the independent oracle the tests hold both directions to.
+That holds for every use here: verified cotorsion-pair sides and their
+shifts are extension-closed.  The peel serves only the stars whose
+sides are not Hom-orthogonal: T * U in condition (I), and the lift and
+fixed-point stars of the mutation layer.  Stars with Hom(X, Y) = 0 are
+decided by one minimal approximation instead (``PairEngine.in_star``).
+The backend's capped dense-connecting-map enumerator
+(``_literal_verdict``) is the independent oracle the tests hold both
+directions to.
 
 Verdicts are three-valued; a NO is only reported when the search space
 for caps c and c+1 is exhausted, and budget exhaustion degrades to

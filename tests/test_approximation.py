@@ -9,7 +9,10 @@ other class of the pair, the minimal approximation is a summand of the
 matching end of every witness the search yields, the heart-vanishing
 verdict is the one every witness reads, and the subquotient's
 comparison maps and shifts agree with the ones built on searched
-triangles.
+triangles.  Star products with Hom-orthogonal sides, decided by one
+minimal approximation (``PairEngine.in_star``), are held to the peel
+search they replaced and, on the smallest backends, to the literal
+triangle enumerator.
 """
 
 import functools
@@ -21,8 +24,8 @@ from cotor.f2 import in_span
 from cotor.nakayama import NakayamaBackend
 from cotor.pairs import PairEngine
 from cotor.quotient import ZIQuotient
-from cotor.subcats import Subcat
-from helpers import searched_decomposition, witnesses
+from cotor.subcats import StarEngine, Subcat, closed_sets, left_perp, right_perp
+from helpers import literal_contains, searched_decomposition, witnesses
 
 # (m, n): the widest objects whose approximations are checked, and the
 # widest that are also held to the search, which at two summands is
@@ -31,6 +34,10 @@ CASES = {(2, 3): (2, 2), (3, 3): (2, 2), (3, 4): (2, 1), (2, 6): (2, 1), (5, 3):
 # Every Nakayama backend with at most nine indecomposables.
 SMALL = [(1, 4), (1, 7), (1, 10), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2),
          (3, 3), (3, 4), (4, 2), (4, 3)]
+# Backends of the orthogonal-star comparison, K <= 12; on K <= 6 the
+# literal enumerator is a third route.
+STARS = [(2, 3), (3, 3), (2, 4), (3, 4), (4, 3), (2, 6), (5, 3), (4, 4),
+         (6, 3), (3, 5)]
 
 
 @pytest.fixture(scope="module", params=list(CASES), ids=str)
@@ -89,7 +96,7 @@ def test_comparison_maps_and_shifts_match_the_search_route(mn):
     b = NakayamaBackend(*mn)
     eng, searched = PairEngine(b), PairEngine(b)
     searched.decomposition = functools.partial(searched_decomposition, searched)
-    tcps, _ = eng.enumerate_tcp()
+    tcps = eng.enumerate_tcp()
     for p in (p for p in tcps if eng.is_concentric(p)):
         q, oracle = ZIQuotient(eng, p), ZIQuotient(searched, p)
         for x in eng.star.star_indecs(p.t, p.u, closed="y")[0]:
@@ -102,15 +109,16 @@ def test_comparison_maps_and_shifts_match_the_search_route(mn):
 
 
 def test_an_approximation_out_of_its_class_raises(monkeypatch):
-    # The zero map 0 -> x as an approximation: its cone is x itself.
+    # The zero map 0 -> x as an approximation: its cone is x itself.  The
+    # pair is enumerated first, since coverage reads the honest route.
     def zero_approximation(self, cls, c, step):
         return self.backend.cone(Mor(Obj.zero(), c, 0))
 
-    monkeypatch.setattr(PairEngine, "approximation", zero_approximation)
     eng = PairEngine(NakayamaBackend(2, 2))
     b = eng.backend
     pair = next(p for p in eng.enumerate_cotorsion().pairs if p.u.bits == 1)
     x = next(Obj.of(i) for i in range(b.K) if i not in pair.v.shifted(1))
+    monkeypatch.setattr(PairEngine, "approximation", zero_approximation)
     with pytest.raises(InternalCheckError, match="has an end outside"):
         eng.h_vanishes(x, pair)
 
@@ -130,3 +138,55 @@ def test_every_endomorphism_called_invertible_trips_the_radical_check(monkeypatc
             fresh._end_radical(v)
     with pytest.raises(InternalCheckError, match="not of codimension 1"):
         fresh.approximation(Subcat.of(b, [u]), Obj.of(u), 1)
+
+
+def compare_orthogonal_stars(mn):
+    """Hold ``in_star`` to the peel search on every closed first class U and
+    every indecomposable c, for the coverage U * V[1], and the extension
+    classes S * V[1] and S[-1] * V of every concentric twin pair to
+    ``star_indecs``; on K <= 6 both also to the literal enumerator.
+    Returns the numbers of coverage verdicts the peel decided and of
+    concentric pairs compared."""
+    b = NakayamaBackend(*mn)
+    eng = PairEngine(b)
+    star, literal = eng.star, b.K <= 6
+    # caps 2 and 3 hold every minimal approximation triangle here
+    short = StarEngine(b, cap=2)
+
+    def by_literal(x, y):
+        verdicts = [literal_contains(short, x, y, Obj.of(c)) for c in range(b.K)]
+        assert not any(v.is_inconclusive for v in verdicts)
+        return Subcat.of(b, [c for c, v in enumerate(verdicts) if v.is_yes])
+
+    decided = 0
+    for bits in closed_sets(
+        b.K, lambda s: left_perp(right_perp(Subcat(b, s), -1), 1).bits
+    ):
+        u = Subcat(b, bits)
+        v1 = right_perp(u, -1).shifted(1)
+        got = eng.star_class(u, v1)
+        for c in range(b.K):
+            peel = star.star_contains(u, v1, Obj.of(c), closed="y")
+            if not peel.is_inconclusive:
+                decided += 1
+                assert (c in got) == peel.is_yes, (u.labels(), b.label_of(c))
+        if literal:
+            assert got == by_literal(u, v1), u.labels()
+    pairs = 0
+    for p in eng.enumerate_tcp():
+        if not eng.is_concentric(p):
+            continue
+        pairs += 1
+        d = eng.derived_sets(p)
+        for got, x, y in ((d.n_i, p.s, p.v.shifted(1)), (d.n_f, p.s.shifted(-1), p.v)):
+            want, complete = star.star_indecs(x, y, closed="y")
+            assert complete and got == want, p.as_labels()
+            if literal:
+                assert got == by_literal(x, y), p.as_labels()
+    return decided, pairs
+
+
+@pytest.mark.parametrize("mn", STARS, ids=str)
+def test_orthogonal_stars_match_the_peel_and_the_literal_search(mn):
+    decided, pairs = compare_orthogonal_stars(mn)
+    assert decided and pairs

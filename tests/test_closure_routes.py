@@ -31,7 +31,7 @@ SMALL = [(m, n) for n in range(2, 14) for m in range(1, 13) if m * (n - 1) <= 12
 
 def sweep_first_classes(engine):
     b = engine.backend
-    found, unresolved = [], []
+    found = []
     for bits in range(1 << b.K):
         u = Subcat(b, bits)
         if not engine.star.is_ext_closed_pairwise(u):
@@ -39,18 +39,14 @@ def sweep_first_classes(engine):
         v = right_perp(u, -1)
         if left_perp(v, 1) != u:
             continue
-        verdict = engine.is_cotorsion_pair(u, v)
-        if verdict.is_yes:
+        if engine.is_cotorsion_pair(u, v).is_yes:
             found.append(CotorsionPair(u, v))
-        elif verdict.is_inconclusive:
-            unresolved.append(CotorsionPair(u, v))
-    return found, unresolved
+    return found
 
 
 def sweep_second_classes(engine):
     b = engine.backend
     out = []
-    complete = True
     for bits in range(1 << b.K):
         v = Subcat(b, bits)
         if not engine.star.is_ext_closed_pairwise(v):
@@ -58,12 +54,9 @@ def sweep_second_classes(engine):
         u = left_perp(v, 1)
         if right_perp(u, -1) != v:
             continue
-        verdict = engine.is_cotorsion_pair(u, v)
-        if verdict.is_yes:
+        if engine.is_cotorsion_pair(u, v).is_yes:
             out.append(CotorsionPair(u, v))
-        elif verdict.is_inconclusive:
-            complete = False
-    return out, complete
+    return out
 
 
 def sweep_zi_pairs(me):
@@ -88,10 +81,8 @@ def bijection_engines(engine):
     that meet both quotient conditions, in the suite's order."""
     targets = [trivial_hovey_tcp(engine)]
     targets += [engine.make_tcp(cp, cp) for cp in engine.enumerate_cotorsion().pairs]
-    tcps, unresolved = engine.enumerate_tcp()
-    assert not unresolved
     targets += [
-        p for p in tcps if engine.is_concentric(p) and p.flags()["zz_setting"]
+        p for p in engine.enumerate_tcp() if engine.is_concentric(p) and p.flags()["zz_setting"]
     ]
     seen = set()
     out = []
@@ -110,14 +101,8 @@ def bijection_engines(engine):
 @pytest.mark.parametrize("mn", SMALL, ids=lambda mn: f"{mn[0]}-{mn[1]}")
 def test_closed_set_routes_match_the_sweeps(mn):
     eng = PairEngine(NakayamaBackend(*mn))
-    enum = eng.enumerate_cotorsion()
-    pairs, unresolved = sweep_first_classes(eng)
-    assert keys(enum.pairs) == keys(pairs)
-    assert keys(enum.inconclusive) == keys(unresolved)
-    dual, complete = cli.enumerate_by_second_class(eng)
-    want, want_complete = sweep_second_classes(eng)
-    assert keys(dual) == keys(want)
-    assert complete == want_complete
+    assert keys(eng.enumerate_cotorsion().pairs) == keys(sweep_first_classes(eng))
+    assert keys(cli.enumerate_by_second_class(eng)) == keys(sweep_second_classes(eng))
 
 
 # (m, n, cap) of the Nakayama backends whose quotient pairs are swept.
@@ -224,12 +209,10 @@ def test_enumerate_tcp_matches_is_tcp_per_pair():
         for outer in cps
         if eng.is_tcp(inner, outer)
     ]
-    got, unresolved = eng.enumerate_tcp()
-    assert not unresolved
+    got = eng.enumerate_tcp()
     assert [p.key() for p in got] == want
-    # walked once per engine: a second call reads the same lists
-    again = eng.enumerate_tcp()
-    assert again[0] is got and again[1] is unresolved
+    # walked once per engine: a second call reads the same list
+    assert eng.enumerate_tcp() is got
 
 
 def test_engines_on_one_backend_share_its_masks():

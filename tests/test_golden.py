@@ -12,8 +12,11 @@ took peel searches on both sides (the latter in a 40-minute run); the K = 10
 ``nakayama:m=5,n=3`` bijection digest was recorded before the engines' stored
 answers moved behind one ``core.stored`` decorator; the K = 24
 ``enumerate-cp`` digest on ``nakayama:m=4,n=7``, the largest backend the
-Nakayama cap admits, was recorded before triangles lost their object-only
-mode and witnesses their provenance.  The envelope
+Nakayama cap admits, and the ``enumerate-tcp`` digest on
+``nakayama:m=3,n=4`` were recorded from the reports of the code before
+cotorsion-pair coverage was decided by minimal approximations, with
+the always-empty ``unresolved`` and ``unresolved_constituents`` keys
+dropped from those reports.  The envelope
 is not hashed, so schema and settings changes do not trip these checks;
 any change to a verdict, a count, a label or a witness coordinate does.
 """
@@ -90,7 +93,12 @@ GOLDEN = [
     ),
     (
         ["enumerate-cp", "--backend", "nakayama:m=4,n=7"],
-        "1f3e65aa9786318b592853db510c643fcf95bc9dfbd618008874e04e17538cf8",
+        "71d010f4f00eb0fb716ff632e37061b82d81a72dbecb885390db09adaa46b1bf",
+    ),
+    (
+        ["enumerate-tcp", "--concentric", "--hovey", "--cond-I", "--cond-II",
+         "--cond-III", "--backend", "nakayama:m=3,n=4"],
+        "6af8141b8662d251935059ce339de03eb607e01b4b0c8d31fd110bd511ef0c1e",
     ),
 ]
 

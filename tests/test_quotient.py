@@ -241,8 +241,7 @@ def test_standard_triangles_match_hand_built_oracles(mn):
     from the full cone."""
     eng = PairEngine(NakayamaBackend(*mn))
     b = eng.backend
-    tcps, unresolved = eng.enumerate_tcp()
-    assert not unresolved
+    tcps = eng.enumerate_tcp()
     maps = 0
     for p in tcps:
         if not eng.is_concentric(p):

@@ -117,7 +117,7 @@ def test_factoring_spans_match_the_basis_products(mn):
     b = NakayamaBackend(*mn)
     eng = PairEngine(b)
     oracle_b = NakayamaBackend(*mn)
-    tcps, _ = eng.enumerate_tcp()
+    tcps = eng.enumerate_tcp()
     cores = {p.s.intersect(p.t).bits for p in tcps if eng.is_concentric(p)}
     cores |= {1 << i for i in range(b.K)} | {(1 << b.K) - 1}
     objs = _objects(b.K)
@@ -214,7 +214,7 @@ def test_repeated_searches_yield_the_stored_triangles(mn):
 def _twins_sharing_a_core(eng):
     """Two concentric twin pairs with the same nonzero core and a middle
     indecomposable outside it in common, with that indecomposable."""
-    tcps, _ = eng.enumerate_tcp()
+    tcps = eng.enumerate_tcp()
     concentric = [p for p in tcps if eng.is_concentric(p)]
     for p1, p2 in itertools.combinations(concentric, 2):
         q1, q2 = ZIQuotient.for_pair(eng, p1), ZIQuotient.for_pair(eng, p2)
@@ -234,8 +234,11 @@ def test_twin_pairs_with_one_core_share_an_iso_entry(monkeypatch):
     f = b.identity(z)
     assert q1.iso_in_quotient(f) is True
     table = eng._stored["iso_mod"]
-    assert table == {(q1.i_set.bits, z, z, f.coords): True}
-    # the second pair reads the first pair's entry: no solve, no search
+    # the other entries are the radical tests modulo the zero class
+    core = {k: v for k, v in table.items() if k[0]}
+    assert core == {(q1.i_set.bits, z, z, f.coords): True}
+    before = dict(table)
+    # the second pair reads the first pair's entry: no solve, no cone
     work = []
     spans = eng.factoring_subspace
     monkeypatch.setattr(
@@ -243,7 +246,7 @@ def test_twin_pairs_with_one_core_share_an_iso_entry(monkeypatch):
     )
     monkeypatch.setattr(b, "cone_obj", lambda f: work.append(f))
     assert q2.iso_in_quotient(f) is True
-    assert len(table) == 1 and work == []
+    assert table == before and work == []
 
 
 # ---------------------------------------------------------------- failing checks
@@ -254,28 +257,34 @@ def test_a_disagreeing_cone_route_raises_on_every_call_and_stores_nothing(
 ):
     b = NakayamaBackend(2, 3)
     eng = PairEngine(b)
-    tcps, _ = eng.enumerate_tcp()
+    tcps = eng.enumerate_tcp()
     # a zero core: a quotient isomorphism is an isomorphism, with cone 0
     q = next(
         q for q in (ZIQuotient.for_pair(eng, p) for p in tcps if eng.is_concentric(p))
         if q.i_set.is_empty and not q.z_set.is_empty
     )
-    monkeypatch.setattr(b, "_cone_counts", one_more_m01(b._cone_counts))
-    # a fresh connecting map: its cone split disagrees with the count
-    x1, y1m = Obj.of(0), b.shift_obj(Obj.of(1), -1)
-    d = b.hom_dim(y1m, x1)
-    assert d
-    delta = Mor(y1m, x1, (1 << d) - 1)
-    for _ in range(2):
-        with pytest.raises(InternalCheckError, match="rank count"):
-            b.cone(delta)
-        with pytest.raises(InternalCheckError, match="rank count"):
-            b._sum_tri(delta, Obj.zero(), Obj.zero())
-    assert not b._stored.get("cone") and not b._stored.get("_sum_tri")
+    cones, sums = dict(b._stored["cone"]), dict(b._stored.get("_sum_tri", {}))
+    # a fresh map: its cone split disagrees with the count
+    x1 = Obj.of(0)
+    xx = Obj.of(0, 0)
+    delta = Mor(xx, x1, (1 << b.hom_dim(xx, x1)) - 1)
+    assert (delta.src, delta.dst, delta.coords) not in cones
+    with monkeypatch.context() as m:
+        m.setattr(b, "_cone_counts", one_more_m01(b._cone_counts))
+        for _ in range(2):
+            with pytest.raises(InternalCheckError, match="rank count"):
+                b.cone(delta)
+            with pytest.raises(InternalCheckError, match="rank count"):
+                b._sum_tri(delta, Obj.zero(), Obj.zero())
+    assert b._stored["cone"] == cones and b._stored.get("_sum_tri", {}) == sums
     # a fresh quotient map: the cone route contradicts the inverse solve
-    z = Obj.of(min(q.z_set.ids()))
-    f = b.identity(z)
+    zid = min(q.z_set.ids())
+    f = b.identity(Obj.of(zid, zid))
+    isos = dict(eng._stored["iso_mod"])
+    assert (q.i_set.bits, f.src, f.dst, f.coords) not in isos
+    honest = eng.in_star
+    monkeypatch.setattr(eng, "in_star", lambda x, y, c: not honest(x, y, c))
     for _ in range(2):
         with pytest.raises(InternalCheckError, match="routes disagree"):
             q.iso_in_quotient(f)
-    assert not eng._stored.get("iso_mod")
+    assert eng._stored["iso_mod"] == isos

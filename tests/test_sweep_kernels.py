@@ -227,7 +227,7 @@ def test_bit_sliced_twin_check_matches_the_per_pair_loop(mn):
     assert list(eng._twin_partners(cps, keys)) == [
         per_pair_partners(eng, inner, keys) for inner in cps
     ]
-    for p in eng.enumerate_tcp()[0]:
+    for p in eng.enumerate_tcp():
         assert eng.is_concentric(p) == (p.s.intersect(p.t) == p.u.intersect(p.v))
 
 
