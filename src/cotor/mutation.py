@@ -13,14 +13,15 @@ computed along two independent routes (star product versus adjoint
 preimage) that must agree, and the verification report enumerates
 both sides of the correspondence independently before matching them.
 Both sides walk the closed sets of a perpendicular closure, over the
-ambient or the quotient Ext^1, and certify each candidate.  The star
-routes run on the peel engine, each in the direction of its
-extension-closed side; a star whose peel budget runs out leaves its
-cross-check unmade, never a verdict.  Each mutation engine stores the
-answers of descent, lift, membership and the action per input
-(``core.stored``), so those cross-checks run once per distinct input
-however often the action laws compose them; a raised error is never
-stored.
+ambient or the quotient Ext^1, and certify each candidate.  The lift's
+stars are Hom-orthogonal, so one minimal approximation decides each
+member and the cross-check always runs.  The fixed-point stars of the
+membership test run on the peel engine; one whose budget runs out
+leaves its cross-check unmade, never a verdict.  Each mutation engine
+stores the answers of descent, lift, membership and the action per
+input (``core.stored``), so those cross-checks run once per distinct
+input however often the action laws compose them; a raised error is
+never stored.
 """
 
 from __future__ import annotations
@@ -105,27 +106,27 @@ class MutationEngine:
                 ids.add(z)
         return Subcat.of(self.backend, ids)
 
-    def _star_side(self, a: Subcat, step: int, closed: str) -> tuple[Subcat, bool]:
-        """The star S[-1] * a inside U (+1), or a * V[1] inside T (-1),
-        with its completeness flag."""
-        p, q, star = self.p, self.q, self.engine.star
-        if step == 1:
-            return star.star_indecs(q.s_down, a, closed=closed, within=p.u)
-        return star.star_indecs(a, q.v_up, closed=closed, within=p.t)
-
     def _lift_class(self, reps: tuple[int, ...], step: int) -> Subcat:
         """The first (+1) or second (-1) class of a lifted pair: the
         members of U (+1) or T (-1) whose adjoint (+1) or coadjoint (-1)
         images have classes in reps.  The star route must agree."""
-        # Candidates outside U and T are never tried, so the sweeps never
-        # need to decide them.  S[-1] and V[1] are shifted cotorsion-pair
-        # sides, hence extension-closed.
-        by_star, ok = self._star_side(self.lift(reps), step, "x" if step == 1 else "y")
+        # The lift lies in Z, inside T and U, so Ext^1(S, T) = 0 = Ext^1(U, V)
+        # make the stars x * y = S[-1] * lift (+1) and lift * V[1] (-1)
+        # Hom-orthogonal: c lies in x * y exactly when the cocone of its
+        # minimal left y-approximation lies in add(x) (``PairEngine.in_star``,
+        # mirrored).  The adjoints read right approximations only, so the
+        # two routes never share a stored triangle.
+        lift, q, approx = self.lift(reps), self.q, self.engine.approximation
+        x, y = (q.s_down, lift) if step == 1 else (lift, q.v_up)
         side, want = (self.p.u if step == 1 else self.p.t), set(reps)
+        by_star = Subcat.of(
+            self.backend,
+            [i for i in side if x.contains_obj(approx(y, Obj.of(i), -1).a)],
+        )
         pre = Subcat.of(
             self.backend, [i for i in side if self._image_classes(i, step) <= want]
         )
-        if ok and by_star != pre:
+        if by_star != pre:
             raise InternalCheckError(
                 f"lift routes disagree on the {'first' if step == 1 else 'second'} "
                 f"class: star {by_star.labels()} vs preimage {pre.labels()}"
@@ -175,10 +176,11 @@ class MutationEngine:
                 if not by_def:
                     break
 
-        # The second star arguments are classes of verified pairs, hence
-        # extension-closed, which the peel engine's yes side requires.
-        fa, ok_a = self._star_side(cp.u, 1, "y")
-        fb, ok_b = self._star_side(cp.v, -1, "y")
+        # The second star arguments are a verified pair's class and a shift
+        # of one, hence extension-closed, which the peel's yes side requires.
+        star = self.engine.star
+        fa, ok_a = star.star_indecs(self.q.s_down, cp.u, within=p.u)
+        fb, ok_b = star.star_indecs(cp.v, self.q.v_up, within=p.t)
         if ok_a and ok_b:
             by_fixed_point = fa == cp.u and fb == cp.v
             if by_def != by_fixed_point:
@@ -242,7 +244,11 @@ class MutationEngine:
 
     def zi_star_member(self, m: int, l, r) -> bool:
         """Does the class of m extend a lift-side object by a suspended
-        right-side object, via standard right triangles?"""
+        right-side object, via standard right triangles?
+
+        The lift-side objects tried are the sums of at most
+        ``engine.star.cap`` members of l (the ``--cap`` option); if none
+        of them gives such a triangle, the answer is False."""
         target = Obj.of(m)
         sig_classes = {self._shift_permutation(1)[x] for x in r}
         cap = self.engine.star.cap

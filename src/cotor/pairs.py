@@ -553,9 +553,10 @@ class PairEngine:
         star class; additivity reduces the general case to these."""
         from .quotient import ZIQuotient
 
-        d = self.derived_sets(p)
-        tu, complete = self.star.star_indecs(p.t, p.u, closed="y")
+        # The subquotient refuses a pair that is not concentric before
+        # the peel runs.
         q = ZIQuotient.for_pair(self, p)
+        tu, complete = self.star.star_indecs(p.t, p.u)
         parts = []
         for xx in tu:
             parts.append(q.mu_map(Obj.of(xx))[1])

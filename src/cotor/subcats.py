@@ -5,28 +5,22 @@ subcategory of finite direct sums of those indecomposables; it is
 summand-closed by construction.  Perpendiculars are bitmask operations
 on the backend's Hom-nonzero masks (``Backend.hom_masks``), and
 ``closed_sets`` walks the closed sets of a closure on bitmasks.  Star
-membership C in add(X) * add(Y) runs on the peel engine, in the
-direction of the side the caller vouches closed under extensions:
+membership C in add(X) * add(Y) runs on the peel engine, for a Y that
+the caller vouches closed under extensions: it repeatedly strips one
+Y-summand by enumerating maps C -> y and passing to the cocone, and
+accepts when some chain lands in add(X); if the cocone lies in X * Y,
+then C lies in X * Y * y, inside X * Y.
 
-* Y side: repeatedly strip one Y-summand by enumerating maps C -> y and
-  passing to the cocone, accepting when some chain lands in add(X);
-  if the cocone lies in X * Y, then C lies in X * Y * y, inside X * Y.
-* X side (co-peel): repeatedly strip one X-summand by enumerating maps
-  x -> C and passing to the cone, accepting when some chain lands in
-  add(Y); if the cone lies in X * Y, then C lies in x * X * Y, inside
-  X * Y.
-
-Both directions are complete for capped stripped sides (every genuine
-triangle induces a chain of the same length); acceptance of YES needs
-the stripped side closed under extensions, which callers vouch for.
-That holds for every use here: verified cotorsion-pair sides and their
-shifts are extension-closed.  The peel serves only the stars whose
-sides are not Hom-orthogonal: T * U in condition (I), and the lift and
-fixed-point stars of the mutation layer.  Stars with Hom(X, Y) = 0 are
-decided by one minimal approximation instead (``PairEngine.in_star``).
-The backend's capped dense-connecting-map enumerator
-(``_literal_verdict``) is the independent oracle the tests hold both
-directions to.
+The search is complete for capped Y sides (every genuine triangle
+induces a chain of the same length); acceptance of YES needs Y closed
+under extensions.  The peel serves only the stars whose sides are not
+Hom-orthogonal: T * U in condition (I), and the fixed-point stars
+S[-1] * U' and V' * V[1] of the mutable-class test, whose Y sides are
+verified cotorsion-pair sides or their shifts.  Stars with
+Hom(X, Y) = 0 are decided by one minimal approximation instead
+(``PairEngine.in_star``, and the lift in ``mutation``).  The backend's
+capped dense-connecting-map enumerator (``_literal_verdict``) is the
+independent oracle the tests hold the peel to.
 
 Verdicts are three-valued; a NO is only reported when the search space
 for caps c and c+1 is exhausted, and budget exhaustion degrades to
@@ -216,90 +210,78 @@ class StarEngine:
 
     # -- membership -------------------------------------------------------
 
-    def star_contains(self, x: Subcat, y: Subcat, c: Obj, *, closed: str) -> Verdict:
+    def star_contains(self, x: Subcat, y: Subcat, c: Obj) -> Verdict:
         """Is there a triangle X' -> c -> Y' -> X'[1] with capped ends?
 
-        ``closed`` names the side, "x" or "y", that the caller vouches is
-        closed under extensions: the peel engine strips summands of that
-        side, which is what lets it report YES directly.  Perpendicular
-        classes, verified cotorsion-pair sides and their shifts qualify.
+        Y must be closed under extensions, which the caller vouches for:
+        the peel engine strips Y-summands, which is what lets it report
+        YES directly.  Perpendicular classes, verified cotorsion-pair
+        sides and their shifts qualify.
         """
-        if closed not in ("x", "y"):
-            raise InputError(f"closed side must be 'x' or 'y', not {closed!r}")
         if c.is_zero or x.contains_obj(c) or y.contains_obj(c):
             return Verdict.yes()
         if y.is_empty:
             return Verdict.no(reason="Y side is zero and C is not in add(X)")
         if x.is_empty:
             return Verdict.no(reason="X side is zero and C is not in add(Y)")
-        return self._peel_verdict(x, y, c, closed)
+        return self._peel_verdict(x, y, c)
 
-    def _peel_verdict(self, x: Subcat, y: Subcat, c: Obj, closed: str) -> Verdict:
-        kind = "peel" if closed == "y" else "co-peel"
+    def _peel_verdict(self, x: Subcat, y: Subcat, c: Obj) -> Verdict:
         try:
-            found = self._peel_search(x, y, c, self.cap + 1, self.budget, closed)
+            found = self._peel_search(x, y, c, self.cap + 1, self.budget)
         except BudgetExceeded:
-            return Verdict.inconclusive(reason=f"{kind} budget exhausted")
+            return Verdict.inconclusive(reason="peel budget exhausted")
         if found:
             return Verdict.yes()
         return Verdict.no(
-            reason=f"no {kind} chain up to depth {self.cap + 1} (caps "
+            reason=f"no peel chain up to depth {self.cap + 1} (caps "
             f"{self.cap} and {self.cap + 1} agree)"
         )
 
-    @stored(key=lambda obj, sid, closed: (obj.summands, sid, closed))
-    def _peel_moves(self, obj: Obj, sid: int, closed: str) -> tuple[Obj, ...]:
-        """The object every nonzero peel of the indecomposable sid out of
-        obj leads to, by ascending map coordinates: on the y side each map
-        obj -> sid and its cocone cone(map)[-1], on the x side each map
-        sid -> obj and its cone.  Built on first use and stored per
-        (obj.summands, sid, closed); the search asks only for summands
-        with a nonzero Hom, so every stored entry holds moves."""
+    @stored(key=lambda obj, sid: (obj.summands, sid))
+    def _peel_moves(self, obj: Obj, sid: int) -> tuple[Obj, ...]:
+        """The cocone cone(map)[-1] of every nonzero map obj -> sid, by
+        ascending map coordinates.  Built on first use and stored per
+        (obj.summands, sid); the search asks only for summands with a
+        nonzero Hom, so every stored entry holds moves."""
         b = self.backend
         s = Obj.of(sid)
-        if closed == "y":
-            return tuple(
-                b.shift_obj(b.cone_obj(Mor(obj, s, coords)), -1)
-                for coords in range(1, 1 << b.hom_dim(obj, s))
-            )
         return tuple(
-            b.cone_obj(Mor(s, obj, coords))
-            for coords in range(1, 1 << b.hom_dim(s, obj))
+            b.shift_obj(b.cone_obj(Mor(obj, s, coords)), -1)
+            for coords in range(1, 1 << b.hom_dim(obj, s))
         )
 
     def _peel_search(
-        self, x: Subcat, y: Subcat, c: Obj, depth: int, budget: int, closed: str
+        self, x: Subcat, y: Subcat, c: Obj, depth: int, budget: int
     ) -> bool:
-        """Whether some chain of at most ``depth`` peels of the closed
-        side's summands takes c into add of the other side.
+        """Whether some chain of at most ``depth`` peels of Y-summands
+        takes c into add(X).
 
         Zero peel maps are skipped: in a genuine triangle whose map into
-        (out of) the stripped side has zero component on every summand,
-        that map is zero outright, which splits the triangle and puts the
-        middle term in add of the other side already; the membership
-        check at state entry covers that branch.  Summands with no
-        nonzero map are skipped by the per-backend Hom masks, as they
-        have no peels.  Every peel costs one budget unit; a state's peels
-        of one summand are charged together, which raises at the same
-        point as charging them one by one, since the search only stops
-        at state entry.
+        Y has zero component on every summand, that map is zero outright,
+        which splits the triangle and puts the middle term in add(X)
+        already; the membership check at state entry covers that branch.
+        Summands with no nonzero map are skipped by the per-backend Hom
+        masks, as they have no peels.  Every peel costs one budget unit;
+        a state's peels of one summand are charged together, which raises
+        at the same point as charging them one by one, since the search
+        only stops at state entry.
         """
-        target, strip = (x, y) if closed == "y" else (y, x)
-        reach = self.backend.hom_masks()[0 if closed == "y" else 1]
+        reach = self.backend.hom_masks()[0]
         frontier = [c]
         best_seen: dict[Obj, int] = {c: depth}
         for remaining in range(depth, -1, -1):
             next_frontier: list[Obj] = []
             for obj in frontier:
-                if target.contains_obj(obj):
+                if x.contains_obj(obj):
                     return True
                 if remaining == 0:
                     continue
                 hit = 0
                 for i in obj.summands:
                     hit |= reach[i]
-                for sid in iter_bits(strip.bits & hit):
-                    moves = self._peel_moves(obj, sid, closed)
+                for sid in iter_bits(y.bits & hit):
+                    moves = self._peel_moves(obj, sid)
                     budget -= len(moves)
                     if budget < 0:
                         raise BudgetExceeded("peel search budget exhausted")
@@ -318,7 +300,7 @@ class StarEngine:
         """Star membership by the backend's capped triangle enumerator.
 
         No path in the package calls it: the tests use it as the oracle
-        for both peel directions, and it stays on the engine because the
+        of the peel, and it stays on the engine because the
         benchmark's layer tracer binds it by name.
         """
         b = self.backend
@@ -341,7 +323,6 @@ class StarEngine:
         x: Subcat,
         y: Subcat,
         *,
-        closed: str,
         within: Optional[Subcat] = None,
     ) -> tuple[Subcat, bool]:
         """Indecomposables inside the star, plus a completeness flag.
@@ -349,15 +330,14 @@ class StarEngine:
         The flag is False when any membership came back inconclusive;
         such members are excluded from the set, never guessed.
         ``within`` restricts the candidates, for callers that go on to
-        intersect the result with a known class anyway.  ``closed`` is
-        passed on to ``star_contains``.
+        intersect the result with a known class anyway.
         """
         b = self.backend
         bits = 0
         complete = True
         candidates = range(len(b.indecs)) if within is None else within.ids()
         for i in candidates:
-            v = self.star_contains(x, y, Obj.of(i), closed=closed)
+            v = self.star_contains(x, y, Obj.of(i))
             if v.is_yes:
                 bits |= 1 << i
             elif v.is_inconclusive:

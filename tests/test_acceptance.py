@@ -53,8 +53,8 @@ def all_tcps(eng):
 def extension_classes(eng, p):
     """Initial and final extension classes of any twin pair, with the
     second star argument extension-closed so the peel route is exact."""
-    n_i, ok_i = eng.star.star_indecs(p.s, p.v.shifted(1), closed="y")
-    n_f, ok_f = eng.star.star_indecs(p.s.shifted(-1), p.v, closed="y")
+    n_i, ok_i = eng.star.star_indecs(p.s, p.v.shifted(1))
+    n_f, ok_f = eng.star.star_indecs(p.s.shifted(-1), p.v)
     assert ok_i and ok_f
     return n_i, n_f
 

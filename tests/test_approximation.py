@@ -99,7 +99,7 @@ def test_comparison_maps_and_shifts_match_the_search_route(mn):
     tcps = eng.enumerate_tcp()
     for p in (p for p in tcps if eng.is_concentric(p)):
         q, oracle = ZIQuotient(eng, p), ZIQuotient(searched, p)
-        for x in eng.star.star_indecs(p.t, p.u, closed="y")[0]:
+        for x in eng.star.star_indecs(p.t, p.u)[0]:
             got = q.mu_map(Obj.of(x))[1]
             assert got.state == oracle.mu_map(Obj.of(x))[1].state
         for z in q.z_set:
@@ -166,7 +166,7 @@ def compare_orthogonal_stars(mn):
         v1 = right_perp(u, -1).shifted(1)
         got = eng.star_class(u, v1)
         for c in range(b.K):
-            peel = star.star_contains(u, v1, Obj.of(c), closed="y")
+            peel = star.star_contains(u, v1, Obj.of(c))
             if not peel.is_inconclusive:
                 decided += 1
                 assert (c in got) == peel.is_yes, (u.labels(), b.label_of(c))
@@ -179,7 +179,7 @@ def compare_orthogonal_stars(mn):
         pairs += 1
         d = eng.derived_sets(p)
         for got, x, y in ((d.n_i, p.s, p.v.shifted(1)), (d.n_f, p.s.shifted(-1), p.v)):
-            want, complete = star.star_indecs(x, y, closed="y")
+            want, complete = star.star_indecs(x, y)
             assert complete and got == want, p.as_labels()
             if literal:
                 assert got == by_literal(x, y), p.as_labels()

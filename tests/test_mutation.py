@@ -291,11 +291,26 @@ def test_bijection_sweeps_once_per_distinct_input(monkeypatch, capsys):
     assert 0 < calls["star_indecs"] <= 2 * distinct
 
 
+def left_by_everything(monkeypatch):
+    """Patch every left approximation to be taken by the whole category,
+    whose cocones are all zero: the lift's star route then passes every
+    member.  No other route that the tests below run reads a left one."""
+    honest = PairEngine.approximation
+
+    def perturbed(self, cls, c, step):
+        if step == -1:
+            cls = Subcat.everything(cls.backend)
+        return honest(self, cls, c, step)
+
+    monkeypatch.setattr(PairEngine, "approximation", perturbed)
+
+
 def test_a_disagreeing_star_route_raises_on_every_call(mut22, monkeypatch):
     eng, b = mut22.engine, mut22.backend
     cp = pair_of(eng, ["M(0,1)"])
     zp = mut22.R_map(cp)
     fresh = MutationEngine(eng, mut22.p)
+    left_by_everything(monkeypatch)
     monkeypatch.setattr(
         StarEngine, "star_indecs", lambda self, x, y, **kw: (Subcat.empty(b), True)
     )
@@ -308,3 +323,27 @@ def test_a_disagreeing_star_route_raises_on_every_call(mut22, monkeypatch):
     # Nothing was stored while the routes disagreed.
     assert fresh.I_map(zp).key() == cp.key()
     assert fresh.in_MP(cp)
+
+
+def test_the_lift_needs_no_peel_budget(monkeypatch):
+    # The lift's stars are decided by approximations, so an engine whose
+    # peel has no budget at all lifts every quotient pair to the same pair
+    # and still compares the two routes on every call.
+    b = NakayamaBackend(2, 4)
+    full, starved = PairEngine(b), PairEngine(b)
+    starved.star.budget = 0
+    lifted = 0
+    for p in full.enumerate_tcp():
+        if not full.is_concentric(p):
+            continue
+        mut, starving = MutationEngine(full, p), MutationEngine(starved, p)
+        if not mut.preconditions_met or not mut.q.zi_objects():
+            continue
+        for zp in mut.enumerate_zi_cp():
+            assert starving.I_map(zp) == mut.I_map(zp)
+            with monkeypatch.context() as m:
+                left_by_everything(m)
+                with pytest.raises(InternalCheckError, match="lift routes disagree"):
+                    MutationEngine(starved, p).I_map(zp)
+            lifted += 1
+    assert lifted

@@ -19,7 +19,7 @@ from cotor.pairs import (
     trivial_hovey_tcp,
     trivial_pairs,
 )
-from cotor.subcats import Subcat, left_perp, right_perp
+from cotor.subcats import StarEngine, Subcat, left_perp, right_perp
 
 INSTANCES = [(1, 3), (1, 4), (2, 2), (2, 3), (3, 2)]
 
@@ -217,6 +217,18 @@ def test_derived_sets_need_concentric_input(engines):
     assert skew
     with pytest.raises(InputError):
         eng.derived_sets(skew[0])
+
+
+def test_condition_I_refuses_a_pair_that_is_not_concentric(engines, monkeypatch):
+    # The subquotient is built first, and refuses the pair before the
+    # star T * U is searched.
+    eng = engines[(2, 2)]
+    skew = next(p for p in eng.enumerate_tcp() if not eng.is_concentric(p))
+    monkeypatch.setattr(
+        StarEngine, "star_indecs", lambda *a, **k: pytest.fail("the peel ran")
+    )
+    with pytest.raises(InputError, match="concentric"):
+        eng.check_condition_I(skew)
 
 
 def test_orthogonal_stars_refuse_classes_with_degree_one_maps(engines):

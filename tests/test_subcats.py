@@ -131,21 +131,20 @@ def test_perp_needs_exact_triangles():
 def test_star_trivial_routes(b22):
     eng = StarEngine(b22)
     x, y = Subcat.of(b22, [0]), Subcat.of(b22, [1])
-    for side in ("x", "y"):
-        assert eng.star_contains(x, y, Obj.zero(), closed=side).is_yes
-        assert eng.star_contains(x, Subcat.empty(b22), Obj.of(0), closed=side).is_yes
-        assert eng.star_contains(x, Subcat.empty(b22), Obj.of(1), closed=side).is_no
-        assert eng.star_contains(Subcat.empty(b22), y, Obj.of(1), closed=side).is_yes
-        assert eng.star_contains(Subcat.empty(b22), y, Obj.of(0), closed=side).is_no
-        # One-sided membership never needs a search.
-        assert eng.star_contains(x, y, Obj.of(0, 0), closed=side).is_yes
+    assert eng.star_contains(x, y, Obj.zero()).is_yes
+    assert eng.star_contains(x, Subcat.empty(b22), Obj.of(0)).is_yes
+    assert eng.star_contains(x, Subcat.empty(b22), Obj.of(1)).is_no
+    assert eng.star_contains(Subcat.empty(b22), y, Obj.of(1)).is_yes
+    assert eng.star_contains(Subcat.empty(b22), y, Obj.of(0)).is_no
+    # One-sided membership never needs a search.
+    assert eng.star_contains(x, y, Obj.of(0, 0)).is_yes
 
 
 def test_star_covers_the_cotorsion_identity(b22):
     # For the (S0, S0) pair the whole category is S0 * S0[1].
     eng = StarEngine(b22)
     s0 = Subcat.from_labels(b22, ["M(0,1)"])
-    got, complete = eng.star_indecs(s0, s0.shifted(1), closed="y")
+    got, complete = eng.star_indecs(s0, s0.shifted(1))
     assert complete
     assert got == Subcat.everything(b22)
 
@@ -165,7 +164,7 @@ def test_peel_and_literal_engines_agree(b14, b23):
         for x in singles:
             for y in ys:
                 for c in objs:
-                    via_peel = eng.star_contains(x, y, c, closed="y")
+                    via_peel = eng.star_contains(x, y, c)
                     via_literal = literal_contains(eng, x, y, c)
                     if via_peel.is_inconclusive or via_literal.is_inconclusive:
                         continue
@@ -199,47 +198,32 @@ def extension_closed_classes(b):
     + [(mn, 2) for mn in UP_TO_NINE if mn[0] * (mn[1] - 1) <= 5],
     ids=lambda v: str(v),
 )
-def test_both_peel_directions_match_the_literal_enumerator(mn, cap):
-    # The vouched side runs over the extension-closed classes, the other
-    # over the single indecomposables and the whole category, and C over
-    # the indecomposables; every verdict must be definite and agree.
+def test_the_peel_matches_the_literal_enumerator(mn, cap):
+    # Y runs over the extension-closed classes, X over the single
+    # indecomposables and the whole category, and C over the
+    # indecomposables; every verdict must be definite and agree.
     b = NakayamaBackend(*mn)
     eng = StarEngine(b, cap=cap)
     others = [Subcat.of(b, [i]) for i in range(b.K)] + [Subcat.everything(b)]
-    for closed in extension_closed_classes(b):
-        for other in others:
-            for side, x, y in (("x", closed, other), ("y", other, closed)):
-                for i in range(b.K):
-                    c = Obj.of(i)
-                    peel = eng.star_contains(x, y, c, closed=side)
-                    literal = literal_contains(eng, x, y, c)
-                    assert not literal.is_inconclusive
-                    assert peel.state == literal.state, (
-                        side, x.labels(), y.labels(), b.label_of(i)
-                    )
-
-
-def test_star_contains_takes_the_named_closed_side(b22):
-    eng = StarEngine(b22)
-    x = Subcat.of(b22, [0])
-    y = right_perp(x, -1)
-    c = Obj.of(1)
-    peel = eng.star_contains(x, y, c, closed="y")
-    assert peel.state == literal_contains(eng, x, y, c).state
-    for side in (None, "both", True):
-        with pytest.raises(InputError):
-            eng.star_contains(x, y, c, closed=side)
-    with pytest.raises(TypeError):
-        eng.star_contains(x, y, c)
+    for y in extension_closed_classes(b):
+        for x in others:
+            for i in range(b.K):
+                c = Obj.of(i)
+                peel = eng.star_contains(x, y, c)
+                literal = literal_contains(eng, x, y, c)
+                assert not literal.is_inconclusive
+                assert peel.state == literal.state, (
+                    x.labels(), y.labels(), b.label_of(i)
+                )
 
 
 def test_star_indecs_within_restricts_candidates(b23):
     eng = StarEngine(b23)
     x = Subcat.of(b23, [0, 1])
     y = right_perp(x, -1)
-    full, ok_full = eng.star_indecs(x, y, closed="y")
+    full, ok_full = eng.star_indecs(x, y)
     w = Subcat.of(b23, [0, 2])
-    part, ok_part = eng.star_indecs(x, y, closed="y", within=w)
+    part, ok_part = eng.star_indecs(x, y, within=w)
     assert ok_full and ok_part
     assert part == full.intersect(w)
 
@@ -248,9 +232,9 @@ def test_star_budget_degrades_to_inconclusive(b23):
     eng = StarEngine(b23, budget=1)
     x = Subcat.of(b23, [0])
     y = right_perp(x, -1)
-    v = eng.star_contains(x, y, Obj.of(1, 2), closed="y")
+    v = eng.star_contains(x, y, Obj.of(1, 2))
     assert v.is_inconclusive and v.reason == "peel budget exhausted"
-    _, complete = eng.star_indecs(x, y, closed="y")
+    _, complete = eng.star_indecs(x, y)
     assert isinstance(complete, bool)
     v = eng._literal_verdict(x, y, Obj.of(2, 3))
     if not v.is_yes:  # a first-shot witness can legitimately beat the budget

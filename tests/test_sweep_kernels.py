@@ -3,15 +3,16 @@
 The per-move peel search (in both directions), the per-pair twin check,
 the Subcat-built concentricity test, the 2^K polygon sweeps and the full
 standard right triangle are the routes the engines used before; they
-survive here only as oracles for the peel-move tables, the bit-sliced
-twin check, the polygon closure walks and
-``ZIQuotient.standard_right_third``.
+survive here only as oracles for the peel-move tables and the lift's
+approximation route, the bit-sliced twin check, the polygon closure
+walks and ``ZIQuotient.standard_right_third``.
 """
 
 import pytest
 
 from cotor import cli
 from cotor.core import BudgetExceeded, InternalCheckError, Mor, Obj
+from cotor.mutation import MutationEngine
 from cotor.nakayama import NakayamaBackend
 from cotor.pairs import PairEngine
 from cotor.polygon import (
@@ -27,9 +28,6 @@ from cotor.subcats import StarEngine, enumerate_subcats
 
 # Every Nakayama backend with at most 12 indecomposables (K = m(n-1)).
 SMALL = [(m, n) for n in range(2, 14) for m in range(1, 13) if m * (n - 1) <= 12]
-# The backends with at most 9 indecomposables whose bijection suite runs
-# co-peel (x side) searches; the others run none.
-COPEEL = [(3, 3), (4, 3), (2, 4), (3, 4), (2, 5)]
 
 
 # ---------------------------------------------------------------- oracles
@@ -75,8 +73,8 @@ def per_move_peel(engine, x, y, c, depth, budget, closed):
 
 
 class PerMovePeel(StarEngine):
-    def _peel_search(self, x, y, c, depth, budget, closed):
-        return per_move_peel(self, x, y, c, depth, budget, closed)[0] is not None
+    def _peel_search(self, x, y, c, depth, budget):
+        return per_move_peel(self, x, y, c, depth, budget, "y")[0] is not None
 
 
 def per_pair_partners(engine, inner, outers):
@@ -105,13 +103,13 @@ def bits(subcats):
 
 
 def peel_queries(run, monkeypatch):
-    """The (x, y, c, depth, closed) of every peel search that run() runs."""
+    """The (x, y, c, depth) of every peel search that run() runs."""
     queries = []
     honest = StarEngine._peel_search
 
-    def recorded(self, x, y, c, depth, budget, closed):
-        queries.append((x, y, c, depth, closed))
-        return honest(self, x, y, c, depth, budget, closed)
+    def recorded(self, x, y, c, depth, budget):
+        queries.append((x, y, c, depth))
+        return honest(self, x, y, c, depth, budget)
 
     with monkeypatch.context() as m:
         m.setattr(StarEngine, "_peel_search", recorded)
@@ -131,18 +129,16 @@ def check_against_per_move(b, queries):
     """Same verdicts and answers as the per-move search, and BudgetExceeded
     at exactly the budgets where charging one move at a time raises."""
     table, oracle = StarEngine(b), PerMovePeel(b)
-    for x, y, c, depth, closed in queries:
-        assert table._peel_verdict(x, y, c, closed) == oracle._peel_verdict(
-            x, y, c, closed
-        )
-        found, total = per_move_peel(oracle, x, y, c, depth, table.budget, closed)
-        assert table._peel_search(x, y, c, depth, total, closed) == (found is not None)
+    for x, y, c, depth in queries:
+        assert table._peel_verdict(x, y, c) == oracle._peel_verdict(x, y, c)
+        found, total = per_move_peel(oracle, x, y, c, depth, table.budget, "y")
+        assert table._peel_search(x, y, c, depth, total) == (found is not None)
         for budget in range(total):
             assert raises_budget(
-                lambda n: table._peel_search(x, y, c, depth, n, closed), budget
+                lambda n: table._peel_search(x, y, c, depth, n), budget
             )
             assert raises_budget(
-                lambda n: per_move_peel(oracle, x, y, c, depth, n, closed), budget
+                lambda n: per_move_peel(oracle, x, y, c, depth, n, "y"), budget
             )
 
 
@@ -159,13 +155,6 @@ def bijection_queries(mn, monkeypatch):
     return peel_queries(lambda: cli.main(argv), monkeypatch)
 
 
-@pytest.mark.parametrize("mn", COPEEL, ids=lambda mn: f"{mn[0]}-{mn[1]}")
-def test_copeel_table_matches_the_per_move_search(mn, monkeypatch, capsys):
-    queries = [q for q in bijection_queries(mn, monkeypatch) if q[4] == "x"]
-    assert queries
-    check_against_per_move(queries[0][0].backend, queries)
-
-
 def test_peel_moves_are_built_once_per_object_and_summand(monkeypatch):
     b = NakayamaBackend(2, 4)
     star = StarEngine(b)
@@ -174,21 +163,16 @@ def test_peel_moves_are_built_once_per_object_and_summand(monkeypatch):
     monkeypatch.setattr(
         NakayamaBackend, "cone_obj", lambda self, f: built.append(f) or honest(self, f)
     )
-    moves = star._peel_moves(Obj.of(0, 1), 2, "y")
+    moves = star._peel_moves(Obj.of(0, 1), 2)
     assert len(moves) == (1 << b.hom_dim(Obj.of(0, 1), Obj.of(2))) - 1 == len(built)
     # an equal object built afresh finds the stored moves
-    assert star._peel_moves(Obj.of(1, 0), 2, "y") is moves
+    assert star._peel_moves(Obj.of(1, 0), 2) is moves
     assert len(built) == len(moves)
-    # the other direction has its own table
-    comoves = star._peel_moves(Obj.of(0, 2), 2, "x")
-    assert len(comoves) == (1 << b.hom_dim(Obj.of(2), Obj.of(0, 2))) - 1 == 3
-    assert star._peel_moves(Obj.of(2, 0), 2, "x") is comoves
-    assert star._peel_moves(Obj.of(0, 2), 2, "y") is not comoves
 
 
 def test_peel_tables_hold_only_real_moves(monkeypatch, capsys):
     # The searches ask only for summands with a nonzero Hom, so no stored
-    # entry is empty, on either side.
+    # entry is empty.
     built = []
 
     def recorded(backend, cap):
@@ -199,16 +183,57 @@ def test_peel_tables_hold_only_real_moves(monkeypatch, capsys):
     bijection_queries((3, 4), monkeypatch)
     [engine] = built
     b, star = engine.backend, engine.star
-    tables = {"x": {}, "y": {}}
-    for (summands, sid, closed), moves in star._stored["_peel_moves"].items():
-        tables[closed][(summands, sid)] = moves
-    assert tables["x"] and tables["y"]
-    for closed, table in tables.items():
-        for (summands, sid), moves in table.items():
-            assert moves, (closed, summands, sid)
-            single, obj = Obj.of(sid), Obj(summands)
-            src, dst = (obj, single) if closed == "y" else (single, obj)
-            assert len(moves) == (1 << b.hom_dim(src, dst)) - 1
+    table = star._stored["_peel_moves"]
+    assert table
+    for (summands, sid), moves in table.items():
+        assert moves, (summands, sid)
+        assert len(moves) == (1 << b.hom_dim(Obj(summands), Obj.of(sid))) - 1
+
+
+# ---------------------------------------------------------------- lift stars
+
+
+# The backends with at most 12 indecomposables, two vertices or more and
+# relation length 3 or more; the others take longer for less: the bijection
+# suite alone runs about 20 s on (12, 2), and the per-move oracle seconds on
+# the one-vertex backends past n = 10.
+LIFTS = [mn for mn in SMALL if mn[0] >= 2 and mn[1] >= 3]
+
+
+def lift_stars(mn, monkeypatch):
+    """Every membership of the lift's stars that ``verify --suite
+    bijection`` decides, keyed by (x, y, c, step) for the star
+    x * y = S[-1] * lift(L) (+1) or lift(R) * V[1] (-1), with the star
+    engine and whether c landed in the lifted class."""
+    asked = {}
+    honest = MutationEngine._lift_class
+
+    def recorded(self, reps, step):
+        got = honest(self, reps, step)
+        lift = self.lift(reps)
+        x, y = (self.q.s_down, lift) if step == 1 else (lift, self.q.v_up)
+        for i in self.p.u if step == 1 else self.p.t:
+            asked[(x, y, Obj.of(i), step)] = (self.engine.star, i in got)
+        return got
+
+    monkeypatch.setattr(MutationEngine, "_lift_class", recorded)
+    argv = ["verify", "--suite", "bijection", "--backend", "nakayama:m=%d,n=%d" % mn]
+    assert cli.main(argv) == 0
+    return asked
+
+
+@pytest.mark.parametrize("mn", LIFTS, ids=lambda mn: f"{mn[0]}-{mn[1]}")
+def test_lift_stars_match_the_per_move_peel(mn, monkeypatch, capsys):
+    # The lift decides its stars by left approximations; the per-move
+    # search decides S[-1] * lift(L) by stripping S[-1]-summands through
+    # cones (x side) and lift(R) * V[1] by stripping V[1]-summands through
+    # cocones (y side), both stripped sides being extension-closed.
+    asked = lift_stars(mn, monkeypatch)
+    assert asked
+    for (x, y, c, step), (star, member) in asked.items():
+        side = "x" if step == 1 else "y"
+        found, _ = per_move_peel(star, x, y, c, star.cap + 1, star.budget, side)
+        assert member == (found is not None), (step, x.labels(), y.labels(), c)
 
 
 # ---------------------------------------------------------------- twin pairs
