@@ -18,7 +18,7 @@ and the Nakayama backend's cone modules are both built on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 __all__ = [
     "F2Matrix",
@@ -288,8 +288,3 @@ class QuotientSpace:
             out |= 1 << self.free[low.bit_length() - 1]
             coords ^= low
         return out
-
-    def classes(self) -> Iterator[int]:
-        """Canonical representatives of all classes, zero first."""
-        for c in range(1 << self.dim):
-            yield self.lift(c)

@@ -6,8 +6,8 @@ shifted V-object by a U-object.  The engine tests candidates by first
 enforcing the perpendicularity identities V = (U[-1])-right-perp and
 U = (V[1])-left-perp, which every genuine pair satisfies and which are
 exact bitmask operations; coverage is then decided per indecomposable
-by one minimal approximation triangle (``in_star``), since U and V[1]
-are Hom-orthogonal.
+by one minimal approximation (``in_star``), since U and V[1] are
+Hom-orthogonal.
 
 Twin pairs ((S,T),(U,V)) add the vanishing of degree-one maps from S
 to V; the engine cross-checks the three equivalent formulations
@@ -18,7 +18,7 @@ Hovey test and the isomorphism test modulo a core are always decided.
 Condition (I) reads the star T * U, whose sides are not orthogonal, on
 the capped peel engine: an exhausted budget there is inconclusive,
 never a guess.  Decomposition triangles need no search: each is the
-triangle of a minimal right or left approximation built from Hom bases
+cone of a minimal right or left approximation map built from Hom bases
 (``approximation``), so the heart-vanishing predicate is always decided.
 """
 
@@ -148,6 +148,16 @@ class CPEnumeration:
     pairs: list[CotorsionPair]
 
 
+def _approx_key(cls: Subcat, c: Obj, step: int) -> tuple:
+    """An approximation's key: the members of cls with a nonzero Hom into
+    (+1) or out of (-1) a summand of c, then c and step."""
+    near = cls.backend.hom_masks()[1 if step == 1 else 0]
+    bits = 0
+    for j in c.summands:
+        bits |= near[j]
+    return (cls.bits & bits, c, step)
+
+
 class PairEngine:
     """Pair-level queries over one backend with a shared star engine;
     every answer is stored per input (``core.stored``)."""
@@ -193,7 +203,7 @@ class PairEngine:
             )
         v1 = v.shifted(1)
         for c in range(len(b.indecs)):
-            if not self.in_star(u, v1, Obj.of(c)):
+            if not self.in_star(u, v1, Obj.of(c), 1):
                 return Verdict.no(
                     reason=f"{b.label_of(c)} admits no decomposition triangle"
                 )
@@ -380,7 +390,7 @@ class PairEngine:
         )
         rhs = b.identity(x).coords | (b.identity(y).coords << dxx)
         direct = solve(system, rhs) is not None
-        by_cone = self.in_star(core, core.shifted(1), b.cone_obj(f))
+        by_cone = self.in_star(core, core.shifted(1), b.cone_obj(f), 1)
         if by_cone != direct:
             raise InternalCheckError(
                 "isomorphism routes disagree: inverse solve "
@@ -453,18 +463,18 @@ class PairEngine:
         q = QuotientSpace(width, rad)
         return [q.lift(1 << k) for k in range(q.dim)]
 
-    @stored(key=lambda cls, c, step: (cls.bits & _reach(cls, c, step), c, step))
-    def approximation(self, cls: Subcat, c: Obj, step: int) -> Tri:
-        """The triangle of the minimal right (+1) or left (-1)
-        cls-approximation of c: A -> c -> C -> A[1] from the cone of the
-        right one A -> c, or C -> c -> B -> C[1] from the right rotation of
-        the cone of the left one c -> B.
+    @stored(key=_approx_key)
+    def approximation(self, cls: Subcat, c: Obj, step: int) -> Mor:
+        """The minimal right (+1) cls-approximation A -> c of c, or its
+        minimal left (-1) cls-approximation c -> B.
 
         Minimal approximations are additive, so the map is assembled per
         summand j of c: one copy of each member u with Hom(u, j) (+1) or
         Hom(j, u) (-1) nonzero per top of that Hom space (``_tops``).  Only
-        those members enter, so the triangle is stored per the members of
-        cls that reach c, and classes that agree there share it.
+        those members enter, so the map is stored per the members of cls
+        that reach c, and classes that agree there share it.  Readers of
+        its cone object alone take ``cone_obj`` of it; the triangle is
+        ``decomposition``'s.
         """
         b = self.backend
         near = b.hom_masks()[1 if step == 1 else 0]
@@ -480,37 +490,49 @@ class PairEngine:
                         (k, p, Mor(uo, ends[p], top)) if step == 1
                         else (p, k, Mor(ends[p], uo, top))
                     )
-        if step == 1:
-            return b.cone(scatter_blocks(b, parts, ends, comps))
-        return b.rotate_right(b.cone(scatter_blocks(b, ends, parts, comps)))
+        src, dst = (parts, ends) if step == 1 else (ends, parts)
+        return scatter_blocks(b, src, dst, comps)
 
-    def in_star(self, x: Subcat, y: Subcat, c: Obj) -> bool:
+    @stored(key=_approx_key)
+    def _approximation_triangle(self, cls: Subcat, c: Obj, step: int) -> Tri:
+        """The triangle of ``approximation(cls, c, step)``: the cone of the
+        right one, or the right rotation of the cone of the left one."""
+        b, f = self.backend, self.approximation(cls, c, step)
+        return b.cone(f) if step == 1 else b.rotate_right(b.cone(f))
+
+    def in_star(self, x: Subcat, y: Subcat, c: Obj, step: int) -> bool:
         """Is c in add(x) * add(y)?  Only for classes with Hom(x, y) = 0,
         which every caller checks first.
 
         Any triangle X' -> c -> Y' -> X'[1] with X' in add(x) and Y' in
-        add(y) makes X' -> c a right x-approximation, as Hom(x, Y') = 0, so
-        the minimal one is a direct summand of it and the third term of its
-        triangle a summand of Y' (Iyama-Yoshino, Invent. Math. 172, 2008).
-        So c is in the product exactly when that third term, read from
-        ``approximation(x, c, 1)``, lies in add(y).
+        add(y) makes X' -> c a right x-approximation, as Hom(x, Y') = 0, and
+        c -> Y' a left y-approximation, as Hom(X', y) = 0.  The minimal ones
+        are direct summands of these, so the cone of the minimal right one
+        is a summand of Y' and the cocone of the minimal left one a summand
+        of X' (Iyama-Yoshino, Invent. Math. 172, 2008).  So c is in the
+        product exactly when that cone (step +1) lies in add(y), or that
+        cocone (step -1) in add(x); only its object is built.
         """
-        return y.contains_obj(self.approximation(x, c, 1).c)
+        b = self.backend
+        if step == 1:
+            return y.contains_obj(b.cone_obj(self.approximation(x, c, 1)))
+        cone = b.cone_obj(self.approximation(y, c, -1))
+        return x.contains_obj(b.shift_obj(cone, -1))
 
     def star_class(self, x: Subcat, y: Subcat) -> Subcat:
         """The indecomposables in add(x) * add(y) (``in_star``)."""
         b = self.backend
         return Subcat.of(
-            b, [c for c in range(len(b.indecs)) if self.in_star(x, y, Obj.of(c))]
+            b, [c for c in range(len(b.indecs)) if self.in_star(x, y, Obj.of(c), 1)]
         )
 
     def decomposition(
         self, cls: Subcat, c: Obj, step: int, first: Subcat, third: Subcat
     ) -> Tri:
-        """``approximation(cls, c, step)``, a triangle X -> c -> Y -> X[1]
-        that the pair axioms put in add(first) * add(third); raises if an
-        end lies outside its class."""
-        tri = self.approximation(cls, c, step)
+        """The triangle of ``approximation(cls, c, step)``, X -> c -> Y ->
+        X[1], stored once, that the pair axioms put in add(first) *
+        add(third); raises if an end lies outside its class."""
+        tri = self._approximation_triangle(cls, c, step)
         if not (first.contains_obj(tri.a) and third.contains_obj(tri.c)):
             raise InternalCheckError(
                 f"{'right' if step == 1 else 'left'} approximation of "
@@ -579,15 +601,6 @@ class PairEngine:
         if not self.star.is_ext_closed_pairwise(n):
             raise InternalCheckError("matched extension class is not extension-closed")
         return Verdict.yes(), n
-
-
-def _reach(cls: Subcat, c: Obj, step: int) -> int:
-    """The ids with a nonzero Hom into (+1) or out of (-1) a summand of c."""
-    near = cls.backend.hom_masks()[1 if step == 1 else 0]
-    bits = 0
-    for j in c.summands:
-        bits |= near[j]
-    return bits
 
 
 def trivial_pairs(engine: PairEngine) -> tuple[CotorsionPair, CotorsionPair]:

@@ -205,6 +205,26 @@ def searched_decomposition(engine, cls, c, step, first, third):
     return tri
 
 
+def capped_zi_star_member(mut, m, l, r, cap):
+    """The capped search that decided quotient cotorsion-pair coverage
+    before one minimal approximation did, the oracle of
+    ``MutationEngine.zi_star_member``: does some map into m from a sum of
+    at most cap members of l, one per class modulo add(I), have a standard
+    right third with its classes in the suspension of r?  False when none
+    does."""
+    q, target = mut.q, Obj.of(m)
+    sig_classes = {mut._shift_permutation(1)[x] for x in r}
+    for size in range(cap + 1):
+        for pool in multisets_over(l, size):
+            src = Obj.from_iter(pool)
+            space = q.hom_mod_I(src, target)
+            for k in range(1 << space.dim):
+                third = q.standard_right_third(Mor(src, target, space.lift(k)))
+                if set(q.class_of(third)) <= sig_classes:
+                    return True
+    return False
+
+
 def ext_closure(star, x):
     """Least fixed point of adding the indecomposables of R * R to R,
     with a completeness flag.  Runs on the literal enumerator, since the

@@ -1,8 +1,9 @@
 """Approximation triangles against the escalating-cap search oracle.
 
-``PairEngine.approximation`` builds every decomposition triangle that
-the pair engine and the subquotient read from the minimal right or left
-approximation of an object, computed from Hom bases modulo the radical.
+``PairEngine.approximation`` builds the minimal right or left
+approximation of an object from Hom bases modulo the radical, and every
+decomposition triangle that the pair engine and the subquotient read is
+its cone or its rotated cone (``PairEngine.decomposition``).
 The tests hold it to the search it replaced (``helpers.witnesses``, the
 capped triangle enumerator walked cap by cap): the cones land in the
 other class of the pair, the minimal approximation is a summand of the
@@ -61,14 +62,21 @@ def _is_summand(small, big):
 
 def test_approximation_cones_lie_in_the_other_class(case):
     eng, width, _ = case
+    b = eng.backend
     for p in eng.enumerate_cotorsion().pairs:
         v1 = p.v.shifted(1)
-        for x in _objects(eng.backend, width):
+        for x in _objects(b, width):
             right = eng.approximation(p.u, x, 1)
             left = eng.approximation(v1, x, -1)
-            assert right.b == x == left.b
-            assert p.u.contains_obj(right.a) and v1.contains_obj(right.c)
-            assert p.u.contains_obj(left.a) and v1.contains_obj(left.c)
+            assert right.dst == x == left.src
+            assert p.u.contains_obj(right.src) and v1.contains_obj(b.cone_obj(right))
+            assert p.u.contains_obj(b.shift_obj(b.cone_obj(left), -1))
+            assert v1.contains_obj(left.dst)
+            # the stored triangles are the cone and the rotated cone
+            tri = eng.decomposition(p.u, x, 1, p.u, v1)
+            assert (tri.f, tri.c) == (right, b.cone_obj(right))
+            tri = eng.decomposition(v1, x, -1, p.u, v1)
+            assert tri.g == left and tri.a == b.shift_obj(b.cone_obj(left), -1)
 
 
 def test_approximations_are_minimal_and_every_witness_reads_their_verdict(case):
@@ -81,11 +89,11 @@ def test_approximations_are_minimal_and_every_witness_reads_their_verdict(case):
             vanishes = eng.h_vanishes(x, p)
             assert not vanishes.is_inconclusive
             # the minimal triangle is a witness, so its cap has some
-            top = max(2, len(right.a), len(right.c))
+            top = max(2, len(right.src), len(eng.backend.cone_obj(right)))
             found = 0
             for w in witnesses(eng.star, p.u, v1, x, top):
                 found += 1
-                assert _is_summand(right.a, w.a) and _is_summand(left.c, w.c)
+                assert _is_summand(right.src, w.a) and _is_summand(left.dst, w.c)
                 span = eng.factoring_subspace(x, p.v, w.c)
                 assert in_span(w.g.coords, span) == vanishes.is_yes
             assert found
@@ -109,10 +117,10 @@ def test_comparison_maps_and_shifts_match_the_search_route(mn):
 
 
 def test_an_approximation_out_of_its_class_raises(monkeypatch):
-    # The zero map 0 -> x as an approximation: its cone is x itself.  The
-    # pair is enumerated first, since coverage reads the honest route.
+    # The zero map 0 -> x as a right approximation: its cone is x itself.
+    # The pair is enumerated first, since coverage reads the honest route.
     def zero_approximation(self, cls, c, step):
-        return self.backend.cone(Mor(Obj.zero(), c, 0))
+        return Mor(Obj.zero(), c, 0) if step == 1 else Mor(c, Obj.zero(), 0)
 
     eng = PairEngine(NakayamaBackend(2, 2))
     b = eng.backend

@@ -513,7 +513,7 @@ def test_a_starved_condition_I_peel_exits_three_unless_allowed(monkeypatch, caps
 
 def test_an_approximation_out_of_its_class_is_a_violation(monkeypatch, capsys):
     # A left approximation triangle whose end is forced out of its class
-    # (the zero map 0 -> c, whose cone is c itself) breaks the pair axioms:
+    # (the zero map c -> 0, whose cocone is c itself) breaks the pair axioms:
     # the run reports a property violation, exit 1, and no traceback.  The
     # right approximations stay honest, since the enumeration reads them.
     honest = PairEngine.approximation
@@ -521,7 +521,7 @@ def test_an_approximation_out_of_its_class_is_a_violation(monkeypatch, capsys):
     def zero_left_approximation(self, cls, c, step):
         if step == 1:
             return honest(self, cls, c, step)
-        return self.backend.cone(Mor(Obj.zero(), c, 0))
+        return Mor(c, Obj.zero(), 0)
 
     monkeypatch.setattr(PairEngine, "approximation", zero_left_approximation)
     argv = ["verify", "--suite", "conditions", "--backend", "nakayama:m=2,n=3"]

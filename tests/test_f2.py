@@ -478,18 +478,3 @@ def test_quotient_space_reduce_is_linear_and_pivot_free(m, data):
     assert not any((ra >> p) & 1 for p in q.ech.pivots())
     assert in_span(a ^ ra, m.bits)
     assert q.reduce(sum_of(m.bits)) == 0
-
-
-@given(wide_matrices(max_rows=6, max_cols=9))
-def test_quotient_space_classes_keep_their_order(m):
-    q = QuotientSpace(m.cols, m.bits)
-    piv = Echelon(m.bits).pivots()
-    reps = [1 << c for c in range(m.cols) if c not in piv]
-    # the order of record: subset masks over the non-pivot unit vectors
-    want = [
-        sum_of(r for k, r in enumerate(reps) if (mask >> k) & 1)
-        for mask in range(1 << len(reps))
-    ]
-    got = list(q.classes())
-    assert got == want and got[0] == 0
-    assert [q.coords(c) for c in got] == list(range(1 << q.dim))

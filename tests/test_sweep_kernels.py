@@ -1,11 +1,13 @@
 """Table-driven and bit-parallel sweep kernels against the loops they replace.
 
 The per-move peel search (in both directions), the per-pair twin check,
-the Subcat-built concentricity test, the 2^K polygon sweeps and the full
-standard right triangle are the routes the engines used before; they
-survive here only as oracles for the peel-move tables and the lift's
-approximation route, the bit-sliced twin check, the polygon closure
-walks and ``ZIQuotient.standard_right_third``.
+the Subcat-built concentricity test, the 2^K polygon sweeps, the full
+standard right triangle and the capped sum search of quotient coverage
+(``helpers.capped_zi_star_member``) are the routes the engines used
+before; they survive here only as oracles for the peel-move tables and
+the lift's approximation route, the bit-sliced twin check, the polygon
+closure walks, ``ZIQuotient.standard_right_third`` and
+``MutationEngine.zi_star_member``.
 """
 
 import pytest
@@ -25,6 +27,7 @@ from cotor.polygon import (
 )
 from cotor.quotient import ZIQuotient
 from cotor.subcats import StarEngine, enumerate_subcats
+from helpers import capped_zi_star_member
 
 # Every Nakayama backend with at most 12 indecomposables (K = m(n-1)).
 SMALL = [(m, n) for n in range(2, 14) for m in range(1, 13) if m * (n - 1) <= 12]
@@ -321,6 +324,39 @@ def test_maximality_by_crossing_masks_matches_inclusion(n):
 
 
 # ---------------------------------------------------------------- quotient
+
+
+# Backends of the quotient-coverage comparison: 1,012 decisions, 172 of
+# them no, in about 3 s.
+ZI_STARS = [(2, 4), (3, 3), (2, 6)]
+
+
+@pytest.mark.parametrize("mn", ZI_STARS, ids=lambda mn: f"{mn[0]}-{mn[1]}")
+def test_quotient_coverage_matches_the_capped_search(mn):
+    # On every concentric pair that meets (I) and (II) with one to eight
+    # quotient classes, every set L of classes with R its right-perp
+    # under the quotient Ext^1, and every class m: one minimal
+    # approximation answers as the search over sums of up to four members.
+    eng = PairEngine(NakayamaBackend(*mn))
+    answers = []
+    for p in eng.enumerate_tcp():
+        if not eng.is_concentric(p):
+            continue
+        mut = MutationEngine(eng, p)
+        reps = mut.q.zi_objects()
+        if not mut.preconditions_met or not 1 <= len(reps) <= 8:
+            continue
+        for lbits in range(1 << len(reps)):
+            l = [x for k, x in enumerate(reps) if lbits >> k & 1]
+            r = [
+                y for y in reps
+                if not any(mut.q.ext1_zi(Obj.of(x), Obj.of(y)) for x in l)
+            ]
+            for m in reps:
+                got = mut.zi_star_member(m, l, r)
+                assert got == capped_zi_star_member(mut, m, l, r, 4), (p.key(), l, m)
+                answers.append(got)
+    assert answers and not all(answers)
 
 
 def test_standard_right_third_matches_the_full_triangle(monkeypatch):
