@@ -39,7 +39,7 @@ from .pairs import (
 )
 from .quotient import ZIQuotient
 from .subcats import DEFAULT_CAP, Subcat, closed_sets, iter_bits
-from .subcats import left_perp, right_perp
+from .subcats import left_perp, perp_bits, right_perp
 
 SCHEMA = "cotor.report/2"
 
@@ -374,8 +374,7 @@ def enumerate_by_second_class(engine: PairEngine) -> list[CotorsionPair]:
     b = engine.backend
     out: list[CotorsionPair] = []
     for bits in closed_sets(
-        len(b.indecs),
-        lambda s: right_perp(left_perp(Subcat(b, s), 1), -1).bits,
+        len(b.indecs), lambda s: perp_bits(b, perp_bits(b, s, 1, 1), -1, 0)
     ):
         v = Subcat(b, bits)
         u = left_perp(v, 1)

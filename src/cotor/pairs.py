@@ -7,7 +7,10 @@ enforcing the perpendicularity identities V = (U[-1])-right-perp and
 U = (V[1])-left-perp, which every genuine pair satisfies and which are
 exact bitmask operations; coverage is then decided per indecomposable
 by one minimal approximation (``in_star``), since U and V[1] are
-Hom-orthogonal.
+Hom-orthogonal.  Minimal approximations are additive, so the cone of the
+one of an object is the sum of those of its summands: each is stored
+once as a summand mask, keyed on the members of U that reach the
+summand, and coverage is one mask test per indecomposable.
 
 Twin pairs ((S,T),(U,V)) add the vanishing of degree-one maps from S
 to V; the engine cross-checks the three equivalent formulations
@@ -40,7 +43,7 @@ from .core import (
 )
 from .f2 import F2Matrix, QuotientSpace, in_span, solve
 from .subcats import DEFAULT_CAP, StarEngine, Subcat, closed_sets
-from .subcats import iter_bits, left_perp, right_perp
+from .subcats import iter_bits, left_perp, perp_bits, right_perp
 
 
 @dataclass(frozen=True)
@@ -201,12 +204,10 @@ class PairEngine:
             raise InternalCheckError(
                 "perpendicularity held but a degree-one map survives"
             )
-        v1 = v.shifted(1)
-        for c in range(len(b.indecs)):
-            if not self.in_star(u, v1, Obj.of(c), 1):
-                return Verdict.no(
-                    reason=f"{b.label_of(c)} admits no decomposition triangle"
-                )
+        missing = Subcat.everything(b).minus(self.star_class(u, v.shifted(1)))
+        if not missing.is_empty:
+            first = b.label_of(missing.ids()[0])
+            return Verdict.no(reason=f"{first} admits no decomposition triangle")
         return Verdict.yes()
 
     @stored()
@@ -217,8 +218,7 @@ class PairEngine:
         b = self.backend
         pairs: list[CotorsionPair] = []
         for bits in closed_sets(
-            len(b.indecs),
-            lambda s: left_perp(right_perp(Subcat(b, s), -1), 1).bits,
+            len(b.indecs), lambda s: perp_bits(b, perp_bits(b, s, -1, 0), 1, 1)
         ):
             u = Subcat(b, bits)
             v = right_perp(u, -1)
@@ -500,6 +500,15 @@ class PairEngine:
         b, f = self.backend, self.approximation(cls, c, step)
         return b.cone(f) if step == 1 else b.rotate_right(b.cone(f))
 
+    @stored()
+    def _cone_bits(self, reach: int, c: int) -> int:
+        """The summands, as a mask, of the cone of the minimal right
+        approximation of the indecomposable c by the class ``reach``, which
+        holds only members with a nonzero Hom into c."""
+        b = self.backend
+        cone = b.cone_obj(self.approximation(Subcat(b, reach), Obj.of(c), 1))
+        return Subcat.of(b, cone.summands).bits
+
     def in_star(self, x: Subcat, y: Subcat, c: Obj, step: int) -> bool:
         """Is c in add(x) * add(y)?  Only for classes with Hom(x, y) = 0,
         which every caller checks first.
@@ -511,20 +520,28 @@ class PairEngine:
         is a summand of Y' and the cocone of the minimal left one a summand
         of X' (Iyama-Yoshino, Invent. Math. 172, 2008).  So c is in the
         product exactly when that cone (step +1) lies in add(y), or that
-        cocone (step -1) in add(x); only its object is built.
+        cocone (step -1) in add(x).  Minimal approximations are additive,
+        so for step +1 the cone is the sum of the stored cones of the
+        summands of c (``_cone_bits``); for step -1 only its object is built.
         """
         b = self.backend
         if step == 1:
-            return y.contains_obj(b.cone_obj(self.approximation(x, c, 1)))
+            near = b.hom_masks()[1]
+            return not any(
+                self._cone_bits(x.bits & near[j], j) & ~y.bits for j in c.summands
+            )
         cone = b.cone_obj(self.approximation(y, c, -1))
         return x.contains_obj(b.shift_obj(cone, -1))
 
     def star_class(self, x: Subcat, y: Subcat) -> Subcat:
-        """The indecomposables in add(x) * add(y) (``in_star``)."""
-        b = self.backend
-        return Subcat.of(
-            b, [c for c in range(len(b.indecs)) if self.in_star(x, y, Obj.of(c), 1)]
-        )
+        """The indecomposables in add(x) * add(y), for Hom-orthogonal
+        classes: one stored cone mask each (``in_star``)."""
+        near = self.backend.hom_masks()[1]
+        bits = 0
+        for c in range(len(near)):
+            if not self._cone_bits(x.bits & near[c], c) & ~y.bits:
+                bits |= 1 << c
+        return Subcat(self.backend, bits)
 
     def decomposition(
         self, cls: Subcat, c: Obj, step: int, first: Subcat, third: Subcat

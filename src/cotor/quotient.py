@@ -127,6 +127,7 @@ class ZIQuotient:
         tri = dec(self.p.s, z, 1, self.i_set, self.t_up)
         return b.shift_obj(tri.c, -1), tri
 
+    @stored(key=lambda z, step: (z.summands, step))
     def shift(self, z: Obj, step: int) -> Obj:
         """Suspension (+1) or desuspension (-1): the adjoint image of the
         bracket step the same way, summand by summand."""

@@ -2,14 +2,16 @@
 
 A Subcat is a set of indecomposable ids standing for the full additive
 subcategory of finite direct sums of those indecomposables; it is
-summand-closed by construction.  Perpendiculars are bitmask operations
-on the backend's Hom-nonzero masks (``Backend.hom_masks``), and
-``closed_sets`` walks the closed sets of a closure on bitmasks.  Star
-membership C in add(X) * add(Y) runs on the peel engine, for a Y that
-the caller vouches closed under extensions: it repeatedly strips one
-Y-summand by enumerating maps C -> y and passing to the cocone, and
-accepts when some chain lands in add(X); if the cocone lies in X * Y,
-then C lies in X * Y * y, inside X * Y.
+summand-closed by construction.  Perpendiculars are unions over a
+stored table of the backend's Hom-nonzero masks (``Backend.hom_masks``)
+indexed by shifted member, one per (side, shift); ``perp_bits`` reads
+it on plain ints, so the closure walks of the pair enumerations build
+no Subcat, and ``closed_sets`` walks the closed sets of a closure on
+bitmasks.  Star membership C in add(X) * add(Y) runs on the peel
+engine, for a Y that the caller vouches closed under extensions: it
+repeatedly strips one Y-summand by enumerating maps C -> y and passing
+to the cocone, and accepts when some chain lands in add(X); if the
+cocone lies in X * Y, then C lies in X * Y * y, inside X * Y.
 
 The search is complete for capped Y sides (every genuine triangle
 induces a chain of the same length); acceptance of YES needs Y closed
@@ -157,22 +159,35 @@ def _shifted(backend: Backend, bits: int, k: int) -> Subcat:
     return Subcat.of(backend, (backend.shift_id(i, k) for i in iter_bits(bits)))
 
 
-def _perp(x: Subcat, shift: int, masks: list[int]) -> Subcat:
-    b = x.backend
+@stored()
+def _perp_masks(backend: Backend, side: int, shift: int) -> list[int]:
+    """Per member i, the Hom-nonzero mask of its shift i[shift]: out of it
+    (side 0) or into it (side 1), read from the checked ``hom_masks`` and
+    kept in the backend's stored table."""
+    masks = backend.hom_masks()[side]
+    return [masks[backend.shift_id(i, shift)] for i in range(len(masks))]
+
+
+def perp_bits(b: Backend, bits: int, shift: int, side: int) -> int:
+    """The mask of the c with Hom(i[shift], c) = 0 (side 0) or
+    Hom(c, i[shift]) = 0 (side 1) for every member i of ``bits``."""
+    masks = _perp_masks(b, side, shift)
     hit = 0
-    for i in x:
-        hit |= masks[b.shift_id(i, shift)]
-    return Subcat(b, ~hit & ((1 << len(b.indecs)) - 1))
+    while bits:
+        low = bits & -bits
+        hit |= masks[low.bit_length() - 1]
+        bits ^= low
+    return ~hit & ((1 << len(masks)) - 1)
 
 
 def right_perp(x: Subcat, shift: int) -> Subcat:
     """Indecomposables c with Hom(member[shift], c) = 0 for all members."""
-    return _perp(x, shift, x.backend.hom_masks()[0])
+    return Subcat(x.backend, perp_bits(x.backend, x.bits, shift, 0))
 
 
 def left_perp(x: Subcat, shift: int) -> Subcat:
     """Indecomposables c with Hom(c, member[shift]) = 0 for all members."""
-    return _perp(x, shift, x.backend.hom_masks()[1])
+    return Subcat(x.backend, perp_bits(x.backend, x.bits, shift, 1))
 
 
 def closed_sets(k: int, closure: Callable[[int], int]) -> Iterator[int]:

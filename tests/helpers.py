@@ -205,6 +205,15 @@ def searched_decomposition(engine, cls, c, step, first, third):
     return tri
 
 
+def whole_object_in_star(engine, x, y, c):
+    """Coverage c in add(x) * add(y), for Hom-orthogonal classes, by the
+    route ``PairEngine.in_star(x, y, c, 1)`` took before it read one stored
+    cone mask per summand: the cone object of the minimal right
+    x-approximation of the whole of c, built in one piece."""
+    b = engine.backend
+    return y.contains_obj(b.cone_obj(engine.approximation(x, c, 1)))
+
+
 def capped_zi_star_member(mut, m, l, r, cap):
     """The capped search that decided quotient cotorsion-pair coverage
     before one minimal approximation did, the oracle of

@@ -7,16 +7,22 @@ standard right triangle and the capped sum search of quotient coverage
 before; they survive here only as oracles for the peel-move tables and
 the lift's approximation route, the bit-sliced twin check, the polygon
 closure walks, ``ZIQuotient.standard_right_third`` and
-``MutationEngine.zi_star_member``.
+``MutationEngine.zi_star_member``.  Likewise the Subcat-built closure
+walks, the per-member ``shift_id`` loop and the whole-object coverage
+route (``helpers.whole_object_in_star``) are the oracles of the int
+closure walks, ``perp_bits`` and the per-summand cone masks of
+``PairEngine.in_star``.
 """
+
+import random
 
 import pytest
 
-from cotor import cli
+from cotor import cli, pairs
 from cotor.core import BudgetExceeded, InternalCheckError, Mor, Obj
 from cotor.mutation import MutationEngine
 from cotor.nakayama import NakayamaBackend
-from cotor.pairs import PairEngine
+from cotor.pairs import CotorsionPair, PairEngine
 from cotor.polygon import (
     PolygonBackend,
     enumerate_ptolemy,
@@ -26,8 +32,16 @@ from cotor.polygon import (
     triangulations_among,
 )
 from cotor.quotient import ZIQuotient
-from cotor.subcats import StarEngine, enumerate_subcats
-from helpers import capped_zi_star_member
+from cotor.subcats import (
+    StarEngine,
+    Subcat,
+    closed_sets,
+    enumerate_subcats,
+    left_perp,
+    perp_bits,
+    right_perp,
+)
+from helpers import capped_zi_star_member, whole_object_in_star
 
 # Every Nakayama backend with at most 12 indecomposables (K = m(n-1)).
 SMALL = [(m, n) for n in range(2, 14) for m in range(1, 13) if m * (n - 1) <= 12]
@@ -375,3 +389,114 @@ def test_standard_right_third_matches_the_full_triangle(monkeypatch):
     assert seen
     for q, f in seen:
         assert honest(q, f) == q.standard_right_triangle(f)[0]
+
+
+# ---------------------------------------------------------------- perpendiculars
+
+
+def recorded_walks(monkeypatch, module, run):
+    """The closed sets of every ``closed_sets`` walk that run() makes
+    through ``module``, one list per walk."""
+    walks = []
+
+    def recorded(k, closure):
+        walks.append([])
+        for bits in closed_sets(k, closure):
+            walks[-1].append(bits)
+            yield bits
+
+    with monkeypatch.context() as m:
+        m.setattr(module, "closed_sets", recorded)
+        got = run()
+    return walks, got
+
+
+@pytest.mark.parametrize(
+    "mn", SMALL + [(4, 5)], ids=lambda mn: f"{mn[0]}-{mn[1]}"
+)
+def test_int_closure_walks_match_the_subcat_walks(mn, monkeypatch):
+    b = NakayamaBackend(*mn)
+    eng = PairEngine(b)
+    first = list(
+        closed_sets(b.K, lambda s: left_perp(right_perp(Subcat(b, s), -1), 1).bits)
+    )
+    second = list(
+        closed_sets(b.K, lambda s: right_perp(left_perp(Subcat(b, s), 1), -1).bits)
+    )
+    walks, got = recorded_walks(monkeypatch, pairs, eng.enumerate_cotorsion)
+    assert walks == [first]
+    want = [CotorsionPair(u, right_perp(u, -1)) for u in (Subcat(b, s) for s in first)]
+    assert got.pairs == [p for p in want if eng.is_cotorsion_pair(p.u, p.v).is_yes]
+    walks, by_v = recorded_walks(
+        monkeypatch, cli, lambda: cli.enumerate_by_second_class(eng)
+    )
+    assert walks == [second]
+    assert sorted(p.key() for p in by_v) == sorted(p.key() for p in got.pairs)
+
+
+# The K = 16 backends with two or more vertices and relation length 3 or more.
+@pytest.mark.parametrize("mn", [(4, 5), (8, 3), (2, 9)], ids=str)
+def test_perp_bits_match_a_per_member_shift_loop_at_k16(mn):
+    b = NakayamaBackend(*mn)
+    assert b.K == 16
+    masks = b.hom_masks()
+    rng = random.Random(b.K * mn[0])
+    full = (1 << b.K) - 1
+    classes = [0, full] + [rng.getrandbits(16) & rng.getrandbits(16) for _ in range(40)]
+    for bits in classes:
+        for shift in range(-2, 3):
+            for side in (0, 1):
+                hit = 0
+                for i in range(b.K):
+                    if bits >> i & 1:
+                        hit |= masks[side][b.shift_id(i, shift)]
+                assert perp_bits(b, bits, shift, side) == full & ~hit
+            x = Subcat(b, bits)
+            assert right_perp(x, shift).bits == perp_bits(b, bits, shift, 0)
+            assert left_perp(x, shift).bits == perp_bits(b, bits, shift, 1)
+
+
+def test_a_corrupted_shift_is_caught_by_the_first_perp_bits(monkeypatch):
+    # The mask table reads the shift, so it is built only from checked
+    # Hom masks, and a failed build keeps nothing.
+    for side in (0, 1):
+        b = NakayamaBackend(2, 3)
+        honest = b.shift_id
+        monkeypatch.setattr(
+            b, "shift_id", lambda i, k=1, honest=honest: honest(i, k) if k < 0 else i
+        )
+        for _ in range(2):
+            with pytest.raises(InternalCheckError, match="disagree on vanishing"):
+                perp_bits(b, 1, -1, side)
+        assert not getattr(b, "_stored", {}).get("_perp_masks")
+
+
+# ---------------------------------------------------------------- coverage
+
+
+@pytest.mark.parametrize("mn", [(4, 5), (2, 9)], ids=str)
+def test_coverage_by_cone_masks_matches_the_whole_object_route(mn):
+    # The coverage stars U * V[1] of every closed first class U, and
+    # random Hom-orthogonal classes x and y inside the right perpendicular
+    # of x, against objects of two to four summands, repeats allowed.
+    b = NakayamaBackend(*mn)
+    eng = PairEngine(b)
+    rng = random.Random(b.K)
+    stars = [
+        (Subcat(b, bits), Subcat(b, perp_bits(b, bits, -1, 0)).shifted(1))
+        for bits in closed_sets(
+            b.K, lambda s: perp_bits(b, perp_bits(b, s, -1, 0), 1, 1)
+        )
+    ]
+    for _ in range(len(stars)):
+        x = rng.getrandbits(b.K) & rng.getrandbits(b.K)
+        y = perp_bits(b, x, 0, 0) & rng.getrandbits(b.K)
+        stars.append((Subcat(b, x), Subcat(b, y)))
+    answers = []
+    for x, y in stars:
+        for _ in range(2):
+            c = Obj.from_iter(rng.randrange(b.K) for _ in range(rng.randint(2, 4)))
+            got = eng.in_star(x, y, c, 1)
+            assert got == whole_object_in_star(eng, x, y, c), (x.ids(), y.ids(), c)
+            answers.append(got)
+    assert any(answers) and not all(answers)
