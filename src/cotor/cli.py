@@ -38,8 +38,8 @@ from .pairs import (
     trivial_pairs,
 )
 from .quotient import ZIQuotient
-from .subcats import DEFAULT_CAP, Subcat, closed_sets, iter_bits
-from .subcats import left_perp, perp_bits, right_perp
+from .subcats import DEFAULT_CAP, Subcat, iter_bits
+from .subcats import left_perp, perp_pairs, right_perp
 
 SCHEMA = "cotor.report/2"
 
@@ -270,10 +270,8 @@ def _cmd_enumerate_tcp(args: argparse.Namespace, status: _Status) -> dict:
     need_quotient = args.cond_I or args.cond_II or args.cond_III or args.hovey
     concentric_only = bool(args.concentric or need_quotient)
     rows: list[dict[str, Any]] = []
-    for p in engine.enumerate_tcp():
+    for p in engine.concentric_tcps() if concentric_only else engine.enumerate_tcp():
         concentric = engine.is_concentric(p)
-        if concentric_only and not concentric:
-            continue
         rec: dict[str, Any] = p.as_labels()
         rec["flags"] = p.flags()
         rec["concentric"] = concentric
@@ -313,8 +311,8 @@ def _cmd_inspect_pair(args: argparse.Namespace, status: _Status) -> dict:
         "U": u.labels(),
         "V": v.labels(),
         "cotorsion": status.note(verdict),
-        "right_perp_of_U": right_perp(u, -1).labels(),
-        "left_perp_of_V": left_perp(v, 1).labels(),
+        "right_perp_of_U": right_perp(u).labels(),
+        "left_perp_of_V": left_perp(v).labels(),
     }
     if verdict.reason:
         rec["reason"] = verdict.reason
@@ -372,12 +370,10 @@ def _cmd_orbit_graph(args: argparse.Namespace, status: _Status) -> None:
 def enumerate_by_second_class(engine: PairEngine) -> list[CotorsionPair]:
     """Independent route: the closed sets of the dual closure on V."""
     b = engine.backend
+    ext1, ext1_into = b.hom_masks()[2:]
     out: list[CotorsionPair] = []
-    for bits in closed_sets(
-        len(b.indecs), lambda s: perp_bits(b, perp_bits(b, s, 1, 1), -1, 0)
-    ):
-        v = Subcat(b, bits)
-        u = left_perp(v, 1)
+    for vbits, ubits in perp_pairs(ext1_into, ext1):
+        u, v = Subcat(b, ubits), Subcat(b, vbits)
         if engine.is_cotorsion_pair(u, v).is_yes:
             out.append(CotorsionPair(u, v))
     return out
@@ -426,17 +422,12 @@ def _suite_counts(args: argparse.Namespace, status: _Status) -> dict:
         "both one-sided trivial pairs are present",
         {zero.key(), whole.key()} <= {p.key() for p in enum.pairs},
     )
-    tcps = engine.enumerate_tcp()
-    concentric = [p for p in tcps if engine.is_concentric(p)]
+    twins, concentric = engine.twin_masks()
     return {
         "cotorsion_pairs": len(enum.pairs),
-        "twin_pairs": len(tcps),
-        "concentric_twin_pairs": len(concentric),
+        "twin_pairs": sum(m.bit_count() for m in twins),
+        "concentric_twin_pairs": sum(m.bit_count() for m in concentric),
     }
-
-
-def _concentric_tcps(engine: PairEngine) -> list[TwinCotorsionPair]:
-    return [p for p in engine.enumerate_tcp() if engine.is_concentric(p)]
 
 
 def _both(p: TwinCotorsionPair, v1: Verdict, v2: Verdict) -> Verdict:
@@ -452,7 +443,7 @@ def _both(p: TwinCotorsionPair, v1: Verdict, v2: Verdict) -> Verdict:
 def _suite_conditions(args: argparse.Namespace, status: _Status) -> dict:
     engine = status.engine
     rows = []
-    for p in _concentric_tcps(engine):
+    for p in engine.concentric_tcps():
         v2 = engine.check_condition_II(p)
         v3 = engine.check_condition_III(p)
         v1 = engine.check_condition_I(p)
@@ -478,7 +469,7 @@ def _suite_hovey(args: argparse.Namespace, status: _Status) -> dict:
     rows = []
     everything = sorted(Subcat.everything(engine.backend).labels())
     widest = trivial_hovey_tcp(engine).key()
-    for p in _concentric_tcps(engine):
+    for p in engine.concentric_tcps():
         verdict, n = engine.is_hovey(p)
         row: dict[str, Any] = {"twin": p.as_labels(), "hovey": status.note(verdict)}
         if n is not None:
@@ -499,7 +490,7 @@ def _suite_hovey(args: argparse.Namespace, status: _Status) -> dict:
             )
         status.check(
             "each class is recovered as a perpendicular of its partner",
-            p.u == left_perp(p.v, 1) and p.t == right_perp(p.s, -1),
+            p.u == left_perp(p.v) and p.t == right_perp(p.s),
             p,
         )
     return {"checked": len(rows), "twin_pairs": rows}
@@ -511,7 +502,7 @@ _INVERSE_SHIFTS = "suspension and loop are mutually inverse on classes"
 def _suite_adjunction(args: argparse.Namespace, status: _Status) -> dict:
     engine = status.engine
     rows = []
-    for p in _concentric_tcps(engine):
+    for p in engine.concentric_tcps():
         q = ZIQuotient.for_pair(engine, p)
         reps = q.zi_objects()
         ok = True
@@ -544,7 +535,7 @@ def _suite_bijection(args: argparse.Namespace, status: _Status) -> dict:
     targets: list[TwinCotorsionPair] = [trivial_hovey_tcp(engine)]
     for cp in engine.enumerate_cotorsion().pairs:
         targets.append(engine.make_tcp(cp, cp))
-    for p in _concentric_tcps(engine):
+    for p in engine.concentric_tcps():
         if p.flags()["zz_setting"]:
             targets.append(p)
     seen: set[tuple[int, int, int, int]] = set()

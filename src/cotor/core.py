@@ -296,11 +296,12 @@ class Backend:
         return [self.label_of(i) for i in x.summands]
 
     @stored()
-    def hom_masks(self) -> tuple[list[int], list[int], list[int]]:
-        """Per indecomposable i, the bitmasks of the c with Hom(i, c), Hom(c, i)
-        and Ext^1(i, c) = Hom(i, c[1]) nonzero, built once per backend.  The
-        build checks that Hom(i[-1], c) = 0 exactly when Hom(i, c[1]) = 0, so
-        ``right_perp(-, -1)`` and ``left_perp(-, 1)`` form a Galois connection."""
+    def hom_masks(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """Per indecomposable i, the bitmasks of the c with Hom(i, c), Hom(c, i),
+        Ext^1(i, c) = Hom(i, c[1]) and Ext^1(c, i) = Hom(c, i[1]) nonzero,
+        built once per backend.  The build checks that Hom(i[-1], c) = 0
+        exactly when Hom(i, c[1]) = 0, so the Ext^1 perpendiculars
+        ``right_perp`` and ``left_perp`` form a Galois connection."""
         self._need()
         k = len(self.indecs)
         out, into = [0] * k, [0] * k
@@ -317,7 +318,7 @@ class Backend:
                     "Hom(X[-1], -) and Hom(X, -[1]) disagree on vanishing, "
                     f"X = {self.label_of(i)}"
                 )
-        return out, into, ext1
+        return out, into, ext1, [into[u] for u in up]
 
     # --- morphism layer -----------------------------------------------
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from .core import InputError, InternalCheckError, Obj, stored
 from .pairs import CotorsionPair, PairEngine, TwinCotorsionPair
 from .quotient import ZIQuotient
-from .subcats import Subcat, closed_sets
+from .subcats import Subcat, perp_pairs
 
 
 @dataclass(frozen=True)
@@ -288,15 +288,12 @@ class MutationEngine:
                     out[i] |= 1 << j
                     into[j] |= 1 << i
 
-        def perp(bits: int, masks: list[int]) -> int:
-            return sum(1 << k for k in range(n) if not masks[k] & bits)
-
         def pick(bits: int) -> tuple[int, ...]:
             return tuple(reps[k] for k in range(n) if bits >> k & 1)
 
         found = []
-        for lbits in closed_sets(n, lambda s: perp(perp(s, into), out)):
-            l, r = pick(lbits), pick(perp(lbits, into))
+        for lbits, rbits in perp_pairs(out, into):
+            l, r = pick(lbits), pick(rbits)
             if self.zi_is_cp(l, r):
                 found.append(ZICotorsionPair.of(l, r))
         return found

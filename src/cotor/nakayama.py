@@ -258,25 +258,6 @@ class _PairTable:
     full_dim: int
 
 
-class _EndPair:
-    """Dense connecting maps y1[-1] -> x1 of one end pair, by cone.
-
-    ``masks`` holds the coordinate masks of the blocks out of each
-    summand of y1[-1], then into each summand of x1; a map is dense when
-    it meets every mask.  ``by_cone`` maps each cone object to the
-    ascending coordinates of the dense maps with that cone, among the
-    first ``scanned`` of the ``span`` nonzero maps; a scan past
-    ``scanned`` appends in order.
-    """
-
-    __slots__ = ("x1_obj", "y1m", "masks", "span", "scanned", "by_cone")
-
-    def __init__(self, x1_obj: Obj, y1m: Obj, masks: tuple[int, ...], span: int):
-        self.x1_obj, self.y1m, self.masks, self.span = x1_obj, y1m, masks, span
-        self.scanned = 0
-        self.by_cone: dict[Obj, list[int]] = {}
-
-
 class NakayamaBackend(Backend):
     """Morphism-level triangulated backend with exact cones."""
 
@@ -734,20 +715,18 @@ class NakayamaBackend(Backend):
         enumerated densely (no summand of either end may pair by zero
         with the whole other end); split summands of C are peeled off
         separately, which together is exhaustive for the capped ends.
+        No path in the package calls it: the tests use it as the oracle
+        of the approximation triangles and the peel, and it stays here
+        because the benchmark's layer tracer binds it by name.
 
-        Each end pair (X1, Y1) keeps, across calls, an index of its
-        dense connecting maps Y1[-1] -> X1 by cone (``_end_pair``), so a
-        search for the core walks only the maps whose cone is the core.
-        The end pairs of each size come from a stored list of those with
-        a dense map (``_live_end_pairs``), in multiset order; the others
-        cost no budget, so skipping them moves nothing.  Each yielded
-        triangle is stored per (connecting map, split) (``_sum_tri``), so
-        all searches share one ``Tri``.
-
-        The budget counts units in walk order: one per split triangle
-        and, per end pair, one per nonzero connecting map, dense or not
-        (``span`` in all, the map at coordinate k being the k-th).
-        BudgetExceeded is raised at the first unit past the budget.
+        The search scans every connecting map y1[-1] -> x1 of each end
+        pair (x1, y1) that has a dense one (``_dense_ends``), by ascending
+        coordinates, and yields a triangle for each dense map whose cone
+        is the core.  Each yielded triangle is stored per (connecting map,
+        split) (``_sum_tri``), so all searches share one ``Tri``.  The
+        budget counts units in walk order: one per split triangle and one
+        per nonzero connecting map, dense or not.  BudgetExceeded is raised
+        at the first unit past the budget.
         """
         xset, yset = tuple(sorted(set(xset))), tuple(sorted(set(yset)))
         left = budget if budget is not None else 1 << 62
@@ -759,58 +738,48 @@ class NakayamaBackend(Backend):
                 yield self._sum_tri(None, xtra, ytra)
             for sx in range(1, cap - len(xtra) + 1):
                 for sy in range(1, cap - len(ytra) + 1):
-                    for pair in self._live_end_pairs(xset, yset, sx, sy):
-                        # index only the maps this budget can reach
-                        upto = min(pair.span, left)
-                        if upto > pair.scanned:
-                            self._scan_end_pair(pair, upto)
-                        for coords in pair.by_cone.get(core, ()):
-                            if coords > left:
-                                break
-                            delta = Mor(pair.y1m, pair.x1_obj, coords)
-                            yield self._sum_tri(delta, xtra, ytra)
-                        if pair.span > left:
+                    for x1, y1m, masks, span in self._dense_ends(xset, yset, sx, sy):
+                        # the map at coordinate k is the k-th unit
+                        for coords in range(1, min(span, left) + 1):
+                            if all(map(coords.__and__, masks)):
+                                delta = Mor(y1m, x1, coords)
+                                if self.cone_obj(delta) == core:
+                                    yield self._sum_tri(delta, xtra, ytra)
+                        if span > left:
                             raise BudgetExceeded(
                                 "triangle enumeration budget exhausted"
                             )
-                        left -= pair.span
+                        left -= span
 
-    @stored()
-    def _live_end_pairs(
+    def _dense_ends(
         self, xset: tuple[int, ...], yset: tuple[int, ...], sx: int, sy: int
-    ) -> tuple[_EndPair, ...]:
-        """The end pairs (x1, y1) with |x1| = sx over xset and |y1| = sy
-        over yset that have a dense map, x1-major in multiset order."""
-        return tuple(
-            pair
-            for x1 in multisets_over(xset, sx)
-            for y1 in multisets_over(yset, sy)
-            if (pair := self._end_pair(x1, y1)) is not None
-        )
-
-    @stored()
-    def _end_pair(self, x1: tuple[int, ...], y1: tuple[int, ...]) -> Optional[_EndPair]:
-        """The cone index of connecting maps y1[-1] -> x1 (sorted
-        multisets), or None when no map is dense: some summand of an end
-        pairs by zero with the whole other end, which includes Hom = 0."""
-        x1_obj = Obj(x1)
-        y1m = self.shift_obj(Obj(y1), -1)
-        masks = [0] * (len(y1m) + len(x1_obj))
-        d = 0
-        for p, q, off, bd in self.block_layout(y1m, x1_obj):
-            mask = ((1 << bd) - 1) << off
-            masks[p] |= mask
-            masks[len(y1m) + q] |= mask
-            d += bd
-        return _EndPair(x1_obj, y1m, tuple(masks), (1 << d) - 1) if all(masks) else None
-
-    def _scan_end_pair(self, pair: _EndPair, upto: int) -> None:
-        """Index by cone the dense maps among the first ``upto`` past ``scanned``."""
-        for coords in range(pair.scanned + 1, upto + 1):
-            if all(coords & mk for mk in pair.masks):
-                cobj = self.cone_obj(Mor(pair.y1m, pair.x1_obj, coords))
-                pair.by_cone.setdefault(cobj, []).append(coords)
-        pair.scanned = max(pair.scanned, upto)
+    ) -> Iterator[tuple[Obj, Obj, list[int], int]]:
+        """The end pairs (x1, y1[-1]) with |x1| = sx over xset and |y1| = sy
+        over yset that have a dense map, x1-major in multiset order, each
+        with the masks of the blocks out of each summand of y1[-1], then
+        into each summand of x1, and its number of nonzero maps.  A map is
+        dense when it meets every mask, so each summand of either end must
+        reach the other end; the Hom masks drop the other pairs before
+        their blocks are laid out."""
+        out, into = self.hom_masks()[:2]
+        down = {j: self.shift_id(j, -1) for j in yset}
+        for x1 in multisets_over(xset, sx):
+            xbits = sum(1 << i for i in set(x1))
+            near = [j for j in yset if out[down[j]] & xbits]
+            x1_obj = Obj(x1)
+            for y1 in multisets_over(near, sy):
+                ybits = sum(1 << down[j] for j in set(y1))
+                if not all(into[i] & ybits for i in x1):
+                    continue
+                y1m = Obj.from_iter(down[j] for j in y1)
+                masks = [0] * (sy + sx)
+                d = 0
+                for p, q, off, bd in self.block_layout(y1m, x1_obj):
+                    mask = ((1 << bd) - 1) << off
+                    masks[p] |= mask
+                    masks[sy + q] |= mask
+                    d += bd
+                yield x1_obj, y1m, masks, (1 << d) - 1
 
     @stored()
     def _sum_tri(self, delta: Optional[Mor], xtra: Obj, ytra: Obj) -> Tri:

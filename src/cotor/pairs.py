@@ -3,8 +3,8 @@
 A cotorsion pair is a pair of additive classes (U, V) with no
 degree-one maps from U to V and with every object an extension of a
 shifted V-object by a U-object.  The engine tests candidates by first
-enforcing the perpendicularity identities V = (U[-1])-right-perp and
-U = (V[1])-left-perp, which every genuine pair satisfies and which are
+enforcing the Ext^1-perpendicularity identities V = right-perp of U and
+U = left-perp of V, which every genuine pair satisfies and which are
 exact bitmask operations; coverage is then decided per indecomposable
 by one minimal approximation (``in_star``), since U and V[1] are
 Hom-orthogonal.  Minimal approximations are additive, so the cone of the
@@ -15,7 +15,9 @@ summand, and coverage is one mask test per indecomposable.
 Twin pairs ((S,T),(U,V)) add the vanishing of degree-one maps from S
 to V; the engine cross-checks the three equivalent formulations
 (vanishing, S inside U, V inside T) on bitmasks and refuses silently
-inconsistent states.  The extension classes S * V[1] and S[-1] * V
+inconsistent states.  Twin pairs are counted on the partner masks
+(``twin_masks``); a ``TwinCotorsionPair`` is built only for a pair that
+a caller reads.  The extension classes S * V[1] and S[-1] * V
 have Hom-orthogonal sides too, so derived classes, condition (II), the
 Hovey test and the isomorphism test modulo a core are always decided.
 Condition (I) reads the star T * U, whose sides are not orthogonal, on
@@ -42,8 +44,8 @@ from .core import (
     stored,
 )
 from .f2 import F2Matrix, QuotientSpace, in_span, solve
-from .subcats import DEFAULT_CAP, StarEngine, Subcat, closed_sets
-from .subcats import iter_bits, left_perp, perp_bits, right_perp
+from .subcats import DEFAULT_CAP, StarEngine, Subcat
+from .subcats import iter_bits, left_perp, perp_pairs, right_perp
 
 
 @dataclass(frozen=True)
@@ -169,8 +171,6 @@ class PairEngine:
         backend._need()
         self.backend = backend
         self.star = StarEngine(backend, cap=cap)
-        # ZIQuotient.for_pair keeps one subquotient per twin pair here.
-        self._zi_cache: dict[tuple, object] = {}
         self._ext1 = backend.hom_masks()[2]
 
     # -- degree-one orthogonality ------------------------------------------
@@ -188,13 +188,13 @@ class PairEngine:
     @stored(key=lambda u, v: (u.bits, v.bits))
     def is_cotorsion_pair(self, u: Subcat, v: Subcat) -> Verdict:
         b = self.backend
-        rp = right_perp(u, -1)
+        rp = right_perp(u)
         if v != rp:
             return Verdict.no(
                 reason="second class differs from the right perpendicular "
                 f"of the first: {sorted(set(v.labels()) ^ set(rp.labels()))}"
             )
-        lp = left_perp(v, 1)
+        lp = left_perp(v)
         if u != lp:
             return Verdict.no(
                 reason="first class differs from the left perpendicular "
@@ -213,15 +213,13 @@ class PairEngine:
     @stored()
     def enumerate_cotorsion(self) -> CPEnumeration:
         """All cotorsion pairs from the closed sets of U -> left-perp of
-        (U[-1])-right-perp, ascending: every first class is one, and forces
-        the second.  Walked once per engine; every caller shares the result."""
+        right-perp under Ext^1, ascending: every first class is one, and
+        forces the second.  Walked once per engine; every caller shares the
+        result."""
         b = self.backend
         pairs: list[CotorsionPair] = []
-        for bits in closed_sets(
-            len(b.indecs), lambda s: perp_bits(b, perp_bits(b, s, -1, 0), 1, 1)
-        ):
-            u = Subcat(b, bits)
-            v = right_perp(u, -1)
+        for ubits, vbits in perp_pairs(*b.hom_masks()[2:]):
+            u, v = Subcat(b, ubits), Subcat(b, vbits)
             if self.is_cotorsion_pair(u, v).is_yes:
                 pairs.append(CotorsionPair(u, v))
         return CPEnumeration(pairs)
@@ -244,12 +242,11 @@ class PairEngine:
 
     def _twin_partners(
         self, inners: list[CotorsionPair], outers: list[tuple[int, int]]
-    ) -> Iterator[list[int]]:
-        """Per inner (S, T), the indices of the outer (U, V) bitmask pairs
-        that form a twin pair with it; Ext^1(S, V) = 0, S in U and V in T
-        must all agree.  Each criterion is one bitmask over the outers,
-        bit k for outer k, cut down by the outers' per-indecomposable
-        membership slices."""
+    ) -> Iterator[int]:
+        """Per inner (S, T), the mask of the outer (U, V) bitmask pairs that
+        form a twin pair with it, bit k for outer k; Ext^1(S, V) = 0, S in U
+        and V in T must all agree.  Each criterion is one such mask, cut
+        down by the outers' per-indecomposable membership slices."""
         n = len(self.backend.indecs)
         in_u, in_v = [0] * n, [0] * n
         for k, (u, v) in enumerate(outers):
@@ -280,7 +277,7 @@ class PairEngine:
                     f"S-inclusion={bool(s_sub >> k & 1)}, "
                     f"V-inclusion={bool(v_sub >> k & 1)}"
                 )
-            yield list(iter_bits(orth))
+            yield orth
 
     def make_tcp(
         self, inner: CotorsionPair, outer: CotorsionPair
@@ -294,15 +291,38 @@ class PairEngine:
         return s & t == u & v
 
     @stored()
-    def enumerate_tcp(self) -> list[TwinCotorsionPair]:
-        """All twin pairs of enumerated (so verified) pairs, by the three-way
-        check.  Walked once per engine, like ``enumerate_cotorsion``;
-        callers filter with ``is_concentric``."""
+    def twin_masks(self) -> tuple[list[int], list[int]]:
+        """Per enumerated (so verified) pair (S, T) as the inner pair, the
+        masks of the enumerated pairs (U, V) that form a twin pair with it,
+        bit k for pair k: all of them, by the three-way check, and the
+        concentric ones, whose core U n V is S n T.  Walked once per engine,
+        like ``enumerate_cotorsion``."""
         pairs = self.enumerate_cotorsion().pairs
-        partners = self._twin_partners(pairs, [p.key() for p in pairs])
+        keys = [p.key() for p in pairs]
+        same_core: dict[int, int] = {}
+        for k, (u, v) in enumerate(keys):
+            same_core[u & v] = same_core.get(u & v, 0) | 1 << k
+        twins = list(self._twin_partners(pairs, keys))
+        return twins, [m & same_core[s & t] for (s, t), m in zip(keys, twins)]
+
+    def _twins_of(self, masks: list[int]) -> list[TwinCotorsionPair]:
+        pairs = self.enumerate_cotorsion().pairs
         return [
-            TwinCotorsionPair(a, pairs[k]) for a, ks in zip(pairs, partners) for k in ks
+            TwinCotorsionPair(a, pairs[k])
+            for a, m in zip(pairs, masks)
+            for k in iter_bits(m)
         ]
+
+    @stored()
+    def enumerate_tcp(self) -> list[TwinCotorsionPair]:
+        """All twin pairs of enumerated pairs, inner-major (``twin_masks``)."""
+        return self._twins_of(self.twin_masks()[0])
+
+    @stored()
+    def concentric_tcps(self) -> list[TwinCotorsionPair]:
+        """The concentric ones of ``enumerate_tcp``, in its order; only they
+        are built."""
+        return self._twins_of(self.twin_masks()[1])
 
     # -- derived classes -------------------------------------------------------
 

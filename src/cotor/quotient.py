@@ -19,7 +19,8 @@ and pull its end back with the adjoint the same way.  Every witness
 triangle is the triangle of a minimal right approximation, built from
 Hom bases (``PairEngine.approximation``), with both ends checked against
 the classes the pair axioms put them in.
-Each subquotient stores its answers per input (``core.stored``).
+Each subquotient stores its answers per input (``core.stored``), and
+the pair engine stores one subquotient per twin pair (``for_pair``).
 
 Witness triangles are unique only up to isomorphism, so object-level
 identities are asserted as quotient isomorphisms, never as equalities
@@ -73,12 +74,8 @@ class ZIQuotient:
     def for_pair(
         cls, engine: PairEngine, p: TwinCotorsionPair
     ) -> "ZIQuotient":
-        """Shared instance per pair, kept on the engine."""
-        got = engine._zi_cache.get(p.key())
-        if got is None:
-            got = cls(engine, p)
-            engine._zi_cache[p.key()] = got
-        return got
+        """Shared instance per pair, kept in the engine's stored table."""
+        return _for_pair(engine, p)
 
     # -- quotient Hom spaces -------------------------------------------------
 
@@ -381,3 +378,8 @@ class ZIQuotient:
             "quotient_hom_dims": dims,
         }
 
+
+@stored(key=lambda p: p.key())
+def _for_pair(engine: PairEngine, p: TwinCotorsionPair) -> ZIQuotient:
+    """``ZIQuotient.for_pair``, kept in the engine's stored table."""
+    return ZIQuotient(engine, p)

@@ -2,16 +2,17 @@
 
 A Subcat is a set of indecomposable ids standing for the full additive
 subcategory of finite direct sums of those indecomposables; it is
-summand-closed by construction.  Perpendiculars are unions over a
-stored table of the backend's Hom-nonzero masks (``Backend.hom_masks``)
-indexed by shifted member, one per (side, shift); ``perp_bits`` reads
-it on plain ints, so the closure walks of the pair enumerations build
-no Subcat, and ``closed_sets`` walks the closed sets of a closure on
-bitmasks.  Star membership C in add(X) * add(Y) runs on the peel
-engine, for a Y that the caller vouches closed under extensions: it
-repeatedly strips one Y-summand by enumerating maps C -> y and passing
-to the cocone, and accepts when some chain lands in add(X); if the
-cocone lies in X * Y, then C lies in X * Y * y, inside X * Y.
+summand-closed by construction.  Ext^1-perpendiculars are unions of the
+backend's checked Ext^1 masks (``Backend.hom_masks``): ``perp_bits`` is
+the one kernel on plain ints, ``closed_sets`` walks the closed sets of a
+closure on bitmasks, and ``perp_pairs`` walks the closed classes of two
+perpendiculars with the perpendicular of each, so the pair enumerations
+and the quotient's build no Subcat.  Star membership C in add(X) * add(Y)
+runs on the peel engine, for a Y that the caller vouches closed under
+extensions: it repeatedly strips one Y-summand by enumerating maps
+C -> y and passing to the cocone, and accepts when some chain lands in
+add(X); if the cocone lies in X * Y, then C lies in X * Y * y, inside
+X * Y.
 
 The search is complete for capped Y sides (every genuine triangle
 induces a chain of the same length); acceptance of YES needs Y closed
@@ -31,7 +32,7 @@ inconclusive, never to a boolean.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import (
     Backend,
@@ -159,19 +160,10 @@ def _shifted(backend: Backend, bits: int, k: int) -> Subcat:
     return Subcat.of(backend, (backend.shift_id(i, k) for i in iter_bits(bits)))
 
 
-@stored()
-def _perp_masks(backend: Backend, side: int, shift: int) -> list[int]:
-    """Per member i, the Hom-nonzero mask of its shift i[shift]: out of it
-    (side 0) or into it (side 1), read from the checked ``hom_masks`` and
-    kept in the backend's stored table."""
-    masks = backend.hom_masks()[side]
-    return [masks[backend.shift_id(i, shift)] for i in range(len(masks))]
-
-
-def perp_bits(b: Backend, bits: int, shift: int, side: int) -> int:
-    """The mask of the c with Hom(i[shift], c) = 0 (side 0) or
-    Hom(c, i[shift]) = 0 (side 1) for every member i of ``bits``."""
-    masks = _perp_masks(b, side, shift)
+def perp_bits(bits: int, masks: Sequence[int]) -> int:
+    """The mask of the c outside ``masks[i]`` for every member i of
+    ``bits``: with the Ext^1 masks out of (into) each indecomposable, the
+    right (left) Ext^1-perpendicular of the class."""
     hit = 0
     while bits:
         low = bits & -bits
@@ -180,14 +172,14 @@ def perp_bits(b: Backend, bits: int, shift: int, side: int) -> int:
     return ~hit & ((1 << len(masks)) - 1)
 
 
-def right_perp(x: Subcat, shift: int) -> Subcat:
-    """Indecomposables c with Hom(member[shift], c) = 0 for all members."""
-    return Subcat(x.backend, perp_bits(x.backend, x.bits, shift, 0))
+def right_perp(x: Subcat) -> Subcat:
+    """Indecomposables c with Ext^1(member, c) = 0 for all members."""
+    return Subcat(x.backend, perp_bits(x.bits, x.backend.hom_masks()[2]))
 
 
-def left_perp(x: Subcat, shift: int) -> Subcat:
-    """Indecomposables c with Hom(c, member[shift]) = 0 for all members."""
-    return Subcat(x.backend, perp_bits(x.backend, x.bits, shift, 1))
+def left_perp(x: Subcat) -> Subcat:
+    """Indecomposables c with Ext^1(c, member) = 0 for all members."""
+    return Subcat(x.backend, perp_bits(x.bits, x.backend.hom_masks()[3]))
 
 
 def closed_sets(k: int, closure: Callable[[int], int]) -> Iterator[int]:
@@ -206,6 +198,16 @@ def closed_sets(k: int, closure: Callable[[int], int]) -> Iterator[int]:
                     break
         else:
             return
+
+
+def perp_pairs(out: Sequence[int], into: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """The closed sets x of x -> perp_bits(perp_bits(x, out), into),
+    ascending, each with perp_bits(x, out).  With the Ext^1 masks out of
+    and into each object, these are the first classes of the cotorsion
+    pairs with their second classes; with the tables swapped, the second
+    classes with their first."""
+    for bits in closed_sets(len(out), lambda s: perp_bits(perp_bits(s, out), into)):
+        yield bits, perp_bits(bits, out)
 
 
 class StarEngine:

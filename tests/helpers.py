@@ -311,19 +311,35 @@ def splits_3way(c, xset, yset):
     yield from rec(0, [], [], [])
 
 
-def walk_enumerate(b, xset, yset, c, cap, budget=None):
-    """``NakayamaBackend.triangle_enumerate`` by the full multiset walk:
-    every end pair (x1, y1) of each size is asked for its cone index,
-    dead pairs included, and every triangle is built afresh.  The
-    budget is charged the same way, so the triangles, their order and
-    the point where BudgetExceeded falls must all agree."""
+def dense_masks(b, src, dst):
+    """Masks of the blocks out of each summand of src and into each
+    summand of dst, and the Hom dimension; a map is dense when it meets
+    all of the masks."""
+    layout = b.block_layout(src, dst)
+    rows = [0] * len(src)
+    cols = [0] * len(dst)
+    for p, q, off, bd in layout:
+        mask = ((1 << bd) - 1) << off
+        rows[p] |= mask
+        cols[q] |= mask
+    return rows + cols, sum(bd for *_, bd in layout)
+
+
+def scan_enumerate(b, xset, yset, c, cap, budget=None, spent=None):
+    """``NakayamaBackend.triangle_enumerate`` by the per-map scan, with
+    every triangle built afresh: c is split by the recursive walk
+    (``splits_3way``), every connecting map y1[-1] -> x1 of an end pair
+    with a dense map is charged, the dense ones get a full cone, and
+    those whose cone is the core yield a triangle.  ``spent[0]`` counts
+    the units charged so far; BudgetExceeded falls at the first unit past
+    ``budget``."""
     xset = sorted(set(xset))
     yset = sorted(set(yset))
-    remaining = [budget if budget is not None else 1 << 62]
+    spent = [0] if spent is None else spent
 
-    def spend(k=1):
-        remaining[0] -= k
-        if remaining[0] < 0:
+    def spend():
+        spent[0] += 1
+        if budget is not None and spent[0] > budget:
             raise BudgetExceeded("triangle enumeration budget exhausted")
 
     for xtra, ytra, core in splits_3way(c, xset, yset):
@@ -334,18 +350,34 @@ def walk_enumerate(b, xset, yset, c, cap, budget=None):
         for sx in range(1, cap - len(xtra) + 1):
             for sy in range(1, cap - len(ytra) + 1):
                 for x1 in multisets_over(xset, sx):
+                    x1_obj = Obj.from_iter(x1)
                     for y1 in multisets_over(yset, sy):
-                        pair = b._end_pair(x1, y1)
-                        if pair is None:
+                        y1m = b.shift_obj(Obj.from_iter(y1), -1)
+                        masks, d = dense_masks(b, y1m, x1_obj)
+                        if d == 0 or any(mk == 0 for mk in masks):
                             continue
-                        b._scan_end_pair(pair, min(pair.span, remaining[0]))
-                        last = 0
-                        for coords in pair.by_cone.get(core, ()):
-                            spend(coords - last)
-                            last = coords
-                            delta = Mor(pair.y1m, pair.x1_obj, coords)
-                            rot = b.rotate_left(b.cone(delta))
-                            tri = with_split(b, [rot], xtra, ytra)
+                        for coords in range(1, 1 << d):
+                            spend()
+                            if any(not (coords & mk) for mk in masks):
+                                continue
+                            cone = b.cone(Mor(y1m, x1_obj, coords))
+                            if cone.c != core:
+                                continue
+                            tri = with_split(b, [b.rotate_left(cone)], xtra, ytra)
                             b._check_triangle(tri)
                             yield tri
-                        spend(pair.span - last)
+
+
+def scan_run(b, xset, yset, c, cap, limit):
+    """The scan's triangles with the units spent when each was yielded,
+    the units spent in all, and whether ``limit`` ran out: one run gives
+    what the search must yield and whether it must raise at every budget
+    up to the limit."""
+    spent = [0]
+    got = []
+    try:
+        for w in scan_enumerate(b, xset, yset, c, cap, limit, spent):
+            got.append((w, spent[0]))
+    except BudgetExceeded:
+        return got, limit, True
+    return got, spent[0], False

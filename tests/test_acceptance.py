@@ -100,8 +100,8 @@ def test_criterion_01_backend_exactness(engines):
 def test_criterion_02_cotorsion_duality(engines):
     for mn, eng in engines.items():
         for p in eng.enumerate_cotorsion().pairs:
-            assert p.v == right_perp(p.u, -1), (mn, p.as_labels())
-            assert p.u == left_perp(p.v, 1), (mn, p.as_labels())
+            assert p.v == right_perp(p.u), (mn, p.as_labels())
+            assert p.u == left_perp(p.v), (mn, p.as_labels())
 
 
 # -- criterion 3 ---------------------------------------------------------------
@@ -324,8 +324,8 @@ def test_criterion_10_hovey_suite(engines):
             assert n.shifted(1) == n, (mn, p.as_labels())
             closed, complete = ext_closure(eng.star, n)
             assert complete and closed == n, (mn, p.as_labels())
-            assert p.u == left_perp(p.v, 1)
-            assert p.t == right_perp(p.s, -1)
+            assert p.u == left_perp(p.v)
+            assert p.t == right_perp(p.s)
 
 
 # -- criterion 11 --------------------------------------------------------------
@@ -365,8 +365,8 @@ def test_criterion_12_zz_showcase_cross_model(engines):
 
     s0 = Subcat.of(b, [s0_id])
     s1 = Subcat.of(b, [s1_id])
-    ct0 = CotorsionPair(s0, right_perp(s0, -1))
-    ct1 = CotorsionPair(s1, right_perp(s1, -1))
+    ct0 = CotorsionPair(s0, right_perp(s0))
+    ct1 = CotorsionPair(s1, right_perp(s1))
     assert ct0.flags()["cluster_tilting"]
     me = MutationEngine(eng, stage)
     assert me.mutate(ct0, 1).key() == ct1.key()

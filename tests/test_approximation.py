@@ -168,10 +168,10 @@ def compare_orthogonal_stars(mn):
 
     decided = 0
     for bits in closed_sets(
-        b.K, lambda s: left_perp(right_perp(Subcat(b, s), -1), 1).bits
+        b.K, lambda s: left_perp(right_perp(Subcat(b, s))).bits
     ):
         u = Subcat(b, bits)
-        v1 = right_perp(u, -1).shifted(1)
+        v1 = right_perp(u).shifted(1)
         got = eng.star_class(u, v1)
         for c in range(b.K):
             peel = star.star_contains(u, v1, Obj.of(c))

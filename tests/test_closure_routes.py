@@ -15,7 +15,7 @@ import random
 import pytest
 
 from cotor import cli
-from cotor.core import Backend, InternalCheckError
+from cotor.core import InternalCheckError
 from cotor.mutation import MutationEngine, ZICotorsionPair
 from cotor.nakayama import NakayamaBackend
 from cotor.pairs import CotorsionPair, PairEngine, TwinCotorsionPair, trivial_hovey_tcp
@@ -36,8 +36,8 @@ def sweep_first_classes(engine):
         u = Subcat(b, bits)
         if not engine.star.is_ext_closed_pairwise(u):
             continue
-        v = right_perp(u, -1)
-        if left_perp(v, 1) != u:
+        v = right_perp(u)
+        if left_perp(v) != u:
             continue
         if engine.is_cotorsion_pair(u, v).is_yes:
             found.append(CotorsionPair(u, v))
@@ -51,8 +51,8 @@ def sweep_second_classes(engine):
         v = Subcat(b, bits)
         if not engine.star.is_ext_closed_pairwise(v):
             continue
-        u = left_perp(v, 1)
-        if right_perp(u, -1) != v:
+        u = left_perp(v)
+        if right_perp(u) != v:
             continue
         if engine.is_cotorsion_pair(u, v).is_yes:
             out.append(CotorsionPair(u, v))
@@ -173,12 +173,13 @@ def test_mask_perps_match_the_hom_table_at_k16(b45):
     k = b45.K
     for _ in range(60):
         x = Subcat(b45, rng.getrandbits(k) & rng.getrandbits(k))
-        shift = rng.choice([-2, -1, 0, 1, 2])
-        ends = [b45.shift_id(i, shift) for i in x]
-        rp = [c for c in range(k) if all(b45.hom_dim_pair(s, c) == 0 for s in ends)]
-        lp = [c for c in range(k) if all(b45.hom_dim_pair(c, s) == 0 for s in ends)]
-        assert right_perp(x, shift).ids() == rp
-        assert left_perp(x, shift).ids() == lp
+        # Ext^1(s, c) = Hom(s[-1], c) and Ext^1(c, s) = Hom(c, s[1])
+        down = [b45.shift_id(i, -1) for i in x]
+        up = [b45.shift_id(i, 1) for i in x]
+        rp = [c for c in range(k) if all(b45.hom_dim_pair(s, c) == 0 for s in down)]
+        lp = [c for c in range(k) if all(b45.hom_dim_pair(c, s) == 0 for s in up)]
+        assert right_perp(x).ids() == rp
+        assert left_perp(x).ids() == lp
 
 
 def test_ext1_witness_matches_the_hom_table_at_k16(b45):
@@ -234,19 +235,20 @@ def test_shift_breaking_the_galois_connection_is_caught(monkeypatch):
         b, "shift_id", lambda i, k=1: honest(i, k) if k < 0 else i
     )
     with pytest.raises(InternalCheckError, match="disagree on vanishing"):
-        right_perp(Subcat.of(b, [0]), -1)
+        right_perp(Subcat.of(b, [0]))
 
 
 def _no_ext1(monkeypatch):
-    # Clearing every degree-one mask leaves each verified pair passing
-    # its own orthogonality check, so only the twin check can notice.
-    honest = Backend.hom_masks
+    # Clearing the engine's degree-one masks leaves each verified pair
+    # passing its own orthogonality check, so only the twin check can
+    # notice.  The perpendiculars read the backend's masks, which stay.
+    honest = PairEngine.__init__
 
-    def corrupted(b):
-        out, into, _ = honest(b)
-        return out, into, [0] * b.K
+    def corrupted(engine, *args, **kwargs):
+        honest(engine, *args, **kwargs)
+        engine._ext1 = [0] * len(engine._ext1)
 
-    monkeypatch.setattr(Backend, "hom_masks", corrupted)
+    monkeypatch.setattr(PairEngine, "__init__", corrupted)
 
 
 def test_corrupted_ext1_mask_is_caught_by_enumerate_tcp(monkeypatch):

@@ -42,7 +42,7 @@ def pair_of(eng, labels_u):
     u = Subcat.from_labels(b, labels_u)
     from cotor.subcats import right_perp
 
-    cp = CotorsionPair(u, right_perp(u, -1))
+    cp = CotorsionPair(u, right_perp(u))
     assert eng.is_cotorsion_pair(cp.u, cp.v).is_yes
     return cp
 

@@ -98,8 +98,8 @@ def test_two_by_two_has_two_cluster_tilting_pairs(engines):
 def test_enumerated_pairs_satisfy_both_perp_identities(engines):
     for eng in engines.values():
         for p in eng.enumerate_cotorsion().pairs:
-            assert p.v == right_perp(p.u, -1)
-            assert p.u == left_perp(p.v, 1)
+            assert p.v == right_perp(p.u)
+            assert p.u == left_perp(p.v)
             assert eng.ext1_witness(p.u, p.v) is None
 
 
@@ -368,7 +368,7 @@ def test_repeated_searches_are_answered_from_the_stored_results(monkeypatch):
     eng = PairEngine(b)
     log: list = []
     s0 = Subcat.of(b, [0])
-    pair = CotorsionPair(s0, right_perp(s0, -1))
+    pair = CotorsionPair(s0, right_perp(s0))
     assert eng.is_cotorsion_pair(pair.u, pair.v).is_yes
     want = eng.h_vanishes(Obj.of(1), pair)
     _record_cone_work(monkeypatch, b, log)

@@ -1,15 +1,15 @@
 """Stored tables that twin pairs share, against the routes they replace.
 
-The conditions layer keeps five pair-independent pieces once per input:
+The conditions layer keeps four pair-independent pieces once per input:
 the span of maps factoring through one member (``PairEngine._member_span``,
 concatenated by ``factoring_subspace``), the composition operators
-(``Backend.left_op`` and ``right_op``), the end pairs with a dense map per
-(xset, yset, sizes) (``NakayamaBackend._live_end_pairs``), each triangle a
-search yields, per connecting map and split (``NakayamaBackend._sum_tri``),
-and the isomorphism test modulo a core (``PairEngine.iso_mod``).  Each is
+(``Backend.left_op`` and ``right_op``), each triangle the literal search
+yields, per connecting map and split (``NakayamaBackend._sum_tri``), and
+the isomorphism test modulo a core (``PairEngine.iso_mod``).  Each is
 held here to the route it replaced, kept in ``helpers`` as the oracle: the
 same vectors in the same order, the same matrices, the same triangles in
-the same order with the same work budget.  A stored answer is kept only
+the same order with the same work budget as the per-map scan
+(``helpers.scan_enumerate``).  A stored answer is kept only
 once its checks pass, so a failing check raises again on every call.
 """
 
@@ -24,13 +24,13 @@ from cotor.pairs import PairEngine
 from cotor.quotient import ZIQuotient
 from cotor.subcats import Subcat
 from helpers import (
-    basis_products, one_more_m01, op_by_compose, walk_enumerate, with_split
+    basis_products, one_more_m01, op_by_compose, scan_run, with_split
 )
 
 # Every Nakayama backend with at most 9 indecomposables (K = m(n-1)).
 UP_TO_9 = [(m, n) for n in range(2, 11) for m in range(1, 10) if m * (n - 1) <= 9]
 
-# Highest work budget tried per case; a case whose walk needs more is
+# Highest work budget tried per case; a case whose scan needs more is
 # compared at every budget up to this one.
 LIMIT = 120
 
@@ -39,7 +39,7 @@ def _ids(mn):
     return f"{mn[0]}-{mn[1]}"
 
 
-# ---------------------------------------------------------------- end pairs
+# ---------------------------------------------------------------- triangle search
 
 
 def _run(gen):
@@ -68,38 +68,22 @@ def _walk_cases(k):
 
 @pytest.mark.parametrize("mn", [(2, 2), (2, 3)], ids=_ids)
 @pytest.mark.parametrize("cap", [2, 3, 4])
-def test_live_end_pairs_match_the_full_multiset_walk(mn, cap):
+def test_triangle_search_matches_the_scan_at_every_budget(mn, cap):
     oracle_b = NakayamaBackend(*mn)
     b = NakayamaBackend(*mn)
     for xset, yset, c in _walk_cases(b.K):
-        # Every budget from 1 up, until the walk finishes or LIMIT is
+        # Every budget from 1 up, until the scan finishes or LIMIT is
         # reached: the same triangles in the same order, and the same
         # verdict on whether the budget ran out.
-        for budget in range(1, LIMIT + 1):
-            want, ran_out = _run(walk_enumerate(oracle_b, xset, yset, c, cap, budget))
+        want, total, ran_out = scan_run(oracle_b, xset, yset, c, cap, LIMIT)
+        for budget in range(1, total + 1):
             got, raised = _run(b.triangle_enumerate(xset, yset, c, cap=cap, budget=budget))
-            assert got == want, (xset, yset, c, cap, budget)
-            assert raised == ran_out, (xset, yset, c, cap, budget)
-            if not ran_out:
-                assert _run(b.triangle_enumerate(xset, yset, c, cap=cap)) == (want, False)
-                break
-
-
-def test_live_end_pairs_are_the_live_ones_in_walk_order():
-    b = NakayamaBackend(3, 3)
-    xset, yset = (0, 2, 3), (1, 2, 5)
-    for sx in (1, 2, 3):
-        for sy in (1, 2):
-            walked = [
-                b._end_pair(x1, y1)
-                for x1 in multisets_over(xset, sx)
-                for y1 in multisets_over(yset, sy)
-            ]
-            live = b._live_end_pairs(xset, yset, sx, sy)
-            assert list(live) == [p for p in walked if p is not None]
-            # the listed pairs are the stored cone indexes themselves
-            assert all(p is q for p, q in zip(live, [p for p in walked if p]))
-            assert b._live_end_pairs(xset, yset, sx, sy) is live
+            case = (xset, yset, c, cap, budget)
+            assert got == [w for w, at in want if at <= budget], case
+            assert raised == (ran_out or budget < total), case
+        if not ran_out:
+            got = _run(b.triangle_enumerate(xset, yset, c, cap=cap))
+            assert got == ([w for w, _ in want], False)
 
 
 # ---------------------------------------------------------------- factoring spans
@@ -185,26 +169,25 @@ def test_searches_share_one_split_triangle():
 @pytest.mark.parametrize("mn", [(2, 3), (3, 2)], ids=_ids)
 def test_repeated_searches_yield_the_stored_triangles(mn):
     # A search run again yields the very same Tri objects, still in the
-    # walk's order, and at every budget it stops where the walk does.
+    # scan's order, and at every budget it stops where the scan does.
     oracle_b = NakayamaBackend(*mn)
     b = NakayamaBackend(*mn)
     every = tuple(range(b.K))
     dense = 0
     for c in (Obj(c) for size in (1, 2) for c in multisets_over(every, size)):
-        want, _ = _run(walk_enumerate(oracle_b, every, every, c, 2))
+        timed, total, _ = scan_run(oracle_b, every, every, c, 2, None)
+        want = [w for w, _ in timed]
         first, _ = _run(b.triangle_enumerate(every, every, c, cap=2))
         again, _ = _run(b.triangle_enumerate(every, every, c, cap=2))
         assert first == want
         assert len(again) == len(first)
         assert all(t is u for t, u in zip(again, first))
         dense += sum(not t.h.is_zero for t in first)
-        for budget in range(1, LIMIT + 1):
-            want_b = _run(walk_enumerate(oracle_b, every, every, c, 2, budget))
+        for budget in range(1, min(total, LIMIT) + 1):
+            want_b = ([w for w, at in timed if at <= budget], budget < total)
             got_b = _run(b.triangle_enumerate(every, every, c, cap=2, budget=budget))
             assert got_b == want_b, (c, budget)
             assert all(t is u for t, u in zip(got_b[0], first))
-            if not want_b[1]:
-                break
     assert dense, "no dense triangle was compared"
 
 

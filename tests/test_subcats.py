@@ -87,13 +87,13 @@ def test_perps_encode_degree_one_vanishing(b23):
     # read through the two sides of the shift invariance of Hom.
     for bits in range(1 << b23.K):
         x = Subcat(b23, bits)
-        rp = right_perp(x, -1)
+        rp = right_perp(x)
         for c in range(b23.K):
             want = all(
                 b23.hom_dim_pair(i, b23.shift_id(c, 1)) == 0 for i in x
             )
             assert (c in rp) == want
-        lp = left_perp(x, 1)
+        lp = left_perp(x)
         for c in range(b23.K):
             want = all(
                 b23.hom_dim_pair(c, b23.shift_id(i, 1)) == 0 for i in x
@@ -104,25 +104,25 @@ def test_perps_encode_degree_one_vanishing(b23):
 def test_perp_galois_connection(b23):
     for bits in range(1 << b23.K):
         x = Subcat(b23, bits)
-        rp = right_perp(x, -1)
+        rp = right_perp(x)
         # x lands back inside the left perp of its right perp.
-        assert x.issubset(left_perp(rp, 1))
+        assert x.issubset(left_perp(rp))
         # One more round does not move the perp.
-        assert right_perp(left_perp(rp, 1), -1) == rp
+        assert right_perp(left_perp(rp)) == rp
 
 
 def test_perps_are_antitone(b23):
     small = Subcat.of(b23, [0])
     large = Subcat.of(b23, [0, 1, 2])
-    assert right_perp(large, -1).issubset(right_perp(small, -1))
-    assert left_perp(large, 1).issubset(left_perp(small, 1))
-    assert right_perp(Subcat.empty(b23), -1) == Subcat.everything(b23)
+    assert right_perp(large).issubset(right_perp(small))
+    assert left_perp(large).issubset(left_perp(small))
+    assert right_perp(Subcat.empty(b23)) == Subcat.everything(b23)
 
 
 def test_perp_needs_exact_triangles():
     poly = PolygonBackend(5)
     with pytest.raises(CapabilityError):
-        right_perp(Subcat.of(poly, [0]), -1)
+        right_perp(Subcat.of(poly, [0]))
 
 
 # ---------------------------------------------------------------- star engine
@@ -157,7 +157,7 @@ def test_peel_and_literal_engines_agree(b14, b23):
         # Narrow cap: literal exhaustion stays cheap and still definite.
         eng = StarEngine(b, cap=2, budget=20_000)
         singles = [Subcat.of(b, [i]) for i in range(b.K)]
-        ys = {right_perp(s, -1) for s in singles}
+        ys = {right_perp(s) for s in singles}
         ys.add(Subcat.everything(b))
         objs = [Obj.of(i) for i in range(b.K)] + [Obj.of(0, b.K - 1)]
         both_definite = 0
@@ -220,7 +220,7 @@ def test_the_peel_matches_the_literal_enumerator(mn, cap):
 def test_star_indecs_within_restricts_candidates(b23):
     eng = StarEngine(b23)
     x = Subcat.of(b23, [0, 1])
-    y = right_perp(x, -1)
+    y = right_perp(x)
     full, ok_full = eng.star_indecs(x, y)
     w = Subcat.of(b23, [0, 2])
     part, ok_part = eng.star_indecs(x, y, within=w)
@@ -231,7 +231,7 @@ def test_star_indecs_within_restricts_candidates(b23):
 def test_star_budget_degrades_to_inconclusive(b23):
     eng = StarEngine(b23, budget=1)
     x = Subcat.of(b23, [0])
-    y = right_perp(x, -1)
+    y = right_perp(x)
     v = eng.star_contains(x, y, Obj.of(1, 2))
     assert v.is_inconclusive and v.reason == "peel budget exhausted"
     _, complete = eng.star_indecs(x, y)
@@ -275,7 +275,7 @@ def test_witnesses_come_from_the_least_productive_cap_only():
     b = NakayamaBackend(2, 2)
     eng = StarEngine(b)
     s0 = Subcat.of(b, [0])
-    y = right_perp(s0, -1).shifted(1)
+    y = right_perp(s0).shifted(1)
     for c in (Obj.of(0), Obj.of(1)):
         per_cap = [
             list(b.triangle_enumerate(s0.ids(), y.ids(), c, cap=cap))
@@ -299,7 +299,7 @@ def test_witnesses_escalate_past_empty_caps(monkeypatch):
 
     monkeypatch.setattr(b, "triangle_enumerate", from_cap_three)
     s0 = Subcat.of(b, [0])
-    y = right_perp(s0, -1).shifted(1)
+    y = right_perp(s0).shifted(1)
     got = list(witnesses(eng, s0, y, Obj.of(0), 4))
     assert got == list(honest(s0.ids(), y.ids(), Obj.of(0), cap=3))
     assert asked == [2, 3]
@@ -311,7 +311,7 @@ def test_witnesses_escalate_past_empty_caps(monkeypatch):
 def test_first_witness_is_the_first_of_the_search(monkeypatch):
     b = NakayamaBackend(2, 3)
     s0 = Subcat.of(b, [0])
-    y = right_perp(s0, -1).shifted(1)
+    y = right_perp(s0).shifted(1)
     cases = [(s0, y, Obj.of(i), top) for i in range(b.K) for top in (2, 4)]
     cases += [(s0, s0, Obj.of(1), 4), (s0, y, Obj.of(0, 1), 4)]
     found = 0
@@ -330,7 +330,7 @@ def test_first_witness_is_the_first_of_the_search(monkeypatch):
 def test_first_witness_stores_answers_but_not_budget_failures(monkeypatch):
     b = NakayamaBackend(2, 3)
     s0 = Subcat.of(b, [0])
-    y = right_perp(s0, -1).shifted(1)
+    y = right_perp(s0).shifted(1)
     eng = StarEngine(b)
     got = first_witness(eng, s0, y, Obj.of(1), 4)
     none = first_witness(eng, s0, s0, Obj.of(1), 4)

@@ -1,28 +1,30 @@
 """Table-driven and bit-parallel sweep kernels against the loops they replace.
 
 The per-move peel search (in both directions), the per-pair twin check,
-the Subcat-built concentricity test, the 2^K polygon sweeps, the full
-standard right triangle and the capped sum search of quotient coverage
-(``helpers.capped_zi_star_member``) are the routes the engines used
-before; they survive here only as oracles for the peel-move tables and
-the lift's approximation route, the bit-sliced twin check, the polygon
-closure walks, ``ZIQuotient.standard_right_third`` and
-``MutationEngine.zi_star_member``.  Likewise the Subcat-built closure
+the Subcat-built concentricity test, building and filtering every twin
+pair, the 2^K polygon sweeps, the full standard right triangle and the
+capped sum search of quotient coverage (``helpers.capped_zi_star_member``)
+are the routes the engines used before; they survive here only as
+oracles for the peel-move tables and the lift's approximation route, the
+bit-sliced twin check, the twin counts read off partner masks
+(``PairEngine.twin_masks``), the polygon closure walks,
+``ZIQuotient.standard_right_third`` and ``MutationEngine.zi_star_member``.  Likewise the Subcat-built closure
 walks, the per-member ``shift_id`` loop and the whole-object coverage
 route (``helpers.whole_object_in_star``) are the oracles of the int
 closure walks, ``perp_bits`` and the per-summand cone masks of
 ``PairEngine.in_star``.
 """
 
+import json
 import random
 
 import pytest
 
-from cotor import cli, pairs
+from cotor import cli, subcats
 from cotor.core import BudgetExceeded, InternalCheckError, Mor, Obj
 from cotor.mutation import MutationEngine
 from cotor.nakayama import NakayamaBackend
-from cotor.pairs import CotorsionPair, PairEngine
+from cotor.pairs import CotorsionPair, PairEngine, TwinCotorsionPair
 from cotor.polygon import (
     PolygonBackend,
     enumerate_ptolemy,
@@ -39,6 +41,7 @@ from cotor.subcats import (
     enumerate_subcats,
     left_perp,
     perp_bits,
+    perp_pairs,
     right_perp,
 )
 from helpers import capped_zi_star_member, whole_object_in_star
@@ -95,11 +98,13 @@ class PerMovePeel(StarEngine):
 
 
 def per_pair_partners(engine, inner, outers):
+    """The mask of the outers that form a twin pair with inner, one pair
+    at a time, bit k for outer k."""
     s, t = inner.key()
     s_ext = 0
     for i in inner.u:
         s_ext |= engine._ext1[i]
-    found = []
+    found = 0
     for k, (u, v) in enumerate(outers):
         orth = not s_ext & v
         if orth != (not s & ~u) or orth != (not v & ~t):
@@ -108,7 +113,7 @@ def per_pair_partners(engine, inner, outers):
                 f"S-inclusion={not s & ~u}, V-inclusion={not v & ~t}"
             )
         if orth:
-            found.append(k)
+            found |= 1 << k
     return found
 
 
@@ -271,6 +276,47 @@ def test_bit_sliced_twin_check_matches_the_per_pair_loop(mn):
     ]
     for p in eng.enumerate_tcp():
         assert eng.is_concentric(p) == (p.s.intersect(p.t) == p.u.intersect(p.v))
+    check_twin_counts(eng)
+
+
+def check_twin_counts(eng):
+    """The counts suite reads popcounts of the partner masks, and the
+    concentric pairs are built from the masks cut down to one core; both
+    must agree with building every twin pair and filtering it."""
+    built = eng.enumerate_tcp()
+    concentric = [p.key() for p in built if eng.is_concentric(p)]
+    twins, centred = eng.twin_masks()
+    assert sum(m.bit_count() for m in twins) == len(built)
+    assert sum(m.bit_count() for m in centred) == len(concentric)
+    assert [p.key() for p in eng.concentric_tcps()] == concentric
+
+
+# The SMALL backends the per-pair loop leaves out, and K = 16.
+@pytest.mark.parametrize(
+    "mn", [(11, 2), (12, 2), (4, 5)], ids=lambda mn: f"{mn[0]}-{mn[1]}"
+)
+def test_twin_counts_from_masks_match_the_built_pairs(mn):
+    check_twin_counts(PairEngine(NakayamaBackend(*mn)))
+
+
+def test_the_counts_suite_builds_no_twin_pair(monkeypatch, capsys):
+    built = []
+    honest = TwinCotorsionPair.__post_init__
+
+    def counted(self):
+        built.append(self.key())
+        honest(self)
+
+    monkeypatch.setattr(TwinCotorsionPair, "__post_init__", counted)
+    argv = ["verify", "--suite", "counts", "--backend", "nakayama:m=3,n=4"]
+    assert cli.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["suites"]["counts"]["twin_pairs"] > 0
+    assert built == []
+    # the patch does see builds: enumerate-tcp prints every twin pair
+    assert cli.main(["enumerate-tcp", "--backend", "nakayama:m=3,n=4"]) == 0
+    printed = json.loads(capsys.readouterr().out)["report"]["count"]
+    assert len(built) == printed > 0
 
 
 def check_outcome(route):
@@ -394,9 +440,9 @@ def test_standard_right_third_matches_the_full_triangle(monkeypatch):
 # ---------------------------------------------------------------- perpendiculars
 
 
-def recorded_walks(monkeypatch, module, run):
-    """The closed sets of every ``closed_sets`` walk that run() makes
-    through ``module``, one list per walk."""
+def recorded_walks(monkeypatch, run):
+    """The closed sets of every ``closed_sets`` walk that run() makes,
+    one list per walk."""
     walks = []
 
     def recorded(k, closure):
@@ -406,7 +452,7 @@ def recorded_walks(monkeypatch, module, run):
             yield bits
 
     with monkeypatch.context() as m:
-        m.setattr(module, "closed_sets", recorded)
+        m.setattr(subcats, "closed_sets", recorded)
         got = run()
     return walks, got
 
@@ -418,17 +464,17 @@ def test_int_closure_walks_match_the_subcat_walks(mn, monkeypatch):
     b = NakayamaBackend(*mn)
     eng = PairEngine(b)
     first = list(
-        closed_sets(b.K, lambda s: left_perp(right_perp(Subcat(b, s), -1), 1).bits)
+        closed_sets(b.K, lambda s: left_perp(right_perp(Subcat(b, s))).bits)
     )
     second = list(
-        closed_sets(b.K, lambda s: right_perp(left_perp(Subcat(b, s), 1), -1).bits)
+        closed_sets(b.K, lambda s: right_perp(left_perp(Subcat(b, s))).bits)
     )
-    walks, got = recorded_walks(monkeypatch, pairs, eng.enumerate_cotorsion)
+    walks, got = recorded_walks(monkeypatch, eng.enumerate_cotorsion)
     assert walks == [first]
-    want = [CotorsionPair(u, right_perp(u, -1)) for u in (Subcat(b, s) for s in first)]
+    want = [CotorsionPair(u, right_perp(u)) for u in (Subcat(b, s) for s in first)]
     assert got.pairs == [p for p in want if eng.is_cotorsion_pair(p.u, p.v).is_yes]
     walks, by_v = recorded_walks(
-        monkeypatch, cli, lambda: cli.enumerate_by_second_class(eng)
+        monkeypatch, lambda: cli.enumerate_by_second_class(eng)
     )
     assert walks == [second]
     assert sorted(p.key() for p in by_v) == sorted(p.key() for p in got.pairs)
@@ -437,29 +483,32 @@ def test_int_closure_walks_match_the_subcat_walks(mn, monkeypatch):
 # The K = 16 backends with two or more vertices and relation length 3 or more.
 @pytest.mark.parametrize("mn", [(4, 5), (8, 3), (2, 9)], ids=str)
 def test_perp_bits_match_a_per_member_shift_loop_at_k16(mn):
+    # Ext^1(i, c) = Hom(i[-1], c) and Ext^1(c, i) = Hom(c, i[1]), read per
+    # member off the Hom masks.
     b = NakayamaBackend(*mn)
     assert b.K == 16
-    masks = b.hom_masks()
+    out, into, ext1, ext1_into = b.hom_masks()
     rng = random.Random(b.K * mn[0])
     full = (1 << b.K) - 1
     classes = [0, full] + [rng.getrandbits(16) & rng.getrandbits(16) for _ in range(40)]
     for bits in classes:
-        for shift in range(-2, 3):
-            for side in (0, 1):
-                hit = 0
-                for i in range(b.K):
-                    if bits >> i & 1:
-                        hit |= masks[side][b.shift_id(i, shift)]
-                assert perp_bits(b, bits, shift, side) == full & ~hit
-            x = Subcat(b, bits)
-            assert right_perp(x, shift).bits == perp_bits(b, bits, shift, 0)
-            assert left_perp(x, shift).bits == perp_bits(b, bits, shift, 1)
+        right = left = 0
+        for i in range(b.K):
+            if bits >> i & 1:
+                right |= out[b.shift_id(i, -1)]
+                left |= into[b.shift_id(i, 1)]
+        assert perp_bits(bits, ext1) == full & ~right
+        assert perp_bits(bits, ext1_into) == full & ~left
+        x = Subcat(b, bits)
+        assert right_perp(x).bits == full & ~right
+        assert left_perp(x).bits == full & ~left
 
 
-def test_a_corrupted_shift_is_caught_by_the_first_perp_bits(monkeypatch):
-    # The mask table reads the shift, so it is built only from checked
-    # Hom masks, and a failed build keeps nothing.
-    for side in (0, 1):
+def test_a_corrupted_shift_is_caught_by_the_first_perpendicular(monkeypatch):
+    # The Ext^1 masks read the shift, so the perpendiculars and the
+    # engine's walks read only checked masks, and a failed build keeps
+    # nothing.
+    for first in (right_perp, left_perp, lambda x: PairEngine(x.backend)):
         b = NakayamaBackend(2, 3)
         honest = b.shift_id
         monkeypatch.setattr(
@@ -467,8 +516,8 @@ def test_a_corrupted_shift_is_caught_by_the_first_perp_bits(monkeypatch):
         )
         for _ in range(2):
             with pytest.raises(InternalCheckError, match="disagree on vanishing"):
-                perp_bits(b, 1, -1, side)
-        assert not getattr(b, "_stored", {}).get("_perp_masks")
+                first(Subcat.of(b, [0]))
+        assert not getattr(b, "_stored", {}).get("hom_masks")
 
 
 # ---------------------------------------------------------------- coverage
@@ -483,14 +532,12 @@ def test_coverage_by_cone_masks_matches_the_whole_object_route(mn):
     eng = PairEngine(b)
     rng = random.Random(b.K)
     stars = [
-        (Subcat(b, bits), Subcat(b, perp_bits(b, bits, -1, 0)).shifted(1))
-        for bits in closed_sets(
-            b.K, lambda s: perp_bits(b, perp_bits(b, s, -1, 0), 1, 1)
-        )
+        (Subcat(b, u), Subcat(b, v).shifted(1))
+        for u, v in perp_pairs(*b.hom_masks()[2:])
     ]
     for _ in range(len(stars)):
         x = rng.getrandbits(b.K) & rng.getrandbits(b.K)
-        y = perp_bits(b, x, 0, 0) & rng.getrandbits(b.K)
+        y = perp_bits(x, b.hom_masks()[0]) & rng.getrandbits(b.K)
         stars.append((Subcat(b, x), Subcat(b, y)))
     answers = []
     for x, y in stars:
