@@ -721,8 +721,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--cap", type=int, default=DEFAULT_CAP,
         help="cap of the peel searches (chains of up to cap + 1 peels), which "
-        "decide only the star T * U of condition (I) and the fixed-point "
-        "stars of the mutable-class test, at least 2",
+        "decide only the star T * U of condition (I), at least 2",
     )
     common.add_argument(
         "--out", help="write the report to this path instead of stdout"

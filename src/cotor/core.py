@@ -131,20 +131,14 @@ class Verdict:
 
     @staticmethod
     def all_of(verdicts: Iterable["Verdict"]) -> "Verdict":
-        """Conjunction: no dominates, then inconclusive, then yes.  A yes
-        keeps the distinct reasons of its parts, in order."""
+        """Conjunction: no dominates, then inconclusive, then yes."""
         pending = None
-        reasons: list[str] = []
         for v in verdicts:
             if v.is_no:
                 return v
             if v.is_inconclusive:
                 pending = v
-            elif v.reason and v.reason not in reasons:
-                reasons.append(v.reason)
-        if pending is not None:
-            return pending
-        return Verdict.yes(reason="; ".join(reasons) or None)
+        return Verdict.yes() if pending is None else pending
 
 
 @dataclass(frozen=True, slots=True)

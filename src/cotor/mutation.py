@@ -14,11 +14,11 @@ preimage) that must agree, and the verification report enumerates
 both sides of the correspondence independently before matching them.
 Both sides walk the closed sets of a perpendicular closure, over the
 ambient or the quotient Ext^1, and certify each candidate.  The lift's
-stars and the quotient pairs' coverage L * <1>R are Hom-orthogonal, so
-one minimal approximation decides each member with no cap, and the
-lift's cross-check always runs.  The fixed-point stars of the membership
-test run on the peel engine; one whose budget runs out leaves its
-cross-check unmade, never a verdict.  Each mutation engine
+stars, the fixed-point stars of the membership test and the quotient
+pairs' coverage L * <1>R are each decided by one minimal approximation
+per member (``PairEngine.in_star``), with no cap and no search, so the
+lift and the membership test make their cross-checks on every call.
+Each mutation engine
 stores the answers of descent, lift, membership and the action per
 input (``core.stored``), so those cross-checks run once per distinct
 input however often the action laws compose them; a raised error is
@@ -107,20 +107,24 @@ class MutationEngine:
                 ids.add(z)
         return Subcat.of(self.backend, ids)
 
+    def _star_members(self, side: Subcat, x: Subcat, y: Subcat, step: int) -> Subcat:
+        """The members of side in add(x) * add(y) by ``PairEngine.in_star``,
+        whose hypothesis on the star the caller vouches for."""
+        ok = self.engine.in_star
+        return Subcat.of(self.backend, [i for i in side if ok(x, y, Obj.of(i), step)])
+
     def _lift_class(self, reps: tuple[int, ...], step: int) -> Subcat:
         """The first (+1) or second (-1) class of a lifted pair: the
         members of U (+1) or T (-1) whose adjoint (+1) or coadjoint (-1)
         images have classes in reps.  The star route must agree."""
         # The lift lies in Z, inside T and U, so Ext^1(S, T) = 0 = Ext^1(U, V)
         # make the stars x * y = S[-1] * lift (+1) and lift * V[1] (-1)
-        # Hom-orthogonal (``PairEngine.in_star``).  The adjoints read right
-        # approximations only, so the two routes never share a stored one.
-        lift, q, in_star = self.lift(reps), self.q, self.engine.in_star
+        # Hom-orthogonal.  The adjoints read right approximations only, so
+        # the two routes never share a stored one.
+        lift, q = self.lift(reps), self.q
         x, y = (q.s_down, lift) if step == 1 else (lift, q.v_up)
         side, want = (self.p.u if step == 1 else self.p.t), set(reps)
-        by_star = Subcat.of(
-            self.backend, [i for i in side if in_star(x, y, Obj.of(i), -1)]
-        )
+        by_star = self._star_members(side, x, y, -1)
         pre = Subcat.of(
             self.backend, [i for i in side if self._image_classes(i, step) <= want]
         )
@@ -156,7 +160,7 @@ class MutationEngine:
             raise InputError(
                 f"membership test needs a verified cotorsion pair ({v.state})"
             )
-        p = self.p
+        p, q = self.p, self.q
         if not self._within_outer([cp]):
             # Both routes are false on bits alone: the sandwich needs
             # U' in U and V' in T, and the fixed-point classes lie there.
@@ -164,25 +168,22 @@ class MutationEngine:
             # each class of a cotorsion pair is the perpendicular of the
             # other: S in U' iff V' in T, and V in V' iff U' in U.
             return False
-        q = self.q
         by_def = all(
             q.ext1_zi(q.adjoint(Obj.of(a), 1)[0], q.adjoint(Obj.of(bb), -1)[0]) == 0
             for a in cp.u for bb in cp.v
         )
-
-        # The second star arguments are a verified pair's class and a shift
-        # of one, hence extension-closed, which the peel's yes side requires.
-        star = self.engine.star
-        fa, ok_a = star.star_indecs(q.s_down, cp.u, within=p.u)
-        fb, ok_b = star.star_indecs(cp.v, q.v_up, within=p.t)
-        if ok_a and ok_b:
-            by_fixed_point = fa == cp.u and fb == cp.v
-            if by_def != by_fixed_point:
-                raise InternalCheckError(
-                    "mutable-class characterizations disagree on "
-                    f"{cp.as_labels()}: definitional {by_def}, "
-                    f"fixed-point {by_fixed_point}"
-                )
+        # in_star's hypothesis holds with W = V' on S[-1] * U' and W = U' on
+        # V' * V[1]: U' and V' are each other's Ext^1-perpendiculars, V' lies
+        # in T, so Ext^1(S, V') = 0, and U' in U, so Ext^1(U', V) = 0.
+        fa = self._star_members(p.u, q.s_down, cp.u, 1)
+        fb = self._star_members(p.t, cp.v, q.v_up, -1)
+        by_fixed_point = fa == cp.u and fb == cp.v
+        if by_def != by_fixed_point:
+            raise InternalCheckError(
+                "mutable-class characterizations disagree on "
+                f"{cp.as_labels()}: definitional {by_def}, "
+                f"fixed-point {by_fixed_point}"
+            )
         return by_def
 
     def _within_outer(self, pairs: list[CotorsionPair]) -> list[CotorsionPair]:

@@ -21,10 +21,11 @@ a caller reads.  The extension classes S * V[1] and S[-1] * V
 have Hom-orthogonal sides too, so derived classes, condition (II), the
 Hovey test and the isomorphism test modulo a core are always decided.
 Condition (I) reads the star T * U, whose sides are not orthogonal, on
-the capped peel engine: an exhausted budget there is inconclusive,
-never a guess.  Decomposition triangles need no search: each is the
-cone of a minimal right or left approximation map built from Hom bases
-(``approximation``), so the heart-vanishing predicate is always decided.
+the capped peel engine, its one reader: an exhausted budget there is
+inconclusive, never a guess.  Decomposition triangles need no search:
+each is the cone of a minimal right or left approximation map built from
+Hom bases (``approximation``), so the heart-vanishing predicate is always
+decided.
 """
 
 from __future__ import annotations
@@ -530,19 +531,25 @@ class PairEngine:
         return Subcat.of(b, cone.summands).bits
 
     def in_star(self, x: Subcat, y: Subcat, c: Obj, step: int) -> bool:
-        """Is c in add(x) * add(y)?  Only for classes with Hom(x, y) = 0,
-        which every caller checks first.
+        """Is c in add(x) * add(y)?  Only where Hom(x, y) = 0, or, for a
+        class W, where y is the left Ext^1-perpendicular of W and
+        Hom(x, W) = 0 (step +1), or x is its right one and Hom(W, y) = 0
+        (step -1); every caller checks or derives its hypothesis first.
 
         Any triangle X' -> c -> Y' -> X'[1] with X' in add(x) and Y' in
         add(y) makes X' -> c a right x-approximation, as Hom(x, Y') = 0, and
         c -> Y' a left y-approximation, as Hom(X', y) = 0.  The minimal ones
         are direct summands of these, so the cone of the minimal right one
         is a summand of Y' and the cocone of the minimal left one a summand
-        of X' (Iyama-Yoshino, Invent. Math. 172, 2008).  So c is in the
-        product exactly when that cone (step +1) lies in add(y), or that
-        cocone (step -1) in add(x).  Minimal approximations are additive,
-        so for step +1 the cone is the sum of the stored cones of the
-        summands of c (``_cone_bits``); for step -1 only its object is built.
+        of X' (Iyama-Yoshino, Invent. Math. 172, 2008).  For a perpendicular
+        y, Hom(x0[1], W[1]) = 0 makes Hom(cone, W[1]) the kernel of
+        Hom(c, W[1]) -> Hom(x0, W[1]) for any right x-approximation x0 -> c,
+        and it only shrinks along X' -> x0, where it is Hom(Y', W[1]) = 0;
+        dually for a perpendicular x.  So c is in the product exactly when
+        that cone (step +1) lies in add(y), or that cocone (step -1) in
+        add(x).  Minimal approximations are additive, so for step +1 the
+        cone is the sum of the stored cones of the summands of c
+        (``_cone_bits``); for step -1 only its object is built.
         """
         b = self.backend
         if step == 1:
@@ -608,8 +615,11 @@ class PairEngine:
     @stored(key=lambda p: p.key())
     def check_condition_I(self, p: TwinCotorsionPair) -> Verdict:
         """Comparison maps are isomorphisms after passing to the
-        subquotient, tested on the indecomposables of the relevant
-        star class; additivity reduces the general case to these."""
+        subquotient, tested on the indecomposables of the star T * U.  That
+        covers all of T * U only where it is closed under summands, which
+        can fail: on ``nakayama:m=3,n=7`` a pair has M(1,5) + M(0,2) in
+        T * U but not M(1,5), and the comparison map of that sum is not
+        invertible modulo the core while this test reads yes."""
         from .quotient import ZIQuotient
 
         # The subquotient refuses a pair that is not concentric before

@@ -16,14 +16,13 @@ X * Y.
 
 The search is complete for capped Y sides (every genuine triangle
 induces a chain of the same length); acceptance of YES needs Y closed
-under extensions.  The peel serves only the stars whose sides are not
-Hom-orthogonal: T * U in condition (I), and the fixed-point stars
-S[-1] * U' and V' * V[1] of the mutable-class test, whose Y sides are
-verified cotorsion-pair sides or their shifts.  Stars with
-Hom(X, Y) = 0 are decided by one minimal approximation instead
-(``PairEngine.in_star``, and the lift in ``mutation``).  The backend's
-capped dense-connecting-map enumerator (``_literal_verdict``) is the
-independent oracle the tests hold the peel to.
+under extensions.  The peel serves one star only: T * U in condition
+(I), whose Y side U is a verified cotorsion-pair side.  Every other
+star, the fixed-point stars S[-1] * U' and V' * V[1] of the
+mutable-class test included, is decided by one minimal approximation
+(``PairEngine.in_star``).  The tests hold the peel to the backend's
+capped dense-connecting-map enumerator (``_literal_verdict``), and
+those approximation routes to the peel.
 
 Verdicts are three-valued; a NO is only reported when the search space
 for caps c and c+1 is exhausted, and budget exhaustion degrades to
@@ -32,7 +31,7 @@ inconclusive, never to a boolean.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     Backend,
@@ -233,7 +232,9 @@ class StarEngine:
         Y must be closed under extensions, which the caller vouches for:
         the peel engine strips Y-summands, which is what lets it report
         YES directly.  Perpendicular classes, verified cotorsion-pair
-        sides and their shifts qualify.
+        sides and their shifts qualify.  The one caller in the package is
+        condition (I)'s T * U (``star_indecs``); the tests also hold the
+        approximation routes of ``PairEngine.in_star`` to it.
         """
         if c.is_zero or x.contains_obj(c) or y.contains_obj(c):
             return Verdict.yes()
@@ -335,25 +336,16 @@ class StarEngine:
 
     # -- star sets ----------------------------------------------------------
 
-    def star_indecs(
-        self,
-        x: Subcat,
-        y: Subcat,
-        *,
-        within: Optional[Subcat] = None,
-    ) -> tuple[Subcat, bool]:
+    def star_indecs(self, x: Subcat, y: Subcat) -> tuple[Subcat, bool]:
         """Indecomposables inside the star, plus a completeness flag.
 
         The flag is False when any membership came back inconclusive;
         such members are excluded from the set, never guessed.
-        ``within`` restricts the candidates, for callers that go on to
-        intersect the result with a known class anyway.
         """
         b = self.backend
         bits = 0
         complete = True
-        candidates = range(len(b.indecs)) if within is None else within.ids()
-        for i in candidates:
+        for i in range(len(b.indecs)):
             v = self.star_contains(x, y, Obj.of(i))
             if v.is_yes:
                 bits |= 1 << i

@@ -57,13 +57,9 @@ def test_verdict_conjunction_precedence():
     assert Verdict.all_of([y, i]) is i
 
 
-def test_verdict_conjunction_keeps_the_reasons_of_its_yes_parts():
+def test_verdict_conjunction_answers_with_its_no_or_inconclusive_part():
+    # a no or an inconclusive part answers with its own reason
     a, b = Verdict.yes(reason="a"), Verdict.yes(reason="b")
-    got = Verdict.all_of([a, Verdict.yes(), b, a])
-    assert got.is_yes
-    assert got.reason == "a; b"
-    assert Verdict.all_of([Verdict.yes(), Verdict.yes()]).reason is None
-    # a no or an inconclusive part still answers with its own reason
     n, i = Verdict.no("bad"), Verdict.inconclusive("cap")
     assert Verdict.all_of([a, n]) is n
     assert Verdict.all_of([a, i, b]) is i

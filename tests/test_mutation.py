@@ -13,7 +13,7 @@ from cotor.core import InputError, InternalCheckError
 from cotor.nakayama import NakayamaBackend
 from cotor.pairs import CotorsionPair, PairEngine, trivial_hovey_tcp
 from cotor.mutation import MutationEngine, ZICotorsionPair
-from cotor.subcats import StarEngine, Subcat
+from cotor.subcats import Subcat
 
 CP_COUNTS = {(1, 3): 2, (1, 4): 2, (2, 2): 4}
 
@@ -252,14 +252,13 @@ def test_orbit_graph_structure(mut22):
 def test_bijection_sweeps_once_per_distinct_input(monkeypatch, capsys):
     # verify_bijection asks I_map and in_MP the same questions many times
     # over; each distinct question runs its two star sweeps at most once.
-    calls = {"I_map": 0, "in_MP": 0, "star_indecs": 0}
+    calls = {"I_map": 0, "in_MP": 0, "_star_members": 0}
     asked = {"I_map": set(), "in_MP": set()}
     inside = []
     honest = {
         name: getattr(MutationEngine, name)
-        for name in ("I_map", "in_MP", "verify_bijection")
+        for name in ("I_map", "in_MP", "verify_bijection", "_star_members")
     }
-    honest_star = StarEngine.star_indecs
 
     def record(name, key):
         def wrapper(self, arg):
@@ -276,25 +275,26 @@ def test_bijection_sweeps_once_per_distinct_input(monkeypatch, capsys):
         finally:
             inside.pop()
 
-    def star_indecs(self, *args, **kwargs):
-        calls["star_indecs"] += bool(inside)
-        return honest_star(self, *args, **kwargs)
+    def star_members(self, *args):
+        calls["_star_members"] += bool(inside)
+        return honest["_star_members"](self, *args)
 
     monkeypatch.setattr(MutationEngine, "I_map", record("I_map", lambda zp: zp))
     monkeypatch.setattr(MutationEngine, "in_MP", record("in_MP", lambda cp: cp.key()))
     monkeypatch.setattr(MutationEngine, "verify_bijection", verify)
-    monkeypatch.setattr(StarEngine, "star_indecs", star_indecs)
+    monkeypatch.setattr(MutationEngine, "_star_members", star_members)
     argv = ["verify", "--suite", "bijection", "--backend", "nakayama:m=2,n=4"]
     assert cli.main(argv) == 0
     distinct = len(asked["I_map"]) + len(asked["in_MP"])
     assert calls["I_map"] > len(asked["I_map"]) and calls["in_MP"] > len(asked["in_MP"])
-    assert 0 < calls["star_indecs"] <= 2 * distinct
+    assert 0 < calls["_star_members"] <= 2 * distinct
 
 
 def left_by_everything(monkeypatch):
     """Patch every left approximation to be taken by the whole category,
-    whose cocones are all zero: the lift's star route then passes every
-    member.  No other route that the tests below run reads a left one."""
+    whose cocones are all zero: the lift's star route and the membership
+    test's star V' * V[1] then pass every member.  No other route that the
+    tests below run reads a left one."""
     honest = PairEngine.approximation
 
     def perturbed(self, cls, c, step):
@@ -306,14 +306,11 @@ def left_by_everything(monkeypatch):
 
 
 def test_a_disagreeing_star_route_raises_on_every_call(mut22, monkeypatch):
-    eng, b = mut22.engine, mut22.backend
+    eng = mut22.engine
     cp = pair_of(eng, ["M(0,1)"])
     zp = mut22.R_map(cp)
     fresh = MutationEngine(eng, mut22.p)
     left_by_everything(monkeypatch)
-    monkeypatch.setattr(
-        StarEngine, "star_indecs", lambda self, x, y, **kw: (Subcat.empty(b), True)
-    )
     for _ in range(2):
         with pytest.raises(InternalCheckError, match="lift routes disagree"):
             fresh.I_map(zp)
@@ -347,3 +344,29 @@ def test_the_lift_needs_no_peel_budget(monkeypatch):
                     MutationEngine(starved, p).I_map(zp)
             lifted += 1
     assert lifted
+
+
+def test_the_mutable_class_needs_no_peel_budget(monkeypatch):
+    # The fixed-point stars are decided by approximations too, so an engine
+    # whose peel has no budget at all finds the same mutable classes and
+    # still compares the two characterizations on every call.
+    b = NakayamaBackend(2, 4)
+    full, starved = PairEngine(b), PairEngine(b)
+    starved.star.budget = 0
+    raised = 0
+    for p in full.concentric_tcps():
+        mp = MutationEngine(full, p).enumerate_MP()
+        assert MutationEngine(starved, p).enumerate_MP() == mp
+        with monkeypatch.context() as m:
+            left_by_everything(m)
+            fresh = MutationEngine(starved, p)
+            # V' * V[1] now holds all of T, so a mutable pair with V' short
+            # of T fails the fixed-point route alone.
+            for cp in mp:
+                if cp.v != p.t:
+                    with pytest.raises(
+                        InternalCheckError, match="characterizations disagree"
+                    ):
+                        fresh.in_MP(cp)
+                    raised += 1
+    assert raised

@@ -19,6 +19,7 @@ from cotor.pairs import (
     trivial_hovey_tcp,
     trivial_pairs,
 )
+from cotor.quotient import ZIQuotient
 from cotor.subcats import StarEngine, Subcat, left_perp, right_perp
 
 INSTANCES = [(1, 3), (1, 4), (2, 2), (2, 3), (3, 2)]
@@ -449,6 +450,34 @@ def test_conditions_split_on_a_three_block_pair(engines):
     assert eng.check_condition_I(p).is_yes
     assert eng.check_condition_II(p).is_no
     assert eng.check_condition_III(p).is_no
+
+
+def test_condition_I_tests_no_sum_whose_summand_leaves_its_star():
+    # The cause behind ROADMAP item 1: T * U is not closed under direct
+    # summands, so its indecomposables, which condition (I) tests, do not
+    # reach the sum below, whose comparison map is not invertible.  What
+    # (I) should read here stays open, so its verdict is not pinned.
+    b = NakayamaBackend(3, 7)
+    eng = PairEngine(b)
+
+    def cls(*labels):
+        return Subcat.from_labels(b, labels)
+
+    s = cls("M(0,2)")
+    t = cls(
+        "M(0,1)", "M(0,2)", "M(0,3)", "M(0,4)", "M(0,5)", "M(0,6)", "M(1,1)", "M(2,6)"
+    )
+    u = cls(
+        "M(0,1)", "M(0,2)", "M(0,5)", "M(0,6)", "M(1,1)", "M(1,4)", "M(2,3)", "M(2,6)"
+    )
+    p = eng.make_tcp(CotorsionPair(s, t), CotorsionPair(u, s))
+    assert eng.is_concentric(p)
+    assert eng.check_condition_II(p).is_yes
+    alone = Obj.of(b.id_of("M(1,5)"))
+    summed = alone.plus(Obj.of(b.id_of("M(0,2)")))
+    assert eng.star.star_contains(t, u, alone).is_no
+    assert eng.star.star_contains(t, u, summed).is_yes
+    assert ZIQuotient.for_pair(eng, p).mu_map(summed)[1].is_no
 
 
 def test_condition_checks_are_cached(engines):

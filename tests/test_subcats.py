@@ -217,17 +217,6 @@ def test_the_peel_matches_the_literal_enumerator(mn, cap):
                 )
 
 
-def test_star_indecs_within_restricts_candidates(b23):
-    eng = StarEngine(b23)
-    x = Subcat.of(b23, [0, 1])
-    y = right_perp(x)
-    full, ok_full = eng.star_indecs(x, y)
-    w = Subcat.of(b23, [0, 2])
-    part, ok_part = eng.star_indecs(x, y, within=w)
-    assert ok_full and ok_part
-    assert part == full.intersect(w)
-
-
 def test_star_budget_degrades_to_inconclusive(b23):
     eng = StarEngine(b23, budget=1)
     x = Subcat.of(b23, [0])

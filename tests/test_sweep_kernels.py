@@ -12,7 +12,8 @@ bit-sliced twin check, the twin counts read off partner masks
 walks, the per-member ``shift_id`` loop and the whole-object coverage
 route (``helpers.whole_object_in_star``) are the oracles of the int
 closure walks, ``perp_bits`` and the per-summand cone masks of
-``PairEngine.in_star``.
+``PairEngine.in_star``, and the peel (``StarEngine.star_indecs``) is the
+oracle of the fixed-point stars of ``MutationEngine.in_MP``.
 """
 
 import json
@@ -24,7 +25,12 @@ from cotor import cli, subcats
 from cotor.core import BudgetExceeded, InternalCheckError, Mor, Obj
 from cotor.mutation import MutationEngine
 from cotor.nakayama import NakayamaBackend
-from cotor.pairs import CotorsionPair, PairEngine, TwinCotorsionPair
+from cotor.pairs import (
+    CotorsionPair,
+    PairEngine,
+    TwinCotorsionPair,
+    trivial_hovey_tcp,
+)
 from cotor.polygon import (
     PolygonBackend,
     enumerate_ptolemy,
@@ -258,6 +264,53 @@ def test_lift_stars_match_the_per_move_peel(mn, monkeypatch, capsys):
         assert member == (found is not None), (step, x.labels(), y.labels(), c)
 
 
+# ---------------------------------------------------------------- fixed-point stars
+
+
+# Every backend with at most 9 indecomposables, and two with 12.
+FIXED_POINT = [mn for mn in SMALL if mn[0] * (mn[1] - 1) <= 9] + [(4, 4), (3, 5)]
+
+
+def bijection_targets(eng):
+    """The twin pairs ``verify --suite bijection`` builds a mutation
+    engine for, once each."""
+    targets = [trivial_hovey_tcp(eng)]
+    targets += [eng.make_tcp(cp, cp) for cp in eng.enumerate_cotorsion().pairs]
+    targets += [p for p in eng.concentric_tcps() if p.flags()["zz_setting"]]
+    return list({p.key(): p for p in targets}.values())
+
+
+@pytest.mark.parametrize("mn", FIXED_POINT, ids=lambda mn: f"{mn[0]}-{mn[1]}")
+def test_fixed_point_stars_match_the_peel(mn, monkeypatch):
+    # in_MP decides the members of U in S[-1] * U' by right S[-1]- and
+    # those of T in V' * V[1] by left V[1]-approximations; the peel decides
+    # both stars by search, sharing no approximation with either.
+    eng = PairEngine(NakayamaBackend(*mn))
+    pairs = eng.enumerate_cotorsion().pairs
+    asked = []
+    honest = MutationEngine._star_members
+
+    def recorded(self, *args):
+        asked.append(honest(self, *args))
+        return asked[-1]
+
+    monkeypatch.setattr(MutationEngine, "_star_members", recorded)
+    compared = 0
+    for p in bijection_targets(eng):
+        me = MutationEngine(eng, p)
+        for cp in me._within_outer(pairs):
+            asked.clear()
+            me.in_MP(cp)
+            want = []
+            for side, x, y in ((p.u, me.q.s_down, cp.u), (p.t, cp.v, me.q.v_up)):
+                found, complete = eng.star.star_indecs(x, y)
+                assert complete
+                want.append(found.intersect(side))
+            assert asked == want, (p.as_labels(), cp.as_labels())
+            compared += 1
+    assert compared
+
+
 # ---------------------------------------------------------------- twin pairs
 
 
@@ -351,13 +404,20 @@ def test_corrupted_ext1_bits_are_named_like_the_per_pair_loop(mn):
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_polygon_walks_match_the_subset_sweeps(n):
+    # One 2^K sweep tests both predicates on each subset.
     b = PolygonBackend(n)
-    assert bits(enumerate_rigid(b)) == bits(
-        enumerate_subcats(b, lambda s: is_rigid(b, s))
-    )
-    assert bits(enumerate_ptolemy(b)) == bits(
-        enumerate_subcats(b, lambda s: is_ptolemy(b, s))
-    )
+    rigid, ptolemy = [], []
+
+    def sort(s):
+        if is_rigid(b, s):
+            rigid.append(s.bits)
+        if is_ptolemy(b, s):
+            ptolemy.append(s.bits)
+        return False
+
+    enumerate_subcats(b, sort)
+    assert bits(enumerate_rigid(b)) == rigid
+    assert bits(enumerate_ptolemy(b)) == ptolemy
 
 
 def test_polygon_nine_counts():
