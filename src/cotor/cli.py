@@ -38,8 +38,7 @@ from .pairs import (
     trivial_pairs,
 )
 from .quotient import ZIQuotient
-from .subcats import DEFAULT_CAP, Subcat, iter_bits
-from .subcats import left_perp, perp_pairs, right_perp
+from .subcats import DEFAULT_CAP, Subcat, left_perp, perp_pairs, right_perp
 
 SCHEMA = "cotor.report/2"
 
@@ -302,22 +301,18 @@ def _cmd_enumerate_tcp(args: argparse.Namespace, status: _Status) -> dict:
 
 def _cmd_inspect_pair(args: argparse.Namespace, status: _Status) -> dict:
     engine = status.engine
-    b = engine.backend
-    got = _parse_assignments(b, args.pair, frozenset({"U", "V"}))
-    u = Subcat.of(b, got["U"])
-    v = Subcat.of(b, got["V"])
-    verdict = engine.is_cotorsion_pair(u, v)
+    cp = _parse_pair(engine, args.pair)
+    verdict = engine.is_cotorsion_pair(cp.u, cp.v)
     rec: dict[str, Any] = {
-        "U": u.labels(),
-        "V": v.labels(),
+        **cp.as_labels(),
         "cotorsion": status.note(verdict),
-        "right_perp_of_U": right_perp(u).labels(),
-        "left_perp_of_V": left_perp(v).labels(),
+        "right_perp_of_U": right_perp(cp.u).labels(),
+        "left_perp_of_V": left_perp(cp.v).labels(),
     }
     if verdict.reason:
         rec["reason"] = verdict.reason
     if verdict.is_yes:
-        rec["flags"] = CotorsionPair(u, v).flags()
+        rec["flags"] = cp.flags()
     return rec
 
 
@@ -370,7 +365,7 @@ def _cmd_orbit_graph(args: argparse.Namespace, status: _Status) -> None:
 def enumerate_by_second_class(engine: PairEngine) -> list[CotorsionPair]:
     """Independent route: the closed sets of the dual closure on V."""
     b = engine.backend
-    ext1, ext1_into = b.hom_masks()[2:]
+    ext1, ext1_into = b.ext1_masks()
     out: list[CotorsionPair] = []
     for vbits, ubits in perp_pairs(ext1_into, ext1):
         u, v = Subcat(b, ubits), Subcat(b, vbits)
@@ -385,13 +380,7 @@ def _suite_counts_polygon(b: polygon.PolygonBackend, status: _Status) -> dict:
     pt = polygon.enumerate_ptolemy(b)
     # Rigid sets are closed under subsets, so a rigid set is maximal when
     # every arc outside it crosses one of its members.
-    cross = b.crossing_masks
-    everything = Subcat.everything(b).bits
-    maximal = {
-        s.bits
-        for s in rigid
-        if all(cross[a] & s.bits for a in iter_bits(everything & ~s.bits))
-    }
+    maximal = {s.bits for s in rigid if right_perp(s) == s}
     status.check(
         "triangulations are exactly the maximal non-crossing sets",
         {s.bits for s in tris} == maximal,
@@ -635,6 +624,7 @@ def match_backends(a: Backend, b: Backend) -> Optional[dict[str, str]]:
     for orb in _shift_orbits(b):
         for i in orb:
             orbit_len_b[i] = len(orb)
+    ea, eb = a.ext1_masks()[0], b.ext1_masks()[0]
     assignment: dict[int, int] = {}
     used: set[int] = set()
 
@@ -642,9 +632,9 @@ def match_backends(a: Backend, b: Backend) -> Optional[dict[str, str]]:
         pool = list(assignment.items()) + list(new.items())
         for x, fx in new.items():
             for y, fy in pool:
-                if a.ext_incidence(x, y) != b.ext_incidence(fx, fy):
+                if ea[x] >> y & 1 != eb[fx] >> fy & 1:
                     return False
-                if a.ext_incidence(y, x) != b.ext_incidence(fy, fx):
+                if ea[y] >> x & 1 != eb[fy] >> fx & 1:
                     return False
         return True
 
@@ -678,9 +668,7 @@ def match_backends(a: Backend, b: Backend) -> Optional[dict[str, str]]:
         if assignment[a.shift_id(x, 1)] != b.shift_id(assignment[x], 1):
             raise InternalCheckError("matching does not conjugate the shift")
         for y in range(ka):
-            if a.ext_incidence(x, y) != b.ext_incidence(
-                assignment[x], assignment[y]
-            ):
+            if ea[x] >> y & 1 != eb[assignment[x]] >> assignment[y] & 1:
                 raise InternalCheckError("matching breaks incidence")
     return {
         a.label_of(x): b.label_of(fx) for x, fx in sorted(assignment.items())

@@ -290,29 +290,28 @@ class Backend:
         return [self.label_of(i) for i in x.summands]
 
     @stored()
-    def hom_masks(self) -> tuple[list[int], list[int], list[int], list[int]]:
-        """Per indecomposable i, the bitmasks of the c with Hom(i, c), Hom(c, i),
-        Ext^1(i, c) = Hom(i, c[1]) and Ext^1(c, i) = Hom(c, i[1]) nonzero,
-        built once per backend.  The build checks that Hom(i[-1], c) = 0
-        exactly when Hom(i, c[1]) = 0, so the Ext^1 perpendiculars
-        ``right_perp`` and ``left_perp`` form a Galois connection."""
+    def ext1_masks(self) -> tuple[list[int], list[int]]:
+        """Per indecomposable i, the bitmasks of the c with Ext^1(i, c) and
+        Ext^1(c, i) nonzero, read off ``ext_incidence`` once per backend.
+        With exact triangles the build also checks that Hom(i[-1], c) = 0
+        exactly when Ext^1(i, c) = Hom(i, c[1]) = 0."""
+        out, into = _incidence_masks(len(self.indecs), self.ext_incidence)
+        if self.exact_triangles:
+            hom = self.hom_masks()[0]
+            for i in range(len(out)):
+                if out[i] != hom[self.shift_id(i, -1)]:
+                    raise InternalCheckError(
+                        "Hom(X[-1], -) and Hom(X, -[1]) disagree on vanishing, "
+                        f"X = {self.label_of(i)}"
+                    )
+        return out, into
+
+    @stored()
+    def hom_masks(self) -> tuple[list[int], list[int]]:
+        """Per indecomposable i, the bitmasks of the c with Hom(i, c) and
+        Hom(c, i) nonzero, built once per backend."""
         self._need()
-        k = len(self.indecs)
-        out, into = [0] * k, [0] * k
-        for i in range(k):
-            for c in range(k):
-                if self.hom_dim_pair(i, c):
-                    out[i] |= 1 << c
-                    into[c] |= 1 << i
-        up = [self.shift_id(c, 1) for c in range(k)]
-        ext1 = [sum(1 << c for c in range(k) if out[i] >> up[c] & 1) for i in range(k)]
-        for i in range(k):
-            if ext1[i] != out[self.shift_id(i, -1)]:
-                raise InternalCheckError(
-                    "Hom(X[-1], -) and Hom(X, -[1]) disagree on vanishing, "
-                    f"X = {self.label_of(i)}"
-                )
-        return out, into, ext1, [into[u] for u in up]
+        return _incidence_masks(len(self.indecs), self.hom_dim_pair)
 
     # --- morphism layer -----------------------------------------------
 
@@ -440,6 +439,19 @@ class Backend:
             [m.dst for m in comps],
             [(k, k, m) for k, m in enumerate(comps)],
         )
+
+
+def _incidence_masks(
+    k: int, pred: Callable[[int, int], int]
+) -> tuple[list[int], list[int]]:
+    """Per i < k, the bitmasks of the c with pred(i, c) and pred(c, i)."""
+    out, into = [0] * k, [0] * k
+    for i in range(k):
+        for c in range(k):
+            if pred(i, c):
+                out[i] |= 1 << c
+                into[c] |= 1 << i
+    return out, into
 
 
 def _merge_objs(objs: Sequence[Obj]) -> Obj:

@@ -761,7 +761,7 @@ class NakayamaBackend(Backend):
         dense when it meets every mask, so each summand of either end must
         reach the other end; the Hom masks drop the other pairs before
         their blocks are laid out."""
-        out, into = self.hom_masks()[:2]
+        out, into = self.hom_masks()
         down = {j: self.shift_id(j, -1) for j in yset}
         for x1 in multisets_over(xset, sx):
             xbits = sum(1 << i for i in set(x1))

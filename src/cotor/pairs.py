@@ -23,9 +23,9 @@ Hovey test and the isomorphism test modulo a core are always decided.
 Condition (I) reads the star T * U, whose sides are not orthogonal, on
 the capped peel engine, its one reader: an exhausted budget there is
 inconclusive, never a guess.  Decomposition triangles need no search:
-each is the cone of a minimal right or left approximation map built from
-Hom bases (``approximation``), so the heart-vanishing predicate is always
-decided.
+each is the cone of a minimal right approximation map built from Hom
+bases (``approximation``), and heart vanishing also reads a minimal left
+one as it is, so that predicate is always decided.
 """
 
 from __future__ import annotations
@@ -172,7 +172,7 @@ class PairEngine:
         backend._need()
         self.backend = backend
         self.star = StarEngine(backend, cap=cap)
-        self._ext1 = backend.hom_masks()[2]
+        self._ext1 = backend.ext1_masks()[0]
 
     # -- degree-one orthogonality ------------------------------------------
 
@@ -219,7 +219,7 @@ class PairEngine:
         result."""
         b = self.backend
         pairs: list[CotorsionPair] = []
-        for ubits, vbits in perp_pairs(*b.hom_masks()[2:]):
+        for ubits, vbits in perp_pairs(*b.ext1_masks()):
             u, v = Subcat(b, ubits), Subcat(b, vbits)
             if self.is_cotorsion_pair(u, v).is_yes:
                 pairs.append(CotorsionPair(u, v))
@@ -423,20 +423,26 @@ class PairEngine:
     def h_vanishes(self, x: Obj, pair: CotorsionPair) -> Verdict:
         """Does the middle map of a decomposition triangle factor through V?
 
-        Reads the map x -> V'[1] of two approximation triangles
-        U' -> x -> V'[1] -> U'[1], of the minimal right U-approximation of
-        x and of its minimal left V[1]-approximation, and tests by linear
-        algebra whether it lies in the subspace of maps factoring through
+        Reads the map x -> V'[1] of two triangles U' -> x -> V'[1] ->
+        U'[1]: the cone of the minimal right U-approximation of x, and the
+        minimal left V[1]-approximation of x itself, once ``in_star`` has
+        checked that its cocone lies in add(U).  It tests by linear algebra
+        whether the map lies in the subspace of maps factoring through
         add(V).  The answer is triangle-independent, so the two verdicts
         are compared and any disagreement raises.
         """
         v1 = pair.v.shifted(1)
-        verdicts = {
-            in_span(tri.g.coords, self.factoring_subspace(x, pair.v, tri.c))
-            for tri in (
-                self.decomposition(pair.u, x, 1, pair.u, v1),
-                self.decomposition(v1, x, -1, pair.u, v1),
+        right = self.decomposition(pair.u, x, pair.u, v1)
+        left = self.approximation(v1, x, -1)
+        if not self.in_star(pair.u, v1, x, -1):
+            raise InternalCheckError(
+                f"left approximation of {self.backend.obj_labels(x)} by "
+                f"{v1.labels()} has an end outside "
+                f"{pair.u.labels()} * {v1.labels()}"
             )
+        verdicts = {
+            in_span(g.coords, self.factoring_subspace(x, pair.v, end))
+            for g, end in ((right.g, right.c), (left, left.dst))
         }
         if len(verdicts) > 1:
             raise InternalCheckError("heart vanishing depends on the witness triangle")
@@ -470,7 +476,7 @@ class PairEngine:
         radical part: the maps through the other members of cls, and the
         maps through rad End(u)."""
         b = self.backend
-        out, into = b.hom_masks()[:2]
+        out, into = b.hom_masks()
         s, t = (u, j) if step == 1 else (j, u)
         src, dst, uo = Obj.of(s), Obj.of(t), Obj.of(u)
         mids = cls.bits & out[s] & into[t] & ~(1 << u)
@@ -494,8 +500,8 @@ class PairEngine:
         Hom(j, u) (-1) nonzero per top of that Hom space (``_tops``).  Only
         those members enter, so the map is stored per the members of cls
         that reach c, and classes that agree there share it.  Readers of
-        its cone object alone take ``cone_obj`` of it; the triangle is
-        ``decomposition``'s.
+        its cone object alone take ``cone_obj`` of it; the triangle of a
+        right one is ``decomposition``'s.
         """
         b = self.backend
         near = b.hom_masks()[1 if step == 1 else 0]
@@ -513,13 +519,6 @@ class PairEngine:
                     )
         src, dst = (parts, ends) if step == 1 else (ends, parts)
         return scatter_blocks(b, src, dst, comps)
-
-    @stored(key=_approx_key)
-    def _approximation_triangle(self, cls: Subcat, c: Obj, step: int) -> Tri:
-        """The triangle of ``approximation(cls, c, step)``: the cone of the
-        right one, or the right rotation of the cone of the left one."""
-        b, f = self.backend, self.approximation(cls, c, step)
-        return b.cone(f) if step == 1 else b.rotate_right(b.cone(f))
 
     @stored()
     def _cone_bits(self, reach: int, c: int) -> int:
@@ -571,16 +570,16 @@ class PairEngine:
         return Subcat(self.backend, bits)
 
     def decomposition(
-        self, cls: Subcat, c: Obj, step: int, first: Subcat, third: Subcat
+        self, cls: Subcat, c: Obj, first: Subcat, third: Subcat
     ) -> Tri:
-        """The triangle of ``approximation(cls, c, step)``, X -> c -> Y ->
-        X[1], stored once, that the pair axioms put in add(first) *
+        """The cone X -> c -> Y -> X[1] of ``approximation(cls, c, 1)``, the
+        backend's stored one, that the pair axioms put in add(first) *
         add(third); raises if an end lies outside its class."""
-        tri = self._approximation_triangle(cls, c, step)
+        tri = self.backend.cone(self.approximation(cls, c, 1))
         if not (first.contains_obj(tri.a) and third.contains_obj(tri.c)):
             raise InternalCheckError(
-                f"{'right' if step == 1 else 'left'} approximation of "
-                f"{self.backend.obj_labels(c)} by {cls.labels()} has an end outside "
+                f"right approximation of {self.backend.obj_labels(c)} by "
+                f"{cls.labels()} has an end outside "
                 f"{first.labels()} * {third.labels()}"
             )
         return tri

@@ -5,7 +5,10 @@ incidence is strict crossing, and the shift rotates every arc one
 vertex backwards.  This backend publishes no morphism calculus and no
 exact triangles: it serves fast enumeration (rigid sets, crossing-closed
 sets, triangulations), the cut reduction of a polygon along a rigid arc
-set, and the arc-set mutation that rotates inside the cut pieces.  Its
+set, and the arc-set mutation that rotates inside the cut pieces.  Every
+crossing test reads the backend's Ext^1 masks (``Backend.ext1_masks``)
+and the shared perpendicular kernel: a rigid set lies inside its right
+perpendicular, and the reduced class of a cut is that perpendicular.  Its
 conventions are validated empirically against the module-theoretic
 backend where the category sizes coincide.
 """
@@ -17,6 +20,7 @@ from functools import cached_property
 
 from .core import MAX_POLYGON_INDECS, Backend, Indec, InputError
 from .subcats import Subcat, closed_sets, iter_bits, require_enumerable
+from .subcats import right_perp
 
 
 @dataclass(frozen=True)
@@ -104,21 +108,13 @@ class PolygonBackend(Backend):
         return _crossing(self._arcs[i], self._arcs[j])
 
     @cached_property
-    def crossing_masks(self) -> tuple[int, ...]:
-        """Per arc id, the bitmask of the arcs it crosses."""
-        k = len(self._arcs)
-        return tuple(
-            sum(1 << b for b in range(k) if _crossing(self._arcs[a], self._arcs[b]))
-            for a in range(k)
-        )
-
-    @cached_property
     def connecting_masks(self) -> tuple[dict[int, int], ...]:
         """Per arc id a, for each arc b crossing it, the bitmask of the
         arcs joining an endpoint of a to one of b."""
+        cross = self.ext1_masks()[0]
         out: tuple[dict[int, int], ...] = tuple({} for _ in self._arcs)
         for a, arc in enumerate(self._arcs):
-            for b in iter_bits(self.crossing_masks[a]):
+            for b in iter_bits(cross[a]):
                 other = self._arcs[b]
                 out[a][b] = sum(
                     1 << self._by_arc[Arc(min(p, q), max(p, q))]
@@ -149,12 +145,8 @@ def parse_spec(spec: str) -> PolygonBackend:
 
 
 def is_rigid(backend: PolygonBackend, s: Subcat) -> bool:
-    ids = s.ids()
-    for a in range(len(ids)):
-        for b in range(a + 1, len(ids)):
-            if backend.ext_incidence(ids[a], ids[b]):
-                return False
-    return True
+    """Pairwise non-crossing: inside its own Ext^1-perpendicular."""
+    return s.issubset(right_perp(s))
 
 
 def enumerate_rigid(backend: PolygonBackend) -> list[Subcat]:
@@ -162,7 +154,7 @@ def enumerate_rigid(backend: PolygonBackend) -> list[Subcat]:
     ascending bit order: the sets on arcs 0..i are those on arcs 0..i-1,
     then the ones among them that cross no arc i, with arc i added."""
     k = require_enumerable(backend)
-    cross = backend.crossing_masks
+    cross = backend.ext1_masks()[0]
     found = [0]
     for i in range(k):
         found += [s | 1 << i for s in found if not s & cross[i]]
@@ -176,20 +168,11 @@ def triangulations_among(backend: PolygonBackend, rigid: list[Subcat]) -> list[S
 
 def is_ptolemy(backend: PolygonBackend, s: Subcat) -> bool:
     """Crossing-closed: crossing members force all connecting arcs in."""
-    ids = s.ids()
-    for x in range(len(ids)):
-        for y in range(x + 1, len(ids)):
-            a = backend.arc_of_id(ids[x])
-            b = backend.arc_of_id(ids[y])
-            if not _crossing(a, b):
-                continue
-            for p in (a.i, a.j):
-                for q in (b.i, b.j):
-                    lo, hi = min(p, q), max(p, q)
-                    if _valid_arc(backend.n, lo, hi):
-                        if backend.id_of_arc(Arc(lo, hi)) not in s:
-                            return False
-    return True
+    cross, conn, bits = backend.ext1_masks()[0], backend.connecting_masks, s.bits
+    # each crossing pair of members once, from its lower arc a
+    return not any(
+        conn[a][b] & ~bits for a in s for b in iter_bits(cross[a] & bits >> a << a)
+    )
 
 
 def enumerate_ptolemy(backend: PolygonBackend) -> list[Subcat]:
@@ -198,7 +181,7 @@ def enumerate_ptolemy(backend: PolygonBackend) -> list[Subcat]:
     missing, which is a closure because crossing-closed sets are closed
     under intersection."""
     k = require_enumerable(backend)
-    cross = backend.crossing_masks
+    cross = backend.ext1_masks()[0]
     conn = backend.connecting_masks
 
     def closure(bits: int) -> int:
@@ -251,13 +234,8 @@ def cut_reduction(backend: PolygonBackend, rigid: Subcat) -> CutReduction:
     if not is_rigid(backend, rigid):
         raise InputError("cut set must be pairwise non-crossing")
     n = backend.n
-    zbits = 0
     rigid_arcs = [backend.arc_of_id(i) for i in rigid]
-    for idx in range(len(backend.indecs)):
-        a = backend.arc_of_id(idx)
-        if all(not _crossing(a, r) for r in rigid_arcs):
-            zbits |= 1 << idx
-    z = Subcat(backend, zbits)
+    z = right_perp(rigid)
 
     pieces: list[list[int]] = [list(range(n))]
     for r in sorted(rigid_arcs, key=lambda a: (a.i, a.j)):

@@ -106,9 +106,9 @@ class ZIQuotient:
             )
         dec = self.engine.decomposition
         if step == 1:
-            tri = dec(self.s_down, x, 1, self.s_down, self.z_set)
+            tri = dec(self.s_down, x, self.s_down, self.z_set)
             return tri.c, tri
-        tri = dec(self.p.u, x, 1, self.z_set, self.v_up)
+        tri = dec(self.p.u, x, self.z_set, self.v_up)
         return tri.a, tri
 
     @stored(key=lambda z, step: (z.summands, step))
@@ -119,9 +119,9 @@ class ZIQuotient:
         _check_step(step)
         dec, b = self.engine.decomposition, self.backend
         if step == 1:
-            tri = dec(self.u_down, z, 1, self.u_down, self.i_set)
+            tri = dec(self.u_down, z, self.u_down, self.i_set)
             return b.shift_obj(tri.a, 1), tri
-        tri = dec(self.p.s, z, 1, self.i_set, self.t_up)
+        tri = dec(self.p.s, z, self.i_set, self.t_up)
         return b.shift_obj(tri.c, -1), tri
 
     @stored(key=lambda z, step: (z.summands, step))
@@ -328,8 +328,8 @@ class ZIQuotient:
         condition; its isomorphism verdict is witness-independent.
         """
         dec = self.engine.decomposition
-        w1 = dec(self.p.u, x, 1, self.p.u, self.v_up)
-        w2 = dec(self.s_down, x, 1, self.s_down, self.p.t)
+        w1 = dec(self.p.u, x, self.p.u, self.v_up)
+        w2 = dec(self.s_down, x, self.s_down, self.p.t)
         u_x = w1.a
         t_x = w2.c
         z_u, sig_tri = self.adjoint(u_x, 1)

@@ -3,16 +3,16 @@
 A Subcat is a set of indecomposable ids standing for the full additive
 subcategory of finite direct sums of those indecomposables; it is
 summand-closed by construction.  Ext^1-perpendiculars are unions of the
-backend's checked Ext^1 masks (``Backend.hom_masks``): ``perp_bits`` is
-the one kernel on plain ints, ``closed_sets`` walks the closed sets of a
-closure on bitmasks, and ``perp_pairs`` walks the closed classes of two
-perpendiculars with the perpendicular of each, so the pair enumerations
-and the quotient's build no Subcat.  Star membership C in add(X) * add(Y)
-runs on the peel engine, for a Y that the caller vouches closed under
-extensions: it repeatedly strips one Y-summand by enumerating maps
-C -> y and passing to the cocone, and accepts when some chain lands in
-add(X); if the cocone lies in X * Y, then C lies in X * Y * y, inside
-X * Y.
+backend's Ext^1 masks (``Backend.ext1_masks``), an object-layer table
+that the polygon has too: ``perp_bits`` is the one kernel on plain ints,
+``closed_sets`` walks the closed sets of a closure on bitmasks, and
+``perp_pairs`` walks the closed classes of two perpendiculars with the
+perpendicular of each, so the pair enumerations and the quotient's build
+no Subcat.  Star membership C in add(X) * add(Y) runs on the peel
+engine, for a Y that the caller vouches closed under extensions: it
+repeatedly strips one Y-summand by enumerating maps C -> y and passing
+to the cocone, and accepts when some chain lands in add(X); if the
+cocone lies in X * Y, then C lies in X * Y * y, inside X * Y.
 
 The search is complete for capped Y sides (every genuine triangle
 induces a chain of the same length); acceptance of YES needs Y closed
@@ -173,12 +173,12 @@ def perp_bits(bits: int, masks: Sequence[int]) -> int:
 
 def right_perp(x: Subcat) -> Subcat:
     """Indecomposables c with Ext^1(member, c) = 0 for all members."""
-    return Subcat(x.backend, perp_bits(x.bits, x.backend.hom_masks()[2]))
+    return Subcat(x.backend, perp_bits(x.bits, x.backend.ext1_masks()[0]))
 
 
 def left_perp(x: Subcat) -> Subcat:
     """Indecomposables c with Ext^1(c, member) = 0 for all members."""
-    return Subcat(x.backend, perp_bits(x.bits, x.backend.hom_masks()[3]))
+    return Subcat(x.backend, perp_bits(x.bits, x.backend.ext1_masks()[1]))
 
 
 def closed_sets(k: int, closure: Callable[[int], int]) -> Iterator[int]:

@@ -195,7 +195,7 @@ def first_witness(star, x, y, c, top):
     return next(witnesses(star, x, y, c, top), None)
 
 
-def searched_decomposition(engine, cls, c, step, first, third):
+def searched_decomposition(engine, cls, c, first, third):
     """``PairEngine.decomposition`` by the search: the first witness in
     add(first) * add(third), with room for the split part of a wide
     object (a top of its width past the engine's cap)."""

@@ -1,9 +1,10 @@
 """Approximation triangles against the escalating-cap search oracle.
 
 ``PairEngine.approximation`` builds the minimal right or left
-approximation of an object from Hom bases modulo the radical, and every
+approximation of an object from Hom bases modulo the radical; every
 decomposition triangle that the pair engine and the subquotient read is
-its cone or its rotated cone (``PairEngine.decomposition``).
+the cone of a right one (``PairEngine.decomposition``), and heart
+vanishing also reads a left one as it is.
 The tests hold it to the search it replaced (``helpers.witnesses``, the
 capped triangle enumerator walked cap by cap): the cones land in the
 other class of the pair, the minimal approximation is a summand of the
@@ -72,11 +73,10 @@ def test_approximation_cones_lie_in_the_other_class(case):
             assert p.u.contains_obj(right.src) and v1.contains_obj(b.cone_obj(right))
             assert p.u.contains_obj(b.shift_obj(b.cone_obj(left), -1))
             assert v1.contains_obj(left.dst)
-            # the stored triangles are the cone and the rotated cone
-            tri = eng.decomposition(p.u, x, 1, p.u, v1)
+            # the stored triangle is the cone, and in_star reads the cocone
+            tri = eng.decomposition(p.u, x, p.u, v1)
             assert (tri.f, tri.c) == (right, b.cone_obj(right))
-            tri = eng.decomposition(v1, x, -1, p.u, v1)
-            assert tri.g == left and tri.a == b.shift_obj(b.cone_obj(left), -1)
+            assert eng.in_star(p.u, v1, x, -1)
 
 
 def test_approximations_are_minimal_and_every_witness_reads_their_verdict(case):
@@ -128,6 +128,23 @@ def test_an_approximation_out_of_its_class_raises(monkeypatch):
     x = next(Obj.of(i) for i in range(b.K) if i not in pair.v.shifted(1))
     monkeypatch.setattr(PairEngine, "approximation", zero_approximation)
     with pytest.raises(InternalCheckError, match="has an end outside"):
+        eng.h_vanishes(x, pair)
+
+
+def test_a_left_approximation_out_of_its_class_raises(monkeypatch):
+    # The zero map x -> 0 as the left approximation: its cocone is x itself,
+    # outside U, while the right approximation stays honest.
+    honest = PairEngine.approximation
+
+    def zero_left(self, cls, c, step):
+        return honest(self, cls, c, step) if step == 1 else Mor(c, Obj.zero(), 0)
+
+    eng = PairEngine(NakayamaBackend(2, 2))
+    b = eng.backend
+    pair = next(p for p in eng.enumerate_cotorsion().pairs if p.u.bits == 1)
+    x = next(Obj.of(i) for i in range(b.K) if i not in pair.u)
+    monkeypatch.setattr(PairEngine, "approximation", zero_left)
+    with pytest.raises(InternalCheckError, match="left approximation .* end outside"):
         eng.h_vanishes(x, pair)
 
 

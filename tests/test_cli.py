@@ -321,6 +321,8 @@ def test_invalid_inputs_exit_two(capsys):
         ["inspect-pair", "--backend", "nakayama:m=1,n=3", "--pair", "U=S0;V=[]"],
         ["inspect-pair", "--backend", "nakayama:m=1,n=3", "--pair", "U=[M(0,1];V=[]"],
         ["enumerate-cp", "--backend", "polygon:N=5"],
+        # the perpendiculars have no capability check, the pair engine has
+        ["inspect-pair", "--backend", "polygon:N=5", "--pair", "U=[arc(0,2)];V=[]"],
     ]
     for argv in cases:
         rc = cli.main(argv)

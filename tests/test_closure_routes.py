@@ -219,9 +219,9 @@ def test_enumerate_tcp_matches_is_tcp_per_pair():
 def test_engines_on_one_backend_share_its_masks():
     b = NakayamaBackend(2, 4)
     first, second = PairEngine(b), PairEngine(b)
-    masks = b.hom_masks()
-    assert b.hom_masks() is masks
-    assert first._ext1 is second._ext1 is masks[2]
+    masks = b.ext1_masks()
+    assert b.ext1_masks() is masks
+    assert first._ext1 is second._ext1 is masks[0]
 
 
 # ---------------------------------------------------------------- failure paths

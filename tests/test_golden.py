@@ -16,7 +16,10 @@ Nakayama cap admits, and the ``enumerate-tcp`` digest on
 ``nakayama:m=3,n=4`` were recorded from the reports of the code before
 cotorsion-pair coverage was decided by minimal approximations, with
 the always-empty ``unresolved`` and ``unresolved_constituents`` keys
-dropped from those reports.  The envelope
+dropped from those reports; the last three, an ``inspect-pair`` report and
+two ``match-backends`` reports (K = 20, matched; K = 24, no match), were
+recorded before the Ext^1 incidence moved into one mask table per
+backend (``Backend.ext1_masks``).  The envelope
 is not hashed, so schema and settings changes do not trip these checks;
 any change to a verdict, a count, a label or a witness coordinate does.
 """
@@ -99,6 +102,19 @@ GOLDEN = [
         ["enumerate-tcp", "--concentric", "--hovey", "--cond-I", "--cond-II",
          "--cond-III", "--backend", "nakayama:m=3,n=4"],
         "6af8141b8662d251935059ce339de03eb607e01b4b0c8d31fd110bd511ef0c1e",
+    ),
+    (
+        ["inspect-pair", "--backend", "nakayama:m=2,n=4",
+         "--pair", "U=[M(0,1)];V=[M(0,1)]"],
+        "6828b20687456b4f4119f29640ed12d8be0e301ae83c15c5cc4ce8f2e25ead48",
+    ),
+    (
+        ["match-backends", "polygon:N=8", "polygon:N=8"],
+        "1c2f26d7b15bc301e5ec79b2a304dcbf6dfe380735c1de92b911e488a1b1e54f",
+    ),
+    (
+        ["match-backends", "nakayama:m=2,n=13", "nakayama:m=12,n=3"],
+        "83b61b7670eed9302ad3404027e11cf0f4aaa97acd697ac17710448bed997c89",
     ),
 ]
 

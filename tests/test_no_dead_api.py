@@ -31,6 +31,9 @@ KEPT = {
     "from_labels": "Subcat.from_labels, the value API the tests build with",
     "reduce": "QuotientSpace.reduce, the canonical form of a class, which "
     "the tests compare quotient maps by",
+    "rotate_right": "Backend.rotate_right, the inverse of rotate_left, which "
+    "the subquotient's triangle axioms (rotation gives an isomorphic "
+    "triangle) are to read; the core tests check the two rotations",
     "entry": "F2Matrix.entry, one matrix entry, which the tests' per-entry "
     "oracles for products, module maps and block scatters read",
 }

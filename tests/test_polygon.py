@@ -152,6 +152,23 @@ def test_crossing_matches_oracle(n):
             assert b.ext_incidence(j, i) == want  # crossing is symmetric
 
 
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_connecting_masks_match_the_arc_geometry(n):
+    # is_ptolemy and enumerate_ptolemy both read these masks, so they are
+    # held here to the arcs joining an endpoint of a to an endpoint of b,
+    # for every b crossing a, built from the vertex pairs alone.
+    b = PolygonBackend(n)
+    valid = set(oracle_arcs(n))
+    ends = [(b.arc_of_id(i).i, b.arc_of_id(i).j) for i in range(b.K)]
+    for a in range(b.K):
+        want = {}
+        for c in range(b.K):
+            if oracle_cross(ends[a], ends[c]):
+                joins = {(min(p, q), max(p, q)) for p in ends[a] for q in ends[c]}
+                want[c] = sum(1 << b.id_of_arc(Arc(*j)) for j in joins & valid)
+        assert b.connecting_masks[a] == want, ends[a]
+
+
 # ---------------------------------------------------------------- rotation
 
 

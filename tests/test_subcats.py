@@ -6,9 +6,11 @@ compared on cases where the stripped side is known to be closed under
 extensions, which is what the peel engine's yes side requires.
 """
 
+import random
+
 import pytest
 
-from cotor.core import BudgetExceeded, CapabilityError, InputError, Obj
+from cotor.core import BudgetExceeded, InputError, Obj
 from cotor.nakayama import NakayamaBackend
 from cotor.pairs import PairEngine
 from cotor.polygon import PolygonBackend, enumerate_ptolemy, enumerate_rigid
@@ -119,10 +121,27 @@ def test_perps_are_antitone(b23):
     assert right_perp(Subcat.empty(b23)) == Subcat.everything(b23)
 
 
-def test_perp_needs_exact_triangles():
-    poly = PolygonBackend(5)
-    with pytest.raises(CapabilityError):
-        right_perp(Subcat.of(poly, [0]))
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_polygon_perps_are_the_arcs_crossing_no_member(n):
+    # Perpendiculars need no exact triangles: on the polygon both are the
+    # arcs that cross no member, with crossing read off the endpoints.
+    poly = PolygonBackend(n)
+    arcs = [poly.arc_of_id(i) for i in range(poly.K)]
+
+    def crossing(a, b):
+        return a.i < b.i < a.j < b.j or b.i < a.i < b.j < a.j
+
+    # every class on K <= 9 arcs, 300 random ones on the 14 of the heptagon
+    rng = random.Random(n)
+    classes = range(1 << poly.K) if poly.K <= 9 else [
+        rng.getrandbits(poly.K) & rng.getrandbits(poly.K) for _ in range(300)
+    ]
+    for bits in classes:
+        x = Subcat(poly, bits)
+        want = Subcat.of(poly, (
+            c for c, a in enumerate(arcs) if not any(crossing(a, arcs[m]) for m in x)
+        ))
+        assert right_perp(x) == want == left_perp(x), x.labels()
 
 
 # ---------------------------------------------------------------- star engine

@@ -547,7 +547,8 @@ def test_perp_bits_match_a_per_member_shift_loop_at_k16(mn):
     # member off the Hom masks.
     b = NakayamaBackend(*mn)
     assert b.K == 16
-    out, into, ext1, ext1_into = b.hom_masks()
+    out, into = b.hom_masks()
+    ext1, ext1_into = b.ext1_masks()
     rng = random.Random(b.K * mn[0])
     full = (1 << b.K) - 1
     classes = [0, full] + [rng.getrandbits(16) & rng.getrandbits(16) for _ in range(40)]
@@ -565,9 +566,9 @@ def test_perp_bits_match_a_per_member_shift_loop_at_k16(mn):
 
 
 def test_a_corrupted_shift_is_caught_by_the_first_perpendicular(monkeypatch):
-    # The Ext^1 masks read the shift, so the perpendiculars and the
-    # engine's walks read only checked masks, and a failed build keeps
-    # nothing.
+    # The Ext^1 masks are checked against the shifted Hom masks, so the
+    # perpendiculars and the engine's walks read only checked masks, and a
+    # failed build keeps nothing; the Hom masks read no shift and build.
     for first in (right_perp, left_perp, lambda x: PairEngine(x.backend)):
         b = NakayamaBackend(2, 3)
         honest = b.shift_id
@@ -577,7 +578,7 @@ def test_a_corrupted_shift_is_caught_by_the_first_perpendicular(monkeypatch):
         for _ in range(2):
             with pytest.raises(InternalCheckError, match="disagree on vanishing"):
                 first(Subcat.of(b, [0]))
-        assert not getattr(b, "_stored", {}).get("hom_masks")
+        assert not b._stored.get("ext1_masks") and b._stored["hom_masks"]
 
 
 # ---------------------------------------------------------------- coverage
@@ -593,7 +594,7 @@ def test_coverage_by_cone_masks_matches_the_whole_object_route(mn):
     rng = random.Random(b.K)
     stars = [
         (Subcat(b, u), Subcat(b, v).shifted(1))
-        for u, v in perp_pairs(*b.hom_masks()[2:])
+        for u, v in perp_pairs(*b.ext1_masks())
     ]
     for _ in range(len(stars)):
         x = rng.getrandbits(b.K) & rng.getrandbits(b.K)
