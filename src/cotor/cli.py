@@ -420,13 +420,10 @@ def _suite_counts(args: argparse.Namespace, status: _Status) -> dict:
 
 
 def _both(p: TwinCotorsionPair, v1: Verdict, v2: Verdict) -> Verdict:
-    """Conjunction of two verdicts (no dominates, then inconclusive);
-    a no or an inconclusive is named by the twin pair."""
-    if v1.is_no or v2.is_no:
-        return Verdict.no(reason=_tcp_name(p))
-    if v1.is_yes and v2.is_yes:
-        return Verdict.yes()
-    return Verdict.inconclusive(reason=_tcp_name(p))
+    """Conjunction of two verdicts (``Verdict.all_of``); a no or an
+    inconclusive is named by the twin pair."""
+    v = Verdict.all_of((v1, v2))
+    return v if v.is_yes else Verdict(v.state, _tcp_name(p))
 
 
 def _suite_conditions(args: argparse.Namespace, status: _Status) -> dict:

@@ -31,7 +31,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .core import InputError, InternalCheckError, Obj, stored
+from .core import InputError, InternalCheckError, Obj, _incidence_masks, stored
 from .pairs import CotorsionPair, PairEngine, TwinCotorsionPair
 from .quotient import ZIQuotient
 from .subcats import Subcat, perp_pairs
@@ -39,7 +39,8 @@ from .subcats import Subcat, perp_pairs
 
 @dataclass(frozen=True)
 class ZICotorsionPair:
-    """Cotorsion pair in the subquotient, over class representatives."""
+    """Cotorsion pair in the subquotient, over the ids of its
+    indecomposables (``ZIQuotient.zi_objects``)."""
 
     l: tuple[int, ...]
     r: tuple[int, ...]
@@ -94,18 +95,9 @@ class MutationEngine:
     # -- lift from the subquotient ------------------------------------------------
 
     def lift(self, reps) -> Subcat:
-        """Ambient middle-class indecomposables with classes in the set.
-
-        Core members lift too: their class is zero, which every
-        additive class contains.
-        """
-        want = set(reps)
-        ids = set(self.q.i_set.ids())
-        for z in self.q.z_set:
-            rep = self.q.class_rep(z)
-            if rep is not None and rep in want:
-                ids.add(z)
-        return Subcat.of(self.backend, ids)
+        """The middle-class indecomposables with classes in the set: the
+        ids themselves, and the core members, whose zero class every set holds."""
+        return Subcat.of(self.backend, reps).union(self.q.i_set)
 
     def _star_members(self, side: Subcat, x: Subcat, y: Subcat, step: int) -> Subcat:
         """The members of side in add(x) * add(y) by ``PairEngine.in_star``,
@@ -282,12 +274,9 @@ class MutationEngine:
         """
         reps = self.q.zi_objects()
         n = len(reps)
-        out, into = [0] * n, [0] * n
-        for i, x in enumerate(reps):
-            for j, y in enumerate(reps):
-                if self.q.ext1_zi(Obj.of(x), Obj.of(y)):
-                    out[i] |= 1 << j
-                    into[j] |= 1 << i
+        out, into = _incidence_masks(
+            n, lambda i, j: self.q.ext1_zi(Obj.of(reps[i]), Obj.of(reps[j]))
+        )
 
         def pick(bits: int) -> tuple[int, ...]:
             return tuple(reps[k] for k in range(n) if bits >> k & 1)

@@ -22,18 +22,17 @@ the classes the pair axioms put them in.
 Each subquotient stores its answers per input (``core.stored``), and
 the pair engine stores one subquotient per twin pair (``for_pair``).
 
-Witness triangles are unique only up to isomorphism, so object-level
-identities are asserted as quotient isomorphisms, never as equalities
-of ambient objects.  Isomorphism testing itself runs two routes, a
-cone-membership test and a direct two-sided-inverse solve, both always
-decided, and refuses to answer if they disagree; the answer is stored
-per core and map on the pair engine (``PairEngine.iso_mod``), so twin
-pairs with the same core share it.
+The indecomposables of Z/I are those of Z outside I, pairwise
+non-isomorphic (``zi_objects`` says why), so an object's decomposition
+in Z/I is its summands outside I (``class_of``), read with no search.
+Invertibility modulo I, which the comparison map needs, runs two
+routes, a cone-membership test and a direct two-sided-inverse solve,
+both always decided, and refuses to answer if they disagree; the answer
+is stored per core and map on the pair engine (``PairEngine.iso_mod``),
+so twin pairs with the same core share it.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from .core import (
     InputError,
@@ -207,54 +206,27 @@ class ZIQuotient:
         (``PairEngine.iso_mod``, stored per core and map)."""
         return self.engine.iso_mod(self.i_set, f)
 
-    # -- objects up to quotient isomorphism ----------------------------------
-
-    @stored()
-    def _classes(self) -> dict[int, Optional[int]]:
-        """Representative id per middle-class indecomposable, None for core.
-
-        Endomorphism rings stay local or vanish in the quotient, so
-        unique decomposition survives and pairwise tests suffice.
-        """
-        b = self.backend
-        rep_of: dict[int, Optional[int]] = {}
-        reps: list[int] = []
-        for zid in sorted(self.z_set.ids()):
-            if zid in self.i_set:
-                rep_of[zid] = None
-                continue
-            for r in reps:
-                if self._indec_iso(r, zid):
-                    rep_of[zid] = r
-                    break
-            else:
-                rep_of[zid] = zid
-                reps.append(zid)
-        return rep_of
-
-    def _indec_iso(self, a: int, bb: int) -> bool:
-        if a == bb:
-            return True
-        b = self.backend
-        x, y = Obj.of(a), Obj.of(bb)
-        for f in b.hom_elements(x, y):
-            if f.is_zero:
-                continue
-            if self.iso_in_quotient(f):
-                return True
-        return False
-
-    def class_rep(self, zid: int) -> Optional[int]:
-        return self._classes()[zid]
+    # -- objects --------------------------------------------------------------
 
     def zi_objects(self) -> list[int]:
-        """Representative ids of the nonzero quotient objects."""
-        return sorted({r for r in self._classes().values() if r is not None})
+        """Ids of the nonzero indecomposable quotient objects: Z minus I.
+
+        No two of them are isomorphic in Z/I, by Krull-Schmidt.  For an
+        indecomposable z of Z outside add(I), an endomorphism of z that
+        factors through add(I) is not invertible (else z would be a
+        summand of an object of add(I)), so it lies in the radical of the
+        local ring End(z).  So if f: z -> z' and g: z' -> z are inverse
+        modulo I, then g after f is 1 plus a radical element, hence
+        invertible; z is a summand of the indecomposable z', and z = z'.
+        """
+        return self.z_set.minus(self.i_set).ids()
 
     def class_of(self, obj: Obj) -> tuple[int, ...]:
-        """Multiset of nonzero class representatives of the summands."""
-        reps = map(self._classes().__getitem__, obj.summands)
-        return tuple(sorted(r for r in reps if r is not None))
+        """The summands of an object of Z that are not in I: its
+        decomposition in Z/I, with multiplicity."""
+        if not self.z_set.contains_obj(obj):
+            raise InputError("quotient objects come from the middle class")
+        return tuple(i for i in obj.summands if i not in self.i_set)
 
     # -- standard triangles -----------------------------------------------------
 

@@ -205,6 +205,26 @@ def searched_decomposition(engine, cls, c, first, third):
     return tri
 
 
+def searched_classes(q):
+    """The class search that ``ZIQuotient`` ran before Krull-Schmidt stood
+    in for it, the oracle of ``zi_objects`` and ``class_of``: per id of
+    the middle class, None for a core member, else the first earlier
+    representative with a nonzero map into it that is invertible modulo
+    the core (``iso_in_quotient``), else the id itself."""
+    b = q.backend
+    rep_of, reps = {}, []
+    for zid in q.z_set.ids():
+        if zid in q.i_set:
+            rep_of[zid] = None
+            continue
+        maps = (f for r in reps for f in b.hom_elements(Obj.of(r), Obj.of(zid)))
+        iso = next((f for f in maps if not f.is_zero and q.iso_in_quotient(f)), None)
+        rep_of[zid] = zid if iso is None else iso.src.summands[0]
+        if iso is None:
+            reps.append(zid)
+    return rep_of
+
+
 def whole_object_in_star(engine, x, y, c):
     """Coverage c in add(x) * add(y), for Hom-orthogonal classes, by the
     route ``PairEngine.in_star(x, y, c, 1)`` took before it read one stored

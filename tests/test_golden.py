@@ -19,7 +19,11 @@ the always-empty ``unresolved`` and ``unresolved_constituents`` keys
 dropped from those reports; the last three, an ``inspect-pair`` report and
 two ``match-backends`` reports (K = 20, matched; K = 24, no match), were
 recorded before the Ext^1 incidence moved into one mask table per
-backend (``Backend.ext1_masks``).  The envelope
+backend (``Backend.ext1_masks``); the last three, ``reduce``, ``mutate``
+and ``orbit-graph`` on a ``nakayama:m=3,n=4`` twin pair with the nonzero
+core {M(0,2)} and four quotient objects, were recorded before the
+subquotient's objects were read as the middle class outside the core
+rather than found by a pairwise isomorphism search.  The envelope
 is not hashed, so schema and settings changes do not trip these checks;
 any change to a verdict, a count, a label or a witness coordinate does.
 """
@@ -32,6 +36,11 @@ import pytest
 from cotor import cli
 
 TCP = ["--backend", "nakayama:m=2,n=2", "--tcp", "trivial-hovey"]
+CORE_TCP = [
+    "--backend", "nakayama:m=3,n=4", "--tcp",
+    "S=[M(0,2)];T=[M(0,1),M(0,2),M(0,3),M(1,1),M(2,3)];"
+    "U=[M(0,1),M(0,2),M(0,3),M(1,1),M(2,3)];V=[M(0,2)]",
+]
 
 GOLDEN = [
     (
@@ -115,6 +124,19 @@ GOLDEN = [
     (
         ["match-backends", "nakayama:m=2,n=13", "nakayama:m=12,n=3"],
         "83b61b7670eed9302ad3404027e11cf0f4aaa97acd697ac17710448bed997c89",
+    ),
+    (
+        ["reduce"] + CORE_TCP,
+        "2e6436a067ac9e86235a08091fcfe4ea73a998a73d0ccccc7fd294cae52e1c0f",
+    ),
+    (
+        ["mutate"] + CORE_TCP + ["--pair", "U=[M(0,1),M(0,2)];"
+                                 "V=[M(0,1),M(0,2),M(0,3),M(2,3)]", "--k", "1"],
+        "2fa56990977710ff46efc49f41e34279bf944fc342816951b089065dba025d98",
+    ),
+    (
+        ["orbit-graph"] + CORE_TCP,
+        "d75d8e1d72cf3cbe9448e204dba41b69278a957c74d74effdd7f42b4fd53af70",
     ),
 ]
 

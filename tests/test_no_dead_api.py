@@ -34,6 +34,8 @@ KEPT = {
     "rotate_right": "Backend.rotate_right, the inverse of rotate_left, which "
     "the subquotient's triangle axioms (rotation gives an isomorphic "
     "triangle) are to read; the core tests check the two rotations",
+    "hom_elements": "Backend.hom_elements, every map x -> y, the value API "
+    "the tests enumerate maps by, the quotient's class-search oracle among them",
     "entry": "F2Matrix.entry, one matrix entry, which the tests' per-entry "
     "oracles for products, module maps and block scatters read",
 }

@@ -19,6 +19,7 @@ from cotor.nakayama import NakayamaBackend
 from cotor.pairs import CotorsionPair, PairEngine, trivial_hovey_tcp
 from cotor.quotient import ZIQuotient
 from cotor.subcats import Subcat
+from helpers import searched_classes
 
 
 @pytest.fixture(scope="module")
@@ -234,8 +235,8 @@ def test_standard_left_triangle_reaches_the_shifted_cocone(q13):
     "mn", [(2, 3), (3, 3), (1, 4)], ids=lambda mn: "m=%d,n=%d" % mn
 )
 def test_standard_triangles_match_hand_built_oracles(mn):
-    """Over every concentric pair and every map between class
-    representatives, the right third read from the cone object equals
+    """Over every concentric pair and every map between indecomposables
+    of the quotient, the right third read from the cone object equals
     the full triangle's, and the left triangle's first object is the
     coadjoint image of the shifted cone of [f, pi], built here by hand
     from the full cone."""
@@ -285,9 +286,33 @@ def test_zero_quotient_collapses_everything(qzero):
     assert qzero.class_of(x) == ()
     assert reduced(qzero, b.identity(x)) == 0
     assert qzero.class_of(x) == qzero.class_of(Obj.zero())
+    outside = next(i for i in range(b.K) if i not in qzero.z_set)
+    with pytest.raises(InputError):
+        qzero.class_of(Obj.of(outside))
     assert qzero.mu_map(x)[1].is_yes
     s = qzero.summary()
     assert s["core"] == ["M(0,1)"] and s["objects"] == []
+
+
+@pytest.mark.parametrize("mn", [(2, 4), (3, 4), (4, 4), (5, 3), (2, 6)])
+def test_quotient_objects_are_the_middle_class_outside_the_core(mn):
+    """Krull-Schmidt in place of the class search, on every concentric
+    pair: the search merges no two ids and sends no id elsewhere, the
+    quotient objects are Z minus I, the quotient decomposition of Z drops
+    the core, and each object keeps a nonzero endomorphism ring modulo I."""
+    eng = PairEngine(NakayamaBackend(*mn))
+    pairs = eng.concentric_tcps()
+    assert pairs
+    for p in pairs:
+        q = ZIQuotient.for_pair(eng, p)
+        outside = [z for z in q.z_set.ids() if z not in q.i_set]
+        assert searched_classes(q) == {
+            z: (z if z in outside else None) for z in q.z_set.ids()
+        }
+        assert q.zi_objects() == outside
+        assert q.class_of(Obj.from_iter(q.z_set.ids())) == tuple(outside)
+        for z in outside:
+            assert q.hom_mod_I(Obj.of(z), Obj.of(z)).dim > 0
 
 
 def test_quotient_objects_with_empty_core(q14):
