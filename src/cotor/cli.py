@@ -17,9 +17,10 @@ import functools
 import json
 import re
 import sys
-from typing import Any, Callable, Optional
+from importlib import import_module
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from . import __version__, nakayama, polygon
+from . import __version__
 from .core import (
     Backend,
     CotorError,
@@ -29,23 +30,19 @@ from .core import (
     Obj,
     Verdict,
 )
-from .mutation import MutationEngine
-from .pairs import (
-    CotorsionPair,
-    PairEngine,
-    TwinCotorsionPair,
-    trivial_hovey_tcp,
-    trivial_pairs,
-)
-from .quotient import ZIQuotient
 from .subcats import DEFAULT_CAP, Subcat, left_perp, perp_pairs, right_perp
+
+if TYPE_CHECKING:
+    from .pairs import CotorsionPair, PairEngine, TwinCotorsionPair
+    from .polygon import PolygonBackend
 
 SCHEMA = "cotor.report/2"
 
-_BUILDERS: dict[str, Callable[[str], Backend]] = {
-    "nakayama": nakayama.parse_spec,
-    "polygon": polygon.parse_spec,
-}
+# Backend family -> the module whose ``parse_spec`` builds it.  A command
+# imports only its own family's module, and only the layers it runs:
+# ``pairs`` with the pair engine, ``quotient`` and ``mutation`` only in
+# the commands and suites that build subquotients or mutate.
+_FAMILIES = {"nakayama": "nakayama", "polygon": "polygon"}
 
 _SUITES = ("counts", "conditions", "hovey", "adjunction", "bijection", "all")
 
@@ -54,13 +51,13 @@ def build_backend(spec: Optional[str]) -> Backend:
     if spec is None:
         raise InputError("--backend is required for this command")
     family = spec.split(":", 1)[0]
-    builder = _BUILDERS.get(family)
-    if builder is None:
+    home = _FAMILIES.get(family)
+    if home is None:
         raise InputError(
             f"unknown backend family {family!r}; expected one of "
-            + ", ".join(sorted(_BUILDERS))
+            + ", ".join(sorted(_FAMILIES))
         )
-    return builder(spec)
+    return import_module(f"{__package__}.{home}").parse_spec(spec)
 
 
 def _tcp_name(p: TwinCotorsionPair) -> str:
@@ -91,6 +88,8 @@ class _Status:
 
     @functools.cached_property
     def engine(self) -> PairEngine:
+        from .pairs import PairEngine
+
         return PairEngine(self.backend, cap=self.cap)
 
     def note(self, verdict: Verdict) -> str:
@@ -199,6 +198,8 @@ def _parse_assignments(
 
 
 def _parse_pair(engine: PairEngine, text: str) -> CotorsionPair:
+    from .pairs import CotorsionPair
+
     b = engine.backend
     got = _parse_assignments(b, text, frozenset({"U", "V"}))
     return CotorsionPair(Subcat.of(b, got["U"]), Subcat.of(b, got["V"]))
@@ -206,6 +207,8 @@ def _parse_pair(engine: PairEngine, text: str) -> CotorsionPair:
 
 def _parse_tcp(engine: PairEngine, text: str) -> TwinCotorsionPair:
     """Named twin pair, a doubled pair, or four explicit classes."""
+    from .pairs import CotorsionPair, trivial_hovey_tcp
+
     text = text.strip()
     if text == "trivial-hovey":
         return trivial_hovey_tcp(engine)
@@ -320,6 +323,8 @@ def _cmd_inspect_pair(args: argparse.Namespace, status: _Status) -> dict:
 
 
 def _cmd_reduce(args: argparse.Namespace, status: _Status) -> dict:
+    from .quotient import ZIQuotient
+
     engine = status.engine
     p = _parse_tcp(engine, args.tcp)
     q = ZIQuotient.for_pair(engine, p)
@@ -334,6 +339,8 @@ def _cmd_reduce(args: argparse.Namespace, status: _Status) -> dict:
 
 
 def _cmd_mutate(args: argparse.Namespace, status: _Status) -> dict:
+    from .mutation import MutationEngine
+
     engine = status.engine
     p = _parse_tcp(engine, args.tcp)
     me = MutationEngine(engine, p)
@@ -352,6 +359,8 @@ def _cmd_mutate(args: argparse.Namespace, status: _Status) -> dict:
 
 
 def _cmd_orbit_graph(args: argparse.Namespace, status: _Status) -> None:
+    from .mutation import MutationEngine
+
     engine = status.engine
     p = _parse_tcp(engine, args.tcp)
     me = MutationEngine(engine, p)
@@ -364,6 +373,8 @@ def _cmd_orbit_graph(args: argparse.Namespace, status: _Status) -> None:
 
 def enumerate_by_second_class(engine: PairEngine) -> list[CotorsionPair]:
     """Independent route: the closed sets of the dual closure on V."""
+    from .pairs import CotorsionPair
+
     b = engine.backend
     ext1, ext1_into = b.ext1_masks()
     out: list[CotorsionPair] = []
@@ -374,7 +385,9 @@ def enumerate_by_second_class(engine: PairEngine) -> list[CotorsionPair]:
     return out
 
 
-def _suite_counts_polygon(b: polygon.PolygonBackend, status: _Status) -> dict:
+def _suite_counts_polygon(b: PolygonBackend, status: _Status) -> dict:
+    from . import polygon
+
     rigid = polygon.enumerate_rigid(b)
     tris = polygon.triangulations_among(b, rigid)
     pt = polygon.enumerate_ptolemy(b)
@@ -397,8 +410,14 @@ def _suite_counts_polygon(b: polygon.PolygonBackend, status: _Status) -> dict:
 
 
 def _suite_counts(args: argparse.Namespace, status: _Status) -> dict:
-    if isinstance(status.backend, polygon.PolygonBackend):
-        return _suite_counts_polygon(status.backend, status)
+    b = status.backend
+    # Building a polygon backend loaded its module, so a Nakayama run
+    # decides this without importing the polygon layer.
+    polygon = sys.modules.get(f"{__package__}.polygon")
+    if polygon is not None and isinstance(b, polygon.PolygonBackend):
+        return _suite_counts_polygon(b, status)
+    from .pairs import trivial_pairs
+
     engine = status.engine
     enum = engine.enumerate_cotorsion()
     dual = enumerate_by_second_class(engine)
@@ -451,6 +470,8 @@ def _suite_conditions(args: argparse.Namespace, status: _Status) -> dict:
 
 
 def _suite_hovey(args: argparse.Namespace, status: _Status) -> dict:
+    from .pairs import trivial_hovey_tcp
+
     engine = status.engine
     rows = []
     everything = sorted(Subcat.everything(engine.backend).labels())
@@ -486,6 +507,8 @@ _INVERSE_SHIFTS = "suspension and loop are mutually inverse on classes"
 
 
 def _suite_adjunction(args: argparse.Namespace, status: _Status) -> dict:
+    from .quotient import ZIQuotient
+
     engine = status.engine
     rows = []
     for p in engine.concentric_tcps():
@@ -517,6 +540,9 @@ def _suite_adjunction(args: argparse.Namespace, status: _Status) -> dict:
 
 
 def _suite_bijection(args: argparse.Namespace, status: _Status) -> dict:
+    from .mutation import MutationEngine
+    from .pairs import trivial_hovey_tcp
+
     engine = status.engine
     targets: list[TwinCotorsionPair] = [trivial_hovey_tcp(engine)]
     for cp in engine.enumerate_cotorsion().pairs:

@@ -292,7 +292,8 @@ class Backend:
     @stored()
     def ext1_masks(self) -> tuple[list[int], list[int]]:
         """Per indecomposable i, the bitmasks of the c with Ext^1(i, c) and
-        Ext^1(c, i) nonzero, read off ``ext_incidence`` once per backend.
+        Ext^1(c, i) nonzero, read off ``ext_incidence`` once per backend
+        unless the backend builds them itself.
         With exact triangles the build also checks that Hom(i[-1], c) = 0
         exactly when Ext^1(i, c) = Hom(i, c[1]) = 0."""
         out, into = _incidence_masks(len(self.indecs), self.ext_incidence)

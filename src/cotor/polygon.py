@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import MAX_POLYGON_INDECS, Backend, Indec, InputError
+from .core import MAX_POLYGON_INDECS, Backend, Indec, InputError, stored
 from .subcats import Subcat, closed_sets, iter_bits, require_enumerable
 from .subcats import right_perp
 
@@ -106,6 +106,26 @@ class PolygonBackend(Backend):
 
     def ext_incidence(self, i: int, j: int) -> bool:
         return _crossing(self._arcs[i], self._arcs[j])
+
+    @stored()
+    def ext1_masks(self) -> tuple[list[int], list[int]]:
+        """The crossing masks, in O(K * N) rather than K^2 crossing tests:
+        arc (i, j) crosses exactly the arcs that touch a vertex strictly
+        inside (i, j) and one strictly outside [i, j].  Crossing is
+        symmetric, so both lists hold the same rows."""
+        touching = [0] * self.n
+        for idx, a in enumerate(self._arcs):
+            touching[a.i] |= 1 << idx
+            touching[a.j] |= 1 << idx
+        rows = []
+        for a in self._arcs:
+            inside = outside = 0
+            for v in range(a.i + 1, a.j):
+                inside |= touching[v]
+            for v in (*range(a.i), *range(a.j + 1, self.n)):
+                outside |= touching[v]
+            rows.append(inside & outside)
+        return rows, list(rows)
 
     @cached_property
     def connecting_masks(self) -> tuple[dict[int, int], ...]:

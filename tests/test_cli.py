@@ -492,7 +492,7 @@ def test_cotorsion_pair_checks_need_no_peel_budget(monkeypatch, capsys, argv):
     argv = [*argv, "--backend", "nakayama:m=2,n=4"]
     rc, want, _ = invoke(capsys, *argv)
     assert rc == 0
-    monkeypatch.setattr(cli, "PairEngine", _starved)
+    monkeypatch.setattr("cotor.pairs.PairEngine", _starved)
     rc, out, err = invoke(capsys, *argv)
     assert rc == 0 and err == ""
     assert report_of(out)["report"] == report_of(want)["report"]
@@ -502,7 +502,7 @@ def test_a_starved_condition_I_peel_exits_three_unless_allowed(monkeypatch, caps
     # The star T * U of condition (I) has sides that are not orthogonal,
     # so it still runs on the capped peel, and an exhausted budget there
     # is an inconclusive verdict, never a guess.
-    monkeypatch.setattr(cli, "PairEngine", _starved)
+    monkeypatch.setattr("cotor.pairs.PairEngine", _starved)
     argv = ["verify", "--suite", "conditions", "--backend", "nakayama:m=2,n=4"]
     rc, out, _ = invoke(capsys, *argv)
     assert rc == 3
@@ -541,7 +541,7 @@ def test_a_run_keeps_nothing_after_main_returns(monkeypatch, capsys):
         refs.extend([weakref.ref(engine), weakref.ref(backend)])
         return engine
 
-    monkeypatch.setattr(cli, "PairEngine", tracked)
+    monkeypatch.setattr("cotor.pairs.PairEngine", tracked)
     argv = ["verify", "--suite", "all", "--backend", "nakayama:m=2,n=3"]
     assert invoke(capsys, *argv)[0] == 0
     gc.collect()

@@ -4,8 +4,9 @@ A function or method that no other code in ``src/`` names is dead API,
 unless the layer tracer in ``perfbench/tracer.py`` binds it, the package
 exports it in ``cotor.__all__``, or ``KEPT`` below gives the reason it
 stays.  Matching is by name only: a call ``x.plus(...)`` anywhere in
-``src/`` keeps every function and method called ``plus``.  Dunders are
-left out, since the language calls them.
+``src/`` keeps every function and method called ``plus``.  Dunders, at
+module level (a package's ``__getattr__``) as in classes, are left out,
+since the language calls them.
 """
 
 import ast
@@ -41,18 +42,20 @@ KEPT = {
 }
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _defined() -> dict[str, list[str]]:
     """Module functions and class methods by name, dunders left out."""
     out: dict[str, list[str]] = {}
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, ast.FunctionDef):
+            if isinstance(node, ast.FunctionDef) and not _dunder(node.name):
                 out.setdefault(node.name, []).append(f"{path.stem}.{node.name}")
             elif isinstance(node, ast.ClassDef):
                 for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and not (
-                        item.name.startswith("__") and item.name.endswith("__")
-                    ):
+                    if isinstance(item, ast.FunctionDef) and not _dunder(item.name):
                         where = f"{path.stem}.{node.name}.{item.name}"
                         out.setdefault(item.name, []).append(where)
     return out

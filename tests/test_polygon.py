@@ -7,10 +7,11 @@ confirms them.
 """
 
 import itertools
+import random
 
 import pytest
 
-from cotor.core import InputError, Obj
+from cotor.core import InputError, Obj, _incidence_masks
 from cotor.polygon import (
     Arc,
     PolygonBackend,
@@ -150,6 +151,22 @@ def test_crossing_matches_oracle(n):
             want = oracle_cross((a.i, a.j), (c.i, c.j))
             assert b.ext_incidence(i, j) == want
             assert b.ext_incidence(j, i) == want  # crossing is symmetric
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_crossing_rows_match_the_pairwise_test(n):
+    # The rows are built per vertex; the K^2 crossing predicate is their
+    # oracle.
+    b = PolygonBackend(n)
+    assert b.ext1_masks() == _incidence_masks(b.K, b.ext_incidence)
+
+
+def test_crossing_rows_match_the_pairwise_test_on_sampled_arcs_of_46_gon():
+    b = PolygonBackend(46)
+    out, into = b.ext1_masks()
+    for i in random.Random(46).sample(range(b.K), 40):
+        assert out[i] == sum(1 << c for c in range(b.K) if b.ext_incidence(i, c))
+        assert into[i] == sum(1 << c for c in range(b.K) if b.ext_incidence(c, i))
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])

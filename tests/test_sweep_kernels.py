@@ -207,7 +207,7 @@ def test_peel_tables_hold_only_real_moves(monkeypatch, capsys):
         built.append(PairEngine(backend, cap=cap))
         return built[-1]
 
-    monkeypatch.setattr(cli, "PairEngine", recorded)
+    monkeypatch.setattr("cotor.pairs.PairEngine", recorded)
     bijection_queries((3, 4), monkeypatch)
     [engine] = built
     b, star = engine.backend, engine.star
