@@ -25,7 +25,9 @@ the capped peel engine, its one reader: an exhausted budget there is
 inconclusive, never a guess.  Decomposition triangles need no search:
 each is the cone of a minimal right approximation map built from Hom
 bases (``approximation``), and heart vanishing also reads a minimal left
-one as it is, so that predicate is always decided.
+one as it is, so that predicate is always decided.  Each pair reads its
+own two triangles and checks their ends; the span test they feed is
+stored per the approximation data it reads (``_heart_verdict``).
 """
 
 from __future__ import annotations
@@ -154,14 +156,26 @@ class CPEnumeration:
     pairs: list[CotorsionPair]
 
 
-def _approx_key(cls: Subcat, c: Obj, step: int) -> tuple:
-    """An approximation's key: the members of cls with a nonzero Hom into
-    (+1) or out of (-1) a summand of c, then c and step."""
+def reach(cls: Subcat, c: Obj, step: int) -> int:
+    """The members of cls with a nonzero Hom into (+1) or out of (-1) a
+    summand of c, as a mask."""
     near = cls.backend.hom_masks()[1 if step == 1 else 0]
     bits = 0
     for j in c.summands:
         bits |= near[j]
-    return (cls.bits & bits, c, step)
+    return cls.bits & bits
+
+
+def _approx_key(cls: Subcat, c: Obj, step: int) -> tuple:
+    """An approximation's key: the members of cls that reach c, then c and
+    step."""
+    return (reach(cls, c, step), c, step)
+
+
+def _heart_key(x: Obj, u: Subcat, v: Subcat, right: Tri, left: Mor) -> tuple:
+    """``_heart_verdict``'s key: x, the members of U that reach x, and those
+    of V[1] and of V that x reaches."""
+    return (x, reach(u, x, 1), reach(v.shifted(1), x, -1), reach(v, x, -1))
 
 
 class PairEngine:
@@ -426,10 +440,8 @@ class PairEngine:
         Reads the map x -> V'[1] of two triangles U' -> x -> V'[1] ->
         U'[1]: the cone of the minimal right U-approximation of x, and the
         minimal left V[1]-approximation of x itself, once ``in_star`` has
-        checked that its cocone lies in add(U).  It tests by linear algebra
-        whether the map lies in the subspace of maps factoring through
-        add(V).  The answer is triangle-independent, so the two verdicts
-        are compared and any disagreement raises.
+        checked that its cocone lies in add(U).  Both ends are checked for
+        every pair; the span test itself is shared (``_heart_verdict``).
         """
         v1 = pair.v.shifted(1)
         right = self.decomposition(pair.u, x, pair.u, v1)
@@ -440,8 +452,24 @@ class PairEngine:
                 f"{v1.labels()} has an end outside "
                 f"{pair.u.labels()} * {v1.labels()}"
             )
+        return self._heart_verdict(x, pair.u, pair.v, right, left)
+
+    @stored(key=_heart_key)
+    def _heart_verdict(
+        self, x: Obj, u: Subcat, v: Subcat, right: Tri, left: Mor
+    ) -> Verdict:
+        """Whether the middle maps of the two triangles of ``h_vanishes``
+        lie in the span of maps factoring through add(V).  The answer is
+        triangle-independent, so the two verdicts are compared and any
+        disagreement raises.
+
+        Stored per ``_heart_key``, which fixes the answer: the two
+        triangles are the stored approximations keyed by the members of U
+        and of V[1] that reach x, and only members w of V with
+        Hom(x, w) nonzero add to a factoring span.
+        """
         verdicts = {
-            in_span(g.coords, self.factoring_subspace(x, pair.v, end))
+            in_span(g.coords, self.factoring_subspace(x, v, end))
             for g, end in ((right.g, right.c), (left, left.dst))
         }
         if len(verdicts) > 1:

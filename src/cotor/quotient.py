@@ -29,7 +29,10 @@ Invertibility modulo I, which the comparison map needs, runs two
 routes, a cone-membership test and a direct two-sided-inverse solve,
 both always decided, and refuses to answer if they disagree; the answer
 is stored per core and map on the pair engine (``PairEngine.iso_mod``),
-so twin pairs with the same core share it.
+so twin pairs with the same core share it.  The comparison map and its
+verdict are stored on the pair engine too, per the approximation data of
+its four triangles and the core (``_comparison``), while each pair reads
+its own triangles and checks their ends.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .core import (
     stored,
 )
 from .f2 import F2Matrix, QuotientSpace, solve
-from .pairs import PairEngine, TwinCotorsionPair
+from .pairs import PairEngine, TwinCotorsionPair, reach
 from .subcats import Subcat
 
 
@@ -199,13 +202,6 @@ class ZIQuotient:
         s1, s2 = self.adjoint(g.src, 1)[1], self.adjoint(g.dst, 1)[1]
         return self.complete_triangle_map(s1, s2, {1: g})[2]
 
-    # -- isomorphism testing -------------------------------------------------------
-
-    def iso_in_quotient(self, f: Mor) -> bool:
-        """Quotient isomorphism test, two routes cross-checked
-        (``PairEngine.iso_mod``, stored per core and map)."""
-        return self.engine.iso_mod(self.i_set, f)
-
     # -- objects --------------------------------------------------------------
 
     def zi_objects(self) -> list[int]:
@@ -296,31 +292,17 @@ class ZIQuotient:
         decomposition of x (right U-approximation), the shifted
         inner-pair decomposition of x (right S[-1]-approximation), the
         adjoint witness of the first's end, and the coadjoint witness of
-        the second's end.  The map is any solution of the commuting
-        condition; its isomorphism verdict is witness-independent.
+        the second's end.  Each is read, its ends checked, for this pair;
+        the map and its verdict are shared (``_comparison``).
         """
         dec = self.engine.decomposition
         w1 = dec(self.p.u, x, self.p.u, self.v_up)
         w2 = dec(self.s_down, x, self.s_down, self.p.t)
-        u_x = w1.a
-        t_x = w2.c
-        z_u, sig_tri = self.adjoint(u_x, 1)
-        z_t, omg_tri = self.adjoint(t_x, -1)
-        b = self.backend
-        rhs = b.compose(w1.f, w2.g)
-        # unknown z: z_u -> z_t, condition (u_x -> z_u) then z then (z_t -> t_x)
-        system = b.left_op(omg_tri.f, u_x).mul(b.right_op(sig_tri.g, z_t))
-        sol = solve(system, rhs.coords)
-        if sol is None:
-            raise InternalCheckError(
-                "comparison-map condition is unsolvable, which the "
-                "concentric axioms forbid"
-            )
-        z = Mor(z_u, z_t, sol)
-        if self.iso_in_quotient(z):
-            return z, Verdict.yes()
-        return z, Verdict.no(
-            reason="comparison map is not invertible modulo the core"
+        sig_tri = self.adjoint(w1.a, 1)[1]
+        omg_tri = self.adjoint(w2.c, -1)[1]
+        return _comparison(
+            self.engine, self.p.u, self.s_down, self.i_set,
+            w1.f, w2.g, sig_tri.g, omg_tri.f,
         )
 
     # -- reporting ------------------------------------------------------------
@@ -355,3 +337,50 @@ class ZIQuotient:
 def _for_pair(engine: PairEngine, p: TwinCotorsionPair) -> ZIQuotient:
     """``ZIQuotient.for_pair``, kept in the engine's stored table."""
     return ZIQuotient(engine, p)
+
+
+def _comparison_key(
+    u: Subcat, s_down: Subcat, core: Subcat, into: Mor, out: Mor, *_: Mor
+) -> tuple:
+    """``_comparison``'s key: x, the members of U and of S[-1] that reach
+    x, of S[-1] that reach u_x and of U that reach t_x, and the core."""
+    x = into.dst
+    return (
+        x, reach(u, x, 1), reach(s_down, x, 1), reach(s_down, into.src, 1),
+        reach(u, out.dst, 1), core.bits,
+    )
+
+
+@stored(key=_comparison_key)
+def _comparison(
+    engine: PairEngine, u: Subcat, s_down: Subcat, core: Subcat,
+    into: Mor, out: Mor, sig: Mor, omg: Mor,
+) -> tuple[Mor, Verdict]:
+    """``ZIQuotient.mu_map``'s map z_u -> z_t and its verdict, from the
+    maps u_x -> x and x -> t_x of the decompositions of x, the adjoint map
+    u_x -> z_u and the coadjoint map z_t -> t_x.  The map is any solution
+    of the commuting condition; its isomorphism verdict is
+    witness-independent.
+
+    Stored on the engine per ``_comparison_key``, which fixes the answer:
+    each of the four triangles is the stored minimal approximation keyed
+    by its class's members that reach its object (u_x and t_x are ends of
+    the first two), and the isomorphism test reads only the core.
+    """
+    b = engine.backend
+    z_u, z_t = sig.dst, omg.src
+    rhs = b.compose(into, out)
+    # unknown z: z_u -> z_t, condition (u_x -> z_u) then z then (z_t -> t_x)
+    system = b.left_op(omg, into.src).mul(b.right_op(sig, z_t))
+    sol = solve(system, rhs.coords)
+    if sol is None:
+        raise InternalCheckError(
+            "comparison-map condition is unsolvable, which the "
+            "concentric axioms forbid"
+        )
+    z = Mor(z_u, z_t, sol)
+    if engine.iso_mod(core, z):
+        return z, Verdict.yes()
+    return z, Verdict.no(
+        reason="comparison map is not invertible modulo the core"
+    )

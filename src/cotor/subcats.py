@@ -143,7 +143,11 @@ class Subcat:
         return _shifted(self.backend, self.bits, k)
 
     def contains_obj(self, x: Obj) -> bool:
-        return all(i in self for i in x.summands)
+        bits = self.bits
+        for i in x.summands:
+            if not bits >> i & 1:
+                return False
+        return True
 
     def _same(self, other: "Subcat") -> None:
         if other.backend is not self.backend:

@@ -3,7 +3,7 @@
 from cotor.core import (
     BudgetExceeded, Mor, Obj, Tri, Verdict, _slot_assignment, multisets_over, stored
 )
-from cotor.f2 import F2Matrix, rank, solve
+from cotor.f2 import F2Matrix, in_span, rank, solve
 from cotor.nakayama import (
     _commutation_rows, _path_tower, _unflatten, uniserial_counts
 )
@@ -210,7 +210,7 @@ def searched_classes(q):
     in for it, the oracle of ``zi_objects`` and ``class_of``: per id of
     the middle class, None for a core member, else the first earlier
     representative with a nonzero map into it that is invertible modulo
-    the core (``iso_in_quotient``), else the id itself."""
+    the core (``PairEngine.iso_mod``), else the id itself."""
     b = q.backend
     rep_of, reps = {}, []
     for zid in q.z_set.ids():
@@ -218,7 +218,9 @@ def searched_classes(q):
             rep_of[zid] = None
             continue
         maps = (f for r in reps for f in b.hom_elements(Obj.of(r), Obj.of(zid)))
-        iso = next((f for f in maps if not f.is_zero and q.iso_in_quotient(f)), None)
+        iso = next(
+            (f for f in maps if not f.is_zero and q.engine.iso_mod(q.i_set, f)), None
+        )
         rep_of[zid] = zid if iso is None else iso.src.summands[0]
         if iso is None:
             reps.append(zid)
@@ -301,6 +303,60 @@ def basis_products(b, src, mids, dst):
                 if coords:
                     vectors.append(coords)
     return vectors
+
+
+def inverse_mod(b, core, f):
+    """Is f invertible modulo the maps factoring through core?  The inverse
+    solve of ``PairEngine.iso_mod`` alone, over spans built afresh
+    (``basis_products``), with nothing stored."""
+    x, y = f.src, f.dst
+    fx, fy = basis_products(b, x, core, x), basis_products(b, y, core, y)
+    dxx, dyy = b.hom_dim(x, x), b.hom_dim(y, y)
+    system = (
+        b.right_op(f, x)
+        .hstack(F2Matrix.from_rows(fx, dxx).transpose())
+        .hstack(F2Matrix.zero(dxx, len(fy)))
+        .vstack(
+            b.left_op(f, y)
+            .hstack(F2Matrix.zero(dyy, len(fx)))
+            .hstack(F2Matrix.from_rows(fy, dyy).transpose())
+        )
+    )
+    rhs = b.identity(x).coords | (b.identity(y).coords << dxx)
+    return solve(system, rhs) is not None
+
+
+def per_pair_mu(q, x):
+    """Condition (I)'s comparison map on x and whether it is invertible
+    modulo the core, from the pair's own four triangles and no shared
+    comparison or isomorphism table: the route ``ZIQuotient.mu_map`` took
+    before twin pairs with the same approximation data shared it."""
+    b, p, dec = q.backend, q.p, q.engine.decomposition
+    w1 = dec(p.u, x, p.u, q.v_up)
+    w2 = dec(q.s_down, x, q.s_down, p.t)
+    sig = dec(q.s_down, w1.a, q.s_down, q.z_set)
+    omg = dec(p.u, w2.c, q.z_set, q.v_up)
+    system = b.left_op(omg.f, w1.a).mul(b.right_op(sig.g, omg.a))
+    sol = solve(system, b.compose(w1.f, w2.g).coords)
+    assert sol is not None, "the commuting condition has no solution"
+    z = Mor(sig.c, omg.a, sol)
+    return z, inverse_mod(b, q.i_set, z)
+
+
+def per_pair_heart(engine, x, pair):
+    """Heart vanishing of x against a cotorsion pair, from the pair's own
+    right and left approximation triangles and spans built afresh: the
+    route ``PairEngine.h_vanishes`` took before twin pairs with the same
+    approximation data shared its span test.  The two must agree."""
+    b, v1 = engine.backend, pair.v.shifted(1)
+    right = engine.decomposition(pair.u, x, pair.u, v1)
+    left = engine.approximation(v1, x, -1)
+    verdicts = {
+        in_span(g.coords, basis_products(b, x, pair.v, end))
+        for g, end in ((right.g, right.c), (left, left.dst))
+    }
+    assert len(verdicts) == 1, "the two triangles disagree"
+    return verdicts.pop()
 
 
 def splits_3way(c, xset, yset):

@@ -177,7 +177,7 @@ def test_suspension_of_morphisms_is_additive(q14):
     sf, sg, sfg = q14.Sigma_mor(f), q14.Sigma_mor(g), q14.Sigma_mor(f.plus(g))
     assert reduced(q14, sfg) == reduced(q14, sf.plus(sg))
     assert reduced(q14, q14.Sigma_mor(Mor(m2, m2, 0))) == 0
-    assert q14.iso_in_quotient(q14.Sigma_mor(b.identity(m2)))
+    assert q14.engine.iso_mod(q14.i_set, q14.Sigma_mor(b.identity(m2)))
 
 
 def test_triangle_completion_squares_commute(eng13, q13):
@@ -272,11 +272,11 @@ def test_standard_triangles_match_hand_built_oracles(mn):
 def test_iso_routes_agree_in_both_regimes(q22, qzero):
     b = q22.backend
     x = Obj.of(0)
-    assert q22.iso_in_quotient(b.identity(x))
-    assert not q22.iso_in_quotient(Mor(x, x, 0))
+    assert q22.engine.iso_mod(q22.i_set, b.identity(x))
+    assert not q22.engine.iso_mod(q22.i_set, Mor(x, x, 0))
     # In the zero quotient every map, including zero, is invertible.
-    assert qzero.iso_in_quotient(Mor(x, x, 0))
-    assert qzero.iso_in_quotient(b.identity(x))
+    assert qzero.engine.iso_mod(qzero.i_set, Mor(x, x, 0))
+    assert qzero.engine.iso_mod(qzero.i_set, b.identity(x))
 
 
 def test_zero_quotient_collapses_everything(qzero):
@@ -328,7 +328,7 @@ def test_comparison_map_is_iso_on_every_object(q14):
         z, v = q14.mu_map(x)
         assert v.is_yes
         assert z is not None
-        assert q14.iso_in_quotient(z)
+        assert q14.engine.iso_mod(q14.i_set, z)
 
 
 def test_summary_shape(q22):

@@ -1,30 +1,40 @@
 """Stored tables that twin pairs share, against the routes they replace.
 
-The conditions layer keeps four pair-independent pieces once per input:
+The conditions layer keeps six pair-independent pieces once per input:
 the span of maps factoring through one member (``PairEngine._member_span``,
 concatenated by ``factoring_subspace``), the composition operators
 (``Backend.left_op`` and ``right_op``), each triangle the literal search
-yields, per connecting map and split (``NakayamaBackend._sum_tri``), and
-the isomorphism test modulo a core (``PairEngine.iso_mod``).  Each is
-held here to the route it replaced, kept in ``helpers`` as the oracle: the
-same vectors in the same order, the same matrices, the same triangles in
-the same order with the same work budget as the per-map scan
-(``helpers.scan_enumerate``).  A stored answer is kept only
-once its checks pass, so a failing check raises again on every call.
+yields, per connecting map and split (``NakayamaBackend._sum_tri``),
+the isomorphism test modulo a core (``PairEngine.iso_mod``), and condition
+(I)'s comparison map and condition (III)'s span test, per the
+approximation data they read (``quotient._comparison`` and
+``PairEngine._heart_verdict``).  Each is held here to the route it
+replaced, kept in ``helpers`` as the oracle: the same vectors in the same
+order, the same matrices, the same triangles in the same order with the
+same work budget as the per-map scan (``helpers.scan_enumerate``), the
+same comparison maps and verdicts as the per-pair routes
+(``helpers.per_pair_mu`` and ``per_pair_heart``).  A stored answer is kept
+only once its checks pass, so a failing check raises again on every call,
+and the checks that read a pair's own classes run for every pair.
 """
 
 import itertools
 import random
+import re
 
 import pytest
 
-from cotor.core import BudgetExceeded, InternalCheckError, Mor, Obj, multisets_over
+from cotor import cli
+from cotor.core import (
+    BudgetExceeded, InternalCheckError, Mor, Obj, Tri, multisets_over
+)
 from cotor.nakayama import NakayamaBackend
-from cotor.pairs import PairEngine
-from cotor.quotient import ZIQuotient
+from cotor.pairs import PairEngine, _heart_key
+from cotor.quotient import ZIQuotient, _comparison_key
 from cotor.subcats import Subcat
 from helpers import (
-    basis_products, one_more_m01, op_by_compose, scan_run, with_split
+    basis_products, one_more_m01, op_by_compose, per_pair_heart, per_pair_mu,
+    scan_run, with_split
 )
 
 # Every Nakayama backend with at most 9 indecomposables (K = m(n-1)).
@@ -215,7 +225,7 @@ def test_twin_pairs_with_one_core_share_an_iso_entry(monkeypatch):
     q1, q2, z = _twins_sharing_a_core(eng)
     assert q1 is not q2
     f = b.identity(z)
-    assert q1.iso_in_quotient(f) is True
+    assert eng.iso_mod(q1.i_set, f) is True
     table = eng._stored["iso_mod"]
     # the other entries are the radical tests modulo the zero class
     core = {k: v for k, v in table.items() if k[0]}
@@ -228,7 +238,7 @@ def test_twin_pairs_with_one_core_share_an_iso_entry(monkeypatch):
         eng, "factoring_subspace", lambda *a: work.append(a) or spans(*a)
     )
     monkeypatch.setattr(b, "cone_obj", lambda f: work.append(f))
-    assert q2.iso_in_quotient(f) is True
+    assert eng.iso_mod(q2.i_set, f) is True
     assert table == before and work == []
 
 
@@ -269,5 +279,145 @@ def test_a_disagreeing_cone_route_raises_on_every_call_and_stores_nothing(
     monkeypatch.setattr(eng, "in_star", lambda x, y, c, step: not honest(x, y, c, step))
     for _ in range(2):
         with pytest.raises(InternalCheckError, match="routes disagree"):
-            q.iso_in_quotient(f)
+            eng.iso_mod(q.i_set, f)
     assert eng._stored["iso_mod"] == isos
+
+
+# ---------------------------------------------------------------- condition answers
+
+
+def _heart_tests(p):
+    """The (object, cotorsion pair) inputs of condition (III) on p."""
+    return [(Obj.of(i), p.inner) for i in p.u] + [(Obj.of(i), p.outer) for i in p.t]
+
+
+@pytest.mark.parametrize("mn", [(2, 4), (3, 4), (5, 3)], ids=_ids)
+def test_shared_condition_answers_match_the_per_pair_routes(mn):
+    eng = PairEngine(NakayamaBackend(*mn))
+    maps = hearts = 0
+    for p in eng.concentric_tcps():
+        q = ZIQuotient.for_pair(eng, p)
+        tu, complete = eng.star.star_indecs(p.t, p.u)
+        assert complete
+        for x in map(Obj.of, tu):
+            z, verdict = q.mu_map(x)
+            assert (z, verdict.is_yes) == per_pair_mu(q, x)
+            assert not verdict.is_inconclusive
+            maps += 1
+        for x, pair in _heart_tests(p):
+            verdict = eng.h_vanishes(x, pair)
+            assert verdict.is_yes == per_pair_heart(eng, x, pair)
+            assert not verdict.is_inconclusive
+            hearts += 1
+    # the comparison maps came from fewer shared entries than pairs asked
+    # for; the heart tests share none on m=2,n=4 (see the counts test)
+    assert 0 < len(eng._stored["_comparison"]) < maps
+    assert 0 < len(eng._stored["_heart_verdict"]) <= len(eng._stored["h_vanishes"])
+    assert len(eng._stored["h_vanishes"]) <= hearts
+
+
+def _sharing(inputs, key):
+    """Two (pair, object) inputs whose keys coincide, the second of a pair
+    other than the first's, with their common key."""
+    seen = {}
+    for p, x in inputs:
+        k = key(p, x)
+        if k in seen and seen[k][0] != p:
+            return seen[k], (p, x), k
+        seen.setdefault(k, (p, x))
+    raise AssertionError("no two twin pairs share a key")
+
+
+def test_a_shared_comparison_still_checks_each_pairs_triangle_ends(monkeypatch):
+    eng = PairEngine(NakayamaBackend(3, 4))
+    b = eng.backend
+
+    def key(p, x):
+        q = ZIQuotient.for_pair(eng, p)
+        w1 = eng.decomposition(p.u, x, p.u, q.v_up)
+        w2 = eng.decomposition(q.s_down, x, q.s_down, p.t)
+        return _comparison_key(p.u, q.s_down, q.i_set, w1.f, w2.g)
+
+    inputs = [
+        (p, Obj.of(x)) for p in eng.concentric_tcps()
+        for x in eng.star.star_indecs(p.t, p.u)[0]
+    ]
+    (p1, x), (p2, _), k = _sharing(inputs, key)
+    q1, q2 = ZIQuotient.for_pair(eng, p1), ZIQuotient.for_pair(eng, p2)
+    want = q1.mu_map(x)
+    assert eng._stored["_comparison"][k] == want
+    # the right U-approximation triangle of x gains an end outside V[1]
+    outside = next(i for i in range(b.K) if i not in q2.v_up)
+    approx, honest = eng.approximation(p2.u, x, 1), b.cone
+
+    def cone(f):
+        tri = honest(f)
+        if f != approx:
+            return tri
+        bad = tri.c.plus(Obj.of(outside))
+        return Tri(tri.f, Mor(tri.b, bad), Mor(bad, b.shift_obj(tri.a, 1)))
+
+    monkeypatch.setattr(b, "cone", cone)
+    # the end check of that triangle, not of another that reads the map
+    ends = re.escape(f"has an end outside {p2.u.labels()} * {q2.v_up.labels()}")
+    with pytest.raises(InternalCheckError, match=ends):
+        q2.mu_map(x)
+    assert eng._stored["_comparison"][k] == want
+
+
+def test_a_shared_heart_test_still_checks_each_pairs_left_cocone(monkeypatch):
+    eng = PairEngine(NakayamaBackend(3, 4))
+    b = eng.backend
+
+    def key(pair, x):
+        v1 = pair.v.shifted(1)
+        right = eng.decomposition(pair.u, x, pair.u, v1)
+        return _heart_key(x, pair.u, pair.v, right, eng.approximation(v1, x, -1))
+
+    inputs = [(pair, x) for p in eng.concentric_tcps() for x, pair in _heart_tests(p)]
+    (pair1, x), (pair2, _), k = _sharing(inputs, key)
+    want = eng.h_vanishes(x, pair1)
+    assert eng._stored["_heart_verdict"][k] is want
+    # the left approximation's cocone gains a summand outside U
+    outside = next(i for i in range(b.K) if i not in pair2.u)
+    left, honest = eng.approximation(pair2.v.shifted(1), x, -1), b.cone_obj
+
+    def cone_obj(f):
+        got = honest(f)
+        return got.plus(b.shift_obj(Obj.of(outside), 1)) if f == left else got
+
+    monkeypatch.setattr(b, "cone_obj", cone_obj)
+    with pytest.raises(InternalCheckError, match="left approximation .* end outside"):
+        eng.h_vanishes(x, pair2)
+    assert eng._stored["_heart_verdict"][k] is want
+    assert (x, pair2.key()) not in eng._stored["h_vanishes"]
+
+
+@pytest.mark.parametrize(
+    "spec, want",
+    [("nakayama:m=3,n=4", (387, 876, 189, 462)),
+     ("nakayama:m=5,n=3", (1090, 6620, 200, 2360))],
+)
+def test_conditions_suite_shares_its_answers(monkeypatch, capsys, spec, want):
+    """Shared comparison entries and ``mu_map`` calls, shared heart entries
+    and ``h_vanishes`` answers, over one ``verify --suite conditions``."""
+    engines, calls = [], []
+    init, mu_map = PairEngine.__init__, ZIQuotient.mu_map
+
+    def capture(self, *a, **k):
+        init(self, *a, **k)
+        engines.append(self)
+
+    def counted(self, x):
+        calls.append(x)
+        return mu_map(self, x)
+
+    monkeypatch.setattr(PairEngine, "__init__", capture)
+    monkeypatch.setattr(ZIQuotient, "mu_map", counted)
+    assert cli.main(["verify", "--suite", "conditions", "--backend", spec]) == 0
+    capsys.readouterr()
+    [eng] = engines
+    stored = eng._stored
+    got = (len(stored["_comparison"]), len(calls),
+           len(stored["_heart_verdict"]), len(stored["h_vanishes"]))
+    assert got == want
