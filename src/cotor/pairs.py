@@ -6,8 +6,9 @@ shifted V-object by a U-object.  The engine tests candidates by first
 enforcing the Ext^1-perpendicularity identities V = right-perp of U and
 U = left-perp of V, which every genuine pair satisfies and which are
 exact bitmask operations; coverage is then decided per indecomposable
-by one minimal approximation (``in_star``), since U and V[1] are
-Hom-orthogonal.  Minimal approximations are additive, so the cone of the
+outside U and V[1] by one minimal approximation (``in_star``), since U
+and V[1] are Hom-orthogonal, and a member of either side is covered by a
+split triangle.  Minimal approximations are additive, so the cone of the
 one of an object is the sum of those of its summands: each is stored
 once as a summand mask, keyed on the members of U that reach the
 summand, and coverage is one mask test per indecomposable.
@@ -499,15 +500,21 @@ class PairEngine:
             )
         return tuple(rad)
 
-    def _tops(self, cls: Subcat, u: int, j: int, step: int) -> list[int]:
+    @stored()
+    def _tops(self, u: int, j: int, step: int, mids: int) -> tuple[int, ...]:
         """Lifts of a basis of Hom(u, j) (+1) or Hom(j, u) (-1) modulo its
-        radical part: the maps through the other members of cls, and the
-        maps through rad End(u)."""
+        radical part: the maps through the members ``mids``, and the maps
+        through rad End(u).
+
+        Stored per (u, j, step, mids): ``approximation`` passes as ``mids``
+        the members w of its class other than u with Hom(s, w) and
+        Hom(w, t) nonzero, for that space Hom(s, t), since only they add a
+        nonzero product to the span, and the radical of End(u) depends on
+        u alone.  So the key fixes the answer, and classes that agree on
+        ``mids`` share the tuple."""
         b = self.backend
-        out, into = b.hom_masks()
         s, t = (u, j) if step == 1 else (j, u)
         src, dst, uo = Obj.of(s), Obj.of(t), Obj.of(u)
-        mids = cls.bits & out[s] & into[t] & ~(1 << u)
         rad = [v for w in iter_bits(mids) for v in self._member_span(src, w, dst)]
         width = b.hom_dim(src, dst)
         for r in self._end_radical(u):
@@ -516,7 +523,7 @@ class PairEngine:
                 g = Mor(src, dst, 1 << k)
                 rad.append((b.compose(e, g) if step == 1 else b.compose(g, e)).coords)
         q = QuotientSpace(width, rad)
-        return [q.lift(1 << k) for k in range(q.dim)]
+        return tuple(q.lift(1 << k) for k in range(q.dim))
 
     @stored(key=_approx_key)
     def approximation(self, cls: Subcat, c: Obj, step: int) -> Mor:
@@ -526,19 +533,24 @@ class PairEngine:
         Minimal approximations are additive, so the map is assembled per
         summand j of c: one copy of each member u with Hom(u, j) (+1) or
         Hom(j, u) (-1) nonzero per top of that Hom space (``_tops``).  Only
-        those members enter, so the map is stored per the members of cls
-        that reach c, and classes that agree there share it.  Readers of
-        its cone object alone take ``cone_obj`` of it; the triangle of a
-        right one is ``decomposition``'s.
+        those members enter, and the tops of each read only the members of
+        cls through which a map between u and j factors, all of which
+        reach j, so the map is stored per the members of cls that reach c,
+        and classes that agree there share it.  Readers of its cone object
+        alone take ``cone_obj`` of it; the triangle of a right one is
+        ``decomposition``'s.
         """
         b = self.backend
-        near = b.hom_masks()[1 if step == 1 else 0]
+        out, into = b.hom_masks()
+        near = into if step == 1 else out
         ends = [Obj.of(j) for j in c.summands]
         parts: list[Obj] = []
         comps: list[tuple[int, int, Mor]] = []
         for p, j in enumerate(c.summands):
             for u in iter_bits(cls.bits & near[j]):
-                for top in self._tops(cls, u, j, step):
+                s, t = (u, j) if step == 1 else (j, u)
+                mids = cls.bits & out[s] & into[t] & ~(1 << u)
+                for top in self._tops(u, j, step, mids):
                     k, uo = len(parts), Obj.of(u)
                     parts.append(uo)
                     comps.append(
@@ -589,10 +601,13 @@ class PairEngine:
 
     def star_class(self, x: Subcat, y: Subcat) -> Subcat:
         """The indecomposables in add(x) * add(y), for Hom-orthogonal
-        classes: one stored cone mask each (``in_star``)."""
+        classes.  A member c of either side is in it by a split triangle,
+        c -> c -> 0 or 0 -> c -> c, as ``StarEngine.star_contains`` also
+        takes at once; every other indecomposable reads one stored cone
+        mask (``in_star``)."""
         near = self.backend.hom_masks()[1]
-        bits = 0
-        for c in range(len(near)):
+        bits = x.bits | y.bits
+        for c in iter_bits(((1 << len(near)) - 1) & ~bits):
             if not self._cone_bits(x.bits & near[c], c) & ~y.bits:
                 bits |= 1 << c
         return Subcat(self.backend, bits)

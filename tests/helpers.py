@@ -3,7 +3,7 @@
 from cotor.core import (
     BudgetExceeded, Mor, Obj, Tri, Verdict, _slot_assignment, multisets_over, stored
 )
-from cotor.f2 import F2Matrix, in_span, rank, solve
+from cotor.f2 import F2Matrix, QuotientSpace, in_span, rank, solve
 from cotor.nakayama import (
     _commutation_rows, _path_tower, _unflatten, uniserial_counts
 )
@@ -357,6 +357,39 @@ def per_pair_heart(engine, x, pair):
     }
     assert len(verdicts) == 1, "the two triangles disagree"
     return verdicts.pop()
+
+
+def per_class_tops(engine, cls, u, j, step):
+    """Lifts of a basis of Hom(u, j) (+1) or Hom(j, u) (-1) modulo the maps
+    through the other members of cls and through rad End(u), with spans
+    built afresh over every other member (``basis_products``) and nothing
+    stored: the route ``PairEngine._tops`` took before it was stored per
+    the members that add a product."""
+    b = engine.backend
+    s, t = (u, j) if step == 1 else (j, u)
+    src, dst, uo = Obj.of(s), Obj.of(t), Obj.of(u)
+    rad = basis_products(b, src, cls.minus(Subcat.of(b, [u])), dst)
+    width = b.hom_dim(src, dst)
+    for r in engine._end_radical(u):
+        e = Mor(uo, uo, r)
+        for k in range(width):
+            g = Mor(src, dst, 1 << k)
+            rad.append((b.compose(e, g) if step == 1 else b.compose(g, e)).coords)
+    q = QuotientSpace(width, rad)
+    return [q.lift(1 << k) for k in range(q.dim)]
+
+
+def full_star_class(engine, x, y):
+    """The indecomposables in add(x) * add(y), for Hom-orthogonal classes,
+    from the stored cone mask of every indecomposable, members of x and y
+    included: the route ``PairEngine.star_class`` took before it read the
+    members of either side off their split triangles."""
+    near = engine.backend.hom_masks()[1]
+    bits = 0
+    for c in range(len(near)):
+        if not engine._cone_bits(x.bits & near[c], c) & ~y.bits:
+            bits |= 1 << c
+    return Subcat(engine.backend, bits)
 
 
 def splits_3way(c, xset, yset):

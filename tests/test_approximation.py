@@ -27,7 +27,7 @@ from cotor.nakayama import NakayamaBackend
 from cotor.pairs import PairEngine
 from cotor.quotient import ZIQuotient
 from cotor.subcats import StarEngine, Subcat, closed_sets, left_perp, right_perp
-from helpers import literal_contains, searched_decomposition, witnesses
+from helpers import full_star_class, literal_contains, searched_decomposition, witnesses
 
 # (m, n): the widest objects whose approximations are checked, and the
 # widest that are also held to the search, which at two summands is
@@ -161,8 +161,12 @@ def test_every_endomorphism_called_invertible_trips_the_radical_check(monkeypatc
     for v in range(b.K):
         with pytest.raises(InternalCheckError, match="not of codimension 1"):
             fresh._end_radical(v)
-    with pytest.raises(InternalCheckError, match="not of codimension 1"):
-        fresh.approximation(Subcat.of(b, [u]), Obj.of(u), 1)
+    # an error is never stored, so the approximation and the tops under it
+    # raise again on the next call
+    for _ in range(2):
+        with pytest.raises(InternalCheckError, match="not of codimension 1"):
+            fresh.approximation(Subcat.of(b, [u]), Obj.of(u), 1)
+    assert not fresh._stored.get("_tops") and not fresh._stored.get("approximation")
 
 
 def compare_orthogonal_stars(mn):
@@ -215,3 +219,25 @@ def compare_orthogonal_stars(mn):
 def test_orthogonal_stars_match_the_peel_and_the_literal_search(mn):
     decided, pairs = compare_orthogonal_stars(mn)
     assert decided and pairs
+
+
+@pytest.mark.parametrize("mn", [(2, 4), (3, 4), (4, 4)], ids=str)
+def test_star_classes_match_the_cone_of_every_indecomposable(mn):
+    # The members of either side enter by their split triangles; the route
+    # that reads a cone for them too, on an engine of its own, agrees.
+    b = NakayamaBackend(*mn)
+    eng, oracle = PairEngine(b), PairEngine(NakayamaBackend(*mn))
+    stars = []
+    for bits in closed_sets(
+        b.K, lambda s: left_perp(right_perp(Subcat(b, s))).bits
+    ):
+        u = Subcat(b, bits)
+        stars.append((u, right_perp(u).shifted(1)))
+    concentric = eng.concentric_tcps()
+    assert concentric
+    for p in concentric:
+        stars += [(p.s, p.v.shifted(1)), (p.s.shifted(-1), p.v)]
+    ob = oracle.backend
+    for x, y in stars:
+        want = full_star_class(oracle, Subcat(ob, x.bits), Subcat(ob, y.bits))
+        assert eng.star_class(x, y).bits == want.bits, (x.labels(), y.labels())

@@ -1,21 +1,27 @@
 """Stored tables that twin pairs share, against the routes they replace.
 
-The conditions layer keeps six pair-independent pieces once per input:
-the span of maps factoring through one member (``PairEngine._member_span``,
-concatenated by ``factoring_subspace``), the composition operators
-(``Backend.left_op`` and ``right_op``), each triangle the literal search
-yields, per connecting map and split (``NakayamaBackend._sum_tri``),
-the isomorphism test modulo a core (``PairEngine.iso_mod``), and condition
-(I)'s comparison map and condition (III)'s span test, per the
-approximation data they read (``quotient._comparison`` and
-``PairEngine._heart_verdict``).  Each is held here to the route it
-replaced, kept in ``helpers`` as the oracle: the same vectors in the same
-order, the same matrices, the same triangles in the same order with the
-same work budget as the per-map scan (``helpers.scan_enumerate``), the
-same comparison maps and verdicts as the per-pair routes
-(``helpers.per_pair_mu`` and ``per_pair_heart``).  A stored answer is kept
-only once its checks pass, so a failing check raises again on every call,
-and the checks that read a pair's own classes run for every pair.
+The pair and conditions layers keep seven pair-independent pieces once
+per input: the span of maps factoring through one member
+(``PairEngine._member_span``, concatenated by ``factoring_subspace``), the
+composition operators (``Backend.left_op`` and ``right_op``), each
+triangle the literal search yields, per connecting map and split
+(``NakayamaBackend._sum_tri``), the isomorphism test modulo a core
+(``PairEngine.iso_mod``), condition (I)'s comparison map and condition
+(III)'s span test, per the approximation data they read
+(``quotient._comparison`` and ``PairEngine._heart_verdict``), and the
+tops an approximation reads per member and summand, per the other
+members through which a map factors (``PairEngine._tops``).  Each is held
+here to the route it replaced, kept in ``helpers`` as the oracle: the
+same vectors in the same order, the same matrices, the same triangles in
+the same order with the same work budget as the per-map scan
+(``helpers.scan_enumerate``), the same comparison maps and verdicts as
+the per-pair routes (``helpers.per_pair_mu`` and ``per_pair_heart``), the
+same tops as the route over the whole class (``helpers.per_class_tops``).
+The counts tests pin how many entries one suite run keeps, so a return to
+per-pair or per-class keys fails a test, not only a timer.  A stored
+answer is kept only once its checks pass, so a failing check raises
+again on every call, and the checks that read a pair's own classes run
+for every pair.
 """
 
 import itertools
@@ -31,10 +37,10 @@ from cotor.core import (
 from cotor.nakayama import NakayamaBackend
 from cotor.pairs import PairEngine, _heart_key
 from cotor.quotient import ZIQuotient, _comparison_key
-from cotor.subcats import Subcat
+from cotor.subcats import Subcat, closed_sets, iter_bits, left_perp, right_perp
 from helpers import (
-    basis_products, one_more_m01, op_by_compose, per_pair_heart, per_pair_mu,
-    scan_run, with_split
+    basis_products, one_more_m01, op_by_compose, per_class_tops, per_pair_heart,
+    per_pair_mu, scan_run, with_split
 )
 
 # Every Nakayama backend with at most 9 indecomposables (K = m(n-1)).
@@ -421,3 +427,71 @@ def test_conditions_suite_shares_its_answers(monkeypatch, capsys, spec, want):
     got = (len(stored["_comparison"]), len(calls),
            len(stored["_heart_verdict"]), len(stored["h_vanishes"]))
     assert got == want
+
+
+# ---------------------------------------------------------------- approximation tops
+
+
+@pytest.mark.parametrize(
+    "mn, sample", [((2, 4), None), ((3, 4), None), ((4, 5), 100)],
+    ids=["2-4", "3-4", "4-5-sample"],
+)
+def test_stored_tops_match_the_per_class_route(monkeypatch, mn, sample):
+    """Every top an approximation reads, by every closed first class U and
+    its V[1] (a seeded sample of the classes where ``sample`` is set), for
+    both steps, against the tops built from the whole class; classes with
+    the same members through which a map factors read one stored tuple."""
+    b = NakayamaBackend(*mn)
+    eng = PairEngine(b)
+    classes = [
+        Subcat(b, bits)
+        for bits in closed_sets(b.K, lambda s: left_perp(right_perp(Subcat(b, s))).bits)
+    ]
+    if sample:
+        classes = random.Random(sample).sample(classes, sample)
+    out, into = b.hom_masks()
+    honest, read = eng._tops, []
+
+    def tops(*key):
+        got = honest(*key)
+        read.append((key, got))
+        return got
+
+    monkeypatch.setattr(eng, "_tops", tops)
+    # the body of approximation, so that every class reads its own tops
+    build = PairEngine.approximation.__wrapped__
+    first: dict = {}
+    shared = 0
+    for u in classes:
+        for cls in (u, right_perp(u).shifted(1)):
+            for j in range(b.K):
+                for step, near in ((1, into), (-1, out)):
+                    read.clear()
+                    build(eng, cls, Obj.of(j), step)
+                    assert [key[0] for key, _ in read] == list(iter_bits(cls.bits & near[j]))
+                    for key, got in read:
+                        assert list(got) == per_class_tops(eng, cls, key[0], j, step)
+                        owner, kept = first.setdefault(key, (cls.bits, got))
+                        assert got is kept
+                        shared += owner != cls.bits
+    assert shared
+
+
+def test_counts_suite_stores_tops_once_per_their_inputs(monkeypatch, capsys):
+    """Stored tops and approximations after one ``verify --suite counts``
+    on nakayama:m=4,n=5.  With tops computed per class, and coverage read
+    off a cone for the members of either side too, that run computed tops
+    1,056 times and kept 432 approximations."""
+    engines = []
+    init = PairEngine.__init__
+
+    def capture(self, *a, **k):
+        init(self, *a, **k)
+        engines.append(self)
+
+    monkeypatch.setattr(PairEngine, "__init__", capture)
+    assert cli.main(["verify", "--suite", "counts", "--backend", "nakayama:m=4,n=5"]) == 0
+    capsys.readouterr()
+    [eng] = engines
+    stored = eng._stored
+    assert (len(stored["_tops"]), len(stored["approximation"])) == (200, 266)
