@@ -55,8 +55,12 @@ def stored(key: Optional[Callable] = None) -> Callable[[Callable], Callable]:
 
     An answer, ``None`` and ``False`` included, is kept once the call
     returns; an error is never kept, so the next call raises it again.
-    ``key`` maps the positional arguments to the key; by default the
-    tuple of them is the key.  Method ``m`` keeps its table in
+    The key is the tuple of the positional arguments, or ``key`` applied
+    to them.  A ``key`` may only re-encode each argument in a form that
+    hashes faster (``.bits``, ``.summands``, ``.key()``), never drop part
+    of one: an answer that reads less than its arguments is reached by
+    narrowing them at the call site, so two calls share an answer only
+    when they pass equal arguments.  Method ``m`` keeps its table in
     ``obj._stored["m"]``.  The result is a plain function.
     """
 
@@ -213,6 +217,11 @@ class Mor:
     @property
     def is_zero(self) -> bool:
         return self.coords == 0
+
+    def key(self) -> tuple:
+        """The map as a plain tuple of its endpoints' summands and its
+        coordinates, which hashes faster than the dataclass."""
+        return (self.src.summands, self.dst.summands, self.coords)
 
 
 @dataclass(frozen=True, slots=True)

@@ -28,7 +28,9 @@ each is the cone of a minimal right approximation map built from Hom
 bases (``approximation``), and heart vanishing also reads a minimal left
 one as it is, so that predicate is always decided.  Each pair reads its
 own two triangles and checks their ends; the span test they feed is
-stored per the approximation data it reads (``_heart_verdict``).
+stored per its two maps and the members of V that their source reaches
+(``_heart_verdict``), as each stored answer is keyed by its arguments,
+which callers narrow to what the answer reads (``reach``).
 """
 
 from __future__ import annotations
@@ -165,18 +167,6 @@ def reach(cls: Subcat, c: Obj, step: int) -> int:
     for j in c.summands:
         bits |= near[j]
     return cls.bits & bits
-
-
-def _approx_key(cls: Subcat, c: Obj, step: int) -> tuple:
-    """An approximation's key: the members of cls that reach c, then c and
-    step."""
-    return (reach(cls, c, step), c, step)
-
-
-def _heart_key(x: Obj, u: Subcat, v: Subcat, right: Tri, left: Mor) -> tuple:
-    """``_heart_verdict``'s key: x, the members of U that reach x, and those
-    of V[1] and of V that x reaches."""
-    return (x, reach(u, x, 1), reach(v.shifted(1), x, -1), reach(v, x, -1))
 
 
 class PairEngine:
@@ -369,10 +359,9 @@ class PairEngine:
 
     # -- factoring subspaces ------------------------------------------------
 
-    def factoring_subspace(
-        self, src: Obj, mids: Subcat, dst: Obj
-    ) -> list[int]:
-        """Spanning coordinates of maps src -> dst factoring through mids.
+    def factoring_subspace(self, src: Obj, mids: int, dst: Obj) -> list[int]:
+        """Spanning coordinates of maps src -> dst factoring through the
+        members of the mask mids.
 
         Any factorization through a finite direct sum of members splits
         into single-member components, so products of basis elements
@@ -381,7 +370,7 @@ class PairEngine:
         of the stored spans of ``_member_span``, which twin pairs that
         share members read in common.
         """
-        return [v for mid in mids for v in self._member_span(src, mid, dst)]
+        return [v for mid in iter_bits(mids) for v in self._member_span(src, mid, dst)]
 
     @stored(key=lambda src, mid, dst: (src.summands, mid, dst.summands))
     def _member_span(self, src: Obj, mid: int, dst: Obj) -> tuple[int, ...]:
@@ -408,8 +397,8 @@ class PairEngine:
             raise InputError("isomorphism modulo a core needs Ext^1(core, core) = 0")
         b = self.backend
         x, y = f.src, f.dst
-        fx = self.factoring_subspace(x, core, x)
-        fy = self.factoring_subspace(y, core, y)
+        fx = self.factoring_subspace(x, core.bits, x)
+        fy = self.factoring_subspace(y, core.bits, y)
         dxx = b.hom_dim(x, x)
         dyy = b.hom_dim(y, y)
         # g after f plus a factoring correction equals the identity on x,
@@ -442,7 +431,9 @@ class PairEngine:
         U'[1]: the cone of the minimal right U-approximation of x, and the
         minimal left V[1]-approximation of x itself, once ``in_star`` has
         checked that its cocone lies in add(U).  Both ends are checked for
-        every pair; the span test itself is shared (``_heart_verdict``).
+        every pair; the span test reads the two maps and the members w of V
+        with Hom(x, w) nonzero, since only they add a factoring map
+        (``_heart_verdict``).
         """
         v1 = pair.v.shifted(1)
         right = self.decomposition(pair.u, x, pair.u, v1)
@@ -453,25 +444,17 @@ class PairEngine:
                 f"{v1.labels()} has an end outside "
                 f"{pair.u.labels()} * {v1.labels()}"
             )
-        return self._heart_verdict(x, pair.u, pair.v, right, left)
+        return self._heart_verdict(reach(pair.v, x, -1), right.g, left)
 
-    @stored(key=_heart_key)
-    def _heart_verdict(
-        self, x: Obj, u: Subcat, v: Subcat, right: Tri, left: Mor
-    ) -> Verdict:
-        """Whether the middle maps of the two triangles of ``h_vanishes``
-        lie in the span of maps factoring through add(V).  The answer is
+    @stored(key=lambda v_bits, g, left: (v_bits, g.key(), left.key()))
+    def _heart_verdict(self, v_bits: int, g: Mor, left: Mor) -> Verdict:
+        """Whether the maps g and left out of one object lie in the span of
+        maps factoring through the members of v_bits.  The answer is
         triangle-independent, so the two verdicts are compared and any
-        disagreement raises.
-
-        Stored per ``_heart_key``, which fixes the answer: the two
-        triangles are the stored approximations keyed by the members of U
-        and of V[1] that reach x, and only members w of V with
-        Hom(x, w) nonzero add to a factoring span.
-        """
+        disagreement raises."""
         verdicts = {
-            in_span(g.coords, self.factoring_subspace(x, v, end))
-            for g, end in ((right.g, right.c), (left, left.dst))
+            in_span(f.coords, self.factoring_subspace(f.src, v_bits, f.dst))
+            for f in (g, left)
         }
         if len(verdicts) > 1:
             raise InternalCheckError("heart vanishing depends on the witness triangle")
@@ -504,18 +487,11 @@ class PairEngine:
     def _tops(self, u: int, j: int, step: int, mids: int) -> tuple[int, ...]:
         """Lifts of a basis of Hom(u, j) (+1) or Hom(j, u) (-1) modulo its
         radical part: the maps through the members ``mids``, and the maps
-        through rad End(u).
-
-        Stored per (u, j, step, mids): ``approximation`` passes as ``mids``
-        the members w of its class other than u with Hom(s, w) and
-        Hom(w, t) nonzero, for that space Hom(s, t), since only they add a
-        nonzero product to the span, and the radical of End(u) depends on
-        u alone.  So the key fixes the answer, and classes that agree on
-        ``mids`` share the tuple."""
+        through rad End(u)."""
         b = self.backend
         s, t = (u, j) if step == 1 else (j, u)
         src, dst, uo = Obj.of(s), Obj.of(t), Obj.of(u)
-        rad = [v for w in iter_bits(mids) for v in self._member_span(src, w, dst)]
+        rad = self.factoring_subspace(src, mids, dst)
         width = b.hom_dim(src, dst)
         for r in self._end_radical(u):
             e = Mor(uo, uo, r)
@@ -525,7 +501,6 @@ class PairEngine:
         q = QuotientSpace(width, rad)
         return tuple(q.lift(1 << k) for k in range(q.dim))
 
-    @stored(key=_approx_key)
     def approximation(self, cls: Subcat, c: Obj, step: int) -> Mor:
         """The minimal right (+1) cls-approximation A -> c of c, or its
         minimal left (-1) cls-approximation c -> B.
@@ -533,13 +508,19 @@ class PairEngine:
         Minimal approximations are additive, so the map is assembled per
         summand j of c: one copy of each member u with Hom(u, j) (+1) or
         Hom(j, u) (-1) nonzero per top of that Hom space (``_tops``).  Only
-        those members enter, and the tops of each read only the members of
-        cls through which a map between u and j factors, all of which
-        reach j, so the map is stored per the members of cls that reach c,
-        and classes that agree there share it.  Readers of its cone object
-        alone take ``cone_obj`` of it; the triangle of a right one is
-        ``decomposition``'s.
+        those members enter, and the tops of each read only the members
+        through which a map between u and j factors, all of which reach j,
+        so the map is built from the members of cls that reach c
+        (``reach``), and classes that agree there share it.  Readers of its
+        cone object alone take ``cone_obj`` of it; the triangle of a right
+        one is ``decomposition``'s.
         """
+        return self._approximation(reach(cls, c, step), c, step)
+
+    @stored()
+    def _approximation(self, bits: int, c: Obj, step: int) -> Mor:
+        """``approximation`` by the class of the members of the mask bits,
+        each of which reaches c."""
         b = self.backend
         out, into = b.hom_masks()
         near = into if step == 1 else out
@@ -547,9 +528,9 @@ class PairEngine:
         parts: list[Obj] = []
         comps: list[tuple[int, int, Mor]] = []
         for p, j in enumerate(c.summands):
-            for u in iter_bits(cls.bits & near[j]):
+            for u in iter_bits(bits & near[j]):
                 s, t = (u, j) if step == 1 else (j, u)
-                mids = cls.bits & out[s] & into[t] & ~(1 << u)
+                mids = bits & out[s] & into[t] & ~(1 << u)
                 for top in self._tops(u, j, step, mids):
                     k, uo = len(parts), Obj.of(u)
                     parts.append(uo)

@@ -30,9 +30,9 @@ routes, a cone-membership test and a direct two-sided-inverse solve,
 both always decided, and refuses to answer if they disagree; the answer
 is stored per core and map on the pair engine (``PairEngine.iso_mod``),
 so twin pairs with the same core share it.  The comparison map and its
-verdict are stored on the pair engine too, per the approximation data of
-its four triangles and the core (``_comparison``), while each pair reads
-its own triangles and checks their ends.
+verdict are stored on the pair engine too, per the core and the maps of
+its four triangles (``_comparison``), while each pair reads its own
+triangles and checks their ends.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .core import (
     stored,
 )
 from .f2 import F2Matrix, QuotientSpace, solve
-from .pairs import PairEngine, TwinCotorsionPair, reach
+from .pairs import PairEngine, TwinCotorsionPair
 from .subcats import Subcat
 
 
@@ -85,7 +85,7 @@ class ZIQuotient:
     def hom_mod_I(self, x: Obj, y: Obj) -> QuotientSpace:
         if not (self.z_set.contains_obj(x) and self.z_set.contains_obj(y)):
             raise InputError("quotient Hom needs objects from the middle class")
-        span = self.engine.factoring_subspace(x, self.i_set, y)
+        span = self.engine.factoring_subspace(x, self.i_set.bits, y)
         return QuotientSpace(self.backend.hom_dim(x, y), span)
 
     # -- witness triangles -----------------------------------------------------
@@ -301,8 +301,7 @@ class ZIQuotient:
         sig_tri = self.adjoint(w1.a, 1)[1]
         omg_tri = self.adjoint(w2.c, -1)[1]
         return _comparison(
-            self.engine, self.p.u, self.s_down, self.i_set,
-            w1.f, w2.g, sig_tri.g, omg_tri.f,
+            self.engine, self.i_set, w1.f, w2.g, sig_tri.g, omg_tri.f
         )
 
     # -- reporting ------------------------------------------------------------
@@ -339,33 +338,18 @@ def _for_pair(engine: PairEngine, p: TwinCotorsionPair) -> ZIQuotient:
     return ZIQuotient(engine, p)
 
 
-def _comparison_key(
-    u: Subcat, s_down: Subcat, core: Subcat, into: Mor, out: Mor, *_: Mor
-) -> tuple:
-    """``_comparison``'s key: x, the members of U and of S[-1] that reach
-    x, of S[-1] that reach u_x and of U that reach t_x, and the core."""
-    x = into.dst
-    return (
-        x, reach(u, x, 1), reach(s_down, x, 1), reach(s_down, into.src, 1),
-        reach(u, out.dst, 1), core.bits,
-    )
-
-
-@stored(key=_comparison_key)
+@stored(key=lambda core, into, out, sig, omg: (
+    core.bits, into.key(), out.key(), sig.key(), omg.key()
+))
 def _comparison(
-    engine: PairEngine, u: Subcat, s_down: Subcat, core: Subcat,
-    into: Mor, out: Mor, sig: Mor, omg: Mor,
+    engine: PairEngine, core: Subcat, into: Mor, out: Mor, sig: Mor, omg: Mor
 ) -> tuple[Mor, Verdict]:
     """``ZIQuotient.mu_map``'s map z_u -> z_t and its verdict, from the
     maps u_x -> x and x -> t_x of the decompositions of x, the adjoint map
     u_x -> z_u and the coadjoint map z_t -> t_x.  The map is any solution
     of the commuting condition; its isomorphism verdict is
-    witness-independent.
-
-    Stored on the engine per ``_comparison_key``, which fixes the answer:
-    each of the four triangles is the stored minimal approximation keyed
-    by its class's members that reach its object (u_x and t_x are ends of
-    the first two), and the isomorphism test reads only the core.
+    witness-independent.  Stored on the engine, so twin pairs whose four
+    triangles and core agree share it.
     """
     b = engine.backend
     z_u, z_t = sig.dst, omg.src

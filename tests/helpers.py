@@ -7,6 +7,7 @@ from cotor.f2 import F2Matrix, QuotientSpace, in_span, rank, solve
 from cotor.nakayama import (
     _commutation_rows, _path_tower, _unflatten, uniserial_counts
 )
+from cotor.pairs import reach
 from cotor.subcats import Subcat
 
 
@@ -357,6 +358,40 @@ def per_pair_heart(engine, x, pair):
     }
     assert len(verdicts) == 1, "the two triangles disagree"
     return verdicts.pop()
+
+
+# The keys by which the engine kept three answers before each answer was
+# keyed by the arguments it reads.  Each dropped part of its inputs, on a
+# written argument that the part dropped could not change the answer.
+# The tests hold the argument keys to them: equal for approximations,
+# coarser for the other two.
+
+
+def approx_key(cls, c, step):
+    """``PairEngine.approximation``'s old key: the members of cls that
+    reach c, then c and step."""
+    return (reach(cls, c, step), c, step)
+
+
+def heart_key(x, pair):
+    """``PairEngine._heart_verdict``'s old key for ``h_vanishes(x, pair)``:
+    x, the members of U that reach x, and those of V[1] and of V that x
+    reaches."""
+    u, v = pair.u, pair.v
+    return (x, reach(u, x, 1), reach(v.shifted(1), x, -1), reach(v, x, -1))
+
+
+def comparison_key(q, x):
+    """``quotient._comparison``'s old key for ``q.mu_map(x)``: x, the
+    members of U and of S[-1] that reach x, of S[-1] that reach u_x and
+    of U that reach t_x, and the core."""
+    u, s_down, dec = q.p.u, q.s_down, q.engine.decomposition
+    u_x = dec(u, x, u, q.v_up).a
+    t_x = dec(s_down, x, s_down, q.p.t).c
+    return (
+        x, reach(u, x, 1), reach(s_down, x, 1), reach(s_down, u_x, 1),
+        reach(u, t_x, 1), q.i_set.bits,
+    )
 
 
 def per_class_tops(engine, cls, u, j, step):

@@ -201,7 +201,7 @@ def test_criterion_04_tcp_identities(engines):
         u = rng.choice(sorted(p.u.ids()))
         t = rng.choice(sorted(p.t.ids()))
         shifted = Obj.of(eng.backend.shift_id(t, 1))
-        through = eng.factoring_subspace(Obj.of(u), n_i, shifted)
+        through = eng.factoring_subspace(Obj.of(u), n_i.bits, shifted)
         assert through == [], (p.as_labels(), u, t)
 
 

@@ -94,7 +94,7 @@ def test_approximations_are_minimal_and_every_witness_reads_their_verdict(case):
             for w in witnesses(eng.star, p.u, v1, x, top):
                 found += 1
                 assert _is_summand(right.src, w.a) and _is_summand(left.dst, w.c)
-                span = eng.factoring_subspace(x, p.v, w.c)
+                span = eng.factoring_subspace(x, p.v.bits, w.c)
                 assert in_span(w.g.coords, span) == vanishes.is_yes
             assert found
 
@@ -166,7 +166,7 @@ def test_every_endomorphism_called_invertible_trips_the_radical_check(monkeypatc
     for _ in range(2):
         with pytest.raises(InternalCheckError, match="not of codimension 1"):
             fresh.approximation(Subcat.of(b, [u]), Obj.of(u), 1)
-    assert not fresh._stored.get("_tops") and not fresh._stored.get("approximation")
+    assert not fresh._stored.get("_tops") and not fresh._stored.get("_approximation")
 
 
 def compare_orthogonal_stars(mn):

@@ -15,7 +15,7 @@ from cotor.pairs import (
     CotorsionPair,
     PairEngine,
     TwinCotorsionPair,
-    _approx_key,
+    reach,
     trivial_hovey_tcp,
     trivial_pairs,
 )
@@ -296,7 +296,8 @@ def test_h_vanishes_reads_one_right_and_one_left_approximation(monkeypatch):
     assert asked == [(zero_cp.u, x, 1), (v1, x, -1), (v1, x, -1)]
     # one span through V per triangle; the radical's isomorphism tests
     # modulo the zero class read theirs before the recording
-    assert [a for a in spans if a[1] == zero_cp.v] == [(x, zero_cp.v, x)] * 2
+    v_bits = reach(zero_cp.v, x, -1)
+    assert [a for a in spans if a[1] == v_bits] == [(x, v_bits, x)] * 2
     right, left = (honest_approx(*a) for a in asked[:2])
     assert (right.src, b.cone_obj(right)) == (Obj.zero(), x)
     assert b.cone_obj(left) == Obj.zero() and left.dst == x
@@ -326,10 +327,13 @@ def test_h_vanishes_raises_when_its_two_triangles_disagree(monkeypatch):
     assert want.is_no
     broke = PairEngine(b)
     honest, calls = broke.factoring_subspace, []
+    # the two approximations are built first, as their tops read spans too
+    broke.approximation(pair.u, x, 1)
+    broke.approximation(pair.v.shifted(1), x, -1)
 
     def flaky(src, mids, dst):
         calls.append(mids)
-        if mids == pair.v and calls.count(mids) == 2:
+        if mids == reach(pair.v, x, -1) and calls.count(mids) == 2:
             return [1 << k for k in range(b.hom_dim(src, dst))]
         return honest(src, mids, dst)
 
@@ -399,17 +403,17 @@ def test_repeated_searches_are_answered_from_the_stored_results(monkeypatch):
     assert [p.s.labels() for p in outer] == [["M(0,1)"], ["M(0,1)", "M(1,1)"]]
     first, second = outer
     eng.check_condition_I(first)
-    built = set(eng._stored["approximation"])
+    built = set(eng._stored["_approximation"])
 
     def by_u(keys):
         # a triangle is stored per the members of its class that reach c
-        return {k for k in keys if k == _approx_key(first.u, *k[1:])}
+        return {k for k in keys if k[0] == reach(first.u, *k[1:])}
 
     log.clear()
     assert eng.check_condition_I(second).is_yes
     assert not [a for name, a in log if name in ("_cone_counts", "_cone_module")]
     assert not [a for name, a in log if name == "triangle_enumerate"]
-    added = set(eng._stored["approximation"]) - built
+    added = set(eng._stored["_approximation"]) - built
     assert by_u(built) and not by_u(added)
 
 
@@ -418,11 +422,9 @@ def test_factoring_subspace_pinned():
     b = eng.backend
     m1, m2 = Obj.of(b.id_of("M(0,1)")), Obj.of(b.id_of("M(0,2)"))
     # Through the short module every composite dies stably.
-    assert eng.factoring_subspace(m2, Subcat.of(b, [b.id_of("M(0,1)")]), m2) == []
+    assert eng.factoring_subspace(m2, 1 << b.id_of("M(0,1)"), m2) == []
     # Through itself the identity survives.
-    through_self = eng.factoring_subspace(
-        m2, Subcat.of(b, [b.id_of("M(0,2)")]), m2
-    )
+    through_self = eng.factoring_subspace(m2, 1 << b.id_of("M(0,2)"), m2)
     assert b.identity(m2).coords in through_self
 
 

@@ -7,18 +7,24 @@ composition operators (``Backend.left_op`` and ``right_op``), each
 triangle the literal search yields, per connecting map and split
 (``NakayamaBackend._sum_tri``), the isomorphism test modulo a core
 (``PairEngine.iso_mod``), condition (I)'s comparison map and condition
-(III)'s span test, per the approximation data they read
-(``quotient._comparison`` and ``PairEngine._heart_verdict``), and the
-tops an approximation reads per member and summand, per the other
-members through which a map factors (``PairEngine._tops``).  Each is held
-here to the route it replaced, kept in ``helpers`` as the oracle: the
-same vectors in the same order, the same matrices, the same triangles in
-the same order with the same work budget as the per-map scan
-(``helpers.scan_enumerate``), the same comparison maps and verdicts as
-the per-pair routes (``helpers.per_pair_mu`` and ``per_pair_heart``), the
-same tops as the route over the whole class (``helpers.per_class_tops``).
-The counts tests pin how many entries one suite run keeps, so a return to
-per-pair or per-class keys fails a test, not only a timer.  A stored
+(III)'s span test, per the maps they read and the core, or the members
+of V the maps can factor through (``quotient._comparison`` and
+``PairEngine._heart_verdict``), and the tops an approximation reads per
+member and summand, per the other members through which a map factors
+(``PairEngine._tops``).  Each is held here to the route it replaced,
+kept in ``helpers`` as the oracle: the same vectors in the same order,
+the same matrices, the same triangles in the same order with the same
+work budget as the per-map scan (``helpers.scan_enumerate``), the same
+comparison maps and verdicts as the per-pair routes
+(``helpers.per_pair_mu`` and ``per_pair_heart``), the same tops as the
+route over the whole class (``helpers.per_class_tops``).  Each of those
+answers is keyed by its arguments; the keys that dropped part of their
+inputs, kept in ``helpers`` too (``approx_key``, ``heart_key`` and
+``comparison_key``), are equal to them for approximations and finer for
+the other two, and an entry that now serves inputs whose old keys
+differ must give what the per-pair routes give on each.  The counts
+tests pin how many entries one suite run keeps, so a return to per-pair
+or per-class keys fails a test, not only a timer.  A stored
 answer is kept only once its checks pass, so a failing check raises
 again on every call, and the checks that read a pair's own classes run
 for every pair.
@@ -30,17 +36,18 @@ import re
 
 import pytest
 
-from cotor import cli
+from cotor import cli, quotient
 from cotor.core import (
     BudgetExceeded, InternalCheckError, Mor, Obj, Tri, multisets_over
 )
 from cotor.nakayama import NakayamaBackend
-from cotor.pairs import PairEngine, _heart_key
-from cotor.quotient import ZIQuotient, _comparison_key
+from cotor.pairs import PairEngine, reach
+from cotor.quotient import ZIQuotient
 from cotor.subcats import Subcat, closed_sets, iter_bits, left_perp, right_perp
 from helpers import (
-    basis_products, one_more_m01, op_by_compose, per_class_tops, per_pair_heart,
-    per_pair_mu, scan_run, with_split
+    approx_key, basis_products, comparison_key, heart_key, one_more_m01,
+    op_by_compose, per_class_tops, per_pair_heart, per_pair_mu, scan_run,
+    with_split
 )
 
 # Every Nakayama backend with at most 9 indecomposables (K = m(n-1)).
@@ -125,7 +132,7 @@ def test_factoring_spans_match_the_basis_products(mn):
         core = Subcat(b, bits)
         for src in objs:
             for dst in objs:
-                got = eng.factoring_subspace(src, core, dst)
+                got = eng.factoring_subspace(src, bits, dst)
                 assert got == basis_products(oracle_b, src, core, dst), (bits, src, dst)
     # each member's span is stored once and shared by every core
     for src in objs:
@@ -297,29 +304,85 @@ def _heart_tests(p):
     return [(Obj.of(i), p.inner) for i in p.u] + [(Obj.of(i), p.outer) for i in p.t]
 
 
-@pytest.mark.parametrize("mn", [(2, 4), (3, 4), (5, 3)], ids=_ids)
-def test_shared_condition_answers_match_the_per_pair_routes(mn):
+def _recorded(monkeypatch, eng):
+    """Record the arguments of every ``approximation``, ``_heart_verdict``
+    and ``quotient._comparison`` call on eng, in three lists."""
+    log = {"approximation": [], "_heart_verdict": [], "_comparison": []}
+    for name in ("approximation", "_heart_verdict"):
+        honest = getattr(eng, name)
+
+        def wrapped(*a, _honest=honest, _log=log[name]):
+            _log.append(a)
+            return _honest(*a)
+
+        monkeypatch.setattr(eng, name, wrapped)
+    honest_cmp = quotient._comparison
+
+    def comparison(engine, *a):
+        if engine is eng:
+            log["_comparison"].append(a)
+        return honest_cmp(engine, *a)
+
+    monkeypatch.setattr(quotient, "_comparison", comparison)
+    return log
+
+
+def _coarser(args, old_keys, answers):
+    """Per distinct argument tuple, the old keys of the inputs that passed
+    it, checking that inputs with equal arguments got equal answers; the
+    number of argument tuples that served more than one old key."""
+    seen: dict = {}
+    for a, k, got in zip(args, old_keys, answers):
+        keys, want = seen.setdefault(a, (set(), got))
+        assert got == want, "one stored entry gave two answers"
+        keys.add(k)
+    return sum(len(keys) > 1 for keys, _ in seen.values())
+
+
+@pytest.mark.parametrize("mn", [(2, 4), (3, 4), (5, 3), (4, 4)], ids=_ids)
+def test_shared_condition_answers_match_the_per_pair_routes(monkeypatch, mn):
+    """Every comparison map and heart test against the per-pair routes.
+    The stored answers are keyed by their arguments: the approximations
+    by their old key exactly, the other two by a key equal to the old one
+    or coarser, so some entry serves inputs whose old keys differ, and on
+    those the per-pair routes agree too."""
     eng = PairEngine(NakayamaBackend(*mn))
+    log = _recorded(monkeypatch, eng)
     maps = hearts = 0
+    mus, mu_keys, heart_vs, heart_keys = [], [], [], []
     for p in eng.concentric_tcps():
         q = ZIQuotient.for_pair(eng, p)
         tu, complete = eng.star.star_indecs(p.t, p.u)
         assert complete
         for x in map(Obj.of, tu):
             z, verdict = q.mu_map(x)
-            assert (z, verdict.is_yes) == per_pair_mu(q, x)
+            mus.append(per_pair_mu(q, x))
+            assert (z, verdict.is_yes) == mus[-1]
             assert not verdict.is_inconclusive
+            mu_keys.append(comparison_key(q, x))
             maps += 1
         for x, pair in _heart_tests(p):
+            asked = len(log["_heart_verdict"])
             verdict = eng.h_vanishes(x, pair)
-            assert verdict.is_yes == per_pair_heart(eng, x, pair)
+            want = per_pair_heart(eng, x, pair)
+            assert verdict.is_yes == want
             assert not verdict.is_inconclusive
+            # h_vanishes keeps its own answer per (x, pair)
+            if len(log["_heart_verdict"]) > asked:
+                heart_vs.append(want)
+                heart_keys.append(heart_key(x, pair))
             hearts += 1
-    # the comparison maps came from fewer shared entries than pairs asked
-    # for; the heart tests share none on m=2,n=4 (see the counts test)
-    assert 0 < len(eng._stored["_comparison"]) < maps
-    assert 0 < len(eng._stored["_heart_verdict"]) <= len(eng._stored["h_vanishes"])
-    assert len(eng._stored["h_vanishes"]) <= hearts
+    stored = eng._stored
+    assert len(log["_comparison"]) == maps
+    assert len(log["_heart_verdict"]) == len(stored["h_vanishes"]) <= hearts
+    # an approximation is stored by exactly its old key
+    assert set(stored["_approximation"]) == {approx_key(*a) for a in log["approximation"]}
+    # one entry per distinct argument tuple, so fewer than the inputs
+    assert 0 < len(stored["_comparison"]) == len(set(log["_comparison"])) < maps
+    assert 0 < len(stored["_heart_verdict"]) == len(set(log["_heart_verdict"]))
+    # some entry of each serves inputs whose old keys differ
+    assert _coarser(log["_comparison"], mu_keys, mus)
+    assert _coarser(log["_heart_verdict"], heart_keys, heart_vs)
 
 
 def _sharing(inputs, key):
@@ -339,10 +402,12 @@ def test_a_shared_comparison_still_checks_each_pairs_triangle_ends(monkeypatch):
     b = eng.backend
 
     def key(p, x):
+        # the stored key of the comparison that q.mu_map(x) reads
         q = ZIQuotient.for_pair(eng, p)
         w1 = eng.decomposition(p.u, x, p.u, q.v_up)
         w2 = eng.decomposition(q.s_down, x, q.s_down, p.t)
-        return _comparison_key(p.u, q.s_down, q.i_set, w1.f, w2.g)
+        maps = (w1.f, w2.g, q.adjoint(w1.a, 1)[1].g, q.adjoint(w2.c, -1)[1].f)
+        return (q.i_set.bits, *(f.key() for f in maps))
 
     inputs = [
         (p, Obj.of(x)) for p in eng.concentric_tcps()
@@ -376,9 +441,11 @@ def test_a_shared_heart_test_still_checks_each_pairs_left_cocone(monkeypatch):
     b = eng.backend
 
     def key(pair, x):
+        # the stored key of the span test that h_vanishes(x, pair) reads
         v1 = pair.v.shifted(1)
         right = eng.decomposition(pair.u, x, pair.u, v1)
-        return _heart_key(x, pair.u, pair.v, right, eng.approximation(v1, x, -1))
+        left = eng.approximation(v1, x, -1)
+        return (reach(pair.v, x, -1), right.g.key(), left.key())
 
     inputs = [(pair, x) for p in eng.concentric_tcps() for x, pair in _heart_tests(p)]
     (pair1, x), (pair2, _), k = _sharing(inputs, key)
@@ -400,13 +467,17 @@ def test_a_shared_heart_test_still_checks_each_pairs_left_cocone(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "spec, want",
-    [("nakayama:m=3,n=4", (387, 876, 189, 462)),
-     ("nakayama:m=5,n=3", (1090, 6620, 200, 2360))],
+    "spec, want, keyed_by_reach",
+    [("nakayama:m=3,n=4", (306, 876, 114, 462), (387, 876, 189, 462)),
+     ("nakayama:m=5,n=3", (870, 6620, 120, 2360), (1090, 6620, 200, 2360))],
 )
-def test_conditions_suite_shares_its_answers(monkeypatch, capsys, spec, want):
+def test_conditions_suite_shares_its_answers(
+    monkeypatch, capsys, spec, want, keyed_by_reach
+):
     """Shared comparison entries and ``mu_map`` calls, shared heart entries
-    and ``h_vanishes`` answers, over one ``verify --suite conditions``."""
+    and ``h_vanishes`` answers, over one ``verify --suite conditions``.
+    ``keyed_by_reach`` are the counts under the old keys (``helpers``),
+    which the argument keys may only lower."""
     engines, calls = [], []
     init, mu_map = PairEngine.__init__, ZIQuotient.mu_map
 
@@ -427,6 +498,7 @@ def test_conditions_suite_shares_its_answers(monkeypatch, capsys, spec, want):
     got = (len(stored["_comparison"]), len(calls),
            len(stored["_heart_verdict"]), len(stored["h_vanishes"]))
     assert got == want
+    assert all(g <= k for g, k in zip(got, keyed_by_reach))
 
 
 # ---------------------------------------------------------------- approximation tops
@@ -459,7 +531,7 @@ def test_stored_tops_match_the_per_class_route(monkeypatch, mn, sample):
 
     monkeypatch.setattr(eng, "_tops", tops)
     # the body of approximation, so that every class reads its own tops
-    build = PairEngine.approximation.__wrapped__
+    build = PairEngine._approximation.__wrapped__
     first: dict = {}
     shared = 0
     for u in classes:
@@ -467,7 +539,7 @@ def test_stored_tops_match_the_per_class_route(monkeypatch, mn, sample):
             for j in range(b.K):
                 for step, near in ((1, into), (-1, out)):
                     read.clear()
-                    build(eng, cls, Obj.of(j), step)
+                    build(eng, reach(cls, Obj.of(j), step), Obj.of(j), step)
                     assert [key[0] for key, _ in read] == list(iter_bits(cls.bits & near[j]))
                     for key, got in read:
                         assert list(got) == per_class_tops(eng, cls, key[0], j, step)
@@ -494,4 +566,4 @@ def test_counts_suite_stores_tops_once_per_their_inputs(monkeypatch, capsys):
     capsys.readouterr()
     [eng] = engines
     stored = eng._stored
-    assert (len(stored["_tops"]), len(stored["approximation"])) == (200, 266)
+    assert (len(stored["_tops"]), len(stored["_approximation"])) == (200, 266)
