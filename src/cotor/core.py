@@ -13,10 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
-
-from .f2 import F2Matrix, rank, solve
 
 # Size caps, in indecomposables, of the exhaustive routes: the 2^K class
 # sweeps, the construction of a Nakayama or polygon backend's tables,
@@ -45,6 +42,53 @@ class BudgetExceeded(CotorError):
 
 class InternalCheckError(CotorError):
     """An invariant that should hold by construction failed."""
+
+
+_setattr = object.__setattr__
+
+
+class Record:
+    """Base of the value types: slotted, frozen records compared by field.
+
+    A subclass names its fields in ``__slots__`` and sets them in its
+    ``__init__`` through ``_setattr`` (``object.__setattr__``), since
+    assigning or deleting a field raises ``AttributeError``.  Two records
+    are equal when they have the same class and equal fields, a record
+    hashes as the tuple of its fields, and ``repr`` reads
+    ``Name(field=value, ...)``.  A type that is compared or hashed on a
+    hot path defines its own ``__eq__`` and ``__hash__`` by the same rule,
+    which skip the loop over ``__slots__``.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__
+        )
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+# f2's matrices are records, so f2 is imported once Record exists, and as
+# a module, so that importing f2 first also works.
+from . import f2  # noqa: E402
 
 
 _MISSING = object()
@@ -92,8 +136,7 @@ NO = "no"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True, slots=True)
-class Verdict:
+class Verdict(Record):
     """Three-valued search result.
 
     ``state`` is one of yes / no / inconclusive.  Search caps turn a
@@ -102,12 +145,21 @@ class Verdict:
     never silently coerced.
     """
 
-    state: str
-    reason: Optional[str] = None
+    __slots__ = ("state", "reason")
 
-    def __post_init__(self) -> None:
-        if self.state not in (YES, NO, INCONCLUSIVE):
-            raise InputError(f"bad verdict state {self.state!r}")
+    def __init__(self, state: str, reason: Optional[str] = None) -> None:
+        if state not in (YES, NO, INCONCLUSIVE):
+            raise InputError(f"bad verdict state {state!r}")
+        _setattr(self, "state", state)
+        _setattr(self, "reason", reason)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.state == other.state and self.reason == other.reason
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.state, self.reason))
 
     @property
     def is_yes(self) -> bool:
@@ -145,27 +197,44 @@ class Verdict:
         return Verdict.yes() if pending is None else pending
 
 
-@dataclass(frozen=True, slots=True)
-class Indec:
+class Indec(Record):
     """One indecomposable object: a stable id and a unique label."""
 
-    id: int
-    label: str
+    __slots__ = ("id", "label")
+
+    def __init__(self, id: int, label: str) -> None:
+        _setattr(self, "id", id)
+        _setattr(self, "label", label)
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Obj:
+@functools.total_ordering
+class Obj(Record):
     """Finite multiset of indecomposable ids, canonically sorted.
 
     The empty tuple is the zero object.  Equality is multiset equality,
     which is isomorphism by the Krull-Schmidt property of the backends.
+    Objects are ordered by their summand tuples.
     """
 
-    summands: tuple[int, ...] = ()
+    __slots__ = ("summands",)
 
-    def __post_init__(self) -> None:
-        if tuple(sorted(self.summands)) != self.summands:
+    def __init__(self, summands: tuple[int, ...] = ()) -> None:
+        if tuple(sorted(summands)) != summands:
             raise InputError("Obj summands must be sorted")
+        _setattr(self, "summands", summands)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.summands == other.summands
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.summands,))
+
+    def __lt__(self, other: "Obj") -> bool:
+        if other.__class__ is self.__class__:
+            return self.summands < other.summands
+        return NotImplemented
 
     @staticmethod
     def of(*ids: int) -> "Obj":
@@ -196,8 +265,7 @@ class Obj:
         return out
 
 
-@dataclass(frozen=True, slots=True)
-class Mor:
+class Mor(Record):
     """Morphism as a coordinate bit vector over the block Hom basis.
 
     The basis is fixed per backend: blocks run over (source position,
@@ -205,9 +273,23 @@ class Mor:
     backend's frozen basis of Hom(source summand, target summand).
     """
 
-    src: Obj
-    dst: Obj
-    coords: int = 0
+    __slots__ = ("src", "dst", "coords")
+
+    def __init__(self, src: Obj, dst: Obj, coords: int = 0) -> None:
+        _setattr(self, "src", src)
+        _setattr(self, "dst", dst)
+        _setattr(self, "coords", coords)
+
+    def __eq__(self, other: object) -> bool:
+        # a tuple compare skips Obj.__eq__ on endpoints that are one object
+        if other.__class__ is self.__class__:
+            return (self.src, self.dst, self.coords) == (
+                other.src, other.dst, other.coords
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.src, self.dst, self.coords))
 
     def plus(self, other: "Mor") -> "Mor":
         if (self.src, self.dst) != (other.src, other.dst):
@@ -220,25 +302,25 @@ class Mor:
 
     def key(self) -> tuple:
         """The map as a plain tuple of its endpoints' summands and its
-        coordinates, which hashes faster than the dataclass."""
+        coordinates, which hashes faster than the record."""
         return (self.src.summands, self.dst.summands, self.coords)
 
 
-@dataclass(frozen=True, slots=True)
-class Tri:
+class Tri(Record):
     """Triangle A -> B -> C -> A[1], given by its maps f, g, h.
 
     The objects are read off the maps, which must chain; the consecutive
     composites must vanish, which backends check on construction.
     """
 
-    f: Mor
-    g: Mor
-    h: Mor
+    __slots__ = ("f", "g", "h")
 
-    def __post_init__(self) -> None:
-        if self.f.dst != self.g.src or self.g.dst != self.h.src:
+    def __init__(self, f: Mor, g: Mor, h: Mor) -> None:
+        if f.dst != g.src or g.dst != h.src:
             raise InputError("triangle maps do not chain")
+        _setattr(self, "f", f)
+        _setattr(self, "g", g)
+        _setattr(self, "h", h)
 
     @property
     def a(self) -> Obj:
@@ -367,34 +449,34 @@ class Backend:
             yield Mor(x, y, c)
 
     @stored(key=lambda h, src: (h.src, h.dst, h.coords, src))
-    def left_op(self, h: Mor, src: Obj) -> F2Matrix:
+    def left_op(self, h: Mor, src: Obj) -> f2.F2Matrix:
         """Matrix of g -> (h after g) for g: src -> h.src, stored per input."""
         cols = [
             self.compose(Mor(src, h.src, 1 << k), h).coords
             for k in range(self.hom_dim(src, h.src))
         ]
-        return F2Matrix.from_rows(cols, self.hom_dim(src, h.dst)).transpose()
+        return f2.F2Matrix.from_rows(cols, self.hom_dim(src, h.dst)).transpose()
 
     @stored(key=lambda h, dst: (h.src, h.dst, h.coords, dst))
-    def right_op(self, h: Mor, dst: Obj) -> F2Matrix:
+    def right_op(self, h: Mor, dst: Obj) -> f2.F2Matrix:
         """Matrix of g -> (g after h) for g: h.dst -> dst, stored per input."""
         cols = [
             self.compose(h, Mor(h.dst, dst, 1 << k)).coords
             for k in range(self.hom_dim(h.dst, dst))
         ]
-        return F2Matrix.from_rows(cols, self.hom_dim(h.src, dst)).transpose()
+        return f2.F2Matrix.from_rows(cols, self.hom_dim(h.src, dst)).transpose()
 
     def suspend(self, f: Mor) -> Mor:
         """Sigma on one map: f[1] from f.src[1] to f.dst[1]."""
         self._need()
         raise NotImplementedError
 
-    def shift_op(self, x: Obj, y: Obj) -> F2Matrix:
+    def shift_op(self, x: Obj, y: Obj) -> f2.F2Matrix:
         """Matrix of Sigma from Hom(x, y) to Hom(x[1], y[1])."""
         cols = [self.suspend(Mor(x, y, 1 << k)).coords
                 for k in range(self.hom_dim(x, y))]
         dout = self.hom_dim(self.shift_obj(x, 1), self.shift_obj(y, 1))
-        return F2Matrix.from_rows(cols, dout).transpose()
+        return f2.F2Matrix.from_rows(cols, dout).transpose()
 
     def shift_mor(self, f: Mor, k: int = 1) -> Mor:
         """Sigma^k on a map.  Each Omega step solves Sigma g = f over
@@ -405,9 +487,9 @@ class Backend:
         for _ in range(-k):
             x, y = self.shift_obj(f.src, -1), self.shift_obj(f.dst, -1)
             op = self.shift_op(x, y)
-            if rank(op) < op.cols:
+            if f2.rank(op) < op.cols:
                 raise InternalCheckError("suspension is not injective on maps")
-            g = solve(op, f.coords)
+            g = f2.solve(op, f.coords)
             if g is None:
                 raise InternalCheckError("map is not a suspension")
             f = Mor(x, y, g)

@@ -13,12 +13,15 @@ record the listed vectors they combine, so it writes vectors over that
 list.  There is one space modulo a span, ``QuotientSpace``, with
 coordinates on the non-pivot positions: the subquotient's Hom spaces
 and the Nakayama backend's cone modules are both built on it.
+``F2Matrix`` is a value record on ``core.Record``, the only part of
+``core`` this module uses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
+
+from .core import Record, _setattr
 
 __all__ = [
     "F2Matrix",
@@ -32,28 +35,40 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class F2Matrix:
+class F2Matrix(Record):
     """Dense GF(2) matrix with row-major bit storage.
 
     ``bits[r]`` holds row ``r``; bit ``c`` of that int is the entry in
-    column ``c``.  Rows wider than ``cols`` are rejected so equality of
-    dataclasses is equality of matrices.
+    column ``c``.  Rows wider than ``cols`` are rejected, so two matrices
+    are equal exactly when their fields are (``core.Record``).
     """
 
-    rows: int
-    cols: int
-    bits: tuple[int, ...]
+    __slots__ = ("rows", "cols", "bits")
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, bits: tuple[int, ...]) -> None:
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.bits) != self.rows:
+        if len(bits) != rows:
             raise ValueError("bits length does not match row count")
-        mask = (1 << self.cols) - 1
-        for row in self.bits:
+        mask = (1 << cols) - 1
+        for row in bits:
             if row < 0 or row & ~mask:
                 raise ValueError("row value exceeds column count")
+        _setattr(self, "rows", rows)
+        _setattr(self, "cols", cols)
+        _setattr(self, "bits", bits)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (
+                self.bits == other.bits
+                and self.rows == other.rows
+                and self.cols == other.cols
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.bits))
 
     @staticmethod
     def zero(rows: int, cols: int) -> "F2Matrix":

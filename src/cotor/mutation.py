@@ -29,21 +29,32 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
-from .core import InputError, InternalCheckError, Obj, _incidence_masks, stored
+from .core import (
+    InputError, InternalCheckError, Obj, Record, _incidence_masks, _setattr, stored
+)
 from .pairs import CotorsionPair, PairEngine, TwinCotorsionPair
 from .quotient import ZIQuotient
 from .subcats import Subcat, perp_pairs
 
 
-@dataclass(frozen=True)
-class ZICotorsionPair:
+class ZICotorsionPair(Record):
     """Cotorsion pair in the subquotient, over the ids of its
     indecomposables (``ZIQuotient.zi_objects``)."""
 
-    l: tuple[int, ...]
-    r: tuple[int, ...]
+    __slots__ = ("l", "r")
+
+    def __init__(self, l: tuple[int, ...], r: tuple[int, ...]) -> None:
+        _setattr(self, "l", l)
+        _setattr(self, "r", r)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.l == other.l and self.r == other.r
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.l, self.r))
 
     @staticmethod
     def of(l, r) -> "ZICotorsionPair":

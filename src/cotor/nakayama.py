@@ -34,7 +34,6 @@ enumeration orders.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
@@ -46,7 +45,9 @@ from .core import (
     MAX_NAKAYAMA_INDECS,
     Mor,
     Obj,
+    Record,
     Tri,
+    _setattr,
     _slot_assignment,
     multisets_over,
     stored,
@@ -56,8 +57,7 @@ from .f2 import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class RawModule:
+class RawModule(Record):
     """Quiver representation: per-vertex dimensions plus arrow matrices.
 
     ``mats[v]`` maps vertex v to vertex (v+1) mod m and has shape
@@ -66,17 +66,21 @@ class RawModule:
     modules are constructed.
     """
 
-    m: int
-    n: int
-    dims: tuple[int, ...]
-    mats: tuple[F2Matrix, ...]
+    __slots__ = ("m", "n", "dims", "mats")
+
+    def __init__(
+        self, m: int, n: int, dims: tuple[int, ...], mats: tuple[F2Matrix, ...]
+    ) -> None:
+        _setattr(self, "m", m)
+        _setattr(self, "n", n)
+        _setattr(self, "dims", dims)
+        _setattr(self, "mats", mats)
 
     def total_dim(self) -> int:
         return sum(self.dims)
 
 
-@dataclass
-class _Assembled:
+class _Assembled(Record):
     """Direct sum of uniserials with slot bookkeeping.
 
     ``types`` lists (top vertex, length) per summand, ``pos[s][t]`` is
@@ -87,10 +91,19 @@ class _Assembled:
     assembly.
     """
 
-    types: tuple[tuple[int, int], ...]
-    raw: RawModule
-    pos: list[list[tuple[int, int]]]
-    start: list[tuple[int, ...]]
+    __slots__ = ("types", "raw", "pos", "start")
+
+    def __init__(
+        self,
+        types: tuple[tuple[int, int], ...],
+        raw: RawModule,
+        pos: list[list[tuple[int, int]]],
+        start: list[tuple[int, ...]],
+    ) -> None:
+        _setattr(self, "types", types)
+        _setattr(self, "raw", raw)
+        _setattr(self, "pos", pos)
+        _setattr(self, "start", start)
 
 
 def _assemble(m: int, n: int, types: Sequence[tuple[int, int]]) -> _Assembled:
@@ -247,15 +260,24 @@ def _compose_raw(
 # Backend
 
 
-@dataclass(frozen=True, slots=True)
-class _PairTable:
+class _PairTable(Record):
     """Frozen stable Hom data for one ordered pair of indecomposables."""
 
-    dim: int
-    reps_flat: tuple[int, ...]
-    reps_mats: tuple[tuple[F2Matrix, ...], ...]
-    factoring_flat: tuple[int, ...]
-    full_dim: int
+    __slots__ = ("dim", "reps_flat", "reps_mats", "factoring_flat", "full_dim")
+
+    def __init__(
+        self,
+        dim: int,
+        reps_flat: tuple[int, ...],
+        reps_mats: tuple[tuple[F2Matrix, ...], ...],
+        factoring_flat: tuple[int, ...],
+        full_dim: int,
+    ) -> None:
+        _setattr(self, "dim", dim)
+        _setattr(self, "reps_flat", reps_flat)
+        _setattr(self, "reps_mats", reps_mats)
+        _setattr(self, "factoring_flat", factoring_flat)
+        _setattr(self, "full_dim", full_dim)
 
 
 class NakayamaBackend(Backend):

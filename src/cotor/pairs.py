@@ -35,7 +35,6 @@ which callers narrow to what the answer reads (``reach``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .core import (
@@ -44,8 +43,10 @@ from .core import (
     InternalCheckError,
     Mor,
     Obj,
+    Record,
     Tri,
     Verdict,
+    _setattr,
     scatter_blocks,
     stored,
 )
@@ -54,16 +55,24 @@ from .subcats import DEFAULT_CAP, StarEngine, Subcat
 from .subcats import iter_bits, left_perp, perp_pairs, right_perp
 
 
-@dataclass(frozen=True)
-class CotorsionPair:
+class CotorsionPair(Record):
     """Candidate or verified pair of additive classes."""
 
-    u: Subcat
-    v: Subcat
+    __slots__ = ("u", "v")
 
-    def __post_init__(self) -> None:
-        if self.u.backend is not self.v.backend:
+    def __init__(self, u: Subcat, v: Subcat) -> None:
+        if u.backend is not v.backend:
             raise InputError("pair sides belong to different backends")
+        _setattr(self, "u", u)
+        _setattr(self, "v", v)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.u, self.v) == (other.u, other.v)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.u, self.v))
 
     @property
     def backend(self) -> Backend:
@@ -84,16 +93,16 @@ class CotorsionPair:
         return {"U": self.u.labels(), "V": self.v.labels()}
 
 
-@dataclass(frozen=True, slots=True)
-class TwinCotorsionPair:
+class TwinCotorsionPair(Record):
     """Ordered pair of cotorsion pairs with inner-to-outer orthogonality."""
 
-    inner: CotorsionPair
-    outer: CotorsionPair
+    __slots__ = ("inner", "outer")
 
-    def __post_init__(self) -> None:
-        if self.inner.backend is not self.outer.backend:
+    def __init__(self, inner: CotorsionPair, outer: CotorsionPair) -> None:
+        if inner.backend is not outer.backend:
             raise InputError("twin halves belong to different backends")
+        _setattr(self, "inner", inner)
+        _setattr(self, "outer", outer)
 
     @property
     def backend(self) -> Backend:
@@ -141,22 +150,26 @@ class TwinCotorsionPair:
         }
 
 
-@dataclass
-class DerivedSets:
+class DerivedSets(Record):
     """Core, reduced class, and the two one-sided extension classes."""
 
-    i: Subcat
-    z: Subcat
-    n_i: Subcat
-    n_f: Subcat
+    __slots__ = ("i", "z", "n_i", "n_f")
+
+    def __init__(self, i: Subcat, z: Subcat, n_i: Subcat, n_f: Subcat) -> None:
+        _setattr(self, "i", i)
+        _setattr(self, "z", z)
+        _setattr(self, "n_i", n_i)
+        _setattr(self, "n_f", n_f)
 
 
-@dataclass
-class CPEnumeration:
+class CPEnumeration(Record):
     """The verified cotorsion pairs of a backend, ascending by first
     class; perfbench's layer tracer reads ``pairs`` off this record."""
 
-    pairs: list[CotorsionPair]
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: list[CotorsionPair]) -> None:
+        _setattr(self, "pairs", pairs)
 
 
 def reach(cls: Subcat, c: Obj, step: int) -> int:

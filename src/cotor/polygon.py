@@ -15,24 +15,33 @@ backend where the category sizes coincide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
-from .core import MAX_POLYGON_INDECS, Backend, Indec, InputError, stored
+from .core import (
+    MAX_POLYGON_INDECS, Backend, Indec, InputError, Record, _setattr, stored
+)
 from .subcats import Subcat, closed_sets, iter_bits, require_enumerable
 from .subcats import right_perp
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(Record):
     """Chord between two non-adjacent vertices, stored with i < j."""
 
-    i: int
-    j: int
+    __slots__ = ("i", "j")
 
-    def __post_init__(self) -> None:
-        if self.i >= self.j:
+    def __init__(self, i: int, j: int) -> None:
+        if i >= j:
             raise InputError("arc endpoints must be ordered")
+        _setattr(self, "i", i)
+        _setattr(self, "j", j)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.i == other.i and self.j == other.j
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.i, self.j))
 
     def label(self) -> str:
         return f"arc({self.i},{self.j})"
@@ -222,8 +231,7 @@ def enumerate_ptolemy(backend: PolygonBackend) -> list[Subcat]:
 # Cut reduction
 
 
-@dataclass(frozen=True)
-class CutReduction:
+class CutReduction(Record):
     """Polygon cut along a rigid arc set, with the transport dictionary.
 
     ``pieces`` are the faces as tuples of original vertices in cyclic
@@ -232,12 +240,23 @@ class CutReduction:
     it.  Arcs of the rigid set itself appear in no piece.
     """
 
-    backend: PolygonBackend
-    rigid: Subcat
-    z: Subcat
-    pieces: tuple[tuple[int, ...], ...]
-    forward: dict[int, tuple[int, tuple[int, int]]]
-    backward: dict[tuple[int, tuple[int, int]], int]
+    __slots__ = ("backend", "rigid", "z", "pieces", "forward", "backward")
+
+    def __init__(
+        self,
+        backend: PolygonBackend,
+        rigid: Subcat,
+        z: Subcat,
+        pieces: tuple[tuple[int, ...], ...],
+        forward: dict[int, tuple[int, tuple[int, int]]],
+        backward: dict[tuple[int, tuple[int, int]], int],
+    ) -> None:
+        _setattr(self, "backend", backend)
+        _setattr(self, "rigid", rigid)
+        _setattr(self, "z", z)
+        _setattr(self, "pieces", pieces)
+        _setattr(self, "forward", forward)
+        _setattr(self, "backward", backward)
 
     def reduced_shift(self, ind_id: int, k: int = 1) -> int:
         """Rotate an arc of z minus rigid inside its piece, k steps."""

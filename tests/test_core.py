@@ -5,28 +5,34 @@ level backend, two indecomposables with every Hom space one
 dimensional, so each assertion stays hand checkable.
 """
 
-import dataclasses
+import importlib
 import itertools
+import pkgutil
 import types
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cotor
 from cotor.core import (
     Backend,
     CapabilityError,
-    Indec,
     InputError,
     Mor,
     Obj,
+    Record,
     Tri,
     Verdict,
     multisets_over,
     stored,
 )
 from cotor.f2 import F2Matrix
-from cotor.nakayama import NakayamaBackend, RawModule, _PairTable
+from cotor.mutation import ZICotorsionPair
+from cotor.nakayama import NakayamaBackend
+from cotor.pairs import CotorsionPair, CPEnumeration, DerivedSets, TwinCotorsionPair
+from cotor.polygon import Arc, PolygonBackend, cut_reduction
+from cotor.subcats import Subcat
 
 from helpers import is_isomorphism
 
@@ -83,46 +89,97 @@ def test_obj_multiset_algebra():
     assert x.counts() == {0: 1, 1: 2}
 
 
+def _record_types():
+    """Every value type of the package: the subclasses of ``Record``
+    defined in a ``cotor`` module, once every module is imported."""
+    for mod in pkgutil.iter_modules(cotor.__path__):
+        importlib.import_module(f"cotor.{mod.name}")
+    found, todo = set(), [Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub not in found and sub.__module__.startswith("cotor."):
+                found.add(sub)
+                todo.append(sub)
+    return found
+
+
 def _values(b):
-    """One instance of each slotted value type, from the backend b."""
+    """One instance of each value type, from the backend b."""
     x, y = Obj.of(0), Obj.of(0, 1)
-    return [
+    cp = CotorsionPair(Subcat(b, 0b01), Subcat(b, 0b10))
+    polygon = PolygonBackend(5)
+    cut = Subcat.of(polygon, [polygon.id_of_arc(Arc(0, 2))])
+    values = [
         x,
         Mor(x, y, 0b1),
         Tri(Mor(x, y), Mor(y, x), Mor(x, x)),
         Verdict.no("bad"),
         b.indecs[0],
         F2Matrix.identity(2),
+        b._single[0],
         b._single[0].raw,
         b._pairs[(0, 0)],
+        cp,
+        TwinCotorsionPair(cp, cp),
+        DerivedSets(cp.u, cp.v, cp.u, cp.v),
+        CPEnumeration([cp]),
+        ZICotorsionPair.of([1, 0], [2]),
+        polygon.arc(0, 2),
+        cut_reduction(polygon, cut),
     ]
+    assert {type(v) for v in values} == _record_types()
+    return values
+
+
+def _parts(v):
+    return tuple(getattr(v, name) for name in type(v).__slots__)
 
 
 def test_value_types_are_slotted_and_frozen(b13):
-    values = _values(b13)
-    assert {type(v) for v in values} == {
-        Obj, Mor, Tri, Verdict, Indec, F2Matrix, RawModule, _PairTable
-    }
-    for v in values:
-        fields = [f.name for f in dataclasses.fields(v)]
-        assert not hasattr(v, "__dict__"), type(v)
-        assert tuple(type(v).__slots__) == tuple(fields)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(v, fields[0], getattr(v, fields[0]))
-        # no slot for a new name; the exact error differs across versions
-        with pytest.raises((AttributeError, TypeError)):
+    for v in _values(b13):
+        fields = type(v).__slots__
+        assert fields and not hasattr(v, "__dict__"), type(v)
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(v, name, getattr(v, name))
+            with pytest.raises(AttributeError):
+                delattr(v, name)
+        with pytest.raises(AttributeError):
             v.extra = 1
 
 
 def test_value_types_keep_field_hash_and_equality(b13):
     for v in _values(b13):
-        parts = tuple(getattr(v, f.name) for f in dataclasses.fields(v))
-        assert hash(v) == hash(parts)
+        parts = _parts(v)
         twin = type(v)(*parts)
-        assert twin == v and hash(twin) == hash(v) and twin is not v
-        assert v != parts
+        assert type(v)(**dict(zip(type(v).__slots__, parts))) == v
+        assert twin == v and twin is not v and v != parts
+        # a type's own __eq__ and __hash__ keep the base's rule
+        assert Record.__eq__(v, twin) is True
+        try:
+            want = hash(parts)
+        except TypeError:  # a field holds a list or a dict
+            with pytest.raises(TypeError):
+                hash(v)
+        else:
+            assert hash(v) == hash(twin) == Record.__hash__(v) == want
     assert Verdict.yes("a") != Verdict.yes("b")
     assert Mor(Obj.of(0), Obj.of(0), 1) != Mor(Obj.of(0), Obj.of(0), 0)
+    # records of different classes are never equal, even with equal fields
+    assert Arc(0, 2) != ZICotorsionPair(0, 2)
+    assert Obj() == Obj.zero() and Mor(Obj(), Obj()).coords == 0
+    assert Verdict("yes").reason is None
+
+
+def test_value_types_repr_in_the_dataclass_format(b13):
+    assert repr(Obj.of(1, 0)) == "Obj(summands=(0, 1))"
+    assert repr(Mor(Obj.of(0), Obj.zero(), 1)) == (
+        "Mor(src=Obj(summands=(0,)), dst=Obj(summands=()), coords=1)"
+    )
+    assert str(Verdict.no("bad")) == "Verdict(state='no', reason='bad')"
+    for v in _values(b13):
+        fields = ", ".join(f"{k}={getattr(v, k)!r}" for k in type(v).__slots__)
+        assert repr(v) == f"{type(v).__qualname__}({fields})"
 
 
 def test_obj_orders_by_summand_tuples():

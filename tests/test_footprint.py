@@ -2,9 +2,11 @@
 
 ``import cotor`` resolves its exported names on first access, and the
 CLI imports the pair engine, the subquotient, the mutation layer and
-each backend's module only in the commands that use them.  Every case
-runs in a fresh interpreter and reads which ``cotor`` modules are in
-``sys.modules`` when it ends.
+each backend's module only in the commands that use them.  The value
+types are plain classes on ``core.Record``, so no case loads
+``dataclasses`` or ``inspect`` either (``HEAVY``; about 8 ms of
+start-up).  Every case runs in a fresh interpreter and reads which
+``cotor`` and ``HEAVY`` modules are in ``sys.modules`` when it ends.
 """
 
 import importlib
@@ -20,8 +22,10 @@ import cotor
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Prints the sorted cotor modules loaded once ``code`` has run, what it
-# wrote to standard error, and the variables ``rc`` and ``new`` it may set.
+# Prints the sorted cotor modules loaded once ``code`` has run, which of
+# ``HEAVY`` are loaded, what it wrote to standard error, and the
+# variables ``rc`` and ``new`` it may set.
+HEAVY = ("dataclasses", "inspect")
 PROBE = """
 import contextlib, io, json, sys
 rc, new, err = 0, [], io.StringIO()
@@ -29,6 +33,7 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
     {code}
 print(json.dumps({{
     "cotor": sorted(m for m in sys.modules if m.split(".")[0] == "cotor"),
+    "heavy": sorted(m for m in {heavy!r} if m in sys.modules),
     "stderr": err.getvalue(),
     "rc": rc,
     "new": new,
@@ -38,7 +43,7 @@ print(json.dumps({{
 
 def _probe(code: str) -> dict:
     run = subprocess.run(
-        [sys.executable, "-c", PROBE.format(code=code)],
+        [sys.executable, "-c", PROBE.format(code=code, heavy=HEAVY)],
         capture_output=True, text=True, cwd=ROOT, timeout=120,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
     )
@@ -56,6 +61,8 @@ NAKAYAMA_PAIRS = BASE | {"cotor.nakayama", "cotor.pairs"}
 
 CASES = {
     "import cotor": ("import cotor", {"cotor"}),
+    # f2 and core import each other: F2Matrix is a core.Record
+    "import f2 first": ("import cotor.f2", {"cotor", "cotor.core", "cotor.f2"}),
     "build polygon": (
         'from cotor import cli; cli.build_backend("polygon:N=7")', POLYGON,
     ),
@@ -70,6 +77,14 @@ CASES = {
         _cli("verify", "--suite", "conditions", "--backend", "nakayama:m=2,n=3"),
         NAKAYAMA_PAIRS | {"cotor.quotient"},
     ),
+    "nakayama suite all": (
+        _cli("verify", "--suite", "all", "--backend", "nakayama:m=2,n=3"),
+        NAKAYAMA_PAIRS | {"cotor.quotient", "cotor.mutation"},
+    ),
+    "match backends": (
+        _cli("match-backends", "nakayama:m=2,n=2", "polygon:N=4"),
+        BASE | {"cotor.nakayama", "cotor.polygon"},
+    ),
 }
 
 
@@ -79,6 +94,7 @@ def test_a_command_loads_only_its_layers(case):
     got = _probe(code)
     assert got["rc"] == 0, got["stderr"]
     assert set(got["cotor"]) == want
+    assert got["heavy"] == []
 
 
 @pytest.mark.parametrize("family", ["cli", "__init__", "os"])
@@ -89,7 +105,7 @@ def test_an_unknown_family_is_refused_without_an_import(family):
         'new = sorted(m for m in set(sys.modules) - before if m.startswith("cotor"))'
     )
     got = _probe(code)
-    assert (got["rc"], got["new"]) == (2, [])
+    assert (got["rc"], got["new"], got["heavy"]) == (2, [], [])
     assert got["stderr"] == (
         f"error: unknown backend family {family!r}; expected one of nakayama, polygon\n"
     )
