@@ -15,6 +15,9 @@ import functools
 import itertools
 from typing import Callable, Iterable, Optional, Sequence
 
+from .f2 import F2Matrix, rank, solve
+from .record import Record, _setattr
+
 # Size caps, in indecomposables, of the exhaustive routes: the 2^K class
 # sweeps, the construction of a Nakayama or polygon backend's tables,
 # and exact backend matching.
@@ -42,53 +45,6 @@ class BudgetExceeded(CotorError):
 
 class InternalCheckError(CotorError):
     """An invariant that should hold by construction failed."""
-
-
-_setattr = object.__setattr__
-
-
-class Record:
-    """Base of the value types: slotted, frozen records compared by field.
-
-    A subclass names its fields in ``__slots__`` and sets them in its
-    ``__init__`` through ``_setattr`` (``object.__setattr__``), since
-    assigning or deleting a field raises ``AttributeError``.  Two records
-    are equal when they have the same class and equal fields, a record
-    hashes as the tuple of its fields, and ``repr`` reads
-    ``Name(field=value, ...)``.  A type that is compared or hashed on a
-    hot path defines its own ``__eq__`` and ``__hash__`` by the same rule,
-    which skip the loop over ``__slots__``.
-    """
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self.__slots__
-        )
-        return f"{self.__class__.__qualname__}({fields})"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-# f2's matrices are records, so f2 is imported once Record exists, and as
-# a module, so that importing f2 first also works.
-from . import f2  # noqa: E402
 
 
 _MISSING = object()
@@ -449,34 +405,34 @@ class Backend:
             yield Mor(x, y, c)
 
     @stored(key=lambda h, src: (h.src, h.dst, h.coords, src))
-    def left_op(self, h: Mor, src: Obj) -> f2.F2Matrix:
+    def left_op(self, h: Mor, src: Obj) -> F2Matrix:
         """Matrix of g -> (h after g) for g: src -> h.src, stored per input."""
         cols = [
             self.compose(Mor(src, h.src, 1 << k), h).coords
             for k in range(self.hom_dim(src, h.src))
         ]
-        return f2.F2Matrix.from_rows(cols, self.hom_dim(src, h.dst)).transpose()
+        return F2Matrix.from_rows(cols, self.hom_dim(src, h.dst)).transpose()
 
     @stored(key=lambda h, dst: (h.src, h.dst, h.coords, dst))
-    def right_op(self, h: Mor, dst: Obj) -> f2.F2Matrix:
+    def right_op(self, h: Mor, dst: Obj) -> F2Matrix:
         """Matrix of g -> (g after h) for g: h.dst -> dst, stored per input."""
         cols = [
             self.compose(h, Mor(h.dst, dst, 1 << k)).coords
             for k in range(self.hom_dim(h.dst, dst))
         ]
-        return f2.F2Matrix.from_rows(cols, self.hom_dim(h.src, dst)).transpose()
+        return F2Matrix.from_rows(cols, self.hom_dim(h.src, dst)).transpose()
 
     def suspend(self, f: Mor) -> Mor:
         """Sigma on one map: f[1] from f.src[1] to f.dst[1]."""
         self._need()
         raise NotImplementedError
 
-    def shift_op(self, x: Obj, y: Obj) -> f2.F2Matrix:
+    def shift_op(self, x: Obj, y: Obj) -> F2Matrix:
         """Matrix of Sigma from Hom(x, y) to Hom(x[1], y[1])."""
         cols = [self.suspend(Mor(x, y, 1 << k)).coords
                 for k in range(self.hom_dim(x, y))]
         dout = self.hom_dim(self.shift_obj(x, 1), self.shift_obj(y, 1))
-        return f2.F2Matrix.from_rows(cols, dout).transpose()
+        return F2Matrix.from_rows(cols, dout).transpose()
 
     def shift_mor(self, f: Mor, k: int = 1) -> Mor:
         """Sigma^k on a map.  Each Omega step solves Sigma g = f over
@@ -487,9 +443,9 @@ class Backend:
         for _ in range(-k):
             x, y = self.shift_obj(f.src, -1), self.shift_obj(f.dst, -1)
             op = self.shift_op(x, y)
-            if f2.rank(op) < op.cols:
+            if rank(op) < op.cols:
                 raise InternalCheckError("suspension is not injective on maps")
-            g = f2.solve(op, f.coords)
+            g = solve(op, f.coords)
             if g is None:
                 raise InternalCheckError("map is not a suspension")
             f = Mor(x, y, g)

@@ -13,15 +13,14 @@ record the listed vectors they combine, so it writes vectors over that
 list.  There is one space modulo a span, ``QuotientSpace``, with
 coordinates on the non-pivot positions: the subquotient's Hom spaces
 and the Nakayama backend's cone modules are both built on it.
-``F2Matrix`` is a value record on ``core.Record``, the only part of
-``core`` this module uses.
+``F2Matrix`` is a value record on ``record.Record``.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .core import Record, _setattr
+from .record import Record, _setattr
 
 __all__ = [
     "F2Matrix",
@@ -40,7 +39,7 @@ class F2Matrix(Record):
 
     ``bits[r]`` holds row ``r``; bit ``c`` of that int is the entry in
     column ``c``.  Rows wider than ``cols`` are rejected, so two matrices
-    are equal exactly when their fields are (``core.Record``).
+    are equal exactly when their fields are (``record.Record``).
     """
 
     __slots__ = ("rows", "cols", "bits")

@@ -48,14 +48,6 @@ class ZICotorsionPair(Record):
         _setattr(self, "l", l)
         _setattr(self, "r", r)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.l == other.l and self.r == other.r
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.l, self.r))
-
     @staticmethod
     def of(l, r) -> "ZICotorsionPair":
         return ZICotorsionPair(tuple(sorted(set(l))), tuple(sorted(set(r))))

@@ -66,14 +66,6 @@ class CotorsionPair(Record):
         _setattr(self, "u", u)
         _setattr(self, "v", v)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.u, self.v) == (other.u, other.v)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.u, self.v))
-
     @property
     def backend(self) -> Backend:
         return self.u.backend

@@ -35,14 +35,6 @@ class Arc(Record):
         _setattr(self, "i", i)
         _setattr(self, "j", j)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.i == other.i and self.j == other.j
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.i, self.j))
-
     def label(self) -> str:
         return f"arc({self.i},{self.j})"
 

@@ -5,8 +5,11 @@ level backend, two indecomposables with every Hom space one
 dimensional, so each assertion stays hand checkable.
 """
 
+import copy
 import importlib
+import io
 import itertools
+import pickle
 import pkgutil
 import types
 
@@ -169,6 +172,35 @@ def test_value_types_keep_field_hash_and_equality(b13):
     assert Arc(0, 2) != ZICotorsionPair(0, 2)
     assert Obj() == Obj.zero() and Mor(Obj(), Obj()).coords == 0
     assert Verdict("yes").reason is None
+
+
+class _Pickler(pickle.Pickler):
+    """Pickles a backend by reference, by its id in ``backends``, so a
+    rebuilt record is on the same backend as the original."""
+
+    def __init__(self, file):
+        super().__init__(file)
+        self.backends = {}
+
+    def persistent_id(self, obj):
+        if isinstance(obj, Backend):
+            self.backends[id(obj)] = obj
+            return id(obj)
+        return None
+
+
+def test_value_types_copy_and_pickle_through_their_init(b13):
+    for v in _values(b13):
+        buf = io.BytesIO()
+        pickler = _Pickler(buf)
+        pickler.dump(v)
+        unpickler = pickle.Unpickler(io.BytesIO(buf.getvalue()))
+        unpickler.persistent_load = pickler.backends.__getitem__
+        shallow = copy.copy(v)
+        assert all(a is b for a, b in zip(_parts(shallow), _parts(v)))
+        deep = copy.deepcopy(v, dict(pickler.backends))
+        for twin in (shallow, deep, unpickler.load()):
+            assert type(twin) is type(v) and twin is not v and twin == v
 
 
 def test_value_types_repr_in_the_dataclass_format(b13):

@@ -3,7 +3,7 @@
 ``import cotor`` resolves its exported names on first access, and the
 CLI imports the pair engine, the subquotient, the mutation layer and
 each backend's module only in the commands that use them.  The value
-types are plain classes on ``core.Record``, so no case loads
+types are plain classes on ``record.Record``, so no case loads
 ``dataclasses`` or ``inspect`` either (``HEAVY``; about 8 ms of
 start-up).  Every case runs in a fresh interpreter and reads which
 ``cotor`` and ``HEAVY`` modules are in ``sys.modules`` when it ends.
@@ -55,14 +55,14 @@ def _cli(*argv: str) -> str:
     return f"from cotor import cli; rc = cli.main({list(argv)!r})"
 
 
-BASE = {"cotor", "cotor.cli", "cotor.core", "cotor.f2", "cotor.subcats"}
+BASE = {
+    "cotor", "cotor.cli", "cotor.core", "cotor.f2", "cotor.record", "cotor.subcats"
+}
 POLYGON = BASE | {"cotor.polygon"}
 NAKAYAMA_PAIRS = BASE | {"cotor.nakayama", "cotor.pairs"}
 
 CASES = {
     "import cotor": ("import cotor", {"cotor"}),
-    # f2 and core import each other: F2Matrix is a core.Record
-    "import f2 first": ("import cotor.f2", {"cotor", "cotor.core", "cotor.f2"}),
     "build polygon": (
         'from cotor import cli; cli.build_backend("polygon:N=7")', POLYGON,
     ),
