@@ -1,13 +1,12 @@
 """Command-line front end producing versioned JSON reports.
 
 Every report is a single JSON document under the schema name
-``cotor.report/2`` that embeds the command, the backend spec, the search
-cap, and the tool version.  No search is randomized, so rerunning the
-same command with the same configuration reproduces the report byte for
-byte.  Exit status encodes the outcome: 0 clean, 1 property violation
-found or internal error, 2 invalid input, 3 a capped peel search was
-inconclusive (suppressed by ``--allow-inconclusive``).  No path ends in
-a traceback.
+``cotor.report/2`` that embeds the command, the backend spec and the
+tool version.  No search is randomized, so rerunning the same command
+with the same configuration reproduces the report byte for byte.  Exit
+status encodes the outcome: 0 clean, 1 property violation found or
+internal error, 2 invalid input, 3 a peel search was inconclusive
+(suppressed by ``--allow-inconclusive``).  No path ends in a traceback.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from .core import (
     Obj,
     Verdict,
 )
-from .subcats import DEFAULT_CAP, Subcat, left_perp, perp_pairs, right_perp
+from .subcats import Subcat, left_perp, perp_pairs, right_perp
 
 if TYPE_CHECKING:
     from .pairs import CotorsionPair, PairEngine, TwinCotorsionPair
@@ -75,9 +74,8 @@ class _Status:
     the run only in a claim, since a row's no is data.
     """
 
-    def __init__(self, spec: Optional[str], cap: int) -> None:
+    def __init__(self, spec: Optional[str]) -> None:
         self.spec = spec
-        self.cap = cap
         self.claims: list[dict] = []
         self.violation = False
         self.inconclusive = False
@@ -90,7 +88,7 @@ class _Status:
     def engine(self) -> PairEngine:
         from .pairs import PairEngine
 
-        return PairEngine(self.backend, cap=self.cap)
+        return PairEngine(self.backend)
 
     def note(self, verdict: Verdict) -> str:
         """Record a verdict a row prints and return its state."""
@@ -237,7 +235,6 @@ def _envelope(args: argparse.Namespace, payload: dict) -> dict:
         "tool_version": __version__,
         "command": args.command,
         "backend": getattr(args, "backend", None),
-        "cap": getattr(args, "cap", None),
         "report": payload,
     }
 
@@ -730,11 +727,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--backend", help="backend spec, e.g. nakayama:m=2,n=2 or polygon:N=5"
     )
     common.add_argument(
-        "--cap", type=int, default=DEFAULT_CAP,
-        help="cap of the peel searches (chains of up to cap + 1 peels), which "
-        "decide only the star T * U of condition (I), at least 2",
-    )
-    common.add_argument(
         "--out", help="write the report to this path instead of stdout"
     )
     common.add_argument(
@@ -820,10 +812,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "cap", 2) < 2:
-        print("error: --cap must be at least 2", file=sys.stderr)
-        return 2
-    status = _Status(args.backend, args.cap)
+    status = _Status(args.backend)
     try:
         payload = args.func(args, status)
         if payload is not None:

@@ -95,10 +95,10 @@ INCONCLUSIVE = "inconclusive"
 class Verdict(Record):
     """Three-valued search result.
 
-    ``state`` is one of yes / no / inconclusive.  Search caps turn a
-    failed hunt into "no" only when the no is stable under growing the
-    cap; otherwise the inconclusive state propagates to callers and is
-    never silently coerced.
+    ``state`` is one of yes / no / inconclusive.  The peel search turns a
+    failed hunt into "no" at its one fixed depth (``subcats.PEEL_DEPTH``),
+    which need not exhaust it; an exhausted budget gives inconclusive,
+    which propagates to callers and is never silently coerced.
     """
 
     __slots__ = ("state", "reason")

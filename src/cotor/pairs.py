@@ -22,7 +22,7 @@ a caller reads.  The extension classes S * V[1] and S[-1] * V
 have Hom-orthogonal sides too, so derived classes, condition (II), the
 Hovey test and the isomorphism test modulo a core are always decided.
 Condition (I) reads the star T * U, whose sides are not orthogonal, on
-the capped peel engine, its one reader: an exhausted budget there is
+the peel engine, its one reader: an exhausted budget there is
 inconclusive, never a guess.  Decomposition triangles need no search:
 each is the cone of a minimal right approximation map built from Hom
 bases (``approximation``), and heart vanishing also reads a minimal left
@@ -51,7 +51,7 @@ from .core import (
     stored,
 )
 from .f2 import F2Matrix, QuotientSpace, in_span, solve
-from .subcats import DEFAULT_CAP, StarEngine, Subcat
+from .subcats import StarEngine, Subcat
 from .subcats import iter_bits, left_perp, perp_pairs, right_perp
 
 
@@ -178,10 +178,10 @@ class PairEngine:
     """Pair-level queries over one backend with a shared star engine;
     every answer is stored per input (``core.stored``)."""
 
-    def __init__(self, backend: Backend, cap: int = DEFAULT_CAP):
+    def __init__(self, backend: Backend):
         backend._need()
         self.backend = backend
-        self.star = StarEngine(backend, cap=cap)
+        self.star = StarEngine(backend)
         self._ext1 = backend.ext1_masks()[0]
 
     # -- degree-one orthogonality ------------------------------------------

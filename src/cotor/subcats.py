@@ -14,19 +14,20 @@ repeatedly strips one Y-summand by enumerating maps C -> y and passing
 to the cocone, and accepts when some chain lands in add(X); if the
 cocone lies in X * Y, then C lies in X * Y * y, inside X * Y.
 
-The search is complete for capped Y sides (every genuine triangle
-induces a chain of the same length); acceptance of YES needs Y closed
-under extensions.  The peel serves one star only: T * U in condition
-(I), whose Y side U is a verified cotorsion-pair side.  Every other
-star, the fixed-point stars S[-1] * U' and V' * V[1] of the
-mutable-class test included, is decided by one minimal approximation
-(``PairEngine.in_star``).  The tests hold the peel to the backend's
+The search follows chains of at most ``PEEL_DEPTH`` peels, which every
+genuine triangle whose Y end has at most that many summands induces;
+acceptance of YES needs Y closed under extensions.  The peel serves one
+star only: T * U in condition (I), whose Y side U is a verified
+cotorsion-pair side.  Every other star, the fixed-point stars
+S[-1] * U' and V' * V[1] of the mutable-class test included, is decided
+by one minimal approximation (``PairEngine.in_star``).  The tests hold the peel to the backend's
 capped dense-connecting-map enumerator (``_literal_verdict``), and
 those approximation routes to the peel.
 
-Verdicts are three-valued; a NO is only reported when the search space
-for caps c and c+1 is exhausted, and budget exhaustion degrades to
-inconclusive, never to a boolean.
+Verdicts are three-valued.  A NO means that no chain of at most
+``PEEL_DEPTH`` peels lands in add(X); it is exhaustive only where the
+frontier empties before that depth, which the search does not check.
+Budget exhaustion degrades to inconclusive, never to a boolean.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .core import (
     stored,
 )
 
-DEFAULT_CAP = 4
+PEEL_DEPTH = 5
 DEFAULT_BUDGET = 500_000
 
 
@@ -217,21 +218,16 @@ class StarEngine:
     """Star-product membership and closure queries over one backend;
     peel moves and pair extensions are stored."""
 
-    def __init__(
-        self,
-        backend: Backend,
-        cap: int = DEFAULT_CAP,
-        budget: int = DEFAULT_BUDGET,
-    ):
+    def __init__(self, backend: Backend, budget: int = DEFAULT_BUDGET):
         backend._need()
         self.backend = backend
-        self.cap = cap
         self.budget = budget
 
     # -- membership -------------------------------------------------------
 
     def star_contains(self, x: Subcat, y: Subcat, c: Obj) -> Verdict:
-        """Is there a triangle X' -> c -> Y' -> X'[1] with capped ends?
+        """Is there a triangle X' -> c -> Y' -> X'[1] with X' in add(X)
+        and Y' in add(Y)?
 
         Y must be closed under extensions, which the caller vouches for:
         the peel engine strips Y-summands, which is what lets it report
@@ -250,15 +246,12 @@ class StarEngine:
 
     def _peel_verdict(self, x: Subcat, y: Subcat, c: Obj) -> Verdict:
         try:
-            found = self._peel_search(x, y, c, self.cap + 1, self.budget)
+            found = self._peel_search(x, y, c, PEEL_DEPTH, self.budget)
         except BudgetExceeded:
             return Verdict.inconclusive(reason="peel budget exhausted")
         if found:
             return Verdict.yes()
-        return Verdict.no(
-            reason=f"no peel chain up to depth {self.cap + 1} (caps "
-            f"{self.cap} and {self.cap + 1} agree)"
-        )
+        return Verdict.no(reason=f"no peel chain up to depth {PEEL_DEPTH}")
 
     @stored(key=lambda obj, sid: (obj.summands, sid))
     def _peel_moves(self, obj: Obj, sid: int) -> tuple[Obj, ...]:
@@ -284,14 +277,18 @@ class StarEngine:
         which splits the triangle and puts the middle term in add(X)
         already; the membership check at state entry covers that branch.
         Summands with no nonzero map are skipped by the per-backend Hom
-        masks, as they have no peels.  Every peel costs one budget unit;
-        a state's peels of one summand are charged together, which raises
-        at the same point as charging them one by one, since the search
-        only stops at state entry.
+        masks, as they have no peels.  A state with a summand z outside X
+        and no nonzero map into Y is dead: every map into a Y-summand is
+        zero on z, so every cocone keeps z and none lands in add(X).  The
+        walk goes level by level, so a state is first reached at its
+        greatest remaining depth and a plain visited set suffices.  Every
+        peel costs one budget unit; a state's peels of one summand are
+        charged together, which raises at the same point as charging them
+        one by one, since the search only stops at state entry.
         """
         reach = self.backend.hom_masks()[0]
         frontier = [c]
-        best_seen: dict[Obj, int] = {c: depth}
+        seen = {c}
         for remaining in range(depth, -1, -1):
             next_frontier: list[Obj] = []
             for obj in frontier:
@@ -301,6 +298,9 @@ class StarEngine:
                     continue
                 hit = 0
                 for i in obj.summands:
+                    if not reach[i] & y.bits and not x.bits >> i & 1:
+                        hit = 0  # dead: every chain from obj keeps i
+                        break
                     hit |= reach[i]
                 for sid in iter_bits(y.bits & hit):
                     moves = self._peel_moves(obj, sid)
@@ -308,18 +308,17 @@ class StarEngine:
                     if budget < 0:
                         raise BudgetExceeded("peel search budget exhausted")
                     for w in moves:
-                        prev = best_seen.get(w)
-                        if prev is not None and prev >= remaining - 1:
-                            continue
-                        best_seen[w] = remaining - 1
-                        next_frontier.append(w)
+                        if w not in seen:
+                            seen.add(w)
+                            next_frontier.append(w)
             frontier = next_frontier
             if not frontier:
                 break
         return False
 
-    def _literal_verdict(self, x: Subcat, y: Subcat, c: Obj) -> Verdict:
-        """Star membership by the backend's capped triangle enumerator.
+    def _literal_verdict(self, x: Subcat, y: Subcat, c: Obj, cap: int) -> Verdict:
+        """Star membership by the backend's triangle enumerator, with ends
+        of at most cap + 1 summands.
 
         No path in the package calls it: the tests use it as the oracle
         of the peel, and it stays on the engine because the
@@ -328,15 +327,12 @@ class StarEngine:
         b = self.backend
         try:
             for _ in b.triangle_enumerate(
-                x.ids(), y.ids(), c, cap=self.cap + 1, budget=self.budget
+                x.ids(), y.ids(), c, cap=cap + 1, budget=self.budget
             ):
                 return Verdict.yes()
         except BudgetExceeded:
             return Verdict.inconclusive(reason="literal enumeration budget exhausted")
-        return Verdict.no(
-            reason=f"capped enumeration exhausted at caps {self.cap} "
-            f"and {self.cap + 1}"
-        )
+        return Verdict.no(reason=f"enumeration exhausted at cap {cap + 1}")
 
     # -- star sets ----------------------------------------------------------
 

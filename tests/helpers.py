@@ -8,7 +8,7 @@ from cotor.nakayama import (
     _commutation_rows, _path_tower, _unflatten, uniserial_counts
 )
 from cotor.pairs import reach
-from cotor.subcats import Subcat
+from cotor.subcats import PEEL_DEPTH, Subcat
 
 
 def decompose_counts(raw):
@@ -160,16 +160,17 @@ def from_entries(entries, rows, cols):
     return F2Matrix(rows, cols, tuple(packed))
 
 
-def literal_contains(star, x, y, c):
-    """Star membership C in add(x) * add(y) decided by the backend's capped
-    triangle enumerator (``StarEngine._literal_verdict``), after the same
-    one-sided shortcuts as ``StarEngine.star_contains``; it needs no side
-    closed under extensions."""
+def literal_contains(star, x, y, c, cap):
+    """Star membership C in add(x) * add(y) decided by the backend's
+    triangle enumerator with ends of at most cap + 1 summands
+    (``StarEngine._literal_verdict``), after the same one-sided shortcuts
+    as ``StarEngine.star_contains``; it needs no side closed under
+    extensions."""
     if c.is_zero or x.contains_obj(c) or y.contains_obj(c):
         return Verdict.yes()
     if x.is_empty or y.is_empty:
         return Verdict.no()
-    return star._literal_verdict(x, y, c)
+    return star._literal_verdict(x, y, c, cap)
 
 
 def witnesses(star, x, y, c, top):
@@ -199,10 +200,10 @@ def first_witness(star, x, y, c, top):
 def searched_decomposition(engine, cls, c, first, third):
     """``PairEngine.decomposition`` by the search: the first witness in
     add(first) * add(third), with room for the split part of a wide
-    object (a top of its width past the engine's cap)."""
+    object (a top of its width past the peel's depth)."""
     star = engine.star
-    tri = first_witness(star, first, third, c, len(c) + star.cap)
-    assert tri is not None, f"no witness for {c.summands} at the cap"
+    tri = first_witness(star, first, third, c, len(c) + PEEL_DEPTH)
+    assert tri is not None, f"no witness for {c.summands} up to the top"
     return tri
 
 
@@ -257,16 +258,16 @@ def capped_zi_star_member(mut, m, l, r, cap):
     return False
 
 
-def ext_closure(star, x):
+def ext_closure(star, x, cap=4):
     """Least fixed point of adding the indecomposables of R * R to R,
-    with a completeness flag.  Runs on the literal enumerator, since the
-    intermediate sets carry no extension-closure guarantee."""
+    with a completeness flag.  Runs on the literal enumerator at ``cap``,
+    since the intermediate sets carry no extension-closure guarantee."""
     b = star.backend
     r, complete = x, True
     while True:
         grown = r.bits
         for i in range(len(b.indecs)):
-            v = literal_contains(star, r, r, Obj.of(i))
+            v = literal_contains(star, r, r, Obj.of(i), cap)
             if v.is_yes:
                 grown |= 1 << i
             elif v.is_inconclusive:

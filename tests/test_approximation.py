@@ -26,7 +26,7 @@ from cotor.f2 import in_span
 from cotor.nakayama import NakayamaBackend
 from cotor.pairs import PairEngine
 from cotor.quotient import ZIQuotient
-from cotor.subcats import StarEngine, Subcat, closed_sets, left_perp, right_perp
+from cotor.subcats import Subcat, closed_sets, left_perp, right_perp
 from helpers import full_star_class, literal_contains, searched_decomposition, witnesses
 
 # (m, n): the widest objects whose approximations are checked, and the
@@ -179,11 +179,10 @@ def compare_orthogonal_stars(mn):
     b = NakayamaBackend(*mn)
     eng = PairEngine(b)
     star, literal = eng.star, b.K <= 6
-    # caps 2 and 3 hold every minimal approximation triangle here
-    short = StarEngine(b, cap=2)
 
     def by_literal(x, y):
-        verdicts = [literal_contains(short, x, y, Obj.of(c)) for c in range(b.K)]
+        # caps 2 and 3 hold every minimal approximation triangle here
+        verdicts = [literal_contains(star, x, y, Obj.of(c), 2) for c in range(b.K)]
         assert not any(v.is_inconclusive for v in verdicts)
         return Subcat.of(b, [c for c, v in enumerate(verdicts) if v.is_yes])
 

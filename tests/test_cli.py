@@ -15,9 +15,7 @@ import pytest
 from cotor import cli
 from cotor.core import InternalCheckError, Mor, Obj, Verdict
 from cotor.mutation import MutationEngine
-from cotor.nakayama import NakayamaBackend
 from cotor.pairs import PairEngine
-from cotor.subcats import DEFAULT_CAP
 
 
 def invoke(capsys, *argv):
@@ -42,11 +40,10 @@ def test_enumerate_cp_envelope_and_count(capsys):
     assert rc == 0 and err == ""
     doc = report_of(out)
     assert set(doc) == {
-        "schema", "tool_version", "command", "backend", "cap", "report",
+        "schema", "tool_version", "command", "backend", "report",
     }
     assert doc["command"] == "enumerate-cp"
     assert doc["backend"] == "nakayama:m=1,n=3"
-    assert doc["cap"] == 4
     assert doc["report"]["count"] == 2
     assert set(doc["report"]) == {"count", "pairs"}
     for rec in doc["report"]["pairs"]:
@@ -55,11 +52,9 @@ def test_enumerate_cp_envelope_and_count(capsys):
 
 def test_settings_are_recorded(capsys):
     base = ["enumerate-cp", "--backend", "nakayama:m=1,n=3"]
-    rc, out, _ = invoke(capsys, *base, "--cap", "3")
-    assert rc == 0
-    assert report_of(out)["cap"] == 3
-    # Nothing reads a worker count or a seed, so neither is an option.
-    for gone in (["--jobs", "4"], ["--seed", "7"]):
+    # Nothing reads a worker count, a seed or a search cap, so none is an
+    # option: the peel runs at one fixed depth.
+    for gone in (["--jobs", "4"], ["--seed", "7"], ["--cap", "2"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(base + gone)
         assert exc.value.code == 2
@@ -314,7 +309,6 @@ def test_match_backends_identity(capsys):
 def test_invalid_inputs_exit_two(capsys):
     cases = [
         ["enumerate-cp", "--backend", "carnival:m=1"],
-        ["enumerate-cp", "--backend", "nakayama:m=1,n=3", "--cap", "1"],
         ["enumerate-cp"],
         ["inspect-pair", "--backend", "nakayama:m=1,n=3", "--pair", "U=[S9]"],
         ["inspect-pair", "--backend", "nakayama:m=1,n=3", "--pair", "W=[];V=[]"],
@@ -347,12 +341,6 @@ def test_oversized_polygon_is_refused_before_it_is_built(capsys):
     )
     assert rc == 2
     assert err == "error: polygon:N=100000 has 4999850000 arcs, above the cap 1000\n"
-
-
-def test_cap_defaults_to_the_star_engine_default():
-    # One default for the CLI flag, the pair engine and the star engine.
-    assert cli._build_parser().parse_args(["enumerate-cp"]).cap == DEFAULT_CAP
-    assert PairEngine(NakayamaBackend(1, 3)).star.cap == DEFAULT_CAP
 
 
 def test_repeated_backend_parameter_exits_two(capsys):
@@ -470,8 +458,8 @@ def test_undecided_premises_leave_the_inverse_claim_inconclusive(monkeypatch, ca
     assert inverse and all(row["verdict"] == "inconclusive" for row in inverse)
 
 
-def _starved(backend, cap):
-    engine = PairEngine(backend, cap=cap)
+def _starved(backend):
+    engine = PairEngine(backend)
     engine.star.budget = 0
     return engine
 
@@ -500,7 +488,7 @@ def test_cotorsion_pair_checks_need_no_peel_budget(monkeypatch, capsys, argv):
 
 def test_a_starved_condition_I_peel_exits_three_unless_allowed(monkeypatch, capsys):
     # The star T * U of condition (I) has sides that are not orthogonal,
-    # so it still runs on the capped peel, and an exhausted budget there
+    # so it still runs on the peel, and an exhausted budget there
     # is an inconclusive verdict, never a guess.
     monkeypatch.setattr("cotor.pairs.PairEngine", _starved)
     argv = ["verify", "--suite", "conditions", "--backend", "nakayama:m=2,n=4"]
@@ -536,8 +524,8 @@ def test_an_approximation_out_of_its_class_is_a_violation(monkeypatch, capsys):
 def test_a_run_keeps_nothing_after_main_returns(monkeypatch, capsys):
     refs = []
 
-    def tracked(backend, cap):
-        engine = PairEngine(backend, cap=cap)
+    def tracked(backend):
+        engine = PairEngine(backend)
         refs.extend([weakref.ref(engine), weakref.ref(backend)])
         return engine
 

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from cotor import subcats
 from cotor.core import BudgetExceeded, InputError, Obj
 from cotor.nakayama import NakayamaBackend
 from cotor.pairs import PairEngine
@@ -173,8 +174,7 @@ def test_peel_and_literal_engines_agree(b14, b23):
     # either side carries no information and is skipped, though enough
     # cases must be decided by both for the comparison to mean anything.
     for b, floor in ((b14, 24), (b23, 90)):
-        # Narrow cap: literal exhaustion stays cheap and still definite.
-        eng = StarEngine(b, cap=2, budget=20_000)
+        eng = StarEngine(b, budget=20_000)
         singles = [Subcat.of(b, [i]) for i in range(b.K)]
         ys = {right_perp(s) for s in singles}
         ys.add(Subcat.everything(b))
@@ -184,7 +184,8 @@ def test_peel_and_literal_engines_agree(b14, b23):
             for y in ys:
                 for c in objs:
                     via_peel = eng.star_contains(x, y, c)
-                    via_literal = literal_contains(eng, x, y, c)
+                    # Narrow cap: literal exhaustion stays cheap and still definite.
+                    via_literal = literal_contains(eng, x, y, c, 2)
                     if via_peel.is_inconclusive or via_literal.is_inconclusive:
                         continue
                     both_definite += 1
@@ -222,14 +223,14 @@ def test_the_peel_matches_the_literal_enumerator(mn, cap):
     # indecomposables and the whole category, and C over the
     # indecomposables; every verdict must be definite and agree.
     b = NakayamaBackend(*mn)
-    eng = StarEngine(b, cap=cap)
+    eng = StarEngine(b)
     others = [Subcat.of(b, [i]) for i in range(b.K)] + [Subcat.everything(b)]
     for y in extension_closed_classes(b):
         for x in others:
             for i in range(b.K):
                 c = Obj.of(i)
                 peel = eng.star_contains(x, y, c)
-                literal = literal_contains(eng, x, y, c)
+                literal = literal_contains(eng, x, y, c, cap)
                 assert not literal.is_inconclusive
                 assert peel.state == literal.state, (
                     x.labels(), y.labels(), b.label_of(i)
@@ -244,9 +245,108 @@ def test_star_budget_degrades_to_inconclusive(b23):
     assert v.is_inconclusive and v.reason == "peel budget exhausted"
     _, complete = eng.star_indecs(x, y)
     assert isinstance(complete, bool)
-    v = eng._literal_verdict(x, y, Obj.of(2, 3))
+    v = eng._literal_verdict(x, y, Obj.of(2, 3), 4)
     if not v.is_yes:  # a first-shot witness can legitimately beat the budget
         assert v.is_inconclusive
+
+
+def test_a_dead_summand_ends_the_peel_at_every_depth():
+    # M(2,1) lies outside X and has no nonzero map into Y, so every cocone
+    # of a state holding it keeps it.  Without that rule the chain from
+    # M(1,2) comes back to M(1,2) + M(2,1) at level 5 and grows by one
+    # M(2,1) every five levels; with it, the search ends after one level.
+    b = NakayamaBackend(3, 4)
+    x = Subcat.from_labels(b, ["M(0,1)", "M(0,3)"])
+    y = Subcat.from_labels(
+        b, ["M(0,1)", "M(0,2)", "M(1,1)", "M(1,3)", "M(2,2)", "M(2,3)"]
+    )
+    c = Obj.of(b.id_of("M(1,2)"))
+    dead = b.id_of("M(2,1)")
+    assert dead not in x and not b.hom_masks()[0][dead] & y.bits
+    tables = []
+    for depth in (5, 40):
+        eng = StarEngine(b)
+        assert not eng._peel_search(x, y, c, depth, eng.budget)
+        tables.append(eng._stored["_peel_moves"])
+    assert tables[0] == tables[1]
+    assert {summands for summands, _ in tables[0]} == {c.summands}
+    assert StarEngine(b).star_contains(x, y, c).is_no
+
+
+def condition_I_stars(b):
+    """The distinct stars T * U of the concentric twin pairs of b."""
+    return list(dict.fromkeys((p.t, p.u) for p in PairEngine(b).concentric_tcps()))
+
+
+@pytest.mark.parametrize("mn", [(3, 4), (4, 4)], ids=str)
+def test_condition_I_stars_do_not_move_with_the_peel_depth(mn, monkeypatch):
+    # Depth 3 is the old cap 2, 5 the fixed depth.
+    b = NakayamaBackend(*mn)
+    stars = condition_I_stars(b)
+
+    def at_depth(depth):
+        monkeypatch.setattr(subcats, "PEEL_DEPTH", depth)
+        star = StarEngine(b)
+        return [star.star_indecs(t, u) for t, u in stars]
+
+    want = at_depth(5)
+    assert all(complete for _, complete in want)
+    assert at_depth(3) == want
+    assert at_depth(12) == want
+
+
+@pytest.mark.parametrize("mn", [(3, 4), (4, 4)], ids=str)
+def test_a_smaller_peel_budget_changes_no_concluded_verdict(mn):
+    # No search here spends more than ten units, and budgets 0-5 cut some.
+    b = NakayamaBackend(*mn)
+    full = StarEngine(b)
+    stars = condition_I_stars(b)
+    for budget in range(6):
+        starved, cut = StarEngine(b, budget=budget), 0
+        for t, u in stars:
+            for c in map(Obj.of, range(b.K)):
+                got = starved.star_contains(t, u, c)
+                cut += got.is_inconclusive
+                if not got.is_inconclusive:
+                    assert got.state == full.star_contains(t, u, c).state
+        assert cut, budget
+
+
+@pytest.mark.parametrize("mn", [(3, 4), (4, 4)], ids=str)
+def test_condition_I_peels_say_no_only_on_an_empty_frontier(mn, monkeypatch):
+    # A peel that answers no at the fixed depth and then asks for the
+    # moves of no new state at one level more had no live state left at
+    # the last level: its no is exhaustive, not a depth cut.
+    b = NakayamaBackend(*mn)
+    queries = []
+    honest = StarEngine._peel_search
+
+    def recorded(self, x, y, c, depth, budget):
+        found = honest(self, x, y, c, depth, budget)
+        if not found:
+            queries.append((x, y, c))
+        return found
+
+    with monkeypatch.context() as m:
+        m.setattr(StarEngine, "_peel_search", recorded)
+        star = StarEngine(b)
+        for t, u in condition_I_stars(b):
+            star.star_indecs(t, u)
+    assert queries
+
+    def expanded(x, y, c, depth):
+        eng = StarEngine(b)
+        asked = []
+        moves = eng._peel_moves
+        eng._peel_moves = lambda obj, sid: asked.append((obj, sid)) or moves(obj, sid)
+        assert not eng._peel_search(x, y, c, depth, eng.budget)
+        return asked
+
+    depth = subcats.PEEL_DEPTH
+    for x, y, c in dict.fromkeys(queries):
+        assert expanded(x, y, c, depth + 1) == expanded(x, y, c, depth), (
+            x.labels(), y.labels(), c,
+        )
 
 
 def test_a_repeated_shift_builds_nothing_new(monkeypatch):
@@ -268,7 +368,7 @@ def test_find_witness_returns_checked_triangles(b22):
     x = Subcat.of(b22, [0])
     y = Subcat.of(b22, [1])
     # S0 + S1 decomposes as the split extension of these two classes.
-    t = next(witnesses(eng, x, y, Obj.of(0, 1), eng.cap), None)
+    t = next(witnesses(eng, x, y, Obj.of(0, 1), 4), None)
     assert t is not None
     assert t.b == Obj.of(0, 1)  # searched object sits in the middle
     assert x.contains_obj(t.a)
@@ -276,7 +376,7 @@ def test_find_witness_returns_checked_triangles(b22):
     assert b22.compose(t.f, t.g).is_zero
     assert b22.compose(t.g, t.h).is_zero
     # No witness exists when the second class cannot reach the object.
-    assert next(witnesses(eng, x, x, Obj.of(1), eng.cap), None) is None
+    assert next(witnesses(eng, x, x, Obj.of(1), 4), None) is None
 
 
 def test_witnesses_come_from_the_least_productive_cap_only():

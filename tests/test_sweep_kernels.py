@@ -64,9 +64,23 @@ def per_move_peel(engine, x, y, c, depth, budget, closed):
     every summand of the closed side, Hom-zero ones included; returns the
     search's answer and the budget units it spent.  On the y side a move
     is a map obj -> y and its cocone, on the x side a map x -> obj and
-    its cone."""
+    its cone.  A state with a summand outside the target side that has no
+    move at all, read off ``hom_dim``, keeps that summand on every chain
+    and is skipped."""
     b = engine.backend
     target, strip = (x, y) if closed == "y" else (y, x)
+
+    def ends(z, sid):
+        single = Obj.of(sid)
+        return (z, single) if closed == "y" else (single, z)
+
+    def dead(obj):
+        return any(
+            z not in target
+            and not any(b.hom_dim(*ends(Obj.of(z), sid)) for sid in strip)
+            for z in obj.summands
+        )
+
     spent = 0
     frontier = [(c, [])]
     best_seen = {c: depth}
@@ -75,11 +89,10 @@ def per_move_peel(engine, x, y, c, depth, budget, closed):
         for obj, chain in frontier:
             if target.contains_obj(obj):
                 return (chain, obj), spent
-            if remaining == 0:
+            if remaining == 0 or dead(obj):
                 continue
             for sid in strip:
-                single = Obj.of(sid)
-                src, dst = (obj, single) if closed == "y" else (single, obj)
+                src, dst = ends(obj, sid)
                 for coords in range(1, 1 << b.hom_dim(src, dst)):
                     spent += 1
                     if spent > budget:
@@ -170,10 +183,27 @@ def check_against_per_move(b, queries):
             )
 
 
-@pytest.mark.parametrize("mn", SMALL, ids=lambda mn: f"{mn[0]}-{mn[1]}")
+def condition_I_queries(b, monkeypatch):
+    """The distinct peel searches of the star T * U of every concentric
+    twin pair, the one star condition (I) reads."""
+    eng = PairEngine(b)
+    queries = peel_queries(
+        lambda: [eng.star.star_indecs(p.t, p.u) for p in eng.concentric_tcps()],
+        monkeypatch,
+    )
+    return list(dict.fromkeys(queries))
+
+
+# On (2, 7) the searches spend up to 1,441 units each, and trying every
+# budget below that takes minutes, so it sits out.
+@pytest.mark.parametrize(
+    "mn", [mn for mn in SMALL if mn != (2, 7)], ids=lambda mn: f"{mn[0]}-{mn[1]}"
+)
 def test_peel_table_matches_the_per_move_search(mn, monkeypatch):
     b = NakayamaBackend(*mn)
-    queries = peel_queries(PairEngine(b).enumerate_cotorsion, monkeypatch)
+    queries = condition_I_queries(b, monkeypatch)
+    # on one vertex every member of T * U is in T or U already
+    assert queries or mn[0] == 1
     check_against_per_move(b, queries)
 
 
@@ -203,8 +233,8 @@ def test_peel_tables_hold_only_real_moves(monkeypatch, capsys):
     # entry is empty.
     built = []
 
-    def recorded(backend, cap):
-        built.append(PairEngine(backend, cap=cap))
+    def recorded(backend):
+        built.append(PairEngine(backend))
         return built[-1]
 
     monkeypatch.setattr("cotor.pairs.PairEngine", recorded)
@@ -260,7 +290,7 @@ def test_lift_stars_match_the_per_move_peel(mn, monkeypatch, capsys):
     assert asked
     for (x, y, c, step), (star, member) in asked.items():
         side = "x" if step == 1 else "y"
-        found, _ = per_move_peel(star, x, y, c, star.cap + 1, star.budget, side)
+        found, _ = per_move_peel(star, x, y, c, subcats.PEEL_DEPTH, star.budget, side)
         assert member == (found is not None), (step, x.labels(), y.labels(), c)
 
 
@@ -436,7 +466,7 @@ def test_maximality_by_crossing_masks_matches_inclusion(n):
         if not any(s.bits != t.bits and s.bits & t.bits == s.bits for t in rigid)
     }
     assert by_inclusion == {s.bits for s in triangulations_among(b, rigid)}
-    status = cli._Status(f"polygon:N={n}", cli.DEFAULT_CAP)
+    status = cli._Status(f"polygon:N={n}")
     cli._suite_counts_polygon(b, status)
     claims = status.claims
     assert claims[0]["claim"] == "triangulations are exactly the maximal non-crossing sets"
